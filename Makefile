@@ -17,7 +17,8 @@ test:
 
 race:
 	$(GO) test -race -short ./...
-	HETEROIF_FORCE_PARALLEL=1 $(GO) test -race -run 'TestParallelOracle' ./internal/experiments -args -oracle.workers=2,4,8
+	HETEROIF_FORCE_PARALLEL=1 $(GO) test -race -count=3 -run 'TestWorkersReleased' ./internal/network
+	HETEROIF_FORCE_PARALLEL=1 $(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle' ./internal/experiments -args -oracle.workers=2,4,8
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

@@ -78,8 +78,15 @@ type phyPipe struct {
 	inFlight int
 }
 
-func newPhyPipe(delay int) phyPipe {
-	return phyPipe{delay: delay, slots: make([][]network.Flit, delay)}
+// newPhyPipe carves the stages out of one array at their static bound (a
+// PHY issues at most bw flits per cycle), so pushes never reallocate.
+func newPhyPipe(delay, bw int) phyPipe {
+	p := phyPipe{delay: delay, slots: make([][]network.Flit, delay)}
+	buf := make([]network.Flit, delay*bw)
+	for i := range p.slots {
+		p.slots[i] = buf[i*bw : i*bw : (i+1)*bw]
+	}
+	return p
 }
 
 func (p *phyPipe) push(f network.Flit) {
@@ -113,13 +120,18 @@ func NewHeteroPHYAdapter(cfg *network.Config, policy Policy) *HeteroPHYAdapter {
 		delaySerial:   cfg.SerialDelay,
 		pjParallel:    cfg.ParallelPJPerBit,
 		pjSerial:      cfg.SerialPJPerBit,
+		txq:           make([]txEntry, 0, cfg.AdapterQueueDepth),
 		txCap:         cfg.AdapterQueueDepth,
 		rob:           NewROB(cfg.VCs),
 		txVSN:         make([]uint32, cfg.VCs),
 		LookAhead:     8,
 	}
-	a.ppipe = newPhyPipe(a.delayParallel)
-	a.spipe = newPhyPipe(a.delaySerial)
+	// Eq. 1: the parallel PHY runs at most D_s − D_p cycles ahead of the
+	// serial one; one more cycle of arrivals from both PHYs can join before
+	// Release runs. Link retry can exceed it, and then pending grows.
+	a.rob.pending = make([]network.Flit, 0, a.parallelBW*(a.delaySerial-a.delayParallel)+a.parallelBW+a.serialBW)
+	a.ppipe = newPhyPipe(a.delayParallel, a.parallelBW)
+	a.spipe = newPhyPipe(a.delaySerial, a.serialBW)
 	a.pb, a.sb = a.parallelBW, a.serialBW
 	return a
 }

@@ -129,6 +129,7 @@ func runCollective(o Options, w io.Writer) error {
 						if err != nil {
 							return nil, err
 						}
+						defer in.release()
 						res, rep, err := runCollectiveProgram(in, sys.name, shape, size, compute, budget)
 						if err != nil {
 							return nil, err
@@ -201,6 +202,7 @@ func runCollective(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer in.release()
 	shape := shapes[0] // allreduce
 	_, healthy, err := runCollectiveProgram(in, "hetero-phy-failover", shape, sizes[0], compute, budget)
 	if err != nil {
@@ -214,6 +216,7 @@ func runCollective(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer in.release()
 	fault.Attach(in.Net, fault.Config{
 		Seed: o.FaultSeed,
 		Events: []fault.Event{

@@ -133,6 +133,7 @@ func (c *CustomRun) Execute(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer in.release()
 	if c.Eq5Bias > 0 {
 		if sys != topology.HeteroChannel {
 			return fmt.Errorf("experiments: eq5_bias only applies to hetero-channel systems")

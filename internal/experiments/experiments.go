@@ -161,6 +161,7 @@ func runPoint(v variant, pat traffic.Pattern, rate float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer in.release()
 	if err := in.RunSynthetic(pat, rate); err != nil {
 		// Deadlock or other engine failure: report, don't fabricate data.
 		return Result{}, fmt.Errorf("%s/%s@%.3f: %w", v.Name, pat.Name(), rate, err)

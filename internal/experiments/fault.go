@@ -71,6 +71,7 @@ func runFault(o Options, w io.Writer) error {
 					if err != nil {
 						return nil, err
 					}
+					defer in.release()
 					// Serial BER dominates (long reach); the short-reach
 					// parallel PHY runs two orders cleaner; on-chip wires
 					// are ideal. BER 0 attaches nothing at all, making that
@@ -127,6 +128,7 @@ func runFault(o Options, w io.Writer) error {
 				if err != nil {
 					return nil, err
 				}
+				defer in.release()
 				fault.Attach(in.Net, fault.Config{
 					Seed: o.FaultSeed,
 					Events: []fault.Event{

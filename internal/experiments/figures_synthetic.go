@@ -230,6 +230,7 @@ func runEnergyPoint(v variant, energyBias bool, pat traffic.Pattern, rate float6
 	if err != nil {
 		return Result{}, err
 	}
+	defer in.release()
 	if energyBias && v.Spec.System == topology.HeteroChannel {
 		in.Net.Routing = &routing.HeteroChannel{
 			T:    in.Topo,

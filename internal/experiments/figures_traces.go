@@ -18,6 +18,7 @@ func replayPoint(v variant, tr *trace.Trace, speedup float64, energyBias bool) (
 	if err != nil {
 		return Result{}, err
 	}
+	defer in.release()
 	if energyBias && v.Spec.System == topology.HeteroChannel {
 		in.Net.Routing = &routing.HeteroChannel{
 			T:    in.Topo,

@@ -48,14 +48,14 @@ func runLinkFail(o Options, w io.Writer) error {
 	}
 	var cases []faultCase
 	for _, sys := range systems {
-		probe, err := Build(cfg, topology.Spec{System: sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4})
+		_, probe, err := topology.Build(cfg, topology.Spec{System: sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4})
 		if err != nil {
 			return err
 		}
 		failable := 0
-		for n := range probe.Topo.OutPorts {
-			for port := 1; port < len(probe.Topo.OutPorts[n]); port++ {
-				p := &probe.Topo.OutPorts[n][port]
+		for n := range probe.OutPorts {
+			for port := 1; port < len(probe.OutPorts[n]); port++ {
+				p := &probe.OutPorts[n][port]
 				if p.Wrap || p.CubeDim >= 0 {
 					failable++
 				}
@@ -86,6 +86,7 @@ func runLinkFail(o Options, w io.Writer) error {
 				if err != nil {
 					return row, err
 				}
+				defer in.release()
 				idx := 0
 				for n := range in.Topo.OutPorts {
 					for port := 1; port < len(in.Topo.OutPorts[n]); port++ {

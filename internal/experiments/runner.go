@@ -67,6 +67,17 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	return in, nil
 }
 
+// release stops the instance's shard workers. Every runner defers it once
+// Build succeeds, so a point's goroutines end when the point returns; the
+// network's finalizer is only the backstop for instances dropped without
+// it. The network stays usable: it steps sequentially from here on, with
+// identical results.
+func (in *Instance) release() {
+	if in.Net.Cfg.Workers > 1 {
+		in.Net.SetWorkers(0)
+	}
+}
+
 // RunSynthetic drives the instance with a synthetic pattern at the given
 // offered load (flits/cycle/node) for cfg.SimCycles cycles.
 func (in *Instance) RunSynthetic(p traffic.Pattern, rate float64) error {

@@ -1,0 +1,25 @@
+package network
+
+// White-box probes for the external build-path tests (build_test.go), which
+// need topology and routing and so cannot live in this package.
+
+// LUTPool reports the length and capacity of the route LUT's candidate
+// pool, or zeros when no LUT was built.
+func (net *Network) LUTPool() (length, capacity int) {
+	if net.lut == nil {
+		return 0, 0
+	}
+	return len(net.lut.cands), cap(net.lut.cands)
+}
+
+// RingBacking identifies a ring's storage: the last element of the array
+// backing it and how much of that array lies at or after the ring's first
+// slot. Rings carved from one slab share end; a ring without storage
+// returns (nil, 0).
+func RingBacking(q *FlitQueue) (end *Flit, room int) {
+	room = cap(q.buf)
+	if room == 0 {
+		return nil, 0
+	}
+	return &q.buf[:room][room-1], room
+}

@@ -215,12 +215,13 @@ func (net *Network) Finalize() {
 // rings and credit arrays into contiguous per-network slabs, in (router,
 // port, VC) order — the structure-of-arrays layout behind the saturated
 // hot path. Topology builders still create ports as individual heap
-// objects; Finalize migrates them here, copying all live state verbatim
-// (ring contents and staging cursors included, so a re-Finalize mid-run is
-// safe). Every pointer into the old homes is rebound afterwards: Finalize
-// re-binds the link closures and dstIn/srcOut, rebuildWork the flat slot
-// tables. The slabs are reachable only through the routers' port slices,
-// so repacking leaks nothing.
+// objects, but a port only declares its ring depth: this is the one place
+// ring storage is allocated. Finalize migrates the ports here, copying all
+// live state verbatim (on a re-Finalize mid-run that includes ring contents
+// and staging cursors). Every pointer into the old homes is rebound
+// afterwards: Finalize re-binds the link closures and dstIn/srcOut,
+// rebuildWork the flat slot tables. The slabs are reachable only through
+// the routers' port slices, so repacking leaks nothing.
 //
 // Ownership under parallel stepping is unchanged by the merged backing
 // arrays: a shard's routers own disjoint index ranges of every slab
@@ -233,9 +234,7 @@ func (net *Network) packSlabs() {
 		nOut += len(r.Out)
 		for _, in := range r.In {
 			nVC += len(in.VCs)
-			for v := range in.VCs {
-				nFlit += in.VCs[v].Buf.Cap()
-			}
+			nFlit += len(in.VCs) * in.depth
 		}
 		for _, out := range r.Out {
 			nCred += len(out.Credits)
@@ -259,9 +258,9 @@ func (net *Network) packSlabs() {
 			for v := range in.VCs {
 				vc := &p.VCs[v]
 				*vc = in.VCs[v]
-				ring := flitSlab[iFlit : iFlit+vc.Buf.Cap()]
-				iFlit += vc.Buf.Cap()
-				copy(ring, vc.Buf.buf)
+				ring := flitSlab[iFlit : iFlit+in.depth]
+				iFlit += in.depth
+				copy(ring, vc.Buf.buf) // empty until the first Finalize
 				vc.Buf.buf = ring
 			}
 			r.In[pi] = p

@@ -85,9 +85,19 @@ type parallelState struct {
 	// values so a step allocates nothing.
 	phase1Fn func(int)
 	phase2Fn func(int)
-	cmd      []chan func(int)
-	ack      []chan struct{}
-	stopped  bool
+	ws       *workerSet // nil in single mode
+}
+
+// workerSet owns the worker goroutines' channels and nothing else. It is
+// the one object of the sharded stepper that carries a finalizer, so
+// nothing reachable from it may lead back to the parallelState or the
+// Network: both are self-cyclic through their closures (deliverFns and the
+// phase functions capture them), and the collector neither finalizes nor
+// frees a cycle that contains a finalizer. The channels hold a phase
+// closure only while a dispatch is in flight.
+type workerSet struct {
+	cmd []chan func(int)
+	ack []chan struct{}
 }
 
 type workerScratch struct {
@@ -136,10 +146,12 @@ func (net *Network) SetShardCuts(cuts []int) {
 // sequential stepping; speedups appear on saturated systems from a few
 // hundred nodes up, provided the process has the CPUs (on a single-CPU
 // process the shards run inline and parallel mode merely matches
-// sequential throughput).
+// sequential throughput). SetWorkers(0) stops the previous workers before
+// it returns; a network dropped while still parallel is released by the
+// workerSet finalizer at a later collection.
 func (net *Network) SetWorkers(n int) {
 	if net.par != nil {
-		net.par.stopWorkers()
+		net.par.ws.stop()
 		net.par = nil
 	}
 	if n <= 1 {
@@ -167,10 +179,7 @@ func (net *Network) SetWorkers(n int) {
 	p.phase1Fn = func(w int) { net.parPhase1(w) }
 	p.phase2Fn = func(w int) { net.parPhase2(w) }
 	if !p.single {
-		p.startWorkers()
-		// Workers capture only their channels, so an abandoned Network
-		// stays collectable and the finalizer releases its goroutines.
-		runtime.SetFinalizer(p, (*parallelState).stopWorkers)
+		p.ws = startWorkers(n)
 	}
 	net.par = p
 	net.rebuildWake()
@@ -390,24 +399,26 @@ func (p *parallelState) maybeRebalance(net *Network) {
 	}
 }
 
-// startWorkers launches the persistent worker goroutines, parked on their
-// command channels between steps.
-func (p *parallelState) startWorkers() {
-	p.cmd = make([]chan func(int), p.workers)
-	p.ack = make([]chan struct{}, p.workers)
-	for w := 1; w < p.workers; w++ {
+// startWorkers launches n-1 persistent worker goroutines (the coordinator
+// is shard 0), parked on their command channels between steps.
+func startWorkers(n int) *workerSet {
+	ws := &workerSet{cmd: make([]chan func(int), n), ack: make([]chan struct{}, n)}
+	for w := 1; w < n; w++ {
 		cmd := make(chan func(int), 1)
 		ack := make(chan struct{}, 1)
-		p.cmd[w], p.ack[w] = cmd, ack
+		ws.cmd[w], ws.ack[w] = cmd, ack
 		go parallelWorker(w, cmd, ack)
 	}
+	runtime.SetFinalizer(ws, (*workerSet).stop)
+	return ws
 }
 
-// parallelWorker is deliberately a top-level function capturing nothing
-// but its channels, so an abandoned Network (and its parallelState) stays
-// collectable; the state's finalizer closes cmd and releases the
-// goroutine.
+// parallelWorker is a top-level function holding nothing but its channels
+// while parked: the range loop clears its receive slot and fn is dead after
+// the call, so a parked worker keeps neither the state nor the Network
+// alive. Closing ack on the way out lets stop wait for the exit.
 func parallelWorker(w int, cmd <-chan func(int), ack chan<- struct{}) {
+	defer close(ack)
 	for fn := range cmd {
 		fn(w)
 		ack <- struct{}{}
@@ -417,26 +428,31 @@ func parallelWorker(w int, cmd <-chan func(int), ack chan<- struct{}) {
 // dispatch runs fn(worker) on every worker and waits. The channel
 // send/receive pairs provide the happens-before edges that publish one
 // phase's writes to every shard before the next phase reads them.
-func (p *parallelState) dispatch(fn func(int)) {
-	for w := 1; w < p.workers; w++ {
-		p.cmd[w] <- fn
+func (ws *workerSet) dispatch(fn func(int)) {
+	for w := 1; w < len(ws.cmd); w++ {
+		ws.cmd[w] <- fn
 	}
 	fn(0)
-	for w := 1; w < p.workers; w++ {
-		<-p.ack[w]
+	for w := 1; w < len(ws.ack); w++ {
+		<-ws.ack[w]
 	}
 }
 
-// stopWorkers releases the worker goroutines. SetWorkers calls it when
-// re-sharding or restoring sequential mode; a finalizer covers abandoned
-// networks.
-func (p *parallelState) stopWorkers() {
-	if p.stopped {
+// stop releases the worker goroutines and returns once each has left its
+// loop. SetWorkers calls it when re-sharding or restoring sequential mode
+// (ws is nil in single mode); as the workerSet's finalizer it is the
+// backstop for a network dropped without SetWorkers(0), where the workers
+// are parked and exit at once.
+func (ws *workerSet) stop() {
+	if ws == nil {
 		return
 	}
-	p.stopped = true
-	for w := 1; w < len(p.cmd); w++ {
-		close(p.cmd[w])
+	runtime.SetFinalizer(ws, nil)
+	for w := 1; w < len(ws.cmd); w++ {
+		close(ws.cmd[w])
+	}
+	for w := 1; w < len(ws.ack); w++ {
+		<-ws.ack[w]
 	}
 }
 
@@ -452,8 +468,8 @@ func (net *Network) stepParallel() {
 			net.parPhase2(w)
 		}
 	} else {
-		p.dispatch(p.phase1Fn)
-		p.dispatch(p.phase2Fn)
+		p.ws.dispatch(p.phase1Fn)
+		p.ws.dispatch(p.phase2Fn)
 	}
 
 	// Merge scratch, run sinks and distribute woken links in deterministic

@@ -1,6 +1,10 @@
 package network
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestParallelMatchesSequential: the parallel stepper must be bit-identical
 // to sequential stepping — same deliveries, same latencies, same counters.
@@ -284,4 +288,59 @@ func TestSetWorkersRejectsTracer(t *testing.T) {
 		}
 	}()
 	net.SetWorkers(4)
+}
+
+// TestWorkersReleased: a finalized network that ever ran on the sharded
+// stepper must cost nothing once it is dropped — its memory is collected
+// and its worker goroutines exit — whether or not SetWorkers(0) was called
+// first. No finalizer is set on a Network here: it is self-cyclic through
+// its closures, so one would itself make it immortal.
+func TestWorkersReleased(t *testing.T) {
+	defer func(old bool) { forceWorkerDispatch = old }(forceWorkerDispatch)
+	forceWorkerDispatch = true
+
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	run := func() *Network {
+		net := buildXYMesh(t, 16, false)
+		net.SetWorkers(2)
+		for net.Now < 40 {
+			saturateXYMesh(net, net.Now)
+			net.Step()
+		}
+		return net
+	}
+
+	goroutines := runtime.NumGoroutine()
+	base := heap()
+	one := run()
+	size := heap() - base
+	one.SetWorkers(0)
+	one = nil
+
+	for i := 0; i < 8; i++ {
+		net := run()
+		if i%2 == 0 {
+			net.SetWorkers(0)
+		}
+	}
+
+	// Finalizers run on their own goroutine after the collection that finds
+	// the workerSet unreachable, so poll collections against a deadline.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		h, g := heap(), runtime.NumGoroutine()
+		if h <= base+size && g <= goroutines {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after dropping 9 networks of %d KB: heap %d KB over baseline, %d goroutines over baseline",
+				size>>10, (int64(h)-int64(base))>>10, g-goroutines)
+		}
+		runtime.Gosched()
+	}
 }

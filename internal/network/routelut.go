@@ -57,7 +57,13 @@ func buildRouteLUT(net *Network) *routeLUT {
 	lut.adapt = make([]uint64, 0, 2*n*n)
 	var scratch []Candidate
 	var pkt Packet
-	for _, r := range net.Nodes {
+	for i, r := range net.Nodes {
+		if i == 1 {
+			// Reserve the pool once, from the first router's row: rows
+			// differ only by the router's position, while append growth
+			// from empty would allocate several times the final pool.
+			lut.cands = append(make([]Candidate, 0, n*len(lut.cands)), lut.cands...)
+		}
 		for dst := 0; dst < n; dst++ {
 			for restricted := 0; restricted < 2; restricted++ {
 				if NodeID(dst) != r.ID {

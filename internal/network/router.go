@@ -129,6 +129,10 @@ type InPort struct {
 	// cycle (Sec. 4.1); regular inputs drain one VC per cycle.
 	Interface bool
 	VCs       []VCState
+	// depth is the per-VC ring capacity in flits. Ports only declare it:
+	// the rings have no storage until Finalize carves them out of the
+	// network's flit slab.
+	depth int
 }
 
 // OutPort is a router output: the downstream link (nil for the ejection
@@ -300,11 +304,8 @@ type flatSlot struct {
 func newRouter(cfg *Config, id NodeID) *Router {
 	r := &Router{ID: id, InjectPort: 0, EjectPort: 0, ejBW: cfg.EjectionBandwidth}
 	// Injection input port.
-	inj := &InPort{Kind: KindLocal, DrainBudget: cfg.InjectionBandwidth}
+	inj := &InPort{Kind: KindLocal, DrainBudget: cfg.InjectionBandwidth, depth: cfg.BufPerVC(KindLocal)}
 	inj.VCs = make([]VCState, cfg.VCs)
-	for i := range inj.VCs {
-		inj.VCs[i].Buf = FlitQueue{buf: make([]Flit, cfg.BufPerVC(KindLocal))}
-	}
 	r.In = append(r.In, inj)
 	// Ejection output port: no link, no credits needed beyond rate limit.
 	ej := &OutPort{Kind: KindLocal, Interface: true}
@@ -320,12 +321,9 @@ func (r *Router) AddInPort(cfg *Config, l *Link) int {
 		Kind:        l.Kind,
 		DrainBudget: l.Bandwidth,
 		Interface:   l.Kind != KindOnChip,
+		depth:       cfg.BufPerVC(l.Kind),
 	}
 	p.VCs = make([]VCState, cfg.VCs)
-	depth := cfg.BufPerVC(l.Kind)
-	for i := range p.VCs {
-		p.VCs[i].Buf = FlitQueue{buf: make([]Flit, depth)}
-	}
 	r.In = append(r.In, p)
 	return len(r.In) - 1
 }
