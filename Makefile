@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchkernel bench-kernel bench-smoke prof experiments experiments-full examples vet fmt-check smoke fault collective ci clean
+.PHONY: all build test race loc bench benchkernel bench-kernel bench-smoke prof experiments experiments-full examples vet fmt-check smoke fault collective ci clean
 
 all: build test
 
@@ -15,10 +15,18 @@ vet:
 test:
 	$(GO) test ./...
 
+# The oracle and release steps need no forcing: SetWorkers(n>1) always
+# starts n-1 real goroutines, so the race detector sees the cross-shard
+# paths on any host.
 race:
 	$(GO) test -race -short ./...
-	HETEROIF_FORCE_PARALLEL=1 $(GO) test -race -count=3 -run 'TestWorkersReleased' ./internal/network
-	HETEROIF_FORCE_PARALLEL=1 $(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle' ./internal/experiments -args -oracle.workers=2,4,8
+	$(GO) test -race -count=3 -run 'TestWorkersReleased' ./internal/network
+	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle' ./internal/experiments -args -oracle.workers=2,4,8
+
+# Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every
+# PR to report in CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

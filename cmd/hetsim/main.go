@@ -90,7 +90,7 @@ func main() {
 			os.Exit(1)
 		}
 		// Precedence: an explicit -workers flag wins over the spec's
-		// "workers" field, which wins over the default (sequential).
+		// "workers" field, which wins over the default (one shard).
 		if c.Workers == 0 || flagWasSet("workers") {
 			c.Workers = *workers
 		}

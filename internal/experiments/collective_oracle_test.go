@@ -40,12 +40,14 @@ func collectiveOracleRun(t *testing.T, workers int, faults bool) (oracleFingerpr
 
 	prev := in.Net.Sink
 	h := fnv.New64a()
+	var fp oracleFingerprint
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	in.Net.Sink = func(p *network.Packet) {
+		fp.addEnergy(p)
 		put(p.ID)
 		put(uint64(uint32(p.Src))<<32 | uint64(uint32(p.Dst)))
 		put(uint64(p.CreatedAt))
@@ -100,13 +102,8 @@ func collectiveOracleRun(t *testing.T, workers int, faults bool) (oracleFingerpr
 		}
 	}
 
-	return oracleFingerprint{
-		arrivalHash: h.Sum64(),
-		injected:    in.Net.PacketsInjected(),
-		delivered:   in.Net.PacketsDelivered(),
-		vaFailures:  in.Net.VAFailures,
-		grants:      in.Net.GrantsByKind,
-	}, rep
+	fp.finish(h.Sum64(), in.Net)
+	return fp, rep
 }
 
 // TestParallelOracleCollective extends the cross-worker-count bit-identity
@@ -130,6 +127,7 @@ func TestParallelOracleCollective(t *testing.T) {
 		faults := faults
 		t.Run(name, func(t *testing.T) {
 			wantFP, wantRep := collectiveOracleRun(t, 1, faults)
+			checkOracleGolden(t, "collective/"+name, wantFP)
 			if wantFP.delivered == 0 || wantFP.delivered != wantFP.injected {
 				t.Fatalf("sequential reference degenerate: delivered %d of %d", wantFP.delivered, wantFP.injected)
 			}

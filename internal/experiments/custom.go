@@ -45,9 +45,9 @@ type CustomRun struct {
 	Warmup int64 `json:"warmup,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
 
-	// Workers enables deterministic parallel stepping across this many
-	// goroutines (0/1 = sequential). The hetsim -workers flag, when set
-	// explicitly, overrides this field.
+	// Workers cuts the simulation into this many deterministically stepped
+	// shards, one goroutine each (0/1 = one shard). The hetsim -workers
+	// flag, when set explicitly, overrides this field.
 	Workers int `json:"workers,omitempty"`
 
 	// PacketLength overrides the synthetic packet length in flits.
@@ -109,10 +109,7 @@ func (c *CustomRun) Execute(w io.Writer) error {
 	if c.Halved {
 		cfg = cfg.Halved()
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("experiments: workers %d must be non-negative", c.Workers)
-	}
-	cfg.Workers = c.Workers
+	cfg.Workers = c.Workers // a negative count is rejected by cfg.Validate in Build
 	sys, err := systemByName(c.System)
 	if err != nil {
 		return err

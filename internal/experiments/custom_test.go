@@ -55,6 +55,7 @@ func TestCustomRunValidation(t *testing.T) {
 		{System: "uniform-parallel-mesh", ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2, Pattern: "uniform", Rate: 0.1, Eq5Bias: 2},
 		{System: "uniform-parallel-mesh", ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2, Pattern: "uniform", Rate: 0.1, Policy: "bogus"},
 		{System: "uniform-parallel-mesh", ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2, Pattern: "local-uniform", Rate: 0.1},
+		{System: "uniform-parallel-mesh", ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2, Pattern: "uniform", Rate: 0.1, Workers: -1},
 	}
 	for i, c := range cases {
 		c.Cycles, c.Warmup = 2000, 200

@@ -26,8 +26,9 @@ type Options struct {
 	CSVDir string
 	// Seed overrides the default random seed when non-zero.
 	Seed int64
-	// Workers enables deterministic parallel stepping of one simulation
-	// across goroutines (0/1 = sequential) — cycle-level parallelism.
+	// Workers cuts one simulation into that many deterministically stepped
+	// shards, one goroutine each (0/1 = one shard) — cycle-level
+	// parallelism.
 	Workers int
 	// Tiny shrinks systems and windows to smoke-test scale (seconds for
 	// the whole registry); used by tests, never for reported results.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,18 +22,74 @@ import (
 var oracleWorkers = flag.String("oracle.workers", "2,4,8",
 	"comma-separated worker counts TestParallelOracle compares against workers=1")
 
-// oracleFingerprint reduces a run to everything the parallel engine could
-// plausibly perturb: a per-packet arrival hash (identity, timing, energy,
-// hop mix, in sink order — which the coordinator merge fixes), injection
+// oracleFingerprint reduces a run to everything sharding could plausibly
+// perturb: a per-packet arrival hash (identity, timing, energy, hop mix, in
+// sink order — which the shard-order merge fixes), energy sums, injection
 // and delivery totals, VC-allocation failure counts and the
 // switch-allocation grant mix. Two runs are bit-identical iff their
 // fingerprints are equal.
 type oracleFingerprint struct {
 	arrivalHash uint64
+	energy      [3]float64 // total, on-chip, interface pJ summed in sink order
 	injected    int64
 	delivered   int64
 	vaFailures  uint64
 	grants      [8]uint64
+}
+
+// addEnergy accumulates one delivered packet's energies, in sink order.
+func (fp *oracleFingerprint) addEnergy(p *network.Packet) {
+	fp.energy[0] += p.EnergyPJ
+	fp.energy[1] += p.EnergyOnChipPJ
+	fp.energy[2] += p.EnergyIfacePJ
+}
+
+// finish fills in the arrival hash and the network's end-of-run totals.
+func (fp *oracleFingerprint) finish(arrivalHash uint64, net *network.Network) {
+	fp.arrivalHash = arrivalHash
+	fp.injected = net.PacketsInjected()
+	fp.delivered = net.PacketsDelivered()
+	fp.vaFailures = net.VAFailures
+	fp.grants = net.GrantsByKind
+}
+
+// oracleGolden pins the one-shard fingerprint of every oracle scenario to
+// the values the deleted sequential engine (Network.Step at commit 840be5e,
+// before it became the one-shard case of the sharded stepper) produced on
+// amd64. "1 shard = N shards" alone would pass if both were wrong the same
+// way; these constants keep the retired engine as the reference. A change
+// that moves simulated behaviour on purpose re-records them: the failure
+// message prints the literal.
+var oracleGolden = map[string]oracleFingerprint{
+	"uniform-parallel-mesh": {arrivalHash: 0x41fdb44e8cab1d17, energy: [3]float64{2.758329600000001e+06, 944825.6000000011, 1.813504e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x5f, grants: [8]uint64{0x1d500, 0x6eb0, 0x0, 0x0, 0x6d70}},
+	"uniform-serial-torus": {arrivalHash: 0x3433581d9455e81f, energy: [3]float64{5.056409599999999e+06, 703999.9999999983, 4.352409600000077e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x15, grants: [8]uint64{0x155e0, 0x0, 0x6eb0, 0x0, 0x6d70}},
+	"hetero-phy-torus": {arrivalHash: 0x46b29d3327897d1d, energy: [3]float64{2.7932736000000015e+06, 944825.6000000011, 1.8484480000000002e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x67, grants: [8]uint64{0x1d500, 0x0, 0x0, 0x6eb0, 0x6d70}},
+	"uniform-serial-hypercube": {arrivalHash: 0xe37991a646fb1682, energy: [3]float64{5.123542399999993e+06, 771132.7999999976, 4.352409600000077e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x7a1, grants: [8]uint64{0x17950, 0x0, 0x6eb0, 0x0, 0x6d70}},
+	"hetero-channel": {arrivalHash: 0xc9dbc9ff900ce7bd, energy: [3]float64{2.758329600000001e+06, 944825.6000000011, 1.813504e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x69, grants: [8]uint64{0x1d500, 0x6eb0, 0x0, 0x0, 0x6d70}},
+	"hetero-phy-torus/faults+retry": {arrivalHash: 0xa7d7f264e0eb1369, energy: [3]float64{2.8185407999999993e+06, 944825.6000000011, 1.8737152000000007e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x6b, grants: [8]uint64{0x1d500, 0x0, 0x0, 0x6eb0, 0x6d70}},
+	"collective/healthy": {arrivalHash: 0x3a82e605adca6411, energy: [3]float64{135475.19999999995, 37171.19999999998, 98304},
+		injected: 120, delivered: 120, grants: [8]uint64{0x1200, 0x0, 0x0, 0x600, 0x600}},
+	"collective/faults+failover": {arrivalHash: 0x756535dc9f650141, energy: [3]float64{264499.20000000007, 37171.19999999998, 227328.00000000026},
+		injected: 120, delivered: 120, grants: [8]uint64{0x1200, 0x0, 0x0, 0x600, 0x600}},
+}
+
+// checkOracleGolden compares a one-shard fingerprint with its pinned value.
+// The energies are products and sums of float64s, which arm64 and friends
+// may fuse, so the constants are only binding where they were recorded.
+func checkOracleGolden(t *testing.T, key string, got oracleFingerprint) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	if want, ok := oracleGolden[key]; !ok || got != want {
+		t.Errorf("one-shard run diverged from the pinned sequential-engine fingerprint %q:\n got %#v\nwant %#v", key, got, want)
+	}
 }
 
 // oracleRun executes one full build+run+drain at the given worker count and
@@ -54,12 +111,14 @@ func oracleRun(t *testing.T, sys topology.System, workers int, faults bool) orac
 	// parallel stepping changes the hash.
 	prev := in.Net.Sink
 	h := fnv.New64a()
+	var fp oracleFingerprint
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	in.Net.Sink = func(p *network.Packet) {
+		fp.addEnergy(p)
 		put(p.ID)
 		put(uint64(uint32(p.Src))<<32 | uint64(uint32(p.Dst)))
 		put(uint64(p.Length)<<8 | uint64(p.Class))
@@ -99,13 +158,8 @@ func oracleRun(t *testing.T, sys topology.System, workers int, faults bool) orac
 		}
 	}
 
-	return oracleFingerprint{
-		arrivalHash: h.Sum64(),
-		injected:    in.Net.PacketsInjected(),
-		delivered:   in.Net.PacketsDelivered(),
-		vaFailures:  in.Net.VAFailures,
-		grants:      in.Net.GrantsByKind,
-	}
+	fp.finish(h.Sum64(), in.Net)
+	return fp
 }
 
 func parseOracleWorkers(t *testing.T) []int {
@@ -134,9 +188,10 @@ func parseOracleWorkers(t *testing.T) []int {
 // mix, VC-allocation failures, grant mix — with credits conserved. A final
 // variant re-runs the hetero-PHY torus with the seeded fault model and
 // link-layer retry active, so retransmission timing also goes through the
-// sharded engine. The CI race job runs this test under -race with worker
-// dispatch forced, which upgrades bit-identity into a data-race check on
-// the shard ownership discipline.
+// sharded engine. The one-shard run is itself checked against oracleGolden.
+// The CI race job runs this test under -race (Workers: n always means real
+// goroutines), which upgrades bit-identity into a data-race check on the
+// shard ownership discipline.
 func TestParallelOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run oracle skipped in -short mode")
@@ -153,6 +208,7 @@ func TestParallelOracle(t *testing.T) {
 		sys := sys
 		t.Run(sys.String(), func(t *testing.T) {
 			want := oracleRun(t, sys, 1, false)
+			checkOracleGolden(t, sys.String(), want)
 			if want.delivered == 0 || want.delivered != want.injected {
 				t.Fatalf("sequential reference degenerate: delivered %d of %d", want.delivered, want.injected)
 			}
@@ -165,6 +221,7 @@ func TestParallelOracle(t *testing.T) {
 	}
 	t.Run("hetero-phy-torus/faults+retry", func(t *testing.T) {
 		want := oracleRun(t, topology.HeteroPHYTorus, 1, true)
+		checkOracleGolden(t, "hetero-phy-torus/faults+retry", want)
 		if want.delivered == 0 || want.delivered != want.injected {
 			t.Fatalf("sequential reference degenerate: delivered %d of %d", want.delivered, want.injected)
 		}

@@ -58,24 +58,20 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	// wandering — reachable only under fault injection, where the torus
 	// weighted-distance heuristic can point at a dead wraparound.
 	net.LivelockHopBound = 6 * (topo.GX + topo.GY)
-	// Shard the parallel stepper along chiplet rows so cross-shard traffic
-	// rides the D2D interface links.
+	// Shard the stepper along chiplet rows so cross-shard traffic rides the
+	// D2D interface links.
 	net.SetShardCuts(topo.ShardCuts())
-	if cfg.Workers > 1 {
-		net.SetWorkers(cfg.Workers)
-	}
+	net.SetWorkers(cfg.Workers)
 	return in, nil
 }
 
 // release stops the instance's shard workers. Every runner defers it once
 // Build succeeds, so a point's goroutines end when the point returns; the
 // network's finalizer is only the backstop for instances dropped without
-// it. The network stays usable: it steps sequentially from here on, with
+// it. The network stays usable: it steps as one shard from here on, with
 // identical results.
 func (in *Instance) release() {
-	if in.Net.Cfg.Workers > 1 {
-		in.Net.SetWorkers(0)
-	}
+	in.Net.SetWorkers(0)
 }
 
 // RunSynthetic drives the instance with a synthetic pattern at the given

@@ -11,9 +11,9 @@ import (
 
 // TestPointReleasesWorkers: a point built with Workers > 1 stops its shard
 // goroutines when it returns. Collection is switched off for the duration,
-// so the network's finalizer backstop cannot be what stops them. (On a
-// single-CPU host without HETEROIF_FORCE_PARALLEL the shards run inline and
-// there is nothing to release.)
+// so the network's finalizer backstop cannot be what stops them. Workers: 4
+// means three real worker goroutines on any host, so there is always
+// something to release.
 func TestPointReleasesWorkers(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := baseConfig(Options{Tiny: true, Workers: 4})

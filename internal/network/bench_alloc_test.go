@@ -15,15 +15,15 @@ import "testing"
 // pays between grants, the cost the work-list/parking design attacks.
 
 // blockedMesh drives a side×side mesh to the blockage fixed point and
-// returns the busy routers plus a tick context bound to the sequential
-// scratch.
+// returns the busy routers plus a tick context bound to the scratch of the
+// network's one shard.
 func blockedMesh(tb testing.TB, side int) (*Network, []*Router, tickContext) {
 	net := buildXYMesh(tb, side, false)
 	for net.Now < 2000 {
 		saturateXYMesh(net, net.Now)
 		net.Step()
 	}
-	ctx := tickContext{net: net, scratch: &net.seqScratch}
+	ctx := tickContext{net: net, scratch: &net.shards.sh[0].scratch}
 	for i := 0; i < 64; i++ {
 		for _, r := range net.Nodes {
 			if r.buffered > 0 {

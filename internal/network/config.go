@@ -130,12 +130,13 @@ type Config struct {
 	// memoization across VA retries.
 	RouteLUTNodes int
 
-	// Workers enables deterministic parallel stepping across this many
-	// shards (≤1 = sequential). Shards cut along chiplet boundaries when
-	// the topology declares them (Network.SetShardCuts) and rebalance to
-	// the live load at quiescence points; on a single-CPU process the
-	// shards run inline. Results are bit-identical to sequential runs for
-	// any value; worth it for saturated many-chiplet systems (1K+ nodes).
+	// Workers is the number of shards the cycle engine is cut into, each
+	// beyond the first stepped by its own goroutine (0 or 1 = one shard,
+	// no goroutine; negative is rejected). Shards cut along chiplet
+	// boundaries when the topology declares them (Network.SetShardCuts)
+	// and rebalance to the live load at quiescence points. Results are
+	// bit-identical for any value; worth it for saturated many-chiplet
+	// systems (1K+ nodes) on a host with that many CPUs.
 	Workers int
 
 	// Seed seeds the run's random source.
@@ -196,6 +197,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: buffer depths must be positive")
 	case c.SimCycles <= c.WarmupCycles:
 		return fmt.Errorf("network: sim cycles %d must exceed warm-up %d", c.SimCycles, c.WarmupCycles)
+	case c.Workers < 0:
+		return fmt.Errorf("network: workers %d must be non-negative", c.Workers)
 	}
 	return nil
 }

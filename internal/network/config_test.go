@@ -52,6 +52,7 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		func(c *Config) { c.SerialDelay = -1 },
 		func(c *Config) { c.OnChipBufPerVC = 0 },
 		func(c *Config) { c.SimCycles = 5; c.WarmupCycles = 10 },
+		func(c *Config) { c.Workers = -3 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()

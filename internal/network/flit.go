@@ -31,11 +31,14 @@
 //     deadlocked state (flitsIn > flitsOut), so the watchdog still trips
 //     at the unoptimized cycle. Drivers that must observe every cycle pass
 //     a nil next-injection callback, which disables skipping.
-//   - In parallel mode, shard bounds prefer chiplet-row cuts; the few
+//   - The engine always steps shards (contiguous node ranges; one after
+//     Finalize, n after SetWorkers(n)): link phase on every shard, then
+//     router+injection phase on every shard, then a single-threaded merge
+//     in shard order. Shard bounds prefer chiplet-row cuts; the few
 //     wake-bitmap words a cut crosses are accessed atomically
-//     (sharedWords), every other word keeps exactly one owning worker,
-//     and cross-shard wake-ups travel through per-worker scratch applied
-//     by the deterministic single-threaded merge.
+//     (sharedWords), every other word keeps exactly one owning shard, and
+//     cross-shard wake-ups travel through per-shard scratch applied by
+//     the merge.
 package network
 
 import "fmt"

@@ -82,6 +82,11 @@ type Link struct {
 	fwdQueued bool
 	crQueued  bool
 
+	// dstShared marks the destination's wake word as crossed by a shard
+	// boundary, so delivery must set the wake bit atomically. Kept current
+	// by shardState.refit; never set on a one-shard network.
+	dstShared bool
+
 	// credPend/credMask hold the Delay-1 credit return batch in place (the
 	// credit pipe degenerates to a single stage there): per-VC counts plus
 	// the credited-VC mask, filled by ReturnCredits during the source tick
@@ -109,6 +114,11 @@ type Link struct {
 	// instead of calling a per-run closure.
 	srcOut    *OutPort
 	srcRouter *Router
+
+	// delivered counts the flits this link's delivery closure handed to
+	// the destination router during the current Arrivals call (adapter and
+	// retry links only); Network.linkArrivals reads and clears it.
+	delivered int
 }
 
 // NewLink constructs a link of the given kind with bandwidth/delay/energy
@@ -418,7 +428,7 @@ func (l *Link) CreditArrivals(restore func(VCID)) {
 // waitSlot, unparkPort is idempotent within a cycle (the first call moves
 // every watcher), and a VC's wake fires on its first credited run — but
 // with one pass per link per cycle instead of per run. Runs on the
-// source router's shard in parallel mode, like the closures it replaces.
+// source router's shard, like the closures it replaces.
 func (l *Link) creditArrivals() {
 	var credited uint16
 	out := l.srcOut

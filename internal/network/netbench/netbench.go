@@ -378,9 +378,9 @@ func collectiveCase() Case {
 	}
 }
 
-// satparCase is one parallel-stepping saturated case: it raises GOMAXPROCS
-// to the worker count before SetWorkers (which samples the usable CPUs) so
-// the case measures real dispatch wherever the host has the cores.
+// satparCase is one sharded saturated case: it raises GOMAXPROCS to the
+// worker count so the shards' goroutines can run at once wherever the host
+// has the cores (SetWorkers starts them either way).
 func satparCase(n, workers int, build func() *network.Network) Case {
 	return Case{
 		Name: fmt.Sprintf("satpar/%dnodes/%dworkers", n, workers), Nodes: n, Workers: workers, CyclesPerOp: 1,

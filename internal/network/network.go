@@ -11,13 +11,16 @@ import (
 // links, a routing algorithm, per-node injection sources and the
 // synchronous cycle engine.
 //
-// Each cycle proceeds in three phases (see DESIGN.md):
+// Each cycle proceeds in three steps (see DESIGN.md):
 //  1. every busy link advances one stage, delivering flits into downstream
 //     input buffers and completing credit round trips;
 //  2. every busy router performs RC/VA/SA and pushes granted flits into
 //     link stage 0 (invisible downstream until the link delay elapses, so
 //     router iteration order is immaterial);
 //  3. injection sources feed the local ports.
+//
+// Step runs 1 as one phase and 2+3 as a second on every shard of the
+// network (see parallel.go); a freshly finalized network is one shard.
 type Network struct {
 	Cfg     Config
 	Nodes   []*Router
@@ -34,15 +37,18 @@ type Network struct {
 
 	// OnDeliver, when non-nil, is invoked after Sink for every delivered
 	// packet, in the same deterministic ejection order (ascending
-	// destination node within a cycle; coordinator merge order under
-	// parallel stepping). Closed-loop workload drivers
-	// (internal/collective) observe deliveries here without displacing the
-	// statistics sink. Like Sink, the *Packet must not be retained past
+	// destination node within a cycle: the scratch merge runs in shard
+	// order and shards are ascending node ranges). Closed-loop workload
+	// drivers (internal/collective) observe deliveries here without
+	// displacing the statistics sink. Like Sink, the *Packet must not be retained past
 	// the call when PoolPackets is enabled.
 	OnDeliver func(*Packet)
 
 	// Tracer, when non-nil, receives per-flit simulation events
-	// (injection, hops, ejection, allocation failures) for debugging.
+	// (injection, hops, ejection, allocation failures) for debugging. It is
+	// called from inside the phases, so it needs a one-shard network: both
+	// SetWorkers(n>1) with a Tracer attached and Step with a Tracer on a
+	// sharded network panic.
 	Tracer Tracer
 
 	// PoolPackets recycles delivered Packet structs through a free list
@@ -56,14 +62,11 @@ type Network struct {
 	// Wake state (see the package comment in flit.go): per-cycle work is
 	// found here instead of by scanning every component. nodeWake/srcWake
 	// are bitmaps over node indices — bitmap scans yield ascending order,
-	// which Sink-order determinism requires. fwdWake/crWake list links with
+	// which Sink-order determinism requires. The lists of links with
 	// non-empty forward/credit pipelines (membership mirrored by
-	// Link.fwdQueued/crQueued); parallel mode keeps these per shard inside
-	// parallelState instead.
+	// Link.fwdQueued/crQueued) live per shard in shards.
 	nodeWake []uint64
 	srcWake  []uint64
-	fwdWake  []int32
-	crWake   []int32
 
 	pktFree []*Packet
 
@@ -78,12 +81,16 @@ type Network struct {
 	// DeadlockAt records the cycle at which the watchdog fired, or -1.
 	DeadlockAt int64
 
+	// deliverFns are the per-link delivery closures handed to adapter and
+	// retry links, bound by Finalize. They only deliver and count on the
+	// link (Link.delivered), so re-cutting shards rebinds nothing.
 	deliverFns []func(Flit)
 
-	par        *parallelState
-	seqScratch workerScratch
+	// shards is the sharding of the cycle engine: nil until Finalize, one
+	// shard covering every node until SetWorkers re-cuts it.
+	shards *shardState
 	// shardCuts are the preferred shard boundaries (chiplet rows) declared
-	// via SetShardCuts, consulted by the parallel partitioner.
+	// via SetShardCuts, consulted by the partitioner.
 	shardCuts []int
 
 	// Route-acceleration state, derived on the first Step (after topology
@@ -167,18 +174,18 @@ func (net *Network) SetAdapter(l *Link, a Adapter) {
 
 // Finalize must be called after topology construction and before the first
 // Step: it packs the per-router port/VC/ring state into per-network slabs,
-// pre-binds the per-link delivery closures and builds the wake state.
+// pre-binds the per-link delivery closures and builds the shard and wake
+// state — one shard on the first call, the current shard count on a
+// re-Finalize.
 func (net *Network) Finalize() {
 	net.packSlabs()
 	net.deliverFns = make([]func(Flit), len(net.Links))
 	for i, l := range net.Links {
 		dst := net.Nodes[l.Dst]
 		port := l.DstPort
-		wi, bit := uint(l.Dst)>>6, uint64(1)<<(uint(l.Dst)&63)
 		net.deliverFns[i] = func(f Flit) {
 			dst.deliver(port, f)
-			net.nodeWake[wi] |= bit
-			net.moved++
+			l.delivered++
 		}
 		// Bind the credit-completion targets directly: creditArrivals
 		// applies a link's whole per-cycle credit batch to the source
@@ -208,7 +215,11 @@ func (net *Network) Finalize() {
 		}
 		l.srcOut.slow = !l.direct && (l.Adapter != nil || l.retry != nil)
 	}
-	net.rebuildWake()
+	n := 1
+	if net.shards != nil {
+		n = len(net.shards.sh)
+	}
+	net.setShards(n)
 }
 
 // packSlabs re-homes every router's input/output ports, VC states, flit
@@ -223,10 +234,10 @@ func (net *Network) Finalize() {
 // rebuildWork the flat slot tables. The slabs are reachable only through
 // the routers' port slices, so repacking leaks nothing.
 //
-// Ownership under parallel stepping is unchanged by the merged backing
-// arrays: a shard's routers own disjoint index ranges of every slab
-// (shards are contiguous node ranges), and the single-producer staging
-// regions of direct links stay confined to their ring's slice window.
+// Shard ownership is unchanged by the merged backing arrays: a shard's
+// routers own disjoint index ranges of every slab (shards are contiguous
+// node ranges), and the single-producer staging regions of direct links
+// stay confined to their ring's slice window.
 func (net *Network) packSlabs() {
 	nIn, nOut, nVC, nFlit, nCred := 0, 0, 0, 0, 0
 	for _, r := range net.Nodes {
@@ -283,14 +294,9 @@ func (net *Network) packSlabs() {
 	}
 }
 
-// wakeNode marks a router as having buffered flits to process.
-func (net *Network) wakeNode(id NodeID) {
-	net.nodeWake[uint(id)>>6] |= 1 << (uint(id) & 63)
-}
-
 // rebuildWake recomputes every wake structure from current component state.
-// Finalize and SetWorkers call it after topology or sharding changes; it is
-// O(network), never per-cycle.
+// setShards calls it after topology or sharding changes (Finalize,
+// SetWorkers); it is O(network), never per-cycle.
 func (net *Network) rebuildWake() {
 	words := (len(net.Nodes) + 63) / 64
 	if len(net.nodeWake) != words {
@@ -304,7 +310,7 @@ func (net *Network) rebuildWake() {
 	for i, r := range net.Nodes {
 		r.rebuildWork()
 		if r.buffered > 0 {
-			net.wakeNode(NodeID(i))
+			net.wakeNodeMode(NodeID(i), false)
 		}
 	}
 	for i := range net.sources {
@@ -313,33 +319,21 @@ func (net *Network) rebuildWake() {
 			net.srcWake[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	net.fwdWake = net.fwdWake[:0]
-	net.crWake = net.crWake[:0]
-	if p := net.par; p != nil {
-		for w := range p.fwdWake {
-			p.fwdWake[w] = p.fwdWake[w][:0]
-			p.crWake[w] = p.crWake[w][:0]
-		}
+	p := net.shards
+	for w := range p.sh {
+		p.sh[w].fwdWake = p.sh[w].fwdWake[:0]
+		p.sh[w].crWake = p.sh[w].crWake[:0]
 	}
 	for i, l := range net.Links {
 		l.fwdQueued = l.fwdBusy()
 		l.crQueued = l.creditsInFlight > 0
-		if p := net.par; p != nil {
-			if l.fwdQueued {
-				d := p.linkDstShard[i]
-				p.fwdWake[d] = append(p.fwdWake[d], int32(i))
-			}
-			if l.crQueued {
-				s := p.linkSrcShard[i]
-				p.crWake[s] = append(p.crWake[s], int32(i))
-			}
-			continue
-		}
 		if l.fwdQueued {
-			net.fwdWake = append(net.fwdWake, int32(i))
+			d := &p.sh[p.linkDstShard[i]]
+			d.fwdWake = append(d.fwdWake, int32(i))
 		}
 		if l.crQueued {
-			net.crWake = append(net.crWake, int32(i))
+			s := &p.sh[p.linkSrcShard[i]]
+			s.crWake = append(s.crWake, int32(i))
 		}
 	}
 }
@@ -385,58 +379,34 @@ func (net *Network) Offer(p *Packet) {
 // state, so per-cycle cost scales with in-flight traffic, not topology
 // size; a skipped component is always one whose tick would have been a
 // no-op, keeping results bit-identical to exhaustive scanning.
+//
+// Phase 1 is link arrivals and credit returns. Only links on a shard's
+// wake lists can hold work, and processing order within a list is
+// immaterial: each link writes disjoint router state (arrivals the Dst
+// input buffers, credits the Src output counters) and the movement counter
+// is a commutative sum. Phase 2 is the router pipelines then injection,
+// each in ascending node order within a shard. The merge then folds the
+// shard scratches in shard order — ascending node order overall, which is
+// what Sink determinism depends on (see the package comment).
 func (net *Network) Step() {
 	if !net.prepared {
 		net.prepare()
 	}
-	if net.par != nil {
-		net.stepParallel()
-		return
+	p := net.shards
+	if net.Tracer != nil && len(p.sh) > 1 {
+		panic(tracerNeedsOneShard)
 	}
 	net.moved = 0
-
-	// Phase 1: link arrivals, then credit returns. Only links on the wake
-	// lists can hold work. Processing order within a list is immaterial:
-	// each link writes disjoint router state (arrivals the Dst input
-	// buffers, credits the Src output counters) and the shared movement
-	// counter is a commutative sum.
-	if len(net.fwdWake) > 0 {
-		keep := net.fwdWake[:0]
-		for _, li := range net.fwdWake {
-			l := net.Links[li]
-			net.linkArrivals(l, net.deliverFns[li], &net.moved, false)
-			if l.fwdBusy() {
-				keep = append(keep, li)
-			} else {
-				l.fwdQueued = false
-			}
-		}
-		net.fwdWake = keep
+	if p.ws == nil { // one shard, no workers: the phases are direct calls
+		net.phase1(0)
+		net.phase2(0)
+	} else {
+		p.ws.dispatch(p.phase1Fn)
+		p.ws.dispatch(p.phase2Fn)
 	}
-	if len(net.crWake) > 0 {
-		keep := net.crWake[:0]
-		for _, li := range net.crWake {
-			l := net.Links[li]
-			l.creditArrivals()
-			if l.creditsInFlight > 0 {
-				keep = append(keep, li)
-			} else {
-				l.crQueued = false
-			}
-		}
-		net.crWake = keep
+	for w := range p.sh {
+		net.mergeScratch(&p.sh[w].scratch)
 	}
-
-	// Phase 2: router pipelines, ascending node order (Sink determinism
-	// depends on it — see the package comment).
-	sc := &net.seqScratch
-	ctx := tickContext{net: net, scratch: sc, tracer: net.Tracer, reference: net.refTick}
-	net.tickNodes(&ctx, 0, len(net.nodeWake))
-
-	// Phase 3: injection, ascending node order.
-	net.injectNodes(sc, 0, len(net.srcWake))
-
-	net.mergeScratch(sc, net.Tracer != nil)
 	net.watchdog()
 	net.Now++
 }
@@ -446,18 +416,23 @@ func (net *Network) Step() {
 // of a link all target the same input port, so the per-flit closure only
 // re-derived the same router and wake bit once per flit); adapter and
 // retry links keep the per-flit path — their Tick interleaves protocol
-// work with delivery. deliverFn and moved are the caller's per-flit
-// closure and movement accumulator (net.deliverFns/net.moved
-// sequentially, the shard-bound twins in parallel mode). atomicWake marks
-// the destination's wake word as shared between shards, requiring an
-// atomic set (always false sequentially).
-func (net *Network) linkArrivals(l *Link, deliverFn func(Flit), moved *uint64, atomicWake bool) {
+// work with delivery, and their closure (the link's entry in
+// net.deliverFns) counts what it delivered on the link so the wake bit and
+// the movement count are still settled once per link here. moved is the
+// owning shard's movement accumulator; l.dstShared says whether the wake
+// bit needs an atomic set.
+func (net *Network) linkArrivals(l *Link, moved *uint64) {
 	if l.Adapter != nil || l.retry != nil {
-		l.Arrivals(net.Now, deliverFn)
+		l.Arrivals(net.Now, net.deliverFns[l.ID])
+		if n := l.delivered; n > 0 {
+			l.delivered = 0
+			net.wakeNodeMode(l.Dst, l.dstShared)
+			*moved += uint64(n)
+		}
 		return
 	}
 	if l.direct {
-		net.commitDirect(l, moved, atomicWake)
+		net.commitDirect(l, moved)
 		return
 	}
 	arr := l.takeArrivals()
@@ -465,12 +440,12 @@ func (net *Network) linkArrivals(l *Link, deliverFn func(Flit), moved *uint64, a
 		return
 	}
 	net.Nodes[l.Dst].deliverRun(l.DstPort, arr)
-	net.wakeNodeMode(l.Dst, atomicWake)
+	net.wakeNodeMode(l.Dst, l.dstShared)
 	*moved += uint64(len(arr))
 }
 
-// wakeNodeMode is wakeNode with an optional atomic set for wake words
-// shared between parallel shards.
+// wakeNodeMode marks a router as having buffered flits to process, with an
+// atomic set when its wake word is shared between shards.
 func (net *Network) wakeNodeMode(id NodeID, atomicOr bool) {
 	wi, bit := uint(id)>>6, uint64(1)<<(uint(id)&63)
 	if atomicOr {
@@ -486,7 +461,7 @@ func (net *Network) wakeNodeMode(id NodeID, atomicOr bool) {
 // pending slots and account the batch, with no flit copies. Runs on the
 // destination router's shard in the link phase, after the barrier that
 // quiesced the staging producer.
-func (net *Network) commitDirect(l *Link, moved *uint64, atomicWake bool) {
+func (net *Network) commitDirect(l *Link, moved *uint64) {
 	l.accepted = 0
 	if len(l.staged) == 0 {
 		return
@@ -512,50 +487,13 @@ func (net *Network) commitDirect(l *Link, moved *uint64, atomicWake bool) {
 	l.staged = l.staged[:0]
 	l.inFlight -= total
 	r.buffered += total
-	net.wakeNodeMode(l.Dst, atomicWake)
+	net.wakeNodeMode(l.Dst, l.dstShared)
 	*moved += uint64(total)
 }
 
-// tickNodes runs Phase 2 for the routers woken in nodeWake words
-// [wlo, whi), in ascending node order, clearing the bit of any router that
-// drained completely.
-func (net *Network) tickNodes(ctx *tickContext, wlo, whi int) {
-	for wi := wlo; wi < whi; wi++ {
-		w := net.nodeWake[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			r := net.Nodes[wi<<6+b]
-			r.tickCtx(ctx)
-			if r.buffered == 0 {
-				net.nodeWake[wi] &^= 1 << uint(b)
-			}
-		}
-	}
-}
-
-// injectNodes runs Phase 3 for the sources woken in srcWake words
-// [wlo, whi), in ascending node order, clearing the bit of any source whose
-// queue emptied.
-func (net *Network) injectNodes(sc *workerScratch, wlo, whi int) {
-	for wi := wlo; wi < whi; wi++ {
-		w := net.srcWake[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			ni := wi<<6 + b
-			net.injectNode(ni, sc, false)
-			s := &net.sources[ni]
-			if s.cur == nil && s.head == len(s.q) {
-				net.srcWake[wi] &^= 1 << uint(b)
-			}
-		}
-	}
-}
-
-// mergeScratch folds per-phase accumulators into the network counters and
-// retires the packets whose tail flits were ejected this cycle.
-func (net *Network) mergeScratch(sc *workerScratch, traceEjects bool) {
+// mergeScratch folds one shard's accumulators into the network counters
+// and retires the packets whose tail flits were ejected this cycle.
+func (net *Network) mergeScratch(sc *workerScratch) {
 	net.moved += sc.moved
 	net.flitsIn += sc.flitsIn
 	net.flitsOut += sc.flitsOut
@@ -567,7 +505,7 @@ func (net *Network) mergeScratch(sc *workerScratch, traceEjects bool) {
 	}
 	for _, pkt := range sc.finished {
 		pkt.ArrivedAt = net.Now
-		if traceEjects && net.Tracer != nil {
+		if net.Tracer != nil {
 			net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvEject, Pkt: pkt.ID, Node: pkt.Dst})
 		}
 		if net.Sink != nil {
@@ -582,21 +520,28 @@ func (net *Network) mergeScratch(sc *workerScratch, traceEjects bool) {
 	}
 	// Fold links woken by this shard's routers into the wake lists. A
 	// shard's routers may source links of any shard, so distribution runs
-	// here on the coordinator, not on the workers.
-	if p := net.par; p != nil {
+	// here, after the phases, not inside them. With one shard every link is
+	// its own: two bulk appends instead of a per-link owner lookup, which
+	// is what keeps a low-load one-shard step (synth_low) at the cost of a
+	// plain list.
+	if p := net.shards; len(p.sh) == 1 {
+		p.sh[0].fwdWake = append(p.sh[0].fwdWake, sc.wokeFwd...)
+		p.sh[0].crWake = append(p.sh[0].crWake, sc.wokeCr...)
+	} else {
 		for _, li := range sc.wokeFwd {
-			d := p.linkDstShard[li]
-			p.fwdWake[d] = append(p.fwdWake[d], li)
+			d := &p.sh[p.linkDstShard[li]]
+			d.fwdWake = append(d.fwdWake, li)
 		}
 		for _, li := range sc.wokeCr {
-			s := p.linkSrcShard[li]
-			p.crWake[s] = append(p.crWake[s], li)
+			s := &p.sh[p.linkSrcShard[li]]
+			s.crWake = append(s.crWake, li)
 		}
-	} else {
-		net.fwdWake = append(net.fwdWake, sc.wokeFwd...)
-		net.crWake = append(net.crWake, sc.wokeCr...)
 	}
-	*sc = workerScratch{finished: sc.finished[:0], wokeFwd: sc.wokeFwd[:0], wokeCr: sc.wokeCr[:0]}
+	// Zero in place and re-attach the emptied lists: a composite literal
+	// here is built on the stack and copied over, at a third of an idle step.
+	finished, wokeFwd, wokeCr := sc.finished[:0], sc.wokeFwd[:0], sc.wokeCr[:0]
+	*sc = workerScratch{}
+	sc.finished, sc.wokeFwd, sc.wokeCr = finished, wokeFwd, wokeCr
 }
 
 // watchdog advances the deadlock detector after a cycle's movement count
@@ -617,7 +562,7 @@ func (net *Network) watchdog() {
 
 // injectNode moves flits from one node's source queue into its
 // injection-port buffers, accumulating counters into sc. atomicWake marks
-// the node's wake word as shared between parallel shards.
+// the node's wake word as shared between shards.
 func (net *Network) injectNode(n int, sc *workerScratch, atomicWake bool) {
 	{
 		s := &net.sources[n]
@@ -673,7 +618,7 @@ func (net *Network) injectNode(n int, sc *workerScratch, atomicWake bool) {
 				s.cur, s.curSeq, s.curVC = p, 0, VCID(best)
 				p.InjectedAt = net.Now
 				sc.pktsIn++
-				if net.par == nil && net.Tracer != nil {
+				if net.Tracer != nil {
 					net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvInject, Pkt: p.ID, Node: p.Src})
 				}
 			}
@@ -746,9 +691,7 @@ func (net *Network) RunWith(cycles int64, drive func(now int64), next func(now i
 		}
 		// A quiescence boundary: the cheapest point to re-shard, and the
 		// only one where repartitioning cost is off any critical path.
-		if p := net.par; p != nil {
-			p.maybeRebalance(net)
-		}
+		net.shards.maybeRebalance(net)
 		target := end
 		if t := net.nextSourceEvent(); t >= 0 && t < target {
 			target = t
@@ -776,9 +719,7 @@ func (net *Network) Drain() (bool, error) {
 			return true, nil
 		}
 		if net.idle() {
-			if p := net.par; p != nil {
-				p.maybeRebalance(net)
-			}
+			net.shards.maybeRebalance(net)
 			if t := net.nextSourceEvent(); t > net.Now {
 				net.Now = min(t, deadline)
 				continue
@@ -800,15 +741,13 @@ func (net *Network) idle() bool {
 	if net.flitsIn != net.flitsOut {
 		return false
 	}
-	if p := net.par; p != nil {
-		for w := 0; w < p.workers; w++ {
-			if len(p.fwdWake[w]) > 0 || len(p.crWake[w]) > 0 {
-				return false
-			}
+	sh := net.shards.sh
+	for w := range sh {
+		if len(sh[w].fwdWake) > 0 || len(sh[w].crWake) > 0 {
+			return false
 		}
-		return true
 	}
-	return len(net.fwdWake) == 0 && len(net.crWake) == 0
+	return true
 }
 
 // nextSourceEvent returns the earliest cycle at which a source queue can

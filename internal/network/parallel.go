@@ -2,14 +2,13 @@ package network
 
 import (
 	"math/bits"
-	"os"
 	"runtime"
 	"sort"
 	"sync/atomic"
 )
 
-// Parallel stepping. The synchronous two-phase cycle model makes the
-// engine embarrassingly parallel *within* each phase once writes are
+// Sharded stepping — the one cycle engine. The synchronous two-phase cycle
+// model is embarrassingly parallel *within* each phase once writes are
 // grouped by owner:
 //
 //   - link delivery writes only the destination router (links sharded by Dst);
@@ -19,41 +18,37 @@ import (
 //     all owned by exactly one router;
 //   - injection writes only the node's own source queue and buffers.
 //
-// Shards are contiguous node ranges chosen by a weight-balancing
-// partitioner that prefers to cut along chiplet boundaries
-// (Network.SetShardCuts, fed by topology.Topo.ShardCuts): cross-shard
-// traffic then rides the modeled D2D interface links instead of
-// intra-chiplet mesh hops, and the wake words interior to a chiplet row
-// keep a single owner. Boundaries are no longer forced to multiples of 64:
-// a nodeWake/srcWake bitmap word crossed by a shard boundary is marked in
-// sharedWords and accessed with atomic Or/And/Load; all other words keep
-// the plain single-owner fast path. Shard sizes follow live load — at
-// every quiescence boundary (RunWith/Drain fast-forward points) the
-// partitioner re-weights nodes by the source-queue wake population, so an
-// idle chiplet doesn't pin a worker while another drowns.
+// A finalized network is always cut into shards, contiguous node ranges
+// that each own their wake lists and an accumulation scratch. Finalize
+// creates one shard covering every node; SetWorkers(n) re-cuts into n.
+// Step runs phase 1 on every shard, then phase 2 on every shard, then
+// merges the scratches in shard order. With one shard each phase is a
+// direct call: no goroutine, no finalizer, no shared wake word. With n
+// shards the phases run on n-1 persistent worker goroutines (the caller is
+// shard 0) parked on per-worker command channels; the two phase functions
+// are bound once, so dispatching a step performs no allocation.
 //
-// Work is executed by persistent worker goroutines parked on per-worker
-// command channels; the two phase closures are bound once in SetWorkers,
-// so dispatching a step performs no allocation. When the process has only
-// one usable CPU (GOMAXPROCS or NumCPU of 1) the shards run inline on the
-// coordinating goroutine instead — same shard structure and results,
-// none of the cross-goroutine overhead.
+// The partitioner balances node weights and prefers to cut along chiplet
+// boundaries (Network.SetShardCuts, fed by topology.Topo.ShardCuts):
+// cross-shard traffic then rides the modeled D2D interface links instead
+// of intra-chiplet mesh hops, and the wake words interior to a chiplet row
+// keep a single owner. A nodeWake/srcWake bitmap word crossed by a shard
+// boundary is marked in sharedWords and accessed with atomic Or/And/Load;
+// all other words keep the plain single-owner fast path. Shard sizes follow
+// live load — at every quiescence boundary (RunWith/Drain fast-forward
+// points) the partitioner re-weights nodes by the source-queue wake
+// population, so an idle chiplet doesn't pin a worker while another drowns.
 //
 // Links woken by a router tick (Accept/ReturnCredit on a possibly
-// foreign-shard link) are recorded in the worker's private scratch and
-// folded into the owning shard's wake list by the coordinator at the merge
-// barrier. Shared aggregates (movement counters, grant/VA statistics,
-// finished packets) are accumulated per worker and merged at the barrier,
-// and the Sink/Tracer callbacks run on the coordinating goroutine, so
-// results are bit-identical to sequential stepping regardless of worker
-// count or shard placement — see TestParallelMatchesSequential and
-// experiments.TestParallelOracle.
-type parallelState struct {
-	workers int
-	// single runs every shard inline on the coordinator when the process
-	// has one usable CPU: identical shard semantics, zero dispatch cost.
-	single bool
-
+// foreign-shard link) are recorded in the shard's private scratch and
+// folded into the owning shard's wake list at the merge. Shared aggregates
+// (movement counters, grant/VA statistics, finished packets) are
+// accumulated per shard and merged in shard order, and the Sink/OnDeliver
+// callbacks run on the goroutine that called Step, so results are
+// bit-identical for every shard count and placement — see
+// TestParallelMatchesSequential and experiments.TestParallelOracle, whose
+// one-shard run is pinned to golden constants.
+type shardState struct {
 	// bounds[w]..bounds[w+1] is shard w's node range (arbitrary positions;
 	// see sharedWords).
 	bounds    []int
@@ -67,37 +62,39 @@ type parallelState struct {
 
 	// sharedWords is a bitmap over nodeWake/srcWake *word* indices: a set
 	// bit marks a word crossed by a shard boundary, which must be accessed
-	// atomically. Empty in single mode.
+	// atomically. A one-shard network has no shared word.
 	sharedWords []uint64
 
-	fwdWake [][]int32 // per dst-shard links with non-empty forward pipelines
-	crWake  [][]int32 // per src-shard links with credits in flight
-	tmp     []int32   // refit scratch for re-homing wake entries
-
-	// deliverFns are the per-link delivery closures, the parallel twin of
-	// Network.deliverFns. They resolve the owning shard's scratch through
-	// linkDstShard at call time, so rebalancing never rebuilds closures.
-	deliverFns []func(Flit)
-
-	scratch []workerScratch
+	sh  []shard // one per shard: len(sh) is the shard count
+	tmp []int32 // refit scratch for re-homing wake entries
 
 	// phase1Fn/phase2Fn are bound once; dispatch sends these prebuilt
-	// values so a step allocates nothing.
+	// values so a step allocates nothing. One shard has no workers (ws is
+	// nil) and Step calls the phases directly.
 	phase1Fn func(int)
 	phase2Fn func(int)
-	ws       *workerSet // nil in single mode
+	ws       *workerSet
 }
 
 // workerSet owns the worker goroutines' channels and nothing else. It is
-// the one object of the sharded stepper that carries a finalizer, so
-// nothing reachable from it may lead back to the parallelState or the
-// Network: both are self-cyclic through their closures (deliverFns and the
-// phase functions capture them), and the collector neither finalizes nor
+// the one object of the stepper that carries a finalizer, so nothing
+// reachable from it may lead back to the shardState or the Network: both
+// are self-cyclic through their closures (deliverFns and the phase
+// functions capture the Network), and the collector neither finalizes nor
 // frees a cycle that contains a finalizer. The channels hold a phase
-// closure only while a dispatch is in flight.
+// function only while a dispatch is in flight.
 type workerSet struct {
 	cmd []chan func(int)
 	ack []chan struct{}
+}
+
+// shard is what one shard owns besides its node range. The wake lists are
+// rewritten by the shard's own phase 1 and appended to by the merge; the
+// scratch's trailing pad keeps neighbouring shards off each other's lines.
+type shard struct {
+	fwdWake []int32 // links into this shard with non-empty forward pipelines
+	crWake  []int32 // links out of this shard with credits in flight
+	scratch workerScratch
 }
 
 type workerScratch struct {
@@ -124,7 +121,7 @@ const srcWakeWeight = 8
 // balanced cut to the nearest preferred position within its imbalance
 // slack, keeping cross-shard traffic on the modeled D2D interface links.
 // Out-of-range positions are dropped. May be called before or after
-// SetWorkers; an active sharding is re-cut immediately.
+// SetWorkers; a finalized network is re-cut immediately.
 func (net *Network) SetShardCuts(cuts []int) {
 	net.shardCuts = net.shardCuts[:0]
 	total := len(net.Nodes)
@@ -134,80 +131,74 @@ func (net *Network) SetShardCuts(cuts []int) {
 		}
 	}
 	sort.Ints(net.shardCuts)
-	if p := net.par; p != nil {
+	if p := net.shards; p != nil {
 		if p.partition(net, nil) {
 			p.refit(net)
 		}
 	}
 }
 
-// SetWorkers enables parallel stepping across n goroutines (1 or 0
-// restores sequential mode). Call after Finalize. Results are identical to
-// sequential stepping; speedups appear on saturated systems from a few
-// hundred nodes up, provided the process has the CPUs (on a single-CPU
-// process the shards run inline and parallel mode merely matches
-// sequential throughput). SetWorkers(0) stops the previous workers before
-// it returns; a network dropped while still parallel is released by the
-// workerSet finalizer at a later collection.
+// tracerNeedsOneShard is the panic raised when a Tracer meets more than one
+// shard, whichever of the two was set first.
+const tracerNeedsOneShard = "network: a Tracer needs one shard (events from concurrent shards would race); detach it or SetWorkers(0) first"
+
+// SetWorkers re-cuts a finalized network into n shards stepped by the
+// caller plus n-1 worker goroutines (1 or 0: one shard, no goroutine).
+// Results are identical for every n; speedups appear on saturated systems
+// from a few hundred nodes up, provided the process has the CPUs — n is
+// taken at its word, so asking for more shards than CPUs only adds
+// hand-offs. Asking for the current count is a no-op. SetWorkers(0) stops
+// the previous workers before it returns; a network dropped while still
+// sharded is released by the workerSet finalizer at a later collection.
 func (net *Network) SetWorkers(n int) {
-	if net.par != nil {
-		net.par.ws.stop()
-		net.par = nil
+	if n < 1 {
+		n = 1
 	}
-	if n <= 1 {
-		net.rebuildWake()
+	if n > 1 && net.Tracer != nil {
+		panic(tracerNeedsOneShard)
+	}
+	if p := net.shards; p != nil && len(p.sh) == n {
 		return
 	}
-	if net.Tracer != nil {
-		panic("network: parallel stepping does not support a Tracer (events would race); detach it first")
+	net.setShards(n)
+}
+
+// setShards builds the shard state for n shards from scratch — ownership
+// maps, wake lists, workers — replacing any previous one. Simulation state
+// is untouched: rebuildWake re-derives every wake list from the components.
+func (net *Network) setShards(n int) {
+	if net.shards != nil {
+		net.shards.ws.stop()
 	}
 	total := len(net.Nodes)
 	words := (total + 63) / 64
-	p := &parallelState{workers: n, single: effectiveParallelism() < 2 && !forceWorkerDispatch}
-	p.bounds = make([]int, n+1)
-	p.newBounds = make([]int, n+1)
-	p.nodeShard = make([]int32, total)
-	p.linkDstShard = make([]int32, len(net.Links))
-	p.linkSrcShard = make([]int32, len(net.Links))
-	p.sharedWords = make([]uint64, (words+63)/64)
-	p.scratch = make([]workerScratch, n)
-	p.fwdWake = make([][]int32, n)
-	p.crWake = make([][]int32, n)
+	p := &shardState{
+		bounds:       make([]int, n+1),
+		newBounds:    make([]int, n+1),
+		nodeShard:    make([]int32, total),
+		linkDstShard: make([]int32, len(net.Links)),
+		linkSrcShard: make([]int32, len(net.Links)),
+		sharedWords:  make([]uint64, (words+63)/64),
+		sh:           make([]shard, n),
+		phase1Fn:     net.phase1,
+		phase2Fn:     net.phase2,
+	}
 	p.partition(net, nil)
 	p.refit(net)
-	p.bindDeliverFns(net)
-	p.phase1Fn = func(w int) { net.parPhase1(w) }
-	p.phase2Fn = func(w int) { net.parPhase2(w) }
-	if !p.single {
+	if n > 1 {
 		p.ws = startWorkers(n)
 	}
-	net.par = p
+	net.shards = p
 	net.rebuildWake()
-}
-
-// forceWorkerDispatch makes SetWorkers use real worker goroutines even on
-// a single-CPU process. Tests set it (and CI's race job exports
-// HETEROIF_FORCE_PARALLEL=1) so the dispatch and shared-word paths run
-// under the race detector regardless of the host's CPU count.
-var forceWorkerDispatch = os.Getenv("HETEROIF_FORCE_PARALLEL") != ""
-
-// effectiveParallelism is the number of shards that can actually execute
-// concurrently.
-func effectiveParallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if c := runtime.NumCPU(); c < n {
-		n = c
-	}
-	return n
 }
 
 // partition recomputes shard bounds balancing per-node weights (nil means
 // uniform), snapping each cut to a preferred chiplet boundary — or
 // failing that a 64-aligned position — when one lies within the balance
 // slack. Reports whether the bounds changed; the caller must refit then.
-func (p *parallelState) partition(net *Network, weights []int32) bool {
+func (p *shardState) partition(net *Network, weights []int32) bool {
 	total := len(net.Nodes)
-	n := p.workers
+	n := len(p.sh)
 	if p.prefix == nil {
 		p.prefix = make([]int64, total+1)
 	}
@@ -253,7 +244,7 @@ func (p *parallelState) partition(net *Network, weights []int32) bool {
 // preferred cut within slack, else the nearest 64-aligned position within
 // slack (keeping the wake word single-owner), else the exact balanced
 // position.
-func (p *parallelState) cutNear(net *Network, t, slack int64) int {
+func (p *shardState) cutNear(net *Network, t, slack int64) int {
 	total := len(net.Nodes)
 	pos := sort.Search(total+1, func(i int) bool { return p.prefix[i] >= t })
 	best, bestD := -1, slack+1
@@ -293,12 +284,12 @@ func abs64(x int64) int64 {
 }
 
 // refit rebuilds everything derived from bounds: node→shard and
-// link→shard maps, the shared-word bitmap, and the homes of any queued
-// wake-list entries. Wake membership itself is unchanged — repartitioning
+// link→shard maps, the shared-word bitmap (and each link's copy of its
+// destination's bit), and the homes of any queued wake-list entries. Wake membership itself is unchanged — repartitioning
 // never touches simulation state, only ownership.
-func (p *parallelState) refit(net *Network) {
+func (p *shardState) refit(net *Network) {
 	total := len(net.Nodes)
-	n := p.workers
+	n := len(p.sh)
 	for i, w := 0, 0; i < total; i++ {
 		for w+1 < n && i >= p.bounds[w+1] {
 			w++
@@ -308,75 +299,57 @@ func (p *parallelState) refit(net *Network) {
 	for i := range p.sharedWords {
 		p.sharedWords[i] = 0
 	}
-	if !p.single {
-		// A boundary interior to a 64-node word makes that word visible to
-		// two shards; inline (single) execution needs no atomics.
-		for w := 1; w < n; w++ {
-			if b := p.bounds[w]; b&63 != 0 && b < total {
-				wi := uint(b) >> 6
-				p.sharedWords[wi>>6] |= 1 << (wi & 63)
-			}
+	// A boundary interior to a 64-node word makes that word visible to
+	// two shards.
+	for w := 1; w < n; w++ {
+		if b := p.bounds[w]; b&63 != 0 && b < total {
+			wi := uint(b) >> 6
+			p.sharedWords[wi>>6] |= 1 << (wi & 63)
 		}
 	}
 	for i, l := range net.Links {
 		p.linkDstShard[i] = p.nodeShard[l.Dst]
 		p.linkSrcShard[i] = p.nodeShard[l.Src]
+		l.dstShared = p.isShared(uint(l.Dst) >> 6)
 	}
 	// Re-home queued wake entries (only non-empty when cuts move while
 	// link pipelines hold work, e.g. SetShardCuts mid-run).
 	p.tmp = p.tmp[:0]
-	for w := range p.fwdWake {
-		p.tmp = append(p.tmp, p.fwdWake[w]...)
-		p.fwdWake[w] = p.fwdWake[w][:0]
+	for w := range p.sh {
+		p.tmp = append(p.tmp, p.sh[w].fwdWake...)
+		p.sh[w].fwdWake = p.sh[w].fwdWake[:0]
 	}
 	for _, li := range p.tmp {
-		d := p.linkDstShard[li]
-		p.fwdWake[d] = append(p.fwdWake[d], li)
+		d := &p.sh[p.linkDstShard[li]]
+		d.fwdWake = append(d.fwdWake, li)
 	}
 	p.tmp = p.tmp[:0]
-	for w := range p.crWake {
-		p.tmp = append(p.tmp, p.crWake[w]...)
-		p.crWake[w] = p.crWake[w][:0]
+	for w := range p.sh {
+		p.tmp = append(p.tmp, p.sh[w].crWake...)
+		p.sh[w].crWake = p.sh[w].crWake[:0]
 	}
 	for _, li := range p.tmp {
-		s := p.linkSrcShard[li]
-		p.crWake[s] = append(p.crWake[s], li)
-	}
-}
-
-// bindDeliverFns builds the per-link delivery closures once. The closures
-// look the owning scratch up through linkDstShard at call time, so
-// rebalancing needs no rebinding.
-func (p *parallelState) bindDeliverFns(net *Network) {
-	p.deliverFns = make([]func(Flit), len(net.Links))
-	for i, l := range net.Links {
-		dst := net.Nodes[l.Dst]
-		port := l.DstPort
-		wi, bit := uint(l.Dst)>>6, uint64(1)<<(uint(l.Dst)&63)
-		li := int32(i)
-		p.deliverFns[i] = func(f Flit) {
-			dst.deliver(port, f)
-			if p.isShared(wi) {
-				atomic.OrUint64(&net.nodeWake[wi], bit)
-			} else {
-				net.nodeWake[wi] |= bit
-			}
-			p.scratch[p.linkDstShard[li]].moved++
-		}
+		s := &p.sh[p.linkSrcShard[li]]
+		s.crWake = append(s.crWake, li)
 	}
 }
 
 // isShared reports whether wake word wi is crossed by a shard boundary
 // and therefore needs atomic access.
-func (p *parallelState) isShared(wi uint) bool {
+func (p *shardState) isShared(wi uint) bool {
 	return p.sharedWords[wi>>6]>>(wi&63)&1 != 0
 }
 
 // maybeRebalance re-weights the partition from the live wake population.
 // Called only at quiescence boundaries (net.idle()): no flits are
 // buffered or in flight, so nodeWake is empty and the source-queue wake
-// bitmap is the only live load signal.
-func (p *parallelState) maybeRebalance(net *Network) {
+// bitmap is the only live load signal. One shard has nothing to balance,
+// and trace replays and collectives reach a boundary at every fast-forward
+// jump, so the O(nodes) scan is skipped there.
+func (p *shardState) maybeRebalance(net *Network) {
+	if len(p.sh) == 1 {
+		return
+	}
 	total := len(net.Nodes)
 	if p.weights == nil {
 		p.weights = make([]int32, total)
@@ -399,8 +372,8 @@ func (p *parallelState) maybeRebalance(net *Network) {
 	}
 }
 
-// startWorkers launches n-1 persistent worker goroutines (the coordinator
-// is shard 0), parked on their command channels between steps.
+// startWorkers launches n-1 persistent worker goroutines (Step's caller is
+// shard 0), parked on their command channels between steps.
 func startWorkers(n int) *workerSet {
 	ws := &workerSet{cmd: make([]chan func(int), n), ack: make([]chan struct{}, n)}
 	for w := 1; w < n; w++ {
@@ -425,7 +398,7 @@ func parallelWorker(w int, cmd <-chan func(int), ack chan<- struct{}) {
 	}
 }
 
-// dispatch runs fn(worker) on every worker and waits. The channel
+// dispatch runs fn(shard) on every shard and waits. The channel
 // send/receive pairs provide the happens-before edges that publish one
 // phase's writes to every shard before the next phase reads them.
 func (ws *workerSet) dispatch(fn func(int)) {
@@ -439,10 +412,9 @@ func (ws *workerSet) dispatch(fn func(int)) {
 }
 
 // stop releases the worker goroutines and returns once each has left its
-// loop. SetWorkers calls it when re-sharding or restoring sequential mode
-// (ws is nil in single mode); as the workerSet's finalizer it is the
-// backstop for a network dropped without SetWorkers(0), where the workers
-// are parked and exit at once.
+// loop. setShards calls it when re-cutting (ws is nil at one shard); as the
+// workerSet's finalizer it is the backstop for a network dropped without
+// SetWorkers(0), where the workers are parked and exit at once.
 func (ws *workerSet) stop() {
 	if ws == nil {
 		return
@@ -456,62 +428,29 @@ func (ws *workerSet) stop() {
 	}
 }
 
-// stepParallel is Step's parallel twin.
-func (net *Network) stepParallel() {
-	p := net.par
-	net.moved = 0
-	if p.single {
-		for w := 0; w < p.workers; w++ {
-			net.parPhase1(w)
-		}
-		for w := 0; w < p.workers; w++ {
-			net.parPhase2(w)
-		}
-	} else {
-		p.ws.dispatch(p.phase1Fn)
-		p.ws.dispatch(p.phase2Fn)
-	}
-
-	// Merge scratch, run sinks and distribute woken links in deterministic
-	// (shard) order.
-	for w := range p.scratch {
-		net.mergeScratch(&p.scratch[w], false)
-	}
-
-	net.watchdog()
-	net.Now++
-}
-
-// parPhase1 runs one shard's link deliveries (sharded by destination
+// phase1 runs one shard's link deliveries (sharded by destination
 // router — they write that router's buffers and wake bits) fused with
 // credit completions (sharded by source router — they write that router's
 // credit counters). The two halves touch disjoint Link fields (forward
 // pipe and fwdQueued vs credit pipe and crQueued), so one barrier covers
 // both.
-func (net *Network) parPhase1(w int) {
-	p := net.par
-	if lw := p.fwdWake[w]; len(lw) > 0 {
-		sc := &p.scratch[w]
-		// Inline (single-CPU) mode runs every shard on the coordinator, so
-		// the cheaper sequential per-flit closures are safe — the parallel
-		// twins pay a per-flit shard lookup only real workers need.
-		fns := p.deliverFns
-		if p.single {
-			fns = net.deliverFns
-		}
+func (net *Network) phase1(w int) {
+	sh := &net.shards.sh[w]
+	if lw := sh.fwdWake; len(lw) > 0 {
+		sc := &sh.scratch
 		keep := lw[:0]
 		for _, li := range lw {
 			l := net.Links[li]
-			net.linkArrivals(l, fns[li], &sc.moved, p.isShared(uint(l.Dst)>>6))
+			net.linkArrivals(l, &sc.moved)
 			if l.fwdBusy() {
 				keep = append(keep, li)
 			} else {
 				l.fwdQueued = false
 			}
 		}
-		p.fwdWake[w] = keep
+		sh.fwdWake = keep
 	}
-	if lw := p.crWake[w]; len(lw) > 0 {
+	if lw := sh.crWake; len(lw) > 0 {
 		keep := lw[:0]
 		for _, li := range lw {
 			l := net.Links[li]
@@ -522,11 +461,11 @@ func (net *Network) parPhase1(w int) {
 				l.crQueued = false
 			}
 		}
-		p.crWake[w] = keep
+		sh.crWake = keep
 	}
 }
 
-// parPhase2 runs one shard's router pipelines fused with injection — both
+// phase2 runs one shard's router pipelines fused with injection — both
 // only touch the shard's own routers and wake bits, and injected flits
 // are not observable elsewhere until the next cycle's link phase. The
 // router work bitmaps (allocPend/saActive/saReady) and the parking state
@@ -536,25 +475,27 @@ func (net *Network) parPhase1(w int) {
 // ticks/injection touch only the shard's own routers here. Wake words
 // crossed by a shard boundary are the one exception, handled with atomic
 // Or/And — other shards only ever touch *their* bits of such a word.
-func (net *Network) parPhase2(w int) {
-	p := net.par
+func (net *Network) phase2(w int) {
+	p := net.shards
 	lo, hi := p.bounds[w], p.bounds[w+1]
 	if lo >= hi {
 		return
 	}
-	sc := &p.scratch[w]
-	ctx := tickContext{net: net, scratch: sc, reference: net.refTick}
+	sc := &p.sh[w].scratch
+	// Step refuses a Tracer above one shard, so a non-nil one is only ever
+	// called from the stepping goroutine.
+	ctx := tickContext{net: net, scratch: sc, tracer: net.Tracer, reference: net.refTick}
 	net.tickNodeRange(&ctx, lo, hi)
 	net.injectNodeRange(sc, lo, hi)
 }
 
-// tickNodeRange runs Phase 2 for the routers woken in nodes [lo, hi), in
-// ascending node order, clearing the bit of any router that drained
-// completely. The parallel twin of tickNodes: ranges are node positions,
-// not word positions, with boundary words masked and accessed atomically
-// when shared.
+// tickNodeRange runs the router pipelines of the nodes in [lo, hi) whose
+// wake bit is set, in ascending node order (Sink determinism depends on it
+// — see the package comment), clearing the bit of any router that drained
+// completely. Ranges are node positions, not word positions: boundary
+// words are masked, and accessed atomically when shared.
 func (net *Network) tickNodeRange(ctx *tickContext, lo, hi int) {
-	p := net.par
+	p := net.shards
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 		shared := p.isShared(uint(wi))
 		var w uint64
@@ -580,10 +521,11 @@ func (net *Network) tickNodeRange(ctx *tickContext, lo, hi int) {
 	}
 }
 
-// injectNodeRange runs Phase 3 for the sources woken in nodes [lo, hi),
-// the parallel twin of injectNodes.
+// injectNodeRange runs injection for the sources woken in nodes [lo, hi),
+// in ascending node order, clearing the bit of any source whose queue
+// emptied.
 func (net *Network) injectNodeRange(sc *workerScratch, lo, hi int) {
-	p := net.par
+	p := net.shards
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 		shared := p.isShared(uint(wi))
 		var w uint64

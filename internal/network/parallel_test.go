@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// TestParallelMatchesSequential: the parallel stepper must be bit-identical
-// to sequential stepping — same deliveries, same latencies, same counters.
+// TestParallelMatchesSequential: four shards must be bit-identical to one
+// — same deliveries, same latencies, same counters.
 func TestParallelMatchesSequential(t *testing.T) {
 	build := func(workers int) (*Network, map[uint64]int64) {
 		cfg := DefaultConfig()
@@ -30,9 +30,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		net.Routing = ringRouting{}
 		net.Finalize()
-		if workers > 1 {
-			net.SetWorkers(workers)
-		}
+		net.SetWorkers(workers)
 		arrivals := map[uint64]int64{}
 		net.Sink = func(p *Packet) { arrivals[p.ID] = p.ArrivedAt }
 		// Deterministic traffic: every node sends to (i+5)%n periodically.
@@ -105,9 +103,7 @@ func runSaturatedMesh(t *testing.T, side, workers int, cuts []int, cycles int64)
 	if cuts != nil {
 		net.SetShardCuts(cuts)
 	}
-	if workers > 1 {
-		net.SetWorkers(workers)
-	}
+	net.SetWorkers(workers)
 	arr := map[uint64]int64{}
 	net.Sink = func(p *Packet) { arr[p.ID] = p.ArrivedAt }
 	for net.Now < cycles {
@@ -123,13 +119,10 @@ func runSaturatedMesh(t *testing.T, side, workers int, cuts []int, cycles int64)
 // TestParallelSubWordShards: with chiplet-row cuts a 64-node mesh splits
 // mid-word (no more empty second shard), the boundary wake word goes
 // through the atomic shared-word path, and results stay bit-identical to
-// sequential stepping. forceWorkerDispatch makes the real goroutine
-// dispatch run even on a single-CPU host, so `go test -race` checks the
-// cross-shard happens-before edges here.
+// one shard. SetWorkers(n>1) always dispatches to real goroutines, even on
+// a single-CPU host, so `go test -race` checks the cross-shard
+// happens-before edges here.
 func TestParallelSubWordShards(t *testing.T) {
-	defer func(old bool) { forceWorkerDispatch = old }(forceWorkerDispatch)
-	forceWorkerDispatch = true
-
 	const side, cycles = 8, 800
 	seqNet, want := runSaturatedMesh(t, side, 1, nil, cycles)
 	if len(want) == 0 {
@@ -137,9 +130,9 @@ func TestParallelSubWordShards(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 5} {
 		net, got := runSaturatedMesh(t, side, workers, rowCuts(side), cycles)
-		p := net.par
-		if p.single {
-			t.Fatalf("workers=%d: forced dispatch did not take effect", workers)
+		p := net.shards
+		if p.ws == nil || len(p.ws.cmd) != workers {
+			t.Fatalf("workers=%d: SetWorkers did not start %d worker goroutines", workers, workers-1)
 		}
 		if workers == 2 && p.bounds[1] != 32 {
 			t.Errorf("workers=2: bounds=%v, want the 64-node mesh cut at row 4 (node 32)", p.bounds)
@@ -171,11 +164,11 @@ func TestShardCutsSnap(t *testing.T) {
 	net := buildXYMesh(t, 16, false) // 256 nodes
 	net.SetShardCuts([]int{120})
 	net.SetWorkers(2)
-	if got := net.par.bounds[1]; got != 120 {
+	if got := net.shards.bounds[1]; got != 120 {
 		t.Errorf("cut at 120 within slack not taken: bounds[1]=%d", got)
 	}
 	net.SetShardCuts([]int{8}) // hopelessly unbalanced: fall back to 64-aligned
-	if got := net.par.bounds[1]; got != 128 {
+	if got := net.shards.bounds[1]; got != 128 {
 		t.Errorf("want 64-aligned fallback cut 128, got %d", got)
 	}
 	net.SetWorkers(0)
@@ -199,7 +192,7 @@ func TestParallelRebalanceAtQuiescence(t *testing.T) {
 	net := buildXYMesh(t, 8, false)
 	net.SetShardCuts(rowCuts(8))
 	net.SetWorkers(2)
-	p := net.par
+	p := net.shards
 	if p.bounds[1] != 32 {
 		t.Fatalf("initial bounds %v, want cut at 32", p.bounds)
 	}
@@ -221,9 +214,7 @@ func TestParallelRebalanceAtQuiescence(t *testing.T) {
 	run := func(workers int) (map[uint64]int64, []int) {
 		net := buildXYMesh(t, 8, true)
 		net.SetShardCuts(rowCuts(8))
-		if workers > 1 {
-			net.SetWorkers(workers)
-		}
+		net.SetWorkers(workers)
 		arr := map[uint64]int64{}
 		net.Sink = func(p *Packet) { arr[p.ID] = p.ArrivedAt }
 		skewed(net)
@@ -233,10 +224,7 @@ func TestParallelRebalanceAtQuiescence(t *testing.T) {
 		if err := net.CheckCredits(); err != nil {
 			t.Fatal(err)
 		}
-		if workers > 1 {
-			return arr, net.par.bounds
-		}
-		return arr, nil
+		return arr, net.shards.bounds
 	}
 	want, _ := run(1)
 	got, bounds := run(2)
@@ -259,9 +247,6 @@ func TestParallelRebalanceAtQuiescence(t *testing.T) {
 // nothing in steady state — the scratch merge, wake lists and worker
 // dispatch all reuse preallocated storage.
 func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
-	defer func(old bool) { forceWorkerDispatch = old }(forceWorkerDispatch)
-	forceWorkerDispatch = true
-
 	net := buildXYMesh(t, 8, false)
 	net.PoolPackets = true
 	net.SetShardCuts(rowCuts(8))
@@ -279,15 +264,113 @@ func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
 	}
 }
 
+// wantTracerPanic runs f and fails unless it panics with the one message a
+// Tracer meeting several shards produces.
+func wantTracerPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != tracerNeedsOneShard {
+			t.Errorf("recovered %v, want the tracer panic", r)
+		}
+	}()
+	f()
+}
+
+// TestSetWorkersRejectsTracer: tracer first, shards second.
 func TestSetWorkersRejectsTracer(t *testing.T) {
 	net, _ := twoNodeNet(t, KindOnChip, nil)
 	net.Tracer = &CollectorTracer{}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetWorkers accepted a tracer")
-		}
-	}()
+	wantTracerPanic(t, func() { net.SetWorkers(4) })
+}
+
+// TestStepRejectsLateTracer: shards first, tracer second. The tracer used
+// to be dropped silently; now the first Step refuses it with the message
+// SetWorkers gives, and back at one shard the same network honours it.
+func TestStepRejectsLateTracer(t *testing.T) {
+	net, _ := twoNodeNet(t, KindOnChip, nil)
 	net.SetWorkers(4)
+	defer net.SetWorkers(0)
+	col := &CollectorTracer{}
+	net.Tracer = col
+	net.Offer(net.NewPacket(0, 1, 4, 0))
+	wantTracerPanic(t, net.Step)
+
+	net.Tracer = nil
+	net.SetWorkers(0)
+	net.Tracer = col
+	if err := net.Run(100, nil); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[EventKind]int{}
+	for _, e := range col.Events {
+		kinds[e.Kind]++
+	}
+	if kinds[EvInject] != 1 || kinds[EvEject] != 1 || kinds[EvHop] == 0 {
+		t.Errorf("one-shard tracer saw %v, want one inject, one eject and hops", kinds)
+	}
+}
+
+// TestOneShardStartsNothing: a finalized network is one shard stepped by
+// its caller — no worker set (the only object that carries a finalizer)
+// and no goroutine, across Finalize and a thousand loaded steps.
+func TestOneShardStartsNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	net := buildXYMesh(t, 8, false)
+	for net.Now < 1000 {
+		saturateXYMesh(net, net.Now)
+		net.Step()
+	}
+	if p := net.shards; len(p.sh) != 1 || p.ws != nil {
+		t.Errorf("finalized network has %d shards and worker set %v, want 1 and nil", len(p.sh), p.ws)
+	}
+	// Workers of earlier tests may still be exiting, so the count can fall.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d across Finalize and 1000 steps", before, after)
+	}
+	if net.PacketsDelivered() == 0 {
+		t.Error("no traffic delivered")
+	}
+}
+
+// TestReshardMidRun: going from four shards back to one with flits in
+// flight (in link pipelines, staged in rings, parked on credits) moves
+// ownership only — credits stay conserved and every packet arrives at the
+// cycle it does on a network that never left one shard.
+func TestReshardMidRun(t *testing.T) {
+	const side, cycles = 8, 1200
+	_, want := runSaturatedMesh(t, side, 1, nil, cycles)
+
+	net := buildXYMesh(t, side, true)
+	net.SetShardCuts(rowCuts(side))
+	got := map[uint64]int64{}
+	net.Sink = func(p *Packet) { got[p.ID] = p.ArrivedAt }
+	for net.Now < cycles {
+		switch net.Now {
+		case 300:
+			net.SetWorkers(4)
+		case 700:
+			if net.InFlightFlits() == 0 {
+				t.Fatal("nothing in flight at the re-cut")
+			}
+			net.SetWorkers(0)
+			if err := net.CheckCredits(); err != nil {
+				t.Fatalf("after SetWorkers(0) mid-run: %v", err)
+			}
+		}
+		saturateXYMesh(net, net.Now)
+		net.Step()
+	}
+	if err := net.CheckCredits(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("%d deliveries vs %d on one shard throughout", len(got), len(want))
+	}
+	for id, at := range want {
+		if got[id] != at {
+			t.Fatalf("packet %d arrived at %d, %d on one shard throughout", id, got[id], at)
+		}
+	}
 }
 
 // TestWorkersReleased: a finalized network that ever ran on the sharded
@@ -296,9 +379,6 @@ func TestSetWorkersRejectsTracer(t *testing.T) {
 // first. No finalizer is set on a Network here: it is self-cyclic through
 // its closures, so one would itself make it immortal.
 func TestWorkersReleased(t *testing.T) {
-	defer func(old bool) { forceWorkerDispatch = old }(forceWorkerDispatch)
-	forceWorkerDispatch = true
-
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats

@@ -564,10 +564,9 @@ func (r *Router) deliverRun(inPort int, arr []Flit) {
 	r.buffered += len(arr)
 }
 
-// tickContext carries the per-worker accumulation state of one router
-// tick, so sequential and parallel stepping share one code path. reference
-// selects the retained naive tick (full scans, per-cycle Route) used by
-// the bit-identity oracle.
+// tickContext carries the per-shard accumulation state of one router
+// tick. reference selects the retained naive tick (full scans, per-cycle
+// Route) used by the bit-identity oracle.
 type tickContext struct {
 	net       *Network
 	scratch   *workerScratch

@@ -9,7 +9,7 @@ import (
 // TestSaturatedStepZeroAllocs asserts the steady-state guarantee the
 // kernel manifest records for the saturated mesh cases: once the engine
 // is warm (every scratch slice and work list at steady capacity), a
-// sequential Step under full saturation load allocates nothing. Packet
+// one-shard Step under full saturation load allocates nothing. Packet
 // churn is covered too — PoolPackets recycles finished packets, so even
 // the injection path stays off the heap.
 func TestSaturatedStepZeroAllocs(t *testing.T) {
@@ -22,15 +22,14 @@ func TestSaturatedStepZeroAllocs(t *testing.T) {
 		sat.Drive(net.Now)
 		net.Step()
 	}); avg != 0 {
-		t.Errorf("saturated sequential Step allocates %.2f times per cycle, want 0", avg)
+		t.Errorf("saturated one-shard Step allocates %.2f times per cycle, want 0", avg)
 	}
 }
 
-// TestSaturatedParallelStepZeroAllocs is the parallel twin: saturated
-// stepping across 2 shards must also be allocation-free in steady state.
-// On a single-CPU host the shards run inline through the same dispatch
-// and merge code; with HETEROIF_FORCE_PARALLEL=1 (or real CPUs) the
-// worker-goroutine path is measured instead.
+// TestSaturatedParallelStepZeroAllocs is the two-shard case: saturated
+// stepping through the worker dispatch and the cross-shard merge must also
+// be allocation-free in steady state. SetWorkers(2) always starts a real
+// worker goroutine, whatever the host's CPU count.
 func TestSaturatedParallelStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job covers this")
