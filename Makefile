@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race loc bench benchkernel bench-kernel bench-smoke prof experiments experiments-full examples vet fmt-check smoke fault collective ci clean
+.PHONY: all build test race loc bench benchkernel bench-kernel bench-smoke prof experiments experiments-full examples vet fmt-check smoke fault collective trace ci clean
 
 all: build test
 
@@ -58,8 +58,16 @@ collective:
 	test -f results-ci/BENCH_collective.json
 	$(GO) run ./cmd/checkmanifest results-ci/BENCH_collective.json
 
+# Trace-driven gate: reduced fig13 — CNS and MOC generated once, then
+# shared read-only by the pool's replay jobs through the fast-forwarding
+# RunWith path — then validate the JSON result manifest.
+trace:
+	$(GO) run ./cmd/hetsim -exp fig13 -tiny -jobs 2 -json results-ci
+	test -f results-ci/BENCH_fig13.json
+	$(GO) run ./cmd/checkmanifest results-ci/BENCH_fig13.json
+
 # Everything .github/workflows/ci.yml runs, locally.
-ci: build vet fmt-check test race bench-smoke smoke fault collective
+ci: build vet fmt-check test race bench-smoke smoke fault collective trace
 
 bench: bench-kernel
 	$(GO) test -bench=. -benchmem ./...
@@ -76,7 +84,8 @@ benchkernel: bench-kernel
 
 # Fast CI gate over the same kernels: 100 iterations per case plus the
 # steady-state zero-allocation assertions (idle, saturated sequential,
-# saturated parallel), then a saturated/satpar-case manifest gated
+# saturated parallel) and one pass of the trace generators' ledger
+# (records/s, allocations), then a saturated/satpar-case manifest gated
 # against the committed baseline and against in-manifest throughput
 # ratios. The 50% baseline tolerance absorbs cross-machine variance (CI
 # runners vs whatever produced BENCH_kernel.json; the same build has
@@ -93,6 +102,7 @@ benchkernel: bench-kernel
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
 	$(GO) test -run ZeroAllocs ./internal/network
+	$(GO) test -run '^$$' -bench Generate -benchtime=1x ./internal/trace
 	mkdir -p results-ci
 	$(GO) run ./cmd/benchkernel -cases sat -skip 4096nodes -test.benchtime=0.3s -o results-ci/BENCH_kernel_smoke.json
 	$(GO) run ./cmd/checkmanifest -baseline BENCH_kernel.json -tolerance 0.5 \

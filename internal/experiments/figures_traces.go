@@ -149,6 +149,14 @@ func hpcTargets(o Options) []float64 {
 // runHPCFigure is the shared driver for Figs. 13 and 15. The traces are
 // generated once and shared read-only; each (trace, target, variant)
 // replay is one orchestrator job.
+//
+// A replay window of SimCycles covers SimCycles·speedup trace cycles, so
+// most scales read only the head of what is generated. fig13 at its highest
+// target replays, of CNS and MOC: Tiny (target 0.05) 73 and 145 of 16 000
+// trace cycles; default (0.40) 15 % and 30 %; -full (0.80) 74 % and all of
+// it. The length is not cut to fit the smaller scales: it enters every
+// result through speedup = target·nodes·Cycles/flits, and -full needs all
+// of it — generation is cheap (linear in records) instead of shorter.
 func runHPCFigure(o Options, w io.Writer, name string, vs []variant, nodes int) error {
 	cfg := baseConfig(o)
 	mult := int64(4)

@@ -9,41 +9,50 @@ import (
 )
 
 // TestSweepDeterminism is the contract behind the -jobs flag: a sweep at
-// -jobs 1 and -jobs 8 must produce identical Result rows (and identical
-// human-readable output) — parallelism may only change wall-clock time.
+// -jobs 1 and at a larger pool must produce identical Result rows (and
+// identical human-readable output) — parallelism may only change wall-clock
+// time. fig11 is the synthetic sweep; fig13 shares one generated trace
+// read-only between the pool's replay jobs.
 func TestSweepDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig11 twice at tiny scale")
+		t.Skip("runs fig11 and fig13 twice at tiny scale")
 	}
-	e, err := ByID("fig11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(jobs int) (*Manifest, string) {
-		o := Options{Tiny: true, Jobs: jobs}
-		o.Manifest = NewManifest(e, "test", o)
-		var buf bytes.Buffer
-		if err := e.Run(o, &buf); err != nil {
-			t.Fatalf("fig11 at jobs=%d: %v", jobs, err)
-		}
-		return o.Manifest, buf.String()
-	}
-	m1, out1 := run(1)
-	m8, out8 := run(8)
+	for _, c := range []struct {
+		id   string
+		jobs int
+	}{{"fig11", 8}, {"fig13", 4}} {
+		t.Run(c.id, func(t *testing.T) {
+			e, err := ByID(c.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(jobs int) (*Manifest, string) {
+				o := Options{Tiny: true, Jobs: jobs}
+				o.Manifest = NewManifest(e, "test", o)
+				var buf bytes.Buffer
+				if err := e.Run(o, &buf); err != nil {
+					t.Fatalf("%s at jobs=%d: %v", c.id, jobs, err)
+				}
+				return o.Manifest, buf.String()
+			}
+			m1, out1 := run(1)
+			mN, outN := run(c.jobs)
 
-	if len(m1.Points) == 0 {
-		t.Fatal("fig11 recorded no points")
-	}
-	if !reflect.DeepEqual(m1.Points, m8.Points) {
-		t.Errorf("Result rows differ between jobs=1 and jobs=8:\n jobs=1: %+v\n jobs=8: %+v",
-			m1.Points, m8.Points)
-	}
-	if out1 != out8 {
-		t.Errorf("human-readable output differs between jobs=1 and jobs=8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s",
-			out1, out8)
-	}
-	if m1.FailedPoints != 0 || m8.FailedPoints != 0 {
-		t.Errorf("unexpected failed points: %d / %d", m1.FailedPoints, m8.FailedPoints)
+			if len(m1.Points) == 0 {
+				t.Fatalf("%s recorded no points", c.id)
+			}
+			if !reflect.DeepEqual(m1.Points, mN.Points) {
+				t.Errorf("Result rows differ between jobs=1 and jobs=%d:\n jobs=1: %+v\n jobs=%d: %+v",
+					c.jobs, m1.Points, c.jobs, mN.Points)
+			}
+			if out1 != outN {
+				t.Errorf("human-readable output differs between jobs=1 and jobs=%d:\n--- jobs=1 ---\n%s\n--- jobs=%d ---\n%s",
+					c.jobs, out1, c.jobs, outN)
+			}
+			if m1.FailedPoints != 0 || mN.FailedPoints != 0 {
+				t.Errorf("unexpected failed points: %d / %d", m1.FailedPoints, mN.FailedPoints)
+			}
+		})
 	}
 }
 

@@ -14,6 +14,22 @@ func rankAt(x, y, z int) int32 {
 	return int32((z*cnsGrid[1]+y)*cnsGrid[0] + x)
 }
 
+// gridLinks is the number of neighbouring rank pairs in cnsGrid,
+// Σ_a (g_a−1)·Π_{b≠a} g_b: what one sweep step sends along one direction per
+// axis, and half of what a halo exchange sends per packet of a face.
+func gridLinks() int {
+	g := cnsGrid
+	return (g[0]-1)*g[1]*g[2] + g[0]*(g[1]-1)*g[2] + g[0]*g[1]*(g[2]-1)
+}
+
+// reserveSteps gives Records its one allocation: perStep records for every
+// step that starts before cycles. Exact when cycles is a multiple of step;
+// otherwise the last step drops what falls past the end.
+func (t *Trace) reserveSteps(cycles, step int64, perStep int) {
+	steps := max(0, (cycles+step-1)/step)
+	t.Records = make([]Record, 0, steps*int64(perStep))
+}
+
 func coordsOf(r int32) (x, y, z int) {
 	x = int(r) % cnsGrid[0]
 	y = (int(r) / cnsGrid[0]) % cnsGrid[1]
@@ -35,6 +51,7 @@ func GenerateCNS(cycles int64, seed int64) *Trace {
 		flitsPerPkt  = 16
 		exchangeSpan = 800 // window within a step over which sends spread
 	)
+	t.reserveSteps(cycles, stepCycles, 2*gridLinks()*pktsPerFace)
 	for start := int64(0); start < cycles; start += stepCycles {
 		for rank := int32(0); rank < HPCRanks; rank++ {
 			x, y, z := coordsOf(rank)
@@ -83,6 +100,7 @@ func GenerateMOC(cycles int64, seed int64) *Trace {
 		{1, 1, 1}, {-1, 1, 1}, {1, -1, 1}, {-1, -1, 1},
 		{1, 1, -1}, {-1, 1, -1}, {1, -1, -1}, {-1, -1, -1},
 	}
+	t.reserveSteps(cycles, sweepCycles, gridLinks())
 	oct := 0
 	for start := int64(0); start < cycles; start += sweepCycles {
 		dir := octants[oct%len(octants)]

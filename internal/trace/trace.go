@@ -21,11 +21,13 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Record is one packet in a trace. Times are in cycles; Src/Dst are ranks
@@ -64,10 +66,68 @@ func (t *Trace) OfferedRate() float64 {
 	return float64(t.TotalFlits()) / float64(t.Cycles) / float64(t.Ranks)
 }
 
-// sortRecords time-sorts the records (stable, preserving generation order
-// within a cycle).
+// maxSpanPerRecord bounds the counting sort's histogram: 4 B per cycle of
+// span may cost at most what the records themselves do (24 B each).
+const maxSpanPerRecord = 6
+
+// sortRecords sorts the records by Time, ties in generation order — the
+// order a stable comparison sort gives. Generated times are small integers,
+// so this is a counting sort, linear in records + span; its scratch is 4 B
+// per record plus 4 B per cycle of span, never a second []Record. Records
+// already in order return without allocating; a span too sparse to count
+// takes the comparison sort.
 func (t *Trace) sortRecords() {
-	sort.SliceStable(t.Records, func(i, j int) bool { return t.Records[i].Time < t.Records[j].Time })
+	recs := t.Records
+	if len(recs) < 2 {
+		return
+	}
+	lo, hi := recs[0].Time, recs[0].Time
+	sorted := true
+	for i := 1; i < len(recs); i++ {
+		tm := recs[i].Time
+		if tm < recs[i-1].Time {
+			sorted = false
+		}
+		lo, hi = min(lo, tm), max(hi, tm)
+	}
+	if sorted {
+		return
+	}
+	span := uint64(hi) - uint64(lo) // exact even where hi-lo overflows int64
+	if span/maxSpanPerRecord >= uint64(len(recs)) || uint64(len(recs)) > math.MaxUint32 {
+		slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
+		return
+	}
+	// next[k] is where the next record of cycle lo+k goes.
+	next := make([]uint32, span+1)
+	for i := range recs {
+		next[recs[i].Time-lo]++
+	}
+	sum := uint32(0)
+	for k, c := range next {
+		next[k] = sum
+		sum += c
+	}
+	dest := make([]uint32, len(recs))
+	for i := range recs {
+		k := recs[i].Time - lo
+		dest[i] = next[k]
+		next[k]++
+	}
+	// Apply the permutation in place, one cycle of it at a time: the
+	// record in hand goes to its destination and the one it displaces is
+	// picked up, until the cycle closes at i.
+	for i := range recs {
+		if dest[i] == uint32(i) {
+			continue
+		}
+		r, j := recs[i], dest[i]
+		for j != uint32(i) {
+			r, recs[j] = recs[j], r
+			j, dest[j] = dest[j], j
+		}
+		recs[i] = r
+	}
 }
 
 // Validate checks rank bounds and time ordering.
@@ -94,93 +154,88 @@ func (t *Trace) Validate() error {
 
 const magic = "HIFTRC01"
 
+// recordBytes is the serialized size of a Record: Time, Src, Dst, Flits
+// little-endian, then Class.
+const recordBytes = 21
+
+// readReserve bounds what Read allocates on the header's word alone.
+const readReserve = 1 << 16
+
 // Write serializes the trace in the library's binary format.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	name := []byte(t.Name)
-	if err := binary.Write(bw, binary.LittleEndian, int32(len(name))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(name); err != nil {
-		return err
-	}
-	hdr := []any{t.Ranks, t.Cycles, int64(len(t.Records))}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+	bw.WriteString(magic) // bufio keeps the first error for Flush
+	var b [recordBytes]byte
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(t.Name)))
+	bw.Write(b[:4])
+	bw.WriteString(t.Name)
+	binary.LittleEndian.PutUint32(b[0:], uint32(t.Ranks))
+	binary.LittleEndian.PutUint64(b[4:], uint64(t.Cycles))
+	binary.LittleEndian.PutUint64(b[12:], uint64(len(t.Records)))
+	bw.Write(b[:20])
 	for i := range t.Records {
 		r := &t.Records[i]
-		if err := binary.Write(bw, binary.LittleEndian, r.Time); err != nil {
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.Time))
+		binary.LittleEndian.PutUint32(b[8:], uint32(r.Src))
+		binary.LittleEndian.PutUint32(b[12:], uint32(r.Dst))
+		binary.LittleEndian.PutUint32(b[16:], uint32(r.Flits))
+		b[20] = r.Class
+		if _, err := bw.Write(b[:]); err != nil {
 			return err
-		}
-		rest := []any{r.Src, r.Dst, r.Flits, r.Class}
-		for _, v := range rest {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
 		}
 	}
 	return bw.Flush()
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. The header's record count is
+// not trusted: Records grows as payload arrives.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	m := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, m); err != nil {
+	var b [recordBytes]byte
+	if _, err := io.ReadFull(br, b[:len(magic)]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if string(m) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m)
+	if string(b[:len(magic)]) != magic {
+		return nil, fmt.Errorf("trace: bad magic %q", b[:len(magic)])
 	}
-	var nameLen int32
-	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(br, b[:4]); err != nil {
+		return nil, fmt.Errorf("trace: reading name length: %w", err)
 	}
+	nameLen := int32(binary.LittleEndian.Uint32(b[:]))
 	if nameLen < 0 || nameLen > 4096 {
 		return nil, fmt.Errorf("trace: unreasonable name length %d", nameLen)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	t := &Trace{Name: string(name)}
-	var count int64
-	if err := binary.Read(br, binary.LittleEndian, &t.Ranks); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(br, b[:20]); err != nil {
+		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &t.Cycles); err != nil {
-		return nil, err
+	t := &Trace{
+		Name:   string(name),
+		Ranks:  int32(binary.LittleEndian.Uint32(b[0:])),
+		Cycles: int64(binary.LittleEndian.Uint64(b[4:])),
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
+	count := int64(binary.LittleEndian.Uint64(b[12:]))
 	if count < 0 || count > 1<<31 {
 		return nil, fmt.Errorf("trace: unreasonable record count %d", count)
 	}
-	t.Records = make([]Record, count)
-	for i := range t.Records {
-		r := &t.Records[i]
-		if err := binary.Read(br, binary.LittleEndian, &r.Time); err != nil {
-			return nil, err
+	t.Records = make([]Record, 0, min(count, readReserve))
+	for i := int64(0); i < count; i++ {
+		if _, err := io.ReadFull(br, b[:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("trace: truncated after %d of %d records", i, count)
+			}
+			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &r.Src); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &r.Dst); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &r.Flits); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &r.Class); err != nil {
-			return nil, err
-		}
+		t.Records = append(t.Records, Record{
+			Time:  int64(binary.LittleEndian.Uint64(b[0:])),
+			Src:   int32(binary.LittleEndian.Uint32(b[8:])),
+			Dst:   int32(binary.LittleEndian.Uint32(b[12:])),
+			Flits: int32(binary.LittleEndian.Uint32(b[16:])),
+			Class: b[20],
+		})
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
