@@ -112,14 +112,19 @@ bench-smoke:
 		-compare 'saturated/256nodes=satref/256nodes:1.25' \
 		results-ci/BENCH_kernel_smoke.json
 
-# CPU and heap profiles of the saturated 256-node kernel — the case the
-# SoA hot-path work targets. Profiles and the test binary land in
+# CPU and heap profiles of two saturated kernels: the 256-node mesh — all
+# plain delay-1 links, the case the SoA hot-path work targets — and the
+# 1024-node hetero-PHY torus, whose chiplets are joined by adapter links
+# (cpu_1024/mem_1024). Profiles and the test binary land in
 # results-ci/prof/; inspect with
 #   go tool pprof results-ci/prof/network.test results-ci/prof/cpu.prof
 prof:
 	mkdir -p results-ci/prof
 	$(GO) test -run '^$$' -bench 'Step/saturated/256nodes' -benchtime 2s -benchmem \
 		-cpuprofile results-ci/prof/cpu.prof -memprofile results-ci/prof/mem.prof \
+		-o results-ci/prof/network.test ./internal/network
+	$(GO) test -run '^$$' -bench 'Step/saturated/1024nodes' -benchtime 2s -benchmem \
+		-cpuprofile results-ci/prof/cpu_1024.prof -memprofile results-ci/prof/mem_1024.prof \
 		-o results-ci/prof/network.test ./internal/network
 
 # CI-scale reproduction of every table and figure, with CSV output.

@@ -3,15 +3,16 @@ package network
 // FlitQueue is a bounded FIFO of flits backed by a ring buffer. It is the
 // storage behind every virtual-channel input buffer and adapter queue.
 //
-// wpos/pend implement direct staging for Delay-1 plain links (see
-// Link.direct): the producing link writes arriving flits into the ring at
-// wpos during its source router's tick and the next cycle's link phase
-// publishes them in bulk. The ring splits into two disjoint regions —
-// [head, head+n) live, [head+n, head+n+pend) staged — with head and n
-// owned by the consuming router and wpos/pend owned by the single
-// producing link. head+n is invariant under Pop and Drop, so the producer
-// cursor tracks the live end by pure increments without ever reading
-// consumer state (which would race under parallel stepping).
+// wpos/pend implement staging for plain links (see Link): the producing
+// link writes accepted flits into the ring at wpos during its source
+// router's tick and the link phase Delay cycles later publishes them in
+// bulk. The ring splits into two disjoint regions — [head, head+n) live,
+// [head+n, head+n+pend) staged — with head and n owned by the consuming
+// router and wpos/pend owned by the single producing link. head+n is
+// invariant under Pop and Drop, so the producer cursor tracks the staged
+// end by pure increments without ever reading consumer state (which would
+// race under parallel stepping); a ring fed by Push instead (injection
+// ports, adapter and retry links) never uses the cursor.
 type FlitQueue struct {
 	buf  []Flit
 	head int
@@ -55,25 +56,6 @@ func (q *FlitQueue) Push(f Flit) bool {
 	}
 	q.buf[i] = f
 	q.n++
-	return true
-}
-
-// PushRun appends a run of flits in order, reporting false (appending
-// nothing) when the whole run does not fit — the bulk counterpart of Push,
-// with the same "full means protocol bug" contract.
-func (q *FlitQueue) PushRun(fs []Flit) bool {
-	if q.n+len(fs) > len(q.buf) {
-		return false
-	}
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	n := copy(q.buf[i:], fs)
-	if n < len(fs) {
-		copy(q.buf, fs[n:])
-	}
-	q.n += len(fs)
 	return true
 }
 
@@ -157,24 +139,11 @@ func (q *FlitQueue) Reset() {
 	q.wpos, q.pend = 0, 0
 }
 
-// syncStage aligns the producer cursor with the live end. Finalize calls
-// it when arming a link for direct staging; it must never run with flits
-// staged (they would be orphaned).
-func (q *FlitQueue) syncStage() {
-	if q.pend != 0 {
-		panic("network: syncStage with staged flits")
-	}
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.wpos = i
-}
-
 // stagePut writes a flit at the producer cursor without publishing it.
 // Credit flow control guarantees the slot is free — the staging twin of
 // Push's "full means protocol bug" contract, unchecked here because the
-// producer may not read the consumer-owned occupancy.
+// producer may not read the consumer-owned occupancy; publication checks
+// it (Network.commitDirect).
 func (q *FlitQueue) stagePut(f Flit) {
 	q.buf[q.wpos] = f
 	q.wpos++
@@ -204,8 +173,8 @@ func (q *FlitQueue) stageSpan(n int) (a, b []Flit) {
 	return
 }
 
-// publish makes k staged flits visible to the consumer. Runs in the link
-// phase, after the barrier that quiesces the producer.
+// publish makes the k oldest staged flits visible to the consumer. Runs in
+// the link phase, after the barrier that quiesces the producer.
 func (q *FlitQueue) publish(k int) {
 	q.n += k
 	q.pend -= k

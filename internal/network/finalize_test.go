@@ -9,8 +9,17 @@ import (
 // allocated, so a second call mid-run re-homes rings that hold buffered and
 // staged flits. Contents, consumer and producer cursors and the credit
 // invariant must carry over, and the run must continue exactly like one
-// that was never re-finalized.
+// that was never re-finalized — on Delay-1 links and on deeper ones caught
+// with flits in several stages of their delay lines.
 func TestRefinalizeKeepsRingState(t *testing.T) {
+	t.Run("on-chip", func(t *testing.T) { testRefinalize(t, buildXYMesh, 1) })
+	t.Run("mixed-delay", func(t *testing.T) { testRefinalize(t, buildMixedMesh, 3) })
+}
+
+// testRefinalize runs the re-Finalize scenario on build's 6×6 mesh, which
+// must hold some link with at least wantStages occupied delay-line stages
+// at the re-Finalize.
+func testRefinalize(t *testing.T, build func(testing.TB, int, bool) *Network, wantStages int) {
 	type ring struct {
 		head, n, wpos, pend int
 		flits               []Flit
@@ -40,7 +49,7 @@ func TestRefinalizeKeepsRingState(t *testing.T) {
 		return log
 	}
 
-	ref, net := buildXYMesh(t, 6, true), buildXYMesh(t, 6, true)
+	ref, net := build(t, 6, true), build(t, 6, true)
 	refLog, netLog := record(ref), record(net)
 	run(ref, 400)
 	run(net, 400)
@@ -48,6 +57,29 @@ func TestRefinalizeKeepsRingState(t *testing.T) {
 	before, buffered, staged := snapshot(net)
 	if buffered == 0 || staged == 0 {
 		t.Fatalf("fixture holds %d buffered and %d staged flits, want both non-zero", buffered, staged)
+	}
+	deepest, inStages := 0, 0
+	for _, l := range net.Links {
+		occupied := 0
+		for _, stage := range l.stages {
+			for _, run := range stage {
+				inStages += int(run.n)
+			}
+			if len(stage) > 0 {
+				occupied++
+			}
+		}
+		deepest = max(deepest, occupied)
+	}
+	if deepest < wantStages {
+		t.Fatalf("no link holds flits in %d stages at once (deepest: %d)", wantStages, deepest)
+	}
+	if inStages != staged {
+		t.Fatalf("delay lines account for %d flits, rings hold %d staged", inStages, staged)
+	}
+	// Mid-flight: every staged run, whatever its stage, counts exactly once.
+	if err := net.CheckCredits(); err != nil {
+		t.Fatal(err)
 	}
 	net.Finalize()
 	after, _, _ := snapshot(net)

@@ -32,6 +32,16 @@ type Adapter interface {
 // a pipeline with Bandwidth flits per stage and Delay stages (Sec. 7.1
 // "Interface Model": virtual pipeline registers in the on-chip clock
 // domain). It also carries the reverse credit pipeline with the same delay.
+//
+// A plain link (no adapter, no retry) never holds a flit itself. Accept and
+// AcceptRun write the fixed-up flits straight into the destination input
+// buffers at the producer cursor (FlitQueue staging) and the link keeps
+// only a Delay-deep delay line of per-VC run lengths; the link phase of
+// cycle t+Delay publishes what was accepted in cycle t
+// (Network.commitDirect). The credit the source spent at acceptance
+// reserves the ring slot for the whole flight, so this is exact at any
+// delay: one copy per hop and O(runs) arrival work whether the channel is
+// an on-chip wire or a 20-cycle serial interface.
 type Link struct {
 	ID   int
 	Kind LinkKind
@@ -53,26 +63,20 @@ type Link struct {
 
 	bits int // flit width in bits, for energy accounting
 
-	pipe     [][]Flit
-	pipeHead int
-	inFlight int
+	// stages is the forward delay line: stages[stageHead] comes due at the
+	// next link phase, and acceptance appends to the stage the last link
+	// phase vacated, which comes due Delay phases from now (Delay 1 is the
+	// one-stage case). Entries are per-VC run lengths in acceptance order;
+	// the flits themselves sit staged in dstIn's rings.
+	stages    [][]creditRun
+	stageHead int
+	inFlight  int
 
 	creditPipe      [][]creditRun
 	creditHead      int
 	creditsInFlight int
 
 	accepted int // flits accepted this cycle (plain pipeline rate limit)
-
-	// direct, when set, bypasses the forward pipe entirely: Accept and
-	// AcceptRun write fixed-up flits straight into the destination input
-	// buffers at the producer cursor (FlitQueue staging) and the next
-	// cycle's link phase publishes them in bulk (Network.commitDirect) —
-	// same one-cycle latency as a Delay-1 pipe, with no intermediate flit
-	// copy and O(runs) arrival work. Finalize arms it for plain Delay-1
-	// links; EnableRetry disarms it. staged records the per-VC run lengths
-	// awaiting publication, in acceptance order; dstIn is the input port
-	// the flits land on.
-	direct bool
 
 	// fwdQueued/crQueued record membership in the engine's forward and
 	// credit wake lists (see the package comment): set when a flit/credit
@@ -105,13 +109,12 @@ type Link struct {
 	// plain pipeline's hot fields retain their cache layout.
 	retry *RetryPipe
 
-	dstIn  *InPort     // destination input port, for direct staging
-	staged []creditRun // per-VC staged run lengths, acceptance order
-
+	// dstIn is the destination input port plain links stage into;
 	// srcOut/srcRouter are the source router's output port for this link
-	// and the router itself, bound by Finalize so credit completion applies
-	// a cycle's whole batch straight to the counters (creditArrivals)
-	// instead of calling a per-run closure.
+	// and the router itself, so credit completion applies a cycle's whole
+	// batch straight to the counters (creditArrivals). All three are bound
+	// by Finalize (packSlabs moves the ports).
+	dstIn     *InPort
 	srcOut    *OutPort
 	srcRouter *Router
 
@@ -136,15 +139,16 @@ func NewLink(cfg *Config, id int, kind LinkKind, src NodeID, srcPort int, dst No
 		PJPerBit:  cfg.LinkPJPerBit(kind),
 		bits:      cfg.FlitBits,
 	}
-	l.pipe = make([][]Flit, l.Delay)
+	l.stages = make([][]creditRun, l.Delay)
 	l.creditPipe = make([][]creditRun, l.Delay)
 	return l
 }
 
-// creditRun is a run-length-encoded credit pipeline entry: n credits for
-// the same downstream VC, entered consecutively. Credits enter in
-// switch-grant order, so a bulk run transfer is one entry and the arrival
-// side restores whole runs without re-scanning.
+// creditRun is a run-length-encoded pipeline entry, used in both
+// directions: n credits for the same downstream VC, or n staged flits on
+// it, entered consecutively. Both enter in switch-grant order, so a bulk
+// run transfer is one entry and the arrival side handles whole runs
+// without re-scanning.
 type creditRun struct {
 	vc VCID
 	n  int32
@@ -169,6 +173,10 @@ func (l *Link) freeSlotsSlow() int {
 
 // Accept pushes a flit into the link this cycle. The flit will be delivered
 // Delay cycles later (or per the adapter's PHY selection for hetero links).
+//
+// Staging is the plain path that stayed (ROADMAP 2a): sending Delay-1 links
+// through a flit pipe instead measured synth_knee wall_s +13 % (1.05 →
+// 1.20 s, higher in 6/6 alternated pairs, sim_digest equal).
 func (l *Link) Accept(now int64, f Flit) {
 	if l.Adapter != nil {
 		l.Adapter.Accept(now, f)
@@ -181,79 +189,8 @@ func (l *Link) Accept(now int64, f Flit) {
 		l.SentTotal++
 		return
 	}
-	if l.direct {
-		l.acceptDirect(f)
-		return
-	}
-	if l.PJPerBit != 0 {
-		e := l.PJPerBit * float64(l.bits)
-		f.EnergyPJ += e
-		if l.Kind == KindOnChip {
-			f.EnergyOnChipPJ += e
-		} else {
-			f.EnergyIfacePJ += e
-		}
-	}
-	slot := l.pipeHead + l.Delay - 1
-	if slot >= l.Delay {
-		slot -= l.Delay
-	}
-	l.pipe[slot] = append(l.pipe[slot], f)
-	l.inFlight++
-	l.accepted++
-	l.SentTotal++
-}
-
-// AcceptRun pushes a contiguous run of same-packet flits (as the up-to-two
-// ring views a, b) into a plain pipeline, rewriting each flit's VC to
-// outVC and charging the per-flit router traversal energy routerPJ plus
-// the link's own traversal energy — the bulk equivalent of per-flit
-// Router.forward + Accept, with the exact same per-field addition order so
-// energy statistics stay bit-identical. Callers must have checked
-// FreeSlots and must not use it on adapter or retry links.
-func (l *Link) AcceptRun(a, b []Flit, outVC VCID, routerPJ float64) {
-	if l.direct {
-		l.acceptRunDirect(a, b, outVC, routerPJ)
-		return
-	}
-	slot := l.pipeHead + l.Delay - 1
-	if slot >= l.Delay {
-		slot -= l.Delay
-	}
-	// Bulk-copy the run into the stage, then fix up VC and energy in place:
-	// one memmove plus field writes instead of a per-flit struct copy. The
-	// per-flit field updates run in the same order as the per-flit path, so
-	// energy sums stay bit-identical.
-	stage := append(l.pipe[slot], a...)
-	stage = append(stage, b...)
-	base := len(stage) - len(a) - len(b)
-	e := l.PJPerBit * float64(l.bits)
-	onChip := l.Kind == KindOnChip
-	for i := base; i < len(stage); i++ {
-		f := &stage[i]
-		f.VC = outVC
-		f.EnergyPJ += routerPJ
-		f.EnergyOnChipPJ += routerPJ
-		if e != 0 {
-			f.EnergyPJ += e
-			if onChip {
-				f.EnergyOnChipPJ += e
-			} else {
-				f.EnergyIfacePJ += e
-			}
-		}
-	}
-	n := len(a) + len(b)
-	l.pipe[slot] = stage
-	l.inFlight += n
-	l.accepted += n
-	l.SentTotal += uint64(n)
-}
-
-// acceptDirect is Accept's direct-staging path: the flit (already carrying
-// its router traversal energy) gets the link energy charged in the same
-// order as the pipe path, then lands in the destination ring unpublished.
-func (l *Link) acceptDirect(f Flit) {
+	// The flit already carries its router traversal energy; charge the
+	// link's in the same order as AcceptRun.
 	if l.PJPerBit != 0 {
 		e := l.PJPerBit * float64(l.bits)
 		f.EnergyPJ += e
@@ -270,12 +207,17 @@ func (l *Link) acceptDirect(f Flit) {
 	l.SentTotal++
 }
 
-// acceptRunDirect is AcceptRun's direct-staging path: bulk-copy the run
-// into reserved ring slots, then fix up VC and energy in place — the one
-// and only copy each flit makes between the two routers' buffers. The
-// per-flit field updates run in the same order as the pipe path, so
-// energy statistics stay bit-identical.
-func (l *Link) acceptRunDirect(a, b []Flit, outVC VCID, routerPJ float64) {
+// AcceptRun pushes a contiguous run of same-packet flits (as the up-to-two
+// ring views a, b) into a plain link, rewriting each flit's VC to outVC and
+// charging the per-flit router traversal energy routerPJ plus the link's
+// own traversal energy — the bulk equivalent of per-flit Router.forward +
+// Accept. The run is bulk-copied into reserved ring slots, then VC and
+// energy are fixed up in place: the one and only copy each flit makes
+// between the two routers' buffers, with the exact same per-field addition
+// order as the per-flit path so energy statistics stay bit-identical.
+// Callers must have checked FreeSlots and must not use it on adapter or
+// retry links.
+func (l *Link) AcceptRun(a, b []Flit, outVC VCID, routerPJ float64) {
 	n := len(a) + len(b)
 	sa, sb := l.dstIn.VCs[outVC].Buf.stageSpan(n)
 	m := copy(sa, a)
@@ -309,14 +251,35 @@ func (l *Link) acceptRunDirect(a, b []Flit, outVC VCID, routerPJ float64) {
 	l.SentTotal += uint64(n)
 }
 
-// stageRun records n staged flits for vc, merging with the previous run
-// when the VC matches — the same grouping deliverRun would have found.
+// stageRun records n flits staged for vc in the delay line's entry stage,
+// merging with the previous run when the VC matches.
 func (l *Link) stageRun(vc VCID, n int) {
-	if k := len(l.staged) - 1; k >= 0 && l.staged[k].vc == vc {
-		l.staged[k].n += int32(n)
+	slot := l.stageHead + l.Delay - 1
+	if slot >= l.Delay {
+		slot -= l.Delay
+	}
+	stage := &l.stages[slot]
+	if k := len(*stage) - 1; k >= 0 && (*stage)[k].vc == vc {
+		(*stage)[k].n += int32(n)
 		return
 	}
-	l.staged = append(l.staged, creditRun{vc, int32(n)})
+	*stage = append(*stage, creditRun{vc, int32(n)})
+}
+
+// dueStage advances the forward delay line one cycle and returns the runs
+// whose flits become visible downstream now, resetting the per-cycle
+// bandwidth budget. The slice aliases the recycled stage and is valid until
+// the link next accepts flits.
+func (l *Link) dueStage() []creditRun {
+	stage := &l.stages[l.stageHead]
+	due := *stage
+	*stage = (*stage)[:0]
+	l.stageHead++
+	if l.stageHead == l.Delay {
+		l.stageHead = 0
+	}
+	l.accepted = 0
+	return due
 }
 
 // ReturnCredits sends n credits for the given downstream VC in one call
@@ -342,82 +305,21 @@ func (l *Link) ReturnCredits(vc VCID, n int) {
 	l.creditsInFlight += n
 }
 
-// Arrivals advances the forward pipeline one cycle and returns the flits
-// arriving at the sink. The returned slice is valid until the next call.
+// Arrivals ticks an adapter or retry link one cycle, invoking deliver for
+// every flit it releases downstream. Plain links have no per-flit arrival:
+// Network.commitDirect publishes their due stage.
 func (l *Link) Arrivals(now int64, deliver func(Flit)) {
 	if l.Adapter != nil {
 		l.Adapter.Tick(now, deliver)
 		return
 	}
-	if l.retry != nil {
-		l.retry.Tick(now, deliver)
-		return
-	}
-	arr := l.pipe[l.pipeHead]
-	l.pipe[l.pipeHead] = arr[:0]
-	l.pipeHead++
-	if l.pipeHead == l.Delay {
-		l.pipeHead = 0
-	}
-	for _, f := range arr {
-		l.inFlight--
-		deliver(f)
-	}
-	l.accepted = 0
-}
-
-// takeArrivals advances a plain forward pipeline one cycle and returns the
-// arriving flits as one slice, for bulk delivery into the destination input
-// buffer. The slice aliases the recycled stage and is valid until the link
-// next accepts flits; callers must not use it on adapter or retry links
-// (their per-flit protocol work needs Arrivals).
-func (l *Link) takeArrivals() []Flit {
-	arr := l.pipe[l.pipeHead]
-	l.pipe[l.pipeHead] = arr[:0]
-	l.pipeHead++
-	if l.pipeHead == l.Delay {
-		l.pipeHead = 0
-	}
-	l.inFlight -= len(arr)
-	l.accepted = 0
-	return arr
+	l.retry.Tick(now, deliver)
 }
 
 // ReturnCredit sends one credit for the given downstream VC back to the
 // source router; it arrives after the link delay.
 func (l *Link) ReturnCredit(vc VCID) {
 	l.ReturnCredits(vc, 1)
-}
-
-// CreditArrivals advances the credit pipeline one cycle and invokes restore
-// for every credit completing its return trip.
-func (l *Link) CreditArrivals(restore func(VCID)) {
-	if l.Delay == 1 {
-		m := l.credMask
-		l.credMask = 0
-		for ; m != 0; m &= m - 1 {
-			v := VCID(bits.TrailingZeros16(m))
-			n := l.credPend[v]
-			l.credPend[v] = 0
-			l.creditsInFlight -= int(n)
-			for i := int32(0); i < n; i++ {
-				restore(v)
-			}
-		}
-		return
-	}
-	arr := l.creditPipe[l.creditHead]
-	l.creditPipe[l.creditHead] = arr[:0]
-	l.creditHead++
-	if l.creditHead == l.Delay {
-		l.creditHead = 0
-	}
-	for _, cr := range arr {
-		l.creditsInFlight -= int(cr.n)
-		for i := int32(0); i < cr.n; i++ {
-			restore(cr.vc)
-		}
-	}
 }
 
 // creditArrivals advances the credit pipeline one cycle and applies the

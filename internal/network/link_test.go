@@ -1,144 +1,270 @@
 package network
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-func testLink(kind LinkKind) (*Link, *Config) {
-	cfg := DefaultConfig()
-	l := NewLink(&cfg, 0, kind, 0, 1, 1, 1)
-	return l, &cfg
+// plainKinds are the three plain channel models of Table 2; every link
+// test runs over all of them (Delay 1, 5 and 20 at the defaults).
+var plainKinds = []LinkKind{KindOnChip, KindParallel, KindSerial}
+
+// linkRig is a finalized two-router network whose 0→1 link the tests drive
+// by hand: accept flits at the source side, run the link phase cycle by
+// cycle, and take what became visible in router 1's input rings. The
+// routers never tick, so the link is observed in isolation. Every flit is
+// its own single-flit packet (a ring only ever fronts head flits), told
+// apart by packet ID.
+type linkRig struct {
+	t   *testing.T
+	net *Network
+	l   *Link
+	ids uint64
 }
 
-func collect(l *Link, now int64) []Flit {
-	var out []Flit
-	l.Arrivals(now, func(f Flit) { out = append(out, f) })
-	return out
+func newLinkRig(t *testing.T, kind LinkKind) *linkRig {
+	net, l := twoNodeNet(t, kind, nil)
+	return &linkRig{t: t, net: net, l: l}
+}
+
+// overPlainKinds runs fn on a fresh rig per plain link kind.
+func overPlainKinds(t *testing.T, fn func(t *testing.T, g *linkRig)) {
+	for _, kind := range plainKinds {
+		t.Run(kind.String(), func(t *testing.T) { fn(t, newLinkRig(t, kind)) })
+	}
+}
+
+func (g *linkRig) flit(vc VCID) Flit {
+	g.ids++
+	return Flit{Pkt: &Packet{ID: g.ids, Length: 1}, VC: vc}
+}
+
+// accept pushes one fresh flit into the link in the current cycle and
+// returns its packet ID.
+func (g *linkRig) accept(vc VCID) uint64 {
+	f := g.flit(vc)
+	g.l.Accept(g.net.Now, f)
+	return f.Pkt.ID
+}
+
+// advance moves to the next cycle, runs the link phase and drains router
+// 1's input rings: the flits that became visible this cycle, per VC in
+// ring order.
+func (g *linkRig) advance() []Flit {
+	g.net.Now++
+	var moved uint64
+	g.net.linkArrivals(g.l, &moved)
+	in := g.net.Nodes[1].In[g.l.DstPort]
+	var got []Flit
+	for v := range in.VCs {
+		for q := &in.VCs[v].Buf; !q.Empty(); {
+			got = append(got, q.Pop())
+		}
+	}
+	if int(moved) != len(got) {
+		g.t.Fatalf("cycle %d: link phase counted %d movements, %d flits became visible", g.net.Now, moved, len(got))
+	}
+	return got
 }
 
 func TestLinkDeliversAfterDelay(t *testing.T) {
-	l, cfg := testLink(KindParallel)
-	pkt := &Packet{ID: 1, Length: 1}
-	l.Accept(0, Flit{Pkt: pkt})
-	for cyc := 1; cyc < cfg.ParallelDelay; cyc++ {
-		if got := collect(l, int64(cyc)); len(got) != 0 {
-			t.Fatalf("flit emerged after %d cycles, want %d", cyc, cfg.ParallelDelay)
+	overPlainKinds(t, func(t *testing.T, g *linkRig) {
+		id := g.accept(0)
+		for cyc := 1; cyc < g.l.Delay; cyc++ {
+			if got := g.advance(); len(got) != 0 {
+				t.Fatalf("flit emerged after %d cycles, want %d", cyc, g.l.Delay)
+			}
 		}
-	}
-	if got := collect(l, int64(cfg.ParallelDelay)); len(got) != 1 {
-		t.Fatalf("flit did not emerge after delay %d", cfg.ParallelDelay)
-	}
-	if l.InFlight() != 0 {
-		t.Fatalf("in-flight count %d after delivery", l.InFlight())
-	}
+		got := g.advance()
+		if len(got) != 1 || got[0].Pkt.ID != id {
+			t.Fatalf("flit did not emerge after delay %d: %v", g.l.Delay, got)
+		}
+		if g.l.InFlight() != 0 {
+			t.Fatalf("in-flight count %d after delivery", g.l.InFlight())
+		}
+	})
 }
 
 func TestLinkBandwidthLimit(t *testing.T) {
-	l, cfg := testLink(KindSerial)
-	if l.FreeSlots() != cfg.SerialBandwidth {
-		t.Fatalf("free slots %d, want %d", l.FreeSlots(), cfg.SerialBandwidth)
-	}
-	pkt := &Packet{ID: 1, Length: 8}
-	for i := 0; i < cfg.SerialBandwidth; i++ {
-		l.Accept(0, Flit{Pkt: pkt, Seq: int32(i)})
-	}
-	if l.FreeSlots() != 0 {
-		t.Fatalf("free slots %d after filling cycle budget", l.FreeSlots())
-	}
-	// The budget resets once the pipeline advances.
-	collect(l, 1)
-	if l.FreeSlots() != cfg.SerialBandwidth {
-		t.Fatalf("budget did not reset: %d", l.FreeSlots())
-	}
+	overPlainKinds(t, func(t *testing.T, g *linkRig) {
+		bw := g.net.Cfg.Bandwidth(g.l.Kind)
+		if g.l.FreeSlots() != bw {
+			t.Fatalf("free slots %d, want %d", g.l.FreeSlots(), bw)
+		}
+		for i := 0; i < bw; i++ {
+			g.accept(0)
+		}
+		if g.l.FreeSlots() != 0 {
+			t.Fatalf("free slots %d after filling cycle budget", g.l.FreeSlots())
+		}
+		// The budget resets once the pipeline advances.
+		g.advance()
+		if g.l.FreeSlots() != bw {
+			t.Fatalf("budget did not reset: %d", g.l.FreeSlots())
+		}
+	})
 }
 
+// TestLinkPreservesOrderWithinAndAcrossCycles streams more flits than the
+// destination ring holds, at full bandwidth on two VCs, alternating
+// per-flit Accept with bulk AcceptRun: each must become visible exactly
+// Delay cycles after its acceptance, in acceptance order per VC, across
+// the ring's wrap.
 func TestLinkPreservesOrderWithinAndAcrossCycles(t *testing.T) {
-	l, _ := testLink(KindParallel)
-	pkt := &Packet{ID: 1, Length: 6}
-	var got []int32
-	now := int64(0)
-	seq := int32(0)
-	for cyc := 0; cyc < 12; cyc++ {
-		for _, f := range collect(l, now) {
-			got = append(got, f.Seq)
+	overPlainKinds(t, func(t *testing.T, g *linkRig) {
+		depth := g.net.Cfg.BufPerVC(g.l.Kind)
+		total := 2*depth + 5
+		due := map[uint64]int64{} // packet ID -> cycle it must become visible
+		var sent, got [2][]uint64
+		record := func(vc VCID, id uint64) {
+			sent[vc] = append(sent[vc], id)
+			due[id] = g.net.Now + int64(g.l.Delay)
 		}
-		for i := 0; i < 2 && seq < 6; i++ {
-			l.Accept(now, Flit{Pkt: pkt, Seq: seq})
-			seq++
+		for n := 0; n < total || g.l.InFlight() > 0; {
+			vc := VCID(g.net.Now & 1)
+			k := min(g.l.FreeSlots(), total-n)
+			switch {
+			case k == 0:
+			case g.net.Now%3 == 0:
+				// One bulk run, handed over as two views like a wrapped ring
+				// read; AcceptRun rewrites the VC.
+				run := make([]Flit, k)
+				for i := range run {
+					run[i] = g.flit(7)
+					record(vc, run[i].Pkt.ID)
+				}
+				g.l.AcceptRun(run[:k/2], run[k/2:], vc, 0)
+			default:
+				for i := 0; i < k; i++ {
+					record(vc, g.accept(vc))
+				}
+			}
+			n += k
+			for _, f := range g.advance() {
+				if due[f.Pkt.ID] != g.net.Now {
+					t.Fatalf("flit %d visible at cycle %d, want %d", f.Pkt.ID, g.net.Now, due[f.Pkt.ID])
+				}
+				got[f.VC] = append(got[f.VC], f.Pkt.ID)
+			}
 		}
-		now++
-	}
-	if len(got) != 6 {
-		t.Fatalf("delivered %d flits, want 6", len(got))
-	}
-	for i, s := range got {
-		if s != int32(i) {
-			t.Fatalf("order broken: position %d has seq %d", i, s)
+		for vc := range sent {
+			if fmt.Sprint(got[vc]) != fmt.Sprint(sent[vc]) {
+				t.Fatalf("vc %d: order broken:\n got %v\nwant %v", vc, got[vc], sent[vc])
+			}
 		}
-	}
+		if len(got[0])+len(got[1]) != total {
+			t.Fatalf("delivered %d flits, want %d", len(got[0])+len(got[1]), total)
+		}
+	})
 }
 
+// TestLinkCreditReturnDelay: a credit returned in cycle t is back in the
+// source router's counter exactly Delay link phases later, through the
+// path the engine uses (creditArrivals).
 func TestLinkCreditReturnDelay(t *testing.T) {
-	l, cfg := testLink(KindParallel)
-	l.ReturnCredit(1)
-	returned := 0
-	for cyc := 1; cyc <= cfg.ParallelDelay; cyc++ {
-		l.CreditArrivals(func(vc VCID) {
-			if vc != 1 {
-				t.Errorf("credit for vc %d, want 1", vc)
+	overPlainKinds(t, func(t *testing.T, g *linkRig) {
+		out := g.net.Nodes[0].Out[g.l.SrcPort]
+		depth := out.Credits[1]
+		out.Credits[1]-- // as if one flit had been sent on VC 1
+		g.l.ReturnCredit(1)
+		for cyc := 1; cyc <= g.l.Delay; cyc++ {
+			if out.Credits[1] != depth-1 {
+				t.Fatalf("credit returned after %d cycles, want %d", cyc-1, g.l.Delay)
 			}
-			returned++
-		})
-		if cyc < cfg.ParallelDelay && returned != 0 {
-			t.Fatalf("credit returned after %d cycles, want %d", cyc, cfg.ParallelDelay)
+			g.l.creditArrivals()
 		}
-	}
-	if returned != 1 {
-		t.Fatalf("credit not returned after delay")
-	}
+		if out.Credits[1] != depth {
+			t.Fatal("credit not returned after delay")
+		}
+		for v, c := range out.Credits {
+			if c != depth {
+				t.Fatalf("vc %d holds %d credits, want %d", v, c, depth)
+			}
+		}
+		if g.l.Busy() {
+			t.Fatal("link still busy after the credit completed")
+		}
+	})
 }
 
 func TestLinkEnergyAccounting(t *testing.T) {
-	l, cfg := testLink(KindSerial)
-	pkt := &Packet{ID: 1, Length: 1}
-	l.Accept(0, Flit{Pkt: pkt})
-	var got Flit
-	for c := 1; c <= cfg.SerialDelay; c++ {
-		for _, f := range collect(l, int64(c)) {
-			got = f
+	overPlainKinds(t, func(t *testing.T, g *linkRig) {
+		cfg := &g.net.Cfg
+		const routerPJ = 0.75
+		g.accept(0)
+		run := []Flit{g.flit(0)}
+		g.l.AcceptRun(run, nil, 1, routerPJ)
+		var got []Flit
+		for c := 0; c < g.l.Delay; c++ {
+			got = append(got, g.advance()...)
 		}
-	}
-	want := cfg.SerialPJPerBit * float64(cfg.FlitBits)
-	if got.EnergyPJ != want || got.EnergyIfacePJ != want || got.EnergyOnChipPJ != 0 {
-		t.Fatalf("serial flit energy %.1f/%.1f/%.1f pJ, want %.1f on the interface bucket",
-			got.EnergyPJ, got.EnergyOnChipPJ, got.EnergyIfacePJ, want)
-	}
-
-	l2, _ := testLink(KindOnChip)
-	pkt2 := &Packet{ID: 2, Length: 1}
-	l2.Accept(0, Flit{Pkt: pkt2})
-	var got2 Flit
-	for _, f := range collect(l2, 1) {
-		got2 = f
-	}
-	want2 := cfg.OnChipPJPerBit * float64(cfg.FlitBits)
-	if got2.EnergyOnChipPJ != want2 || got2.EnergyIfacePJ != 0 {
-		t.Fatalf("on-chip energy breakdown wrong: %.2f/%.2f", got2.EnergyOnChipPJ, got2.EnergyIfacePJ)
-	}
+		if len(got) != 2 {
+			t.Fatalf("%d flits arrived, want 2", len(got))
+		}
+		link := cfg.LinkPJPerBit(g.l.Kind) * float64(cfg.FlitBits)
+		if link == 0 {
+			t.Fatal("fixture charges no link energy")
+		}
+		// Accept charges the link only; AcceptRun adds the router traversal
+		// to the total and the on-chip bucket first.
+		for i, router := range []float64{0, routerPJ} {
+			wantOnChip, wantIface := router, link
+			if g.l.Kind == KindOnChip {
+				wantOnChip, wantIface = router+link, 0
+			}
+			f := got[i]
+			if f.EnergyPJ != router+link || f.EnergyOnChipPJ != wantOnChip || f.EnergyIfacePJ != wantIface {
+				t.Fatalf("flit %d energy %.2f/%.2f/%.2f pJ (total/on-chip/interface), want %.2f/%.2f/%.2f",
+					i, f.EnergyPJ, f.EnergyOnChipPJ, f.EnergyIfacePJ, router+link, wantOnChip, wantIface)
+			}
+		}
+	})
 }
 
 func TestLinkBusy(t *testing.T) {
-	l, cfg := testLink(KindParallel)
-	if l.Busy() {
-		t.Fatal("fresh link busy")
-	}
-	pkt := &Packet{ID: 1, Length: 1}
-	l.Accept(0, Flit{Pkt: pkt})
-	if !l.Busy() {
-		t.Fatal("link with in-flight flit not busy")
-	}
-	for c := 1; c <= cfg.ParallelDelay; c++ {
-		collect(l, int64(c))
-	}
-	if l.Busy() {
-		t.Fatal("drained link still busy")
+	overPlainKinds(t, func(t *testing.T, g *linkRig) {
+		if g.l.Busy() || g.l.fwdBusy() {
+			t.Fatal("fresh link busy")
+		}
+		g.accept(0)
+		for c := 1; c <= g.l.Delay; c++ {
+			if !g.l.Busy() || !g.l.fwdBusy() || g.l.InFlight() != 1 {
+				t.Fatalf("cycle %d: link with a flit in flight reports busy=%v fwdBusy=%v inFlight=%d",
+					c-1, g.l.Busy(), g.l.fwdBusy(), g.l.InFlight())
+			}
+			g.advance()
+		}
+		if g.l.Busy() || g.l.fwdBusy() || g.l.InFlight() != 0 {
+			t.Fatal("drained link still busy")
+		}
+	})
+}
+
+// TestCreditViolationPanicsAtPublication: a plain link never checks the
+// destination ring when it stages a flit (the producer may not read the
+// consumer's occupancy); the credit protocol is checked where the flits
+// become visible. Hand one output VC more credits than its downstream
+// buffer has slots, plug the ejection port so the buffer backs up, and the
+// publication that no longer fits must panic.
+func TestCreditViolationPanicsAtPublication(t *testing.T) {
+	for _, kind := range plainKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			net, l := twoNodeNet(t, kind, func(c *Config) { c.EjectionBandwidth = 0 })
+			out := net.Nodes[0].Out[l.SrcPort]
+			out.Credits[0] += out.Depth
+			want := fmt.Sprintf("network: input buffer overflow at node 1 port %d vc 0 (credit protocol violated)", l.DstPort)
+			defer func() {
+				if got := recover(); got != want {
+					t.Fatalf("recovered %v, want panic %q", got, want)
+				}
+			}()
+			for i := 0; i < 2*out.Depth; i++ {
+				net.Offer(net.NewPacket(0, 1, 4, 0))
+			}
+			for net.Now < int64(16*out.Depth) {
+				net.Step()
+			}
+			t.Fatal("credit violation went unnoticed")
+		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 //  1. every busy link advances one stage, delivering flits into downstream
 //     input buffers and completing credit round trips;
 //  2. every busy router performs RC/VA/SA and pushes granted flits into
-//     link stage 0 (invisible downstream until the link delay elapses, so
-//     router iteration order is immaterial);
+//     its output links (invisible downstream until the link delay elapses,
+//     so router iteration order is immaterial);
 //  3. injection sources feed the local ports.
 //
 // Step runs 1 as one phase and 2+3 as a second on every shard of the
@@ -168,7 +168,7 @@ func (net *Network) Connect(kind LinkKind, a, b NodeID) *Link {
 func (net *Network) SetAdapter(l *Link, a Adapter) {
 	l.Adapter = a
 	if l.srcOut != nil {
-		l.srcOut.slow = !l.direct && (l.Adapter != nil || l.retry != nil)
+		l.srcOut.slow = l.Adapter != nil || l.retry != nil
 	}
 }
 
@@ -187,33 +187,13 @@ func (net *Network) Finalize() {
 			dst.deliver(port, f)
 			l.delivered++
 		}
-		// Bind the credit-completion targets directly: creditArrivals
-		// applies a link's whole per-cycle credit batch to the source
-		// router's counters without a per-run closure call.
+		// Bind both ends at their new slab homes (packSlabs moved the
+		// ports; ring contents, staging cursors included, were copied
+		// verbatim, so flits staged across a re-Finalize stay in flight).
+		l.dstIn = dst.In[port]
 		l.srcRouter = net.Nodes[l.Src]
 		l.srcOut = l.srcRouter.Out[l.SrcPort]
-	}
-	// Arm direct staging on plain Delay-1 links: their flits can be
-	// written into the destination rings at acceptance and published a
-	// cycle later, skipping the pipe-stage copy (see Link.direct).
-	// EnableRetry disarms a link again; adapter and multi-cycle links keep
-	// the pipeline.
-	for _, l := range net.Links {
-		if len(l.staged) != 0 {
-			// Re-finalize with flits staged: keep the armed state, but
-			// re-point dstIn at the port's new slab home (packSlabs moved it;
-			// the ring contents, cursors included, were copied verbatim).
-			l.dstIn = net.Nodes[l.Dst].In[l.DstPort]
-			continue
-		}
-		l.direct = l.Adapter == nil && l.retry == nil && l.Delay == 1 && l.inFlight == 0
-		if l.direct {
-			l.dstIn = net.Nodes[l.Dst].In[l.DstPort]
-			for v := range l.dstIn.VCs {
-				l.dstIn.VCs[v].Buf.syncStage()
-			}
-		}
-		l.srcOut.slow = !l.direct && (l.Adapter != nil || l.retry != nil)
+		l.srcOut.slow = l.Adapter != nil || l.retry != nil
 	}
 	n := 1
 	if net.shards != nil {
@@ -236,7 +216,7 @@ func (net *Network) Finalize() {
 //
 // Shard ownership is unchanged by the merged backing arrays: a shard's
 // routers own disjoint index ranges of every slab (shards are contiguous
-// node ranges), and the single-producer staging regions of direct links
+// node ranges), and the single-producer staging regions of plain links
 // stay confined to their ring's slice window.
 func (net *Network) packSlabs() {
 	nIn, nOut, nVC, nFlit, nCred := 0, 0, 0, 0, 0
@@ -411,16 +391,14 @@ func (net *Network) Step() {
 	net.Now++
 }
 
-// linkArrivals advances one link's forward pipeline. Plain pipelines hand
-// their whole per-cycle batch to Router.deliverRun in one call (the flits
-// of a link all target the same input port, so the per-flit closure only
-// re-derived the same router and wake bit once per flit); adapter and
-// retry links keep the per-flit path — their Tick interleaves protocol
-// work with delivery, and their closure (the link's entry in
-// net.deliverFns) counts what it delivered on the link so the wake bit and
-// the movement count are still settled once per link here. moved is the
-// owning shard's movement accumulator; l.dstShared says whether the wake
-// bit needs an atomic set.
+// linkArrivals advances one link's forward direction by a cycle. Adapter
+// and retry links deliver per flit — their Tick interleaves protocol work
+// with delivery, and their closure (the link's entry in net.deliverFns)
+// counts what it delivered on the link so the wake bit and the movement
+// count are settled once per link here. Every other link is plain and
+// publishes the stage that comes due (commitDirect). moved is the owning
+// shard's movement accumulator; l.dstShared says whether the wake bit needs
+// an atomic set.
 func (net *Network) linkArrivals(l *Link, moved *uint64) {
 	if l.Adapter != nil || l.retry != nil {
 		l.Arrivals(net.Now, net.deliverFns[l.ID])
@@ -431,17 +409,7 @@ func (net *Network) linkArrivals(l *Link, moved *uint64) {
 		}
 		return
 	}
-	if l.direct {
-		net.commitDirect(l, moved)
-		return
-	}
-	arr := l.takeArrivals()
-	if len(arr) == 0 {
-		return
-	}
-	net.Nodes[l.Dst].deliverRun(l.DstPort, arr)
-	net.wakeNodeMode(l.Dst, l.dstShared)
-	*moved += uint64(len(arr))
+	net.commitDirect(l, moved)
 }
 
 // wakeNodeMode marks a router as having buffered flits to process, with an
@@ -455,27 +423,32 @@ func (net *Network) wakeNodeMode(id NodeID, atomicOr bool) {
 	}
 }
 
-// commitDirect publishes a direct link's staged flits: they already sit in
-// the destination rings (written at acceptance, see Link.direct), so
-// arrival is O(runs) — bump each ring's published length, mark newly
-// pending slots and account the batch, with no flit copies. Runs on the
-// destination router's shard in the link phase, after the barrier that
-// quiesced the staging producer.
+// commitDirect publishes the flits a plain link accepted Delay cycles ago:
+// they already sit in the destination rings (written at acceptance, see
+// Link), so arrival is O(runs) — bump each ring's published length, mark
+// newly pending slots and account the batch, with no flit copies. Runs on
+// the destination router's shard in the link phase, after the barrier that
+// quiesced the staging producer, which is what makes reading the ring's
+// occupancy legal here: the credit-protocol check (a run must fit beside
+// the flits still buffered) is made at this moment and nowhere earlier.
 func (net *Network) commitDirect(l *Link, moved *uint64) {
-	l.accepted = 0
-	if len(l.staged) == 0 {
+	due := l.dueStage()
+	if len(due) == 0 {
 		return
 	}
 	r := net.Nodes[l.Dst]
 	in := l.dstIn
 	total := 0
-	for _, run := range l.staged {
+	for _, run := range due {
 		vc := &in.VCs[run.vc]
-		wasEmpty := vc.Buf.Empty()
+		buffered := vc.Buf.Len()
+		if buffered+int(run.n) > vc.Buf.Cap() {
+			panic(fmt.Sprintf("network: input buffer overflow at node %d port %d vc %d (credit protocol violated)", r.ID, l.DstPort, run.vc))
+		}
 		vc.Buf.publish(int(run.n))
 		slot := l.DstPort*r.slotVCs + int(run.vc)
 		if !vc.Active {
-			if wasEmpty {
+			if buffered == 0 {
 				vc.cacheHead(vc.Buf.frontRef())
 			}
 			r.markPend(slot)
@@ -484,7 +457,6 @@ func (net *Network) commitDirect(l *Link, moved *uint64) {
 		}
 		total += int(run.n)
 	}
-	l.staged = l.staged[:0]
 	l.inFlight -= total
 	r.buffered += total
 	net.wakeNodeMode(l.Dst, l.dstShared)
@@ -813,8 +785,8 @@ func (net *Network) QueuedPackets() int {
 	return total
 }
 
-// CheckCredits verifies, for every plain (non-adapter) link, that
-// credits + credits-in-return + flits-in-pipe + flits-buffered equals the
+// CheckCredits verifies, for every non-adapter link, that credits +
+// credits-in-return + flits-in-flight + flits-buffered equals the
 // downstream buffer depth for every VC. Tests call it; it is O(network).
 func (net *Network) CheckCredits() error {
 	for _, l := range net.Links {
@@ -836,18 +808,13 @@ func (net *Network) CheckCredits() error {
 					}
 				})
 			} else {
-				// Direct links hold in-flight flits staged in the
-				// destination ring (excluded from Buf.Len) and recorded
-				// in the staged run list; pipe links hold them in stages.
-				for _, run := range l.staged {
-					if int(run.vc) == v {
-						inPipe += int(run.n)
-					}
-				}
-				for _, stage := range l.pipe {
-					for _, f := range stage {
-						if int(f.VC) == v {
-							inPipe++
+				// A plain link's in-flight flits sit staged in the
+				// destination ring (excluded from Buf.Len); the delay
+				// line holds their run lengths, each in exactly one stage.
+				for _, stage := range l.stages {
+					for _, run := range stage {
+						if int(run.vc) == v {
+							inPipe += int(run.n)
 						}
 					}
 				}

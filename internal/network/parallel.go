@@ -432,8 +432,8 @@ func (ws *workerSet) stop() {
 // router — they write that router's buffers and wake bits) fused with
 // credit completions (sharded by source router — they write that router's
 // credit counters). The two halves touch disjoint Link fields (forward
-// pipe and fwdQueued vs credit pipe and crQueued), so one barrier covers
-// both.
+// delay line and fwdQueued vs credit pipe and crQueued), so one barrier
+// covers both.
 func (net *Network) phase1(w int) {
 	sh := &net.shards.sh[w]
 	if lw := sh.fwdWake; len(lw) > 0 {

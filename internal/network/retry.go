@@ -371,14 +371,10 @@ func (l *Link) EnableRetry(hook TxFault, window, timeout int) {
 	if l.Adapter != nil {
 		panic("network: EnableRetry on an adapter link; enable retry on the adapter's PHYs")
 	}
-	if l.direct {
-		// Direct staging and the retry protocol are mutually exclusive;
-		// switching with flits staged would orphan them in the
-		// destination ring.
-		if len(l.staged) != 0 {
-			panic("network: EnableRetry on a link with staged flits; enable retry before stepping traffic")
-		}
-		l.direct = false
+	if l.inFlight != 0 {
+		// Switching protocols mid-flight would orphan the flits staged in
+		// the destination ring.
+		panic("network: EnableRetry on a link with flits in flight; enable retry before stepping traffic")
 	}
 	pj := l.PJPerBit * float64(l.bits)
 	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, pj, l.Kind == KindOnChip)

@@ -39,50 +39,51 @@ func drainPipe(t *testing.T, rp *RetryPipe, start, limit int64) (seqs []int32, c
 }
 
 // TestRetryErrorFreeMatchesPlainPipeline drives the same flit schedule
-// through a plain link and a retry-enabled link with no fault hook: the
-// retry machinery must add zero latency and identical energy on the
-// error-free path.
+// through a plain link and a retry-enabled link with no fault hook, on
+// every plain channel kind: the retry machinery must add zero latency and
+// identical energy on the error-free path, so the two arrival streams at
+// the destination rings are equal.
 func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
-	plain, _ := testLink(KindSerial)
-	reliable, _ := testLink(KindSerial)
-	reliable.EnableRetry(nil, 0, 0)
-
-	pkt := &Packet{ID: 1, Length: 40}
 	type arrival struct {
 		cycle  int64
-		seq    int32
+		id     uint64
 		energy float64
 	}
-	drive := func(l *Link) []arrival {
+	const flits = 40
+	drive := func(g *linkRig) []arrival {
 		var got []arrival
-		seq := int32(0)
-		for now := int64(0); now < 200; now++ {
-			if now > 0 {
-				l.Arrivals(now, func(f Flit) {
-					got = append(got, arrival{now, f.Seq, f.EnergyPJ})
-				})
+		sent := 0
+		for g.net.Now < 200 {
+			for sent < flits && g.l.FreeSlots() > 0 {
+				g.accept(0)
+				sent++
 			}
-			for seq < int32(pkt.Length) && l.FreeSlots() > 0 {
-				l.Accept(now, Flit{Pkt: pkt, Seq: seq})
-				seq++
+			for _, f := range g.advance() {
+				got = append(got, arrival{g.net.Now, f.Pkt.ID, f.EnergyPJ})
 			}
 		}
 		return got
 	}
-	pa, ra := drive(plain), drive(reliable)
-	if len(pa) != pkt.Length || len(ra) != pkt.Length {
-		t.Fatalf("delivered %d plain / %d retry flits, want %d", len(pa), len(ra), pkt.Length)
-	}
-	for i := range pa {
-		if pa[i] != ra[i] {
-			t.Fatalf("arrival %d diverged: plain %+v, retry %+v", i, pa[i], ra[i])
-		}
-	}
-	if st := reliable.Retry().Stats; st.Retransmits != 0 || st.Dropped != 0 {
-		t.Fatalf("error-free run recorded retransmits/drops: %+v", st)
-	}
-	if reliable.Busy() {
-		t.Fatal("retry link still busy after full delivery and ack round trip")
+	for _, kind := range plainKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			plain, reliable := newLinkRig(t, kind), newLinkRig(t, kind)
+			reliable.l.EnableRetry(nil, 0, 0)
+			pa, ra := drive(plain), drive(reliable)
+			if len(pa) != flits || len(ra) != flits {
+				t.Fatalf("delivered %d plain / %d retry flits, want %d", len(pa), len(ra), flits)
+			}
+			for i := range pa {
+				if pa[i] != ra[i] {
+					t.Fatalf("arrival %d diverged: plain %+v, retry %+v", i, pa[i], ra[i])
+				}
+			}
+			if st := reliable.l.Retry().Stats; st.Retransmits != 0 || st.Dropped != 0 {
+				t.Fatalf("error-free run recorded retransmits/drops: %+v", st)
+			}
+			if reliable.l.Busy() {
+				t.Fatal("retry link still busy after full delivery and ack round trip")
+			}
+		})
 	}
 }
 

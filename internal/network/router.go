@@ -452,7 +452,7 @@ func (r *Router) markPend(slot int) {
 // cacheHead denormalizes the packet fields of f — the head flit that just
 // became the front of an inactive VC — into the slot state (see the
 // VCState field docs). Every site where a head reaches the front calls it:
-// delivery into an empty inactive buffer (deliver/deliverRun), direct-link
+// per-flit delivery into an empty inactive buffer (deliver), plain-link
 // publication (commitDirect), injection (via cacheHeadPkt), tail release
 // with a successor queued (saSlot/saSlotFast) and rebuildWork. The
 // non-head panic retained from the dense scans fires here, where the flit
@@ -511,7 +511,8 @@ func (r *Router) unparkPort(out *OutPort) {
 	}
 }
 
-// deliver buffers a flit arriving from the input link at port/VC.
+// deliver buffers a flit arriving from an adapter or retry link at
+// port/VC (plain links publish whole staged runs, see commitDirect).
 func (r *Router) deliver(inPort int, f Flit) {
 	vc := &r.In[inPort].VCs[f.VC]
 	wasEmpty := vc.Buf.Empty()
@@ -530,38 +531,6 @@ func (r *Router) deliver(inPort int, f Flit) {
 		// list (saSlotFast drops drained slots; see its empty check).
 		r.saReady[slot>>6] |= 1 << (uint(slot) & 63)
 	}
-}
-
-// deliverRun buffers a link's whole per-cycle arrival batch at inPort,
-// grouping consecutive same-VC flits into bulk ring-buffer appends. Flits
-// land in the same per-VC order as per-flit delivery (runs are taken left
-// to right and different VCs go to different buffers), with one bounds
-// check, one pend-mark and one counter update per run instead of per flit.
-func (r *Router) deliverRun(inPort int, arr []Flit) {
-	in := r.In[inPort]
-	for i := 0; i < len(arr); {
-		v := arr[i].VC
-		j := i + 1
-		for j < len(arr) && arr[j].VC == v {
-			j++
-		}
-		vc := &in.VCs[v]
-		wasEmpty := vc.Buf.Empty()
-		if !vc.Buf.PushRun(arr[i:j]) {
-			panic(fmt.Sprintf("network: input buffer overflow at node %d port %d vc %d (credit protocol violated)", r.ID, inPort, v))
-		}
-		slot := inPort*r.slotVCs + int(v)
-		if !vc.Active {
-			if wasEmpty {
-				vc.cacheHead(&arr[i])
-			}
-			r.markPend(slot)
-		} else {
-			r.saReady[slot>>6] |= 1 << (uint(slot) & 63)
-		}
-		i = j
-	}
-	r.buffered += len(arr)
 }
 
 // tickContext carries the per-shard accumulation state of one router
@@ -1034,9 +1003,9 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 	vc := s.vc
 	if !vc.Active || vc.Buf.Empty() {
 		// An active slot drained empty mid-packet cannot progress until
-		// its next flit arrives; the refill sites (deliver, deliverRun,
-		// commitDirect, injection) put it back. Clearing here also
-		// self-heals the saActive seed rebuildWork copies into saReady.
+		// its next flit arrives; the refill sites (deliver, commitDirect,
+		// injection) put it back. Clearing here also self-heals the
+		// saActive seed rebuildWork copies into saReady.
 		r.saReady[slot>>6] &^= 1 << (uint(slot) & 63)
 		return
 	}

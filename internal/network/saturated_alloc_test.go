@@ -3,26 +3,58 @@ package network_test
 import (
 	"testing"
 
+	"heteroif/internal/network"
 	"heteroif/internal/network/netbench"
+	"heteroif/internal/routing"
+	"heteroif/internal/topology"
 )
+
+// buildHeteroChannel constructs a 64-node mesh+hypercube system (Fig. 10):
+// on-chip links inside the 2×2 chiplets, plain parallel (Delay 5) and
+// serial (Delay 20) interfaces between them, no adapters.
+func buildHeteroChannel(t *testing.T) *network.Network {
+	net, topo, err := topology.Build(network.DefaultConfig(), topology.Spec{
+		System:    topology.HeteroChannel,
+		ChipletsX: 4, ChipletsY: 4, NodesX: 2, NodesY: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Routing, err = routing.ForSystem(topo, &net.Cfg); err != nil {
+		t.Fatal(err)
+	}
+	net.Finalize()
+	net.PoolPackets = true
+	return net
+}
 
 // TestSaturatedStepZeroAllocs asserts the steady-state guarantee the
 // kernel manifest records for the saturated mesh cases: once the engine
 // is warm (every scratch slice and work list at steady capacity), a
 // one-shard Step under full saturation load allocates nothing. Packet
 // churn is covered too — PoolPackets recycles finished packets, so even
-// the injection path stays off the heap.
+// the injection path stays off the heap. The hetero-channel system adds
+// plain Delay-5 and Delay-20 links: every stage of their delay lines must
+// have reached its steady capacity as well.
 func TestSaturatedStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job covers this")
 	}
-	net := netbench.BuildMesh(8)
-	sat := netbench.Saturate(net)
-	if avg := testing.AllocsPerRun(500, func() {
-		sat.Drive(net.Now)
-		net.Step()
-	}); avg != 0 {
-		t.Errorf("saturated one-shard Step allocates %.2f times per cycle, want 0", avg)
+	for name, net := range map[string]*network.Network{
+		"on-chip-mesh":   netbench.BuildMesh(8),
+		"hetero-channel": buildHeteroChannel(t),
+	} {
+		sat := netbench.Saturate(net)
+		delivered := net.PacketsDelivered()
+		if avg := testing.AllocsPerRun(500, func() {
+			sat.Drive(net.Now)
+			net.Step()
+		}); avg != 0 {
+			t.Errorf("%s: saturated one-shard Step allocates %.2f times per cycle, want 0", name, avg)
+		}
+		if net.DeadlockAt >= 0 || net.PacketsDelivered() == delivered {
+			t.Errorf("%s: no traffic flowed during the measurement (deadlock at %d)", name, net.DeadlockAt)
+		}
 	}
 }
 

@@ -53,6 +53,21 @@ func (x *xyTestRouting) Route(_ *Network, r *Router, _ int, pkt *Packet, buf []C
 // buildXYMesh constructs a side×side on-chip mesh with XY routing, the
 // same shape the kernel benchmarks use.
 func buildXYMesh(tb testing.TB, side int, check bool) *Network {
+	return buildMesh(tb, side, check, func(int) LinkKind { return KindOnChip })
+}
+
+// buildMixedMesh is buildXYMesh with die-to-die rows: X links stay on-chip
+// (Delay 1), Y links alternate parallel (5) and serial (20) by row, so a
+// saturated run keeps flits in several stages of the deeper delay lines.
+func buildMixedMesh(tb testing.TB, side int, check bool) *Network {
+	return buildMesh(tb, side, check, func(y int) LinkKind {
+		return []LinkKind{KindParallel, KindSerial}[y&1]
+	})
+}
+
+// buildMesh constructs a side×side mesh with XY routing whose X links are
+// on-chip and whose links between rows y and y+1 are of kind yKind(y).
+func buildMesh(tb testing.TB, side int, check bool, yKind func(y int) LinkKind) *Network {
 	cfg := DefaultConfig()
 	cfg.CheckInvariants = check
 	net, err := New(cfg)
@@ -62,20 +77,20 @@ func buildXYMesh(tb testing.TB, side int, check bool) *Network {
 	n := side * side
 	net.AddNodes(n)
 	rt := &xyTestRouting{side: side, vcMask: uint16(1<<cfg.VCs) - 1, ports: make([][4]int, n)}
-	connect := func(a, b, dir int) {
-		l := net.Connect(KindOnChip, NodeID(a), NodeID(b))
+	connect := func(kind LinkKind, a, b, dir int) {
+		l := net.Connect(kind, NodeID(a), NodeID(b))
 		rt.ports[a][dir] = l.SrcPort
 	}
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
 			id := y*side + x
 			if x+1 < side {
-				connect(id, id+1, xyPX)
-				connect(id+1, id, xyNX)
+				connect(KindOnChip, id, id+1, xyPX)
+				connect(KindOnChip, id+1, id, xyNX)
 			}
 			if y+1 < side {
-				connect(id, id+side, xyPY)
-				connect(id+side, id, xyNY)
+				connect(yKind(y), id, id+side, xyPY)
+				connect(yKind(y), id+side, id, xyNY)
 			}
 		}
 	}
