@@ -1,85 +1,34 @@
-// Command checkmanifest validates hetsim JSON result manifests. It
-// understands two kinds, distinguished by their schema field:
-//
-//   - experiment manifests (BENCH_<experiment>.json from `hetsim -json`):
-//     checked for schema version, consistent failure counts and failed
-//     operating points;
-//   - kernel benchmark manifests (BENCH_kernel.json from benchkernel):
-//     checked for schema and positive measurements; when -baseline points
-//     at a committed manifest they are gated against cycles/sec
-//     regressions beyond -tolerance and against new steady-state
-//     allocations; -compare adds intra-manifest throughput-ratio gates
-//     (parallel ≥ sequential). A manifest stamped from a dirty git tree
-//     draws a provenance warning.
-//
-// It exits non-zero on any violation — the gate CI runs after
-// `hetsim -exp fig11 -jobs 4 -json results-ci` and after the bench-smoke
-// benchkernel run.
+// Command checkmanifest validates the JSON result manifests `hetsim -json`
+// writes (BENCH_<experiment>.json): schema version, consistent failure
+// counts, and no failed operating point. A file of any other shape is
+// refused — ReadManifest rejects unknown fields. It exits non-zero on any
+// violation: the gate CI runs after each `hetsim -exp … -json results-ci`.
 //
 // Usage:
 //
 //	checkmanifest results-ci/BENCH_fig11.json [more.json...]
-//	checkmanifest -baseline BENCH_kernel.json -tolerance 0.25 fresh-kernel.json
-//	checkmanifest -compare satpar=saturated -min-ratio 1.0 \
-//	    -compare 'satpar/1024nodes=saturated/1024nodes:1.5' fresh-kernel.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"heteroif/internal/experiments"
-	"heteroif/internal/network/netbench"
 )
 
-// compareSpec is one -compare gate: cases prefixed newPrefix must reach
-// ratio × the same-node-count case prefixed basePrefix.
-type compareSpec struct {
-	newPrefix, basePrefix string
-	ratio                 float64 // <0: use -min-ratio
-}
-
 func main() {
-	baseline := flag.String("baseline", "", "committed kernel manifest to gate cycles/sec regressions against")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional cycles/sec drop vs -baseline")
-	minRatio := flag.Float64("min-ratio", 1.0, "default cycles/sec ratio -compare gates enforce")
-	var compares []compareSpec
-	flag.Func("compare", "NEW=BASE[:RATIO] — gate cycles/sec of NEW-prefixed cases against the BASE-prefixed case with the same node count (repeatable)", func(v string) error {
-		spec, err := parseCompare(v)
-		if err != nil {
-			return err
-		}
-		compares = append(compares, spec)
-		return nil
-	})
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: checkmanifest [-baseline BENCH_kernel.json [-tolerance 0.25]] [-compare NEW=BASE[:RATIO]]... [-min-ratio 1.0] <manifest.json>...")
-		flag.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "usage: checkmanifest <manifest.json>...")
 	}
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var base *netbench.Manifest
-	if *baseline != "" {
-		m, err := netbench.ReadManifest(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkmanifest: baseline %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
-		warnDirty(*baseline, m)
-		base = m
-	}
-
 	failed := false
 	for _, path := range flag.Args() {
-		if err := checkOne(path, base, *tolerance, compares, *minRatio); err != nil {
+		if err := checkOne(path); err != nil {
 			fmt.Fprintf(os.Stderr, "checkmanifest: %s: %v\n", path, err)
 			failed = true
 		}
@@ -89,80 +38,8 @@ func main() {
 	}
 }
 
-// parseCompare parses NEW=BASE[:RATIO].
-func parseCompare(v string) (compareSpec, error) {
-	newPart, basePart, ok := strings.Cut(v, "=")
-	if !ok || newPart == "" || basePart == "" {
-		return compareSpec{}, fmt.Errorf("compare spec %q: want NEW=BASE[:RATIO]", v)
-	}
-	spec := compareSpec{newPrefix: newPart, basePrefix: basePart, ratio: -1}
-	if basePrefix, ratioPart, ok := strings.Cut(basePart, ":"); ok {
-		r, err := strconv.ParseFloat(ratioPart, 64)
-		if err != nil || r <= 0 {
-			return compareSpec{}, fmt.Errorf("compare spec %q: bad ratio %q", v, ratioPart)
-		}
-		spec.basePrefix, spec.ratio = basePrefix, r
-	}
-	return spec, nil
-}
-
-// warnDirty flags manifests whose numbers came from uncommitted code.
-func warnDirty(path string, m *netbench.Manifest) {
-	if m.Dirty() {
-		fmt.Fprintf(os.Stderr, "checkmanifest: warning: %s was produced from a dirty tree (git %s) — its numbers have no committed provenance\n", path, m.Git)
-	}
-}
-
-// checkOne validates one manifest, dispatching on its schema field.
-func checkOne(path string, base *netbench.Manifest, tolerance float64, compares []compareSpec, minRatio float64) error {
-	schema, err := sniffSchema(path)
-	if err != nil {
-		return err
-	}
-	if schema == netbench.ManifestSchema {
-		m, err := netbench.ReadManifest(path)
-		if err != nil {
-			return err
-		}
-		warnDirty(path, m)
-		gates := []string{}
-		if base != nil {
-			if err := m.CompareBaseline(base, tolerance); err != nil {
-				return err
-			}
-			gates = append(gates, fmt.Sprintf("within %.0f%% of baseline", tolerance*100))
-		}
-		var total netbench.CompareStats
-		for _, spec := range compares {
-			ratio := spec.ratio
-			if ratio < 0 {
-				ratio = minRatio
-			}
-			warnf := func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "checkmanifest: warning: %s: %s\n", path, fmt.Sprintf(format, args...))
-			}
-			st, err := m.ComparePairs(spec.newPrefix, spec.basePrefix, ratio, warnf)
-			if err != nil {
-				return err
-			}
-			total.Enforced += st.Enforced
-			total.Skipped += st.Skipped
-			gates = append(gates, fmt.Sprintf("%s ≥ %.2f× %s", spec.newPrefix, ratio, spec.basePrefix))
-		}
-		if len(compares) > 0 {
-			// Summarize how much of the ratio gating was live: skipped
-			// pairings (GOMAXPROCS guard) weaken the gate silently
-			// otherwise.
-			fmt.Printf("%s: ratio gates: %d enforced, %d skipped by GOMAXPROCS guard\n",
-				path, total.Enforced, total.Skipped)
-		}
-		if len(gates) > 0 {
-			fmt.Printf("%s: ok (kernel, %d cases, %s)\n", path, len(m.Cases), strings.Join(gates, ", "))
-			return nil
-		}
-		fmt.Printf("%s: ok (kernel, %d cases)\n", path, len(m.Cases))
-		return nil
-	}
+// checkOne validates one experiment manifest.
+func checkOne(path string) error {
 	m, err := experiments.ReadManifest(path)
 	if err != nil {
 		return err
@@ -177,20 +54,4 @@ func checkOne(path string, base *netbench.Manifest, tolerance float64, compares 
 	}
 	fmt.Println(")")
 	return nil
-}
-
-// sniffSchema reads only the schema field so dispatch never depends on the
-// rest of the document parsing.
-func sniffSchema(path string) (string, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return "", fmt.Errorf("parse manifest: %w", err)
-	}
-	return probe.Schema, nil
 }

@@ -150,8 +150,7 @@ func main() {
 	}
 	e, err := experiments.ByID(*exp)
 	if err != nil {
-		// Mirror `benchkernel -list`: an unknown ID gets the full menu, not
-		// just an error string.
+		// An unknown ID gets the full menu, not just an error string.
 		fmt.Fprintf(os.Stderr, "hetsim: unknown experiment %q — valid experiments:\n", *exp)
 		for _, e := range experiments.Registry {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", e.ID, e.Title)

@@ -82,6 +82,9 @@ func TestReadManifestRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"truncated.json": `{"schema_version": 1, "experiment": "fig11"`,
 		"unknown.json":   `{"schema_version": 1, "experiment": "fig11", "bogus_field": true}`,
+		// A kernel-benchmark manifest of the retired schema: refused, not
+		// read as an empty experiment manifest.
+		"kernel.json": `{"schema": "heteroif-bench-kernel/v1", "cases": [{"name": "saturated/256nodes", "cycles_per_sec": 6105}]}`,
 	}
 	for name, body := range cases {
 		path := filepath.Join(dir, name)

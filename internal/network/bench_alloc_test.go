@@ -3,8 +3,8 @@ package network
 import "testing"
 
 // Micro-benchmarks for the two router hot stages in isolation. The
-// whole-engine numbers live in BenchmarkStep (and BENCH_kernel.json);
-// these pin down where a regression sits when that number moves.
+// whole-engine numbers live in BenchmarkStep; these pin down where a
+// regression sits when that number moves.
 //
 // Both run on a "blockage fixed point": an 8×8 mesh is driven to
 // saturation by real stepping, then router ticks run with the link phase

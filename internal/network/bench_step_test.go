@@ -8,11 +8,12 @@ import (
 
 // BenchmarkStep measures the per-cycle cost of the engine at three
 // operating points (idle, low-load, saturated) and three mesh sizes
-// (16/64/256 nodes). cmd/benchkernel runs the same cases and records them
-// in BENCH_kernel.json so future PRs have a perf trajectory to compare
-// against. The low-load cases step through Network.RunWith, so quiescence
-// fast-forward is part of what is measured — exactly as a Fig. 11-style
-// latency sweep would experience it.
+// (16/64/256 nodes), plus the saturated hetero-PHY tori and one
+// closed-loop collective. These are the micro-cases for attributing a
+// number; whether a change is faster is judged by `go run ./bench` ledgers
+// under -compare. The low-load cases step through Network.RunWith, so
+// quiescence fast-forward is part of what is measured — exactly as a
+// Fig. 11-style latency sweep would experience it.
 func BenchmarkStep(b *testing.B) {
 	for _, c := range netbench.Cases() {
 		b.Run(c.Name, c.Bench)

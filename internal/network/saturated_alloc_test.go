@@ -28,14 +28,30 @@ func buildHeteroChannel(t *testing.T) *network.Network {
 	return net
 }
 
-// TestSaturatedStepZeroAllocs asserts the steady-state guarantee the
-// kernel manifest records for the saturated mesh cases: once the engine
-// is warm (every scratch slice and work list at steady capacity), a
-// one-shard Step under full saturation load allocates nothing. Packet
-// churn is covered too — PoolPackets recycles finished packets, so even
-// the injection path stays off the heap. The hetero-channel system adds
-// plain Delay-5 and Delay-20 links: every stage of their delay lines must
-// have reached its steady capacity as well.
+// checkSaturatedZeroAllocs drives net to steady-state saturation (every
+// scratch slice and work list at steady capacity) and requires that a Step
+// under full load then allocates nothing while traffic keeps flowing.
+func checkSaturatedZeroAllocs(t *testing.T, name string, net *network.Network) {
+	sat := netbench.Saturate(net)
+	delivered := net.PacketsDelivered()
+	if avg := testing.AllocsPerRun(500, func() {
+		sat.Drive(net.Now)
+		net.Step()
+	}); avg != 0 {
+		t.Errorf("%s: saturated Step allocates %.2f times per cycle, want 0", name, avg)
+	}
+	if net.DeadlockAt >= 0 || net.PacketsDelivered() == delivered {
+		t.Errorf("%s: no traffic flowed during the measurement (deadlock at %d)", name, net.DeadlockAt)
+	}
+}
+
+// TestSaturatedStepZeroAllocs asserts the steady-state guarantee of the
+// saturated kernels on one shard. Packet churn is covered too —
+// PoolPackets recycles finished packets, so even the injection path stays
+// off the heap. The hetero-channel system adds plain Delay-5 and Delay-20
+// links: every stage of their delay lines must have reached its steady
+// capacity as well. The hetero-PHY torus adds adapter links: both PHYs'
+// queues and the reorder buffers.
 func TestSaturatedStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job covers this")
@@ -43,18 +59,9 @@ func TestSaturatedStepZeroAllocs(t *testing.T) {
 	for name, net := range map[string]*network.Network{
 		"on-chip-mesh":   netbench.BuildMesh(8),
 		"hetero-channel": buildHeteroChannel(t),
+		"hetero-phy":     netbench.BuildHeteroTorus(2, 2, 4, 4),
 	} {
-		sat := netbench.Saturate(net)
-		delivered := net.PacketsDelivered()
-		if avg := testing.AllocsPerRun(500, func() {
-			sat.Drive(net.Now)
-			net.Step()
-		}); avg != 0 {
-			t.Errorf("%s: saturated one-shard Step allocates %.2f times per cycle, want 0", name, avg)
-		}
-		if net.DeadlockAt >= 0 || net.PacketsDelivered() == delivered {
-			t.Errorf("%s: no traffic flowed during the measurement (deadlock at %d)", name, net.DeadlockAt)
-		}
+		checkSaturatedZeroAllocs(t, name, net)
 	}
 }
 
@@ -66,13 +73,12 @@ func TestSaturatedParallelStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job covers this")
 	}
-	net := netbench.BuildMesh(8)
-	net.SetWorkers(2)
-	sat := netbench.Saturate(net)
-	if avg := testing.AllocsPerRun(500, func() {
-		sat.Drive(net.Now)
-		net.Step()
-	}); avg != 0 {
-		t.Errorf("saturated parallel Step allocates %.2f times per cycle, want 0", avg)
+	for name, net := range map[string]*network.Network{
+		"on-chip-mesh": netbench.BuildMesh(8),
+		"hetero-phy":   netbench.BuildHeteroTorus(2, 2, 4, 4),
+	} {
+		net.SetWorkers(2)
+		checkSaturatedZeroAllocs(t, name+"/2 shards", net)
+		net.SetWorkers(0)
 	}
 }
