@@ -21,7 +21,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'TestWorkersReleased' ./internal/network
-	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle' ./internal/experiments -args -oracle.workers=2,4,8
+	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle|TestEnergyConservation' ./internal/experiments -args -oracle.workers=2,4,8
 
 # Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every
 # PR to report in CHANGES.md.

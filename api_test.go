@@ -34,6 +34,23 @@ func TestPublicBuildAndRun(t *testing.T) {
 	}
 }
 
+// TestPublicBuildRejectsSequenceOverflow: the adapter's sequence numbers
+// are 16-bit, so a bandwidth × delay setting that would let one adapter hold
+// 32,768 flits between issue and reorder-buffer release must come back as
+// an error from Build, and one just below it must build.
+func TestPublicBuildRejectsSequenceOverflow(t *testing.T) {
+	spec := Spec{System: HeteroPHYTorus, ChipletsX: 2, ChipletsY: 2, NodesX: 3, NodesY: 3}
+	cfg := testConfig()
+	cfg.SerialDelay = 1400 // 2 VCs × (2 × 1400 × 6) buffered flits
+	if _, err := Build(cfg, spec); err == nil || !strings.Contains(err.Error(), "16-bit") {
+		t.Fatalf("Build with serial delay %d: %v, want a sequence-number error", cfg.SerialDelay, err)
+	}
+	cfg.SerialDelay = 1300
+	if _, err := Build(cfg, spec); err != nil {
+		t.Fatalf("Build with serial delay %d: %v", cfg.SerialDelay, err)
+	}
+}
+
 func TestPublicPatternConstructors(t *testing.T) {
 	for _, p := range []Pattern{
 		UniformTraffic(),

@@ -25,13 +25,10 @@ import (
 type HeteroPHYAdapter struct {
 	policy Policy
 
-	bits          int
 	parallelBW    int
 	serialBW      int
 	delayParallel int
 	delaySerial   int
-	pjParallel    float64
-	pjSerial      float64
 
 	txq      []txEntry
 	txCap    int
@@ -52,8 +49,8 @@ type HeteroPHYAdapter struct {
 	nRescued uint64
 
 	rob   *ROB
-	txSN  uint32
-	txVSN []uint32
+	txSN  uint16
+	txVSN []uint16
 
 	// LookAhead bounds how deep the bypass scan looks past a stalled
 	// queue head.
@@ -113,17 +110,14 @@ func NewHeteroPHYAdapter(cfg *network.Config, policy Policy) *HeteroPHYAdapter {
 	}
 	a := &HeteroPHYAdapter{
 		policy:        policy,
-		bits:          cfg.FlitBits,
 		parallelBW:    cfg.ParallelBandwidth,
 		serialBW:      cfg.SerialBandwidth,
 		delayParallel: cfg.ParallelDelay,
 		delaySerial:   cfg.SerialDelay,
-		pjParallel:    cfg.ParallelPJPerBit,
-		pjSerial:      cfg.SerialPJPerBit,
 		txq:           make([]txEntry, 0, cfg.AdapterQueueDepth),
 		txCap:         cfg.AdapterQueueDepth,
 		rob:           NewROB(cfg.VCs),
-		txVSN:         make([]uint32, cfg.VCs),
+		txVSN:         make([]uint16, cfg.VCs),
 		LookAhead:     8,
 	}
 	// Eq. 1: the parallel PHY runs at most D_s − D_p cycles ahead of the
@@ -192,10 +186,10 @@ func (a *HeteroPHYAdapter) EnableRetry(phy PHY, hook network.TxFault, window, ti
 	switch phy {
 	case PHYParallel:
 		a.pRetry = network.NewRetryPipe(a.parallelBW, a.delayParallel, window, timeout,
-			hook, a.pjParallel*float64(a.bits), false)
+			hook, network.KindParallel)
 	case PHYSerial:
 		a.sRetry = network.NewRetryPipe(a.serialBW, a.delaySerial, window, timeout,
-			hook, a.pjSerial*float64(a.bits), false)
+			hook, network.KindSerial)
 	}
 	if ev, ok := a.policy.(serialEvictor); ok {
 		a.evict = ev
@@ -256,9 +250,7 @@ func (a *HeteroPHYAdapter) rescueSerial(now int64) {
 			a.pRetry.Accept(now, f)
 			return
 		}
-		e := a.pjParallel * float64(a.bits)
-		f.EnergyPJ += e
-		f.EnergyIfacePJ += e
+		f.Charge(network.KindParallel)
 		a.ppipe.push(f)
 	})
 }
@@ -359,8 +351,8 @@ func (a *HeteroPHYAdapter) issue(now int64, f network.Flit, phy PHY, pb, sb *int
 		f.SN = a.txSN
 		a.txSN++
 	}
-	// Retry-enabled PHYs charge traversal energy per transmission inside
-	// the pipe (retransmissions burn energy again); plain PHYs at issue.
+	// Retry-enabled PHYs charge the traversal per transmission inside the
+	// pipe (retransmissions burn energy again); plain PHYs at issue.
 	if phy == PHYParallel {
 		*pb--
 		a.nParallel++
@@ -368,9 +360,7 @@ func (a *HeteroPHYAdapter) issue(now int64, f network.Flit, phy PHY, pb, sb *int
 			a.pRetry.Accept(now, f)
 			return
 		}
-		e := a.pjParallel * float64(a.bits)
-		f.EnergyPJ += e
-		f.EnergyIfacePJ += e
+		f.Charge(network.KindParallel)
 		a.ppipe.push(f)
 	} else {
 		*sb--
@@ -379,9 +369,7 @@ func (a *HeteroPHYAdapter) issue(now int64, f network.Flit, phy PHY, pb, sb *int
 			a.sRetry.Accept(now, f)
 			return
 		}
-		e := a.pjSerial * float64(a.bits)
-		f.EnergyPJ += e
-		f.EnergyIfacePJ += e
+		f.Charge(network.KindSerial)
 		a.spipe.push(f)
 	}
 }

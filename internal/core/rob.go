@@ -24,8 +24,8 @@ import (
 //     TX-side bypass is allowed only at the parallel interface.
 type ROB struct {
 	pending []network.Flit
-	nextSN  uint32   // next global in-order SN to release
-	nextVSN []uint32 // next per-VC sequence to release
+	nextSN  uint16   // next global in-order SN to release
+	nextVSN []uint16 // next per-VC sequence to release
 
 	occupancy int
 	maxOcc    int
@@ -34,7 +34,7 @@ type ROB struct {
 // NewROB returns an empty reorder buffer for a link with vcs virtual
 // channels.
 func NewROB(vcs int) *ROB {
-	return &ROB{nextVSN: make([]uint32, vcs)}
+	return &ROB{nextVSN: make([]uint16, vcs)}
 }
 
 // Insert buffers an arriving flit.

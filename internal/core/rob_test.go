@@ -18,16 +18,16 @@ func TestROBPerVCOrder(t *testing.T) {
 	rob := NewROB(2)
 	pkt := mkPkt(1, 4, network.ClassBestEffort)
 	// Insert VSN 2, 0, 3, 1 on VC 0.
-	for _, vsn := range []uint32{2, 0, 3, 1} {
+	for _, vsn := range []uint16{2, 0, 3, 1} {
 		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(vsn), VC: 0, VSN: vsn})
 	}
-	var got []uint32
+	var got []uint16
 	rob.Release(func(f network.Flit) { got = append(got, f.VSN) })
 	if len(got) != 4 {
 		t.Fatalf("released %d of 4 flits", len(got))
 	}
 	for i, v := range got {
-		if v != uint32(i) {
+		if v != uint16(i) {
 			t.Fatalf("release order broken at %d: VSN %d", i, v)
 		}
 	}
@@ -95,7 +95,7 @@ func TestROBMaxOccupancy(t *testing.T) {
 	rob := NewROB(1)
 	pkt := mkPkt(1, 16, network.ClassBestEffort)
 	for i := 3; i >= 1; i-- { // VSN 3,2,1 — all blocked on 0
-		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(i), VC: 0, VSN: uint32(i)})
+		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(i), VC: 0, VSN: uint16(i)})
 	}
 	if rob.MaxOccupancy() != 3 {
 		t.Fatalf("max occupancy %d, want 3", rob.MaxOccupancy())
@@ -119,16 +119,16 @@ func TestROBRetryInducedReordering(t *testing.T) {
 		name string
 		pkt  *network.Packet
 		// arrival order of VSNs (single VC); SN == VSN for in-order class
-		arrive []uint32
+		arrive []uint16
 	}{
-		{"retry-delays-window-head", pkt, []uint32{2, 3, 4, 5, 0, 1, 6, 7}},
-		{"rescue-replays-stuck-run", pkt, []uint32{4, 5, 6, 7, 0, 1, 2, 3}},
-		{"interleaved-rewinds", pkt, []uint32{1, 0, 3, 2, 5, 4, 7, 6}},
-		{"in-order-class-rescue", pin, []uint32{4, 5, 6, 7, 0, 1, 2, 3}},
+		{"retry-delays-window-head", pkt, []uint16{2, 3, 4, 5, 0, 1, 6, 7}},
+		{"rescue-replays-stuck-run", pkt, []uint16{4, 5, 6, 7, 0, 1, 2, 3}},
+		{"interleaved-rewinds", pkt, []uint16{1, 0, 3, 2, 5, 4, 7, 6}},
+		{"in-order-class-rescue", pin, []uint16{4, 5, 6, 7, 0, 1, 2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rob := NewROB(2)
-			var got []uint32
+			var got []uint16
 			for _, vsn := range tc.arrive {
 				rob.Insert(network.Flit{Pkt: tc.pkt, Seq: int32(vsn), VC: 0, VSN: vsn, SN: vsn})
 				rob.Release(func(f network.Flit) { got = append(got, f.VSN) })
@@ -137,7 +137,7 @@ func TestROBRetryInducedReordering(t *testing.T) {
 				t.Fatalf("released %d of %d flits", len(got), len(tc.arrive))
 			}
 			for i, v := range got {
-				if v != uint32(i) {
+				if v != uint16(i) {
 					t.Fatalf("release order broken at %d: VSN %d", i, v)
 				}
 			}
@@ -148,29 +148,30 @@ func TestROBRetryInducedReordering(t *testing.T) {
 	}
 }
 
-// TestROBSequenceWraparound: the VSN and SN counters are uint32 and wrap;
-// release order must survive a stream straddling the wrap on both the
-// per-VC and the global in-order sequence.
+// TestROBSequenceWraparound: the VSN and SN counters are uint16 — every
+// adapter crosses the wrap once per 65,536 flits of any run — and release
+// order must survive a stream straddling it on both the per-VC and the
+// global in-order sequence.
 func TestROBSequenceWraparound(t *testing.T) {
 	const n = 8
-	start := ^uint32(0) - 2 // three before the wrap
+	start := ^uint16(0) - 2 // three before the wrap
 	rob := NewROB(2)
 	rob.nextVSN[0] = start
 	rob.nextSN = start
 	pkt := mkPkt(1, n, network.ClassInOrder)
 	// Shuffled arrival order spanning the wrap: VSNs start..start+7.
-	for _, off := range []uint32{3, 1, 0, 5, 2, 4, 7, 6} {
+	for _, off := range []uint16{3, 1, 0, 5, 2, 4, 7, 6} {
 		vsn := start + off
 		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(off), VC: 0, VSN: vsn, SN: vsn})
 	}
-	var got []uint32
+	var got []uint16
 	rob.Release(func(f network.Flit) { got = append(got, f.VSN) })
 	if len(got) != n {
 		t.Fatalf("released %d of %d flits across the VSN wrap", len(got), n)
 	}
 	for i, v := range got {
-		if v != start+uint32(i) {
-			t.Fatalf("wraparound broke release order at %d: VSN %d, want %d", i, v, start+uint32(i))
+		if v != start+uint16(i) {
+			t.Fatalf("wraparound broke release order at %d: VSN %d, want %d", i, v, start+uint16(i))
 		}
 	}
 	if rob.nextVSN[0] != start+n || rob.nextSN != start+n {
@@ -185,21 +186,21 @@ func TestROBPropertyWrapStart(t *testing.T) {
 	f := func(seed int64, nFlits, offset uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nFlits%24) + 2
-		start := ^uint32(0) - uint32(offset%16)
+		start := ^uint16(0) - uint16(offset%16)
 		pkt := mkPkt(1, n, network.ClassBestEffort)
 		perm := rng.Perm(n)
 		rob := NewROB(1)
 		rob.nextVSN[0] = start
-		var released []uint32
+		var released []uint16
 		for _, i := range perm {
-			rob.Insert(network.Flit{Pkt: pkt, Seq: int32(i), VC: 0, VSN: start + uint32(i)})
+			rob.Insert(network.Flit{Pkt: pkt, Seq: int32(i), VC: 0, VSN: start + uint16(i)})
 			rob.Release(func(f network.Flit) { released = append(released, f.VSN) })
 		}
 		if len(released) != n || rob.Occupancy() != 0 {
 			return false
 		}
 		for i, v := range released {
-			if v != start+uint32(i) {
+			if v != start+uint16(i) {
 				return false
 			}
 		}
@@ -221,10 +222,10 @@ func TestROBPropertyRandomArrivalOrder(t *testing.T) {
 		pktB := mkPkt(2, b, network.ClassBestEffort)
 		var flits []network.Flit
 		for i := 0; i < a; i++ {
-			flits = append(flits, network.Flit{Pkt: pktA, Seq: int32(i), VC: 0, VSN: uint32(i)})
+			flits = append(flits, network.Flit{Pkt: pktA, Seq: int32(i), VC: 0, VSN: uint16(i)})
 		}
 		for i := 0; i < b; i++ {
-			flits = append(flits, network.Flit{Pkt: pktB, Seq: int32(i), VC: 1, VSN: uint32(i)})
+			flits = append(flits, network.Flit{Pkt: pktB, Seq: int32(i), VC: 1, VSN: uint16(i)})
 		}
 		rng.Shuffle(len(flits), func(i, j int) { flits[i], flits[j] = flits[j], flits[i] })
 		rob := NewROB(2)
@@ -236,7 +237,7 @@ func TestROBPropertyRandomArrivalOrder(t *testing.T) {
 		if len(released) != a+b {
 			return false
 		}
-		nextVSN := [2]uint32{}
+		nextVSN := [2]uint16{}
 		for _, fl := range released {
 			if fl.VSN != nextVSN[fl.VC] {
 				return false

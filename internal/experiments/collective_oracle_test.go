@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"reflect"
 	"testing"
 
@@ -53,8 +52,6 @@ func collectiveOracleRun(t *testing.T, workers int, faults bool) (oracleFingerpr
 		put(uint64(p.CreatedAt))
 		put(uint64(p.InjectedAt))
 		put(uint64(p.ArrivedAt))
-		put(math.Float64bits(p.EnergyPJ))
-		put(math.Float64bits(p.EnergyIfacePJ))
 		prev(p)
 	}
 

@@ -100,8 +100,8 @@ func (q *FlitQueue) PeekRun(n int) (a, b []Flit) {
 // Drop removes the n oldest flits, releasing their packet pointers. Only
 // the Pkt field is cleared: the scalar remainder of a dead slot is never
 // read (Push/stagePut/stageSpan overwrite whole flits), and zeroing 8 of
-// the 64 bytes keeps the GC write out of the drain hot path. n must not
-// exceed Len.
+// the 24 bytes — the only pointer — is all the GC needs. n must not exceed
+// Len.
 func (q *FlitQueue) Drop(n int) {
 	a, b := q.PeekRun(n)
 	for i := range a {

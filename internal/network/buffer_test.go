@@ -1,10 +1,26 @@
 package network
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestFlitSize: every ring slot of every input VC is a Flit, and the rings
+// are most of a large network's heap (76 of 96 MB on the 3136-node system
+// when the struct was 48 bytes), so it must not regrow unnoticed.
+func TestFlitSize(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skip("the bound is stated for 64-bit pointers")
+	}
+	size := unsafe.Sizeof(Flit{})
+	t.Logf("unsafe.Sizeof(network.Flit{}) = %d bytes", size)
+	if size > 24 {
+		t.Fatalf("Flit is %d bytes, want <= 24", size)
+	}
+}
 
 func TestFlitQueueBasics(t *testing.T) {
 	q := NewFlitQueue(3)

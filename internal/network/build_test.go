@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"slices"
 	"testing"
 
 	"heteroif/internal/network"
@@ -10,8 +11,9 @@ import (
 
 // TestRingStorageExistsOnlyAfterFinalize: ports declare their ring depth and
 // Finalize is the one place the storage is allocated — before it no VC ring
-// has a backing array, after it the rings tile a single flit slab in
-// (router, port, VC) order.
+// has a backing array, after it the rings tile the storage chunks in
+// (router, port, VC) order: each chunk is used up exactly, the next one
+// starts with a router's first ring, and no chunk but the last is small.
 func TestRingStorageExistsOnlyAfterFinalize(t *testing.T) {
 	net, _, err := topology.Build(network.DefaultConfig(), topology.Spec{
 		System: topology.HeteroPHYTorus, ChipletsX: 8, ChipletsY: 8, NodesX: 4, NodesY: 4,
@@ -36,25 +38,45 @@ func TestRingStorageExistsOnlyAfterFinalize(t *testing.T) {
 
 	net.Finalize()
 
-	total := 0
-	eachRing(func(_ *network.Router, _, _ int, q *network.FlitQueue) { total += q.Cap() })
-	slabEnd, _ := network.RingBacking(&net.Nodes[0].In[0].VCs[0].Buf)
-	off := 0
+	var chunkEnd *network.Flit
+	var chunks []int // flit slots per chunk
+	left := 0        // slots of the current chunk not yet tiled
 	eachRing(func(r *network.Router, port, vc int, q *network.FlitQueue) {
 		want := net.Cfg.BufPerVC(r.In[port].Kind)
 		if q.Cap() != want {
 			t.Fatalf("router %d port %d vc %d: ring depth %d, want %d", r.ID, port, vc, q.Cap(), want)
 		}
-		if end, room := network.RingBacking(q); end != slabEnd || room != total-off {
-			t.Fatalf("router %d port %d vc %d: ring is not the slab window at flit offset %d of %d", r.ID, port, vc, off, total)
+		end, room := network.RingBacking(q)
+		if left == 0 {
+			if port != 0 || vc != 0 || end == chunkEnd {
+				t.Fatalf("router %d port %d vc %d: a chunk does not start with a router's first ring", r.ID, port, vc)
+			}
+			chunkEnd, left = end, room
+			chunks = append(chunks, room)
 		}
-		off += q.Cap()
+		if end != chunkEnd || room != left {
+			t.Fatalf("router %d port %d vc %d: ring is not the next window of chunk %d (%d slots left, ring has %d behind it)", r.ID, port, vc, len(chunks)-1, left, room)
+		}
+		left -= q.Cap()
 	})
+	if left != 0 {
+		t.Fatalf("last chunk has %d unused slots", left)
+	}
+	// 1024 routers × 716 slots: many chunks, none a multi-megabyte array
+	// and none but the last a sliver.
+	if len(chunks) < 8 {
+		t.Fatalf("%d ring chunks for 1024 routers, want many", len(chunks))
+	}
+	for i, n := range chunks[:len(chunks)-1] {
+		if n < 1<<15 || n >= 1<<16 {
+			t.Fatalf("chunk %d holds %d flit slots, want [32768, 65536)", i, n)
+		}
+	}
 }
 
-// TestRouteLUTPoolSize: the LUT's candidate pool is sized from the
-// first router's row instead of grown by append, so it carries at most a
-// quarter of slack on every Table-2 system.
+// TestRouteLUTPoolSize: the LUT's candidate pool is reserved, chunk by
+// chunk, from the first router's row instead of grown by append, so it
+// carries at most a quarter of slack on every Table-2 system.
 func TestRouteLUTPoolSize(t *testing.T) {
 	for _, sys := range []topology.System{
 		topology.UniformParallelMesh, topology.UniformSerialTorus, topology.HeteroPHYTorus,
@@ -82,5 +104,22 @@ func TestRouteLUTPoolSize(t *testing.T) {
 			t.Errorf("%v: LUT pool holds %d candidates in capacity %d, want at most 1.25x", sys, n, c)
 		}
 		t.Logf("%v: %d candidates, capacity %d", sys, n, c)
+		// At 256 nodes the pool spans several chunks: every entry still
+		// reads back what Route returns.
+		var want []network.Candidate
+		for _, r := range net.Nodes {
+			for dst := range net.Nodes {
+				for _, restricted := range []bool{false, true} {
+					if network.NodeID(dst) == r.ID {
+						continue
+					}
+					pkt := network.Packet{Dst: network.NodeID(dst), Restricted: restricted, Target: -1}
+					want = net.Routing.Route(net, r, r.InjectPort, &pkt, want[:0])
+					if got := net.LUTCandidates(r.ID, network.NodeID(dst), restricted); !slices.Equal(got, want) {
+						t.Fatalf("%v: LUT entry (%d, %d, %v) = %v, Route gives %v", sys, r.ID, dst, restricted, got, want)
+					}
+				}
+			}
+		}
 	}
 }

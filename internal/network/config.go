@@ -200,6 +200,14 @@ func (c *Config) Validate() error {
 	case c.Workers < 0:
 		return fmt.Errorf("network: workers %d must be non-negative", c.Workers)
 	}
+	// A flit holds a credit of the hetero-PHY link's downstream buffer from
+	// the moment the adapter accepts it until it leaves that buffer, so the
+	// buffer space bounds what one adapter can have between issue and ROB
+	// release whatever the PHY pipes and retry windows hold. The 16-bit
+	// SN/VSN stamps are compared by equality; half their range is margin.
+	if depth := c.BufPerVC(KindHeteroPHY); c.VCs*depth >= 1<<15 {
+		return fmt.Errorf("network: %d VCs × %d-flit hetero-PHY buffers (the interface buffer depth, or 2 × serial delay × both PHY bandwidths) could put %d flits between adapter issue and reorder-buffer release; sequence numbers are 16-bit, keep it below %d", c.VCs, depth, c.VCs*depth, 1<<15)
+	}
 	return nil
 }
 
@@ -262,17 +270,18 @@ func (c *Config) BufPerVC(k LinkKind) int {
 	return max(base, rtt)
 }
 
-// LinkPJPerBit returns the per-bit traversal energy for a link kind.
-// Hetero-PHY links account energy per PHY inside the adapter, so this
-// returns 0 for them.
-func (c *Config) LinkPJPerBit(k LinkKind) float64 {
+// FlitPJ returns the energy of moving one flit across a channel of kind k
+// (Sec. 8.3: per-bit energy × flit width), the unit the per-class traversal
+// counts are multiplied by. It is 0 for hetero-PHY links, whose adapter
+// charges the PHY it picks, and for local ports.
+func (c *Config) FlitPJ(k LinkKind) float64 {
 	switch k {
 	case KindOnChip:
-		return c.OnChipPJPerBit
+		return c.OnChipPJPerBit * float64(c.FlitBits)
 	case KindParallel:
-		return c.ParallelPJPerBit
+		return c.ParallelPJPerBit * float64(c.FlitBits)
 	case KindSerial:
-		return c.SerialPJPerBit
+		return c.SerialPJPerBit * float64(c.FlitBits)
 	default:
 		return 0
 	}

@@ -53,6 +53,10 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		func(c *Config) { c.OnChipBufPerVC = 0 },
 		func(c *Config) { c.SimCycles = 5; c.WarmupCycles = 10 },
 		func(c *Config) { c.Workers = -3 },
+		// 16-bit adapter sequence numbers: 2 VCs × 16,384 buffered flits,
+		// then the same through the credit-round-trip enlargement.
+		func(c *Config) { c.IfaceBufPerVC = 1 << 14 },
+		func(c *Config) { c.SerialDelay = 1400 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()
@@ -89,10 +93,10 @@ func TestBandwidthAndDelayByKind(t *testing.T) {
 	if got := cfg.Delay(KindHeteroPHY); got != cfg.ParallelDelay {
 		t.Errorf("hetero-PHY delay = %d, want parallel delay %d", got, cfg.ParallelDelay)
 	}
-	if cfg.LinkPJPerBit(KindHeteroPHY) != 0 {
+	if cfg.FlitPJ(KindHeteroPHY) != 0 {
 		t.Error("hetero-PHY links must not double-count energy (adapter accounts per PHY)")
 	}
-	if cfg.LinkPJPerBit(KindSerial) != 2.4 || cfg.LinkPJPerBit(KindParallel) != 1.0 {
+	if bits := float64(cfg.FlitBits); cfg.FlitPJ(KindSerial) != 2.4*bits || cfg.FlitPJ(KindParallel) != 1.0*bits {
 		t.Error("interface energies should match Sec. 8.3 (1 pJ/bit parallel, 2.4 pJ/bit serial)")
 	}
 }

@@ -41,7 +41,10 @@
 //     the merge.
 package network
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // NodeID identifies a router/node in the network.
 type NodeID int32
@@ -142,41 +145,98 @@ type Packet struct {
 	HopsSerial   int32
 	HopsHetero   int32 // hops over bonded hetero-PHY interfaces
 
-	// EnergyPJ accumulates the energy spent moving this packet, in
-	// picojoules (links + router traversals), per Sec. 8.3.
-	// EnergyOnChipPJ is the on-chip share (NoC wires + router traversals);
-	// EnergyIfacePJ the die-to-die interface share.
+	// EnergyPJ is the energy spent moving this packet, in picojoules (links
+	// + router traversals), per Sec. 8.3. EnergyOnChipPJ is the on-chip
+	// share (NoC wires + router traversals); EnergyIfacePJ the die-to-die
+	// interface share. All three are zero until the tail flit is ejected
+	// and settleEnergy expands the traversal counts below, once.
 	EnergyPJ       float64
 	EnergyOnChipPJ float64
 	EnergyIfacePJ  float64
+
+	// tx counts the packet's flit traversals per energy class (indexed by
+	// KindOnChip, KindParallel, KindSerial): the destination router adds
+	// each ejected flit's own counts, a retry pipe the retransmissions a
+	// delivery needed beyond the first. Integer sums commute, so shards add
+	// in any order — atomically, since two links may deliver flits of one
+	// packet in the same phase.
+	tx [energyClasses]uint64
 }
+
+// energyClasses is the number of channel kinds a traversal is charged to:
+// on-chip wire, parallel PHY, serial PHY. A hetero-PHY link charges the PHY
+// its adapter picked; local ports cost nothing.
+const energyClasses = int(KindSerial) + 1
+
+// maxPacketHops bounds a packet's hop count. A flit is charged at most once
+// per class per hop, so while its head stays below the bound the 16-bit
+// per-flit counts cannot wrap; minimal routing is three orders of magnitude
+// below it, and a packet that gets there ends the run (Router.headHop).
+const maxPacketHops = 1<<16 - 1
 
 // Hops returns the total number of hops taken so far.
 func (p *Packet) Hops() int {
 	return int(p.HopsOnChip + p.HopsParallel + p.HopsSerial + p.HopsHetero)
 }
 
+// collect adds the traversal counts of ejected flits to their packet.
+func (p *Packet) collect(flits []Flit) {
+	var n [energyClasses]uint64
+	for i := range flits {
+		for k, c := range flits[i].tx {
+			n[k] += uint64(c)
+		}
+	}
+	for k, c := range n {
+		if c != 0 {
+			atomic.AddUint64(&p.tx[k], c)
+		}
+	}
+}
+
+// settleEnergy expands the traversal counts to picojoules. It runs once per
+// packet, in the single-threaded merge after the tail flit was ejected, when
+// every count is final: each of the Length flits crossed the Hops()+1
+// routers of the head's path exactly once, and tx holds the wire and PHY
+// traversals (retransmissions included). EnergyPJ is the exact sum of the
+// two shares.
+func (p *Packet) settleEnergy(cfg *Config) {
+	routers := float64(p.Length * (p.Hops() + 1))
+	p.EnergyOnChipPJ = routers*cfg.RouterPJPerFlit + float64(p.tx[KindOnChip])*cfg.FlitPJ(KindOnChip)
+	p.EnergyIfacePJ = float64(p.tx[KindParallel])*cfg.FlitPJ(KindParallel) + float64(p.tx[KindSerial])*cfg.FlitPJ(KindSerial)
+	p.EnergyPJ = p.EnergyOnChipPJ + p.EnergyIfacePJ
+}
+
 // Flit is one flow-control unit of a packet. Flits are passed by value; the
-// packet pointer carries shared state.
+// packet pointer carries shared state. The struct is 24 bytes and the flit
+// rings are most of a large network's heap (TestFlitSize).
 type Flit struct {
 	Pkt *Packet
 	Seq int32 // flit index within the packet: 0 = head, Length-1 = tail
-	VC  VCID  // VC assigned on the channel currently being traversed
 	// SN is the link-level global sequence number a hetero-PHY adapter
-	// stamps on in-order-class flits at issue time (Sec. 4.2).
-	SN uint32
+	// stamps on in-order-class flits at issue time (Sec. 4.2). The ROB
+	// compares by equality, so 16 bits suffice while fewer than 65,536
+	// flits sit between issue and release (Config.Validate).
+	SN uint16
 	// VSN is the per-VC issue sequence number a hetero-PHY adapter stamps
 	// on every flit; the RX side restores per-VC FIFO order with it, which
 	// wormhole/VCT switching requires (packets on one VC stay contiguous).
-	VSN uint32
+	VSN uint16
+	VC  VCID // VC assigned on the channel currently being traversed
 
-	// Per-flit energy accumulators (pJ). Energy is carried on the flit —
-	// which has exactly one owner at any instant — and folded into the
-	// packet at ejection, so parallel stepping never races on the shared
-	// Packet while its flits span several routers.
-	EnergyPJ       float64
-	EnergyOnChipPJ float64
-	EnergyIfacePJ  float64
+	// tx counts this flit's traversals per energy class. The counts ride
+	// the flit — which has exactly one owner at any instant — and are added
+	// to the packet at ejection, so parallel stepping never races on the
+	// shared Packet while its flits span several routers.
+	tx [energyClasses]uint16
+}
+
+// Charge counts one traversal of a channel of kind k on the flit. Only
+// on-chip wires and the two PHY kinds carry energy of their own.
+func (f *Flit) Charge(k LinkKind) {
+	if k <= KindSerial {
+		f.tx[k]++
+	}
 }
 
 // IsHead reports whether f is the head flit of its packet.

@@ -34,7 +34,8 @@ type Adapter interface {
 // domain). It also carries the reverse credit pipeline with the same delay.
 //
 // A plain link (no adapter, no retry) never holds a flit itself. Accept and
-// AcceptRun write the fixed-up flits straight into the destination input
+// AcceptRun write the flits, charged one traversal of the link's kind
+// (Flit.Charge), straight into the destination input
 // buffers at the producer cursor (FlitQueue staging) and the link keeps
 // only a Delay-deep delay line of per-VC run lengths; the link phase of
 // cycle t+Delay publishes what was accepted in cycle t
@@ -54,14 +55,8 @@ type Link struct {
 	Bandwidth int
 	Delay     int
 
-	// PJPerBit is the per-bit traversal energy (0 for hetero-PHY links,
-	// whose adapter accounts energy per PHY).
-	PJPerBit float64
-
 	// Adapter is non-nil for hetero-PHY links.
 	Adapter Adapter
-
-	bits int // flit width in bits, for energy accounting
 
 	// stages is the forward delay line: stages[stageHead] comes due at the
 	// next link phase, and acceptance appends to the stage the last link
@@ -100,7 +95,8 @@ type Link struct {
 	credPend [8]int32
 	credMask uint16
 
-	// SentTotal counts flits ever accepted (utilization diagnostics).
+	// SentTotal counts flits ever accepted, on every kind of link
+	// (utilization diagnostics, TestEnergyConservation).
 	SentTotal uint64
 
 	// retry, when non-nil, replaces the plain forward pipeline with the
@@ -136,8 +132,6 @@ func NewLink(cfg *Config, id int, kind LinkKind, src NodeID, srcPort int, dst No
 		DstPort:   dstPort,
 		Bandwidth: cfg.Bandwidth(kind),
 		Delay:     cfg.Delay(kind),
-		PJPerBit:  cfg.LinkPJPerBit(kind),
-		bits:      cfg.FlitBits,
 	}
 	l.stages = make([][]creditRun, l.Delay)
 	l.creditPipe = make([][]creditRun, l.Delay)
@@ -178,46 +172,32 @@ func (l *Link) freeSlotsSlow() int {
 // through a flit pipe instead measured synth_knee wall_s +13 % (1.05 →
 // 1.20 s, higher in 6/6 alternated pairs, sim_digest equal).
 func (l *Link) Accept(now int64, f Flit) {
+	l.SentTotal++
 	if l.Adapter != nil {
+		// The adapter charges the PHY it issues the flit to.
 		l.Adapter.Accept(now, f)
 		return
 	}
 	if l.retry != nil {
-		// The retry pipe charges traversal energy per transmission (so
-		// retransmissions burn energy again) instead of per acceptance.
+		// The retry pipe charges per transmission, at delivery.
 		l.retry.Accept(now, f)
-		l.SentTotal++
 		return
 	}
-	// The flit already carries its router traversal energy; charge the
-	// link's in the same order as AcceptRun.
-	if l.PJPerBit != 0 {
-		e := l.PJPerBit * float64(l.bits)
-		f.EnergyPJ += e
-		if l.Kind == KindOnChip {
-			f.EnergyOnChipPJ += e
-		} else {
-			f.EnergyIfacePJ += e
-		}
-	}
+	f.Charge(l.Kind)
 	l.dstIn.VCs[f.VC].Buf.stagePut(f)
 	l.stageRun(f.VC, 1)
 	l.inFlight++
 	l.accepted++
-	l.SentTotal++
 }
 
 // AcceptRun pushes a contiguous run of same-packet flits (as the up-to-two
-// ring views a, b) into a plain link, rewriting each flit's VC to outVC and
-// charging the per-flit router traversal energy routerPJ plus the link's
-// own traversal energy — the bulk equivalent of per-flit Router.forward +
-// Accept. The run is bulk-copied into reserved ring slots, then VC and
-// energy are fixed up in place: the one and only copy each flit makes
-// between the two routers' buffers, with the exact same per-field addition
-// order as the per-flit path so energy statistics stay bit-identical.
-// Callers must have checked FreeSlots and must not use it on adapter or
-// retry links.
-func (l *Link) AcceptRun(a, b []Flit, outVC VCID, routerPJ float64) {
+// ring views a, b) into a plain link — the bulk equivalent of per-flit
+// Router.forward + Accept. The run is bulk-copied into reserved ring slots,
+// then each flit's VC is rewritten to outVC and its traversal counted in
+// place: the one and only copy each flit makes between the two routers'
+// buffers. Callers must have checked FreeSlots and must not use it on
+// adapter or retry links.
+func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 	n := len(a) + len(b)
 	sa, sb := l.dstIn.VCs[outVC].Buf.stageSpan(n)
 	m := copy(sa, a)
@@ -227,22 +207,11 @@ func (l *Link) AcceptRun(a, b []Flit, outVC VCID, routerPJ float64) {
 	} else if m2 := copy(sa[m:], b); m2 < len(b) {
 		copy(sb, b[m2:])
 	}
-	e := l.PJPerBit * float64(l.bits)
-	onChip := l.Kind == KindOnChip
+	kind := l.Kind
 	for _, span := range [2][]Flit{sa, sb} {
 		for i := range span {
-			f := &span[i]
-			f.VC = outVC
-			f.EnergyPJ += routerPJ
-			f.EnergyOnChipPJ += routerPJ
-			if e != 0 {
-				f.EnergyPJ += e
-				if onChip {
-					f.EnergyOnChipPJ += e
-				} else {
-					f.EnergyIfacePJ += e
-				}
-			}
+			span[i].VC = outVC
+			span[i].Charge(kind)
 		}
 	}
 	l.stageRun(outVC, n)

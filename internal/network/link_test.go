@@ -133,7 +133,7 @@ func TestLinkPreservesOrderWithinAndAcrossCycles(t *testing.T) {
 					run[i] = g.flit(7)
 					record(vc, run[i].Pkt.ID)
 				}
-				g.l.AcceptRun(run[:k/2], run[k/2:], vc, 0)
+				g.l.AcceptRun(run[:k/2], run[k/2:], vc)
 			default:
 				for i := 0; i < k; i++ {
 					record(vc, g.accept(vc))
@@ -187,36 +187,44 @@ func TestLinkCreditReturnDelay(t *testing.T) {
 	})
 }
 
+// TestLinkEnergyAccounting: Accept charges a flit one traversal of the
+// link's kind, AcceptRun every flit of its run (both ring views), and
+// nothing else; a packet that collects the three flits settles to three
+// wire traversals plus its router traversals, in the kind's bucket.
 func TestLinkEnergyAccounting(t *testing.T) {
 	overPlainKinds(t, func(t *testing.T, g *linkRig) {
 		cfg := &g.net.Cfg
-		const routerPJ = 0.75
 		g.accept(0)
-		run := []Flit{g.flit(0)}
-		g.l.AcceptRun(run, nil, 1, routerPJ)
-		var got []Flit
+		got := g.advance()
+		run := []Flit{g.flit(0), g.flit(0)}
+		g.l.AcceptRun(run[:1], run[1:], 1)
 		for c := 0; c < g.l.Delay; c++ {
 			got = append(got, g.advance()...)
 		}
-		if len(got) != 2 {
-			t.Fatalf("%d flits arrived, want 2", len(got))
+		if len(got) != 3 {
+			t.Fatalf("%d flits arrived, want 3", len(got))
 		}
-		link := cfg.LinkPJPerBit(g.l.Kind) * float64(cfg.FlitBits)
-		if link == 0 {
+		var want [energyClasses]uint16
+		want[g.l.Kind] = 1
+		for i, f := range got {
+			if f.tx != want {
+				t.Fatalf("flit %d charged %v traversals (on-chip/parallel/serial), want %v", i, f.tx, want)
+			}
+		}
+		wire := cfg.FlitPJ(g.l.Kind)
+		if wire == 0 {
 			t.Fatal("fixture charges no link energy")
 		}
-		// Accept charges the link only; AcceptRun adds the router traversal
-		// to the total and the on-chip bucket first.
-		for i, router := range []float64{0, routerPJ} {
-			wantOnChip, wantIface := router, link
-			if g.l.Kind == KindOnChip {
-				wantOnChip, wantIface = router+link, 0
-			}
-			f := got[i]
-			if f.EnergyPJ != router+link || f.EnergyOnChipPJ != wantOnChip || f.EnergyIfacePJ != wantIface {
-				t.Fatalf("flit %d energy %.2f/%.2f/%.2f pJ (total/on-chip/interface), want %.2f/%.2f/%.2f",
-					i, f.EnergyPJ, f.EnergyOnChipPJ, f.EnergyIfacePJ, router+link, wantOnChip, wantIface)
-			}
+		pkt := &Packet{Length: 3}
+		pkt.collect(got)
+		pkt.settleEnergy(cfg)
+		wantOnChip, wantIface := 3*cfg.RouterPJPerFlit, 3*wire
+		if g.l.Kind == KindOnChip {
+			wantOnChip, wantIface = wantOnChip+wantIface, 0
+		}
+		if pkt.EnergyOnChipPJ != wantOnChip || pkt.EnergyIfacePJ != wantIface || pkt.EnergyPJ != wantOnChip+wantIface {
+			t.Fatalf("settled %.2f/%.2f/%.2f pJ (total/on-chip/interface), want %.2f/%.2f/%.2f",
+				pkt.EnergyPJ, pkt.EnergyOnChipPJ, pkt.EnergyIfacePJ, wantOnChip+wantIface, wantOnChip, wantIface)
 		}
 	})
 }

@@ -79,7 +79,10 @@ type Network struct {
 	idleStreak int64
 
 	// DeadlockAt records the cycle at which the watchdog fired, or -1.
+	// livelock names the packet when it fired because one reached
+	// maxPacketHops rather than because nothing moved.
 	DeadlockAt int64
+	livelock   string
 
 	// deliverFns are the per-link delivery closures handed to adapter and
 	// retry links, bound by Finalize. They only deliver and count on the
@@ -207,7 +210,8 @@ func (net *Network) Finalize() {
 // port, VC) order — the structure-of-arrays layout behind the saturated
 // hot path. Topology builders still create ports as individual heap
 // objects, but a port only declares its ring depth: this is the one place
-// ring storage is allocated. Finalize migrates the ports here, copying all
+// ring storage is allocated — in chunks of whole routers (ringChunkFlits),
+// not one array. Finalize migrates the ports here, copying all
 // live state verbatim (on a re-Finalize mid-run that includes ring contents
 // and staging cursors). Every pointer into the old homes is rebound
 // afterwards: Finalize re-binds the link closures and dstIn/srcOut,
@@ -219,13 +223,22 @@ func (net *Network) Finalize() {
 // node ranges), and the single-producer staging regions of plain links
 // stay confined to their ring's slice window.
 func (net *Network) packSlabs() {
-	nIn, nOut, nVC, nFlit, nCred := 0, 0, 0, 0, 0
+	// ringChunkFlits is the least number of flit slots in one chunk of ring
+	// storage (768 KB; the last chunk may be smaller). The rings of
+	// consecutive routers stay contiguous, which is all the hot path needs,
+	// while no allocation needs a hole of tens of megabytes: a process that
+	// builds one system after another reuses the pages of the last one even
+	// when a few live spans are scattered over them, instead of mapping a
+	// second home for the whole array (peak RSS then differed by the array's
+	// size from run to run).
+	const ringChunkFlits = 1 << 15
+
+	nIn, nOut, nVC, nCred := 0, 0, 0, 0
 	for _, r := range net.Nodes {
 		nIn += len(r.In)
 		nOut += len(r.Out)
 		for _, in := range r.In {
 			nVC += len(in.VCs)
-			nFlit += len(in.VCs) * in.depth
 		}
 		for _, out := range r.Out {
 			nCred += len(out.Credits)
@@ -234,12 +247,24 @@ func (net *Network) packSlabs() {
 	inSlab := make([]InPort, nIn)
 	outSlab := make([]OutPort, nOut)
 	vcSlab := make([]VCState, nVC)
-	flitSlab := make([]Flit, nFlit)
+	var flitSlab []Flit // unused rest of the current ring chunk
 	credSlab := make([]int, nCred)
 	heldSlab := make([]bool, nCred)
 	waitSlab := make([]int32, nCred)
-	iIn, iOut, iVC, iFlit, iCred := 0, 0, 0, 0, 0
-	for _, r := range net.Nodes {
+	iIn, iOut, iVC, iCred := 0, 0, 0, 0
+	for ri, r := range net.Nodes {
+		if len(flitSlab) == 0 {
+			n := 0
+			for _, q := range net.Nodes[ri:] {
+				if n >= ringChunkFlits {
+					break
+				}
+				for _, in := range q.In {
+					n += len(in.VCs) * in.depth
+				}
+			}
+			flitSlab = make([]Flit, n)
+		}
 		for pi, in := range r.In {
 			p := &inSlab[iIn]
 			iIn++
@@ -249,8 +274,8 @@ func (net *Network) packSlabs() {
 			for v := range in.VCs {
 				vc := &p.VCs[v]
 				*vc = in.VCs[v]
-				ring := flitSlab[iFlit : iFlit+in.depth]
-				iFlit += in.depth
+				ring := flitSlab[:in.depth]
+				flitSlab = flitSlab[in.depth:]
 				copy(ring, vc.Buf.buf) // empty until the first Finalize
 				vc.Buf.buf = ring
 			}
@@ -475,8 +500,13 @@ func (net *Network) mergeScratch(sc *workerScratch) {
 	for k := range sc.grantsByKind {
 		net.GrantsByKind[k] += sc.grantsByKind[k]
 	}
+	if pkt := sc.livelocked; pkt != nil && net.DeadlockAt < 0 {
+		net.DeadlockAt = net.Now
+		net.livelock = fmt.Sprintf("packet %d (%d -> %d, created at cycle %d) took %d hops without arriving", pkt.ID, pkt.Src, pkt.Dst, pkt.CreatedAt, pkt.Hops())
+	}
 	for _, pkt := range sc.finished {
 		pkt.ArrivedAt = net.Now
+		pkt.settleEnergy(&net.Cfg)
 		if net.Tracer != nil {
 			net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvEject, Pkt: pkt.ID, Node: pkt.Dst})
 		}
@@ -530,6 +560,14 @@ func (net *Network) watchdog() {
 	} else {
 		net.idleStreak = 0
 	}
+}
+
+// watchdogErr is the error a run ends with once DeadlockAt is set.
+func (net *Network) watchdogErr() error {
+	if net.livelock != "" {
+		return fmt.Errorf("network: routing livelock at cycle %d: %s", net.DeadlockAt, net.livelock)
+	}
+	return fmt.Errorf("network: deadlock detected at cycle %d (%d flits stuck)", net.DeadlockAt, net.flitsIn-net.flitsOut)
 }
 
 // injectNode moves flits from one node's source queue into its
@@ -656,7 +694,7 @@ func (net *Network) RunWith(cycles int64, drive func(now int64), next func(now i
 		}
 		net.Step()
 		if net.DeadlockAt >= 0 {
-			return fmt.Errorf("network: deadlock detected at cycle %d (%d flits stuck)", net.DeadlockAt, net.flitsIn-net.flitsOut)
+			return net.watchdogErr()
 		}
 		if (drive != nil && next == nil) || !net.idle() {
 			continue
@@ -699,7 +737,7 @@ func (net *Network) Drain() (bool, error) {
 		}
 		net.Step()
 		if net.DeadlockAt >= 0 {
-			return false, fmt.Errorf("network: deadlock detected at cycle %d while draining", net.DeadlockAt)
+			return false, fmt.Errorf("%w while draining", net.watchdogErr())
 		}
 	}
 	return net.Quiescent(), nil

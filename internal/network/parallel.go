@@ -106,6 +106,7 @@ type workerScratch struct {
 	grantsByKind [8]uint64
 	vaFailures   uint64
 	finished     []*Packet
+	livelocked   *Packet // reached maxPacketHops this cycle (Router.headHop)
 	wokeFwd      []int32 // links whose forward pipeline went busy this tick
 	wokeCr       []int32 // links whose credit pipeline went busy this tick
 

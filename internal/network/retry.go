@@ -1,5 +1,7 @@
 package network
 
+import "sync/atomic"
+
 // This file implements the link-layer retry protocol (UCIe-style CRC +
 // replay, Sec. 2.1's reliability gap between interface classes): a go-back-N
 // reliable pipe that wraps a link's bandwidth×delay pipeline with a TX
@@ -23,7 +25,9 @@ package network
 //     all, e.g. a dead wire); both rewind the send cursor to the oldest
 //     unacknowledged entry — go-back-N.
 //   - Retransmissions consume the same per-cycle wire bandwidth as first
-//     transmissions and burn per-traversal energy each time.
+//     transmissions and burn per-traversal energy each time: a flit
+//     delivered by its k-th transmission is charged k traversals (charge).
+//     Copies sent after the one that was delivered are charged to nobody.
 //   - The replay window bounds acceptance: FreeSlots reaches zero when the
 //     buffer is full, so upstream credit backpressure takes over and no
 //     flit is ever dropped for lack of replay space.
@@ -33,8 +37,7 @@ type RetryPipe struct {
 	window    int
 	timeout   int64
 	hook      TxFault
-	pjPerFlit float64
-	onChip    bool // energy bucket: on-chip vs interface
+	kind      LinkKind // energy class a wire traversal is charged to
 
 	// TX: replay buffer in lsn order. replay[i] holds lsn base+i; next is
 	// the lsn the next accepted flit gets (== base+len(replay)); sendIdx is
@@ -67,14 +70,16 @@ type RetryPipe struct {
 
 type retryEntry struct {
 	f      Flit
-	enq    int64 // acceptance cycle (age telemetry)
-	sentAt int64 // last transmission cycle, -1 before the first
+	enq    int64  // acceptance cycle (age telemetry)
+	sentAt int64  // last transmission cycle, -1 before the first
+	sends  uint64 // transmissions so far
 }
 
 type wireFlit struct {
-	f   Flit
-	lsn uint32
-	bad bool // CRC check will fail at the RX
+	f     Flit
+	lsn   uint32
+	bad   bool   // CRC check will fail at the RX
+	sends uint64 // which transmission of its entry this copy is
 }
 
 type ackMsg struct {
@@ -127,12 +132,13 @@ func (s *RetryStats) Add(o RetryStats) {
 	s.Evicted += o.Evicted
 }
 
-// NewRetryPipe builds a reliable pipe over a bandwidth×delay wire.
+// NewRetryPipe builds a reliable pipe over a bandwidth×delay wire whose
+// traversals are charged to energy class kind (Flit.Charge).
 // window <= 0 derives a replay capacity that sustains full bandwidth across
 // the ack round trip; timeout <= 0 derives a default comfortably above the
 // round trip (it is always clamped to at least one round trip plus slack,
 // or healthy traffic would time out spuriously).
-func NewRetryPipe(bandwidth, delay, window, timeout int, hook TxFault, pjPerFlit float64, onChip bool) *RetryPipe {
+func NewRetryPipe(bandwidth, delay, window, timeout int, hook TxFault, kind LinkKind) *RetryPipe {
 	if delay < 1 {
 		delay = 1
 	}
@@ -154,8 +160,7 @@ func NewRetryPipe(bandwidth, delay, window, timeout int, hook TxFault, pjPerFlit
 		window:    window,
 		timeout:   int64(timeout),
 		hook:      hook,
-		pjPerFlit: pjPerFlit,
-		onChip:    onChip,
+		kind:      kind,
 		slots:     make([][]wireFlit, delay),
 		ackSlots:  make([][]ackMsg, delay),
 	}
@@ -179,8 +184,8 @@ func (rp *RetryPipe) Accept(now int64, f Flit) {
 	}
 }
 
-// transmit puts replay[sendIdx] on the wire, charging energy and consulting
-// the fault hook. The caller guarantees wire budget.
+// transmit puts replay[sendIdx] on the wire, counting the transmission and
+// consulting the fault hook. The caller guarantees wire budget.
 func (rp *RetryPipe) transmit(now int64) {
 	e := &rp.replay[rp.sendIdx]
 	lsn := rp.base + uint32(rp.sendIdx)
@@ -191,16 +196,7 @@ func (rp *RetryPipe) transmit(now int64) {
 	e.sentAt = now
 	rp.sendIdx++
 	rp.sent++
-	// Energy accrues on the stored copy per traversal: a flit delivered on
-	// its k-th transmission carries k wire traversals' worth.
-	if rp.pjPerFlit != 0 {
-		e.f.EnergyPJ += rp.pjPerFlit
-		if rp.onChip {
-			e.f.EnergyOnChipPJ += rp.pjPerFlit
-		} else {
-			e.f.EnergyIfacePJ += rp.pjPerFlit
-		}
-	}
+	e.sends++
 	if rp.hook != nil && rp.hook.Down(now) {
 		// Dead wire: the flit never reaches the far side; the replay copy
 		// stays and the timeout rewinds to it.
@@ -211,8 +207,23 @@ func (rp *RetryPipe) transmit(now int64) {
 		rp.Stats.Corrupted++
 	}
 	slot := (rp.head + rp.delay - 1) % rp.delay
-	rp.slots[slot] = append(rp.slots[slot], wireFlit{f: e.f, lsn: lsn, bad: bad})
+	rp.slots[slot] = append(rp.slots[slot], wireFlit{f: e.f, lsn: lsn, bad: bad, sends: e.sends})
 	rp.inFlight++
+}
+
+// charge books the sends wire transmissions a flit needed to leave this
+// pipe: the first on the flit like any link traversal, the rest on the
+// packet, whose counter is wide — an outage can retransmit one flit more
+// often than the flit's 16 bits hold. sends is 0 for a flit rescued before
+// its first transmission.
+func (rp *RetryPipe) charge(f *Flit, sends uint64) {
+	if sends == 0 || rp.kind > KindSerial {
+		return
+	}
+	f.tx[rp.kind]++
+	if sends > 1 {
+		atomic.AddUint64(&f.Pkt.tx[rp.kind], sends-1)
+	}
 }
 
 // Tick advances the pipe one cycle: process returning acks at the TX,
@@ -240,6 +251,7 @@ func (rp *RetryPipe) Tick(now int64, deliver func(Flit)) {
 			rp.expected++
 			rp.Stats.Delivered++
 			progress = true
+			rp.charge(&wf.f, wf.sends)
 			deliver(wf.f)
 		} else {
 			// Bad CRC, or the out-of-sequence tail behind one: go-back-N
@@ -342,7 +354,9 @@ func (rp *RetryPipe) FailoverDrain(reissue func(Flit)) int {
 	start := int(rp.expected - rp.base)
 	n := 0
 	for i := start; i < len(rp.replay); i++ {
-		reissue(rp.replay[i].f)
+		e := &rp.replay[i]
+		rp.charge(&e.f, e.sends)
+		reissue(e.f)
 		n++
 	}
 	rp.Stats.Evicted += uint64(n)
@@ -376,8 +390,7 @@ func (l *Link) EnableRetry(hook TxFault, window, timeout int) {
 		// the destination ring.
 		panic("network: EnableRetry on a link with flits in flight; enable retry before stepping traffic")
 	}
-	pj := l.PJPerBit * float64(l.bits)
-	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, pj, l.Kind == KindOnChip)
+	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, l.Kind)
 	if l.srcOut != nil {
 		l.srcOut.slow = true
 	}

@@ -45,9 +45,9 @@ func drainPipe(t *testing.T, rp *RetryPipe, start, limit int64) (seqs []int32, c
 // the destination rings are equal.
 func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 	type arrival struct {
-		cycle  int64
-		id     uint64
-		energy float64
+		cycle int64
+		id    uint64
+		tx    [energyClasses]uint16
 	}
 	const flits = 40
 	drive := func(g *linkRig) []arrival {
@@ -59,7 +59,7 @@ func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 				sent++
 			}
 			for _, f := range g.advance() {
-				got = append(got, arrival{g.net.Now, f.Pkt.ID, f.EnergyPJ})
+				got = append(got, arrival{g.net.Now, f.Pkt.ID, f.tx})
 			}
 		}
 		return got
@@ -91,7 +91,7 @@ func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 // checks go-back-N recovery: every flit delivered exactly once, in order.
 func TestRetryDeliversThroughCorruption(t *testing.T) {
 	hook := &scriptHook{corruptFirst: 3}
-	rp := NewRetryPipe(2, 3, 0, 0, hook, 1.0, false)
+	rp := NewRetryPipe(2, 3, 0, 0, hook, KindSerial)
 	const n = 10
 	pkt := &Packet{ID: 7, Length: n}
 	var seqs []int32
@@ -130,7 +130,7 @@ func TestRetryDeliversThroughCorruption(t *testing.T) {
 // outage ends.
 func TestRetryTimeoutRecoversDownWire(t *testing.T) {
 	hook := &scriptHook{downFrom: 0, downTo: 40}
-	rp := NewRetryPipe(1, 2, 0, 0, hook, 0, false)
+	rp := NewRetryPipe(1, 2, 0, 0, hook, KindSerial)
 	rp.Accept(0, Flit{Pkt: &Packet{ID: 1, Length: 1}, Seq: 0})
 	seqs, cycles := drainPipe(t, rp, 1, 400)
 	if len(seqs) != 1 {
@@ -152,7 +152,7 @@ func TestRetryTimeoutRecoversDownWire(t *testing.T) {
 func TestRetryWindowBackpressure(t *testing.T) {
 	hook := &scriptHook{downFrom: 0, downTo: 1 << 40}
 	const window = 4
-	rp := NewRetryPipe(4, 2, window, 0, hook, 0, false)
+	rp := NewRetryPipe(4, 2, window, 0, hook, KindSerial)
 	pkt := &Packet{ID: 2, Length: window}
 	accepted := 0
 	for now := int64(0); now < 100; now++ {
@@ -176,25 +176,54 @@ func TestRetryWindowBackpressure(t *testing.T) {
 }
 
 // TestRetryEnergyPerRetransmission: a flit delivered on its k-th
-// transmission must carry k wire traversals' worth of energy.
+// transmission must be charged k wire traversals — the first on the flit,
+// the rest on its packet. The outage case keeps the wire of a Delay-1 pipe
+// at the minimum timeout down for 300k cycles, so one flit is sent more
+// often than a 16-bit count holds: legitimate input, still charged exactly.
 func TestRetryEnergyPerRetransmission(t *testing.T) {
-	const pj = 2.0
-	hook := &scriptHook{corruptFirst: 2}
-	rp := NewRetryPipe(1, 2, 0, 0, hook, pj, false)
-	rp.Accept(0, Flit{Pkt: &Packet{ID: 3, Length: 1}, Seq: 0})
-	var got Flit
-	n := 0
-	for now := int64(1); now < 400 && rp.Busy(); now++ {
-		rp.Tick(now, func(f Flit) { got = f; n++ })
-	}
-	if n != 1 {
-		t.Fatalf("delivered %d flits, want 1", n)
-	}
-	if want := 3 * pj; got.EnergyPJ != want || got.EnergyIfacePJ != want {
-		t.Fatalf("energy %v/%v after 3 transmissions, want %v", got.EnergyPJ, got.EnergyIfacePJ, want)
-	}
-	if rp.Stats.Transmits != 3 || rp.Stats.Retransmits != 2 {
-		t.Fatalf("unexpected transmit counts: %+v", rp.Stats)
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		name  string
+		hook  *scriptHook
+		delay int
+		sends uint64 // 0: whatever the pipe's Stats say, but at least 70,000
+	}{
+		{"corrupted-twice", &scriptHook{corruptFirst: 2}, 2, 3},
+		{"long-outage", &scriptHook{downTo: 300_000}, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rp := NewRetryPipe(1, tc.delay, 0, 1, tc.hook, KindParallel)
+			pkt := &Packet{ID: 3, Length: 1}
+			rp.Accept(0, Flit{Pkt: pkt, Seq: 0})
+			var got Flit
+			n := 0
+			for now := int64(1); now < 400_000 && rp.Busy(); now++ {
+				rp.Tick(now, func(f Flit) { got = f; n++ })
+			}
+			if n != 1 {
+				t.Fatalf("delivered %d flits, want 1", n)
+			}
+			want := tc.sends
+			if want == 0 {
+				// One flit, nothing corrupted: the copy that got through
+				// is the last one sent.
+				if want = rp.Stats.Transmits; want < 70_000 {
+					t.Fatalf("outage forced only %d transmissions, want >= 70000", want)
+				}
+			}
+			if rp.Stats.Transmits != want || rp.Stats.Retransmits != want-1 {
+				t.Fatalf("unexpected transmit counts: %+v, want %d transmissions", rp.Stats, want)
+			}
+			if got.tx != [energyClasses]uint16{KindParallel: 1} || pkt.tx != [energyClasses]uint64{KindParallel: want - 1} {
+				t.Fatalf("flit charged %v, packet %v after %d transmissions", got.tx, pkt.tx, want)
+			}
+			pkt.collect([]Flit{got})
+			pkt.settleEnergy(&cfg)
+			if e := float64(want) * cfg.FlitPJ(KindParallel); pkt.EnergyIfacePJ != e || pkt.EnergyPJ != e+cfg.RouterPJPerFlit {
+				t.Fatalf("settled %v pJ interface, %v total after %d transmissions, want %v and %v",
+					pkt.EnergyIfacePJ, pkt.EnergyPJ, want, e, e+cfg.RouterPJPerFlit)
+			}
+		})
 	}
 }
 
@@ -203,7 +232,7 @@ func TestRetryEnergyPerRetransmission(t *testing.T) {
 // in-order exactly-once delivery must survive it.
 func TestRetrySequenceWraparound(t *testing.T) {
 	hook := &scriptHook{corruptFirst: 2}
-	rp := NewRetryPipe(2, 2, 0, 0, hook, 0, false)
+	rp := NewRetryPipe(2, 2, 0, 0, hook, KindSerial)
 	start := ^uint32(0) - 2
 	rp.base, rp.next, rp.expected = start, start, start
 
@@ -242,7 +271,7 @@ func TestRetrySequenceWraparound(t *testing.T) {
 // once the wire heals.
 func TestRetryFailoverDrainExactlyOnce(t *testing.T) {
 	hook := &scriptHook{downFrom: 0, downTo: 1 << 40}
-	rp := NewRetryPipe(2, 2, 0, 0, hook, 0, false)
+	rp := NewRetryPipe(2, 2, 0, 0, hook, KindSerial)
 	pkt := &Packet{ID: 5, Length: 5}
 	next := int32(0)
 	for now := int64(0); now < 6; now++ {

@@ -2,47 +2,49 @@ package network
 
 // routeLUT is the precomputed candidate table for RoutePure routing
 // algorithms: one entry per (router, destination, restricted) triple,
-// stored as a flat candidate pool with prefix offsets. Purity makes the
+// stored as candidate pools with prefix offsets. Purity makes the
 // entry independent of the input port and of all dynamic state, so a
 // lookup replaces the Routing.Route interface call entirely on the VC-
 // allocation hot path.
 type routeLUT struct {
-	n     int
-	offs  []uint32
-	cands []Candidate
+	// offs holds 2n+1 prefix offsets per router (stride), relative to the
+	// start of the router's pool.
+	offs   []uint32
+	stride int
+	// pool[r] is the candidate pool router r's offsets index: chunks of at
+	// least lutChunkCands candidates shared by consecutive routers (a small
+	// table is one chunk), not one array, for the reason packSlabs gives (at
+	// 256 nodes the pool is 6 MB, and peak RSS moved by that much from run
+	// to run).
+	pool [][]Candidate
 	// adapt[e] is the adaptive-port mask of entry e: the union of
 	// 1<<Port over its non-escape candidates with Port < 64 — the
 	// prologue the livelock channel-switch restriction in allocate
-	// needs, hoisted out of the per-lookup loop.
+	// needs, hoisted out of the per-lookup loop. It shares offs' stride.
 	adapt []uint64
 }
 
-// lutEntry computes the offs index of (r, dst, restricted).
-func (l *routeLUT) lutEntry(r, dst NodeID, restricted bool) int {
-	e := (int(r)*l.n + int(dst)) * 2
-	if restricted {
-		e++
-	}
-	return e
-}
+// lutChunkCands is the least number of candidates in one pool chunk
+// (768 KB; the last chunk may be smaller).
+const lutChunkCands = 48 << 10
 
 // lookup returns the candidate set for a packet to dst observed at router
 // r. Entries with r == dst are empty (ejection short-circuits before RC).
 func (l *routeLUT) lookup(r, dst NodeID, restricted bool) []Candidate {
-	e := l.lutEntry(r, dst, restricted)
-	return l.cands[l.offs[e]:l.offs[e+1]]
+	cands, _ := l.lookupFrom(l.pool[r], int(r)*l.stride, dst, restricted)
+	return cands
 }
 
-// lookupFrom is lookup with the router's row offset (Router.lutBase,
-// precomputed in prepare) already folded in, saving the row multiply on
-// the VC-allocation hot path. It also returns the entry's precomputed
-// adaptive-port mask.
-func (l *routeLUT) lookupFrom(base int, dst NodeID, restricted bool) ([]Candidate, uint64) {
+// lookupFrom is lookup with the router's pool and row offset
+// (Router.lutPool and lutBase, set in prepare) already at hand, saving the
+// row multiply and a dependent load on the VC-allocation hot path. It also
+// returns the entry's precomputed adaptive-port mask.
+func (l *routeLUT) lookupFrom(pool []Candidate, base int, dst NodeID, restricted bool) ([]Candidate, uint64) {
 	e := base + int(dst)*2
 	if restricted {
 		e++
 	}
-	return l.cands[l.offs[e]:l.offs[e+1]], l.adapt[e]
+	return pool[l.offs[e]:l.offs[e+1]], l.adapt[e]
 }
 
 // buildRouteLUT evaluates the routing function once for every (router,
@@ -52,30 +54,44 @@ func (l *routeLUT) lookupFrom(base int, dst NodeID, restricted bool) ([]Candidat
 // result matches what any in-flight packet would see.
 func buildRouteLUT(net *Network) *routeLUT {
 	n := len(net.Nodes)
-	lut := &routeLUT{n: n}
-	lut.offs = make([]uint32, 1, 2*n*n+1)
-	lut.adapt = make([]uint64, 0, 2*n*n)
+	lut := &routeLUT{stride: 2*n + 1, pool: make([][]Candidate, n)}
+	lut.offs = make([]uint32, 0, n*lut.stride)
+	lut.adapt = make([]uint64, 0, n*lut.stride)
 	var scratch []Candidate
 	var pkt Packet
+	var chunk []Candidate // being filled, for routers first..i
+	first, row := 0, 0
+	// Chunks are reserved from the first router's row: rows differ only by
+	// the router's position, while append growth from empty would allocate
+	// several times the final pool.
+	reserve := func(routers int) []Candidate {
+		return make([]Candidate, 0, min(routers*row, lutChunkCands+row))
+	}
 	for i, r := range net.Nodes {
-		if i == 1 {
-			// Reserve the pool once, from the first router's row: rows
-			// differ only by the router's position, while append growth
-			// from empty would allocate several times the final pool.
-			lut.cands = append(make([]Candidate, 0, n*len(lut.cands)), lut.cands...)
-		}
+		lut.offs = append(lut.offs, uint32(len(chunk)))
 		for dst := 0; dst < n; dst++ {
 			for restricted := 0; restricted < 2; restricted++ {
 				if NodeID(dst) != r.ID {
 					pkt = Packet{Dst: NodeID(dst), Restricted: restricted == 1, Target: -1}
 					scratch = net.Routing.Route(net, r, r.InjectPort, &pkt, scratch[:0])
-					lut.cands = append(lut.cands, scratch...)
+					chunk = append(chunk, scratch...)
 					lut.adapt = append(lut.adapt, adaptiveMask(scratch))
 				} else {
 					lut.adapt = append(lut.adapt, 0)
 				}
-				lut.offs = append(lut.offs, uint32(len(lut.cands)))
+				lut.offs = append(lut.offs, uint32(len(chunk)))
 			}
+		}
+		lut.adapt = append(lut.adapt, 0) // the stride's last slot
+		if i == 0 {
+			row = len(chunk)
+			chunk = append(reserve(n), chunk...)
+		}
+		if len(chunk) >= lutChunkCands || i == n-1 {
+			for ; first <= i; first++ {
+				lut.pool[first] = chunk
+			}
+			chunk = reserve(n - 1 - i)
 		}
 	}
 	return lut
@@ -113,7 +129,7 @@ func (net *Network) prepare() {
 		if limit > 0 && len(net.Nodes) <= limit {
 			net.lut = buildRouteLUT(net)
 			for i, r := range net.Nodes {
-				r.lutBase = i * len(net.Nodes) * 2
+				r.lutBase, r.lutPool = i*net.lut.stride, net.lut.pool[i]
 			}
 		}
 	}

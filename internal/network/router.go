@@ -131,7 +131,7 @@ type InPort struct {
 	VCs       []VCState
 	// depth is the per-VC ring capacity in flits. Ports only declare it:
 	// the rings have no storage until Finalize carves them out of the
-	// network's flit slab.
+	// network's ring chunks (packSlabs).
 	depth int
 }
 
@@ -279,9 +279,10 @@ type Router struct {
 	ejBW         int
 
 	// lutBase is this router's row offset into the route LUT's offs table
-	// (prepare sets it when a LUT is built), so the hot lookup skips the
-	// row multiply.
+	// and lutPool the candidate pool its offsets index (prepare sets both
+	// when a LUT is built), so the hot lookup skips the row multiply.
 	lutBase int
+	lutPool []Candidate
 
 	// slotOut[slot] is the output port the slot's VC allocation granted
 	// (valid while the slot is in saActive; grantVC writes it). The whole
@@ -685,7 +686,7 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 	var adaptivePorts uint64
 	switch {
 	case net.lut != nil:
-		cands, adaptivePorts = net.lut.lookupFrom(r.lutBase, vc.headDst, vc.headRestricted)
+		cands, adaptivePorts = net.lut.lookupFrom(r.lutPool, r.lutBase, vc.headDst, vc.headRestricted)
 	case net.stability >= RouteRetryStable && vc.candsPkt == vc.headPktID && vc.candsRestricted == vc.headRestricted:
 		cands = vc.cands
 		adaptivePorts = adaptiveMask(cands)
@@ -981,9 +982,7 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 // contiguous in its input VC buffer and the grantable run length is
 // computable up front — min(budget, buffered flits, flits to the tail).
 // The whole run then moves with one credit-batch, one counter update and
-// one bulk link append instead of per-flit calls. Per-flit energy
-// additions keep the reference path's exact field-by-field order (float
-// addition order is part of bit-identity).
+// one bulk link append instead of per-flit calls.
 func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed, inVCs []int) {
 	// The granted output port is denormalized into the compact slotOut
 	// slab, so a slot whose output is already spent this cycle is
@@ -1042,7 +1041,6 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 	n := min(budget, vc.Buf.Len(), remain)
 	tailSent := n == remain
 	a, b := vc.Buf.PeekRun(n)
-	routerPJ := net.Cfg.RouterPJPerFlit
 	if in.Link != nil {
 		in.Link.ReturnCredits(VCID(s.v), n)
 		if !in.Link.crQueued {
@@ -1051,17 +1049,10 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		}
 	}
 	if out.Link == nil {
-		// Ejection: fold each flit's accumulated energy into the packet in
-		// arrival order.
+		// Ejection: the flits' traversal counts pass to the packet.
 		pkt := vc.Buf.FrontPkt()
-		for _, chunk := range [2][]Flit{a, b} {
-			for i := range chunk {
-				f := &chunk[i]
-				pkt.EnergyPJ += f.EnergyPJ + routerPJ
-				pkt.EnergyOnChipPJ += f.EnergyOnChipPJ + routerPJ
-				pkt.EnergyIfacePJ += f.EnergyIfacePJ
-			}
-		}
+		pkt.collect(a)
+		pkt.collect(b)
 		ctx.scratch.grantsByKind[KindLocal] += uint64(n)
 		if tailSent {
 			ctx.scratch.flitsOut += int64(pkt.Length)
@@ -1070,20 +1061,7 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		}
 	} else {
 		if headSeq == 0 {
-			pkt := vc.Buf.FrontPkt()
-			if ctx.tracer != nil {
-				ctx.tracer.Trace(Event{Cycle: net.Now, Kind: EvHop, Pkt: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
-			}
-			switch out.Kind {
-			case KindOnChip:
-				pkt.HopsOnChip++
-			case KindParallel:
-				pkt.HopsParallel++
-			case KindSerial:
-				pkt.HopsSerial++
-			case KindHeteroPHY:
-				pkt.HopsHetero++
-			}
+			r.headHop(ctx, vc.Buf.FrontPkt(), vc, out)
 		}
 		ctx.scratch.grantsByKind[out.Kind] += uint64(n)
 		out.Credits[vc.OutVC] -= n
@@ -1094,7 +1072,7 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 			out.Link.fwdQueued = true
 			ctx.scratch.wokeFwd = append(ctx.scratch.wokeFwd, int32(out.Link.ID))
 		}
-		out.Link.AcceptRun(a, b, vc.OutVC, routerPJ)
+		out.Link.AcceptRun(a, b, vc.OutVC)
 	}
 	vc.Buf.Drop(n)
 	vc.headSeq = headSeq + int32(n)
@@ -1127,6 +1105,30 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		r.inAvail--
 	}
 	ctx.scratch.moved += uint64(n)
+}
+
+// headHop records a head flit leaving through out: the trace event, the
+// per-kind hop counter, and the hop bound the 16-bit flit counts rest on
+// (maxPacketHops) — the head is the first flit of its packet on every hop,
+// so one compare here covers them all. A packet at the bound is a routing
+// livelock; the merge reports it through the watchdog's error path.
+func (r *Router) headHop(ctx *tickContext, pkt *Packet, vc *VCState, out *OutPort) {
+	if ctx.tracer != nil {
+		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvHop, Pkt: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
+	}
+	switch out.Kind {
+	case KindOnChip:
+		pkt.HopsOnChip++
+	case KindParallel:
+		pkt.HopsParallel++
+	case KindSerial:
+		pkt.HopsSerial++
+	case KindHeteroPHY:
+		pkt.HopsHetero++
+	}
+	if pkt.Hops() >= maxPacketHops {
+		ctx.scratch.livelocked = pkt
+	}
 }
 
 // saSlot arbitrates one flattened (input port, VC) slot within the current
@@ -1201,8 +1203,6 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort, inVC VCID, f Flit) {
 	net := ctx.net
 	pkt := f.Pkt
-	f.EnergyPJ += net.Cfg.RouterPJPerFlit
-	f.EnergyOnChipPJ += net.Cfg.RouterPJPerFlit
 	// Return a credit to the upstream router and put the link's credit
 	// pipeline on the wake list; the scratch list is folded into the
 	// engine's per-shard lists at the merge barrier.
@@ -1214,11 +1214,8 @@ func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort
 		}
 	}
 	if out.Link == nil {
-		// Ejection: fold the flit's accumulated energy into the packet
-		// (the destination router is the packet's single writer here).
-		pkt.EnergyPJ += f.EnergyPJ
-		pkt.EnergyOnChipPJ += f.EnergyOnChipPJ
-		pkt.EnergyIfacePJ += f.EnergyIfacePJ
+		// Ejection: the flit's traversal counts pass to the packet.
+		pkt.collect([]Flit{f})
 		ctx.scratch.grantsByKind[KindLocal]++
 		if f.IsTail() {
 			ctx.scratch.flitsOut += int64(pkt.Length)
@@ -1228,19 +1225,7 @@ func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort
 		return
 	}
 	if f.IsHead() {
-		if ctx.tracer != nil {
-			ctx.tracer.Trace(Event{Cycle: net.Now, Kind: EvHop, Pkt: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
-		}
-		switch out.Kind {
-		case KindOnChip:
-			pkt.HopsOnChip++
-		case KindParallel:
-			pkt.HopsParallel++
-		case KindSerial:
-			pkt.HopsSerial++
-		case KindHeteroPHY:
-			pkt.HopsHetero++
-		}
+		r.headHop(ctx, pkt, vc, out)
 	}
 	ctx.scratch.grantsByKind[out.Kind]++
 	out.Credits[vc.OutVC]--

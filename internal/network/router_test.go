@@ -1,6 +1,9 @@
 package network
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // twoNodeNet wires node 0 → node 1 with a link of the given kind and a
 // trivial routing function that always forwards toward node 1.
@@ -211,6 +214,53 @@ type stuckRouting struct{}
 func (stuckRouting) Name() string { return "stuck" }
 func (stuckRouting) Route(net *Network, r *Router, _ int, pkt *Packet, buf []Candidate) []Candidate {
 	return append(buf, Candidate{Port: 1, VCMask: 1 << 15})
+}
+
+// bounceRouting forwards every packet out the first link port, whatever its
+// destination: between two nodes a packet ping-pongs forever.
+type bounceRouting struct{}
+
+func (bounceRouting) Name() string { return "bounce" }
+func (bounceRouting) Route(net *Network, r *Router, _ int, pkt *Packet, buf []Candidate) []Candidate {
+	return append(buf, Candidate{Port: 1, VCMask: allVCs(net.Cfg.VCs), Escape: true})
+}
+
+// TestHopBoundEndsLivelockedRun: the 16-bit per-flit traversal counts rest
+// on a packet never taking 65,535 hops. A routing function that livelocks
+// one must end the run with an error naming the packet — at the bound, so
+// no flit count has wrapped — not spin until the cycle budget runs out.
+func TestHopBoundEndsLivelockedRun(t *testing.T) {
+	net, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNodes(3) // node 2 is the unreachable destination
+	net.Connect(KindOnChip, 0, 1)
+	net.Connect(KindOnChip, 1, 0)
+	net.Routing = bounceRouting{}
+	net.Finalize()
+	pkt := net.NewPacket(0, 2, 4, 0)
+	net.Offer(pkt)
+	err = net.Run(1<<20, nil)
+	if err == nil || !strings.Contains(err.Error(), "routing livelock") || !strings.Contains(err.Error(), "packet 1 (0 -> 2") {
+		t.Fatalf("run ended with %v, want a routing-livelock error naming packet 1", err)
+	}
+	if pkt.Hops() != maxPacketHops || net.DeadlockAt != net.Now-1 {
+		t.Fatalf("stopped at %d hops, cycle %d (flagged at %d), want %d hops and the flagging cycle", pkt.Hops(), net.Now, net.DeadlockAt, maxPacketHops)
+	}
+	// The head leads: no flit of the packet has been charged more
+	// traversals than the head took hops.
+	for _, r := range net.Nodes {
+		for _, in := range r.In {
+			for v := range in.VCs {
+				for q, i := &in.VCs[v].Buf, 0; i < q.Len()+q.pend; i++ {
+					if f := q.At(i); int(f.tx[KindOnChip]) > pkt.Hops() {
+						t.Fatalf("flit %d charged %d on-chip traversals after %d hops", f.Seq, f.tx[KindOnChip], pkt.Hops())
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestQuiescentAndDrain(t *testing.T) {
