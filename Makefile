@@ -20,7 +20,7 @@ test:
 # paths on any host.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 -run 'TestWorkersReleased' ./internal/network
+	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts' ./internal/network
 	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle|TestEnergyConservation' ./internal/experiments -args -oracle.workers=2,4,8
 
 # Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every

@@ -51,6 +51,33 @@ func TestPublicBuildRejectsSequenceOverflow(t *testing.T) {
 	}
 }
 
+// TestPublicBuildRejectsBadConfig: settings that used to build and then
+// panic (in the adapter constructor or on the first Step) or deliver next
+// to nothing come back as an error from Build, without a panic.
+func TestPublicBuildRejectsBadConfig(t *testing.T) {
+	spec := Spec{System: HeteroPHYTorus, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4}
+	for name, mutate := range map[string]func(*Config){
+		"adapter queue depth -4": func(c *Config) { c.AdapterQueueDepth = -4 },
+		"adapter queue depth 0":  func(c *Config) { c.AdapterQueueDepth = 0 },
+		"router pipeline -1":     func(c *Config) { c.RouterPipelineExtra = -1 },
+		"injection bandwidth 0":  func(c *Config) { c.InjectionBandwidth = 0 },
+		"ejection bandwidth 0":   func(c *Config) { c.EjectionBandwidth = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Build panicked: %v", r)
+				}
+			}()
+			cfg := testConfig()
+			mutate(&cfg)
+			if _, err := Build(cfg, spec); err == nil {
+				t.Fatal("Build accepted the config")
+			}
+		})
+	}
+}
+
 func TestPublicPatternConstructors(t *testing.T) {
 	for _, p := range []Pattern{
 		UniformTraffic(),

@@ -13,19 +13,19 @@ import (
 	"heteroif/internal/topology"
 )
 
-// collectiveOracleRun executes one closed-loop collective to completion at
-// the given worker count and returns the arrival fingerprint plus the
-// engine's completion report. With faults set it layers the seeded error
-// model, a scripted mid-collective serial-PHY outage and the failover
-// policy on top — the collective must still complete, identically at
-// every worker count.
-func collectiveOracleRun(t *testing.T, workers int, faults bool) (oracleFingerprint, collective.Report) {
+// collectiveOracleRun executes one closed-loop collective on the hetero-PHY
+// torus (shaped by oracleSpec) to completion at the given worker count and
+// returns the arrival fingerprint plus the engine's completion report.
+// With faults set it layers the seeded error model, a scripted
+// mid-collective serial-PHY outage and the failover policy on top — the
+// collective must still complete, identically at every worker count.
+func collectiveOracleRun(t *testing.T, sharded bool, workers int, faults bool) (oracleFingerprint, collective.Report) {
 	t.Helper()
 	cfg := shortCfg()
 	// Closed-loop runs measure the whole transient.
 	cfg.WarmupCycles = 0
 	cfg.Workers = workers
-	spec := topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4}
+	spec := oracleSpec(topology.HeteroPHYTorus, sharded)
 	if faults {
 		// The serial-insisting base guarantees collective flits are on the
 		// dead wire when the outage hits, so completion requires the
@@ -36,6 +36,7 @@ func collectiveOracleRun(t *testing.T, workers int, faults bool) (oracleFingerpr
 	if err != nil {
 		t.Fatalf("Build(workers=%d): %v", workers, err)
 	}
+	defer in.release()
 
 	prev := in.Net.Sink
 	h := fnv.New64a()
@@ -108,8 +109,9 @@ func collectiveOracleRun(t *testing.T, workers int, faults bool) (oracleFingerpr
 // (compute phases exercising quiescence fast-forward under parallel
 // stepping) must produce the identical arrival stream, energies AND
 // engine completion report — per-step offer/delivery cycles included — at
-// every -oracle.workers count, both healthy and under faults + a scripted
-// serial outage with failover. The CI race job picks this up through its
+// every -oracle.workers count on 128 nodes, both healthy and under faults +
+// a scripted serial outage with failover; the 64-node one-shard run is
+// checked against oracleGolden. The CI race job picks this up through its
 // 'TestParallelOracle' run filter.
 func TestParallelOracleCollective(t *testing.T) {
 	if testing.Short() {
@@ -123,13 +125,14 @@ func TestParallelOracleCollective(t *testing.T) {
 		}
 		faults := faults
 		t.Run(name, func(t *testing.T) {
-			wantFP, wantRep := collectiveOracleRun(t, 1, faults)
-			checkOracleGolden(t, "collective/"+name, wantFP)
+			goldenFP, _ := collectiveOracleRun(t, false, 1, faults)
+			checkOracleGolden(t, "collective/"+name, goldenFP)
+			wantFP, wantRep := collectiveOracleRun(t, true, 1, faults)
 			if wantFP.delivered == 0 || wantFP.delivered != wantFP.injected {
-				t.Fatalf("sequential reference degenerate: delivered %d of %d", wantFP.delivered, wantFP.injected)
+				t.Fatalf("one-shard reference degenerate: delivered %d of %d", wantFP.delivered, wantFP.injected)
 			}
 			for _, w := range counts {
-				gotFP, gotRep := collectiveOracleRun(t, w, faults)
+				gotFP, gotRep := collectiveOracleRun(t, true, w, faults)
 				if gotFP != wantFP {
 					t.Errorf("workers=%d fingerprint diverged:\n got %+v\nwant %+v", w, gotFP, wantFP)
 				}

@@ -26,9 +26,10 @@ import (
 // copies sent after it (a duplicate already on the wire when the nack
 // rewound the sender) are charged to no packet, so there the traversals of
 // a class are only bounded: at least Stats.Delivered, at most
-// Stats.Transmits. Every scenario runs at one shard and at each
-// -oracle.workers count, under -race in CI: the settlement reads counts
-// other shards wrote in earlier phases.
+// Stats.Transmits. Every scenario runs at one shard on 64 nodes and at each
+// -oracle.workers count on 128 (oracleSpec: two shards hold routers), under
+// -race in CI: the settlement reads counts other shards wrote in earlier
+// phases.
 func TestEnergyConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run check skipped in -short mode")
@@ -60,7 +61,7 @@ func TestEnergyConservation(t *testing.T) {
 				cfg := shortCfg()
 				cfg.SimCycles = 3000
 				cfg.Workers = workers
-				spec := topology.Spec{System: sc.sys, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4}
+				spec := oracleSpec(sc.sys, workers > 1)
 				if sc.faults == &outage {
 					spec.Policy = core.NewFailoverPolicy(serialPreferred{})
 				}

@@ -95,18 +95,33 @@ func checkOracleGolden(t *testing.T, key string, got oracleFingerprint) {
 	}
 }
 
+// oracleSpec is the shape of an oracle scenario: 2×2 chiplets of 4×4 — the
+// 64 nodes oracleGolden was recorded on, one wake word and so one shard
+// with routers at any shard count — or, sharded, 4×2 chiplets: 128 nodes
+// whose chiplet-row cut at 64 is the word boundary, so N-shard runs step
+// two shards that hold routers.
+func oracleSpec(sys topology.System, sharded bool) topology.Spec {
+	spec := topology.Spec{System: sys, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4}
+	if sharded {
+		spec.ChipletsX = 4
+	}
+	return spec
+}
+
 // oracleRun executes one full build+run+drain at the given worker count and
 // returns its fingerprint. With faults set it layers the seeded error model
 // and link-layer retry on top and verifies delivered-packet integrity.
-func oracleRun(t *testing.T, sys topology.System, workers int, faults bool) oracleFingerprint {
+func oracleRun(t *testing.T, spec topology.Spec, workers int, faults bool) oracleFingerprint {
 	t.Helper()
+	sys := spec.System
 	cfg := shortCfg()
 	cfg.SimCycles = 3000
 	cfg.Workers = workers
-	in, err := Build(cfg, topology.Spec{System: sys, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4})
+	in, err := Build(cfg, spec)
 	if err != nil {
 		t.Fatalf("Build(%v, workers=%d): %v", sys, workers, err)
 	}
+	defer in.release()
 
 	// Wrap the stats sink with an order-sensitive FNV-1a digest of every
 	// delivered packet. Sinks run in deterministic coordinator order, so
@@ -182,53 +197,43 @@ func parseOracleWorkers(t *testing.T) []int {
 }
 
 // TestParallelOracle is the cross-worker-count bit-identity oracle for the
-// parallel stepper: on every Table-2 system (64 nodes, 2×2 chiplets of
+// parallel stepper: on every Table-2 system (128 nodes, 4×2 chiplets of
 // 4×4), a full run+drain at each -oracle.workers count must reproduce the
-// sequential run's fingerprint exactly — arrival stream, energies, hop
+// one-shard run's fingerprint exactly — arrival stream, energies, hop
 // mix, VC-allocation failures, grant mix — with credits conserved. A final
 // variant re-runs the hetero-PHY torus with the seeded fault model and
 // link-layer retry active, so retransmission timing also goes through the
-// sharded engine. The one-shard run is itself checked against oracleGolden.
-// The CI race job runs this test under -race (Workers: n always means real
-// goroutines), which upgrades bit-identity into a data-race check on the
-// shard ownership discipline.
+// sharded engine. A one-shard run of each scenario's 64-node shape is
+// checked against oracleGolden. The CI race job runs this test under -race
+// (Workers: n always means real goroutines), which upgrades bit-identity
+// into a data-race check on the shard ownership discipline.
 func TestParallelOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run oracle skipped in -short mode")
 	}
 	counts := parseOracleWorkers(t)
-	systems := []topology.System{
+	check := func(t *testing.T, key string, sys topology.System, faults bool) {
+		checkOracleGolden(t, key, oracleRun(t, oracleSpec(sys, false), 1, faults))
+		want := oracleRun(t, oracleSpec(sys, true), 1, faults)
+		if want.delivered == 0 || want.delivered != want.injected {
+			t.Fatalf("one-shard reference degenerate: delivered %d of %d", want.delivered, want.injected)
+		}
+		for _, w := range counts {
+			if got := oracleRun(t, oracleSpec(sys, true), w, faults); got != want {
+				t.Errorf("workers=%d diverged from one shard:\n got %+v\nwant %+v", w, got, want)
+			}
+		}
+	}
+	for _, sys := range []topology.System{
 		topology.UniformParallelMesh,
 		topology.UniformSerialTorus,
 		topology.HeteroPHYTorus,
 		topology.UniformSerialHypercube,
 		topology.HeteroChannel,
-	}
-	for _, sys := range systems {
-		sys := sys
-		t.Run(sys.String(), func(t *testing.T) {
-			want := oracleRun(t, sys, 1, false)
-			checkOracleGolden(t, sys.String(), want)
-			if want.delivered == 0 || want.delivered != want.injected {
-				t.Fatalf("sequential reference degenerate: delivered %d of %d", want.delivered, want.injected)
-			}
-			for _, w := range counts {
-				if got := oracleRun(t, sys, w, false); got != want {
-					t.Errorf("workers=%d diverged from sequential:\n got %+v\nwant %+v", w, got, want)
-				}
-			}
-		})
+	} {
+		t.Run(sys.String(), func(t *testing.T) { check(t, sys.String(), sys, false) })
 	}
 	t.Run("hetero-phy-torus/faults+retry", func(t *testing.T) {
-		want := oracleRun(t, topology.HeteroPHYTorus, 1, true)
-		checkOracleGolden(t, "hetero-phy-torus/faults+retry", want)
-		if want.delivered == 0 || want.delivered != want.injected {
-			t.Fatalf("sequential reference degenerate: delivered %d of %d", want.delivered, want.injected)
-		}
-		for _, w := range counts {
-			if got := oracleRun(t, topology.HeteroPHYTorus, w, true); got != want {
-				t.Errorf("workers=%d diverged from sequential:\n got %+v\nwant %+v", w, got, want)
-			}
-		}
+		check(t, "hetero-phy-torus/faults+retry", topology.HeteroPHYTorus, true)
 	})
 }

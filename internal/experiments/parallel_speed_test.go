@@ -19,7 +19,7 @@ func TestParallelWorkersEndToEnd(t *testing.T) {
 		cfg := shortCfg()
 		cfg.SimCycles = 6000
 		cfg.Workers = workers
-		in, err := Build(cfg, topology.Spec{System: sys, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4})
+		in, err := Build(cfg, oracleSpec(sys, true))
 		if err != nil {
 			t.Fatal(err)
 		}

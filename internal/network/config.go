@@ -132,11 +132,11 @@ type Config struct {
 
 	// Workers is the number of shards the cycle engine is cut into, each
 	// beyond the first stepped by its own goroutine (0 or 1 = one shard,
-	// no goroutine; negative is rejected). Shards cut along chiplet
-	// boundaries when the topology declares them (Network.SetShardCuts)
-	// and rebalance to the live load at quiescence points. Results are
-	// bit-identical for any value; worth it for saturated many-chiplet
-	// systems (1K+ nodes) on a host with that many CPUs.
+	// no goroutine; negative is rejected). Shards are whole 64-node wake
+	// words, cut at chiplet boundaries where the topology declares aligned
+	// ones (Network.SetShardCuts); shards beyond one per word stay empty.
+	// Results are bit-identical for any value; worth it for saturated
+	// many-chiplet systems (1K+ nodes) on a host with that many CPUs.
 	Workers int
 
 	// Seed seeds the run's random source.
@@ -191,10 +191,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: VC count %d out of range [1,8]", c.VCs)
 	case c.OnChipBandwidth <= 0 || c.ParallelBandwidth <= 0 || c.SerialBandwidth <= 0:
 		return fmt.Errorf("network: bandwidths must be positive")
+	case c.InjectionBandwidth <= 0 || c.EjectionBandwidth <= 0:
+		return fmt.Errorf("network: injection and ejection bandwidths must be positive")
 	case c.OnChipDelay <= 0 || c.ParallelDelay <= 0 || c.SerialDelay <= 0:
 		return fmt.Errorf("network: delays must be positive")
+	case c.RouterPipelineExtra < 0:
+		return fmt.Errorf("network: router pipeline extra %d must be non-negative", c.RouterPipelineExtra)
 	case c.OnChipBufPerVC <= 0 || c.IfaceBufPerVC <= 0:
 		return fmt.Errorf("network: buffer depths must be positive")
+	case c.AdapterQueueDepth <= 0:
+		return fmt.Errorf("network: adapter queue depth %d must be positive", c.AdapterQueueDepth)
 	case c.SimCycles <= c.WarmupCycles:
 		return fmt.Errorf("network: sim cycles %d must exceed warm-up %d", c.SimCycles, c.WarmupCycles)
 	case c.Workers < 0:

@@ -53,6 +53,12 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		func(c *Config) { c.OnChipBufPerVC = 0 },
 		func(c *Config) { c.SimCycles = 5; c.WarmupCycles = 10 },
 		func(c *Config) { c.Workers = -3 },
+		// Each of these built and then panicked or delivered nothing.
+		func(c *Config) { c.AdapterQueueDepth = -4 },
+		func(c *Config) { c.AdapterQueueDepth = 0 },
+		func(c *Config) { c.RouterPipelineExtra = -1 },
+		func(c *Config) { c.InjectionBandwidth = 0 },
+		func(c *Config) { c.EjectionBandwidth = 0 },
 		// 16-bit adapter sequence numbers: 2 VCs × 16,384 buffered flits,
 		// then the same through the credit-round-trip enlargement.
 		func(c *Config) { c.IfaceBufPerVC = 1 << 14 },

@@ -27,7 +27,7 @@ func TestInjectVCChoiceByClass(t *testing.T) {
 		p := net.NewPacket(0, 1, 4, 0)
 		p.Class = tc.class
 		net.Offer(p)
-		net.injectNode(0, &net.shards.sh[0].scratch, false)
+		net.injectNode(0, &net.shards.sh[0].scratch)
 		s := &net.sources[0]
 		if s.cur != p {
 			t.Fatalf("%v: packet not picked up by injectNode", tc.class)

@@ -34,11 +34,10 @@
 //   - The engine always steps shards (contiguous node ranges; one after
 //     Finalize, n after SetWorkers(n)): link phase on every shard, then
 //     router+injection phase on every shard, then a single-threaded merge
-//     in shard order. Shard bounds prefer chiplet-row cuts; the few
-//     wake-bitmap words a cut crosses are accessed atomically
-//     (sharedWords), every other word keeps exactly one owning shard, and
-//     cross-shard wake-ups travel through per-shard scratch applied by
-//     the merge.
+//     in shard order. Shard bounds fall on 64-node wake-word boundaries
+//     (at chiplet-row cuts where those are aligned), so every wake-bitmap
+//     word has exactly one owning shard, and cross-shard wake-ups travel
+//     through per-shard scratch applied by the merge.
 package network
 
 import (

@@ -81,11 +81,6 @@ type Link struct {
 	fwdQueued bool
 	crQueued  bool
 
-	// dstShared marks the destination's wake word as crossed by a shard
-	// boundary, so delivery must set the wake bit atomically. Kept current
-	// by shardState.refit; never set on a one-shard network.
-	dstShared bool
-
 	// credPend/credMask hold the Delay-1 credit return batch in place (the
 	// credit pipe degenerates to a single stage there): per-VC counts plus
 	// the credited-VC mask, filled by ReturnCredits during the source tick

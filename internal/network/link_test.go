@@ -257,7 +257,11 @@ func TestLinkBusy(t *testing.T) {
 func TestCreditViolationPanicsAtPublication(t *testing.T) {
 	for _, kind := range plainKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			net, l := twoNodeNet(t, kind, func(c *Config) { c.EjectionBandwidth = 0 })
+			// Config.Validate refuses a zero ejection bandwidth, so the
+			// port is plugged on the router and its work state rebuilt.
+			net, l := twoNodeNet(t, kind, nil)
+			net.Nodes[1].ejBW = 0
+			net.Finalize()
 			out := net.Nodes[0].Out[l.SrcPort]
 			out.Credits[0] += out.Depth
 			want := fmt.Sprintf("network: input buffer overflow at node 1 port %d vc 0 (credit protocol violated)", l.DstPort)

@@ -224,8 +224,9 @@ func Saturate(net *network.Network) *Saturator {
 // Cases returns the kernel benchmark suite: idle, low-load and saturated
 // meshes at 16, 64 and 256 nodes, the saturated cases additionally with
 // the retained naive reference tick (so one run shows what the
-// work-list/memoization hot path buys) and, at 64/256 nodes, with
-// parallel stepping across 2 workers.
+// work-list/memoization hot path buys) and, at 256 nodes, with parallel
+// stepping across 2 workers (smaller meshes are one 64-node wake word,
+// hence one shard with routers).
 func Cases() []Case {
 	var cs []Case
 	for _, side := range []int{4, 8, 16} {
@@ -291,7 +292,7 @@ func Cases() []Case {
 				},
 			},
 		)
-		if n >= 64 {
+		if n >= 256 {
 			const workers = 2
 			cs = append(cs, satparCase(n, workers, func() *network.Network { return BuildMesh(side) }))
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 )
 
 // Network is a complete multi-chiplet interconnection system: routers,
@@ -92,8 +91,8 @@ type Network struct {
 	// shards is the sharding of the cycle engine: nil until Finalize, one
 	// shard covering every node until SetWorkers re-cuts it.
 	shards *shardState
-	// shardCuts are the preferred shard boundaries (chiplet rows) declared
-	// via SetShardCuts, consulted by the partitioner.
+	// shardCuts are the word-aligned preferred shard boundaries (chiplet
+	// rows) declared via SetShardCuts, consulted by the partitioner.
 	shardCuts []int
 
 	// Route-acceleration state, derived on the first Step (after topology
@@ -301,7 +300,7 @@ func (net *Network) packSlabs() {
 
 // rebuildWake recomputes every wake structure from current component state.
 // setShards calls it after topology or sharding changes (Finalize,
-// SetWorkers); it is O(network), never per-cycle.
+// SetWorkers, SetShardCuts); it is O(network), never per-cycle.
 func (net *Network) rebuildWake() {
 	words := (len(net.Nodes) + 63) / 64
 	if len(net.nodeWake) != words {
@@ -315,7 +314,7 @@ func (net *Network) rebuildWake() {
 	for i, r := range net.Nodes {
 		r.rebuildWork()
 		if r.buffered > 0 {
-			net.wakeNodeMode(NodeID(i), false)
+			net.wakeNode(NodeID(i))
 		}
 	}
 	for i := range net.sources {
@@ -422,14 +421,13 @@ func (net *Network) Step() {
 // counts what it delivered on the link so the wake bit and the movement
 // count are settled once per link here. Every other link is plain and
 // publishes the stage that comes due (commitDirect). moved is the owning
-// shard's movement accumulator; l.dstShared says whether the wake bit needs
-// an atomic set.
+// shard's movement accumulator.
 func (net *Network) linkArrivals(l *Link, moved *uint64) {
 	if l.Adapter != nil || l.retry != nil {
 		l.Arrivals(net.Now, net.deliverFns[l.ID])
 		if n := l.delivered; n > 0 {
 			l.delivered = 0
-			net.wakeNodeMode(l.Dst, l.dstShared)
+			net.wakeNode(l.Dst)
 			*moved += uint64(n)
 		}
 		return
@@ -437,15 +435,10 @@ func (net *Network) linkArrivals(l *Link, moved *uint64) {
 	net.commitDirect(l, moved)
 }
 
-// wakeNodeMode marks a router as having buffered flits to process, with an
-// atomic set when its wake word is shared between shards.
-func (net *Network) wakeNodeMode(id NodeID, atomicOr bool) {
-	wi, bit := uint(id)>>6, uint64(1)<<(uint(id)&63)
-	if atomicOr {
-		atomic.OrUint64(&net.nodeWake[wi], bit)
-	} else {
-		net.nodeWake[wi] |= bit
-	}
+// wakeNode marks a router as having buffered flits to process. Only the
+// shard owning the router's wake word calls it.
+func (net *Network) wakeNode(id NodeID) {
+	net.nodeWake[id>>6] |= 1 << (uint(id) & 63)
 }
 
 // commitDirect publishes the flits a plain link accepted Delay cycles ago:
@@ -484,7 +477,7 @@ func (net *Network) commitDirect(l *Link, moved *uint64) {
 	}
 	l.inFlight -= total
 	r.buffered += total
-	net.wakeNodeMode(l.Dst, l.dstShared)
+	net.wakeNode(l.Dst)
 	*moved += uint64(total)
 }
 
@@ -571,9 +564,8 @@ func (net *Network) watchdogErr() error {
 }
 
 // injectNode moves flits from one node's source queue into its
-// injection-port buffers, accumulating counters into sc. atomicWake marks
-// the node's wake word as shared between shards.
-func (net *Network) injectNode(n int, sc *workerScratch, atomicWake bool) {
+// injection-port buffers, accumulating counters into sc.
+func (net *Network) injectNode(n int, sc *workerScratch) {
 	{
 		s := &net.sources[n]
 		if s.cur == nil && s.head == len(s.q) {
@@ -634,7 +626,7 @@ func (net *Network) injectNode(n int, sc *workerScratch, atomicWake bool) {
 			}
 			vc := &in.VCs[s.curVC]
 			if budget > 0 && s.curSeq < int32(s.cur.Length) && vc.Buf.Free() > 0 {
-				net.wakeNodeMode(r.ID, atomicWake)
+				net.wakeNode(r.ID)
 				slot := r.InjectPort*r.slotVCs + int(s.curVC)
 				if !vc.Active {
 					// The VC will hold a head flit awaiting RC+VA next
@@ -699,9 +691,6 @@ func (net *Network) RunWith(cycles int64, drive func(now int64), next func(now i
 		if (drive != nil && next == nil) || !net.idle() {
 			continue
 		}
-		// A quiescence boundary: the cheapest point to re-shard, and the
-		// only one where repartitioning cost is off any critical path.
-		net.shards.maybeRebalance(net)
 		target := end
 		if t := net.nextSourceEvent(); t >= 0 && t < target {
 			target = t
@@ -729,7 +718,6 @@ func (net *Network) Drain() (bool, error) {
 			return true, nil
 		}
 		if net.idle() {
-			net.shards.maybeRebalance(net)
 			if t := net.nextSourceEvent(); t > net.Now {
 				net.Now = min(t, deadline)
 				continue

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync/atomic"
 )
 
 // Sharded stepping — the one cycle engine. The synchronous two-phase cycle
@@ -23,21 +22,19 @@ import (
 // creates one shard covering every node; SetWorkers(n) re-cuts into n.
 // Step runs phase 1 on every shard, then phase 2 on every shard, then
 // merges the scratches in shard order. With one shard each phase is a
-// direct call: no goroutine, no finalizer, no shared wake word. With n
-// shards the phases run on n-1 persistent worker goroutines (the caller is
-// shard 0) parked on per-worker command channels; the two phase functions
-// are bound once, so dispatching a step performs no allocation.
+// direct call: no goroutine, no finalizer. With n shards the phases run on
+// n-1 persistent worker goroutines (the caller is shard 0) parked on
+// per-worker command channels; the two phase functions are bound once, so
+// dispatching a step performs no allocation.
 //
-// The partitioner balances node weights and prefers to cut along chiplet
-// boundaries (Network.SetShardCuts, fed by topology.Topo.ShardCuts):
-// cross-shard traffic then rides the modeled D2D interface links instead
-// of intra-chiplet mesh hops, and the wake words interior to a chiplet row
-// keep a single owner. A nodeWake/srcWake bitmap word crossed by a shard
-// boundary is marked in sharedWords and accessed with atomic Or/And/Load;
-// all other words keep the plain single-owner fast path. Shard sizes follow
-// live load — at every quiescence boundary (RunWith/Drain fast-forward
-// points) the partitioner re-weights nodes by the source-queue wake
-// population, so an idle chiplet doesn't pin a worker while another drowns.
+// Every nodeWake/srcWake bitmap word has exactly one owning shard: shard
+// bounds fall on 64-node word boundaries, so a shard reads and writes its
+// words with plain loads and stores. The partitioner balances shards by
+// word count and moves a cut onto a declared chiplet boundary
+// (Network.SetShardCuts, fed by topology.Topo.ShardCuts) when one is
+// word-aligned and near: cross-shard traffic then rides the modeled D2D
+// interface links instead of intra-chiplet mesh hops. Bounds change only
+// when the caller re-cuts (SetWorkers, SetShardCuts), never with load.
 //
 // Links woken by a router tick (Accept/ReturnCredit on a possibly
 // foreign-shard link) are recorded in the shard's private scratch and
@@ -49,24 +46,14 @@ import (
 // TestParallelMatchesSequential and experiments.TestParallelOracle, whose
 // one-shard run is pinned to golden constants.
 type shardState struct {
-	// bounds[w]..bounds[w+1] is shard w's node range (arbitrary positions;
-	// see sharedWords).
-	bounds    []int
-	newBounds []int   // partition scratch
-	prefix    []int64 // partition scratch: prefix[i] = weight of nodes [0,i)
-	weights   []int32 // rebalance scratch
+	// bounds[w]..bounds[w+1] is shard w's node range; every interior bound
+	// is a multiple of 64. A shard may be empty (more shards than words).
+	bounds []int
 
-	nodeShard    []int32 // owning shard of each node
 	linkDstShard []int32 // owning shard of each link's forward wake entry
 	linkSrcShard []int32 // owning shard of each link's credit wake entry
 
-	// sharedWords is a bitmap over nodeWake/srcWake *word* indices: a set
-	// bit marks a word crossed by a shard boundary, which must be accessed
-	// atomically. A one-shard network has no shared word.
-	sharedWords []uint64
-
-	sh  []shard // one per shard: len(sh) is the shard count
-	tmp []int32 // refit scratch for re-homing wake entries
+	sh []shard // one per shard: len(sh) is the shard count
 
 	// phase1Fn/phase2Fn are bound once; dispatch sends these prebuilt
 	// values so a step allocates nothing. One shard has no workers (ws is
@@ -113,29 +100,24 @@ type workerScratch struct {
 	_pad [64]byte // avoid false sharing between workers
 }
 
-// srcWakeWeight is the extra partition weight of a node whose source queue
-// holds work: loaded regions get proportionally smaller shards.
-const srcWakeWeight = 8
-
 // SetShardCuts declares preferred shard boundary positions, normally the
-// chiplet-row starts from topology.Topo.ShardCuts. The partitioner snaps a
-// balanced cut to the nearest preferred position within its imbalance
-// slack, keeping cross-shard traffic on the modeled D2D interface links.
-// Out-of-range positions are dropped. May be called before or after
-// SetWorkers; a finalized network is re-cut immediately.
+// chiplet-row starts from topology.Topo.ShardCuts. The partitioner moves a
+// balanced cut to the nearest declared position within its slack, keeping
+// cross-shard traffic on the modeled D2D interface links. Positions out of
+// range or not a multiple of 64 are dropped: a cut inside a wake word would
+// give the word two owners. May be called before or after SetWorkers; a
+// sharded network is re-cut at once (one shard has no cut to move).
 func (net *Network) SetShardCuts(cuts []int) {
 	net.shardCuts = net.shardCuts[:0]
 	total := len(net.Nodes)
 	for _, c := range cuts {
-		if c > 0 && c < total {
+		if c > 0 && c < total && c%64 == 0 {
 			net.shardCuts = append(net.shardCuts, c)
 		}
 	}
 	sort.Ints(net.shardCuts)
-	if p := net.shards; p != nil {
-		if p.partition(net, nil) {
-			p.refit(net)
-		}
+	if p := net.shards; p != nil && len(p.sh) > 1 {
+		net.setShards(len(p.sh))
 	}
 }
 
@@ -171,21 +153,25 @@ func (net *Network) setShards(n int) {
 	if net.shards != nil {
 		net.shards.ws.stop()
 	}
-	total := len(net.Nodes)
-	words := (total + 63) / 64
 	p := &shardState{
-		bounds:       make([]int, n+1),
-		newBounds:    make([]int, n+1),
-		nodeShard:    make([]int32, total),
+		bounds:       net.shardBounds(n),
 		linkDstShard: make([]int32, len(net.Links)),
 		linkSrcShard: make([]int32, len(net.Links)),
-		sharedWords:  make([]uint64, (words+63)/64),
 		sh:           make([]shard, n),
 		phase1Fn:     net.phase1,
 		phase2Fn:     net.phase2,
 	}
-	p.partition(net, nil)
-	p.refit(net)
+	// A link's wake entries belong to the shard owning its endpoint's word.
+	wordShard := make([]int32, (len(net.Nodes)+63)/64)
+	for w := 0; w < n; w++ {
+		for wi := p.bounds[w] >> 6; wi < (p.bounds[w+1]+63)>>6; wi++ {
+			wordShard[wi] = int32(w)
+		}
+	}
+	for i, l := range net.Links {
+		p.linkDstShard[i] = wordShard[l.Dst>>6]
+		p.linkSrcShard[i] = wordShard[l.Src>>6]
+	}
 	if n > 1 {
 		p.ws = startWorkers(n)
 	}
@@ -193,184 +179,32 @@ func (net *Network) setShards(n int) {
 	net.rebuildWake()
 }
 
-// partition recomputes shard bounds balancing per-node weights (nil means
-// uniform), snapping each cut to a preferred chiplet boundary — or
-// failing that a 64-aligned position — when one lies within the balance
-// slack. Reports whether the bounds changed; the caller must refit then.
-func (p *shardState) partition(net *Network, weights []int32) bool {
+// shardBounds cuts the nodes into n contiguous ranges whose interior bounds
+// are multiples of 64, so every wake word has one owning shard. Cut w sits
+// after words·w/n whole words, unless a declared cut (SetShardCuts keeps
+// only word-aligned ones) lies within a quarter of an ideal shard of that:
+// then the nearest declared cut wins. The slack is too small for
+// neighbouring cuts to meet, so every shard is non-empty up to one shard
+// per word; beyond that the surplus shards are empty.
+func (net *Network) shardBounds(n int) []int {
 	total := len(net.Nodes)
-	n := len(p.sh)
-	if p.prefix == nil {
-		p.prefix = make([]int64, total+1)
-	}
-	var sum int64
-	for i := 0; i < total; i++ {
-		p.prefix[i] = sum
-		if weights != nil {
-			sum += int64(weights[i])
-		} else {
-			sum++
-		}
-	}
-	p.prefix[total] = sum
-	nb := p.newBounds
-	nb[0], nb[n] = 0, total
-	// A cut may drift from its balanced position by a quarter of an ideal
-	// shard before we stop snapping to preferred boundaries.
-	slack := sum/(4*int64(n)) + 1
+	words := (total + 63) / 64
+	slack := total/(4*n) + 1
+	cuts := net.shardCuts
+	bounds := make([]int, n+1)
+	bounds[n] = total
 	for w := 1; w < n; w++ {
-		b := p.cutNear(net, sum*int64(w)/int64(n), slack)
-		if b < nb[w-1] {
-			b = nb[w-1]
+		b := words * w / n * 64
+		best, bestD := b, slack+1
+		ci := sort.SearchInts(cuts, b)
+		for _, c := range cuts[max(ci-1, 0):min(ci+1, len(cuts))] {
+			if d := max(c-b, b-c); d < bestD {
+				best, bestD = c, d
+			}
 		}
-		if b > total {
-			b = total
-		}
-		nb[w] = b
+		bounds[w] = best
 	}
-	changed := false
-	for i := 0; i <= n; i++ {
-		if nb[i] != p.bounds[i] {
-			changed = true
-			break
-		}
-	}
-	if changed {
-		copy(p.bounds, nb)
-	}
-	return changed
-}
-
-// cutNear picks the cut position for target prefix weight t: the nearest
-// preferred cut within slack, else the nearest 64-aligned position within
-// slack (keeping the wake word single-owner), else the exact balanced
-// position.
-func (p *shardState) cutNear(net *Network, t, slack int64) int {
-	total := len(net.Nodes)
-	pos := sort.Search(total+1, func(i int) bool { return p.prefix[i] >= t })
-	best, bestD := -1, slack+1
-	try := func(c int) {
-		if c < 0 || c > total {
-			return
-		}
-		if d := abs64(p.prefix[c] - t); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	if cuts := net.shardCuts; len(cuts) > 0 {
-		ci := sort.SearchInts(cuts, pos)
-		if ci < len(cuts) {
-			try(cuts[ci])
-		}
-		if ci > 0 {
-			try(cuts[ci-1])
-		}
-		if best >= 0 {
-			return best
-		}
-	}
-	try(pos &^ 63)
-	try((pos + 63) &^ 63)
-	if best >= 0 {
-		return best
-	}
-	return pos
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// refit rebuilds everything derived from bounds: node→shard and
-// link→shard maps, the shared-word bitmap (and each link's copy of its
-// destination's bit), and the homes of any queued wake-list entries. Wake membership itself is unchanged — repartitioning
-// never touches simulation state, only ownership.
-func (p *shardState) refit(net *Network) {
-	total := len(net.Nodes)
-	n := len(p.sh)
-	for i, w := 0, 0; i < total; i++ {
-		for w+1 < n && i >= p.bounds[w+1] {
-			w++
-		}
-		p.nodeShard[i] = int32(w)
-	}
-	for i := range p.sharedWords {
-		p.sharedWords[i] = 0
-	}
-	// A boundary interior to a 64-node word makes that word visible to
-	// two shards.
-	for w := 1; w < n; w++ {
-		if b := p.bounds[w]; b&63 != 0 && b < total {
-			wi := uint(b) >> 6
-			p.sharedWords[wi>>6] |= 1 << (wi & 63)
-		}
-	}
-	for i, l := range net.Links {
-		p.linkDstShard[i] = p.nodeShard[l.Dst]
-		p.linkSrcShard[i] = p.nodeShard[l.Src]
-		l.dstShared = p.isShared(uint(l.Dst) >> 6)
-	}
-	// Re-home queued wake entries (only non-empty when cuts move while
-	// link pipelines hold work, e.g. SetShardCuts mid-run).
-	p.tmp = p.tmp[:0]
-	for w := range p.sh {
-		p.tmp = append(p.tmp, p.sh[w].fwdWake...)
-		p.sh[w].fwdWake = p.sh[w].fwdWake[:0]
-	}
-	for _, li := range p.tmp {
-		d := &p.sh[p.linkDstShard[li]]
-		d.fwdWake = append(d.fwdWake, li)
-	}
-	p.tmp = p.tmp[:0]
-	for w := range p.sh {
-		p.tmp = append(p.tmp, p.sh[w].crWake...)
-		p.sh[w].crWake = p.sh[w].crWake[:0]
-	}
-	for _, li := range p.tmp {
-		s := &p.sh[p.linkSrcShard[li]]
-		s.crWake = append(s.crWake, li)
-	}
-}
-
-// isShared reports whether wake word wi is crossed by a shard boundary
-// and therefore needs atomic access.
-func (p *shardState) isShared(wi uint) bool {
-	return p.sharedWords[wi>>6]>>(wi&63)&1 != 0
-}
-
-// maybeRebalance re-weights the partition from the live wake population.
-// Called only at quiescence boundaries (net.idle()): no flits are
-// buffered or in flight, so nodeWake is empty and the source-queue wake
-// bitmap is the only live load signal. One shard has nothing to balance,
-// and trace replays and collectives reach a boundary at every fast-forward
-// jump, so the O(nodes) scan is skipped there.
-func (p *shardState) maybeRebalance(net *Network) {
-	if len(p.sh) == 1 {
-		return
-	}
-	total := len(net.Nodes)
-	if p.weights == nil {
-		p.weights = make([]int32, total)
-	}
-	any := false
-	for i := 0; i < total; i++ {
-		w := int32(1)
-		if net.srcWake[uint(i)>>6]>>(uint(i)&63)&1 != 0 {
-			w += srcWakeWeight
-			any = true
-		}
-		p.weights[i] = w
-	}
-	ws := p.weights
-	if !any {
-		ws = nil
-	}
-	if p.partition(net, ws) {
-		p.refit(net)
-	}
+	return bounds
 }
 
 // startWorkers launches n-1 persistent worker goroutines (Step's caller is
@@ -467,15 +301,13 @@ func (net *Network) phase1(w int) {
 }
 
 // phase2 runs one shard's router pipelines fused with injection — both
-// only touch the shard's own routers and wake bits, and injected flits
+// only touch the shard's own routers and wake words, and injected flits
 // are not observable elsewhere until the next cycle's link phase. The
 // router work bitmaps (allocPend/saActive/saReady) and the parking state
 // (vaParked, OutPort.parked/waitSlot) follow the same ownership
 // discipline: deliveries mark pending slots on the destination shard in
 // phase 1, credit completions unpark at the source router in phase 1, and
-// ticks/injection touch only the shard's own routers here. Wake words
-// crossed by a shard boundary are the one exception, handled with atomic
-// Or/And — other shards only ever touch *their* bits of such a word.
+// ticks/injection touch only the shard's own routers here.
 func (net *Network) phase2(w int) {
 	p := net.shards
 	lo, hi := p.bounds[w], p.bounds[w+1]
@@ -493,30 +325,17 @@ func (net *Network) phase2(w int) {
 // tickNodeRange runs the router pipelines of the nodes in [lo, hi) whose
 // wake bit is set, in ascending node order (Sink determinism depends on it
 // — see the package comment), clearing the bit of any router that drained
-// completely. Ranges are node positions, not word positions: boundary
-// words are masked, and accessed atomically when shared.
+// completely. lo is word-aligned and hi is too unless it is the node
+// count, so the range covers whole words this shard alone owns.
 func (net *Network) tickNodeRange(ctx *tickContext, lo, hi int) {
-	p := net.shards
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		shared := p.isShared(uint(wi))
-		var w uint64
-		if shared {
-			w = atomic.LoadUint64(&net.nodeWake[wi])
-		} else {
-			w = net.nodeWake[wi]
-		}
-		w &= shardWordMask(wi, lo, hi)
-		for w != 0 {
+		for w := net.nodeWake[wi]; w != 0; {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
 			r := net.Nodes[wi<<6+b]
 			r.tickCtx(ctx)
 			if r.buffered == 0 {
-				if shared {
-					atomic.AndUint64(&net.nodeWake[wi], ^(uint64(1) << uint(b)))
-				} else {
-					net.nodeWake[wi] &^= 1 << uint(b)
-				}
+				net.nodeWake[wi] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -526,43 +345,16 @@ func (net *Network) tickNodeRange(ctx *tickContext, lo, hi int) {
 // in ascending node order, clearing the bit of any source whose queue
 // emptied.
 func (net *Network) injectNodeRange(sc *workerScratch, lo, hi int) {
-	p := net.shards
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		shared := p.isShared(uint(wi))
-		var w uint64
-		if shared {
-			w = atomic.LoadUint64(&net.srcWake[wi])
-		} else {
-			w = net.srcWake[wi]
-		}
-		w &= shardWordMask(wi, lo, hi)
-		for w != 0 {
+		for w := net.srcWake[wi]; w != 0; {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
 			ni := wi<<6 + b
-			net.injectNode(ni, sc, shared)
+			net.injectNode(ni, sc)
 			s := &net.sources[ni]
 			if s.cur == nil && s.head == len(s.q) {
-				if shared {
-					atomic.AndUint64(&net.srcWake[wi], ^(uint64(1) << uint(b)))
-				} else {
-					net.srcWake[wi] &^= 1 << uint(b)
-				}
+				net.srcWake[wi] &^= 1 << uint(b)
 			}
 		}
 	}
-}
-
-// shardWordMask masks word wi down to the bits whose node indices lie in
-// [lo, hi).
-func shardWordMask(wi, lo, hi int) uint64 {
-	m := ^uint64(0)
-	base := wi << 6
-	if d := lo - base; d > 0 {
-		m &= ^uint64(0) << uint(d)
-	}
-	if d := hi - base; d < 64 {
-		m &= uint64(1)<<uint(d) - 1
-	}
-	return m
 }

@@ -1,13 +1,15 @@
 package network
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 )
 
 // TestParallelMatchesSequential: four shards must be bit-identical to one
-// — same deliveries, same latencies, same counters.
+// — same deliveries, same latencies, same counters. The ring has 64 nodes
+// per shard, one wake word each.
 func TestParallelMatchesSequential(t *testing.T) {
 	build := func(workers int) (*Network, map[uint64]int64) {
 		cfg := DefaultConfig()
@@ -16,8 +18,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A ring of 12 nodes with mixed link kinds.
-		const n = 12
+		// A ring of 256 nodes with mixed link kinds.
+		const n = 256
 		net.AddNodes(n)
 		for i := 0; i < n; i++ {
 			kind := KindOnChip
@@ -116,14 +118,25 @@ func runSaturatedMesh(t *testing.T, side, workers int, cuts []int, cycles int64)
 	return net, arr
 }
 
-// TestParallelSubWordShards: with chiplet-row cuts a 64-node mesh splits
-// mid-word (no more empty second shard), the boundary wake word goes
-// through the atomic shared-word path, and results stay bit-identical to
-// one shard. SetWorkers(n>1) always dispatches to real goroutines, even on
-// a single-CPU host, so `go test -race` checks the cross-shard
+// checkWordBounds fails unless every interior shard bound is a multiple of
+// 64, so no wake word has two owners.
+func checkWordBounds(t *testing.T, bounds []int) {
+	t.Helper()
+	for w := 1; w < len(bounds)-1; w++ {
+		if bounds[w]%64 != 0 || bounds[w] < bounds[w-1] {
+			t.Fatalf("bounds %v: interior bound %d is not an ascending multiple of 64", bounds, bounds[w])
+		}
+	}
+}
+
+// TestParallelWordShards: a 256-node mesh (four wake words) cut at 2, 3
+// and 5 shards with chiplet-row cuts declared stays bit-identical to one
+// shard. At 5 shards there are more shards than words, so one is empty.
+// SetWorkers(n>1) always dispatches to real goroutines, even on a
+// single-CPU host, so `go test -race` checks the cross-shard
 // happens-before edges here.
-func TestParallelSubWordShards(t *testing.T) {
-	const side, cycles = 8, 800
+func TestParallelWordShards(t *testing.T) {
+	const side, cycles = 16, 800
 	seqNet, want := runSaturatedMesh(t, side, 1, nil, cycles)
 	if len(want) == 0 {
 		t.Fatal("no traffic delivered")
@@ -134,15 +147,15 @@ func TestParallelSubWordShards(t *testing.T) {
 		if p.ws == nil || len(p.ws.cmd) != workers {
 			t.Fatalf("workers=%d: SetWorkers did not start %d worker goroutines", workers, workers-1)
 		}
-		if workers == 2 && p.bounds[1] != 32 {
-			t.Errorf("workers=2: bounds=%v, want the 64-node mesh cut at row 4 (node 32)", p.bounds)
+		checkWordBounds(t, p.bounds)
+		empty := 0
+		for w := 0; w < workers; w++ {
+			if p.bounds[w] == p.bounds[w+1] {
+				empty++
+			}
 		}
-		shared := false
-		for _, w := range p.sharedWords {
-			shared = shared || w != 0
-		}
-		if !shared {
-			t.Errorf("workers=%d: sub-word bounds %v left no shared wake word", workers, p.bounds)
+		if wantEmpty := max(workers-4, 0); empty != wantEmpty {
+			t.Errorf("workers=%d: bounds %v have %d empty shards, want %d", workers, p.bounds, empty, wantEmpty)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d deliveries vs %d sequential", workers, len(got), len(want))
@@ -155,79 +168,102 @@ func TestParallelSubWordShards(t *testing.T) {
 		if net.VAFailures != seqNet.VAFailures || net.GrantsByKind != seqNet.GrantsByKind {
 			t.Errorf("workers=%d: allocation counters diverge from sequential", workers)
 		}
+		net.SetWorkers(0)
 	}
 }
 
-// TestShardCutsSnap: the partitioner prefers a declared cut within its
-// balance slack over the 64-aligned fallback, and rejects one outside it.
+// TestShardCutsSnap: a declared cut replaces the balanced one only when it
+// is word-aligned and within a quarter of an ideal shard of it.
 func TestShardCutsSnap(t *testing.T) {
-	net := buildXYMesh(t, 16, false) // 256 nodes
-	net.SetShardCuts([]int{120})
-	net.SetWorkers(2)
-	if got := net.shards.bounds[1]; got != 120 {
-		t.Errorf("cut at 120 within slack not taken: bounds[1]=%d", got)
+	for _, tc := range []struct {
+		side int
+		cuts []int
+		want int
+	}{
+		{32, []int{448}, 448}, // aligned, 64 from the balanced 512, slack 129: taken
+		{32, []int{320}, 512}, // aligned but 192 away: balance
+		{32, []int{8}, 512},   // unaligned and far: balance
+		{16, []int{120}, 128}, // unaligned: dropped, the balanced word cut stays
+		{16, nil, 128},
+	} {
+		net := buildXYMesh(t, tc.side, false)
+		net.SetWorkers(2)
+		net.SetShardCuts(tc.cuts)
+		if got := net.shards.bounds[1]; got != tc.want {
+			t.Errorf("%d nodes, cuts %v: bounds[1]=%d, want %d", tc.side*tc.side, tc.cuts, got, tc.want)
+		}
+		net.SetWorkers(0)
 	}
-	net.SetShardCuts([]int{8}) // hopelessly unbalanced: fall back to 64-aligned
-	if got := net.shards.bounds[1]; got != 128 {
-		t.Errorf("want 64-aligned fallback cut 128, got %d", got)
-	}
-	net.SetWorkers(0)
 }
 
-// TestParallelRebalanceAtQuiescence: when only the top mesh rows hold
-// queued work, the quiescence rebalance shifts the cut so the loaded
-// region gets a smaller shard, then reverts once the load drains — and a
-// skewed-load run stays bit-identical to sequential stepping throughout.
-func TestParallelRebalanceAtQuiescence(t *testing.T) {
-	skewed := func(net *Network) {
-		// Nodes 48..63 exchange bursts starting at cycle 50; the rest idle.
-		for src := 48; src < 64; src++ {
+// TestShardBoundsProperties: for any node count, shard count and declared
+// cuts, bounds ascend from 0 to the node count, every interior bound is a
+// multiple of 64, and min(n, words) shards are non-empty.
+func TestShardBoundsProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 5000; iter++ {
+		total := 1 + rng.Intn(4000)
+		n := 1 + rng.Intn(80)
+		var cuts []int
+		for k := rng.Intn(12); k > 0; k-- {
+			c := rng.Intn(total + 64)
+			if rng.Intn(2) == 0 {
+				c &^= 63
+			}
+			cuts = append(cuts, c)
+		}
+		net := &Network{Nodes: make([]*Router, total)}
+		net.SetShardCuts(cuts)
+		b := net.shardBounds(n)
+		if len(b) != n+1 || b[0] != 0 || b[n] != total {
+			t.Fatalf("N=%d n=%d cuts=%v: bounds %v do not span [0, %d]", total, n, cuts, b, total)
+		}
+		nonEmpty := 0
+		for w := 0; w < n; w++ {
+			if b[w] > b[w+1] || (w > 0 && b[w]%64 != 0) {
+				t.Fatalf("N=%d n=%d cuts=%v: bounds %v not ascending on word boundaries", total, n, cuts, b)
+			}
+			if b[w] < b[w+1] {
+				nonEmpty++
+			}
+		}
+		if want := min(n, (total+63)/64); nonEmpty != want {
+			t.Fatalf("N=%d n=%d cuts=%v: bounds %v have %d non-empty shards, want %d", total, n, cuts, b, nonEmpty, want)
+		}
+	}
+}
+
+// TestParallelFastForwardSkewedLoad: when only the last mesh row holds
+// queued work, a fast-forwarding RunWith on two shards stays bit-identical
+// to one shard — quiescence jumps with an idle shard included.
+func TestParallelFastForwardSkewedLoad(t *testing.T) {
+	const side = 16
+	run := func(workers int) map[uint64]int64 {
+		net := buildXYMesh(t, side, true)
+		net.SetShardCuts(rowCuts(side))
+		net.SetWorkers(workers)
+		defer net.SetWorkers(0)
+		arr := map[uint64]int64{}
+		net.Sink = func(p *Packet) { arr[p.ID] = p.ArrivedAt }
+		// The last row's nodes exchange bursts starting at cycle 50; the
+		// rest idle.
+		first := side * (side - 1)
+		for src := first; src < side*side; src++ {
 			for k := 0; k < 8; k++ {
-				dst := 48 + (src-48+k+1)%16
+				dst := first + (src-first+k+1)%side
 				net.Offer(net.NewPacket(NodeID(src), NodeID(dst), 4, int64(50+29*k)))
 			}
 		}
-	}
-
-	net := buildXYMesh(t, 8, false)
-	net.SetShardCuts(rowCuts(8))
-	net.SetWorkers(2)
-	p := net.shards
-	if p.bounds[1] != 32 {
-		t.Fatalf("initial bounds %v, want cut at 32", p.bounds)
-	}
-	skewed(net)
-	p.maybeRebalance(net)
-	if p.bounds[1] <= 32 {
-		t.Errorf("rebalance kept bounds %v despite all load on nodes 48..63", p.bounds)
-	}
-	for i := range net.Nodes {
-		want := int32(0)
-		if i >= p.bounds[1] {
-			want = 1
-		}
-		if p.nodeShard[i] != want {
-			t.Fatalf("nodeShard[%d]=%d inconsistent with bounds %v", i, p.nodeShard[i], p.bounds)
-		}
-	}
-
-	run := func(workers int) (map[uint64]int64, []int) {
-		net := buildXYMesh(t, 8, true)
-		net.SetShardCuts(rowCuts(8))
-		net.SetWorkers(workers)
-		arr := map[uint64]int64{}
-		net.Sink = func(p *Packet) { arr[p.ID] = p.ArrivedAt }
-		skewed(net)
 		if err := net.RunWith(800, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := net.CheckCredits(); err != nil {
 			t.Fatal(err)
 		}
-		return arr, net.shards.bounds
+		return arr
 	}
-	want, _ := run(1)
-	got, bounds := run(2)
+	want := run(1)
+	got := run(2)
 	if len(want) == 0 || len(got) != len(want) {
 		t.Fatalf("deliveries differ: %d vs %d", len(got), len(want))
 	}
@@ -236,21 +272,17 @@ func TestParallelRebalanceAtQuiescence(t *testing.T) {
 			t.Fatalf("packet %d arrived at %d parallel, %d sequential", id, got[id], at)
 		}
 	}
-	// After the drain the final quiescence rebalance sees uniform load and
-	// restores the balanced chiplet cut.
-	if bounds[1] != 32 {
-		t.Errorf("post-drain bounds %v, want reverted cut at 32", bounds)
-	}
 }
 
 // TestParallelStepSaturatedZeroAlloc: a saturated parallel step allocates
 // nothing in steady state — the scratch merge, wake lists and worker
 // dispatch all reuse preallocated storage.
 func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
-	net := buildXYMesh(t, 8, false)
+	net := buildXYMesh(t, 16, false)
 	net.PoolPackets = true
-	net.SetShardCuts(rowCuts(8))
+	net.SetShardCuts(rowCuts(16))
 	net.SetWorkers(2)
+	defer net.SetWorkers(0)
 	for net.Now < 3000 {
 		saturateXYMesh(net, net.Now)
 		net.Step()
@@ -332,12 +364,13 @@ func TestOneShardStartsNothing(t *testing.T) {
 	}
 }
 
-// TestReshardMidRun: going from four shards back to one with flits in
-// flight (in link pipelines, staged in rings, parked on credits) moves
-// ownership only — credits stay conserved and every packet arrives at the
-// cycle it does on a network that never left one shard.
+// TestReshardMidRun: re-cutting with flits in flight (in link pipelines,
+// staged in rings, parked on credits) — one shard to four, a SetShardCuts
+// re-cut at four, back to one — moves ownership only: credits stay
+// conserved and every packet arrives at the cycle it does on a network
+// that never left one shard.
 func TestReshardMidRun(t *testing.T) {
-	const side, cycles = 8, 1200
+	const side, cycles = 16, 1200
 	_, want := runSaturatedMesh(t, side, 1, nil, cycles)
 
 	net := buildXYMesh(t, side, true)
@@ -348,6 +381,15 @@ func TestReshardMidRun(t *testing.T) {
 		switch net.Now {
 		case 300:
 			net.SetWorkers(4)
+		case 500:
+			before := net.shards
+			net.SetShardCuts(nil)
+			if net.shards == before || net.InFlightFlits() == 0 {
+				t.Fatal("SetShardCuts on a sharded network did not re-cut with flits in flight")
+			}
+			if err := net.CheckCredits(); err != nil {
+				t.Fatalf("after SetShardCuts mid-run: %v", err)
+			}
 		case 700:
 			if net.InFlightFlits() == 0 {
 				t.Fatal("nothing in flight at the re-cut")

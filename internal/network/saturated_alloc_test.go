@@ -67,15 +67,16 @@ func TestSaturatedStepZeroAllocs(t *testing.T) {
 
 // TestSaturatedParallelStepZeroAllocs is the two-shard case: saturated
 // stepping through the worker dispatch and the cross-shard merge must also
-// be allocation-free in steady state. SetWorkers(2) always starts a real
-// worker goroutine, whatever the host's CPU count.
+// be allocation-free in steady state. Both systems have two wake words, so
+// both shards hold routers. SetWorkers(2) always starts a real worker
+// goroutine, whatever the host's CPU count.
 func TestSaturatedParallelStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job covers this")
 	}
 	for name, net := range map[string]*network.Network{
-		"on-chip-mesh": netbench.BuildMesh(8),
-		"hetero-phy":   netbench.BuildHeteroTorus(2, 2, 4, 4),
+		"on-chip-mesh": netbench.BuildMesh(16),
+		"hetero-phy":   netbench.BuildHeteroTorus(4, 2, 4, 4),
 	} {
 		net.SetWorkers(2)
 		checkSaturatedZeroAllocs(t, name+"/2 shards", net)
