@@ -74,8 +74,8 @@ var oracleGolden = map[string]oracleFingerprint{
 		injected: 1751, delivered: 1751, vaFailures: 0x7a1, grants: [8]uint64{0x17950, 0x0, 0x6eb0, 0x0, 0x6d70}},
 	"hetero-channel": {structHash: 0x9fbdc00dcf913053, energy: [3]float64{2.758329600000001e+06, 944825.6000000011, 1.813504e+06},
 		injected: 1751, delivered: 1751, vaFailures: 0x69, grants: [8]uint64{0x1d500, 0x6eb0, 0x0, 0x0, 0x6d70}},
-	"hetero-phy-torus/faults+retry": {structHash: 0x7c8d232170380e9d, energy: [3]float64{2.8185407999999993e+06, 944825.6000000013, 1.8737152000000007e+06},
-		injected: 1751, delivered: 1751, vaFailures: 0x6b, grants: [8]uint64{0x1d500, 0x0, 0x0, 0x6eb0, 0x6d70}},
+	"hetero-phy-torus/faults+retry": {structHash: 0xbe6f78d4945479b5, energy: [3]float64{2.798739199999999e+06, 944825.6000000011, 1.8539136e+06},
+		injected: 1751, delivered: 1751, vaFailures: 0x5f, grants: [8]uint64{0x1d500, 0x0, 0x0, 0x6eb0, 0x6d70}},
 	"collective/healthy": {structHash: 0xe6bba9416bbbda91, energy: [3]float64{135475.19999999995, 37171.19999999998, 98304},
 		injected: 120, delivered: 120, grants: [8]uint64{0x1200, 0x0, 0x0, 0x600, 0x600}},
 	"collective/faults+failover": {structHash: 0x4f50ae622c0c40a5, energy: [3]float64{264499.20000000007, 37171.19999999998, 227328.00000000026},

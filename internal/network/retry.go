@@ -23,7 +23,9 @@ import "sync/atomic"
 //   - A corrupted or lost flit is recovered by nack (RX saw the CRC fail or
 //     an out-of-sequence arrival) or by the TX timeout (nothing arrived at
 //     all, e.g. a dead wire); both rewind the send cursor to the oldest
-//     unacknowledged entry — go-back-N.
+//     unacknowledged entry — go-back-N. The RX nacks each gap once, so
+//     one error costs one replay window; a lost retransmission is left
+//     to the timeout.
 //   - Retransmissions consume the same per-cycle wire bandwidth as first
 //     transmissions and burn per-traversal energy each time: a flit
 //     delivered by its k-th transmission is charged k traversals (charge).
@@ -55,8 +57,12 @@ type RetryPipe struct {
 	head     int
 	inFlight int
 
-	// RX: next lsn to deliver downstream.
+	// RX: next lsn to deliver downstream. nacked is set when the RX nacks a
+	// gap at expected and cleared whenever expected advances: one nack per
+	// gap (PCIe's NAK_SCHEDULED), so the arrivals already in flight behind
+	// the bad flit are dropped without rewinding the sender again.
 	expected uint32
+	nacked   bool
 
 	// Reverse ack channel, same delay as the wire. Like credit return it is
 	// modeled without bandwidth limits (at most one coalesced message per
@@ -244,25 +250,29 @@ func (rp *RetryPipe) Tick(now int64, deliver func(Flit)) {
 	arr := rp.slots[rp.head]
 	rp.slots[rp.head] = arr[:0]
 	rp.head = (rp.head + 1) % rp.delay
-	progress, drop := false, false
+	progress, nack := false, false
 	for _, wf := range arr {
 		rp.inFlight--
 		if !wf.bad && wf.lsn == rp.expected {
 			rp.expected++
+			rp.nacked = false
 			rp.Stats.Delivered++
 			progress = true
 			rp.charge(&wf.f, wf.sends)
 			deliver(wf.f)
 		} else {
 			// Bad CRC, or the out-of-sequence tail behind one: go-back-N
-			// discards it; the nack below rewinds the sender.
+			// discards it. The first drop at this gap nacks, rewinding the
+			// sender; the rest were sent before that rewind.
 			rp.Stats.Dropped++
-			drop = true
+			if !rp.nacked {
+				rp.nacked, nack = true, true
+			}
 		}
 	}
-	if progress || drop {
+	if progress || nack {
 		slot := (rp.ackHead + rp.delay - 1) % rp.delay
-		rp.ackSlots[slot] = append(rp.ackSlots[slot], ackMsg{ack: rp.expected, nack: drop})
+		rp.ackSlots[slot] = append(rp.ackSlots[slot], ackMsg{ack: rp.expected, nack: nack})
 		rp.acksInFlight++
 	}
 
@@ -365,6 +375,7 @@ func (rp *RetryPipe) FailoverDrain(reissue func(Flit)) int {
 	}
 	rp.replay = rp.replay[:0]
 	rp.base, rp.expected = rp.next, rp.next
+	rp.nacked = false
 	rp.sendIdx = 0
 	for i := range rp.slots {
 		rp.slots[i] = rp.slots[i][:0]

@@ -3,10 +3,11 @@ package network
 import "testing"
 
 // scriptHook is a deterministic TxFault for tests: it corrupts the first
-// corruptFirst transmissions it sees and reports the wire down during
-// [downFrom, downTo).
+// corruptFirst transmissions it sees and the corruptAt-th (1-based; 0
+// corrupts none), and reports the wire down during [downFrom, downTo).
 type scriptHook struct {
 	corruptFirst int
+	corruptAt    int
 	downFrom     int64
 	downTo       int64
 	txs          int
@@ -14,7 +15,7 @@ type scriptHook struct {
 
 func (h *scriptHook) Corrupt(int64) bool {
 	h.txs++
-	return h.txs <= h.corruptFirst
+	return h.txs <= h.corruptFirst || h.txs == h.corruptAt
 }
 
 func (h *scriptHook) Down(now int64) bool {
@@ -122,6 +123,41 @@ func TestRetryDeliversThroughCorruption(t *testing.T) {
 	}
 	if st.Delivered != n || rp.InFlight() != 0 {
 		t.Fatalf("delivered=%d inflight=%d, want %d/0", st.Delivered, rp.InFlight(), n)
+	}
+}
+
+// TestRetryOneCorruptionCostsOneWindow is the retransmission-storm
+// regression: a saturated serial pipe with one corrupted transmission must
+// nack once and replay at most one window. Nacking every dropped arrival
+// rewound the sender once per in-flight cycle, and each rewind's duplicates
+// drew nacks of their own, so the storm never ended.
+func TestRetryOneCorruptionCostsOneWindow(t *testing.T) {
+	const bw, delay, cycles = 4, 20, 4000
+	run := func(hook TxFault) (*RetryPipe, int) {
+		rp := NewRetryPipe(bw, delay, 0, 0, hook, KindSerial)
+		pkt := &Packet{ID: 6, Length: 1}
+		delivered := 0
+		for now := int64(0); now < cycles; now++ {
+			if now > 0 {
+				rp.Tick(now, func(Flit) { delivered++ })
+			}
+			for rp.FreeSlots() > 0 {
+				rp.Accept(now, Flit{Pkt: pkt})
+			}
+		}
+		return rp, delivered
+	}
+	_, clean := run(nil)
+	rp, got := run(&scriptHook{corruptAt: 500})
+	st := rp.Stats
+	if st.Corrupted != 1 || st.Nacks != 1 {
+		t.Fatalf("one corruption drew %d nacks (corrupted %d), want 1: %+v", st.Nacks, st.Corrupted, st)
+	}
+	if st.Retransmits > uint64(rp.window) {
+		t.Fatalf("one corruption cost %d retransmissions, more than the %d-flit replay window", st.Retransmits, rp.window)
+	}
+	if got*100 < clean*98 {
+		t.Fatalf("delivered %d flits, want at least 98%% of the error-free %d", got, clean)
 	}
 }
 
