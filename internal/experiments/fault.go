@@ -183,6 +183,8 @@ func runFault(o Options, w io.Writer) error {
 				strconv.FormatFloat(row.sum.RetryRate(), 'f', 5, 64),
 				strconv.FormatUint(row.sum.Transmits, 10),
 				strconv.FormatUint(row.sum.Retransmits, 10),
+				strconv.FormatUint(row.sum.Corrupted, 10),
+				strconv.FormatUint(row.sum.Nacks, 10),
 				strconv.FormatInt(int64(row.sum.Sites), 10),
 				"true",
 			})
@@ -214,6 +216,15 @@ func runFault(o Options, w io.Writer) error {
 	if failover.trips == 0 || failover.sum.Rescued == 0 {
 		return fmt.Errorf("fault: failover stayed live without tripping (%d) or rescuing (%d) — outage not exercised", failover.trips, failover.sum.Rescued)
 	}
+	// Each gap in the sequence costs one nack, and a timeout can add one;
+	// more means the receiver is nacking its own replay (a retransmission
+	// storm).
+	for i, row := range rows {
+		if s := row.sum; s.Nacks > s.Corrupted+s.Timeouts {
+			return fmt.Errorf("fault: %s at BER %g drew %d nacks from %d corruptions and %d timeouts — retransmission storm",
+				policies[i/len(bers)].name, bers[i%len(bers)], s.Nacks, s.Corrupted, s.Timeouts)
+		}
+	}
 
 	fmt.Fprintln(w, "\nretry keeps delivery exactly-once at every BER; the failure-aware")
 	fmt.Fprintln(w, "policy detects the dead serial PHY from retry telemetry, rescues the")
@@ -224,7 +235,7 @@ func runFault(o Options, w io.Writer) error {
 		return err
 	}
 	if err := emitTable(o, "fault-reliability",
-		[]string{"policy", "serial_ber", "mean_latency", "latency_degradation", "retry_rate", "transmits", "retransmits", "sites", "delivered_ok"}, tbl); err != nil {
+		[]string{"policy", "serial_ber", "mean_latency", "latency_degradation", "retry_rate", "transmits", "retransmits", "corrupted", "nacks", "sites", "delivered_ok"}, tbl); err != nil {
 		return err
 	}
 	return emitTable(o, "fault-failover",
