@@ -1,11 +1,9 @@
 package network_test
 
 import (
-	"slices"
 	"testing"
 
 	"heteroif/internal/network"
-	"heteroif/internal/routing"
 	"heteroif/internal/topology"
 )
 
@@ -70,56 +68,6 @@ func TestRingStorageExistsOnlyAfterFinalize(t *testing.T) {
 	for i, n := range chunks[:len(chunks)-1] {
 		if n < 1<<15 || n >= 1<<16 {
 			t.Fatalf("chunk %d holds %d flit slots, want [32768, 65536)", i, n)
-		}
-	}
-}
-
-// TestRouteLUTPoolSize: the LUT's candidate pool is reserved, chunk by
-// chunk, from the first router's row instead of grown by append, so it
-// carries at most a quarter of slack on every Table-2 system.
-func TestRouteLUTPoolSize(t *testing.T) {
-	for _, sys := range []topology.System{
-		topology.UniformParallelMesh, topology.UniformSerialTorus, topology.HeteroPHYTorus,
-		topology.UniformSerialHypercube, topology.HeteroChannel,
-	} {
-		net, topo, err := topology.Build(network.DefaultConfig(), topology.Spec{
-			System: sys, ChipletsX: 4, ChipletsY: 4, NodesX: 4, NodesY: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if net.Routing, err = routing.ForSystem(topo, &net.Cfg); err != nil {
-			t.Fatal(err)
-		}
-		net.Finalize()
-		net.Step() // the first Step prepares the LUT
-		n, c := net.LUTPool()
-		if !net.HasRouteLUT() {
-			if st, ok := net.Routing.(network.Stable); ok && st.Stability() == network.RoutePure {
-				t.Errorf("%v: pure routing on 256 nodes built no LUT", sys)
-			}
-			continue
-		}
-		if n == 0 || 4*c > 5*n {
-			t.Errorf("%v: LUT pool holds %d candidates in capacity %d, want at most 1.25x", sys, n, c)
-		}
-		t.Logf("%v: %d candidates, capacity %d", sys, n, c)
-		// At 256 nodes the pool spans several chunks: every entry still
-		// reads back what Route returns.
-		var want []network.Candidate
-		for _, r := range net.Nodes {
-			for dst := range net.Nodes {
-				for _, restricted := range []bool{false, true} {
-					if network.NodeID(dst) == r.ID {
-						continue
-					}
-					pkt := network.Packet{Dst: network.NodeID(dst), Restricted: restricted, Target: -1}
-					want = net.Routing.Route(net, r, r.InjectPort, &pkt, want[:0])
-					if got := net.LUTCandidates(r.ID, network.NodeID(dst), restricted); !slices.Equal(got, want) {
-						t.Fatalf("%v: LUT entry (%d, %d, %v) = %v, Route gives %v", sys, r.ID, dst, restricted, got, want)
-					}
-				}
-			}
 		}
 	}
 }

@@ -120,16 +120,6 @@ type Config struct {
 	// conservation, buffer bounds). Tests enable it; benchmarks do not.
 	CheckInvariants bool
 
-	// RouteLUTNodes caps the network size (in nodes) up to which a
-	// RoutePure routing algorithm gets a precomputed per-(router, dst,
-	// restricted) route LUT on the first Step. The LUT holds
-	// O(nodes² × avg candidates) entries, so it is gated by size: 0 means
-	// the default cap (512 nodes, ≈ tens of MB worst case), negative
-	// disables the LUT entirely. Networks above the cap — e.g. the
-	// paper-scale 3136-node systems — still get per-VC candidate
-	// memoization across VA retries.
-	RouteLUTNodes int
-
 	// Workers is the number of shards the cycle engine is cut into, each
 	// beyond the first stepped by its own goroutine (0 or 1 = one shard,
 	// no goroutine; negative is rejected). Shards are whole 64-node wake

@@ -3,20 +3,6 @@ package network
 // White-box probes for the external build-path tests (build_test.go), which
 // need topology and routing and so cannot live in this package.
 
-// LUTPool reports the length and capacity of the route LUT's candidate
-// pool summed over its chunks, or zeros when no LUT was built.
-func (net *Network) LUTPool() (length, capacity int) {
-	if net.lut == nil {
-		return 0, 0
-	}
-	for r, chunk := range net.lut.pool {
-		if r == 0 || &chunk[0] != &net.lut.pool[r-1][0] {
-			length, capacity = length+len(chunk), capacity+cap(chunk)
-		}
-	}
-	return length, capacity
-}
-
 // RingBacking identifies a ring's storage: the last element of the array
 // backing it and how much of that array lies at or after the ring's first
 // slot. Rings carved from one storage chunk share end; a ring without storage

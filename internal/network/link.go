@@ -215,6 +215,18 @@ func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 	l.SentTotal += uint64(n)
 }
 
+// acceptEach hands a granted run (the ring views a, b) to an adapter or
+// retry link one Accept per flit, in order, each flit relabelled to outVC:
+// their protocol work is per flit.
+func (l *Link) acceptEach(now int64, a, b []Flit, outVC VCID) {
+	for _, span := range [2][]Flit{a, b} {
+		for _, f := range span {
+			f.VC = outVC
+			l.Accept(now, f)
+		}
+	}
+}
+
 // stageRun records n flits staged for vc in the delay line's entry stage,
 // merging with the previous run when the VC matches.
 func (l *Link) stageRun(vc VCID, n int) {

@@ -95,15 +95,12 @@ type Network struct {
 	// rows) declared via SetShardCuts, consulted by the partitioner.
 	shardCuts []int
 
-	// Route-acceleration state, derived on the first Step (after topology
-	// construction and any fault injection) from the routing algorithm's
-	// declared RouteStability: stability gates the per-VC candidate
-	// memoization in Router.allocate, lut (non-nil only for RoutePure
-	// algorithms on networks within Cfg.RouteLUTNodes) replaces Route
-	// calls entirely. refTick selects the retained naive reference tick
+	// stability is the routing algorithm's declared RouteStability, read on
+	// the first Step (prepare, after topology construction and any fault
+	// injection); it gates the per-VC candidate memoization in
+	// Router.allocate. refTick selects the retained naive reference tick
 	// for the bit-identity oracle.
 	stability RouteStability
-	lut       *routeLUT
 	prepared  bool
 	refTick   bool
 

@@ -30,7 +30,7 @@ type Routing interface {
 
 // RouteStability classifies how much of a routing function's output the
 // engine may reuse without re-invoking Route. It is the contract behind the
-// RC-memoization fast paths; every level must keep results bit-identical to
+// RC memoization in allocate, which must keep results bit-identical to
 // calling Route every cycle.
 type RouteStability uint8
 
@@ -48,18 +48,9 @@ const (
 	// fixed once per chiplet). The engine may then cache the candidate set
 	// on the input VC across VA-retry cycles and skip the retry entirely
 	// when nothing the allocator reads (output credits, Held bits) has
-	// changed since the last failure.
+	// changed since the last failure. Topology faults must be injected
+	// before the first Step.
 	RouteRetryStable
-
-	// RoutePure additionally guarantees that Route is a pure function of
-	// (router, pkt.Dst, pkt.Restricted) and static topology — independent
-	// of inPort, the cycle, and all other packet or network state — and
-	// mutates nothing. The engine may then precompute a per-(router, dst,
-	// restricted) route LUT before the first Step. Algorithms whose purity
-	// is conditional (e.g. a torus that mutates packets only when dead
-	// wraparound channels exist) report the level that currently holds;
-	// topology faults must be injected before the first Step.
-	RoutePure
 )
 
 // Stable is the optional capability interface of Routing implementations
@@ -107,7 +98,7 @@ type VCState struct {
 	headClass      Class
 	headRestricted bool
 
-	// RC-memoization state (RouteRetryStable and better; see allocate).
+	// RC-memoization state (RouteRetryStable routing; see allocate).
 	// cands caches the candidate set computed for the packet candsPkt with
 	// Restricted == candsRestricted, so VA retries reuse it instead of
 	// re-invoking Route.
@@ -169,7 +160,7 @@ type OutPort struct {
 	parked   []uint64
 	waitSlot []int32
 
-	// slow marks outputs whose link needs the per-flit switch path
+	// slow marks outputs whose link takes a granted run one flit at a time
 	// (adapter or retry protocol work in Accept). Derived in Finalize and
 	// kept current by EnableRetry/SetAdapter, so saSlotFast reads one
 	// hot-line flag instead of chasing the Link struct tail.
@@ -277,12 +268,6 @@ type Router struct {
 	outDyn       []int32
 	outAvailBase int
 	ejBW         int
-
-	// lutBase is this router's row offset into the route LUT's offs table
-	// and lutPool the candidate pool its offsets index (prepare sets both
-	// when a LUT is built), so the hot lookup skips the row multiply.
-	lutBase int
-	lutPool []Candidate
 
 	// slotOut[slot] is the output port the slot's VC allocation granted
 	// (valid while the slot is in saActive; grantVC writes it). The whole
@@ -615,6 +600,17 @@ func (r *Router) tickReference(ctx *tickContext) {
 	r.switchAlloc(ctx)
 }
 
+// SetReferenceTick switches the engine onto the retained naive router tick
+// (full port×VC scans, Route re-evaluated every retry). It is the oracle
+// side of the saturated-state bit-identity tests and must be called before
+// the first Step.
+func (net *Network) SetReferenceTick(on bool) {
+	if net.prepared {
+		panic("network: SetReferenceTick must be called before the first Step")
+	}
+	net.refTick = on
+}
+
 // grantVC commits a successful VC allocation for the slot. The head cache
 // (headSeq 0, headLen) was populated by cacheHead when the head reached
 // the front, so the switch stage starts from it unchanged.
@@ -644,15 +640,38 @@ func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, r
 	}
 }
 
+// prepare reads the routing algorithm's declared stability on the first
+// Step, once the topology (including injected faults) and the algorithm are
+// final. The reference tick leaves it RouteDynamic: the oracle measures the
+// naive engine, which re-evaluates Route on every retry.
+func (net *Network) prepare() {
+	net.prepared = true
+	if s, ok := net.Routing.(Stable); ok && !net.refTick {
+		net.stability = s.Stability()
+	}
+}
+
+// adaptiveMask folds a candidate set's non-escape ports below 64 into the
+// bitmask the livelock channel-switch restriction checks.
+func adaptiveMask(cands []Candidate) uint64 {
+	m := uint64(0)
+	for i := range cands {
+		if c := &cands[i]; !c.Escape && c.Port < 64 {
+			m |= 1 << uint(c.Port)
+		}
+	}
+	return m
+}
+
 // allocate runs RC+VA for the packet at the front of vc.
 //
 // Hot-path structure (all bit-identical to allocateReference):
 //   - a failing slot parks on the output ports its candidates name until a
 //     credit arrival or output-VC release there can change the outcome
 //     (vaFail/parkVA/unparkPort), so retries are not even visited;
-//   - RoutePure algorithms read candidates from the route LUT;
-//   - RouteRetryStable algorithms reuse the candidate set cached on the
-//     VC while the same packet waits with an unchanged Restricted flag;
+//   - RouteRetryStable algorithms route each packet once per hop into the
+//     candidate memo on its VC, reused while it waits with an unchanged
+//     Restricted flag;
 //   - RouteDynamic algorithms re-invoke Route every cycle.
 func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 	net := ctx.net
@@ -682,15 +701,8 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		r.vaParked[wi] &^= bit
 		r.vaParkedCount--
 	}
-	var cands []Candidate
-	var adaptivePorts uint64
-	switch {
-	case net.lut != nil:
-		cands, adaptivePorts = net.lut.lookupFrom(r.lutPool, r.lutBase, vc.headDst, vc.headRestricted)
-	case net.stability >= RouteRetryStable && vc.candsPkt == vc.headPktID && vc.candsRestricted == vc.headRestricted:
-		cands = vc.cands
-		adaptivePorts = adaptiveMask(cands)
-	default:
+	cands := vc.cands
+	if net.stability < RouteRetryStable || vc.candsPkt != vc.headPktID || vc.candsRestricted != vc.headRestricted {
 		pkt := vc.Buf.FrontPkt()
 		cands = net.Routing.Route(net, r, inPort, pkt, r.cands[:0])
 		r.cands = cands[:0] // keep capacity
@@ -698,12 +710,15 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		// reuse key); re-sync the denormalized copy.
 		vc.headRestricted = pkt.Restricted
 		if net.stability >= RouteRetryStable {
+			// Copied, not routed in place: one exact-size allocation the
+			// first time a VC's memo grows, not append's doubling steps
+			// (synth_knee 4.1k → 3.5k allocs per kcycle).
 			vc.cands = append(vc.cands[:0], cands...)
 			vc.candsPkt, vc.candsRestricted = pkt.ID, pkt.Restricted
 			cands = vc.cands
 		}
-		adaptivePorts = adaptiveMask(cands)
 	}
+	adaptivePorts := adaptiveMask(cands)
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("network: routing %q returned no candidates at node %d for packet %d -> %d", net.Routing.Name(), r.ID, vc.headPktID, vc.headDst))
 	}
@@ -982,7 +997,9 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 // contiguous in its input VC buffer and the grantable run length is
 // computable up front — min(budget, buffered flits, flits to the tail).
 // The whole run then moves with one credit-batch, one counter update and
-// one bulk link append instead of per-flit calls.
+// one link hand-over instead of per-flit calls: a bulk append on plain
+// links, in-order per-flit Accepts on adapter and retry links (their
+// protocol work is per flit).
 func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed, inVCs []int) {
 	// The granted output port is denormalized into the compact slotOut
 	// slab, so a slot whose output is already spent this cycle is
@@ -1014,12 +1031,6 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		return
 	}
 	if !in.Interface && inVCs[ip] >= 1 {
-		return
-	}
-	if out.slow {
-		// Adapter and retry links do per-flit protocol work in Accept;
-		// keep the per-flit path for them.
-		r.saSlot(ctx, slot, outSlots, outVCs, inUsed, inVCs)
 		return
 	}
 	budget := min(outSlots[op], in.DrainBudget-inUsed[ip])
@@ -1072,7 +1083,11 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 			out.Link.fwdQueued = true
 			ctx.scratch.wokeFwd = append(ctx.scratch.wokeFwd, int32(out.Link.ID))
 		}
-		out.Link.AcceptRun(a, b, vc.OutVC)
+		if out.slow {
+			out.Link.acceptEach(net.Now, a, b, vc.OutVC)
+		} else {
+			out.Link.AcceptRun(a, b, vc.OutVC)
+		}
 	}
 	vc.Buf.Drop(n)
 	vc.headSeq = headSeq + int32(n)
@@ -1132,7 +1147,7 @@ func (r *Router) headHop(ctx *tickContext, pkt *Packet, vc *VCState, out *OutPor
 }
 
 // saSlot arbitrates one flattened (input port, VC) slot within the current
-// switch-allocation pass. Shared by the optimized and reference paths.
+// switch-allocation pass of the reference tick, one flit at a time.
 func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, inVCs []int) {
 	s := &r.flat[slot]
 	vc := s.vc
@@ -1199,7 +1214,8 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	}
 }
 
-// forward moves one granted flit from an input VC to its output.
+// forward moves one granted flit from an input VC to its output (reference
+// tick).
 func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort, inVC VCID, f Flit) {
 	net := ctx.net
 	pkt := f.Pkt

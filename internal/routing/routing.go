@@ -70,7 +70,6 @@ type Stable = network.Stable
 const (
 	RouteDynamic     = network.RouteDynamic
 	RouteRetryStable = network.RouteRetryStable
-	RoutePure        = network.RoutePure
 )
 
 // adaptiveMask returns the VC mask of the non-escape VCs (all but VC0).
@@ -130,8 +129,8 @@ func (m *Mesh) Route(net *network.Network, r *network.Router, _ int, pkt *networ
 
 // Stability implements network.Stable: both mesh variants read only
 // (router, pkt.Dst, pkt.Restricted) and static topology, mutate nothing
-// and ignore the input port, so the engine may precompute a route LUT.
-func (m *Mesh) Stability() network.RouteStability { return network.RoutePure }
+// and ignore the input port, so the engine may memoize their candidates.
+func (m *Mesh) Stability() network.RouteStability { return network.RouteRetryStable }
 
 // xyCandidate emits the single XY-routing output: correct X fully, then Y.
 // Deadlock-free by the classic turn argument (no Y→X turns); every VC is
@@ -219,11 +218,29 @@ type Torus struct {
 	// Per-hop zero-load latency costs: on-chip, chiplet-boundary
 	// (parallel/serial/hetero neighbor) and wraparound hops.
 	cOn, cIf, cWrap int
+
+	// wx[ax*GX+bx] and wy[ay*GY+by] table wdist1 along each dimension
+	// (GX² + GY² entries), so a weighted distance is two loads and an add.
+	wx, wy []int32
 }
 
 // NewTorus builds the torus router with the given Eq. 3 hop costs.
 func NewTorus(t *topology.Topo, cOn, cIf, cWrap int) *Torus {
-	return &Torus{T: t, cOn: cOn, cIf: cIf, cWrap: cWrap}
+	tor := &Torus{T: t, cOn: cOn, cIf: cIf, cWrap: cWrap}
+	tor.wx = tor.distTable(t.GX, t.NodesX, t.GX > 2 && t.ChipletsX > 1)
+	tor.wy = tor.distTable(t.GY, t.NodesY, t.GY > 2 && t.ChipletsY > 1)
+	return tor
+}
+
+// distTable evaluates wdist1 for every coordinate pair of one dimension.
+func (t *Torus) distTable(n, chipletNodes int, wrap bool) []int32 {
+	d := make([]int32, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			d[a*n+b] = int32(t.wdist1(a, b, n, chipletNodes, wrap))
+		}
+	}
+	return d
 }
 
 // Name implements network.Routing.
@@ -257,12 +274,14 @@ func (t *Torus) wdist1(a, b, n, chipletNodes int, wrap bool) int {
 
 // WeightedDistance is the Eq. 4 path length between two nodes at zero load.
 func (t *Torus) WeightedDistance(a, b network.NodeID) int {
-	tp := t.T
-	ax, ay := tp.Coord(a)
-	bx, by := tp.Coord(b)
-	wx := t.wdist1(ax, bx, tp.GX, tp.NodesX, tp.GX > 2 && tp.ChipletsX > 1)
-	wy := t.wdist1(ay, by, tp.GY, tp.NodesY, tp.GY > 2 && tp.ChipletsY > 1)
-	return wx + wy
+	ax, ay := t.T.Coord(a)
+	bx, by := t.T.Coord(b)
+	return t.wdist(ax, ay, bx, by)
+}
+
+// wdist is WeightedDistance between global coordinates.
+func (t *Torus) wdist(ax, ay, bx, by int) int {
+	return int(t.wx[ax*t.T.GX+bx] + t.wy[ay*t.T.GY+by])
 }
 
 // hopCost prices one hop by its port kind.
@@ -276,25 +295,14 @@ func (t *Torus) hopCost(p *topology.PortInfo) int {
 	return t.cIf
 }
 
-// Stability implements network.Stable. On a healthy torus Route is a pure
-// function of (router, pkt.Dst, pkt.Restricted) and the static weighted
-// distances. Once a wraparound channel has failed, Route additionally
-// mutates pkt.Restricted when the packet's minimal weighted path assumed
-// the dead wrap — a mutation confined to the memoization key, which is
-// exactly what RouteRetryStable permits (the cached candidate set is
-// invalidated by the Restricted flip and recomputed on the next attempt).
-// Faults must be injected before the first Step, which the engine's
-// prepare-on-first-Step ordering enforces by construction.
-func (t *Torus) Stability() network.RouteStability {
-	for _, ports := range t.T.OutPorts {
-		for i := range ports {
-			if ports[i].Dead {
-				return network.RouteRetryStable
-			}
-		}
-	}
-	return network.RoutePure
-}
+// Stability implements network.Stable. Route reads (router, pkt.Dst,
+// pkt.Restricted) and the static weighted distances. Once a wraparound
+// channel has failed, it also sets pkt.Restricted when the packet's minimal
+// weighted path assumed the dead wrap — a mutation confined to the
+// memoization key, which is exactly what RouteRetryStable permits (the
+// cached candidate set is invalidated by the Restricted flip and recomputed
+// on the next attempt).
+func (t *Torus) Stability() network.RouteStability { return network.RouteRetryStable }
 
 // Route implements network.Routing.
 func (t *Torus) Route(net *network.Network, r *network.Router, _ int, pkt *network.Packet, buf []network.Candidate) []network.Candidate {
@@ -303,7 +311,7 @@ func (t *Torus) Route(net *network.Network, r *network.Router, _ int, pkt *netwo
 	bx, by := tp.Coord(pkt.Dst)
 	adapt := adaptiveMask(net.Cfg.VCs)
 	all := allMask(net.Cfg.VCs)
-	cur := t.WeightedDistance(r.ID, pkt.Dst)
+	cur := t.wdist(ax, ay, bx, by)
 	ports := tp.OutPorts[r.ID]
 
 	if !pkt.Restricted {
@@ -316,7 +324,7 @@ func (t *Torus) Route(net *network.Network, r *network.Router, _ int, pkt *netwo
 			if p.CubeDim >= 0 {
 				continue
 			}
-			if t.hopCost(p)+t.WeightedDistance(p.Dest, pkt.Dst) > cur {
+			if px, py := tp.Coord(p.Dest); t.hopCost(p)+t.wdist(px, py, bx, by) > cur {
 				continue
 			}
 			if p.Dead {

@@ -251,6 +251,38 @@ func TestTorusWeightedDistanceProperties(t *testing.T) {
 	}
 }
 
+// TestTorusDistanceTable: the tabled WeightedDistance equals the sum of the
+// two per-dimension wdist1 terms for every node pair, on shapes that reach
+// each branch of the wraparound condition: one chiplet column (no X
+// wraparound), grids too narrow for wraparounds (GX, GY ≤ 2) and
+// non-square chiplets.
+func TestTorusDistanceTable(t *testing.T) {
+	for _, sp := range []struct{ cx, cy, nx, ny int }{
+		{1, 3, 4, 4}, // one chiplet column
+		{2, 2, 1, 1}, // GX = GY = 2
+		{2, 3, 1, 2}, // GX = 2, GY = 6
+		{3, 2, 4, 2}, // non-square chiplets
+		{4, 4, 4, 4}, // the 256-node Table-2 torus
+	} {
+		for _, sys := range []topology.System{topology.UniformSerialTorus, topology.HeteroPHYTorus} {
+			_, topo, alg := buildSystem(t, sys, sp.cx, sp.cy, sp.nx, sp.ny)
+			tor := alg.(*Torus)
+			for a := network.NodeID(0); int(a) < topo.N; a++ {
+				for b := network.NodeID(0); int(b) < topo.N; b++ {
+					ax, ay := topo.Coord(a)
+					bx, by := topo.Coord(b)
+					want := tor.wdist1(ax, bx, topo.GX, topo.NodesX, topo.GX > 2 && topo.ChipletsX > 1) +
+						tor.wdist1(ay, by, topo.GY, topo.NodesY, topo.GY > 2 && topo.ChipletsY > 1)
+					if got := tor.WeightedDistance(a, b); got != want {
+						t.Fatalf("%v %dx%d chiplets of %dx%d: WeightedDistance(%d, %d) = %d, wdist1 sum %d",
+							sys, sp.cx, sp.cy, sp.nx, sp.ny, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHypercubePhaseClasses: minus-phase packets get VC0-only candidates,
 // plus-phase packets never get VC0 (the deadlock-freedom discipline).
 func TestHypercubePhaseClasses(t *testing.T) {
