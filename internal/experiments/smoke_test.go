@@ -2,15 +2,64 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 )
 
+// registryGolden pins every experiment's Tiny-scale run: an FNV-64a digest
+// of its manifest Points and Tables (as JSON) followed by its stdout. A
+// change to any reported number or printed line of the reproduction shows
+// here, under the name of the experiment that moved. A change that moves
+// one on purpose re-records it: the failure message prints the literal.
+var registryGolden = map[string]uint64{
+	"table1":      0x70a143220d6e2e2d,
+	"fig08":       0x9537a465516c7465,
+	"fig11":       0xe86048c44daf2ba4,
+	"fig12":       0xfdf49f4c1ff9eed4,
+	"fig13":       0xe4e7c9cd178dcba0,
+	"fig14":       0x1f4d24cff785bcfd,
+	"fig15":       0xcf52ab50b1ed9e98,
+	"table3":      0x906190a90fb8adcf,
+	"table4":      0x23afc1d318d2af6c,
+	"fig16":       0x53de468cd6a35620,
+	"fig17":       0xbad64d3b8d418490,
+	"fig18":       0xa1e155b5c01f2211,
+	"topo":        0x9890bd5d35ace851,
+	"economy":     0xfa2967ed168c096e,
+	"linkfail":    0x2408872b7b7d4be4,
+	"fault":       0x84719c3aa359ab7b,
+	"compromised": 0x407e8545ff42f00a,
+	"collective":  0x1d4df974a305d5c7,
+}
+
+// checkRegistryGolden compares one experiment's digest with its pinned
+// value. The energies are sums of float64 products, which arm64 and friends
+// may fuse, so the constants are only binding where they were recorded.
+func checkRegistryGolden(t *testing.T, id string, m *Manifest, stdout []byte) {
+	t.Helper()
+	rows, err := json.Marshal(struct {
+		P []ManifestPoint
+		T map[string][][]string
+	}{m.Points, m.Tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(rows)
+	h.Write(stdout)
+	if got := h.Sum64(); runtime.GOARCH == "amd64" && got != registryGolden[id] {
+		t.Errorf("%s diverged from its pinned Tiny-scale digest; if intended, re-record:\n\t%q: %#x,", id, id, got)
+	}
+}
+
 // TestEveryExperimentSmokes runs the complete registry at Tiny scale: every
-// runner must execute without error, produce output, and write its CSV.
-// This is the regression net for the experiment harness itself; the
-// CI-scale and paper-scale runs happen through cmd/hetsim and the root
-// benchmarks.
+// runner must execute without error, produce output, and write its CSV, and
+// its manifest rows and output must equal the pinned digest. This is the
+// regression net for the experiment harness itself; the CI-scale and
+// paper-scale runs happen through cmd/hetsim and the root benchmarks.
 func TestEveryExperimentSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite takes ~a minute")
@@ -19,8 +68,10 @@ func TestEveryExperimentSmokes(t *testing.T) {
 	for _, e := range Registry {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			o := Options{Tiny: true, CSVDir: dir}
+			o.Manifest = NewManifest(e, "", o)
 			var buf bytes.Buffer
-			if err := e.Run(Options{Tiny: true, CSVDir: dir}, &buf); err != nil {
+			if err := e.Run(o, &buf); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			if buf.Len() == 0 {
@@ -29,6 +80,7 @@ func TestEveryExperimentSmokes(t *testing.T) {
 			if strings.Contains(buf.String(), "NaN") {
 				t.Errorf("%s output contains NaN:\n%s", e.ID, buf.String())
 			}
+			checkRegistryGolden(t, e.ID, o.Manifest, buf.Bytes())
 		})
 	}
 }
