@@ -18,6 +18,12 @@ type collectiveSpec struct {
 	mk   func(parts []network.NodeID, size int, compute int64) *collective.Program
 }
 
+// program binds the shape to a payload size and reduction delay, as a
+// point's program over the chiplet leaders.
+func (s collectiveSpec) program(size int, compute int64) func([]network.NodeID) *collective.Program {
+	return func(leaders []network.NodeID) *collective.Program { return s.mk(leaders, size, compute) }
+}
+
 // collectiveShapes returns the swept collective programs. size is the
 // per-participant payload in flits; compute the per-chunk reduction delay.
 func collectiveShapes() []collectiveSpec {
@@ -51,31 +57,6 @@ func collectiveShapes() []collectiveSpec {
 	}
 }
 
-// runCollectiveProgram builds a program over the instance's chiplet
-// leaders, executes it to completion and returns the engine report plus
-// the measured Result row (completion-centric: Throughput is the
-// algorithmic bandwidth in flits/cycle/participant, Rate is 0 since the
-// workload is closed-loop).
-func runCollectiveProgram(in *Instance, system string, spec collectiveSpec, size int, compute, budget int64) (Result, collective.Report, error) {
-	leaders := in.Topo.ChipletLeaders()
-	prog := spec.mk(leaders, size, compute)
-	eng, err := collective.NewEngine(in.Net, prog)
-	if err != nil {
-		return Result{}, collective.Report{}, err
-	}
-	rep, err := eng.Run(budget)
-	if err != nil {
-		return Result{}, collective.Report{}, err
-	}
-	workload := fmt.Sprintf("%s-%d", spec.name, size)
-	r := in.Measure(system, workload, 0)
-	r.Saturated = false
-	if rep.Elapsed > 0 {
-		r.Throughput = float64(rep.Flits) / float64(rep.Elapsed) / float64(rep.Participants)
-	}
-	return r, rep, nil
-}
-
 // runCollective is the `-exp collective` experiment: the paper's headline
 // policies measured under bursty, barrier-synchronized collective traffic
 // — policy × topology × collective × message-size, reporting collective
@@ -107,39 +88,26 @@ func runCollective(o Options, w io.Writer) error {
 	budget := int64(pick(o, 4_000_000, 2_000_000, 500_000))
 	shapes := collectiveShapes()
 
-	type colRow struct {
-		res Result
-		rep collective.Report
-	}
-	rows := make([]*colRow, 0, len(systems)*len(shapes)*len(sizes))
-	var jobs []pointJob
+	var pts []simPoint
 	for _, sys := range systems {
 		for _, shape := range shapes {
 			for _, size := range sizes {
-				sys, shape, size := sys, shape, size
-				row := &colRow{}
-				rows = append(rows, row)
-				jobs = append(jobs, pointJob{
-					key: fmt.Sprintf("collective/%s/%s-%d", sys.name, shape.name, size),
-					run: func() ([]Result, error) {
-						in, err := Build(cfg, topology.Spec{
-							System: sys.sys, ChipletsX: cx, ChipletsY: cx,
-							NodesX: 4, NodesY: 4, Policy: sys.mk(),
-						})
-						if err != nil {
-							return nil, err
-						}
-						defer in.release()
-						res, rep, err := runCollectiveProgram(in, sys.name, shape, size, compute, budget)
-						if err != nil {
-							return nil, err
-						}
-						row.res, row.rep = res, rep
-						return []Result{res}, nil
+				pts = append(pts, simPoint{
+					Name: sys.name, Cfg: cfg,
+					Spec: topology.Spec{
+						System: sys.sys, ChipletsX: cx, ChipletsY: cx,
+						NodesX: 4, NodesY: 4, Policy: sys.mk(),
 					},
+					Program: shape.program(size, compute), Budget: budget,
+					Workload: fmt.Sprintf("%s-%d", shape.name, size),
 				})
 			}
 		}
+	}
+	rows := make([]outcome, len(pts))
+	jobs := make([]pointJob, len(pts))
+	for i, pt := range pts {
+		jobs[i] = outcomeJob("collective/"+pt.Name+"/"+pt.Workload, pt, &rows[i])
 	}
 	if _, err := runJobs(o, jobs); err != nil {
 		return err
@@ -149,10 +117,7 @@ func runCollective(o Options, w io.Writer) error {
 	var all []Result
 	var tbl [][]string
 	for _, row := range rows {
-		if row.rep.Name == "" {
-			return fmt.Errorf("collective: missing row (job failed upstream)")
-		}
-		r, rep := row.res, row.rep
+		r, rep := row.Result, row.Report
 		fmt.Fprintf(w, "%-24s %-18s elapsed=%7d comm=%7d stall=%7d algbw=%.4f pkts=%d\n",
 			r.System, r.Workload, rep.Elapsed, rep.CommCycles, rep.StallCycles, r.Throughput, rep.Packets)
 		all = append(all, r)
@@ -173,14 +138,14 @@ func runCollective(o Options, w io.Writer) error {
 	// system at the largest size — the Fig.-style detail view.
 	var stepTbl [][]string
 	for _, row := range rows {
-		if row.res.System != "hetero-phy-balanced" || row.rep.Name != "allreduce" {
+		if row.System != "hetero-phy-balanced" || row.Report.Name != "allreduce" {
 			continue
 		}
-		if row.res.Workload != fmt.Sprintf("allreduce-%d", sizes[len(sizes)-1]) {
+		if row.Workload != fmt.Sprintf("allreduce-%d", sizes[len(sizes)-1]) {
 			continue
 		}
-		fmt.Fprintf(w, "\n--- %s on %s, per step ---\n", row.res.Workload, row.res.System)
-		for _, s := range row.rep.Steps {
+		fmt.Fprintf(w, "\n--- %s on %s, per step ---\n", row.Workload, row.System)
+		for _, s := range row.Report.Steps {
 			fmt.Fprintf(w, "step %2d: msgs=%d offer=%6d done=%6d span=%5d overlap=%d\n",
 				s.Step, s.Msgs, s.FirstOffer, s.LastDelivery, s.Span, s.Overlap)
 			stepTbl = append(stepTbl, []string{
@@ -194,53 +159,31 @@ func runCollective(o Options, w io.Writer) error {
 	// Failover scenario: the same all-reduce with the serial PHY scripted
 	// dead a third of the way through the healthy completion time. The
 	// failure-aware policy must trip, rescue and complete the collective.
-	healthySpec := topology.Spec{
-		System: topology.HeteroPHYTorus, ChipletsX: cx, ChipletsY: cx,
-		NodesX: 4, NodesY: 4, Policy: core.NewFailoverPolicy(serialPreferred{}),
+	failover := func(faults *fault.Config) simPoint {
+		return simPoint{
+			Name: "hetero-phy-failover", Cfg: cfg,
+			Spec: topology.Spec{
+				System: topology.HeteroPHYTorus, ChipletsX: cx, ChipletsY: cx,
+				NodesX: 4, NodesY: 4, Policy: core.NewFailoverPolicy(serialPreferred{}),
+			},
+			Faults:  faults,
+			Program: shapes[0].program(sizes[0], compute), Budget: budget, // allreduce
+		}
 	}
-	in, err := Build(cfg, healthySpec)
-	if err != nil {
-		return err
-	}
-	defer in.release()
-	shape := shapes[0] // allreduce
-	_, healthy, err := runCollectiveProgram(in, "hetero-phy-failover", shape, sizes[0], compute, budget)
+	ref, err := failover(nil).run()
 	if err != nil {
 		return fmt.Errorf("collective: healthy failover reference: %w", err)
 	}
-
+	healthy := ref.Report
 	downAt := healthy.Elapsed / 3
-	outSpec := healthySpec
-	outSpec.Policy = core.NewFailoverPolicy(serialPreferred{})
-	in, err = Build(cfg, outSpec)
-	if err != nil {
-		return err
-	}
-	defer in.release()
-	fault.Attach(in.Net, fault.Config{
-		Seed: o.FaultSeed,
-		Events: []fault.Event{
-			{Kind: fault.EventDown, Link: -1, Phy: fault.PhySerial, From: downAt, To: -1},
-		},
-	})
-	chk := fault.NewIntegrityChecker(in.Net)
-	_, outage, err := runCollectiveProgram(in, "hetero-phy-failover", shape, sizes[0], compute, budget)
+	out, err := failover(&fault.Config{Seed: o.FaultSeed, Events: serialDownAt(downAt)}).run()
 	if err != nil {
 		return fmt.Errorf("collective: did not complete across the tripped serial PHY: %w", err)
 	}
-	if err := chk.Check(in.Net); err != nil {
-		return fmt.Errorf("collective: failover integrity: %w", err)
-	}
-	var trips uint64
-	for _, ad := range in.Topo.Adapters {
-		if fp, ok := ad.Policy().(*core.FailoverPolicy); ok {
-			trips += fp.Trips()
-		}
-	}
+	outage, trips, sum := out.Report, out.Trips, out.Faults
 	if trips == 0 {
 		return fmt.Errorf("collective: serial outage at %d tripped nothing — scenario not exercised", downAt)
 	}
-	sum := fault.Summarize(in.Net)
 	fmt.Fprintf(w, "\n--- serial-PHY outage at cycle %d during allreduce-%d ---\n", downAt, sizes[0])
 	fmt.Fprintf(w, "healthy elapsed=%d  outage elapsed=%d (x%.2f)  trips=%d rescued=%d\n",
 		healthy.Elapsed, outage.Elapsed, float64(outage.Elapsed)/float64(healthy.Elapsed), trips, sum.Rescued)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -25,83 +23,33 @@ func collectiveOracleRun(t *testing.T, sharded bool, workers int, faults bool) (
 	// Closed-loop runs measure the whole transient.
 	cfg.WarmupCycles = 0
 	cfg.Workers = workers
-	spec := oracleSpec(topology.HeteroPHYTorus, sharded)
+	var d arrivalDigest
+	pt := simPoint{
+		Name: "hetero-phy-torus", Cfg: cfg, Spec: oracleSpec(topology.HeteroPHYTorus, sharded),
+		Hook: d.hook(false),
+		Program: func(leaders []network.NodeID) *collective.Program {
+			return collective.DNNTraining(leaders, []collective.Layer{
+				{Name: "l0", Compute: 900, GradFlits: 96},
+				{Name: "l1", Compute: 1500, GradFlits: 160},
+			}, 40)
+		},
+		Budget: 1 << 20,
+	}
 	if faults {
 		// The serial-insisting base guarantees collective flits are on the
 		// dead wire when the outage hits, so completion requires the
 		// failover trip + rescue path.
-		spec.Policy = core.NewFailoverPolicy(serialPreferred{})
+		pt.Spec.Policy = core.NewFailoverPolicy(serialPreferred{})
+		pt.Faults = &fault.Config{SerialBER: 2e-4, ParallelBER: 2e-6, Seed: 7, Events: serialDownAt(300)}
 	}
-	in, err := Build(cfg, spec)
-	if err != nil {
-		t.Fatalf("Build(workers=%d): %v", workers, err)
-	}
-	defer in.release()
-
-	prev := in.Net.Sink
-	h := fnv.New64a()
-	var fp oracleFingerprint
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	in.Net.Sink = func(p *network.Packet) {
-		fp.addEnergy(p)
-		put(p.ID)
-		put(uint64(uint32(p.Src))<<32 | uint64(uint32(p.Dst)))
-		put(uint64(p.CreatedAt))
-		put(uint64(p.InjectedAt))
-		put(uint64(p.ArrivedAt))
-		prev(p)
-	}
-
-	var chk *fault.IntegrityChecker
-	if faults {
-		fault.Attach(in.Net, fault.Config{
-			SerialBER:   2e-4,
-			ParallelBER: 2e-6,
-			Seed:        7,
-			Events: []fault.Event{
-				{Kind: fault.EventDown, Link: -1, Phy: fault.PhySerial, From: 300, To: -1},
-			},
-		})
-		chk = fault.NewIntegrityChecker(in.Net)
-	}
-
-	leaders := in.Topo.ChipletLeaders()
-	prog := collective.DNNTraining(leaders, []collective.Layer{
-		{Name: "l0", Compute: 900, GradFlits: 96},
-		{Name: "l1", Compute: 1500, GradFlits: 160},
-	}, 40)
-	eng, err := collective.NewEngine(in.Net, prog)
-	if err != nil {
-		t.Fatalf("workers=%d: NewEngine: %v", workers, err)
-	}
-	rep, err := eng.Run(1 << 20)
+	out, err := pt.run()
 	if err != nil {
 		t.Fatalf("workers=%d faults=%v: %v", workers, faults, err)
 	}
-	if err := in.Net.CheckCredits(); err != nil {
-		t.Fatalf("workers=%d: credit conservation: %v", workers, err)
+	if faults && out.Trips == 0 {
+		t.Fatalf("workers=%d: serial outage tripped nothing — failover path not exercised", workers)
 	}
-	if chk != nil {
-		if err := chk.Check(in.Net); err != nil {
-			t.Fatalf("workers=%d: integrity: %v", workers, err)
-		}
-		var trips uint64
-		for _, ad := range in.Topo.Adapters {
-			if fp, ok := ad.Policy().(*core.FailoverPolicy); ok {
-				trips += fp.Trips()
-			}
-		}
-		if trips == 0 {
-			t.Fatalf("workers=%d: serial outage tripped nothing — failover path not exercised", workers)
-		}
-	}
-
-	fp.finish(h.Sum64(), in.Net)
-	return fp, rep
+	return d.fingerprint(), out.Report
 }
 
 // TestParallelOracleCollective extends the cross-worker-count bit-identity

@@ -8,7 +8,6 @@ import (
 
 	"heteroif/internal/core"
 	"heteroif/internal/network"
-	"heteroif/internal/routing"
 	"heteroif/internal/topology"
 	"heteroif/internal/traffic"
 )
@@ -126,18 +125,17 @@ func (c *CustomRun) Execute(w io.Writer) error {
 		}
 		spec.Policy = pol
 	}
-	in, err := Build(cfg, spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	defer in.release()
-	if c.Eq5Bias > 0 {
-		if sys != topology.HeteroChannel {
-			return fmt.Errorf("experiments: eq5_bias only applies to hetero-channel systems")
-		}
-		in.Net.Routing = &routing.HeteroChannel{T: in.Topo, Bias: c.Eq5Bias}
+	switch {
+	case c.Rate <= 0:
+		return fmt.Errorf("experiments: rate must be positive")
+	case c.Eq5Bias < 0:
+		return fmt.Errorf("experiments: eq5_bias must be positive")
+	case c.Eq5Bias > 0 && sys != topology.HeteroChannel:
+		return fmt.Errorf("experiments: eq5_bias only applies to hetero-channel systems")
 	}
-
 	var pat traffic.Pattern
 	if c.Pattern == "local-uniform" {
 		if c.BlockChiplets <= 0 {
@@ -148,19 +146,26 @@ func (c *CustomRun) Execute(w io.Writer) error {
 			GX: c.ChipletsX * c.NodesX, BlockChiplets: c.BlockChiplets,
 		}
 	} else {
-		pat, err = traffic.ByName(c.Pattern, in.Topo.N, cfg.Seed)
-		if err != nil {
+		n := c.ChipletsX * c.NodesX * c.ChipletsY * c.NodesY
+		if pat, err = traffic.ByName(c.Pattern, n, cfg.Seed); err != nil {
 			return err
 		}
 	}
-	if c.Rate <= 0 {
-		return fmt.Errorf("experiments: rate must be positive")
-	}
-	fmt.Fprint(w, in.Topo.Describe())
-	if err := in.RunSynthetic(pat, c.Rate); err != nil {
+
+	var in *Instance
+	out, err := simPoint{
+		Name: c.System, Cfg: cfg, Spec: spec, Bias: c.Eq5Bias,
+		Hook: func(i *Instance) error {
+			in = i
+			fmt.Fprint(w, in.Topo.Describe())
+			return nil
+		},
+		Pattern: pat, Rate: c.Rate,
+	}.run()
+	if err != nil {
 		return err
 	}
-	r := in.Measure(c.System, pat.Name(), c.Rate)
+	r := out.Result
 	fmt.Fprintln(w, r)
 	oc, pa, se, he := in.Stats.MeanHops()
 	fmt.Fprintf(w, "hops/pkt: on-chip %.2f, parallel %.2f, serial %.2f, hetero %.2f\n", oc, pa, se, he)

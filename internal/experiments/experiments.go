@@ -116,59 +116,42 @@ func baseConfig(o Options) network.Config {
 	return cfg
 }
 
-// variant is one system under comparison.
-type variant struct {
-	Name string
-	Cfg  network.Config
-	Spec topology.Spec
-}
-
 // heteroPHYVariants returns the four systems of the hetero-PHY evaluation
 // (Sec. 8.1.1): uniform-parallel mesh, uniform-serial torus, hetero-PHY
 // torus at full interface bandwidth, and hetero-PHY torus at halved
 // (pin-constrained) bandwidth.
-func heteroPHYVariants(cfg network.Config, cx, cy, nx, ny int) []variant {
+func heteroPHYVariants(cfg network.Config, cx, cy, nx, ny int) []simPoint {
 	spec := func(s topology.System) topology.Spec {
 		return topology.Spec{System: s, ChipletsX: cx, ChipletsY: cy, NodesX: nx, NodesY: ny}
 	}
-	return []variant{
-		{"uniform-parallel-mesh", cfg, spec(topology.UniformParallelMesh)},
-		{"uniform-serial-torus", cfg, spec(topology.UniformSerialTorus)},
-		{"hetero-phy-full", cfg, spec(topology.HeteroPHYTorus)},
-		{"hetero-phy-half", cfg.Halved(), spec(topology.HeteroPHYTorus)},
+	return []simPoint{
+		{Name: "uniform-parallel-mesh", Cfg: cfg, Spec: spec(topology.UniformParallelMesh)},
+		{Name: "uniform-serial-torus", Cfg: cfg, Spec: spec(topology.UniformSerialTorus)},
+		{Name: "hetero-phy-full", Cfg: cfg, Spec: spec(topology.HeteroPHYTorus)},
+		{Name: "hetero-phy-half", Cfg: cfg.Halved(), Spec: spec(topology.HeteroPHYTorus)},
 	}
 }
 
 // heteroChannelVariants returns the four systems of the hetero-channel
 // evaluation (Sec. 8.1.2).
-func heteroChannelVariants(cfg network.Config, cx, cy, nx, ny int) []variant {
+func heteroChannelVariants(cfg network.Config, cx, cy, nx, ny int) []simPoint {
 	spec := func(s topology.System) topology.Spec {
 		return topology.Spec{System: s, ChipletsX: cx, ChipletsY: cy, NodesX: nx, NodesY: ny}
 	}
-	return []variant{
-		{"uniform-parallel-mesh", cfg, spec(topology.UniformParallelMesh)},
-		{"uniform-serial-hypercube", cfg, spec(topology.UniformSerialHypercube)},
-		{"hetero-channel-full", cfg, spec(topology.HeteroChannel)},
-		{"hetero-channel-half", cfg.Halved(), spec(topology.HeteroChannel)},
+	return []simPoint{
+		{Name: "uniform-parallel-mesh", Cfg: cfg, Spec: spec(topology.UniformParallelMesh)},
+		{Name: "uniform-serial-hypercube", Cfg: cfg, Spec: spec(topology.UniformSerialHypercube)},
+		{Name: "hetero-channel-full", Cfg: cfg, Spec: spec(topology.HeteroChannel)},
+		{Name: "hetero-channel-half", Cfg: cfg.Halved(), Spec: spec(topology.HeteroChannel)},
 	}
 }
 
-// runPoint builds a system, drives it with a synthetic pattern at one
-// offered load and returns the measured result. The saturation check uses
-// the pattern's effective offered load (non-participating sources inject
-// nothing).
-func runPoint(v variant, pat traffic.Pattern, rate float64) (Result, error) {
-	in, err := Build(v.Cfg, v.Spec)
-	if err != nil {
-		return Result{}, err
-	}
-	defer in.release()
-	if err := in.RunSynthetic(pat, rate); err != nil {
-		// Deadlock or other engine failure: report, don't fabricate data.
-		return Result{}, fmt.Errorf("%s/%s@%.3f: %w", v.Name, pat.Name(), rate, err)
-	}
-	eff := rate * float64(traffic.Participants(pat, in.Topo.N)) / float64(in.Topo.N)
-	return in.Measure(v.Name, pat.Name(), eff), nil
+// runPoint measures a system driven by a synthetic pattern at one offered
+// load.
+func runPoint(p simPoint, pat traffic.Pattern, rate float64) (Result, error) {
+	p.Pattern, p.Rate = pat, rate
+	out, err := p.run()
+	return out.Result, err
 }
 
 // pick returns full, short or tiny depending on the options.
@@ -182,12 +165,12 @@ func pick(o Options, full, short, tiny int) int {
 	return short
 }
 
-// sweepRates measures one variant across offered loads, stopping the sweep
+// sweepRates measures one system across offered loads, stopping the sweep
 // two points past saturation (the latency-vs-injection curves of
 // Figs. 11/14). It is the natural job granularity for the orchestrator:
 // the early exit is a sequential dependency between rates, while different
-// (variant, pattern) sweeps are independent.
-func sweepRates(v variant, pat traffic.Pattern, rates []float64) ([]Result, error) {
+// (system, pattern) sweeps are independent.
+func sweepRates(v simPoint, pat traffic.Pattern, rates []float64) ([]Result, error) {
 	var out []Result
 	pastSat := 0
 	for _, rate := range rates {
@@ -221,6 +204,17 @@ func point(key string, run func() (Result, error)) pointJob {
 			return nil, err
 		}
 		return []Result{r}, nil
+	}}
+}
+
+// outcomeJob adapts a point whose outcome the caller reads beyond its
+// Result (fault counters, collective reports) to a pointJob that stores it
+// in *out.
+func outcomeJob(key string, p simPoint, out *outcome) pointJob {
+	return pointJob{key: key, run: func() ([]Result, error) {
+		var err error
+		*out, err = p.run()
+		return nil, err
 	}}
 }
 

@@ -23,6 +23,12 @@ func (serialPreferred) Dispatch(st core.State, _ network.Flit) (core.PHY, bool) 
 	return core.PHYSerial, st.SerialBudget > 0
 }
 
+// serialDownAt scripts a permanent outage of every adapter's serial PHY
+// from the given cycle on.
+func serialDownAt(cycle int64) []fault.Event {
+	return []fault.Event{{Kind: fault.EventDown, Link: -1, Phy: fault.PhySerial, From: cycle, To: -1}}
+}
+
 // runFault evaluates link reliability end to end (Sec. 2.1's reliability
 // gap): a seeded error model corrupts serial-PHY flits at a swept BER, the
 // link-layer retry protocol recovers them, and scheduling policies with and
@@ -43,7 +49,7 @@ func runFault(o Options, w io.Writer) error {
 	if o.FaultBER > 0 {
 		bers = []float64{0, o.FaultBER}
 	}
-	// Policies are constructed inside each job: FailoverPolicy is stateful,
+	// Every point constructs its own policy: FailoverPolicy is stateful,
 	// and sharing one instance across concurrent jobs would break the
 	// bit-identical-for-any-jobs guarantee.
 	policies := []struct {
@@ -54,62 +60,28 @@ func runFault(o Options, w io.Writer) error {
 		{"failover", func() core.Policy { return core.NewFailoverPolicy(nil) }},
 	}
 
-	type relRow struct {
-		res Result
-		sum fault.Summary
-	}
 	const load = 0.1
 	var jobs []pointJob
-	rows := make([]*relRow, len(policies)*len(bers))
+	rows := make([]outcome, len(policies)*len(bers))
 	for pi, pol := range policies {
 		for bi, ber := range bers {
-			pi, bi, pol, ber := pi, bi, pol, ber
-			jobs = append(jobs, pointJob{
-				key: fmt.Sprintf("fault/%s/ber-%g", pol.name, ber),
-				run: func() ([]Result, error) {
-					in, err := Build(cfg, spec(pol.mk()))
-					if err != nil {
-						return nil, err
-					}
-					defer in.release()
-					// Serial BER dominates (long reach); the short-reach
-					// parallel PHY runs two orders cleaner; on-chip wires
-					// are ideal. BER 0 attaches nothing at all, making that
-					// column the machinery-off baseline.
-					fault.Attach(in.Net, fault.Config{
-						SerialBER:   ber,
-						ParallelBER: ber / 100,
-						Seed:        o.FaultSeed,
-					})
-					chk := fault.NewIntegrityChecker(in.Net)
-					if err := in.RunSynthetic(traffic.Uniform{}, load); err != nil {
-						return nil, err
-					}
-					if drained, err := in.Net.Drain(); err != nil || !drained {
-						return nil, fmt.Errorf("drain: drained=%v err=%v", drained, err)
-					}
-					if err := chk.Check(in.Net); err != nil {
-						return nil, err
-					}
-					r := in.Measure("hetero-phy-"+pol.name, fmt.Sprintf("uniform-ber%g", ber), load)
-					rows[pi*len(bers)+bi] = &relRow{res: r, sum: fault.Summarize(in.Net)}
-					return []Result{r}, nil
-				},
-			})
+			pt := simPoint{
+				Name: "hetero-phy-" + pol.name, Cfg: cfg, Spec: spec(pol.mk()),
+				// Serial BER dominates (long reach); the short-reach parallel
+				// PHY runs two orders cleaner; on-chip wires are ideal. BER 0
+				// attaches nothing at all, making that column the
+				// machinery-off baseline.
+				Faults:  &fault.Config{SerialBER: ber, ParallelBER: ber / 100, Seed: o.FaultSeed},
+				Pattern: traffic.Uniform{}, Rate: load, Workload: fmt.Sprintf("uniform-ber%g", ber),
+				Drain: true,
+			}
+			jobs = append(jobs, outcomeJob(fmt.Sprintf("fault/%s/ber-%g", pol.name, ber), pt, &rows[pi*len(bers)+bi]))
 		}
 	}
 
 	// Scenario 2: permanent serial-PHY outage at SimCycles/4 on every
 	// adapter (plain serial wraparounds stay healthy — there is no
 	// alternate PHY behind them to fail over to).
-	type downRow struct {
-		policy    string
-		live      bool
-		trips     uint64
-		sum       fault.Summary
-		delivered int64
-		injected  int64
-	}
 	downAt := cfg.SimCycles / 4
 	downPolicies := []struct {
 		name string
@@ -118,41 +90,22 @@ func runFault(o Options, w io.Writer) error {
 		{"serial-preferred", func() core.Policy { return serialPreferred{} }},
 		{"failover+serial-preferred", func() core.Policy { return core.NewFailoverPolicy(serialPreferred{}) }},
 	}
-	downRows := make([]*downRow, len(downPolicies))
+	downRows := make([]outcome, len(downPolicies))
+	live := make([]bool, len(downPolicies))
 	for i, pol := range downPolicies {
-		i, pol := i, pol
+		pt := simPoint{
+			Name: pol.name, Cfg: cfg, Spec: spec(pol.mk()),
+			Faults:  &fault.Config{Seed: o.FaultSeed, Events: serialDownAt(downAt)},
+			Pattern: traffic.Uniform{}, Rate: 0.05, Drain: true,
+		}
 		jobs = append(jobs, pointJob{
 			key: "fault/serial-down/" + pol.name,
 			run: func() ([]Result, error) {
-				in, err := Build(cfg, spec(pol.mk()))
-				if err != nil {
-					return nil, err
-				}
-				defer in.release()
-				fault.Attach(in.Net, fault.Config{
-					Seed: o.FaultSeed,
-					Events: []fault.Event{
-						{Kind: fault.EventDown, Link: -1, Phy: fault.PhySerial, From: downAt, To: -1},
-					},
-				})
-				chk := fault.NewIntegrityChecker(in.Net)
-				row := &downRow{policy: pol.name}
-				// The baseline is EXPECTED to starve or deadlock here —
-				// that outcome is the data point, not a job failure.
-				err = in.RunSynthetic(traffic.Uniform{}, 0.05)
-				if err == nil {
-					drained, derr := in.Net.Drain()
-					row.live = derr == nil && drained && chk.Check(in.Net) == nil
-				}
-				row.sum = fault.Summarize(in.Net)
-				row.delivered = in.Net.PacketsDelivered()
-				row.injected = in.Net.PacketsInjected()
-				for _, ad := range in.Topo.Adapters {
-					if fp, ok := ad.Policy().(*core.FailoverPolicy); ok {
-						row.trips += fp.Trips()
-					}
-				}
-				downRows[i] = row
+				// The baseline is EXPECTED to starve or deadlock here — that
+				// outcome is the data point, not a job failure.
+				var err error
+				downRows[i], err = pt.run()
+				live[i] = err == nil
 				return nil, nil
 			},
 		})
@@ -169,23 +122,20 @@ func runFault(o Options, w io.Writer) error {
 		base := rows[pi*len(bers)]
 		for bi, ber := range bers {
 			row := rows[pi*len(bers)+bi]
-			if row == nil {
-				return fmt.Errorf("fault: missing row for %s/ber-%g", pol.name, ber)
-			}
-			degrade := row.res.MeanLatency / base.res.MeanLatency
+			degrade := row.MeanLatency / base.MeanLatency
 			fmt.Fprintf(w, "%-22s ber=%-7g lat=%7.1f (x%.3f) retry-rate=%.4f retx=%d delivered-ok=true\n",
-				pol.name, ber, row.res.MeanLatency, degrade, row.sum.RetryRate(), row.sum.Retransmits)
-			all = append(all, row.res)
+				pol.name, ber, row.MeanLatency, degrade, row.Faults.RetryRate(), row.Faults.Retransmits)
+			all = append(all, row.Result)
 			tbl = append(tbl, []string{
 				pol.name, strconv.FormatFloat(ber, 'g', -1, 64),
-				strconv.FormatFloat(row.res.MeanLatency, 'f', 2, 64),
+				strconv.FormatFloat(row.MeanLatency, 'f', 2, 64),
 				strconv.FormatFloat(degrade, 'f', 4, 64),
-				strconv.FormatFloat(row.sum.RetryRate(), 'f', 5, 64),
-				strconv.FormatUint(row.sum.Transmits, 10),
-				strconv.FormatUint(row.sum.Retransmits, 10),
-				strconv.FormatUint(row.sum.Corrupted, 10),
-				strconv.FormatUint(row.sum.Nacks, 10),
-				strconv.FormatInt(int64(row.sum.Sites), 10),
+				strconv.FormatFloat(row.Faults.RetryRate(), 'f', 5, 64),
+				strconv.FormatUint(row.Faults.Transmits, 10),
+				strconv.FormatUint(row.Faults.Retransmits, 10),
+				strconv.FormatUint(row.Faults.Corrupted, 10),
+				strconv.FormatUint(row.Faults.Nacks, 10),
+				strconv.FormatInt(int64(row.Faults.Sites), 10),
 				"true",
 			})
 		}
@@ -193,34 +143,32 @@ func runFault(o Options, w io.Writer) error {
 
 	fmt.Fprintf(w, "\n--- scripted serial-PHY outage at cycle %d, uniform @ 0.05 ---\n", downAt)
 	var dtbl [][]string
-	for _, row := range downRows {
-		if row == nil {
-			return fmt.Errorf("fault: missing serial-down row")
-		}
+	for i, row := range downRows {
+		name := downPolicies[i].name
 		fmt.Fprintf(w, "%-26s live=%-5v delivered=%d/%d trips=%d rescued=%d evicted=%d\n",
-			row.policy, row.live, row.delivered, row.injected, row.trips, row.sum.Rescued, row.sum.Evicted)
+			name, live[i], row.Delivered, row.Injected, row.Trips, row.Faults.Rescued, row.Faults.Evicted)
 		dtbl = append(dtbl, []string{
-			row.policy, strconv.FormatBool(row.live),
-			strconv.FormatInt(row.delivered, 10), strconv.FormatInt(row.injected, 10),
-			strconv.FormatUint(row.trips, 10), strconv.FormatUint(row.sum.Rescued, 10),
+			name, strconv.FormatBool(live[i]),
+			strconv.FormatInt(row.Delivered, 10), strconv.FormatInt(row.Injected, 10),
+			strconv.FormatUint(row.Trips, 10), strconv.FormatUint(row.Faults.Rescued, 10),
 		})
 	}
 	baseline, failover := downRows[0], downRows[1]
-	if baseline.live {
-		return fmt.Errorf("fault: serial-preferred baseline survived a permanent serial outage (delivered %d/%d) — starvation expected", baseline.delivered, baseline.injected)
+	if live[0] {
+		return fmt.Errorf("fault: serial-preferred baseline survived a permanent serial outage (delivered %d/%d) — starvation expected", baseline.Delivered, baseline.Injected)
 	}
-	if !failover.live {
+	if !live[1] {
 		return fmt.Errorf("fault: failover policy did not keep the network live through the serial outage (delivered %d/%d, %d trips, %d rescued)",
-			failover.delivered, failover.injected, failover.trips, failover.sum.Rescued)
+			failover.Delivered, failover.Injected, failover.Trips, failover.Faults.Rescued)
 	}
-	if failover.trips == 0 || failover.sum.Rescued == 0 {
-		return fmt.Errorf("fault: failover stayed live without tripping (%d) or rescuing (%d) — outage not exercised", failover.trips, failover.sum.Rescued)
+	if failover.Trips == 0 || failover.Faults.Rescued == 0 {
+		return fmt.Errorf("fault: failover stayed live without tripping (%d) or rescuing (%d) — outage not exercised", failover.Trips, failover.Faults.Rescued)
 	}
 	// Each gap in the sequence costs one nack, and a timeout can add one;
 	// more means the receiver is nacking its own replay (a retransmission
 	// storm).
 	for i, row := range rows {
-		if s := row.sum; s.Nacks > s.Corrupted+s.Timeouts {
+		if s := row.Faults; s.Nacks > s.Corrupted+s.Timeouts {
 			return fmt.Errorf("fault: %s at BER %g drew %d nacks from %d corruptions and %d timeouts — retransmission storm",
 				policies[i/len(bers)].name, bers[i%len(bers)], s.Nacks, s.Corrupted, s.Timeouts)
 		}

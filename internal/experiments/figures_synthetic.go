@@ -8,7 +8,6 @@ import (
 	"heteroif/internal/core"
 	"heteroif/internal/network"
 	"heteroif/internal/phymodel"
-	"heteroif/internal/routing"
 	"heteroif/internal/topology"
 	"heteroif/internal/traffic"
 )
@@ -78,7 +77,7 @@ func fig11Rates(o Options) []float64 {
 // (pattern, variant) rate sweep is one orchestrator job — the patterns are
 // immutable after construction, and every point builds its own instance,
 // so the jobs are independent and the results identical at any o.Jobs.
-func runPatternFigure(o Options, w io.Writer, name string, variants []variant, n int) error {
+func runPatternFigure(o Options, w io.Writer, name string, variants []simPoint, n int) error {
 	pats := traffic.Patterns(n, baseConfig(o).Seed+5)
 	if o.Tiny {
 		pats = pats[:2] // uniform + hotspot
@@ -165,7 +164,7 @@ func runTable3(o Options, w io.Writer) error {
 	// One job per measured system per scale (3 hetero-PHY comparisons
 	// everywhere, plus 2 hetero-channel systems at the larger scales).
 	var jobs []pointJob
-	latJob := func(label string, v variant) pointJob {
+	latJob := func(label string, v simPoint) pointJob {
 		return point(fmt.Sprintf("table3/%s/%s", label, v.Name), func() (Result, error) {
 			return runPoint(v, traffic.Uniform{}, rate)
 		})
@@ -206,41 +205,27 @@ func runTable3(o Options, w io.Writer) error {
 // energyVariantsPHY returns the Fig. 16(a)/17(a) systems: the two uniform
 // baselines plus hetero-PHY with balanced and with energy-efficient
 // adapter scheduling.
-func energyVariantsPHY(cfg network.Config, cx, cy, nx, ny int) []variant {
-	spec := func(s topology.System, pol string) topology.Spec {
-		sp := topology.Spec{System: s, ChipletsX: cx, ChipletsY: cy, NodesX: nx, NodesY: ny}
-		if pol == "energy" {
-			sp.Policy = core.EnergyEfficient{}
-		}
-		return sp
+func energyVariantsPHY(cfg network.Config, cx, cy, nx, ny int) []simPoint {
+	spec := func(s topology.System, pol core.Policy) topology.Spec {
+		return topology.Spec{System: s, ChipletsX: cx, ChipletsY: cy, NodesX: nx, NodesY: ny, Policy: pol}
 	}
-	return []variant{
-		{"uniform-parallel-mesh", cfg, spec(topology.UniformParallelMesh, "")},
-		{"uniform-serial-torus", cfg, spec(topology.UniformSerialTorus, "")},
-		{"hetero-phy-balanced", cfg, spec(topology.HeteroPHYTorus, "")},
-		{"hetero-phy-energy-eff", cfg, spec(topology.HeteroPHYTorus, "energy")},
+	return []simPoint{
+		{Name: "uniform-parallel-mesh", Cfg: cfg, Spec: spec(topology.UniformParallelMesh, nil)},
+		{Name: "uniform-serial-torus", Cfg: cfg, Spec: spec(topology.UniformSerialTorus, nil)},
+		{Name: "hetero-phy-balanced", Cfg: cfg, Spec: spec(topology.HeteroPHYTorus, nil)},
+		{Name: "hetero-phy-energy-eff", Cfg: cfg, Spec: spec(topology.HeteroPHYTorus, core.EnergyEfficient{})},
 	}
 }
 
-// runEnergyPoint builds a variant (optionally swapping in the
-// energy-efficient Eq. 5 bias for hetero-channel systems) and measures one
-// operating point.
-func runEnergyPoint(v variant, energyBias bool, pat traffic.Pattern, rate float64) (Result, error) {
-	in, err := Build(v.Cfg, v.Spec)
-	if err != nil {
-		return Result{}, err
-	}
-	defer in.release()
-	if energyBias && v.Spec.System == topology.HeteroChannel {
-		in.Net.Routing = &routing.HeteroChannel{
-			T:    in.Topo,
-			Bias: v.Cfg.SerialPJPerBit / v.Cfg.ParallelPJPerBit,
-		}
-	}
-	if err := in.RunSynthetic(pat, rate); err != nil {
-		return Result{}, err
-	}
-	return in.Measure(v.Name, pat.Name(), rate), nil
+// energyChannelVariants returns the Fig. 16(b)/17(b) systems: the two
+// uniform baselines, hetero-channel, and hetero-channel with the Eq. 5 bias
+// set to the serial/parallel energy ratio.
+func energyChannelVariants(cfg network.Config, cx, cy, nx, ny int) []simPoint {
+	vs := heteroChannelVariants(cfg, cx, cy, nx, ny)
+	eff := vs[2]
+	eff.Name = "hetero-channel-energy-eff"
+	eff.Bias = cfg.SerialPJPerBit / cfg.ParallelPJPerBit
+	return append(vs[:3], eff)
 }
 
 // runFig16 reproduces Figure 16: average per-packet energy on uniform
@@ -255,26 +240,17 @@ func runFig16(o Options, w io.Writer) error {
 
 	var jobs []pointJob
 	phyVars := energyVariantsPHY(cfg, cp, cp, np, np)
-	for _, v := range phyVars {
-		v := v
-		jobs = append(jobs, point("fig16/phy/"+v.Name, func() (Result, error) {
-			return runEnergyPoint(v, false, traffic.Uniform{}, 0.1)
-		}))
-	}
-	chVars := heteroChannelVariants(cfg, cx, cx, nn, nn)
-	chSet := []variant{chVars[0], chVars[1], chVars[2], chVars[2]}
-	for i, v := range chSet {
-		i, v := i, v
-		name := v.Name
-		if i == 3 {
-			name = "hetero-channel-energy-eff"
+	chSet := energyChannelVariants(cfg, cx, cx, nn, nn)
+	add := func(kind string, vs []simPoint) {
+		for _, v := range vs {
+			v := v
+			jobs = append(jobs, point("fig16/"+kind+"/"+v.Name, func() (Result, error) {
+				return runPoint(v, traffic.Uniform{}, 0.1)
+			}))
 		}
-		jobs = append(jobs, point("fig16/channel/"+name, func() (Result, error) {
-			r, err := runEnergyPoint(v, i == 3, traffic.Uniform{}, 0.1)
-			r.System = name
-			return r, err
-		}))
 	}
+	add("phy", phyVars)
+	add("channel", chSet)
 	outs, err := runJobs(o, jobs)
 	if err != nil {
 		return err
@@ -321,7 +297,7 @@ func runFig18(o Options, w io.Writer) error {
 					ChipletsX: cx, NodesX: nn, NodesY: nn, GX: cx * nn,
 					BlockChiplets: k,
 				}
-				return runEnergyPoint(v, false, pat, 0.01)
+				return runPoint(v, pat, 0.01)
 			}))
 		}
 	}

@@ -5,43 +5,15 @@ import (
 	"io"
 
 	"heteroif/internal/network"
-	"heteroif/internal/routing"
 	"heteroif/internal/topology"
 	"heteroif/internal/trace"
 )
 
-// replayPoint builds a variant, replays a trace at the given speedup, and
-// measures the result. energyBias enables the Eq. 5 energy weighting on
-// hetero-channel systems.
-func replayPoint(v variant, tr *trace.Trace, speedup float64, energyBias bool) (Result, error) {
-	in, err := Build(v.Cfg, v.Spec)
-	if err != nil {
-		return Result{}, err
-	}
-	defer in.release()
-	if energyBias && v.Spec.System == topology.HeteroChannel {
-		in.Net.Routing = &routing.HeteroChannel{
-			T:    in.Topo,
-			Bias: v.Cfg.SerialPJPerBit / v.Cfg.ParallelPJPerBit,
-		}
-	}
-	m, err := rankMap(in.Topo, int(tr.Ranks))
-	if err != nil {
-		return Result{}, err
-	}
-	rep, err := trace.NewReplayer(tr, in.Net, m, speedup)
-	if err != nil {
-		return Result{}, err
-	}
-	rep.MeasureFrom = v.Cfg.WarmupCycles
-	// Trace gaps are fast-forwarded: the replayer publishes its next
-	// injection time, so idle stretches between communication phases cost
-	// nothing.
-	if err := in.Net.RunWith(v.Cfg.SimCycles, rep.Drive, rep.NextInjection); err != nil {
-		return Result{}, fmt.Errorf("%s/%s: %w", v.Name, tr.Name, err)
-	}
-	r := in.Measure(v.Name, tr.Name, rep.ActualOfferedRate(in.Net.Now, in.Topo.N))
-	return r, nil
+// replayPoint measures a system replaying a trace at the given speedup.
+func replayPoint(p simPoint, tr *trace.Trace, speedup float64) (Result, error) {
+	p.Trace, p.Speedup = tr, speedup
+	out, err := p.run()
+	return out.Result, err
 }
 
 // rankMap places trace ranks onto nodes. When ranks fit, it spreads them
@@ -110,7 +82,7 @@ func runFig12(o Options, w io.Writer) error {
 		for _, v := range vs {
 			tr, v := tr, v
 			jobs = append(jobs, point(fmt.Sprintf("fig12/%s/%s", tr.Name, v.Name), func() (Result, error) {
-				return replayPoint(v, tr, 1, false)
+				return replayPoint(v, tr, 1)
 			}))
 		}
 	}
@@ -157,7 +129,7 @@ func hpcTargets(o Options) []float64 {
 // it. The length is not cut to fit the smaller scales: it enters every
 // result through speedup = target·nodes·Cycles/flits, and -full needs all
 // of it — generation is cheap (linear in records) instead of shorter.
-func runHPCFigure(o Options, w io.Writer, name string, vs []variant, nodes int) error {
+func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int) error {
 	cfg := baseConfig(o)
 	mult := int64(4)
 	if o.Full {
@@ -180,7 +152,7 @@ func runHPCFigure(o Options, w io.Writer, name string, vs []variant, nodes int) 
 			for _, v := range vs {
 				base, v, speedup := base, v, speedup
 				jobs = append(jobs, point(fmt.Sprintf("%s/%s@%.2f/%s", name, base.Name, target, v.Name),
-					func() (Result, error) { return replayPoint(v, base, speedup, false) }))
+					func() (Result, error) { return replayPoint(v, base, speedup) }))
 			}
 		}
 	}
@@ -248,28 +220,19 @@ func runFig17(o Options, w io.Writer) error {
 	cxCh := pick(o, 8, 4, 2)
 	nCh := pick(o, 7, 7, 4)
 	phyVars := energyVariantsPHY(cfg, cxPHY, cxPHY, nxPHY, nxPHY)
-	chVars := heteroChannelVariants(cfg, cxCh, cxCh, nCh, nCh)
-	chSet := []variant{chVars[0], chVars[1], chVars[2], chVars[2]}
+	chSet := energyChannelVariants(cfg, cxCh, cxCh, nCh, nCh)
 
 	var jobs []pointJob
-	for _, v := range phyVars {
-		v := v
-		jobs = append(jobs, point("fig17/phy/"+v.Name, func() (Result, error) {
-			return replayPoint(v, moc, 1, false)
-		}))
-	}
-	for i, v := range chSet {
-		i, v := i, v
-		name := v.Name
-		if i == 3 {
-			name = "hetero-channel-energy-eff"
+	add := func(kind string, vs []simPoint) {
+		for _, v := range vs {
+			v := v
+			jobs = append(jobs, point("fig17/"+kind+"/"+v.Name, func() (Result, error) {
+				return replayPoint(v, moc, 1)
+			}))
 		}
-		jobs = append(jobs, point("fig17/channel/"+name, func() (Result, error) {
-			r, err := replayPoint(v, moc, 1, i == 3)
-			r.System = name
-			return r, err
-		}))
 	}
+	add("phy", phyVars)
+	add("channel", chSet)
 	outs, err := runJobs(o, jobs)
 	if err != nil {
 		return err

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"heteroif/internal/network"
-	"heteroif/internal/sweep"
 	"heteroif/internal/topology"
 	"heteroif/internal/traffic"
 )
@@ -41,12 +40,14 @@ func runLinkFail(o Options, w io.Writer) error {
 	// all fault levels (matching the historical draw order exactly), so
 	// they are pre-rolled here — one probe build per system enumerates the
 	// failable ports in deterministic order — and the simulations then run
-	// as independent orchestrator jobs.
+	// as independent orchestrator jobs, each failing its links in a hook.
 	type faultCase struct {
-		sys       topology.System
-		decisions []bool // one per failable port, in enumeration order
+		sys              topology.System
+		decisions        []bool // one per failable port, in enumeration order
+		failed, failable int
+		out              outcome
 	}
-	var cases []faultCase
+	var cases []*faultCase
 	for _, sys := range systems {
 		_, probe, err := topology.Build(cfg, topology.Spec{System: sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4})
 		if err != nil {
@@ -66,27 +67,17 @@ func runLinkFail(o Options, w io.Writer) error {
 			for i := range dec {
 				dec[i] = rng.Float64() < frac
 			}
-			cases = append(cases, faultCase{sys: sys, decisions: dec})
+			cases = append(cases, &faultCase{sys: sys, decisions: dec})
 		}
 	}
 
-	type faultRow struct {
-		failed, failable int
-		meanLat          float64
-		delivered        bool
-	}
-	jobs := make([]sweep.Job[faultRow], len(cases))
+	jobs := make([]pointJob, len(cases))
 	for i, fc := range cases {
-		fc := fc
-		jobs[i] = sweep.Job[faultRow]{
-			Key: fmt.Sprintf("linkfail/%v/%d-killed", fc.sys, countTrue(fc.decisions)),
-			Run: func() (faultRow, error) {
-				var row faultRow
-				in, err := Build(cfg, topology.Spec{System: fc.sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4})
-				if err != nil {
-					return row, err
-				}
-				defer in.release()
+		pt := simPoint{
+			Name: fc.sys.String(), Cfg: cfg,
+			Spec:    topology.Spec{System: fc.sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4},
+			Pattern: traffic.Uniform{}, Rate: 0.1, Drain: true,
+			Hook: func(in *Instance) error {
 				idx := 0
 				for n := range in.Topo.OutPorts {
 					for port := 1; port < len(in.Topo.OutPorts[n]); port++ {
@@ -94,54 +85,38 @@ func runLinkFail(o Options, w io.Writer) error {
 						if !p.Wrap && p.CubeDim < 0 {
 							continue
 						}
-						row.failable++
+						fc.failable++
 						kill := fc.decisions[idx]
 						idx++
-						if !kill {
-							continue
-						}
-						if err := in.Topo.FailLink(network.NodeID(n), port); err == nil {
-							row.failed++
+						if kill && in.Topo.FailLink(network.NodeID(n), port) == nil {
+							fc.failed++
 						}
 					}
 				}
-				if err := in.RunSynthetic(traffic.Uniform{}, 0.1); err != nil {
-					return row, fmt.Errorf("%v with %d faults: %w", fc.sys, row.failed, err)
-				}
-				drained, err := in.Net.Drain()
-				if err != nil || !drained {
-					return row, fmt.Errorf("%v with %d faults did not drain: %v", fc.sys, row.failed, err)
-				}
-				row.meanLat = in.Stats.MeanLatency()
-				row.delivered = in.Net.PacketsDelivered() == in.Net.PacketsInjected()
-				return row, nil
+				return nil
 			},
 		}
+		jobs[i] = outcomeJob(fmt.Sprintf("linkfail/%v/%d-killed", fc.sys, countTrue(fc.decisions)), pt, &fc.out)
 	}
-	outs := sweep.Run(jobs, sweep.Options{Jobs: o.Jobs, Timeout: o.JobTimeout, OnProgress: o.Progress})
+	if _, err := runJobs(o, jobs); err != nil {
+		return err
+	}
 
 	var rows [][]string
-	i := 0
-	for _, sys := range systems {
-		fmt.Fprintf(w, "--- %s: uniform @ 0.1 with failed adaptive channels ---\n", sys)
-		for range fracs {
-			out := &outs[i]
-			i++
-			if out.Failed() {
-				o.Manifest.RecordFailure(out.Key, out.Err)
-				return out.Err
-			}
-			row := out.Value
-			fmt.Fprintf(w, "failed %3d/%3d adaptive links: lat=%7.1f cycles, all delivered=%v\n",
-				row.failed, row.failable, row.meanLat, row.delivered)
-			rows = append(rows, []string{
-				sys.String(), strconv.Itoa(row.failed), strconv.Itoa(row.failable),
-				strconv.FormatFloat(row.meanLat, 'f', 2, 64),
-				strconv.FormatBool(row.delivered),
-			})
-			if !row.delivered {
-				return fmt.Errorf("%v lost packets with %d faults", sys, row.failed)
-			}
+	for i, fc := range cases {
+		if i%len(fracs) == 0 {
+			fmt.Fprintf(w, "--- %s: uniform @ 0.1 with failed adaptive channels ---\n", fc.sys)
+		}
+		delivered := fc.out.Delivered == fc.out.Injected
+		fmt.Fprintf(w, "failed %3d/%3d adaptive links: lat=%7.1f cycles, all delivered=%v\n",
+			fc.failed, fc.failable, fc.out.MeanLatency, delivered)
+		rows = append(rows, []string{
+			fc.sys.String(), strconv.Itoa(fc.failed), strconv.Itoa(fc.failable),
+			strconv.FormatFloat(fc.out.MeanLatency, 'f', 2, 64),
+			strconv.FormatBool(delivered),
+		})
+		if !delivered {
+			return fmt.Errorf("%v lost packets with %d faults", fc.sys, fc.failed)
 		}
 	}
 	fmt.Fprintln(w, "\nall traffic delivered at every fault level: the escape subnetwork")
@@ -163,11 +138,14 @@ func runCompromised(o Options, w io.Writer) error {
 	bow.SerialBandwidth = 3
 	bow.SerialDelay = 10
 	bow.SerialPJPerBit = 0.7
-	vs := []variant{
-		{"uniform-parallel-mesh", cfg, topology.Spec{System: topology.UniformParallelMesh, ChipletsX: cc, ChipletsY: cc, NodesX: 4, NodesY: 4}},
-		{"uniform-serial-torus", cfg, topology.Spec{System: topology.UniformSerialTorus, ChipletsX: cc, ChipletsY: cc, NodesX: 4, NodesY: 4}},
-		{"compromised-bow-torus", bow, topology.Spec{System: topology.UniformSerialTorus, ChipletsX: cc, ChipletsY: cc, NodesX: 4, NodesY: 4}},
-		{"hetero-phy-full", cfg, topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: cc, ChipletsY: cc, NodesX: 4, NodesY: 4}},
+	spec := func(s topology.System) topology.Spec {
+		return topology.Spec{System: s, ChipletsX: cc, ChipletsY: cc, NodesX: 4, NodesY: 4}
+	}
+	vs := []simPoint{
+		{Name: "uniform-parallel-mesh", Cfg: cfg, Spec: spec(topology.UniformParallelMesh)},
+		{Name: "uniform-serial-torus", Cfg: cfg, Spec: spec(topology.UniformSerialTorus)},
+		{Name: "compromised-bow-torus", Cfg: bow, Spec: spec(topology.UniformSerialTorus)},
+		{Name: "hetero-phy-full", Cfg: cfg, Spec: spec(topology.HeteroPHYTorus)},
 	}
 	rates := []float64{0.05, 0.2, 0.4}
 	var jobs []pointJob

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/binary"
 	"flag"
+	"hash"
 	"hash/fnv"
 	"runtime"
 	"strconv"
@@ -108,73 +109,73 @@ func oracleSpec(sys topology.System, sharded bool) topology.Spec {
 	return spec
 }
 
+// arrivalDigest is a point hook's view of a run: it wraps the stats sink
+// with an order-sensitive FNV-1a digest of every delivered packet. Sinks run
+// in deterministic coordinator order, so any reordering, loss, duplication
+// or field corruption introduced by parallel stepping changes the hash.
+type arrivalDigest struct {
+	fp  oracleFingerprint
+	h   hash.Hash64
+	net *network.Network
+}
+
+// hook returns the point hook that installs the digest. full adds each
+// packet's length, class and hop mix to its identity and timing.
+func (d *arrivalDigest) hook(full bool) func(*Instance) error {
+	return func(in *Instance) error {
+		d.h, d.net = fnv.New64a(), in.Net
+		var buf [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			d.h.Write(buf[:])
+		}
+		prev := in.Net.Sink
+		in.Net.Sink = func(p *network.Packet) {
+			d.fp.addEnergy(p)
+			put(p.ID)
+			put(uint64(uint32(p.Src))<<32 | uint64(uint32(p.Dst)))
+			if full {
+				put(uint64(p.Length)<<8 | uint64(p.Class))
+			}
+			put(uint64(p.CreatedAt))
+			put(uint64(p.InjectedAt))
+			put(uint64(p.ArrivedAt))
+			if full {
+				put(uint64(uint32(p.HopsOnChip))<<32 | uint64(uint32(p.HopsParallel)))
+				put(uint64(uint32(p.HopsSerial))<<32 | uint64(uint32(p.HopsHetero)))
+			}
+			prev(p)
+		}
+		return nil
+	}
+}
+
+// fingerprint closes the digest with the network's end-of-run totals.
+func (d *arrivalDigest) fingerprint() oracleFingerprint {
+	d.fp.finish(d.h.Sum64(), d.net)
+	return d.fp
+}
+
 // oracleRun executes one full build+run+drain at the given worker count and
 // returns its fingerprint. With faults set it layers the seeded error model
-// and link-layer retry on top and verifies delivered-packet integrity.
+// and link-layer retry on top, which also checks delivered-packet integrity.
 func oracleRun(t *testing.T, spec topology.Spec, workers int, faults bool) oracleFingerprint {
 	t.Helper()
-	sys := spec.System
 	cfg := shortCfg()
 	cfg.SimCycles = 3000
 	cfg.Workers = workers
-	in, err := Build(cfg, spec)
-	if err != nil {
-		t.Fatalf("Build(%v, workers=%d): %v", sys, workers, err)
+	var d arrivalDigest
+	pt := simPoint{
+		Name: spec.System.String(), Cfg: cfg, Spec: spec, Hook: d.hook(true),
+		Pattern: traffic.Uniform{}, Rate: 0.15, Drain: true,
 	}
-	defer in.release()
-
-	// Wrap the stats sink with an order-sensitive FNV-1a digest of every
-	// delivered packet. Sinks run in deterministic coordinator order, so
-	// any reordering, loss, duplication or field corruption introduced by
-	// parallel stepping changes the hash.
-	prev := in.Net.Sink
-	h := fnv.New64a()
-	var fp oracleFingerprint
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	in.Net.Sink = func(p *network.Packet) {
-		fp.addEnergy(p)
-		put(p.ID)
-		put(uint64(uint32(p.Src))<<32 | uint64(uint32(p.Dst)))
-		put(uint64(p.Length)<<8 | uint64(p.Class))
-		put(uint64(p.CreatedAt))
-		put(uint64(p.InjectedAt))
-		put(uint64(p.ArrivedAt))
-		put(uint64(uint32(p.HopsOnChip))<<32 | uint64(uint32(p.HopsParallel)))
-		put(uint64(uint32(p.HopsSerial))<<32 | uint64(uint32(p.HopsHetero)))
-		prev(p)
-	}
-
-	var chk *fault.IntegrityChecker
 	if faults {
-		fault.Attach(in.Net, fault.Config{SerialBER: 2e-4, ParallelBER: 2e-6, Seed: 7})
-		chk = fault.NewIntegrityChecker(in.Net)
+		pt.Faults = &fault.Config{SerialBER: 2e-4, ParallelBER: 2e-6, Seed: 7}
 	}
-
-	if err := in.RunSynthetic(traffic.Uniform{}, 0.15); err != nil {
-		t.Fatalf("%v workers=%d: run: %v", sys, workers, err)
+	if _, err := pt.run(); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	drained, err := in.Net.Drain()
-	if err != nil {
-		t.Fatalf("%v workers=%d: drain: %v", sys, workers, err)
-	}
-	if !drained {
-		t.Fatalf("%v workers=%d: did not drain (%d flits in flight)", sys, workers, in.Net.InFlightFlits())
-	}
-	if err := in.Net.CheckCredits(); err != nil {
-		t.Fatalf("%v workers=%d: credit conservation: %v", sys, workers, err)
-	}
-	if chk != nil {
-		if err := chk.Check(in.Net); err != nil {
-			t.Fatalf("%v workers=%d: integrity: %v", sys, workers, err)
-		}
-	}
-
-	fp.finish(h.Sum64(), in.Net)
-	return fp
+	return d.fingerprint()
 }
 
 func parseOracleWorkers(t *testing.T) []int {

@@ -7,10 +7,14 @@ package experiments
 import (
 	"fmt"
 
+	"heteroif/internal/collective"
+	"heteroif/internal/core"
+	"heteroif/internal/fault"
 	"heteroif/internal/network"
 	"heteroif/internal/routing"
 	"heteroif/internal/stats"
 	"heteroif/internal/topology"
+	"heteroif/internal/trace"
 	"heteroif/internal/traffic"
 )
 
@@ -65,13 +69,159 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	return in, nil
 }
 
-// release stops the instance's shard workers. Every runner defers it once
-// Build succeeds, so a point's goroutines end when the point returns; the
-// network's finalizer is only the backstop for instances dropped without
-// it. The network stays usable: it steps as one shard from here on, with
-// identical results.
-func (in *Instance) release() {
-	in.Net.SetWorkers(0)
+// simPoint declares one simulation: the system, what to arm on it, exactly
+// one workload and whether to drain. run builds, drives, drains, checks and
+// measures it. A point without a workload names a system under comparison;
+// callers complete it with one.
+type simPoint struct {
+	Name string // the Result's system label
+	Cfg  network.Config
+	Spec topology.Spec
+
+	// Bias, when positive, replaces the hetero-channel routing with one
+	// that weighs serial hops by Bias in the Eq. 5 subnetwork selection.
+	Bias float64
+	// Faults, when non-nil, arms the error model and an integrity checker
+	// that every injected packet must pass exactly once.
+	Faults *fault.Config
+	// Hook runs on the built instance after the faults attach and before
+	// any traffic: failing links, wrapping the sink.
+	Hook func(*Instance) error
+
+	// The workload: a synthetic pattern at an offered load
+	// (flits/cycle/node), a trace replayed at a time compression, or a
+	// closed-loop collective over the chiplet leaders, run to completion
+	// within Budget cycles.
+	Pattern traffic.Pattern
+	Rate    float64
+	Trace   *trace.Trace
+	Speedup float64
+	Program func(leaders []network.NodeID) *collective.Program
+	Budget  int64
+	// Workload labels the Result; empty takes the pattern's or trace's name.
+	Workload string
+
+	// Drain runs the network empty after the workload and fails the point
+	// if it does not.
+	Drain bool
+}
+
+// outcome is as far as a run got. Result is set once every check passed;
+// the rest is filled in on every exit path after Build, because a
+// starving baseline's counters are data, not an error.
+type outcome struct {
+	Result
+	Report              collective.Report // of a collective workload
+	Faults              fault.Summary
+	Trips               uint64 // failover trips over every adapter
+	Injected, Delivered int64  // packets
+}
+
+// run builds the point's system, drives its workload, drains, checks
+// credit conservation and (under faults) exactly-once delivery, and
+// measures. Its shard workers stop on every exit path, so a point's
+// goroutines end when it returns; the network stays readable as one shard.
+func (p simPoint) run() (out outcome, err error) {
+	in, err := Build(p.Cfg, p.Spec)
+	if err != nil {
+		return out, err
+	}
+	defer func() {
+		in.Net.SetWorkers(0)
+		out.Faults = fault.Summarize(in.Net)
+		for _, ad := range in.Topo.Adapters {
+			if fp, ok := ad.Policy().(*core.FailoverPolicy); ok {
+				out.Trips += fp.Trips()
+			}
+		}
+		out.Injected, out.Delivered = in.Net.PacketsInjected(), in.Net.PacketsDelivered()
+	}()
+	if p.Bias > 0 {
+		if p.Spec.System != topology.HeteroChannel {
+			return out, fmt.Errorf("experiments: %s: an Eq. 5 bias needs a hetero-channel system", p.Name)
+		}
+		in.Net.Routing = &routing.HeteroChannel{T: in.Topo, Bias: p.Bias}
+	}
+	var chk *fault.IntegrityChecker
+	if p.Faults != nil {
+		fault.Attach(in.Net, *p.Faults)
+		chk = fault.NewIntegrityChecker(in.Net)
+	}
+	if p.Hook != nil {
+		if err := p.Hook(in); err != nil {
+			return out, err
+		}
+	}
+	workload, rate, err := p.drive(in, &out.Report)
+	if p.Workload != "" {
+		workload = p.Workload
+	}
+	if err != nil {
+		// Deadlock or other engine failure: report, don't fabricate data.
+		return out, fmt.Errorf("%s/%s: %w", p.Name, workload, err)
+	}
+	if p.Drain {
+		if drained, err := in.Net.Drain(); err != nil || !drained {
+			return out, fmt.Errorf("%s/%s: drain: drained=%v err=%v (%d flits in flight)", p.Name, workload, drained, err, in.Net.InFlightFlits())
+		}
+	}
+	if err := in.Net.CheckCredits(); err != nil {
+		return out, fmt.Errorf("%s/%s: %w", p.Name, workload, err)
+	}
+	if chk != nil {
+		if err := chk.Check(in.Net); err != nil {
+			return out, fmt.Errorf("%s/%s: %w", p.Name, workload, err)
+		}
+	}
+	out.Result = in.Measure(p.Name, workload, rate)
+	if p.Program != nil {
+		// Closed loop: no offered load to saturate; Throughput is the
+		// algorithmic bandwidth in flits/cycle/participant.
+		out.Saturated = false
+		if rep := out.Report; rep.Elapsed > 0 {
+			out.Throughput = float64(rep.Flits) / float64(rep.Elapsed) / float64(rep.Participants)
+		}
+	}
+	return out, nil
+}
+
+// drive runs the point's one workload and returns its name and the offered
+// load to measure it at.
+func (p simPoint) drive(in *Instance, rep *collective.Report) (string, float64, error) {
+	switch {
+	case p.Pattern != nil:
+		// Non-participating sources inject nothing, so saturation is judged
+		// against the effective load. Where all take part the declared rate
+		// stands as is, bit for bit.
+		rate, n := p.Rate, in.Topo.N
+		if k := traffic.Participants(p.Pattern, n); k != n {
+			rate = p.Rate * float64(k) / float64(n)
+		}
+		return p.Pattern.Name(), rate, in.RunSynthetic(p.Pattern, p.Rate)
+	case p.Trace != nil:
+		m, err := rankMap(in.Topo, int(p.Trace.Ranks))
+		if err != nil {
+			return p.Trace.Name, 0, err
+		}
+		rp, err := trace.NewReplayer(p.Trace, in.Net, m, p.Speedup)
+		if err != nil {
+			return p.Trace.Name, 0, err
+		}
+		rp.MeasureFrom = p.Cfg.WarmupCycles
+		// Trace gaps are fast-forwarded: the replayer publishes its next
+		// injection time, so idle stretches between communication phases
+		// cost nothing.
+		err = in.Net.RunWith(p.Cfg.SimCycles, rp.Drive, rp.NextInjection)
+		return p.Trace.Name, rp.ActualOfferedRate(in.Net.Now, in.Topo.N), err
+	case p.Program != nil:
+		eng, err := collective.NewEngine(in.Net, p.Program(in.Topo.ChipletLeaders()))
+		if err != nil {
+			return "", 0, err
+		}
+		*rep, err = eng.Run(p.Budget)
+		return "", 0, err
+	}
+	return "", 0, fmt.Errorf("experiments: point %s declares no workload", p.Name)
 }
 
 // RunSynthetic drives the instance with a synthetic pattern at the given
