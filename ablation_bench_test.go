@@ -166,22 +166,6 @@ func BenchmarkAblationAdaptivity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPipelineDepth sweeps extra router pipeline latency per
-// hop (0 = the Sec. 7.1 single-cycle ideal).
-func BenchmarkAblationPipelineDepth(b *testing.B) {
-	spec := topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: 4, ChipletsY: 4, NodesX: 4, NodesY: 4}
-	for _, extra := range []int{0, 1, 2} {
-		b.Run(map[int]string{0: "ideal", 1: "plus1", 2: "plus2"}[extra], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := network.DefaultConfig()
-				cfg.RouterPipelineExtra = extra
-				in := ablationRun(b, cfg, spec, traffic.Uniform{}, 0.1, nil)
-				b.ReportMetric(in.Stats.MeanLatency(), "lat-cycles")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEq5Bias sweeps the hetero-channel subnetwork-selection
 // bias: 1.0 is the paper's hop-minimizing Eq. 5; the serial/parallel
 // energy ratio is the energy-efficient setting.

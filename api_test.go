@@ -59,7 +59,6 @@ func TestPublicBuildRejectsBadConfig(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"adapter queue depth -4": func(c *Config) { c.AdapterQueueDepth = -4 },
 		"adapter queue depth 0":  func(c *Config) { c.AdapterQueueDepth = 0 },
-		"router pipeline -1":     func(c *Config) { c.RouterPipelineExtra = -1 },
 		"injection bandwidth 0":  func(c *Config) { c.InjectionBandwidth = 0 },
 		"ejection bandwidth 0":   func(c *Config) { c.EjectionBandwidth = 0 },
 	} {

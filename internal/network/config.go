@@ -103,12 +103,6 @@ type Config struct {
 	// deadlock. Zero disables the watchdog.
 	DeadlockThreshold int64
 
-	// RouterPipelineExtra adds this many cycles of router pipeline latency
-	// to every hop (0 = the Sec. 7.1 ideal where RC/VA/SA complete in the
-	// arrival cycle). Modeled as extra link pipeline stages; an ablation
-	// knob for pipeline-depth sensitivity.
-	RouterPipelineExtra int
-
 	// WormholeAdmission switches VC allocation from virtual cut-through
 	// (whole-packet buffer reservation, the default — required by the
 	// deadlock-freedom arguments in DESIGN.md) to plain wormhole (one free
@@ -185,8 +179,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: injection and ejection bandwidths must be positive")
 	case c.OnChipDelay <= 0 || c.ParallelDelay <= 0 || c.SerialDelay <= 0:
 		return fmt.Errorf("network: delays must be positive")
-	case c.RouterPipelineExtra < 0:
-		return fmt.Errorf("network: router pipeline extra %d must be non-negative", c.RouterPipelineExtra)
 	case c.OnChipBufPerVC <= 0 || c.IfaceBufPerVC <= 0:
 		return fmt.Errorf("network: buffer depths must be positive")
 	case c.AdapterQueueDepth <= 0:
@@ -225,22 +217,19 @@ func (c *Config) Bandwidth(k LinkKind) int {
 	return 1
 }
 
-// Delay returns the configured traversal delay for a link kind (plus any
-// extra router pipeline depth); for hetero-PHY it is the parallel
-// (minimum) delay — the adapter model applies per-PHY delays itself.
+// Delay returns the configured traversal delay for a link kind; for
+// hetero-PHY it is the parallel (minimum) delay — the adapter model applies
+// per-PHY delays itself.
 func (c *Config) Delay(k LinkKind) int {
-	base := 1
 	switch k {
 	case KindOnChip, KindLocal:
-		base = c.OnChipDelay
-	case KindParallel:
-		base = c.ParallelDelay
+		return c.OnChipDelay
+	case KindParallel, KindHeteroPHY:
+		return c.ParallelDelay
 	case KindSerial:
-		base = c.SerialDelay
-	case KindHeteroPHY:
-		base = c.ParallelDelay
+		return c.SerialDelay
 	}
-	return base + c.RouterPipelineExtra
+	return 1
 }
 
 // BufPerVC returns the per-VC input buffer depth for a channel of kind k,

@@ -56,7 +56,6 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		// Each of these built and then panicked or delivered nothing.
 		func(c *Config) { c.AdapterQueueDepth = -4 },
 		func(c *Config) { c.AdapterQueueDepth = 0 },
-		func(c *Config) { c.RouterPipelineExtra = -1 },
 		func(c *Config) { c.InjectionBandwidth = 0 },
 		func(c *Config) { c.EjectionBandwidth = 0 },
 		// 16-bit adapter sequence numbers: 2 VCs × 16,384 buffered flits,
@@ -116,40 +115,5 @@ func TestKindAndClassStrings(t *testing.T) {
 	}
 	if LinkKind(99).String() == "" {
 		t.Error("unknown kind should still render")
-	}
-}
-
-func TestRouterPipelineExtraAddsPerHopLatency(t *testing.T) {
-	cfg := DefaultConfig()
-	base := cfg.Delay(KindOnChip)
-	cfg.RouterPipelineExtra = 2
-	if got := cfg.Delay(KindOnChip); got != base+2 {
-		t.Fatalf("on-chip delay = %d, want %d", got, base+2)
-	}
-	if got := cfg.Delay(KindSerial); got != cfg.SerialDelay+2 {
-		t.Fatalf("serial delay = %d, want %d", got, cfg.SerialDelay+2)
-	}
-	// End to end: one hop costs exactly 2 more cycles at zero load.
-	lat := func(extra int) int64 {
-		c := DefaultConfig()
-		c.RouterPipelineExtra = extra
-		net, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.AddNodes(2)
-		net.Connect(KindOnChip, 0, 1)
-		net.Routing = forwardRouting{}
-		net.Finalize()
-		var arrived int64 = -1
-		net.Sink = func(p *Packet) { arrived = p.ArrivedAt }
-		net.Offer(net.NewPacket(0, 1, 1, 0))
-		if err := net.Run(100, nil); err != nil {
-			t.Fatal(err)
-		}
-		return arrived
-	}
-	if d := lat(2) - lat(0); d != 2 {
-		t.Fatalf("pipeline extra changed latency by %d, want 2", d)
 	}
 }
