@@ -112,6 +112,7 @@ experiments-full:
 
 examples:
 	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/allreduce
 	$(GO) run ./examples/chiplet_reuse
 	$(GO) run ./examples/datacenter_mixed
 	$(GO) run ./examples/energy_tuning
