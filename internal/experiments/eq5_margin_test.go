@@ -22,17 +22,17 @@ func TestEq5MarginTradeoff(t *testing.T) {
 	cfg.SimCycles = 12000
 	cfg.WarmupCycles = 3000
 	lat := func(cx, nx, margin int) float64 {
-		vs := heteroChannelVariants(cfg, cx, cx, nx, nx)
-		in, err := Build(vs[2].Cfg, vs[2].Spec)
+		v := heteroChannelVariants(cfg, cx, cx, nx, nx)[2]
+		v.Hook = func(in *Instance) error {
+			in.Net.Routing = &routing.HeteroChannel{T: in.Topo, Margin: margin}
+			return nil
+		}
+		r, err := runPoint(v, traffic.Uniform{}, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in.Net.Routing = &routing.HeteroChannel{T: in.Topo, Margin: margin}
-		if err := in.RunSynthetic(traffic.Uniform{}, 0.1); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%dx(%dx%d) margin=%d lat=%.1f", cx*cx, nx, nx, margin, in.Stats.MeanLatency())
-		return in.Stats.MeanLatency()
+		t.Logf("%dx(%dx%d) margin=%d lat=%.1f", cx*cx, nx, nx, margin, r.MeanLatency)
+		return r.MeanLatency
 	}
 	// Small chiplets: the margin pays (serial hops cost more than they save).
 	if small0, small2 := lat(4, 4, 0), lat(4, 4, 2); small2 >= small0 {

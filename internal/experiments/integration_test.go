@@ -37,32 +37,22 @@ func TestAllSystemsDeliverUniformTraffic(t *testing.T) {
 	for _, sys := range systems {
 		sys := sys
 		t.Run(sys.String(), func(t *testing.T) {
-			in, err := Build(shortCfg(), smallSpec(sys))
+			// run fails on a deadlock, an incomplete drain or a credit
+			// imbalance.
+			out, err := simPoint{
+				Name: sys.String(), Cfg: shortCfg(), Spec: smallSpec(sys),
+				Pattern: traffic.Uniform{}, Rate: 0.10, Drain: true,
+			}.run()
 			if err != nil {
-				t.Fatalf("Build: %v", err)
+				t.Fatal(err)
 			}
-			if err := in.RunSynthetic(traffic.Uniform{}, 0.10); err != nil {
-				t.Fatalf("run: %v", err)
+			if out.Delivered != out.Injected {
+				t.Fatalf("delivered %d of %d injected packets", out.Delivered, out.Injected)
 			}
-			drained, err := in.Net.Drain()
-			if err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-			if !drained {
-				t.Fatalf("network did not drain: %d flits in flight, %d packets queued",
-					in.Net.InFlightFlits(), in.Net.QueuedPackets())
-			}
-			if got, want := in.Net.PacketsDelivered(), in.Net.PacketsInjected(); got != want {
-				t.Fatalf("delivered %d of %d injected packets", got, want)
-			}
-			if in.Stats.Count() == 0 {
+			if out.Packets == 0 {
 				t.Fatal("no packets measured")
 			}
-			if err := in.Net.CheckCredits(); err != nil {
-				t.Fatalf("credit invariant: %v", err)
-			}
-			t.Logf("%s: %d packets, mean latency %.1f cycles",
-				sys, in.Stats.Count(), in.Stats.MeanLatency())
+			t.Logf("%s: %d packets, mean latency %.1f cycles", sys, out.Packets, out.MeanLatency)
 		})
 	}
 }
@@ -115,14 +105,11 @@ func TestLatencyOrderingLowLoad(t *testing.T) {
 		topology.UniformSerialTorus,
 		topology.HeteroPHYTorus,
 	} {
-		in, err := Build(shortCfg(), smallSpec(sys))
+		r, err := runPoint(simPoint{Name: sys.String(), Cfg: shortCfg(), Spec: smallSpec(sys)}, traffic.Uniform{}, 0.02)
 		if err != nil {
-			t.Fatalf("Build(%v): %v", sys, err)
+			t.Fatalf("%v: %v", sys, err)
 		}
-		if err := in.RunSynthetic(traffic.Uniform{}, 0.02); err != nil {
-			t.Fatalf("run(%v): %v", sys, err)
-		}
-		lat[sys] = in.Stats.MeanLatency()
+		lat[sys] = r.MeanLatency
 	}
 	if lat[topology.UniformSerialTorus] <= lat[topology.UniformParallelMesh] {
 		t.Errorf("serial torus (%.1f) should be slower than parallel mesh (%.1f) at low load on a small system",

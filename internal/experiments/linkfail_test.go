@@ -12,34 +12,31 @@ import (
 // torus; the adaptive routing must keep delivering all traffic over the
 // mesh escape (Sec. 9 "Fault tolerance").
 func TestFaultToleranceWraparounds(t *testing.T) {
-	cfg := shortCfg()
-	in, err := Build(cfg, topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: 2, ChipletsY: 2, NodesX: 3, NodesY: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var in *Instance
 	failed := 0
-	for n := range in.Topo.OutPorts {
-		for port := 1; port < len(in.Topo.OutPorts[n]); port++ {
-			if in.Topo.OutPorts[n][port].Wrap {
-				if err := in.Topo.FailLink(network.NodeID(n), port); err != nil {
-					t.Fatalf("fail wrap: %v", err)
+	out, err := simPoint{
+		Name: "hetero-phy-torus", Cfg: shortCfg(), Spec: smallSpec(topology.HeteroPHYTorus),
+		Hook: func(i *Instance) error {
+			in = i
+			for n := range in.Topo.OutPorts {
+				for port := 1; port < len(in.Topo.OutPorts[n]); port++ {
+					if in.Topo.OutPorts[n][port].Wrap {
+						if err := in.Topo.FailLink(network.NodeID(n), port); err != nil {
+							return err
+						}
+						failed++
+					}
 				}
-				failed++
 			}
-		}
+			return nil
+		},
+		Pattern: traffic.Uniform{}, Rate: 0.1, Drain: true,
+	}.run()
+	if err != nil || failed == 0 {
+		t.Fatalf("run with %d failed wraparounds: %v", failed, err)
 	}
-	if failed == 0 {
-		t.Fatal("no wraparound links found to fail")
-	}
-	if err := in.RunSynthetic(traffic.Uniform{}, 0.1); err != nil {
-		t.Fatalf("run with %d failed links: %v", failed, err)
-	}
-	drained, err := in.Net.Drain()
-	if err != nil || !drained {
-		t.Fatalf("drain after faults: %v %v", drained, err)
-	}
-	if got, want := in.Net.PacketsDelivered(), in.Net.PacketsInjected(); got != want {
-		t.Fatalf("delivered %d of %d with failed wraparounds", got, want)
+	if out.Delivered != out.Injected {
+		t.Fatalf("delivered %d of %d with failed wraparounds", out.Delivered, out.Injected)
 	}
 	// No flit may have used a dead link.
 	for _, l := range in.Net.Links {
@@ -53,41 +50,38 @@ func TestFaultToleranceWraparounds(t *testing.T) {
 // on a hetero-channel system — the channel diversity of the multi-link
 // hypercube absorbs it.
 func TestFaultToleranceCubeLinks(t *testing.T) {
-	cfg := shortCfg()
-	in, err := Build(cfg, topology.Spec{System: topology.HeteroChannel, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	failed := 0
-	for c := 0; c < 4; c++ {
-		for d := 0; d < in.Topo.CubeDims; d++ {
-			owners := in.Topo.CubeLinkNodes(c, d)
-			if len(owners) < 2 {
-				continue
-			}
-			n := owners[0]
-			for port := 1; port < len(in.Topo.OutPorts[n]); port++ {
-				if in.Topo.OutPorts[n][port].CubeDim == int8(d) {
-					if err := in.Topo.FailLink(n, port); err != nil {
-						t.Fatalf("fail cube link: %v", err)
+	out, err := simPoint{
+		Name: "hetero-channel", Cfg: shortCfg(),
+		Spec: topology.Spec{System: topology.HeteroChannel, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4},
+		Hook: func(in *Instance) error {
+			for c := 0; c < 4; c++ {
+				for d := 0; d < in.Topo.CubeDims; d++ {
+					owners := in.Topo.CubeLinkNodes(c, d)
+					if len(owners) < 2 {
+						continue
 					}
-					failed++
-					break
+					n := owners[0]
+					for port := 1; port < len(in.Topo.OutPorts[n]); port++ {
+						if in.Topo.OutPorts[n][port].CubeDim == int8(d) {
+							if err := in.Topo.FailLink(n, port); err != nil {
+								return err
+							}
+							failed++
+							break
+						}
+					}
 				}
 			}
-		}
-	}
-	if failed == 0 {
-		t.Fatal("no cube links failed")
-	}
-	if err := in.RunSynthetic(traffic.Uniform{}, 0.1); err != nil {
+			return nil
+		},
+		Pattern: traffic.Uniform{}, Rate: 0.1, Drain: true,
+	}.run()
+	if err != nil || failed == 0 {
 		t.Fatalf("run with %d failed cube links: %v", failed, err)
 	}
-	if drained, err := in.Net.Drain(); err != nil || !drained {
-		t.Fatalf("drain after cube faults: %v %v", drained, err)
-	}
-	if got, want := in.Net.PacketsDelivered(), in.Net.PacketsInjected(); got != want {
-		t.Fatalf("delivered %d of %d with failed cube links", got, want)
+	if out.Delivered != out.Injected {
+		t.Fatalf("delivered %d of %d with failed cube links", out.Delivered, out.Injected)
 	}
 }
 
