@@ -67,7 +67,7 @@ trace:
 	$(GO) run ./cmd/checkmanifest results-ci/BENCH_fig13.json
 
 # Everything .github/workflows/ci.yml runs, locally.
-ci: build vet fmt-check test race bench-smoke smoke fault collective trace
+ci: build vet fmt-check test race bench-smoke smoke fault collective trace examples
 
 # The whole-stack ledger (every BENCHMARK.json workload, both passes, into
 # the git-ignored bench/out/) followed by every in-package micro-benchmark.
@@ -110,6 +110,8 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/hetsim -exp all -full -csv results-full
 
+# Run every public-API demo: go build only compiles them, this catches a
+# runtime panic.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/allreduce

@@ -168,11 +168,13 @@ func TestPublicCustomDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := 0
+	// Each packet is delivered before the next is offered, so the system
+	// recycles one Packet struct; the IDs OfferPacket returns stay distinct.
+	var sent, delivered []uint64
+	sys.Net.OnDeliver = func(p *Packet) { delivered = append(delivered, p.ID) }
 	err = RunWithDriver(sys, 500, func(now int64) {
 		if now%50 == 0 {
-			OfferPacket(sys, 0, 9, 4, ClassLatencySensitive, now)
-			sent++
+			sent = append(sent, OfferPacket(sys, 0, 9, 4, ClassLatencySensitive, now))
 		}
 	})
 	if err != nil {
@@ -182,8 +184,13 @@ func TestPublicCustomDriver(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("drain: %v %v", ok, err)
 	}
-	if got := sys.Net.PacketsDelivered(); got != int64(sent) {
-		t.Fatalf("delivered %d of %d", got, sent)
+	if len(delivered) != len(sent) {
+		t.Fatalf("delivered %d of %d", len(delivered), len(sent))
+	}
+	for i := range sent {
+		if sent[i] != uint64(i+1) || delivered[i] != sent[i] {
+			t.Fatalf("packet %d: offered ID %d, delivered ID %d, want %d", i, sent[i], delivered[i], i+1)
+		}
 	}
 	if sys.Stats.ClassCount(uint8(ClassLatencySensitive)) == 0 {
 		t.Error("per-class stats empty")

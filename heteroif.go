@@ -192,13 +192,16 @@ func LocalUniformTraffic(spec Spec, blockChiplets int) Pattern {
 }
 
 // OfferPacket enqueues one packet for injection at cycle `at` (which must
-// not precede the current cycle, and must be nondecreasing per source).
-// Use it with RunWithDriver to build custom workloads.
-func OfferPacket(sys *System, src, dst NodeID, flits int, class Class, at int64) *Packet {
+// not precede the current cycle, and must be nondecreasing per source) and
+// returns its ID. Use it with RunWithDriver to build custom workloads.
+// A built system recycles delivered packets, so no handle to the packet is
+// returned: observe deliveries through sys.Stats, or match the ID in
+// sys.Net.OnDeliver.
+func OfferPacket(sys *System, src, dst NodeID, flits int, class Class, at int64) uint64 {
 	p := sys.Net.NewPacket(src, dst, flits, at)
 	p.Class = class
 	sys.Net.Offer(p)
-	return p
+	return p.ID
 }
 
 // RunWithDriver advances the system `cycles` cycles, invoking drive (which

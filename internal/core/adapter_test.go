@@ -65,6 +65,36 @@ func TestAdapterBalancedUsesSerialUnderLoad(t *testing.T) {
 	}
 }
 
+// TestAdapterBalancedIssueRule pins the Sec. 7.3 issue rule on the adapter
+// at the synthesized TX widths (1 parallel + 2 serial, 16-deep queue): one
+// Tick over a queue pre-filled to occupancy q. The Balanced doc says why
+// q = 8 and 9 differ from the synthesized control.
+func TestAdapterBalancedIssueRule(t *testing.T) {
+	cfg := network.DefaultConfig().Halved()
+	cfg.AdapterQueueDepth = 16
+	for _, tc := range []struct {
+		q, parallel, serial int
+	}{
+		{0, 0, 0},
+		{1, 1, 0}, {2, 1, 0}, {3, 1, 0}, {4, 1, 0},
+		{5, 1, 0}, {6, 1, 0}, {7, 1, 0}, {8, 1, 0},
+		{9, 1, 1},
+		{10, 1, 2}, {11, 1, 2}, {12, 1, 2}, {13, 1, 2},
+		{14, 1, 2}, {15, 1, 2}, {16, 1, 2},
+	} {
+		a := NewHeteroPHYAdapter(&cfg, Balanced{})
+		a.pb, a.sb = 0, 0
+		pkt := mkPkt(1, tc.q, network.ClassBestEffort)
+		for i := 0; i < tc.q; i++ {
+			a.Accept(0, network.Flit{Pkt: pkt, Seq: int32(i), VC: 0})
+		}
+		a.Tick(1, func(network.Flit) {})
+		if p, s := a.ParallelFlits(), a.SerialFlits(); p != uint64(tc.parallel) || s != uint64(tc.serial) {
+			t.Errorf("q=%d: issued %d parallel / %d serial, want %d/%d", tc.q, p, s, tc.parallel, tc.serial)
+		}
+	}
+}
+
 // TestAdapterEnergyEfficientNeverUsesSerial: the energy-efficient policy
 // leaves the serial PHY dark.
 func TestAdapterEnergyEfficientNeverUsesSerial(t *testing.T) {

@@ -107,6 +107,14 @@ func (EnergyEfficient) Dispatch(st State, _ network.Flit) (PHY, bool) {
 // Balanced uses only the parallel PHY under light load and enables the
 // serial PHY when the TX queue reaches a threshold (Sec. 5.3.1; the
 // synthesized TX adapter of Sec. 7.3 uses threshold = half the FIFO).
+//
+// The rule is applied flit by flit: the adapter calls Dispatch with the
+// queue length as it stands before each issue, so a flit goes to the serial
+// PHY only while the queue still holds at least Threshold flits. The
+// synthesized control instead decides once per cycle from the start-of-cycle
+// occupancy. At the 1 + 2 issue widths of the synthesized TX with a 16-deep
+// queue the two differ at occupancy 8 (here 1 parallel + 0 serial, there
+// 1 + 2) and 9 (here 1 + 1, there 1 + 2).
 type Balanced struct {
 	// Threshold is the queue occupancy at which the serial PHY turns on.
 	// Zero means half the queue capacity.

@@ -40,9 +40,6 @@ func NewIntegrityChecker(net *network.Network) *IntegrityChecker {
 // Delivered returns how many packet deliveries the checker observed.
 func (c *IntegrityChecker) Delivered() uint64 { return c.delivered }
 
-// Duplicates returns how many deliveries repeated an already-seen ID.
-func (c *IntegrityChecker) Duplicates() uint64 { return c.dups }
-
 // Check returns nil when every injected packet was delivered exactly once
 // and nothing is left in flight. Call it after the network drained.
 func (c *IntegrityChecker) Check(net *network.Network) error {

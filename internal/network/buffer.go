@@ -68,10 +68,6 @@ func (q *FlitQueue) Front() Flit { return q.buf[q.head] }
 // It must not be called on an empty queue.
 func (q *FlitQueue) FrontPkt() *Packet { return q.buf[q.head].Pkt }
 
-// FrontSeq returns the sequence number of the oldest flit without copying
-// the whole flit. It must not be called on an empty queue.
-func (q *FlitQueue) FrontSeq() int32 { return q.buf[q.head].Seq }
-
 // frontRef returns a pointer to the oldest flit in place. The reference is
 // invalidated by the next mutation. It must not be called on an empty
 // queue.

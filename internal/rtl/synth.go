@@ -1,3 +1,26 @@
+// Package rtl is a structural area/power/timing estimator reproducing the
+// post-synthesis analysis of Table 4 (Sec. 7.3). It prices the three
+// circuits the paper synthesizes at TSMC-12nm:
+//
+//  1. the hetero-PHY adapter RX — a 64-bit × 16-deep FIFO plus sequence-
+//     number counting logic (the reorder buffer), AdapterRXModule;
+//  2. the hetero-PHY adapter TX — a same-size multi-width FIFO with three
+//     concurrent read/write ports and the balance-scheduling control,
+//     AdapterTXModule;
+//  3. the canonical VC router, regular (5 ports, RegularRouterModule) and
+//     heterogeneous (+2 concurrent serial ports with their routing logic,
+//     HeteroRouterModule).
+//
+// The circuits' behaviour is modelled once, by the simulator: the adapter
+// in internal/core, the router in internal/network. This package only
+// describes their structure.
+//
+// Substitution note (DESIGN.md §4): we cannot run Synopsys on TSMC-12nm;
+// Estimate computes area, power and critical path from structural
+// parameters (storage bits, port counts, crossbar size, control gates)
+// with coefficients calibrated against the paper's own four synthesis
+// results, so the Table 4 relations (tiny fast adapters; hetero router
+// ≈ +45% area / +33% power at nearly unchanged frequency) are reproduced.
 package rtl
 
 import "fmt"
