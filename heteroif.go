@@ -143,7 +143,8 @@ func ApplicationAwarePolicy(timeout int64) Policy {
 	return core.ApplicationAware{Timeout: timeout}
 }
 
-// Trace workloads (Sec. 7.2).
+// Trace workloads (Sec. 7.2). Replay one with sys.Replay, which places the
+// ranks on each chiplet's core nodes.
 
 // PARSECTrace synthesizes a Netrace-like 64-rank CMP trace for a named
 // PARSEC workload (see PARSECWorkloads).
@@ -160,24 +161,6 @@ func CNSTrace(cycles, seed int64) *Trace { return trace.GenerateCNS(cycles, seed
 
 // MOCTrace synthesizes the 1024-rank method-of-characteristics sweep trace.
 func MOCTrace(cycles, seed int64) *Trace { return trace.GenerateMOC(cycles, seed) }
-
-// ReadTrace deserializes a trace written with Trace.Write.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
-
-// Replay injects a trace into a built system, mapping rank i to node i,
-// time-compressed by speedup (1 = as recorded), and runs for the
-// configured simulation window.
-func Replay(sys *System, tr *Trace, speedup float64) error {
-	m, err := trace.LinearMap(int(tr.Ranks), sys.Topo.N)
-	if err != nil {
-		return err
-	}
-	rep, err := trace.NewReplayer(tr, sys.Net, m, speedup)
-	if err != nil {
-		return err
-	}
-	return sys.Net.RunWith(sys.Net.Cfg.SimCycles, rep.Drive, rep.NextInjection)
-}
 
 // LocalUniformTraffic confines uniform traffic to blocks of
 // blockChiplets×blockChiplets chiplets (the Fig. 18 locality workload).
@@ -223,11 +206,6 @@ type (
 	CollectiveProgram = collective.Program
 	// CollectiveEngine executes a CollectiveProgram against a system.
 	CollectiveEngine = collective.Engine
-	// CollectiveReport is a completed program's per-step and end-to-end
-	// completion breakdown.
-	CollectiveReport = collective.Report
-	// DNNLayer is one layer of the DNN training traffic model.
-	DNNLayer = collective.Layer
 )
 
 // RingAllReduce builds the 2-phase ring all-reduce (reduce-scatter +
@@ -235,25 +213,6 @@ type (
 // per-participant payload, compute the per-chunk reduction delay.
 func RingAllReduce(parts []NodeID, dataFlits int, compute int64) *CollectiveProgram {
 	return collective.RingAllReduce(parts, dataFlits, compute)
-}
-
-// ReduceScatter, AllGather and AllToAll build the remaining collective
-// primitives (see internal/collective for the shapes).
-func ReduceScatter(parts []NodeID, dataFlits int, compute int64) *CollectiveProgram {
-	return collective.ReduceScatter(parts, dataFlits, compute)
-}
-func AllGather(parts []NodeID, dataFlits int) *CollectiveProgram {
-	return collective.AllGather(parts, dataFlits)
-}
-func AllToAll(parts []NodeID, flitsPerPair, window int) *CollectiveProgram {
-	return collective.AllToAll(parts, flitsPerPair, window)
-}
-
-// DNNTraining builds the layer-by-layer data-parallel training model:
-// per-layer compute, a gradient ring all-reduce, and a full barrier
-// between layers.
-func DNNTraining(parts []NodeID, layers []DNNLayer, reduceCompute int64) *CollectiveProgram {
-	return collective.DNNTraining(parts, layers, reduceCompute)
 }
 
 // NewCollective attaches a collective engine to a built system. Run it

@@ -397,17 +397,4 @@ func (a *HeteroPHYAdapter) SerialRetry() *network.RetryPipe { return a.sRetry }
 // serial PHY and re-issued through the parallel PHY.
 func (a *HeteroPHYAdapter) Rescued() uint64 { return a.nRescued }
 
-// RetryStats returns the combined link-layer protocol counters of both
-// PHYs (zero when retry is disabled).
-func (a *HeteroPHYAdapter) RetryStats() network.RetryStats {
-	var s network.RetryStats
-	if a.pRetry != nil {
-		s.Add(a.pRetry.Stats)
-	}
-	if a.sRetry != nil {
-		s.Add(a.sRetry.Stats)
-	}
-	return s
-}
-
 var _ network.Adapter = (*HeteroPHYAdapter)(nil)

@@ -19,7 +19,8 @@ func replayPoint(p simPoint, tr *trace.Trace, speedup float64) (Result, error) {
 // rankMap places trace ranks onto nodes. When ranks fit, it spreads them
 // evenly across chiplets using each chiplet's core (interior) nodes first —
 // the Sec. 8.1.2 "core nodes of each chiplet" placement; when the system is
-// smaller than the rank space (short-mode runs only), ranks wrap around.
+// smaller than the rank space (the reduced scales, or a small system
+// replaying a 1024-rank trace through Instance.Replay), ranks wrap around.
 func rankMap(t *topology.Topo, ranks int) ([]network.NodeID, error) {
 	var cores []network.NodeID
 	perChiplet := ranks / (t.ChipletsX * t.ChipletsY)

@@ -15,7 +15,6 @@ func shortCfg() network.Config {
 	cfg.WarmupCycles = 500
 	cfg.DrainCycles = 30000
 	cfg.DeadlockThreshold = 3000
-	cfg.CheckInvariants = true
 	return cfg
 }
 

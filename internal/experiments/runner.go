@@ -199,20 +199,8 @@ func (p simPoint) drive(in *Instance, rep *collective.Report) (string, float64, 
 		}
 		return p.Pattern.Name(), rate, in.RunSynthetic(p.Pattern, p.Rate)
 	case p.Trace != nil:
-		m, err := rankMap(in.Topo, int(p.Trace.Ranks))
-		if err != nil {
-			return p.Trace.Name, 0, err
-		}
-		rp, err := trace.NewReplayer(p.Trace, in.Net, m, p.Speedup)
-		if err != nil {
-			return p.Trace.Name, 0, err
-		}
-		rp.MeasureFrom = p.Cfg.WarmupCycles
-		// Trace gaps are fast-forwarded: the replayer publishes its next
-		// injection time, so idle stretches between communication phases
-		// cost nothing.
-		err = in.Net.RunWith(p.Cfg.SimCycles, rp.Drive, rp.NextInjection)
-		return p.Trace.Name, rp.ActualOfferedRate(in.Net.Now, in.Topo.N), err
+		rate, err := in.Replay(p.Trace, p.Speedup)
+		return p.Trace.Name, rate, err
 	case p.Program != nil:
 		eng, err := collective.NewEngine(in.Net, p.Program(in.Topo.ChipletLeaders()))
 		if err != nil {
@@ -229,6 +217,28 @@ func (p simPoint) drive(in *Instance, rep *collective.Report) (string, float64, 
 func (in *Instance) RunSynthetic(p traffic.Pattern, rate float64) error {
 	gen := traffic.NewGenerator(in.Net, p, rate, in.Net.Cfg.Seed+17)
 	return in.Net.Run(in.Net.Cfg.SimCycles-in.Net.Now, gen.Drive)
+}
+
+// Replay injects a trace into the instance, its ranks spread over each
+// chiplet's core nodes (wrapping when there are more ranks than core
+// nodes), time-compressed by speedup (1 = as recorded), and runs for
+// cfg.SimCycles cycles. It returns the load offered in the measurement
+// window (flits/cycle/node), co-located sends excluded.
+func (in *Instance) Replay(tr *trace.Trace, speedup float64) (offered float64, err error) {
+	m, err := rankMap(in.Topo, int(tr.Ranks))
+	if err != nil {
+		return 0, err
+	}
+	rp, err := trace.NewReplayer(tr, in.Net, m, speedup)
+	if err != nil {
+		return 0, err
+	}
+	rp.MeasureFrom = in.Net.Cfg.WarmupCycles
+	// Trace gaps are fast-forwarded: the replayer publishes its next
+	// injection time, so idle stretches between communication phases cost
+	// nothing.
+	err = in.Net.RunWith(in.Net.Cfg.SimCycles, rp.Drive, rp.NextInjection)
+	return rp.ActualOfferedRate(in.Net.Now, in.Topo.N), err
 }
 
 // Result is one measured operating point. The JSON tags define the

@@ -15,7 +15,6 @@ func BenchmarkWorkersScaling(b *testing.B) {
 			cfg := shortCfg()
 			cfg.SimCycles = 1 << 62
 			cfg.DeadlockThreshold = 0
-			cfg.CheckInvariants = false
 			cfg.Workers = workers
 			in, err := Build(cfg, topology.Spec{System: topology.HeteroChannel, ChipletsX: 8, ChipletsY: 8, NodesX: 7, NodesY: 7})
 			if err != nil {

@@ -13,9 +13,8 @@ import (
 // front), so exactly-once packet delivery plus a clean drain is the full
 // integrity statement.
 type IntegrityChecker struct {
-	seen      map[uint64]struct{}
-	delivered uint64
-	dups      uint64
+	seen map[uint64]struct{}
+	dups uint64
 }
 
 // NewIntegrityChecker wraps the network's current sink (call after the
@@ -24,7 +23,6 @@ func NewIntegrityChecker(net *network.Network) *IntegrityChecker {
 	c := &IntegrityChecker{seen: make(map[uint64]struct{})}
 	prev := net.Sink
 	net.Sink = func(p *network.Packet) {
-		c.delivered++
 		if _, dup := c.seen[p.ID]; dup {
 			c.dups++
 		} else {
@@ -36,9 +34,6 @@ func NewIntegrityChecker(net *network.Network) *IntegrityChecker {
 	}
 	return c
 }
-
-// Delivered returns how many packet deliveries the checker observed.
-func (c *IntegrityChecker) Delivered() uint64 { return c.delivered }
 
 // Check returns nil when every injected packet was delivered exactly once
 // and nothing is left in flight. Call it after the network drained.

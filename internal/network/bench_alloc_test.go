@@ -18,7 +18,7 @@ import "testing"
 // returns the busy routers plus a tick context bound to the scratch of the
 // network's one shard.
 func blockedMesh(tb testing.TB, side int) (*Network, []*Router, tickContext) {
-	net := buildXYMesh(tb, side, false)
+	net := buildXYMesh(tb, side)
 	for net.Now < 2000 {
 		saturateXYMesh(net, net.Now)
 		net.Step()

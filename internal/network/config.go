@@ -110,10 +110,6 @@ type Config struct {
 	// adaptive-commitment deadlock window at saturation.
 	WormholeAdmission bool
 
-	// CheckInvariants enables internal consistency checks (credit
-	// conservation, buffer bounds). Tests enable it; benchmarks do not.
-	CheckInvariants bool
-
 	// Workers is the number of shards the cycle engine is cut into, each
 	// beyond the first stepped by its own goroutine (0 or 1 = one shard,
 	// no goroutine; negative is rejected). Shards are whole 64-node wake

@@ -19,7 +19,7 @@ func TestRefinalizeKeepsRingState(t *testing.T) {
 // testRefinalize runs the re-Finalize scenario on build's 6×6 mesh, which
 // must hold some link with at least wantStages occupied delay-line stages
 // at the re-Finalize.
-func testRefinalize(t *testing.T, build func(testing.TB, int, bool) *Network, wantStages int) {
+func testRefinalize(t *testing.T, build func(testing.TB, int) *Network, wantStages int) {
 	type ring struct {
 		head, n, wpos, pend int
 		flits               []Flit
@@ -49,7 +49,7 @@ func testRefinalize(t *testing.T, build func(testing.TB, int, bool) *Network, wa
 		return log
 	}
 
-	ref, net := build(t, 6, true), build(t, 6, true)
+	ref, net := build(t, 6), build(t, 6)
 	refLog, netLog := record(ref), record(net)
 	run(ref, 400)
 	run(net, 400)

@@ -110,8 +110,7 @@ type Packet struct {
 	Dst    NodeID
 	Length int // flits
 
-	Class    Class
-	Priority uint8
+	Class Class
 
 	// CreatedAt is the cycle the packet was offered to the source queue
 	// (the trace/injection time). InjectedAt is the cycle its head flit

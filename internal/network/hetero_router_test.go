@@ -21,7 +21,6 @@ func (chainRouting) Route(net *Network, r *Router, _ int, pkt *Packet, buf []Can
 
 func TestInterfaceOutputAcceptsMultipleVCsPerCycle(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CheckInvariants = true
 	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

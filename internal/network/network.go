@@ -340,8 +340,8 @@ func (net *Network) rebuildWake() {
 }
 
 // NewPacket allocates a packet with a fresh ID, reusing a delivered packet
-// from the free list when PoolPackets is enabled. The caller fills class
-// and priority, then Offers it.
+// from the free list when PoolPackets is enabled. The caller fills the
+// class, then Offers it.
 func (net *Network) NewPacket(src, dst NodeID, length int, createdAt int64) *Packet {
 	net.nextPktID++
 	p := (*Packet)(nil)

@@ -13,7 +13,6 @@ import (
 func TestParallelMatchesSequential(t *testing.T) {
 	build := func(workers int) (*Network, map[uint64]int64) {
 		cfg := DefaultConfig()
-		cfg.CheckInvariants = true
 		net, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +100,7 @@ func rowCuts(side int) []int {
 // and returns the network plus per-packet arrival times.
 func runSaturatedMesh(t *testing.T, side, workers int, cuts []int, cycles int64) (*Network, map[uint64]int64) {
 	t.Helper()
-	net := buildXYMesh(t, side, true)
+	net := buildXYMesh(t, side)
 	if cuts != nil {
 		net.SetShardCuts(cuts)
 	}
@@ -186,7 +185,7 @@ func TestShardCutsSnap(t *testing.T) {
 		{16, []int{120}, 128}, // unaligned: dropped, the balanced word cut stays
 		{16, nil, 128},
 	} {
-		net := buildXYMesh(t, tc.side, false)
+		net := buildXYMesh(t, tc.side)
 		net.SetWorkers(2)
 		net.SetShardCuts(tc.cuts)
 		if got := net.shards.bounds[1]; got != tc.want {
@@ -239,7 +238,7 @@ func TestShardBoundsProperties(t *testing.T) {
 func TestParallelFastForwardSkewedLoad(t *testing.T) {
 	const side = 16
 	run := func(workers int) map[uint64]int64 {
-		net := buildXYMesh(t, side, true)
+		net := buildXYMesh(t, side)
 		net.SetShardCuts(rowCuts(side))
 		net.SetWorkers(workers)
 		defer net.SetWorkers(0)
@@ -278,7 +277,7 @@ func TestParallelFastForwardSkewedLoad(t *testing.T) {
 // nothing in steady state — the scratch merge, wake lists and worker
 // dispatch all reuse preallocated storage.
 func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
-	net := buildXYMesh(t, 16, false)
+	net := buildXYMesh(t, 16)
 	net.PoolPackets = true
 	net.SetShardCuts(rowCuts(16))
 	net.SetWorkers(2)
@@ -347,7 +346,7 @@ func TestStepRejectsLateTracer(t *testing.T) {
 // and no goroutine, across Finalize and a thousand loaded steps.
 func TestOneShardStartsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
-	net := buildXYMesh(t, 8, false)
+	net := buildXYMesh(t, 8)
 	for net.Now < 1000 {
 		saturateXYMesh(net, net.Now)
 		net.Step()
@@ -373,7 +372,7 @@ func TestReshardMidRun(t *testing.T) {
 	const side, cycles = 16, 1200
 	_, want := runSaturatedMesh(t, side, 1, nil, cycles)
 
-	net := buildXYMesh(t, side, true)
+	net := buildXYMesh(t, side)
 	net.SetShardCuts(rowCuts(side))
 	got := map[uint64]int64{}
 	net.Sink = func(p *Packet) { got[p.ID] = p.ArrivedAt }
@@ -428,7 +427,7 @@ func TestWorkersReleased(t *testing.T) {
 		return m.HeapAlloc
 	}
 	run := func() *Network {
-		net := buildXYMesh(t, 16, false)
+		net := buildXYMesh(t, 16)
 		net.SetWorkers(2)
 		for net.Now < 40 {
 			saturateXYMesh(net, net.Now)

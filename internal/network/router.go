@@ -1076,7 +1076,7 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		}
 		ctx.scratch.grantsByKind[out.Kind] += uint64(n)
 		out.Credits[vc.OutVC] -= n
-		if net.Cfg.CheckInvariants && out.Credits[vc.OutVC] < 0 {
+		if out.Credits[vc.OutVC] < 0 {
 			panic("network: negative credits (switch allocation over-granted)")
 		}
 		if !out.Link.fwdQueued {
@@ -1245,7 +1245,7 @@ func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort
 	}
 	ctx.scratch.grantsByKind[out.Kind]++
 	out.Credits[vc.OutVC]--
-	if net.Cfg.CheckInvariants && out.Credits[vc.OutVC] < 0 {
+	if out.Credits[vc.OutVC] < 0 {
 		panic("network: negative credits (switch allocation over-granted)")
 	}
 	f.VC = vc.OutVC

@@ -10,7 +10,6 @@ import (
 func twoNodeNet(t *testing.T, kind LinkKind, mutate func(*Config)) (*Network, *Link) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.CheckInvariants = true
 	cfg.DeadlockThreshold = 5000
 	if mutate != nil {
 		mutate(&cfg)

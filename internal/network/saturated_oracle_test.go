@@ -57,24 +57,23 @@ func (x *xyTestRouting) Route(_ *Network, r *Router, _ int, pkt *Packet, buf []C
 
 // buildXYMesh constructs a side×side on-chip mesh with XY routing, the
 // same shape the kernel benchmarks use.
-func buildXYMesh(tb testing.TB, side int, check bool) *Network {
-	return buildMesh(tb, side, check, func(int) LinkKind { return KindOnChip })
+func buildXYMesh(tb testing.TB, side int) *Network {
+	return buildMesh(tb, side, func(int) LinkKind { return KindOnChip })
 }
 
 // buildMixedMesh is buildXYMesh with die-to-die rows: X links stay on-chip
 // (Delay 1), Y links alternate parallel (5) and serial (20) by row, so a
 // saturated run keeps flits in several stages of the deeper delay lines.
-func buildMixedMesh(tb testing.TB, side int, check bool) *Network {
-	return buildMesh(tb, side, check, func(y int) LinkKind {
+func buildMixedMesh(tb testing.TB, side int) *Network {
+	return buildMesh(tb, side, func(y int) LinkKind {
 		return []LinkKind{KindParallel, KindSerial}[y&1]
 	})
 }
 
 // buildMesh constructs a side×side mesh with XY routing whose X links are
 // on-chip and whose links between rows y and y+1 are of kind yKind(y).
-func buildMesh(tb testing.TB, side int, check bool, yKind func(y int) LinkKind) *Network {
+func buildMesh(tb testing.TB, side int, yKind func(y int) LinkKind) *Network {
 	cfg := DefaultConfig()
-	cfg.CheckInvariants = check
 	net, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -131,7 +130,7 @@ type arrival struct {
 func TestSaturatedReferenceOracle(t *testing.T) {
 	const side, cycles = 6, 1500
 	run := func(ref bool) (*Network, []arrival) {
-		net := buildXYMesh(t, side, true)
+		net := buildXYMesh(t, side)
 		net.SetReferenceTick(ref)
 		var got []arrival
 		net.Sink = func(p *Packet) {

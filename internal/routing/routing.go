@@ -61,17 +61,6 @@ func ForSystem(t *topology.Topo, cfg *network.Config) (network.Routing, error) {
 	}
 }
 
-// Stable re-exports the engine's route-stability capability interface so
-// algorithm implementations and their tests can name it without importing
-// internal/network directly.
-type Stable = network.Stable
-
-// Route-stability levels, re-exported for the same reason.
-const (
-	RouteDynamic     = network.RouteDynamic
-	RouteRetryStable = network.RouteRetryStable
-)
-
 // adaptiveMask returns the VC mask of the non-escape VCs (all but VC0).
 func adaptiveMask(vcs int) uint16 { return (uint16(1)<<vcs - 1) &^ 1 }
 

@@ -8,8 +8,6 @@
 // pool size or completion order, and a job must derive everything it needs
 // (random sources included) from its own inputs — never from shared mutable
 // state — so a sweep at Jobs=1 and Jobs=8 produces bit-identical results.
-// DeriveSeed maps a base seed and a point key to a stable per-job seed for
-// jobs that need independent randomness.
 //
 // Isolation: a job that panics or exceeds the per-job timeout is reported
 // through its Outcome's Err/Panicked/TimedOut fields; sibling jobs and the
@@ -17,9 +15,7 @@
 package sweep
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -191,25 +187,4 @@ func execute[T any](j Job[T], timeout time.Duration) Outcome[T] {
 	}
 	out.Elapsed = time.Since(start)
 	return out
-}
-
-// DeriveSeed maps a base seed and a point key to a stable, well-mixed
-// per-job seed (FNV-1a). Jobs that need their own random source derive it
-// from the sweep's base seed and their key, which keeps results
-// bit-identical regardless of pool size or completion order. The result is
-// always positive (a zero seed usually means "use the default").
-func DeriveSeed(base int64, parts ...string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(base))
-	h.Write(b[:])
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0}) // unambiguous part boundary
-	}
-	s := int64(h.Sum64() & (1<<63 - 1))
-	if s == 0 {
-		s = 1
-	}
-	return s
 }

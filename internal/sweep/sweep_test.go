@@ -136,30 +136,3 @@ func TestEmptyAndOversizedPool(t *testing.T) {
 		t.Fatalf("oversized pool mangled outcomes: %+v", outs)
 	}
 }
-
-func TestDeriveSeed(t *testing.T) {
-	a := DeriveSeed(1, "fig11", "uniform")
-	if a != DeriveSeed(1, "fig11", "uniform") {
-		t.Fatal("DeriveSeed not deterministic")
-	}
-	if a <= 0 {
-		t.Fatalf("DeriveSeed returned non-positive %d", a)
-	}
-	seen := map[int64]string{a: "base"}
-	for _, v := range []struct {
-		base  int64
-		parts []string
-	}{
-		{2, []string{"fig11", "uniform"}},
-		{1, []string{"fig11", "hotspot"}},
-		{1, []string{"fig12", "uniform"}},
-		{1, []string{"fig11uniform"}},         // concatenation must not collide
-		{1, []string{"fig11", "uniform", ""}}, // extra empty part must not collide
-	} {
-		s := DeriveSeed(v.base, v.parts...)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("DeriveSeed collision between %v and %s", v, prev)
-		}
-		seen[s] = fmt.Sprint(v)
-	}
-}

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // parsecProfile captures the statistical shape of one Netrace PARSEC
 // workload on a 64-core CMP: how often cores issue memory-system requests,
@@ -124,19 +121,4 @@ func GeneratePARSEC(workload string, cycles int64, seed int64) (*Trace, error) {
 	}
 	t.sortRecords()
 	return t, nil
-}
-
-// PARSECAll generates every workload trace, sorted by name.
-func PARSECAll(cycles int64, seed int64) ([]*Trace, error) {
-	names := PARSECWorkloads()
-	sort.Strings(names)
-	out := make([]*Trace, 0, len(names))
-	for _, n := range names {
-		t, err := GeneratePARSEC(n, cycles, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -47,16 +47,6 @@ func NewReplayer(t *Trace, net *network.Network, m []network.NodeID, speedup flo
 	return &Replayer{Trace: t, Net: net, Map: m, Speedup: speedup}, nil
 }
 
-// OfferedRate returns the nominal replayed load in flits/cycle/node for a
-// network of n nodes (the whole trace, time-compressed).
-func (r *Replayer) OfferedRate(n int) float64 {
-	cycles := float64(r.Trace.Cycles) / r.Speedup
-	if cycles == 0 || n == 0 {
-		return 0
-	}
-	return float64(r.Trace.TotalFlits()) / cycles / float64(n)
-}
-
 // ActualOfferedRate returns the load actually offered inside the
 // measurement window ending at cycle `now`: rank-colocated records
 // (possible when the mapping wraps) and warm-up traffic are excluded, so
@@ -106,20 +96,4 @@ func (r *Replayer) NextInjection(now int64) int64 {
 		return now
 	}
 	return when
-}
-
-// Done reports whether every record has been offered.
-func (r *Replayer) Done() bool { return r.idx >= len(r.Trace.Records) }
-
-// LinearMap maps rank i to node i (row-major), the mapping used for the
-// hetero-PHY trace experiments where ranks ≤ nodes.
-func LinearMap(ranks, nodes int) ([]network.NodeID, error) {
-	if ranks > nodes {
-		return nil, fmt.Errorf("trace: %d ranks exceed %d nodes", ranks, nodes)
-	}
-	m := make([]network.NodeID, ranks)
-	for i := range m {
-		m[i] = network.NodeID(i)
-	}
-	return m, nil
 }

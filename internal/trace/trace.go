@@ -1,6 +1,6 @@
 // Package trace provides the trace-driven workload substrate of Sec. 7.2:
-// a packet-trace format with binary serialization, a replayer that injects
-// packets at their trace times ("even if queuing occurs"), and synthetic
+// an in-memory packet-trace type, a replayer that injects packets at their
+// trace times ("even if queuing occurs"), and synthetic
 // generators standing in for the paper's external trace artifacts:
 //
 //   - Netrace PARSEC traces [33]: 64-rank CMP coherence traffic with the
@@ -20,11 +20,8 @@
 package trace
 
 import (
-	"bufio"
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -150,97 +147,6 @@ func (t *Trace) Validate() error {
 		last = r.Time
 	}
 	return nil
-}
-
-const magic = "HIFTRC01"
-
-// recordBytes is the serialized size of a Record: Time, Src, Dst, Flits
-// little-endian, then Class.
-const recordBytes = 21
-
-// readReserve bounds what Read allocates on the header's word alone.
-const readReserve = 1 << 16
-
-// Write serializes the trace in the library's binary format.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(magic) // bufio keeps the first error for Flush
-	var b [recordBytes]byte
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(t.Name)))
-	bw.Write(b[:4])
-	bw.WriteString(t.Name)
-	binary.LittleEndian.PutUint32(b[0:], uint32(t.Ranks))
-	binary.LittleEndian.PutUint64(b[4:], uint64(t.Cycles))
-	binary.LittleEndian.PutUint64(b[12:], uint64(len(t.Records)))
-	bw.Write(b[:20])
-	for i := range t.Records {
-		r := &t.Records[i]
-		binary.LittleEndian.PutUint64(b[0:], uint64(r.Time))
-		binary.LittleEndian.PutUint32(b[8:], uint32(r.Src))
-		binary.LittleEndian.PutUint32(b[12:], uint32(r.Dst))
-		binary.LittleEndian.PutUint32(b[16:], uint32(r.Flits))
-		b[20] = r.Class
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write. The header's record count is
-// not trusted: Records grows as payload arrives.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var b [recordBytes]byte
-	if _, err := io.ReadFull(br, b[:len(magic)]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", b[:len(magic)])
-	}
-	if _, err := io.ReadFull(br, b[:4]); err != nil {
-		return nil, fmt.Errorf("trace: reading name length: %w", err)
-	}
-	nameLen := int32(binary.LittleEndian.Uint32(b[:]))
-	if nameLen < 0 || nameLen > 4096 {
-		return nil, fmt.Errorf("trace: unreasonable name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	if _, err := io.ReadFull(br, b[:20]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	t := &Trace{
-		Name:   string(name),
-		Ranks:  int32(binary.LittleEndian.Uint32(b[0:])),
-		Cycles: int64(binary.LittleEndian.Uint64(b[4:])),
-	}
-	count := int64(binary.LittleEndian.Uint64(b[12:]))
-	if count < 0 || count > 1<<31 {
-		return nil, fmt.Errorf("trace: unreasonable record count %d", count)
-	}
-	t.Records = make([]Record, 0, min(count, readReserve))
-	for i := int64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("trace: truncated after %d of %d records", i, count)
-			}
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
-		}
-		t.Records = append(t.Records, Record{
-			Time:  int64(binary.LittleEndian.Uint64(b[0:])),
-			Src:   int32(binary.LittleEndian.Uint32(b[8:])),
-			Dst:   int32(binary.LittleEndian.Uint32(b[12:])),
-			Flits: int32(binary.LittleEndian.Uint32(b[16:])),
-			Class: b[20],
-		})
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // rng returns a deterministic source for a generator.
