@@ -174,9 +174,9 @@ func LocalUniformTraffic(spec Spec, blockChiplets int) Pattern {
 	}
 }
 
-// OfferPacket enqueues one packet for injection at cycle `at` (which must
-// not precede the current cycle, and must be nondecreasing per source) and
-// returns its ID. Use it with RunWithDriver to build custom workloads.
+// OfferPacket enqueues one packet of 1 to 65,535 flits for injection at
+// cycle `at` (which must not precede the current cycle, and must be
+// nondecreasing per source) and returns its ID. Use it with RunWithDriver to build custom workloads.
 // A built system recycles delivered packets, so no handle to the packet is
 // returned: observe deliveries through sys.Stats, or match the ID in
 // sys.Net.OnDeliver.

@@ -52,6 +52,9 @@ type HeteroPHYAdapter struct {
 	txSN  uint16
 	txVSN []uint16
 
+	// pkts is the packet table PHY traversals are charged to (BindPackets).
+	pkts *network.PacketTable
+
 	// LookAhead bounds how deep the bypass scan looks past a stalled
 	// queue head.
 	LookAhead int
@@ -66,11 +69,11 @@ type txEntry struct {
 	enq int64
 }
 
-// phyPipe is one PHY's propagation pipeline: delay stages, bandwidth flits
-// per stage.
+// phyPipe is one PHY's propagation pipeline: delay stages, bandwidth
+// stamped flits per stage.
 type phyPipe struct {
 	delay    int
-	slots    [][]network.Flit
+	slots    [][]stamped
 	head     int
 	inFlight int
 }
@@ -78,27 +81,28 @@ type phyPipe struct {
 // newPhyPipe carves the stages out of one array at their static bound (a
 // PHY issues at most bw flits per cycle), so pushes never reallocate.
 func newPhyPipe(delay, bw int) phyPipe {
-	p := phyPipe{delay: delay, slots: make([][]network.Flit, delay)}
-	buf := make([]network.Flit, delay*bw)
+	p := phyPipe{delay: delay, slots: make([][]stamped, delay)}
+	buf := make([]stamped, delay*bw)
 	for i := range p.slots {
 		p.slots[i] = buf[i*bw : i*bw : (i+1)*bw]
 	}
 	return p
 }
 
-func (p *phyPipe) push(f network.Flit) {
+func (p *phyPipe) push(e stamped) {
 	slot := (p.head + p.delay - 1) % p.delay
-	p.slots[slot] = append(p.slots[slot], f)
+	p.slots[slot] = append(p.slots[slot], e)
 	p.inFlight++
 }
 
-func (p *phyPipe) advance(sink func(network.Flit)) {
+// advance moves the pipeline one stage, inserting the arrivals into rob.
+func (p *phyPipe) advance(rob *ROB) {
 	arr := p.slots[p.head]
 	p.slots[p.head] = arr[:0]
 	p.head = (p.head + 1) % p.delay
-	for _, f := range arr {
+	for _, e := range arr {
 		p.inFlight--
-		sink(f)
+		rob.Insert(e.f, e.sn, e.vsn)
 	}
 }
 
@@ -123,12 +127,17 @@ func NewHeteroPHYAdapter(cfg *network.Config, policy Policy) *HeteroPHYAdapter {
 	// Eq. 1: the parallel PHY runs at most D_s − D_p cycles ahead of the
 	// serial one; one more cycle of arrivals from both PHYs can join before
 	// Release runs. Link retry can exceed it, and then pending grows.
-	a.rob.pending = make([]network.Flit, 0, a.parallelBW*(a.delaySerial-a.delayParallel)+a.parallelBW+a.serialBW)
+	a.rob.pending = make([]stamped, 0, a.parallelBW*(a.delaySerial-a.delayParallel)+a.parallelBW+a.serialBW)
 	a.ppipe = newPhyPipe(a.delayParallel, a.parallelBW)
 	a.spipe = newPhyPipe(a.delaySerial, a.serialBW)
 	a.pb, a.sb = a.parallelBW, a.serialBW
 	return a
 }
+
+// BindPackets implements network.PacketUser: the adapter charges PHY
+// traversals to the packets of t. Network.SetAdapter calls it; bind before
+// EnableRetry, which hands the table on to the retry pipes.
+func (a *HeteroPHYAdapter) BindPackets(t *network.PacketTable) { a.pkts = t }
 
 // Policy returns the adapter's scheduling policy.
 func (a *HeteroPHYAdapter) Policy() Policy { return a.policy }
@@ -186,10 +195,10 @@ func (a *HeteroPHYAdapter) EnableRetry(phy PHY, hook network.TxFault, window, ti
 	switch phy {
 	case PHYParallel:
 		a.pRetry = network.NewRetryPipe(a.parallelBW, a.delayParallel, window, timeout,
-			hook, network.KindParallel)
+			hook, network.KindParallel, a.pkts)
 	case PHYSerial:
 		a.sRetry = network.NewRetryPipe(a.serialBW, a.delaySerial, window, timeout,
-			hook, network.KindSerial)
+			hook, network.KindSerial, a.pkts)
 	}
 	if ev, ok := a.policy.(serialEvictor); ok {
 		a.evict = ev
@@ -200,17 +209,17 @@ func (a *HeteroPHYAdapter) EnableRetry(phy PHY, hook network.TxFault, window, ti
 // release in-order flits downstream, then issue queued flits to the PHYs.
 func (a *HeteroPHYAdapter) Tick(now int64, deliver func(network.Flit)) {
 	if a.pRetry != nil {
-		a.pRetry.Tick(now, a.rob.Insert)
+		a.pRetry.Tick(now, a.arrive)
 	} else {
-		a.ppipe.advance(a.rob.Insert)
+		a.ppipe.advance(a.rob)
 	}
 	if a.sRetry != nil {
-		a.sRetry.Tick(now, a.rob.Insert)
+		a.sRetry.Tick(now, a.arrive)
 		if a.evict != nil && a.evict.EvictSerial(a.serialState(now)) {
 			a.rescueSerial(now)
 		}
 	} else {
-		a.spipe.advance(a.rob.Insert)
+		a.spipe.advance(a.rob)
 	}
 	a.rob.Release(deliver)
 	a.pb, a.sb = a.parallelBW, a.serialBW
@@ -222,6 +231,13 @@ func (a *HeteroPHYAdapter) Tick(now int64, deliver func(network.Flit)) {
 	}
 	a.dispatch(now)
 	a.accepted = 0
+}
+
+// arrive inserts a flit a retry pipe delivered into the ROB, its stamps
+// unpacked from the entry tag.
+func (a *HeteroPHYAdapter) arrive(f network.Flit, tag uint32) {
+	e := unstamp(f, tag)
+	a.rob.Insert(e.f, e.sn, e.vsn)
 }
 
 // serialState summarizes the serial PHY's link-layer health for the
@@ -244,14 +260,14 @@ func (a *HeteroPHYAdapter) serialState(now int64) State {
 // rescue event models the adapter re-steering its buffered state, and the
 // retry window absorbs it by stalling subsequent accepts.
 func (a *HeteroPHYAdapter) rescueSerial(now int64) {
-	a.sRetry.FailoverDrain(func(f network.Flit) {
+	a.sRetry.FailoverDrain(func(f network.Flit, tag uint32) {
 		a.nRescued++
 		if a.pRetry != nil {
-			a.pRetry.Accept(now, f)
+			a.pRetry.Accept(now, f, tag)
 			return
 		}
-		f.Charge(network.KindParallel)
-		a.ppipe.push(f)
+		a.pkts.Charge(f.P, network.KindParallel, 1)
+		a.ppipe.push(unstamp(f, tag))
 	})
 }
 
@@ -272,7 +288,7 @@ func (a *HeteroPHYAdapter) dispatch(now int64) {
 		e := a.txq[0]
 		var phy PHY
 		var ok bool
-		if e.f.Pkt.Class == network.ClassLatencySensitive {
+		if e.f.Class == network.ClassLatencySensitive {
 			// Bypass class: parallel PHY only (Sec. 4.2).
 			phy, ok = PHYParallel, pb > 0
 		} else {
@@ -312,7 +328,7 @@ func (a *HeteroPHYAdapter) dispatch(now int64) {
 func (a *HeteroPHYAdapter) bypassScan(now int64, pb *int) {
 	limit := min(len(a.txq), 1+a.LookAhead)
 	for i := 0; i < limit && *pb > 0; {
-		if a.txq[i].f.Pkt.Class != network.ClassLatencySensitive {
+		if a.txq[i].f.Class != network.ClassLatencySensitive {
 			i++
 			continue
 		}
@@ -345,32 +361,32 @@ func (a *HeteroPHYAdapter) popFront() {
 }
 
 func (a *HeteroPHYAdapter) issue(now int64, f network.Flit, phy PHY, pb, sb *int) {
-	f.VSN = a.txVSN[f.VC]
+	e := stamped{f: f, vsn: a.txVSN[f.VC]}
 	a.txVSN[f.VC]++
-	if f.Pkt.Class == network.ClassInOrder {
-		f.SN = a.txSN
+	if f.Class == network.ClassInOrder {
+		e.sn = a.txSN
 		a.txSN++
 	}
-	// Retry-enabled PHYs charge the traversal per transmission inside the
-	// pipe (retransmissions burn energy again); plain PHYs at issue.
+	// Retry-enabled PHYs charge the packet per transmission inside the pipe
+	// (retransmissions burn energy again); plain PHYs at issue.
 	if phy == PHYParallel {
 		*pb--
 		a.nParallel++
 		if a.pRetry != nil {
-			a.pRetry.Accept(now, f)
+			a.pRetry.Accept(now, f, e.tag())
 			return
 		}
-		f.Charge(network.KindParallel)
-		a.ppipe.push(f)
+		a.pkts.Charge(f.P, network.KindParallel, 1)
+		a.ppipe.push(e)
 	} else {
 		*sb--
 		a.nSerial++
 		if a.sRetry != nil {
-			a.sRetry.Accept(now, f)
+			a.sRetry.Accept(now, f, e.tag())
 			return
 		}
-		f.Charge(network.KindSerial)
-		a.spipe.push(f)
+		a.pkts.Charge(f.P, network.KindSerial, 1)
+		a.spipe.push(e)
 	}
 }
 
@@ -397,4 +413,7 @@ func (a *HeteroPHYAdapter) SerialRetry() *network.RetryPipe { return a.sRetry }
 // serial PHY and re-issued through the parallel PHY.
 func (a *HeteroPHYAdapter) Rescued() uint64 { return a.nRescued }
 
-var _ network.Adapter = (*HeteroPHYAdapter)(nil)
+var (
+	_ network.Adapter    = (*HeteroPHYAdapter)(nil)
+	_ network.PacketUser = (*HeteroPHYAdapter)(nil)
+)

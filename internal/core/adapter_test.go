@@ -8,7 +8,14 @@ import (
 
 func adapterUnderTest(pol Policy) (*HeteroPHYAdapter, network.Config) {
 	cfg := network.DefaultConfig()
-	return NewHeteroPHYAdapter(&cfg, pol), cfg
+	return newTestAdapter(&cfg, pol), cfg
+}
+
+// newTestAdapter builds an adapter that charges the packets of testNet.
+func newTestAdapter(cfg *network.Config, pol Policy) *HeteroPHYAdapter {
+	a := NewHeteroPHYAdapter(cfg, pol)
+	a.BindPackets(testNet.Packets())
+	return a
 }
 
 // runAdapter ticks the adapter, collecting deliveries.
@@ -27,12 +34,12 @@ func runAdapter(a *HeteroPHYAdapter, cycles int, inject func(now int64)) []netwo
 // delivered after exactly the parallel delay (same-cycle issue, Sec. 8.2).
 func TestAdapterZeroLoadLatency(t *testing.T) {
 	a, cfg := adapterUnderTest(Balanced{})
-	pkt := mkPkt(1, 1, network.ClassBestEffort)
+	pkt := mkPkt(1, network.ClassBestEffort)
 	var arrivals []int64
 	for now := int64(0); now < 12; now++ {
 		a.Tick(now, func(f network.Flit) { arrivals = append(arrivals, now) })
 		if now == 0 {
-			a.Accept(now, network.Flit{Pkt: pkt, Seq: 0, VC: 0})
+			a.Accept(now, flitOf(pkt, 0, 0))
 		}
 	}
 	if len(arrivals) != 1 {
@@ -48,11 +55,11 @@ func TestAdapterZeroLoadLatency(t *testing.T) {
 // the parallel PHY alone.
 func TestAdapterBalancedUsesSerialUnderLoad(t *testing.T) {
 	a, cfg := adapterUnderTest(Balanced{})
-	pkt := mkPkt(1, 1<<20, network.ClassBestEffort)
+	pkt := mkPkt(1<<20, network.ClassBestEffort)
 	seq := int32(0)
 	out := runAdapter(a, 200, func(now int64) {
 		for a.FreeSlots() > 0 {
-			a.Accept(now, network.Flit{Pkt: pkt, Seq: seq, VC: 0})
+			a.Accept(now, flitOf(pkt, int(seq), 0))
 			seq++
 		}
 	})
@@ -82,11 +89,11 @@ func TestAdapterBalancedIssueRule(t *testing.T) {
 		{10, 1, 2}, {11, 1, 2}, {12, 1, 2}, {13, 1, 2},
 		{14, 1, 2}, {15, 1, 2}, {16, 1, 2},
 	} {
-		a := NewHeteroPHYAdapter(&cfg, Balanced{})
+		a := newTestAdapter(&cfg, Balanced{})
 		a.pb, a.sb = 0, 0
-		pkt := mkPkt(1, tc.q, network.ClassBestEffort)
+		pkt := mkPkt(tc.q, network.ClassBestEffort)
 		for i := 0; i < tc.q; i++ {
-			a.Accept(0, network.Flit{Pkt: pkt, Seq: int32(i), VC: 0})
+			a.Accept(0, flitOf(pkt, int(i), 0))
 		}
 		a.Tick(1, func(network.Flit) {})
 		if p, s := a.ParallelFlits(), a.SerialFlits(); p != uint64(tc.parallel) || s != uint64(tc.serial) {
@@ -99,11 +106,11 @@ func TestAdapterBalancedIssueRule(t *testing.T) {
 // leaves the serial PHY dark.
 func TestAdapterEnergyEfficientNeverUsesSerial(t *testing.T) {
 	a, _ := adapterUnderTest(EnergyEfficient{})
-	pkt := mkPkt(1, 1<<20, network.ClassBestEffort)
+	pkt := mkPkt(1<<20, network.ClassBestEffort)
 	seq := int32(0)
 	runAdapter(a, 100, func(now int64) {
 		for a.FreeSlots() > 0 {
-			a.Accept(now, network.Flit{Pkt: pkt, Seq: seq, VC: 0})
+			a.Accept(now, flitOf(pkt, int(seq), 0))
 			seq++
 		}
 	})
@@ -118,11 +125,11 @@ func TestAdapterEnergyEfficientNeverUsesSerial(t *testing.T) {
 // TestAdapterPerformanceFirstFillsBothPHYs at saturation.
 func TestAdapterPerformanceFirstFillsBothPHYs(t *testing.T) {
 	a, cfg := adapterUnderTest(PerformanceFirst{})
-	pkt := mkPkt(1, 1<<20, network.ClassBestEffort)
+	pkt := mkPkt(1<<20, network.ClassBestEffort)
 	seq := int32(0)
 	out := runAdapter(a, 200, func(now int64) {
 		for a.FreeSlots() > 0 {
-			a.Accept(now, network.Flit{Pkt: pkt, Seq: seq, VC: 0})
+			a.Accept(now, flitOf(pkt, int(seq), 0))
 			seq++
 		}
 	})
@@ -137,16 +144,16 @@ func TestAdapterPerformanceFirstFillsBothPHYs(t *testing.T) {
 // in per-VC order.
 func TestAdapterDeliveryOrderPerVC(t *testing.T) {
 	a, _ := adapterUnderTest(PerformanceFirst{})
-	pktA := mkPkt(1, 64, network.ClassBestEffort)
-	pktB := mkPkt(2, 64, network.ClassBestEffort)
+	pktA := mkPkt(64, network.ClassBestEffort)
+	pktB := mkPkt(64, network.ClassBestEffort)
 	seqA, seqB := int32(0), int32(0)
 	out := runAdapter(a, 300, func(now int64) {
 		for a.FreeSlots() > 0 && (seqA < 64 || seqB < 64) {
 			if seqA <= seqB && seqA < 64 {
-				a.Accept(now, network.Flit{Pkt: pktA, Seq: seqA, VC: 0})
+				a.Accept(now, flitOf(pktA, int(seqA), 0))
 				seqA++
 			} else if seqB < 64 {
-				a.Accept(now, network.Flit{Pkt: pktB, Seq: seqB, VC: 1})
+				a.Accept(now, flitOf(pktB, int(seqB), 1))
 				seqB++
 			} else {
 				break
@@ -156,7 +163,7 @@ func TestAdapterDeliveryOrderPerVC(t *testing.T) {
 	if len(out) != 128 {
 		t.Fatalf("delivered %d flits, want 128", len(out))
 	}
-	next := map[network.VCID]int32{}
+	next := map[network.VCID]uint16{}
 	for _, f := range out {
 		if f.Seq != next[f.VC] {
 			t.Fatalf("VC %d delivery out of order: got seq %d want %d", f.VC, f.Seq, next[f.VC])
@@ -169,19 +176,25 @@ func TestAdapterDeliveryOrderPerVC(t *testing.T) {
 }
 
 // TestAdapterInOrderClassGlobalOrder: in-order flits across two VCs are
-// delivered in global SN (issue) order.
+// delivered in global SN (issue) order — here the acceptance order, since
+// in-order flits never bypass the queue head.
 func TestAdapterInOrderClassGlobalOrder(t *testing.T) {
 	a, _ := adapterUnderTest(PerformanceFirst{})
-	pktA := mkPkt(1, 32, network.ClassInOrder)
-	pktB := mkPkt(2, 32, network.ClassInOrder)
-	seqA, seqB := int32(0), int32(0)
+	pktA := mkPkt(32, network.ClassInOrder)
+	pktB := mkPkt(32, network.ClassInOrder)
+	seqA, seqB := 0, 0
+	var sent []network.Flit
+	accept := func(now int64, f network.Flit) {
+		a.Accept(now, f)
+		sent = append(sent, f)
+	}
 	out := runAdapter(a, 300, func(now int64) {
 		for a.FreeSlots() > 0 && (seqA < 32 || seqB < 32) {
 			if seqA <= seqB && seqA < 32 {
-				a.Accept(now, network.Flit{Pkt: pktA, Seq: seqA, VC: 0})
+				accept(now, flitOf(pktA, seqA, 0))
 				seqA++
 			} else if seqB < 32 {
-				a.Accept(now, network.Flit{Pkt: pktB, Seq: seqB, VC: 1})
+				accept(now, flitOf(pktB, seqB, 1))
 				seqB++
 			} else {
 				break
@@ -191,12 +204,10 @@ func TestAdapterInOrderClassGlobalOrder(t *testing.T) {
 	if len(out) != 64 {
 		t.Fatalf("delivered %d flits, want 64", len(out))
 	}
-	var lastSN int64 = -1
-	for _, f := range out {
-		if int64(f.SN) <= lastSN {
-			t.Fatalf("in-order SN sequence broke: %d after %d", f.SN, lastSN)
+	for i, f := range out {
+		if f != sent[i] {
+			t.Fatalf("in-order sequence broke at %d: delivered %+v, issued %+v", i, f, sent[i])
 		}
-		lastSN = int64(f.SN)
 	}
 }
 
@@ -204,11 +215,11 @@ func TestAdapterInOrderClassGlobalOrder(t *testing.T) {
 // stays within the Eq. 1 estimate plus the per-cycle arrival slack.
 func TestAdapterROBBoundedByEq1(t *testing.T) {
 	a, cfg := adapterUnderTest(PerformanceFirst{})
-	pkt := mkPkt(1, 1<<20, network.ClassInOrder)
+	pkt := mkPkt(1<<20, network.ClassInOrder)
 	seq := int32(0)
 	runAdapter(a, 400, func(now int64) {
 		for a.FreeSlots() > 0 {
-			a.Accept(now, network.Flit{Pkt: pkt, Seq: seq, VC: 0})
+			a.Accept(now, flitOf(pkt, int(seq), 0))
 			seq++
 		}
 	})
@@ -232,9 +243,9 @@ func TestAdapterBypassLatencySensitive(t *testing.T) {
 	// efficient policy with zero parallel budget is impossible, so instead
 	// saturate the parallel PHY with the bulk queue and watch the bypass
 	// flit overtake queue positions.
-	a := NewHeteroPHYAdapter(&cfg, EnergyEfficient{})
-	bulk := mkPkt(1, 1<<20, network.ClassThroughput)
-	urgent := mkPkt(2, 1, network.ClassLatencySensitive)
+	a := newTestAdapter(&cfg, EnergyEfficient{})
+	bulk := mkPkt(1<<20, network.ClassThroughput)
+	urgent := mkPkt(1, network.ClassLatencySensitive)
 	// Fill the queue with bulk flits on VC 0 (energy-efficient drains at
 	// only 2/cycle), then append the urgent flit on VC 1.
 	var arrivals []struct {
@@ -251,18 +262,18 @@ func TestAdapterBypassLatencySensitive(t *testing.T) {
 			}{f, now})
 		})
 		for a.FreeSlots() > 1 {
-			a.Accept(now, network.Flit{Pkt: bulk, Seq: seq, VC: 0})
+			a.Accept(now, flitOf(bulk, int(seq), 0))
 			seq++
 		}
 		if now == 3 && !urgentSent {
-			a.Accept(now, network.Flit{Pkt: urgent, Seq: 0, VC: 1})
+			a.Accept(now, flitOf(urgent, 0, 1))
 			urgentSent = true
 		}
 	}
 	var urgentAt int64 = -1
 	var bulkBefore int
 	for _, ar := range arrivals {
-		if ar.f.Pkt.ID == 2 {
+		if ar.f.P == urgent.Ref() {
 			urgentAt = ar.at
 			break
 		}
@@ -299,7 +310,7 @@ func TestPolicyByName(t *testing.T) {
 func TestApplicationAwarePolicy(t *testing.T) {
 	pol := ApplicationAware{Timeout: 10}
 	st := State{QueueLen: 5, QueueCap: 16, ParallelBudget: 2, SerialBudget: 4}
-	bulk := network.Flit{Pkt: mkPkt(1, 16, network.ClassThroughput)}
+	bulk := flitOf(mkPkt(16, network.ClassThroughput), 0, 0)
 	if phy, ok := pol.Dispatch(st, bulk); !ok || phy != PHYSerial {
 		t.Errorf("throughput class under load got %v/%v, want serial", phy, ok)
 	}
@@ -308,7 +319,7 @@ func TestApplicationAwarePolicy(t *testing.T) {
 	if phy, ok := pol.Dispatch(idle, bulk); !ok || phy != PHYParallel {
 		t.Errorf("throughput class at zero load got %v/%v, want parallel", phy, ok)
 	}
-	urgent := network.Flit{Pkt: mkPkt(2, 1, network.ClassLatencySensitive)}
+	urgent := flitOf(mkPkt(1, network.ClassLatencySensitive), 0, 0)
 	if phy, ok := pol.Dispatch(st, urgent); !ok || phy != PHYParallel {
 		t.Errorf("latency-sensitive class got %v/%v, want parallel", phy, ok)
 	}

@@ -189,14 +189,14 @@ func TestAdapterFailoverRescuesDeadSerial(t *testing.T) {
 	a, _ := adapterUnderTest(p)
 	a.EnableRetry(PHYSerial, downHook{from: 0, to: 1 << 40}, 0, 0)
 
-	pkt := mkPkt(1, 1<<20, network.ClassBestEffort)
+	pkt := mkPkt(1<<20, network.ClassBestEffort)
 	const inject = 600
 	seq := int32(0)
-	var got []int32
+	var got []uint16
 	for now := int64(0); now < 4000; now++ {
 		a.Tick(now, func(f network.Flit) { got = append(got, f.Seq) })
 		if now < inject && a.FreeSlots() > 0 {
-			a.Accept(now, network.Flit{Pkt: pkt, Seq: seq, VC: 0})
+			a.Accept(now, flitOf(pkt, int(seq), 0))
 			seq++
 		}
 	}
@@ -210,7 +210,7 @@ func TestAdapterFailoverRescuesDeadSerial(t *testing.T) {
 		t.Fatalf("delivered %d of %d flits (ROB wedged on a dead-wire VSN gap?)", len(got), seq)
 	}
 	for i, s := range got {
-		if s != int32(i) {
+		if s != uint16(i) {
 			t.Fatalf("delivery order broken at %d: seq %d", i, s)
 		}
 	}

@@ -158,7 +158,7 @@ func (a ApplicationAware) Dispatch(st State, f network.Flit) (PHY, bool) {
 	if a.Timeout > 0 && st.Waited >= a.Timeout {
 		return PerformanceFirst{}.Dispatch(st, f)
 	}
-	switch f.Pkt.Class {
+	switch f.Class {
 	case network.ClassLatencySensitive:
 		return PHYParallel, st.ParallelBudget > 0
 	case network.ClassThroughput:

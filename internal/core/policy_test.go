@@ -7,7 +7,7 @@ import (
 )
 
 func TestPerformanceFirstPrefersParallel(t *testing.T) {
-	f := network.Flit{Pkt: mkPkt(1, 4, network.ClassBestEffort)}
+	f := flitOf(mkPkt(4, network.ClassBestEffort), 0, 0)
 	if phy, ok := (PerformanceFirst{}).Dispatch(State{ParallelBudget: 1, SerialBudget: 4}, f); !ok || phy != PHYParallel {
 		t.Error("should prefer the low-latency parallel PHY when free")
 	}
@@ -20,7 +20,7 @@ func TestPerformanceFirstPrefersParallel(t *testing.T) {
 }
 
 func TestEnergyEfficientStallsWithoutParallel(t *testing.T) {
-	f := network.Flit{Pkt: mkPkt(1, 4, network.ClassBestEffort)}
+	f := flitOf(mkPkt(4, network.ClassBestEffort), 0, 0)
 	if _, ok := (EnergyEfficient{}).Dispatch(State{ParallelBudget: 0, SerialBudget: 4}, f); ok {
 		t.Error("energy-efficient must never take the serial PHY")
 	}
@@ -30,7 +30,7 @@ func TestEnergyEfficientStallsWithoutParallel(t *testing.T) {
 }
 
 func TestBalancedThresholdSemantics(t *testing.T) {
-	f := network.Flit{Pkt: mkPkt(1, 4, network.ClassBestEffort)}
+	f := flitOf(mkPkt(4, network.ClassBestEffort), 0, 0)
 	light := State{QueueLen: 3, QueueCap: 16, ParallelBudget: 0, SerialBudget: 4}
 	// Below threshold (default cap/2 = 8): parallel only → stall here.
 	if _, ok := (Balanced{}).Dispatch(light, f); ok {
@@ -49,7 +49,7 @@ func TestBalancedThresholdSemantics(t *testing.T) {
 }
 
 func TestApplicationAwareFallsBackToBase(t *testing.T) {
-	f := network.Flit{Pkt: mkPkt(1, 4, network.ClassBestEffort)}
+	f := flitOf(mkPkt(4, network.ClassBestEffort), 0, 0)
 	pol := ApplicationAware{Base: PerformanceFirst{}}
 	st := State{QueueLen: 1, QueueCap: 16, ParallelBudget: 0, SerialBudget: 4}
 	// Base performance-first overflows best-effort traffic to serial even

@@ -23,7 +23,7 @@ import (
 //     friendly ordering of Sec. 4.2. Other classes skip this rule — the
 //     TX-side bypass is allowed only at the parallel interface.
 type ROB struct {
-	pending []network.Flit
+	pending []stamped
 	nextSN  uint16   // next global in-order SN to release
 	nextVSN []uint16 // next per-VC sequence to release
 
@@ -37,9 +37,29 @@ func NewROB(vcs int) *ROB {
 	return &ROB{nextVSN: make([]uint16, vcs)}
 }
 
-// Insert buffers an arriving flit.
-func (r *ROB) Insert(f network.Flit) {
-	r.pending = append(r.pending, f)
+// stamped is a flit with the sequence stamps the TX side gave it at issue
+// (Sec. 4.2): vsn, the per-VC issue sequence number every flit gets, and
+// sn, the link-level global sequence number of in-order-class flits. The
+// stamps never leave the adapter — they ride beside the flit in the PHY
+// pipes, in a retry pipe's entry tag and in the ROB. Both are compared by
+// equality, so 16 bits suffice while fewer than 65,536 flits sit between
+// issue and release (Config.Validate).
+type stamped struct {
+	f       network.Flit
+	sn, vsn uint16
+}
+
+// tag packs the stamps into a retry pipe's opaque entry tag; unstamp
+// reverses it.
+func (e stamped) tag() uint32 { return uint32(e.sn)<<16 | uint32(e.vsn) }
+
+func unstamp(f network.Flit, tag uint32) stamped {
+	return stamped{f: f, sn: uint16(tag >> 16), vsn: uint16(tag)}
+}
+
+// Insert buffers an arriving flit with its issue stamps.
+func (r *ROB) Insert(f network.Flit, sn, vsn uint16) {
+	r.pending = append(r.pending, stamped{f: f, sn: sn, vsn: vsn})
 	r.occupancy++
 	if r.occupancy > r.maxOcc {
 		r.maxOcc = r.occupancy
@@ -51,18 +71,14 @@ func (r *ROB) Release(deliver func(network.Flit)) {
 	for {
 		progress := false
 		out := r.pending[:0]
-		for _, f := range r.pending {
-			if r.releasable(f) {
-				r.commit(f)
-				deliver(f)
+		for _, e := range r.pending {
+			if r.releasable(e) {
+				r.commit(e)
+				deliver(e.f)
 				progress = true
 				continue
 			}
-			out = append(out, f)
-		}
-		// Zero the tail so released flits don't pin packets.
-		for i := len(out); i < len(r.pending); i++ {
-			r.pending[i] = network.Flit{}
+			out = append(out, e)
 		}
 		r.pending = out
 		if !progress {
@@ -71,23 +87,23 @@ func (r *ROB) Release(deliver func(network.Flit)) {
 	}
 }
 
-func (r *ROB) releasable(f network.Flit) bool {
-	if f.VSN != r.nextVSN[f.VC] {
+func (r *ROB) releasable(e stamped) bool {
+	if e.vsn != r.nextVSN[e.f.VC] {
 		return false
 	}
-	if f.Pkt.Class == network.ClassInOrder && f.SN != r.nextSN {
+	if e.f.Class == network.ClassInOrder && e.sn != r.nextSN {
 		return false
 	}
 	return true
 }
 
-func (r *ROB) commit(f network.Flit) {
+func (r *ROB) commit(e stamped) {
 	r.occupancy--
-	if f.VSN != r.nextVSN[f.VC] {
-		panic(fmt.Sprintf("core: ROB released VC %d flit VSN %d, expected %d", f.VC, f.VSN, r.nextVSN[f.VC]))
+	if vc := e.f.VC; e.vsn != r.nextVSN[vc] {
+		panic(fmt.Sprintf("core: ROB released VC %d flit VSN %d, expected %d", vc, e.vsn, r.nextVSN[vc]))
 	}
-	r.nextVSN[f.VC]++
-	if f.Pkt.Class == network.ClassInOrder {
+	r.nextVSN[e.f.VC]++
+	if e.f.Class == network.ClassInOrder {
 		r.nextSN++
 	}
 }

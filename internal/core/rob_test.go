@@ -8,21 +8,41 @@ import (
 	"heteroif/internal/network"
 )
 
-func mkPkt(id uint64, length int, class network.Class) *network.Packet {
-	return &network.Packet{ID: id, Length: length, Class: class, Target: -1}
+// testNet is the two-node network whose packet table the tests' packets
+// live in; adapters under test charge their PHY traversals to it.
+var testNet = func() *network.Network {
+	net, err := network.New(network.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	net.AddNodes(2)
+	return net
+}()
+
+// mkPkt makes a packet of the given class, its length clamped to what a
+// flit can index (streams of more flits reuse sequence numbers).
+func mkPkt(length int, class network.Class) *network.Packet {
+	p := testNet.NewPacket(0, 1, min(max(length, 1), network.MaxPacketLength), 0)
+	p.Class = class
+	return p
+}
+
+// flitOf returns flit seq of p on virtual channel vc.
+func flitOf(p *network.Packet, seq int, vc network.VCID) network.Flit {
+	return network.Flit{P: p.Ref(), Seq: uint16(seq), VC: vc, Class: p.Class}
 }
 
 // TestROBPerVCOrder: flits of one VC inserted out of order are released in
 // VSN order.
 func TestROBPerVCOrder(t *testing.T) {
 	rob := NewROB(2)
-	pkt := mkPkt(1, 4, network.ClassBestEffort)
+	pkt := mkPkt(4, network.ClassBestEffort)
 	// Insert VSN 2, 0, 3, 1 on VC 0.
 	for _, vsn := range []uint16{2, 0, 3, 1} {
-		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(vsn), VC: 0, VSN: vsn})
+		rob.Insert(flitOf(pkt, int(vsn), 0), 0, vsn)
 	}
 	var got []uint16
-	rob.Release(func(f network.Flit) { got = append(got, f.VSN) })
+	rob.Release(func(f network.Flit) { got = append(got, f.Seq) })
 	if len(got) != 4 {
 		t.Fatalf("released %d of 4 flits", len(got))
 	}
@@ -40,19 +60,19 @@ func TestROBPerVCOrder(t *testing.T) {
 // other VCs.
 func TestROBHoldsGaps(t *testing.T) {
 	rob := NewROB(2)
-	pkt := mkPkt(1, 8, network.ClassBestEffort)
-	rob.Insert(network.Flit{Pkt: pkt, Seq: 1, VC: 0, VSN: 1}) // gap: VSN 0 missing
-	rob.Insert(network.Flit{Pkt: pkt, Seq: 5, VC: 1, VSN: 0})
+	pkt := mkPkt(8, network.ClassBestEffort)
+	rob.Insert(flitOf(pkt, int(1), 0), 0, 1) // gap: VSN 0 missing
+	rob.Insert(flitOf(pkt, int(5), 1), 0, 0)
 	var got []network.Flit
 	rob.Release(func(f network.Flit) { got = append(got, f) })
 	if len(got) != 1 || got[0].VC != 1 {
 		t.Fatalf("expected only the VC-1 flit to release, got %v", got)
 	}
 	// Fill the gap; both release in order.
-	rob.Insert(network.Flit{Pkt: pkt, Seq: 0, VC: 0, VSN: 0})
+	rob.Insert(flitOf(pkt, 0, 0), 0, 0)
 	got = got[:0]
 	rob.Release(func(f network.Flit) { got = append(got, f) })
-	if len(got) != 2 || got[0].VSN != 0 || got[1].VSN != 1 {
+	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
 		t.Fatalf("gap fill release wrong: %v", got)
 	}
 }
@@ -61,18 +81,18 @@ func TestROBHoldsGaps(t *testing.T) {
 // SN must wait for earlier in-order flits even on another VC.
 func TestROBInOrderClassWaitsForGlobalSN(t *testing.T) {
 	rob := NewROB(2)
-	p0 := mkPkt(1, 2, network.ClassInOrder)
-	p1 := mkPkt(2, 2, network.ClassInOrder)
+	p0 := mkPkt(2, network.ClassInOrder)
+	p1 := mkPkt(2, network.ClassInOrder)
 	// SN 1 arrives first (VC 1); SN 0 (VC 0) is still in flight.
-	rob.Insert(network.Flit{Pkt: p1, Seq: 0, VC: 1, VSN: 0, SN: 1})
+	rob.Insert(flitOf(p1, 0, 1), 1, 0)
 	var got []network.Flit
 	rob.Release(func(f network.Flit) { got = append(got, f) })
 	if len(got) != 0 {
 		t.Fatalf("in-order flit released before its predecessor: %v", got)
 	}
-	rob.Insert(network.Flit{Pkt: p0, Seq: 0, VC: 0, VSN: 0, SN: 0})
+	rob.Insert(flitOf(p0, 0, 0), 0, 0)
 	rob.Release(func(f network.Flit) { got = append(got, f) })
-	if len(got) != 2 || got[0].SN != 0 || got[1].SN != 1 {
+	if len(got) != 2 || got[0].P != p0.Ref() || got[1].P != p1.Ref() {
 		t.Fatalf("in-order release sequence wrong: %v", got)
 	}
 }
@@ -81,8 +101,8 @@ func TestROBInOrderClassWaitsForGlobalSN(t *testing.T) {
 // stream.
 func TestROBBestEffortSkipsGlobalSN(t *testing.T) {
 	rob := NewROB(2)
-	pkt := mkPkt(1, 2, network.ClassBestEffort)
-	rob.Insert(network.Flit{Pkt: pkt, Seq: 0, VC: 0, VSN: 0, SN: 99})
+	pkt := mkPkt(2, network.ClassBestEffort)
+	rob.Insert(flitOf(pkt, 0, 0), 99, 0)
 	n := 0
 	rob.Release(func(network.Flit) { n++ })
 	if n != 1 {
@@ -93,14 +113,14 @@ func TestROBBestEffortSkipsGlobalSN(t *testing.T) {
 // TestROBMaxOccupancy tracks the high-water mark.
 func TestROBMaxOccupancy(t *testing.T) {
 	rob := NewROB(1)
-	pkt := mkPkt(1, 16, network.ClassBestEffort)
+	pkt := mkPkt(16, network.ClassBestEffort)
 	for i := 3; i >= 1; i-- { // VSN 3,2,1 — all blocked on 0
-		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(i), VC: 0, VSN: uint16(i)})
+		rob.Insert(flitOf(pkt, int(i), 0), 0, uint16(i))
 	}
 	if rob.MaxOccupancy() != 3 {
 		t.Fatalf("max occupancy %d, want 3", rob.MaxOccupancy())
 	}
-	rob.Insert(network.Flit{Pkt: pkt, Seq: 0, VC: 0, VSN: 0})
+	rob.Insert(flitOf(pkt, 0, 0), 0, 0)
 	rob.Release(func(network.Flit) {})
 	if rob.Occupancy() != 0 || rob.MaxOccupancy() != 4 {
 		t.Fatalf("occupancy %d / max %d after drain, want 0 / 4", rob.Occupancy(), rob.MaxOccupancy())
@@ -113,8 +133,8 @@ func TestROBMaxOccupancy(t *testing.T) {
 // serial flits (original VSNs) after parallel flits already arrived. The
 // ROB must hold the late arrivals and release everything in VSN order.
 func TestROBRetryInducedReordering(t *testing.T) {
-	pkt := mkPkt(1, 16, network.ClassBestEffort)
-	pin := mkPkt(2, 16, network.ClassInOrder)
+	pkt := mkPkt(16, network.ClassBestEffort)
+	pin := mkPkt(16, network.ClassInOrder)
 	for _, tc := range []struct {
 		name string
 		pkt  *network.Packet
@@ -130,8 +150,8 @@ func TestROBRetryInducedReordering(t *testing.T) {
 			rob := NewROB(2)
 			var got []uint16
 			for _, vsn := range tc.arrive {
-				rob.Insert(network.Flit{Pkt: tc.pkt, Seq: int32(vsn), VC: 0, VSN: vsn, SN: vsn})
-				rob.Release(func(f network.Flit) { got = append(got, f.VSN) })
+				rob.Insert(flitOf(tc.pkt, int(vsn), 0), vsn, vsn)
+				rob.Release(func(f network.Flit) { got = append(got, f.Seq) })
 			}
 			if len(got) != len(tc.arrive) {
 				t.Fatalf("released %d of %d flits", len(got), len(tc.arrive))
@@ -158,14 +178,14 @@ func TestROBSequenceWraparound(t *testing.T) {
 	rob := NewROB(2)
 	rob.nextVSN[0] = start
 	rob.nextSN = start
-	pkt := mkPkt(1, n, network.ClassInOrder)
+	pkt := mkPkt(n, network.ClassInOrder)
 	// Shuffled arrival order spanning the wrap: VSNs start..start+7.
 	for _, off := range []uint16{3, 1, 0, 5, 2, 4, 7, 6} {
 		vsn := start + off
-		rob.Insert(network.Flit{Pkt: pkt, Seq: int32(off), VC: 0, VSN: vsn, SN: vsn})
+		rob.Insert(flitOf(pkt, int(off), 0), vsn, vsn)
 	}
 	var got []uint16
-	rob.Release(func(f network.Flit) { got = append(got, f.VSN) })
+	rob.Release(func(f network.Flit) { got = append(got, start+f.Seq) })
 	if len(got) != n {
 		t.Fatalf("released %d of %d flits across the VSN wrap", len(got), n)
 	}
@@ -187,14 +207,14 @@ func TestROBPropertyWrapStart(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nFlits%24) + 2
 		start := ^uint16(0) - uint16(offset%16)
-		pkt := mkPkt(1, n, network.ClassBestEffort)
+		pkt := mkPkt(n, network.ClassBestEffort)
 		perm := rng.Perm(n)
 		rob := NewROB(1)
 		rob.nextVSN[0] = start
 		var released []uint16
 		for _, i := range perm {
-			rob.Insert(network.Flit{Pkt: pkt, Seq: int32(i), VC: 0, VSN: start + uint16(i)})
-			rob.Release(func(f network.Flit) { released = append(released, f.VSN) })
+			rob.Insert(flitOf(pkt, int(i), 0), 0, start+uint16(i))
+			rob.Release(func(f network.Flit) { released = append(released, start+f.Seq) })
 		}
 		if len(released) != n || rob.Occupancy() != 0 {
 			return false
@@ -218,20 +238,20 @@ func TestROBPropertyRandomArrivalOrder(t *testing.T) {
 	f := func(seed int64, nA, nB uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := int(nA%24)+1, int(nB%24)+1
-		pktA := mkPkt(1, a, network.ClassBestEffort)
-		pktB := mkPkt(2, b, network.ClassBestEffort)
+		pktA := mkPkt(a, network.ClassBestEffort)
+		pktB := mkPkt(b, network.ClassBestEffort)
 		var flits []network.Flit
 		for i := 0; i < a; i++ {
-			flits = append(flits, network.Flit{Pkt: pktA, Seq: int32(i), VC: 0, VSN: uint16(i)})
+			flits = append(flits, flitOf(pktA, int(i), 0))
 		}
 		for i := 0; i < b; i++ {
-			flits = append(flits, network.Flit{Pkt: pktB, Seq: int32(i), VC: 1, VSN: uint16(i)})
+			flits = append(flits, flitOf(pktB, int(i), 1))
 		}
 		rng.Shuffle(len(flits), func(i, j int) { flits[i], flits[j] = flits[j], flits[i] })
 		rob := NewROB(2)
 		var released []network.Flit
 		for _, fl := range flits {
-			rob.Insert(fl)
+			rob.Insert(fl, 0, fl.Seq) // VSN == Seq: one packet per VC
 			rob.Release(func(x network.Flit) { released = append(released, x) })
 		}
 		if len(released) != a+b {
@@ -239,7 +259,7 @@ func TestROBPropertyRandomArrivalOrder(t *testing.T) {
 		}
 		nextVSN := [2]uint16{}
 		for _, fl := range released {
-			if fl.VSN != nextVSN[fl.VC] {
+			if fl.Seq != nextVSN[fl.VC] {
 				return false
 			}
 			nextVSN[fl.VC]++

@@ -55,9 +55,6 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 		})
 	}
 	net.Finalize()
-	// The sink above copies every field it needs into a value struct, so
-	// delivered packets can be recycled.
-	net.PoolPackets = true
 	// A generous hop bound (several diameters) catches any residual
 	// wandering — reachable only under fault injection, where the torus
 	// weighted-distance heuristic can point at a dead wraparound.

@@ -196,7 +196,7 @@ func Attach(net *network.Network, fc Config) {
 			continue
 		}
 		if h := siteHook(fc, seed, l.ID, PhyLink, ber, bits); h != nil {
-			l.EnableRetry(h, fc.Window, fc.Timeout)
+			l.EnableRetry(h, fc.Window, fc.Timeout, net.Packets())
 		}
 	}
 }

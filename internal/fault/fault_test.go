@@ -28,6 +28,30 @@ func TestPerFlit(t *testing.T) {
 // TestHookEventComposition: scripted events gate on their interval; Burst
 // raises the corruption probability to P, Down kills the wire, and a clean
 // hook never draws from its RNG (zero-draw skip keeps clean cycles free).
+// TestIntegrityCheckerReportsDuplicate: a packet ID delivered twice is
+// reported, across the bitset's growth (IDs are dense, so it grows by
+// words as deliveries come in).
+func TestIntegrityCheckerReportsDuplicate(t *testing.T) {
+	net, err := network.New(network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNodes(2)
+	chk := NewIntegrityChecker(net)
+	var last *network.Packet
+	for i := 0; i < 200; i++ {
+		last = net.NewPacket(0, 1, 1, 0)
+		net.Sink(last)
+	}
+	if err := chk.Check(net); err != nil {
+		t.Fatalf("clean deliveries flagged: %v", err)
+	}
+	net.Sink(last)
+	if err := chk.Check(net); err == nil || err.Error() != "fault: 1 duplicate packet deliveries" {
+		t.Fatalf("duplicate delivery of packet %d reported as %v", last.ID, err)
+	}
+}
+
 func TestHookEventComposition(t *testing.T) {
 	h := &hook{rng: Split(1, DomainLink, 0), events: []Event{
 		{Kind: EventBurst, From: 10, To: 20, P: 1},

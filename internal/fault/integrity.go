@@ -13,26 +13,38 @@ import (
 // front), so exactly-once packet delivery plus a clean drain is the full
 // integrity statement.
 type IntegrityChecker struct {
-	seen map[uint64]struct{}
+	// seen is a bitset over packet IDs, which NewPacket hands out densely
+	// from 1.
+	seen []uint64
 	dups uint64
 }
 
 // NewIntegrityChecker wraps the network's current sink (call after the
 // sink is installed, e.g. after experiments.Build).
 func NewIntegrityChecker(net *network.Network) *IntegrityChecker {
-	c := &IntegrityChecker{seen: make(map[uint64]struct{})}
+	c := &IntegrityChecker{}
 	prev := net.Sink
 	net.Sink = func(p *network.Packet) {
-		if _, dup := c.seen[p.ID]; dup {
-			c.dups++
-		} else {
-			c.seen[p.ID] = struct{}{}
-		}
+		c.record(p.ID)
 		if prev != nil {
 			prev(p)
 		}
 	}
 	return c
+}
+
+// record marks one delivery of packet id, counting it as a duplicate when
+// the ID was delivered before.
+func (c *IntegrityChecker) record(id uint64) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	for uint64(len(c.seen)) <= w {
+		c.seen = append(c.seen, 0)
+	}
+	if c.seen[w]&bit != 0 {
+		c.dups++
+		return
+	}
+	c.seen[w] |= bit
 }
 
 // Check returns nil when every injected packet was delivered exactly once

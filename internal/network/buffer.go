@@ -63,11 +63,6 @@ func (q *FlitQueue) Push(f Flit) bool {
 // on an empty queue.
 func (q *FlitQueue) Front() Flit { return q.buf[q.head] }
 
-// FrontPkt returns the packet of the oldest flit without copying the whole
-// flit (the switch stage re-checks packet identity once per granted flit).
-// It must not be called on an empty queue.
-func (q *FlitQueue) FrontPkt() *Packet { return q.buf[q.head].Pkt }
-
 // frontRef returns a pointer to the oldest flit in place. The reference is
 // invalidated by the next mutation. It must not be called on an empty
 // queue.
@@ -93,19 +88,10 @@ func (q *FlitQueue) PeekRun(n int) (a, b []Flit) {
 	return q.buf[q.head:], q.buf[:end-len(q.buf)]
 }
 
-// Drop removes the n oldest flits, releasing their packet pointers. Only
-// the Pkt field is cleared: the scalar remainder of a dead slot is never
-// read (Push/stagePut/stageSpan overwrite whole flits), and zeroing 8 of
-// the 24 bytes — the only pointer — is all the GC needs. n must not exceed
-// Len.
+// Drop removes the n oldest flits. Flits hold no pointer, so a dead slot
+// is left as it is (Push/stagePut/stageSpan overwrite whole flits): this is
+// index arithmetic only. n must not exceed Len.
 func (q *FlitQueue) Drop(n int) {
-	a, b := q.PeekRun(n)
-	for i := range a {
-		a[i].Pkt = nil
-	}
-	for i := range b {
-		b[i].Pkt = nil
-	}
 	q.head += n
 	if q.head >= len(q.buf) {
 		q.head -= len(q.buf)
@@ -113,11 +99,10 @@ func (q *FlitQueue) Drop(n int) {
 	q.n -= n
 }
 
-// Pop removes and returns the oldest flit (releasing the slot's packet
-// pointer, like Drop). It must not be called on an empty queue.
+// Pop removes and returns the oldest flit. It must not be called on an
+// empty queue.
 func (q *FlitQueue) Pop() Flit {
 	f := q.buf[q.head]
-	q.buf[q.head].Pkt = nil
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
@@ -128,9 +113,6 @@ func (q *FlitQueue) Pop() Flit {
 
 // Reset discards all buffered flits, staged ones included.
 func (q *FlitQueue) Reset() {
-	for i := range q.buf {
-		q.buf[i] = Flit{}
-	}
 	q.head, q.n = 0, 0
 	q.wpos, q.pend = 0, 0
 }

@@ -1,8 +1,8 @@
 package network
 
 import (
-	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -10,16 +10,33 @@ import (
 
 // TestFlitSize: every ring slot of every input VC is a Flit, and the rings
 // are most of a large network's heap (76 of 96 MB on the 3136-node system
-// when the struct was 48 bytes), so it must not regrow unnoticed.
+// when the struct was 48 bytes, 38 of 58 MB at 24 bytes), so it must stay
+// 8 bytes and pointer-free: no field the GC would have to scan.
 func TestFlitSize(t *testing.T) {
-	if bits.UintSize != 64 {
-		t.Skip("the bound is stated for 64-bit pointers")
-	}
 	size := unsafe.Sizeof(Flit{})
 	t.Logf("unsafe.Sizeof(network.Flit{}) = %d bytes", size)
-	if size > 24 {
-		t.Fatalf("Flit is %d bytes, want <= 24", size)
+	if size != 8 {
+		t.Fatalf("Flit is %d bytes, want 8", size)
 	}
+	ft := reflect.TypeOf(Flit{})
+	for i := 0; i < ft.NumField(); i++ {
+		switch f := ft.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.String:
+			t.Fatalf("Flit field %s is a %v: the rings must stay pointer-free", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// testPackets returns a network with two nodes to make packets from.
+func testPackets(t *testing.T) *Network {
+	t.Helper()
+	net, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNodes(2)
+	return net
 }
 
 func TestFlitQueueBasics(t *testing.T) {
@@ -27,13 +44,13 @@ func TestFlitQueueBasics(t *testing.T) {
 	if !q.Empty() || q.Len() != 0 || q.Cap() != 3 || q.Free() != 3 {
 		t.Fatalf("fresh queue state wrong: len=%d cap=%d free=%d", q.Len(), q.Cap(), q.Free())
 	}
-	pkt := &Packet{ID: 1, Length: 4}
+	ref := testPackets(t).NewPacket(0, 1, 4, 0).ref
 	for i := 0; i < 3; i++ {
-		if !q.Push(Flit{Pkt: pkt, Seq: int32(i)}) {
+		if !q.Push(Flit{P: ref, Seq: uint16(i)}) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	if q.Push(Flit{Pkt: pkt, Seq: 3}) {
+	if q.Push(Flit{P: ref, Seq: 3}) {
 		t.Fatal("push into full queue succeeded")
 	}
 	if got := q.Front().Seq; got != 0 {
@@ -43,7 +60,7 @@ func TestFlitQueueBasics(t *testing.T) {
 		t.Fatalf("At(2) seq = %d, want 2", got)
 	}
 	for i := 0; i < 3; i++ {
-		if got := q.Pop().Seq; got != int32(i) {
+		if got := q.Pop().Seq; got != uint16(i) {
 			t.Fatalf("pop %d returned seq %d", i, got)
 		}
 	}
@@ -61,9 +78,9 @@ func TestFlitQueueZeroCapacityClamped(t *testing.T) {
 
 func TestFlitQueueReset(t *testing.T) {
 	q := NewFlitQueue(4)
-	pkt := &Packet{ID: 2, Length: 2}
-	q.Push(Flit{Pkt: pkt})
-	q.Push(Flit{Pkt: pkt, Seq: 1})
+	ref := testPackets(t).NewPacket(0, 1, 2, 0).ref
+	q.Push(Flit{P: ref})
+	q.Push(Flit{P: ref, Seq: 1})
 	q.Reset()
 	if !q.Empty() || q.Free() != 4 {
 		t.Fatalf("reset left len=%d free=%d", q.Len(), q.Free())
@@ -73,15 +90,15 @@ func TestFlitQueueReset(t *testing.T) {
 // TestFlitQueueFIFOProperty drives random push/pop sequences against a
 // slice reference model.
 func TestFlitQueueFIFOProperty(t *testing.T) {
+	pkt := testPackets(t).NewPacket(0, 1, MaxPacketLength, 0).ref
 	f := func(ops []bool, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewFlitQueue(8)
-		var ref []int32
-		next := int32(0)
-		pkt := &Packet{ID: 9, Length: 1 << 30}
+		var ref []uint16
+		next := uint16(0)
 		for _, push := range ops {
 			if push {
-				ok := q.Push(Flit{Pkt: pkt, Seq: next})
+				ok := q.Push(Flit{P: pkt, Seq: next})
 				if ok != (len(ref) < 8) {
 					return false
 				}
@@ -108,19 +125,20 @@ func TestFlitQueueFIFOProperty(t *testing.T) {
 }
 
 func TestFlitHeadTail(t *testing.T) {
-	pkt := &Packet{ID: 1, Length: 3}
-	if !(Flit{Pkt: pkt, Seq: 0}).IsHead() {
+	net := testPackets(t)
+	pkt := net.NewPacket(0, 1, 3, 0)
+	if !(Flit{P: pkt.ref, Seq: 0}).IsHead() {
 		t.Error("seq 0 should be head")
 	}
-	if (Flit{Pkt: pkt, Seq: 1}).IsHead() || (Flit{Pkt: pkt, Seq: 1}).IsTail() {
+	if f := (Flit{P: pkt.ref, Seq: 1}); f.IsHead() || f.IsTail(pkt) {
 		t.Error("seq 1 of 3 should be body")
 	}
-	if !(Flit{Pkt: pkt, Seq: 2}).IsTail() {
+	if !(Flit{P: pkt.ref, Seq: 2}).IsTail(pkt) {
 		t.Error("seq 2 of 3 should be tail")
 	}
-	single := &Packet{ID: 2, Length: 1}
-	f := Flit{Pkt: single, Seq: 0}
-	if !f.IsHead() || !f.IsTail() {
+	single := net.NewPacket(0, 1, 1, 0)
+	f := Flit{P: single.ref, Seq: 0}
+	if !f.IsHead() || !f.IsTail(single) {
 		t.Error("single-flit packet should be head and tail")
 	}
 }

@@ -62,12 +62,12 @@ func TestRingStorageExistsOnlyAfterFinalize(t *testing.T) {
 	}
 	// 1024 routers × 716 slots: many chunks, none a multi-megabyte array
 	// and none but the last a sliver.
-	if len(chunks) < 8 {
+	if len(chunks) < 4 {
 		t.Fatalf("%d ring chunks for 1024 routers, want many", len(chunks))
 	}
 	for i, n := range chunks[:len(chunks)-1] {
-		if n < 1<<15 || n >= 1<<16 {
-			t.Fatalf("chunk %d holds %d flit slots, want [32768, 65536)", i, n)
+		if n < 96<<10 || n >= 192<<10 {
+			t.Fatalf("chunk %d holds %d flit slots, want [98304, 196608)", i, n)
 		}
 	}
 }

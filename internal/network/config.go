@@ -167,6 +167,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.PacketLength <= 0:
 		return fmt.Errorf("network: packet length %d must be positive", c.PacketLength)
+	case c.PacketLength > MaxPacketLength:
+		return fmt.Errorf("network: packet length %d exceeds %d flits (flit sequence numbers are 16-bit)", c.PacketLength, MaxPacketLength)
 	case c.VCs <= 0 || c.VCs > 8:
 		return fmt.Errorf("network: VC count %d out of range [1,8]", c.VCs)
 	case c.OnChipBandwidth <= 0 || c.ParallelBandwidth <= 0 || c.SerialBandwidth <= 0:

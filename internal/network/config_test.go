@@ -46,6 +46,7 @@ func TestHalvedConfig(t *testing.T) {
 func TestConfigValidateRejectsBadValues(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.PacketLength = 0 },
+		func(c *Config) { c.PacketLength = MaxPacketLength + 1 }, // flit Seq is 16-bit
 		func(c *Config) { c.VCs = 0 },
 		func(c *Config) { c.VCs = 9 },
 		func(c *Config) { c.OnChipBandwidth = 0 },

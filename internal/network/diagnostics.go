@@ -45,7 +45,7 @@ func (net *Network) TakeSnapshot(topN int) Snapshot {
 				s.FlitsBuffered += int64(n)
 				s.FlitsByKind[in.Kind] += int64(n)
 				for i := 0; i < n; i++ {
-					p := buf.At(i).Pkt
+					p := net.Packet(buf.At(i).P)
 					if !seen[p.ID] {
 						seen[p.ID] = true
 						s.ActivePkts++
@@ -96,15 +96,16 @@ func (net *Network) DeadlockReport(limit int) string {
 							slots = out.Link.FreeSlots()
 						}
 						f := vc.Buf.Front()
+						p := net.Packet(f.P)
 						fmt.Fprintf(&b, "ACTIVE node=%d in=%d/%v vc=%d pkt=%d seq=%d len=%d -> out=%d/%v outVC=%d credits=%d held=%v slots=%d buffered=%d\n",
-							r.ID, ip, in.Kind, v, f.Pkt.ID, f.Seq, f.Pkt.Length, vc.OutPort, out.Kind, vc.OutVC, credits, held, slots, vc.Buf.Len())
+							r.ID, ip, in.Kind, v, p.ID, f.Seq, p.Length, vc.OutPort, out.Kind, vc.OutVC, credits, held, slots, vc.Buf.Len())
 					}
 				} else {
 					inactive++
 					if inactive <= limit {
-						f := vc.Buf.Front()
+						p := net.Packet(vc.Buf.Front().P)
 						fmt.Fprintf(&b, "VA-WAIT node=%d in=%d/%v vc=%d pkt=%d dst=%d restricted=%v buffered=%d\n",
-							r.ID, ip, in.Kind, v, f.Pkt.ID, f.Pkt.Dst, f.Pkt.Restricted, vc.Buf.Len())
+							r.ID, ip, in.Kind, v, p.ID, p.Dst, p.Restricted, vc.Buf.Len())
 					}
 				}
 			}

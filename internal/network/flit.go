@@ -40,10 +40,7 @@
 //     through per-shard scratch applied by the merge.
 package network
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // NodeID identifies a router/node in the network.
 type NodeID int32
@@ -102,8 +99,9 @@ const (
 	SubnetSerial
 )
 
-// Packet is a multi-flit message traversing the network. Flits reference
-// their packet; per-packet routing state lives here.
+// Packet is a multi-flit message traversing the network. Packets live in
+// their network's packet table (NewPacket); flits name their packet by
+// PacketRef and per-packet routing state lives here.
 type Packet struct {
 	ID     uint64
 	Src    NodeID
@@ -147,17 +145,21 @@ type Packet struct {
 	// + router traversals), per Sec. 8.3. EnergyOnChipPJ is the on-chip
 	// share (NoC wires + router traversals); EnergyIfacePJ the die-to-die
 	// interface share. All three are zero until the tail flit is ejected
-	// and settleEnergy expands the traversal counts below, once.
+	// and settleEnergy derives them, once.
 	EnergyPJ       float64
 	EnergyOnChipPJ float64
 	EnergyIfacePJ  float64
 
-	// tx counts the packet's flit traversals per energy class (indexed by
-	// KindOnChip, KindParallel, KindSerial): the destination router adds
-	// each ejected flit's own counts, a retry pipe the retransmissions a
-	// delivery needed beyond the first. Integer sums commute, so shards add
-	// in any order — atomically, since two links may deliver flits of one
-	// packet in the same phase.
+	// ref names the packet's slot in its network's packet table; 0 for a
+	// packet NewPacket did not make.
+	ref PacketRef
+
+	// tx counts the flit traversals per energy class (indexed by
+	// KindOnChip, KindParallel, KindSerial) that the hop counters do not
+	// imply: hetero-PHY adapters add each issue to the PHY they picked, a
+	// retry pipe the retransmissions a delivery needed (PacketTable.Charge).
+	// Integer sums commute, so shards add in any order — atomically, since
+	// two links may carry flits of one packet in the same phase.
 	tx [energyClasses]uint64
 }
 
@@ -166,79 +168,59 @@ type Packet struct {
 // its adapter picked; local ports cost nothing.
 const energyClasses = int(KindSerial) + 1
 
-// maxPacketHops bounds a packet's hop count. A flit is charged at most once
-// per class per hop, so while its head stays below the bound the 16-bit
-// per-flit counts cannot wrap; minimal routing is three orders of magnitude
-// below it, and a packet that gets there ends the run (Router.headHop).
+// maxPacketHops bounds a packet's hop count; a packet that reaches it is a
+// routing livelock and ends the run (Router.headHop). Minimal routing is
+// three orders of magnitude below it.
 const maxPacketHops = 1<<16 - 1
+
+// MaxPacketLength is the longest packet a flit's 16-bit Seq can index.
+// Config.Validate, Trace.Validate and NewReplayer refuse longer ones.
+const MaxPacketLength = 1<<16 - 1
+
+// Ref returns the packet's ref in its network's packet table: what its
+// flits carry.
+func (p *Packet) Ref() PacketRef { return p.ref }
 
 // Hops returns the total number of hops taken so far.
 func (p *Packet) Hops() int {
 	return int(p.HopsOnChip + p.HopsParallel + p.HopsSerial + p.HopsHetero)
 }
 
-// collect adds the traversal counts of ejected flits to their packet.
-func (p *Packet) collect(flits []Flit) {
-	var n [energyClasses]uint64
-	for i := range flits {
-		for k, c := range flits[i].tx {
-			n[k] += uint64(c)
-		}
-	}
-	for k, c := range n {
-		if c != 0 {
-			atomic.AddUint64(&p.tx[k], c)
-		}
-	}
-}
-
 // settleEnergy expands the traversal counts to picojoules. It runs once per
 // packet, in the single-threaded merge after the tail flit was ejected, when
-// every count is final: each of the Length flits crossed the Hops()+1
-// routers of the head's path exactly once, and tx holds the wire and PHY
-// traversals (retransmissions included). EnergyPJ is the exact sum of the
-// two shares.
+// every count is final. Each of the Length flits crossed the Hops()+1
+// routers of the head's path and every plain link on it exactly once (all
+// flits follow the head), so the hop counters give the first traversals of
+// on-chip wires and parallel/serial links; tx holds the hetero-PHY issues
+// and every retransmission. EnergyPJ is the exact sum of the two shares.
 func (p *Packet) settleEnergy(cfg *Config) {
+	n := uint64(p.Length)
+	onChip := p.tx[KindOnChip] + n*uint64(p.HopsOnChip)
+	parallel := p.tx[KindParallel] + n*uint64(p.HopsParallel)
+	serial := p.tx[KindSerial] + n*uint64(p.HopsSerial)
 	routers := float64(p.Length * (p.Hops() + 1))
-	p.EnergyOnChipPJ = routers*cfg.RouterPJPerFlit + float64(p.tx[KindOnChip])*cfg.FlitPJ(KindOnChip)
-	p.EnergyIfacePJ = float64(p.tx[KindParallel])*cfg.FlitPJ(KindParallel) + float64(p.tx[KindSerial])*cfg.FlitPJ(KindSerial)
+	p.EnergyOnChipPJ = routers*cfg.RouterPJPerFlit + float64(onChip)*cfg.FlitPJ(KindOnChip)
+	p.EnergyIfacePJ = float64(parallel)*cfg.FlitPJ(KindParallel) + float64(serial)*cfg.FlitPJ(KindSerial)
 	p.EnergyPJ = p.EnergyOnChipPJ + p.EnergyIfacePJ
 }
 
-// Flit is one flow-control unit of a packet. Flits are passed by value; the
-// packet pointer carries shared state. The struct is 24 bytes and the flit
-// rings are most of a large network's heap (TestFlitSize).
+// Flit is one flow-control unit of a packet. Flits are passed by value and
+// hold no pointer: every input-VC ring is an array of Flits, the rings are
+// most of a large network's heap, and pointer-free rings are neither
+// scanned by the GC nor cleared on release (TestFlitSize pins both).
+// Hetero-PHY sequence stamps live beside the flit inside the adapter, and
+// energy is counted on the packet.
 type Flit struct {
-	Pkt *Packet
-	Seq int32 // flit index within the packet: 0 = head, Length-1 = tail
-	// SN is the link-level global sequence number a hetero-PHY adapter
-	// stamps on in-order-class flits at issue time (Sec. 4.2). The ROB
-	// compares by equality, so 16 bits suffice while fewer than 65,536
-	// flits sit between issue and release (Config.Validate).
-	SN uint16
-	// VSN is the per-VC issue sequence number a hetero-PHY adapter stamps
-	// on every flit; the RX side restores per-VC FIFO order with it, which
-	// wormhole/VCT switching requires (packets on one VC stay contiguous).
-	VSN uint16
-	VC  VCID // VC assigned on the channel currently being traversed
-
-	// tx counts this flit's traversals per energy class. The counts ride
-	// the flit — which has exactly one owner at any instant — and are added
-	// to the packet at ejection, so parallel stepping never races on the
-	// shared Packet while its flits span several routers.
-	tx [energyClasses]uint16
-}
-
-// Charge counts one traversal of a channel of kind k on the flit. Only
-// on-chip wires and the two PHY kinds carry energy of their own.
-func (f *Flit) Charge(k LinkKind) {
-	if k <= KindSerial {
-		f.tx[k]++
-	}
+	P   PacketRef // the packet, resolved through Network.Packet
+	Seq uint16    // flit index within the packet: 0 = head, Length-1 = tail
+	VC  VCID      // VC assigned on the channel currently being traversed
+	// Class is the packet's traffic class, copied at injection so adapters,
+	// reorder buffers and dispatch policies never resolve the packet.
+	Class Class
 }
 
 // IsHead reports whether f is the head flit of its packet.
 func (f Flit) IsHead() bool { return f.Seq == 0 }
 
-// IsTail reports whether f is the tail flit of its packet.
-func (f Flit) IsTail() bool { return int(f.Seq) == f.Pkt.Length-1 }
+// IsTail reports whether f is the tail flit of p, its packet.
+func (f Flit) IsTail(p *Packet) bool { return int(f.Seq) == p.Length-1 }

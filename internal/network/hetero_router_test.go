@@ -115,7 +115,7 @@ func TestClassVCAffinityAtInjection(t *testing.T) {
 	vcOf := map[uint64]VCID{}
 	for _, e := range col.Events {
 		if e.Kind == EvHop && e.Kind2 == KindOnChip {
-			vcOf[e.Pkt] = e.VC
+			vcOf[e.PktID] = e.VC
 		}
 	}
 	if len(vcOf) == 2 && vcOf[b2.ID] == vcOf[u2.ID] {

@@ -28,15 +28,21 @@ type Adapter interface {
 	Busy() bool
 }
 
+// PacketUser is the optional Adapter capability of charging traversals to
+// packets: SetAdapter binds it to the network's packet table, which the
+// adapter passes on to the retry pipes it creates.
+type PacketUser interface {
+	BindPackets(t *PacketTable)
+}
+
 // Link is a unidirectional physical channel between two routers, modeled as
 // a pipeline with Bandwidth flits per stage and Delay stages (Sec. 7.1
 // "Interface Model": virtual pipeline registers in the on-chip clock
 // domain). It also carries the reverse credit pipeline with the same delay.
 //
 // A plain link (no adapter, no retry) never holds a flit itself. Accept and
-// AcceptRun write the flits, charged one traversal of the link's kind
-// (Flit.Charge), straight into the destination input
-// buffers at the producer cursor (FlitQueue staging) and the link keeps
+// AcceptRun write the flits straight into the destination input buffers at
+// the producer cursor (FlitQueue staging) and the link keeps
 // only a Delay-deep delay line of per-VC run lengths; the link phase of
 // cycle t+Delay publishes what was accepted in cycle t
 // (Network.commitDirect). The credit the source spent at acceptance
@@ -174,11 +180,12 @@ func (l *Link) Accept(now int64, f Flit) {
 		return
 	}
 	if l.retry != nil {
-		// The retry pipe charges per transmission, at delivery.
-		l.retry.Accept(now, f)
+		// The retry pipe charges retransmissions, at delivery.
+		l.retry.Accept(now, f, 0)
 		return
 	}
-	f.Charge(l.Kind)
+	// The traversal itself is implied by the packet's hop count
+	// (Packet.settleEnergy).
 	l.dstIn.VCs[f.VC].Buf.stagePut(f)
 	l.stageRun(f.VC, 1)
 	l.inFlight++
@@ -187,11 +194,11 @@ func (l *Link) Accept(now int64, f Flit) {
 
 // AcceptRun pushes a contiguous run of same-packet flits (as the up-to-two
 // ring views a, b) into a plain link — the bulk equivalent of per-flit
-// Router.forward + Accept. The run is bulk-copied into reserved ring slots,
-// then each flit's VC is rewritten to outVC and its traversal counted in
-// place: the one and only copy each flit makes between the two routers'
-// buffers. Callers must have checked FreeSlots and must not use it on
-// adapter or retry links.
+// Router.forward + Accept. The run is bulk-copied into reserved ring slots
+// (a plain memmove: flits hold no pointer), then each flit's VC is
+// rewritten to outVC in place: the one and only copy each flit makes
+// between the two routers' buffers. Callers must have checked FreeSlots and
+// must not use it on adapter or retry links.
 func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 	n := len(a) + len(b)
 	sa, sb := l.dstIn.VCs[outVC].Buf.stageSpan(n)
@@ -202,11 +209,9 @@ func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 	} else if m2 := copy(sa[m:], b); m2 < len(b) {
 		copy(sb, b[m2:])
 	}
-	kind := l.Kind
 	for _, span := range [2][]Flit{sa, sb} {
 		for i := range span {
 			span[i].VC = outVC
-			span[i].Charge(kind)
 		}
 	}
 	l.stageRun(outVC, n)
@@ -289,7 +294,7 @@ func (l *Link) Arrivals(now int64, deliver func(Flit)) {
 		l.Adapter.Tick(now, deliver)
 		return
 	}
-	l.retry.Tick(now, deliver)
+	l.retry.Tick(now, func(f Flit, _ uint32) { deliver(f) })
 }
 
 // ReturnCredit sends one credit for the given downstream VC back to the

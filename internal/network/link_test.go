@@ -19,7 +19,6 @@ type linkRig struct {
 	t   *testing.T
 	net *Network
 	l   *Link
-	ids uint64
 }
 
 func newLinkRig(t *testing.T, kind LinkKind) *linkRig {
@@ -35,16 +34,18 @@ func overPlainKinds(t *testing.T, fn func(t *testing.T, g *linkRig)) {
 }
 
 func (g *linkRig) flit(vc VCID) Flit {
-	g.ids++
-	return Flit{Pkt: &Packet{ID: g.ids, Length: 1}, VC: vc}
+	return Flit{P: g.net.NewPacket(0, 1, 1, 0).ref, VC: vc}
 }
+
+// id returns the ID of f's packet.
+func (g *linkRig) id(f Flit) uint64 { return g.net.Packet(f.P).ID }
 
 // accept pushes one fresh flit into the link in the current cycle and
 // returns its packet ID.
 func (g *linkRig) accept(vc VCID) uint64 {
 	f := g.flit(vc)
 	g.l.Accept(g.net.Now, f)
-	return f.Pkt.ID
+	return g.id(f)
 }
 
 // advance moves to the next cycle, runs the link phase and drains router
@@ -76,7 +77,7 @@ func TestLinkDeliversAfterDelay(t *testing.T) {
 			}
 		}
 		got := g.advance()
-		if len(got) != 1 || got[0].Pkt.ID != id {
+		if len(got) != 1 || g.id(got[0]) != id {
 			t.Fatalf("flit did not emerge after delay %d: %v", g.l.Delay, got)
 		}
 		if g.l.InFlight() != 0 {
@@ -131,7 +132,7 @@ func TestLinkPreservesOrderWithinAndAcrossCycles(t *testing.T) {
 				run := make([]Flit, k)
 				for i := range run {
 					run[i] = g.flit(7)
-					record(vc, run[i].Pkt.ID)
+					record(vc, g.id(run[i]))
 				}
 				g.l.AcceptRun(run[:k/2], run[k/2:], vc)
 			default:
@@ -141,10 +142,10 @@ func TestLinkPreservesOrderWithinAndAcrossCycles(t *testing.T) {
 			}
 			n += k
 			for _, f := range g.advance() {
-				if due[f.Pkt.ID] != g.net.Now {
-					t.Fatalf("flit %d visible at cycle %d, want %d", f.Pkt.ID, g.net.Now, due[f.Pkt.ID])
+				if id := g.id(f); due[id] != g.net.Now {
+					t.Fatalf("flit %d visible at cycle %d, want %d", id, g.net.Now, due[id])
 				}
-				got[f.VC] = append(got[f.VC], f.Pkt.ID)
+				got[f.VC] = append(got[f.VC], g.id(f))
 			}
 		}
 		for vc := range sent {
@@ -187,10 +188,11 @@ func TestLinkCreditReturnDelay(t *testing.T) {
 	})
 }
 
-// TestLinkEnergyAccounting: Accept charges a flit one traversal of the
-// link's kind, AcceptRun every flit of its run (both ring views), and
-// nothing else; a packet that collects the three flits settles to three
-// wire traversals plus its router traversals, in the kind's bucket.
+// TestLinkEnergyAccounting: Accept and AcceptRun (both ring views) charge
+// nothing to the packets they carry — a plain link's traversal is implied
+// by the hop count — and a 3-flit packet that took one hop over the link
+// settles to three wire traversals plus its router traversals, in the
+// kind's bucket.
 func TestLinkEnergyAccounting(t *testing.T) {
 	overPlainKinds(t, func(t *testing.T, g *linkRig) {
 		cfg := &g.net.Cfg
@@ -204,21 +206,26 @@ func TestLinkEnergyAccounting(t *testing.T) {
 		if len(got) != 3 {
 			t.Fatalf("%d flits arrived, want 3", len(got))
 		}
-		var want [energyClasses]uint16
-		want[g.l.Kind] = 1
 		for i, f := range got {
-			if f.tx != want {
-				t.Fatalf("flit %d charged %v traversals (on-chip/parallel/serial), want %v", i, f.tx, want)
+			if tx := g.net.Packet(f.P).tx; tx != [energyClasses]uint64{} {
+				t.Fatalf("flit %d: packet charged %v traversals (on-chip/parallel/serial), want none", i, tx)
 			}
 		}
 		wire := cfg.FlitPJ(g.l.Kind)
 		if wire == 0 {
 			t.Fatal("fixture charges no link energy")
 		}
-		pkt := &Packet{Length: 3}
-		pkt.collect(got)
+		pkt := g.net.NewPacket(0, 1, 3, 0)
+		switch g.l.Kind {
+		case KindOnChip:
+			pkt.HopsOnChip = 1
+		case KindParallel:
+			pkt.HopsParallel = 1
+		case KindSerial:
+			pkt.HopsSerial = 1
+		}
 		pkt.settleEnergy(cfg)
-		wantOnChip, wantIface := 3*cfg.RouterPJPerFlit, 3*wire
+		wantOnChip, wantIface := 6*cfg.RouterPJPerFlit, 3*wire
 		if g.l.Kind == KindOnChip {
 			wantOnChip, wantIface = wantOnChip+wantIface, 0
 		}

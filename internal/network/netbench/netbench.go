@@ -104,7 +104,6 @@ func BuildMesh(side int) *network.Network {
 		cuts = append(cuts, b)
 	}
 	net.SetShardCuts(cuts)
-	net.PoolPackets = true
 	return net
 }
 
@@ -130,7 +129,6 @@ func BuildHeteroTorus(chipletsX, chipletsY, nodesX, nodesY int) *network.Network
 	net.Routing = alg
 	net.Finalize()
 	net.SetShardCuts(topo.ShardCuts())
-	net.PoolPackets = true
 	return net
 }
 

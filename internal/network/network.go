@@ -39,8 +39,8 @@ type Network struct {
 	// destination node within a cycle: the scratch merge runs in shard
 	// order and shards are ascending node ranges). Closed-loop workload
 	// drivers (internal/collective) observe deliveries here without
-	// displacing the statistics sink. Like Sink, the *Packet must not be retained past
-	// the call when PoolPackets is enabled.
+	// displacing the statistics sink. Like Sink, the *Packet must not be
+	// retained past the call: the packet's slot is reused (NewPacket).
 	OnDeliver func(*Packet)
 
 	// Tracer, when non-nil, receives per-flit simulation events
@@ -50,10 +50,9 @@ type Network struct {
 	// sharded network panic.
 	Tracer Tracer
 
-	// PoolPackets recycles delivered Packet structs through a free list
-	// (NewPacket reuses them after Sink returns). Enable only when no Sink
-	// or Tracer retains *Packet pointers past the Sink call; the built-in
-	// experiment runners copy into value structs and qualify.
+	// Deprecated: PoolPackets is ignored. Every delivered packet's slot in
+	// the packet table is reused (NewPacket); the field stays only for
+	// callers that still assign it.
 	PoolPackets bool
 
 	sources []source
@@ -67,7 +66,8 @@ type Network struct {
 	nodeWake []uint64
 	srcWake  []uint64
 
-	pktFree []*Packet
+	// pkts owns every packet (NewPacket); flits carry refs into it.
+	pkts PacketTable
 
 	nextPktID  uint64
 	flitsIn    int64 // flits injected into the network
@@ -146,7 +146,7 @@ func New(cfg Config) (*Network, error) {
 // AddNodes creates n routers with local ports and their injection sources.
 func (net *Network) AddNodes(n int) {
 	for i := 0; i < n; i++ {
-		net.Nodes = append(net.Nodes, newRouter(&net.Cfg, NodeID(len(net.Nodes))))
+		net.Nodes = append(net.Nodes, newRouter(&net.Cfg, NodeID(len(net.Nodes)), &net.pkts))
 	}
 	net.sources = make([]source, len(net.Nodes))
 }
@@ -163,9 +163,14 @@ func (net *Network) Connect(kind LinkKind, a, b NodeID) *Link {
 }
 
 // SetAdapter attaches a hetero-PHY adapter to a link and reinitializes the
-// source router's credit view for the link's (unchanged) buffer depth.
+// source router's credit view for the link's (unchanged) buffer depth. An
+// adapter that charges traversals to packets (PacketUser) is handed the
+// packet table.
 func (net *Network) SetAdapter(l *Link, a Adapter) {
 	l.Adapter = a
+	if u, ok := a.(PacketUser); ok {
+		u.BindPackets(&net.pkts)
+	}
 	if l.srcOut != nil {
 		l.srcOut.slow = l.Adapter != nil || l.retry != nil
 	}
@@ -227,7 +232,7 @@ func (net *Network) packSlabs() {
 	// when a few live spans are scattered over them, instead of mapping a
 	// second home for the whole array (peak RSS then differed by the array's
 	// size from run to run).
-	const ringChunkFlits = 1 << 15
+	const ringChunkFlits = 96 << 10
 
 	nIn, nOut, nVC, nCred := 0, 0, 0, 0
 	for _, r := range net.Nodes {
@@ -339,33 +344,13 @@ func (net *Network) rebuildWake() {
 	}
 }
 
-// NewPacket allocates a packet with a fresh ID, reusing a delivered packet
-// from the free list when PoolPackets is enabled. The caller fills the
-// class, then Offers it.
-func (net *Network) NewPacket(src, dst NodeID, length int, createdAt int64) *Packet {
-	net.nextPktID++
-	p := (*Packet)(nil)
-	if n := len(net.pktFree); n > 0 {
-		p = net.pktFree[n-1]
-		net.pktFree = net.pktFree[:n-1]
-	} else {
-		p = new(Packet)
-	}
-	*p = Packet{
-		ID:        net.nextPktID,
-		Src:       src,
-		Dst:       dst,
-		Length:    length,
-		CreatedAt: createdAt,
-		ArrivedAt: -1,
-		Target:    -1,
-	}
-	return p
-}
-
 // Offer appends a packet to its source node's injection queue. Packets must
-// be offered with nondecreasing CreatedAt per node.
+// be offered with nondecreasing CreatedAt per node, and must come from this
+// network's NewPacket.
 func (net *Network) Offer(p *Packet) {
+	if !net.pkts.owns(p) {
+		panic(fmt.Sprintf("network: packet %d offered was not made by this network's NewPacket", p.ID))
+	}
 	if p.Src == p.Dst {
 		panic(fmt.Sprintf("network: packet %d offered with src == dst == %d", p.ID, p.Src))
 	}
@@ -464,7 +449,7 @@ func (net *Network) commitDirect(l *Link, moved *uint64) {
 		slot := l.DstPort*r.slotVCs + int(run.vc)
 		if !vc.Active {
 			if buffered == 0 {
-				vc.cacheHead(vc.Buf.frontRef())
+				r.cacheHead(vc, vc.Buf.frontRef())
 			}
 			r.markPend(slot)
 		} else {
@@ -498,7 +483,7 @@ func (net *Network) mergeScratch(sc *workerScratch) {
 		pkt.ArrivedAt = net.Now
 		pkt.settleEnergy(&net.Cfg)
 		if net.Tracer != nil {
-			net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvEject, Pkt: pkt.ID, Node: pkt.Dst})
+			net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvEject, PktID: pkt.ID, Node: pkt.Dst})
 		}
 		if net.Sink != nil {
 			net.Sink(pkt)
@@ -506,9 +491,7 @@ func (net *Network) mergeScratch(sc *workerScratch) {
 		if net.OnDeliver != nil {
 			net.OnDeliver(pkt)
 		}
-		if net.PoolPackets {
-			net.pktFree = append(net.pktFree, pkt)
-		}
+		net.pkts.free = append(net.pkts.free, pkt.ref)
 	}
 	// Fold links woken by this shard's routers into the wake lists. A
 	// shard's routers may source links of any shard, so distribution runs
@@ -618,7 +601,7 @@ func (net *Network) injectNode(n int, sc *workerScratch) {
 				p.InjectedAt = net.Now
 				sc.pktsIn++
 				if net.Tracer != nil {
-					net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvInject, Pkt: p.ID, Node: p.Src})
+					net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvInject, PktID: p.ID, Node: p.Src})
 				}
 			}
 			vc := &in.VCs[s.curVC]
@@ -640,7 +623,7 @@ func (net *Network) injectNode(n int, sc *workerScratch) {
 				}
 			}
 			for budget > 0 && s.curSeq < int32(s.cur.Length) && vc.Buf.Free() > 0 {
-				vc.Buf.Push(Flit{Pkt: s.cur, Seq: s.curSeq, VC: s.curVC})
+				vc.Buf.Push(Flit{P: s.cur.ref, Seq: uint16(s.curSeq), VC: s.curVC, Class: s.cur.Class})
 				r.buffered++
 				s.curSeq++
 				budget--

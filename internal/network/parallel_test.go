@@ -278,7 +278,6 @@ func TestParallelFastForwardSkewedLoad(t *testing.T) {
 // dispatch all reuse preallocated storage.
 func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
 	net := buildXYMesh(t, 16)
-	net.PoolPackets = true
 	net.SetShardCuts(rowCuts(16))
 	net.SetWorkers(2)
 	defer net.SetWorkers(0)

@@ -1,7 +1,5 @@
 package network
 
-import "sync/atomic"
-
 // This file implements the link-layer retry protocol (UCIe-style CRC +
 // replay, Sec. 2.1's reliability gap between interface classes): a go-back-N
 // reliable pipe that wraps a link's bandwidth×delay pipeline with a TX
@@ -30,6 +28,9 @@ import "sync/atomic"
 //     transmissions and burn per-traversal energy each time: a flit
 //     delivered by its k-th transmission is charged k traversals (charge).
 //     Copies sent after the one that was delivered are charged to nobody.
+//   - Every entry carries an opaque 32-bit tag from Accept to delivery
+//     (hetero-PHY adapters keep their sequence stamps in it; plain links
+//     pass 0).
 //   - The replay window bounds acceptance: FreeSlots reaches zero when the
 //     buffer is full, so upstream credit backpressure takes over and no
 //     flit is ever dropped for lack of replay space.
@@ -40,6 +41,13 @@ type RetryPipe struct {
 	timeout   int64
 	hook      TxFault
 	kind      LinkKind // energy class a wire traversal is charged to
+
+	// pkts is the packet table traversals are charged to. onLink marks the
+	// pipe of a plain link (EnableRetry), whose first traversal per flit
+	// the packet's hop count already implies; an adapter PHY's pipe
+	// charges every transmission.
+	pkts   *PacketTable
+	onLink bool
 
 	// TX: replay buffer in lsn order. replay[i] holds lsn base+i; next is
 	// the lsn the next accepted flit gets (== base+len(replay)); sendIdx is
@@ -76,6 +84,7 @@ type RetryPipe struct {
 
 type retryEntry struct {
 	f      Flit
+	tag    uint32
 	enq    int64  // acceptance cycle (age telemetry)
 	sentAt int64  // last transmission cycle, -1 before the first
 	sends  uint64 // transmissions so far
@@ -83,6 +92,7 @@ type retryEntry struct {
 
 type wireFlit struct {
 	f     Flit
+	tag   uint32
 	lsn   uint32
 	bad   bool   // CRC check will fail at the RX
 	sends uint64 // which transmission of its entry this copy is
@@ -139,12 +149,12 @@ func (s *RetryStats) Add(o RetryStats) {
 }
 
 // NewRetryPipe builds a reliable pipe over a bandwidth×delay wire whose
-// traversals are charged to energy class kind (Flit.Charge).
+// transmissions are charged to energy class kind on the packets of pkts.
 // window <= 0 derives a replay capacity that sustains full bandwidth across
 // the ack round trip; timeout <= 0 derives a default comfortably above the
 // round trip (it is always clamped to at least one round trip plus slack,
 // or healthy traffic would time out spuriously).
-func NewRetryPipe(bandwidth, delay, window, timeout int, hook TxFault, kind LinkKind) *RetryPipe {
+func NewRetryPipe(bandwidth, delay, window, timeout int, hook TxFault, kind LinkKind, pkts *PacketTable) *RetryPipe {
 	if delay < 1 {
 		delay = 1
 	}
@@ -167,6 +177,7 @@ func NewRetryPipe(bandwidth, delay, window, timeout int, hook TxFault, kind Link
 		timeout:   int64(timeout),
 		hook:      hook,
 		kind:      kind,
+		pkts:      pkts,
 		slots:     make([][]wireFlit, delay),
 		ackSlots:  make([][]ackMsg, delay),
 	}
@@ -178,11 +189,12 @@ func (rp *RetryPipe) FreeSlots() int {
 	return min(rp.bandwidth-rp.accepted, rp.window-len(rp.replay))
 }
 
-// Accept appends a flit to the replay buffer and, when the send cursor is
-// already caught up and wire budget remains, transmits it this same cycle —
-// so the error-free path adds zero latency over the plain pipeline.
-func (rp *RetryPipe) Accept(now int64, f Flit) {
-	rp.replay = append(rp.replay, retryEntry{f: f, enq: now, sentAt: -1})
+// Accept appends a flit with its tag to the replay buffer and, when the
+// send cursor is already caught up and wire budget remains, transmits it
+// this same cycle — so the error-free path adds zero latency over the plain
+// pipeline.
+func (rp *RetryPipe) Accept(now int64, f Flit, tag uint32) {
+	rp.replay = append(rp.replay, retryEntry{f: f, tag: tag, enq: now, sentAt: -1})
 	rp.next++
 	rp.accepted++
 	if rp.sendIdx == len(rp.replay)-1 && rp.sent < rp.bandwidth {
@@ -213,30 +225,28 @@ func (rp *RetryPipe) transmit(now int64) {
 		rp.Stats.Corrupted++
 	}
 	slot := (rp.head + rp.delay - 1) % rp.delay
-	rp.slots[slot] = append(rp.slots[slot], wireFlit{f: e.f, lsn: lsn, bad: bad, sends: e.sends})
+	rp.slots[slot] = append(rp.slots[slot], wireFlit{f: e.f, tag: e.tag, lsn: lsn, bad: bad, sends: e.sends})
 	rp.inFlight++
 }
 
 // charge books the sends wire transmissions a flit needed to leave this
-// pipe: the first on the flit like any link traversal, the rest on the
-// packet, whose counter is wide — an outage can retransmit one flit more
-// often than the flit's 16 bits hold. sends is 0 for a flit rescued before
-// its first transmission.
-func (rp *RetryPipe) charge(f *Flit, sends uint64) {
-	if sends == 0 || rp.kind > KindSerial {
-		return
+// pipe on its packet: all of them on an adapter PHY, only the surplus over
+// the first on a plain link (whose first traversal the hop count implies).
+// sends is 0 for a flit rescued before its first transmission.
+func (rp *RetryPipe) charge(f Flit, sends uint64) {
+	if rp.onLink && sends > 0 {
+		sends--
 	}
-	f.tx[rp.kind]++
-	if sends > 1 {
-		atomic.AddUint64(&f.Pkt.tx[rp.kind], sends-1)
+	if sends > 0 {
+		rp.pkts.Charge(f.P, rp.kind, sends)
 	}
 }
 
 // Tick advances the pipe one cycle: process returning acks at the TX,
 // deliver/drop arrivals at the RX (emitting one coalesced ack/nack),
 // check the retransmission timeout, then pump the send cursor with a fresh
-// wire budget.
-func (rp *RetryPipe) Tick(now int64, deliver func(Flit)) {
+// wire budget. deliver receives each flit with the tag it was accepted with.
+func (rp *RetryPipe) Tick(now int64, deliver func(Flit, uint32)) {
 	// Reverse channel: acks sent delay cycles ago reach the TX.
 	acks := rp.ackSlots[rp.ackHead]
 	rp.ackSlots[rp.ackHead] = acks[:0]
@@ -258,8 +268,8 @@ func (rp *RetryPipe) Tick(now int64, deliver func(Flit)) {
 			rp.nacked = false
 			rp.Stats.Delivered++
 			progress = true
-			rp.charge(&wf.f, wf.sends)
-			deliver(wf.f)
+			rp.charge(wf.f, wf.sends)
+			deliver(wf.f, wf.tag)
 		} else {
 			// Bad CRC, or the out-of-sequence tail behind one: go-back-N
 			// discards it. The first drop at this gap nacks, rewinding the
@@ -354,19 +364,19 @@ func (rp *RetryPipe) UndeliveredVCs(fn func(VCID)) {
 }
 
 // FailoverDrain evicts every accepted-but-undelivered flit, invoking
-// reissue for each in acceptance order, and resets the pipe to a clean
+// reissue for each (with its tag) in acceptance order, and resets the pipe to a clean
 // synchronized state (wire and ack channels cleared, TX and RX sequence
 // counters realigned). The failover policy uses it to rescue flits stuck
 // behind a dead serial PHY and re-issue them on the parallel PHY; clearing
 // the wire guarantees no straggler can ever deliver a second copy.
 // It returns the number of evicted flits.
-func (rp *RetryPipe) FailoverDrain(reissue func(Flit)) int {
+func (rp *RetryPipe) FailoverDrain(reissue func(Flit, uint32)) int {
 	start := int(rp.expected - rp.base)
 	n := 0
 	for i := start; i < len(rp.replay); i++ {
 		e := &rp.replay[i]
-		rp.charge(&e.f, e.sends)
-		reissue(e.f)
+		rp.charge(e.f, e.sends)
+		reissue(e.f, e.tag)
 		n++
 	}
 	rp.Stats.Evicted += uint64(n)
@@ -388,11 +398,12 @@ func (rp *RetryPipe) FailoverDrain(reissue func(Flit)) int {
 	return n
 }
 
-// EnableRetry arms the link-layer retry protocol on a plain link. window
-// and timeout <= 0 pick defaults from the link's bandwidth and delay; hook
-// may be nil (reliable wire, retry machinery only). Adapter links enable
-// retry per PHY via the adapter instead.
-func (l *Link) EnableRetry(hook TxFault, window, timeout int) {
+// EnableRetry arms the link-layer retry protocol on a plain link, charging
+// retransmissions to the packets of pkts (the network's, Network.Packets).
+// window and timeout <= 0 pick defaults from the link's bandwidth and
+// delay; hook may be nil (reliable wire, retry machinery only). Adapter
+// links enable retry per PHY via the adapter instead.
+func (l *Link) EnableRetry(hook TxFault, window, timeout int, pkts *PacketTable) {
 	if l.Adapter != nil {
 		panic("network: EnableRetry on an adapter link; enable retry on the adapter's PHYs")
 	}
@@ -401,7 +412,8 @@ func (l *Link) EnableRetry(hook TxFault, window, timeout int) {
 		// the destination ring.
 		panic("network: EnableRetry on a link with flits in flight; enable retry before stepping traffic")
 	}
-	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, l.Kind)
+	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, l.Kind, pkts)
+	l.retry.onLink = true
 	if l.srcOut != nil {
 		l.srcOut.slow = true
 	}

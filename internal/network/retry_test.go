@@ -24,10 +24,10 @@ func (h *scriptHook) Down(now int64) bool {
 
 // drainPipe ticks the pipe from cycle start until it quiesces (or limit
 // cycles pass), recording every delivered flit's Seq and delivery cycle.
-func drainPipe(t *testing.T, rp *RetryPipe, start, limit int64) (seqs []int32, cycles []int64) {
+func drainPipe(t *testing.T, rp *RetryPipe, start, limit int64) (seqs []uint16, cycles []int64) {
 	t.Helper()
 	for now := start; now < start+limit; now++ {
-		rp.Tick(now, func(f Flit) {
+		rp.Tick(now, func(f Flit, _ uint32) {
 			seqs = append(seqs, f.Seq)
 			cycles = append(cycles, now)
 		})
@@ -48,7 +48,7 @@ func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 	type arrival struct {
 		cycle int64
 		id    uint64
-		tx    [energyClasses]uint16
+		tx    [energyClasses]uint64
 	}
 	const flits = 40
 	drive := func(g *linkRig) []arrival {
@@ -60,7 +60,8 @@ func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 				sent++
 			}
 			for _, f := range g.advance() {
-				got = append(got, arrival{g.net.Now, f.Pkt.ID, f.tx})
+				p := g.net.Packet(f.P)
+				got = append(got, arrival{g.net.Now, p.ID, p.tx})
 			}
 		}
 		return got
@@ -68,7 +69,7 @@ func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 	for _, kind := range plainKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			plain, reliable := newLinkRig(t, kind), newLinkRig(t, kind)
-			reliable.l.EnableRetry(nil, 0, 0)
+			reliable.l.EnableRetry(nil, 0, 0, reliable.net.Packets())
 			pa, ra := drive(plain), drive(reliable)
 			if len(pa) != flits || len(ra) != flits {
 				t.Fatalf("delivered %d plain / %d retry flits, want %d", len(pa), len(ra), flits)
@@ -92,17 +93,18 @@ func TestRetryErrorFreeMatchesPlainPipeline(t *testing.T) {
 // checks go-back-N recovery: every flit delivered exactly once, in order.
 func TestRetryDeliversThroughCorruption(t *testing.T) {
 	hook := &scriptHook{corruptFirst: 3}
-	rp := NewRetryPipe(2, 3, 0, 0, hook, KindSerial)
+	net := testPackets(t)
+	rp := NewRetryPipe(2, 3, 0, 0, hook, KindSerial, net.Packets())
 	const n = 10
-	pkt := &Packet{ID: 7, Length: n}
-	var seqs []int32
-	next := int32(0)
+	pkt := net.NewPacket(0, 1, n, 0)
+	var seqs []uint16
+	next := uint16(0)
 	for now := int64(0); now < 400; now++ {
 		if now > 0 {
-			rp.Tick(now, func(f Flit) { seqs = append(seqs, f.Seq) })
+			rp.Tick(now, func(f Flit, _ uint32) { seqs = append(seqs, f.Seq) })
 		}
 		for next < n && rp.FreeSlots() > 0 {
-			rp.Accept(now, Flit{Pkt: pkt, Seq: next})
+			rp.Accept(now, Flit{P: pkt.ref, Seq: next}, 0)
 			next++
 		}
 		if next == n && !rp.Busy() {
@@ -113,7 +115,7 @@ func TestRetryDeliversThroughCorruption(t *testing.T) {
 		t.Fatalf("delivered %d flits, want %d", len(seqs), n)
 	}
 	for i, s := range seqs {
-		if s != int32(i) {
+		if s != uint16(i) {
 			t.Fatalf("out-of-order delivery: position %d got seq %d", i, s)
 		}
 	}
@@ -134,15 +136,16 @@ func TestRetryDeliversThroughCorruption(t *testing.T) {
 func TestRetryOneCorruptionCostsOneWindow(t *testing.T) {
 	const bw, delay, cycles = 4, 20, 4000
 	run := func(hook TxFault) (*RetryPipe, int) {
-		rp := NewRetryPipe(bw, delay, 0, 0, hook, KindSerial)
-		pkt := &Packet{ID: 6, Length: 1}
+		net := testPackets(t)
+		rp := NewRetryPipe(bw, delay, 0, 0, hook, KindSerial, net.Packets())
+		pkt := net.NewPacket(0, 1, 1, 0)
 		delivered := 0
 		for now := int64(0); now < cycles; now++ {
 			if now > 0 {
-				rp.Tick(now, func(Flit) { delivered++ })
+				rp.Tick(now, func(Flit, uint32) { delivered++ })
 			}
 			for rp.FreeSlots() > 0 {
-				rp.Accept(now, Flit{Pkt: pkt})
+				rp.Accept(now, Flit{P: pkt.ref}, 0)
 			}
 		}
 		return rp, delivered
@@ -166,8 +169,9 @@ func TestRetryOneCorruptionCostsOneWindow(t *testing.T) {
 // outage ends.
 func TestRetryTimeoutRecoversDownWire(t *testing.T) {
 	hook := &scriptHook{downFrom: 0, downTo: 40}
-	rp := NewRetryPipe(1, 2, 0, 0, hook, KindSerial)
-	rp.Accept(0, Flit{Pkt: &Packet{ID: 1, Length: 1}, Seq: 0})
+	net := testPackets(t)
+	rp := NewRetryPipe(1, 2, 0, 0, hook, KindSerial, net.Packets())
+	rp.Accept(0, Flit{P: net.NewPacket(0, 1, 1, 0).ref}, 0)
 	seqs, cycles := drainPipe(t, rp, 1, 400)
 	if len(seqs) != 1 {
 		t.Fatalf("delivered %d flits, want 1", len(seqs))
@@ -188,15 +192,16 @@ func TestRetryTimeoutRecoversDownWire(t *testing.T) {
 func TestRetryWindowBackpressure(t *testing.T) {
 	hook := &scriptHook{downFrom: 0, downTo: 1 << 40}
 	const window = 4
-	rp := NewRetryPipe(4, 2, window, 0, hook, KindSerial)
-	pkt := &Packet{ID: 2, Length: window}
+	net := testPackets(t)
+	rp := NewRetryPipe(4, 2, window, 0, hook, KindSerial, net.Packets())
+	pkt := net.NewPacket(0, 1, window, 0)
 	accepted := 0
 	for now := int64(0); now < 100; now++ {
 		if now > 0 {
-			rp.Tick(now, func(Flit) { t.Fatal("delivery across a dead wire") })
+			rp.Tick(now, func(Flit, uint32) { t.Fatal("delivery across a dead wire") })
 		}
 		for rp.FreeSlots() > 0 {
-			rp.Accept(now, Flit{Pkt: pkt, Seq: int32(accepted)})
+			rp.Accept(now, Flit{P: pkt.ref, Seq: uint16(accepted)}, 0)
 			accepted++
 		}
 	}
@@ -211,11 +216,11 @@ func TestRetryWindowBackpressure(t *testing.T) {
 	}
 }
 
-// TestRetryEnergyPerRetransmission: a flit delivered on its k-th
-// transmission must be charged k wire traversals — the first on the flit,
-// the rest on its packet. The outage case keeps the wire of a Delay-1 pipe
-// at the minimum timeout down for 300k cycles, so one flit is sent more
-// often than a 16-bit count holds: legitimate input, still charged exactly.
+// TestRetryEnergyPerRetransmission: a flit an adapter PHY's pipe delivered
+// on its k-th transmission must be charged k wire traversals, all on its
+// packet. The outage case keeps the wire of a Delay-1 pipe at the minimum
+// timeout down for 300k cycles, so one flit is sent more often than a
+// 16-bit count holds: legitimate input, still charged exactly.
 func TestRetryEnergyPerRetransmission(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, tc := range []struct {
@@ -228,13 +233,14 @@ func TestRetryEnergyPerRetransmission(t *testing.T) {
 		{"long-outage", &scriptHook{downTo: 300_000}, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rp := NewRetryPipe(1, tc.delay, 0, 1, tc.hook, KindParallel)
-			pkt := &Packet{ID: 3, Length: 1}
-			rp.Accept(0, Flit{Pkt: pkt, Seq: 0})
+			net := testPackets(t)
+			rp := NewRetryPipe(1, tc.delay, 0, 1, tc.hook, KindParallel, net.Packets())
+			pkt := net.NewPacket(0, 1, 1, 0)
+			rp.Accept(0, Flit{P: pkt.ref, Seq: 0}, 0)
 			var got Flit
 			n := 0
 			for now := int64(1); now < 400_000 && rp.Busy(); now++ {
-				rp.Tick(now, func(f Flit) { got = f; n++ })
+				rp.Tick(now, func(f Flit, _ uint32) { got = f; n++ })
 			}
 			if n != 1 {
 				t.Fatalf("delivered %d flits, want 1", n)
@@ -250,10 +256,9 @@ func TestRetryEnergyPerRetransmission(t *testing.T) {
 			if rp.Stats.Transmits != want || rp.Stats.Retransmits != want-1 {
 				t.Fatalf("unexpected transmit counts: %+v, want %d transmissions", rp.Stats, want)
 			}
-			if got.tx != [energyClasses]uint16{KindParallel: 1} || pkt.tx != [energyClasses]uint64{KindParallel: want - 1} {
-				t.Fatalf("flit charged %v, packet %v after %d transmissions", got.tx, pkt.tx, want)
+			if got.P != pkt.ref || pkt.tx != [energyClasses]uint64{KindParallel: want} {
+				t.Fatalf("packet charged %v after %d transmissions", pkt.tx, want)
 			}
-			pkt.collect([]Flit{got})
 			pkt.settleEnergy(&cfg)
 			if e := float64(want) * cfg.FlitPJ(KindParallel); pkt.EnergyIfacePJ != e || pkt.EnergyPJ != e+cfg.RouterPJPerFlit {
 				t.Fatalf("settled %v pJ interface, %v total after %d transmissions, want %v and %v",
@@ -268,20 +273,21 @@ func TestRetryEnergyPerRetransmission(t *testing.T) {
 // in-order exactly-once delivery must survive it.
 func TestRetrySequenceWraparound(t *testing.T) {
 	hook := &scriptHook{corruptFirst: 2}
-	rp := NewRetryPipe(2, 2, 0, 0, hook, KindSerial)
+	net := testPackets(t)
+	rp := NewRetryPipe(2, 2, 0, 0, hook, KindSerial, net.Packets())
 	start := ^uint32(0) - 2
 	rp.base, rp.next, rp.expected = start, start, start
 
 	const n = 8
-	pkt := &Packet{ID: 4, Length: n}
-	var seqs []int32
-	next := int32(0)
+	pkt := net.NewPacket(0, 1, n, 0)
+	var seqs []uint16
+	next := uint16(0)
 	for now := int64(0); now < 400; now++ {
 		if now > 0 {
-			rp.Tick(now, func(f Flit) { seqs = append(seqs, f.Seq) })
+			rp.Tick(now, func(f Flit, _ uint32) { seqs = append(seqs, f.Seq) })
 		}
 		for next < n && rp.FreeSlots() > 0 {
-			rp.Accept(now, Flit{Pkt: pkt, Seq: next})
+			rp.Accept(now, Flit{P: pkt.ref, Seq: next}, 0)
 			next++
 		}
 		if next == n && !rp.Busy() {
@@ -292,7 +298,7 @@ func TestRetrySequenceWraparound(t *testing.T) {
 		t.Fatalf("delivered %d flits across the lsn wrap, want %d", len(seqs), n)
 	}
 	for i, s := range seqs {
-		if s != int32(i) {
+		if s != uint16(i) {
 			t.Fatalf("wraparound broke ordering: position %d got seq %d", i, s)
 		}
 	}
@@ -307,24 +313,25 @@ func TestRetrySequenceWraparound(t *testing.T) {
 // once the wire heals.
 func TestRetryFailoverDrainExactlyOnce(t *testing.T) {
 	hook := &scriptHook{downFrom: 0, downTo: 1 << 40}
-	rp := NewRetryPipe(2, 2, 0, 0, hook, KindSerial)
-	pkt := &Packet{ID: 5, Length: 5}
-	next := int32(0)
+	net := testPackets(t)
+	rp := NewRetryPipe(2, 2, 0, 0, hook, KindSerial, net.Packets())
+	pkt := net.NewPacket(0, 1, 5, 0)
+	next := uint16(0)
 	for now := int64(0); now < 6; now++ {
 		if now > 0 {
-			rp.Tick(now, func(Flit) { t.Fatal("delivery across a dead wire") })
+			rp.Tick(now, func(Flit, uint32) { t.Fatal("delivery across a dead wire") })
 		}
 		for next < 5 && rp.FreeSlots() > 0 {
-			rp.Accept(now, Flit{Pkt: pkt, Seq: next})
+			rp.Accept(now, Flit{P: pkt.ref, Seq: next}, 0)
 			next++
 		}
 	}
-	var rescued []int32
-	if got := rp.FailoverDrain(func(f Flit) { rescued = append(rescued, f.Seq) }); got != 5 {
+	var rescued []uint16
+	if got := rp.FailoverDrain(func(f Flit, _ uint32) { rescued = append(rescued, f.Seq) }); got != 5 {
 		t.Fatalf("FailoverDrain evicted %d flits, want 5", got)
 	}
 	for i, s := range rescued {
-		if s != int32(i) {
+		if s != uint16(i) {
 			t.Fatalf("rescue order broken: position %d got seq %d", i, s)
 		}
 	}
@@ -337,7 +344,7 @@ func TestRetryFailoverDrainExactlyOnce(t *testing.T) {
 
 	// Wire heals; the resynchronized pipe must deliver new traffic normally.
 	hook.downTo = 0
-	rp.Accept(10, Flit{Pkt: pkt, Seq: 99})
+	rp.Accept(10, Flit{P: pkt.ref, Seq: 99}, 0)
 	seqs, _ := drainPipe(t, rp, 11, 100)
 	if len(seqs) != 1 || seqs[0] != 99 {
 		t.Fatalf("post-drain delivery %v, want [99]", seqs)
@@ -352,7 +359,7 @@ func TestRetryFailoverDrainExactlyOnce(t *testing.T) {
 func TestRetryLinkStaysAwake(t *testing.T) {
 	run := func(fastForward bool) (*Network, int64) {
 		net, l := twoNodeNet(t, KindSerial, nil)
-		l.EnableRetry(&scriptHook{corruptFirst: 3}, 0, 0)
+		l.EnableRetry(&scriptHook{corruptFirst: 3}, 0, 0, net.Packets())
 		arrived := int64(-1)
 		net.Sink = func(p *Packet) { arrived = p.ArrivedAt }
 		net.Offer(net.NewPacket(0, 1, 16, 0))

@@ -85,16 +85,19 @@ type VCState struct {
 	headSeq int32
 	headLen int32
 
-	// headDst/headPktID/headClass/headRestricted denormalize the front
-	// head flit's routing-relevant packet fields into the slot (cacheHead,
-	// same sites as headSeq/headLen), so RC+VA run without dereferencing
-	// the ring or the Packet. Dst, ID, Class and Length are immutable for
-	// a packet's lifetime; Restricted is mutable, and every engine write
-	// while the head waits goes through allocate, which updates both
-	// copies (the canonical Packet stays the source of truth for routing
-	// functions and diagnostics).
+	// headRef/headDst/headPktID/headClass/headRestricted/headHops
+	// denormalize the front head flit's packet ref and routing-relevant
+	// fields into the slot (cacheHead, same sites as headSeq/headLen), so
+	// RC+VA run without reading the ring or the packet table. Dst, ID,
+	// Class and Length are immutable for a packet's lifetime, and the hop
+	// count only changes when the head leaves; Restricted is mutable, and
+	// every engine write while the head waits goes through allocate, which
+	// updates both copies (the canonical Packet stays the source of truth
+	// for routing functions and diagnostics).
+	headRef        PacketRef
 	headDst        NodeID
 	headPktID      uint64
+	headHops       int32
 	headClass      Class
 	headRestricted bool
 
@@ -195,6 +198,9 @@ type Router struct {
 	In  []*InPort
 	Out []*OutPort
 
+	// pkts is the network's packet table, which resolves flit refs.
+	pkts *PacketTable
+
 	// InjectPort and EjectPort index the local ports in In and Out.
 	InjectPort int
 	EjectPort  int
@@ -287,8 +293,8 @@ type flatSlot struct {
 
 // newRouter constructs a router with only local ports; topology builders add
 // link ports via AddInPort/AddOutPort.
-func newRouter(cfg *Config, id NodeID) *Router {
-	r := &Router{ID: id, InjectPort: 0, EjectPort: 0, ejBW: cfg.EjectionBandwidth}
+func newRouter(cfg *Config, id NodeID, pkts *PacketTable) *Router {
+	r := &Router{ID: id, pkts: pkts, InjectPort: 0, EjectPort: 0, ejBW: cfg.EjectionBandwidth}
 	// Injection input port.
 	inj := &InPort{Kind: KindLocal, DrainBudget: cfg.InjectionBandwidth, depth: cfg.BufPerVC(KindLocal)}
 	inj.VCs = make([]VCState, cfg.VCs)
@@ -374,7 +380,7 @@ func (r *Router) rebuildWork() {
 			r.slotOut[slot] = int16(vc.OutPort)
 			r.saActive[slot>>6] |= 1 << (uint(slot) & 63)
 		case !vc.Buf.Empty():
-			vc.cacheHead(vc.Buf.frontRef())
+			r.cacheHead(vc, vc.Buf.frontRef())
 			r.allocPend[slot>>6] |= 1 << (uint(slot) & 63)
 		}
 	}
@@ -436,18 +442,20 @@ func (r *Router) markPend(slot int) {
 }
 
 // cacheHead denormalizes the packet fields of f — the head flit that just
-// became the front of an inactive VC — into the slot state (see the
+// became the front of vc, an inactive VC — into the slot state (see the
 // VCState field docs). Every site where a head reaches the front calls it:
 // per-flit delivery into an empty inactive buffer (deliver), plain-link
 // publication (commitDirect), injection (via cacheHeadPkt), tail release
-// with a successor queued (saSlot/saSlotFast) and rebuildWork. The
-// non-head panic retained from the dense scans fires here, where the flit
-// is already in hand.
-func (vc *VCState) cacheHead(f *Flit) {
+// with a successor queued (saSlot/saSlotFast) and rebuildWork. It is the
+// one packet-table lookup of a packet's stay at a router. The non-head
+// panic retained from the dense scans fires here, where the flit is
+// already in hand.
+func (r *Router) cacheHead(vc *VCState, f *Flit) {
+	pkt := r.pkts.get(f.P)
 	if f.Seq != 0 {
-		panic(fmt.Sprintf("network: non-head flit (pkt %d seq %d) at front of idle VC", f.Pkt.ID, f.Seq))
+		panic(fmt.Sprintf("network: non-head flit (pkt %d seq %d) at front of idle VC", pkt.ID, f.Seq))
 	}
-	vc.cacheHeadPkt(f.Pkt)
+	vc.cacheHeadPkt(pkt)
 }
 
 // cacheHeadPkt is cacheHead for sites that construct the head flit
@@ -455,8 +463,10 @@ func (vc *VCState) cacheHead(f *Flit) {
 func (vc *VCState) cacheHeadPkt(pkt *Packet) {
 	vc.headSeq = 0
 	vc.headLen = int32(pkt.Length)
+	vc.headRef = pkt.ref
 	vc.headDst = pkt.Dst
 	vc.headPktID = pkt.ID
+	vc.headHops = int32(pkt.Hops())
 	vc.headClass = pkt.Class
 	vc.headRestricted = pkt.Restricted
 }
@@ -509,7 +519,7 @@ func (r *Router) deliver(inPort int, f Flit) {
 	slot := inPort*r.slotVCs + int(f.VC)
 	if !vc.Active {
 		if wasEmpty {
-			vc.cacheHead(&f)
+			r.cacheHead(vc, &f)
 		}
 		r.markPend(slot)
 	} else {
@@ -591,10 +601,11 @@ func (r *Router) tickReference(ctx *tickContext) {
 				continue
 			}
 			head := vc.Buf.Front()
+			pkt := r.pkts.get(head.P)
 			if !head.IsHead() {
-				panic(fmt.Sprintf("network: node %d port %d vc %d: non-head flit (pkt %d seq %d) at front of idle VC", r.ID, ip, v, head.Pkt.ID, head.Seq))
+				panic(fmt.Sprintf("network: node %d port %d vc %d: non-head flit (pkt %d seq %d) at front of idle VC", r.ID, ip, v, pkt.ID, head.Seq))
 			}
-			r.allocateReference(ctx, ip*r.slotVCs+v, ip, vc, head.Pkt)
+			r.allocateReference(ctx, ip*r.slotVCs+v, ip, vc, pkt)
 		}
 	}
 	r.switchAlloc(ctx)
@@ -632,7 +643,7 @@ func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, r
 	vc.candsPkt, vc.candsRestricted = pktID, restricted
 	ctx.scratch.vaFailures++
 	if ctx.tracer != nil {
-		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvVAFail, Pkt: pktID, Node: r.ID})
+		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvVAFail, PktID: pktID, Node: r.ID})
 		return
 	}
 	if ctx.net.stability >= RouteRetryStable {
@@ -675,11 +686,9 @@ func adaptiveMask(cands []Candidate) uint64 {
 //   - RouteDynamic algorithms re-invoke Route every cycle.
 func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 	net := ctx.net
-	if net.LivelockHopBound > 0 && !vc.headRestricted {
-		if pkt := vc.Buf.FrontPkt(); pkt.Hops() > net.LivelockHopBound {
-			pkt.Restricted = true
-			vc.headRestricted = true
-		}
+	if net.LivelockHopBound > 0 && !vc.headRestricted && int(vc.headHops) > net.LivelockHopBound {
+		r.pkts.get(vc.headRef).Restricted = true
+		vc.headRestricted = true
 	}
 	if vc.headDst == r.ID {
 		// Ejection: always allocatable; rate-limited in SA.
@@ -703,7 +712,7 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 	}
 	cands := vc.cands
 	if net.stability < RouteRetryStable || vc.candsPkt != vc.headPktID || vc.candsRestricted != vc.headRestricted {
-		pkt := vc.Buf.FrontPkt()
+		pkt := r.pkts.get(vc.headRef)
 		cands = net.Routing.Route(net, r, inPort, pkt, r.cands[:0])
 		r.cands = cands[:0] // keep capacity
 		// A RouteRetryStable function may set Restricted (part of its
@@ -779,7 +788,7 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		if c.Escape && sawAdaptive && (c.Port >= 64 || adaptivePorts&(1<<uint(c.Port)) == 0) {
 			// Livelock channel-switch restriction (Sec. 6.2): see
 			// allocateReference. Written through to the canonical Packet.
-			vc.Buf.FrontPkt().Restricted = true
+			r.pkts.get(vc.headRef).Restricted = true
 			vc.headRestricted = true
 		}
 		out.setHeld(best)
@@ -1060,19 +1069,17 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		}
 	}
 	if out.Link == nil {
-		// Ejection: the flits' traversal counts pass to the packet.
-		pkt := vc.Buf.FrontPkt()
-		pkt.collect(a)
-		pkt.collect(b)
+		// Ejection: the packet is done once its tail leaves.
 		ctx.scratch.grantsByKind[KindLocal] += uint64(n)
 		if tailSent {
+			pkt := r.pkts.get(vc.headRef)
 			ctx.scratch.flitsOut += int64(pkt.Length)
 			ctx.scratch.pktsOut++
 			ctx.scratch.finished = append(ctx.scratch.finished, pkt)
 		}
 	} else {
 		if headSeq == 0 {
-			r.headHop(ctx, vc.Buf.FrontPkt(), vc, out)
+			r.headHop(ctx, r.pkts.get(vc.headRef), vc, out)
 		}
 		ctx.scratch.grantsByKind[out.Kind] += uint64(n)
 		out.Credits[vc.OutVC] -= n
@@ -1105,7 +1112,7 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 		r.saActive[slot>>6] &^= 1 << (uint(slot) & 63)
 		r.saReady[slot>>6] &^= 1 << (uint(slot) & 63)
 		if !vc.Buf.Empty() {
-			vc.cacheHead(vc.Buf.frontRef())
+			r.cacheHead(vc, vc.Buf.frontRef())
 			r.markPend(slot)
 		}
 	}
@@ -1123,13 +1130,13 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 }
 
 // headHop records a head flit leaving through out: the trace event, the
-// per-kind hop counter, and the hop bound the 16-bit flit counts rest on
-// (maxPacketHops) — the head is the first flit of its packet on every hop,
-// so one compare here covers them all. A packet at the bound is a routing
-// livelock; the merge reports it through the watchdog's error path.
+// per-kind hop counter (which also counts every flit's traversal of a
+// plain link, Packet.settleEnergy) and the hop bound (maxPacketHops). A
+// packet at the bound is a routing livelock; the merge reports it through
+// the watchdog's error path.
 func (r *Router) headHop(ctx *tickContext, pkt *Packet, vc *VCState, out *OutPort) {
 	if ctx.tracer != nil {
-		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvHop, Pkt: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
+		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvHop, PktID: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
 	}
 	switch out.Kind {
 	case KindOnChip:
@@ -1177,15 +1184,16 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	if budget <= 0 {
 		return
 	}
-	pkt := vc.Buf.FrontPkt()
+	ref := vc.Buf.Front().P
+	pkt := r.pkts.get(ref)
 	sent := 0
-	for sent < budget && !vc.Buf.Empty() && vc.Buf.FrontPkt() == pkt {
+	for sent < budget && !vc.Buf.Empty() && vc.Buf.Front().P == ref {
 		f := vc.Buf.Pop()
 		vc.headSeq++ // keep the head cache in step with per-flit drains
 		r.buffered--
 		sent++
-		r.forward(ctx, in, vc, out, VCID(s.v), f)
-		if f.IsTail() {
+		r.forward(ctx, in, vc, out, VCID(s.v), f, pkt)
+		if f.IsTail(pkt) {
 			// Release the output VC and the input VC allocation. Freeing an
 			// output VC can unblock allocations parked on this port.
 			if out.Link != nil {
@@ -1199,7 +1207,7 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 			if !vc.Buf.Empty() {
 				// The next packet's head is already waiting behind the
 				// tail: queue it for RC+VA next cycle.
-				vc.cacheHead(vc.Buf.frontRef())
+				r.cacheHead(vc, vc.Buf.frontRef())
 				r.markPend(slot)
 			}
 			break
@@ -1214,11 +1222,10 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	}
 }
 
-// forward moves one granted flit from an input VC to its output (reference
-// tick).
-func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort, inVC VCID, f Flit) {
+// forward moves one granted flit of pkt from an input VC to its output
+// (reference tick).
+func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort, inVC VCID, f Flit, pkt *Packet) {
 	net := ctx.net
-	pkt := f.Pkt
 	// Return a credit to the upstream router and put the link's credit
 	// pipeline on the wake list; the scratch list is folded into the
 	// engine's per-shard lists at the merge barrier.
@@ -1230,10 +1237,8 @@ func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort
 		}
 	}
 	if out.Link == nil {
-		// Ejection: the flit's traversal counts pass to the packet.
-		pkt.collect([]Flit{f})
 		ctx.scratch.grantsByKind[KindLocal]++
-		if f.IsTail() {
+		if f.IsTail(pkt) {
 			ctx.scratch.flitsOut += int64(pkt.Length)
 			ctx.scratch.pktsOut++
 			ctx.scratch.finished = append(ctx.scratch.finished, pkt)

@@ -24,7 +24,6 @@ func buildHeteroChannel(t *testing.T) *network.Network {
 		t.Fatal(err)
 	}
 	net.Finalize()
-	net.PoolPackets = true
 	return net
 }
 
@@ -46,8 +45,8 @@ func checkSaturatedZeroAllocs(t *testing.T, name string, net *network.Network) {
 }
 
 // TestSaturatedStepZeroAllocs asserts the steady-state guarantee of the
-// saturated kernels on one shard. Packet churn is covered too —
-// PoolPackets recycles finished packets, so even the injection path stays
+// saturated kernels on one shard. Packet churn is covered too — the packet
+// table recycles delivered packets' slots, so even the injection path stays
 // off the heap. The hetero-channel system adds plain Delay-5 and Delay-20
 // links: every stage of their delay lines must have reached its steady
 // capacity as well. The hetero-PHY torus adds adapter links: both PHYs'

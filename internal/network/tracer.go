@@ -39,7 +39,7 @@ func (k EventKind) String() string {
 type Event struct {
 	Cycle int64
 	Kind  EventKind
-	Pkt   uint64
+	PktID uint64
 	Node  NodeID
 	// Port/VC identify the output channel for EvHop.
 	Port  int
@@ -68,7 +68,7 @@ type WriterTracer struct {
 
 // Trace implements Tracer.
 func (t *WriterTracer) Trace(e Event) {
-	if t.OnlyPacket != 0 && e.Pkt != t.OnlyPacket {
+	if t.OnlyPacket != 0 && e.PktID != t.OnlyPacket {
 		return
 	}
 	if len(t.Kinds) > 0 && !t.Kinds[e.Kind] {
@@ -78,9 +78,9 @@ func (t *WriterTracer) Trace(e Event) {
 	switch e.Kind {
 	case EvHop:
 		fmt.Fprintf(t.W, "%8d %-8s pkt=%-6d node=%-5d port=%d vc=%d (%s)\n",
-			e.Cycle, e.Kind, e.Pkt, e.Node, e.Port, e.VC, e.Kind2)
+			e.Cycle, e.Kind, e.PktID, e.Node, e.Port, e.VC, e.Kind2)
 	default:
-		fmt.Fprintf(t.W, "%8d %-8s pkt=%-6d node=%-5d\n", e.Cycle, e.Kind, e.Pkt, e.Node)
+		fmt.Fprintf(t.W, "%8d %-8s pkt=%-6d node=%-5d\n", e.Cycle, e.Kind, e.PktID, e.Node)
 	}
 }
 

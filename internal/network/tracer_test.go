@@ -17,7 +17,7 @@ func TestTracerSeesPacketLifecycle(t *testing.T) {
 	}
 	var inject, hop, eject int
 	for _, e := range col.Events {
-		if e.Pkt != p.ID {
+		if e.PktID != p.ID {
 			continue
 		}
 		switch e.Kind {

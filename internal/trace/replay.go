@@ -41,6 +41,11 @@ func NewReplayer(t *Trace, net *network.Network, m []network.NodeID, speedup flo
 			return nil, fmt.Errorf("trace: rank %d maps to invalid node %d", r, n)
 		}
 	}
+	for i := range t.Records {
+		if f := t.Records[i].Flits; f <= 0 || f > network.MaxPacketLength {
+			return nil, fmt.Errorf("trace %s: record %d has length %d, outside [1,%d] flits", t.Name, i, f, network.MaxPacketLength)
+		}
+	}
 	if speedup <= 0 {
 		speedup = 1
 	}

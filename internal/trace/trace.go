@@ -25,6 +25,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"heteroif/internal/network"
 )
 
 // Record is one packet in a trace. Times are in cycles; Src/Dst are ranks
@@ -140,6 +142,9 @@ func (t *Trace) Validate() error {
 		}
 		if r.Flits <= 0 {
 			return fmt.Errorf("trace %s: record %d has non-positive length %d", t.Name, i, r.Flits)
+		}
+		if r.Flits > network.MaxPacketLength {
+			return fmt.Errorf("trace %s: record %d has length %d, more than the %d flits a packet can hold", t.Name, i, r.Flits, network.MaxPacketLength)
 		}
 		if r.Time < last {
 			return fmt.Errorf("trace %s: record %d out of time order (%d < %d)", t.Name, i, r.Time, last)

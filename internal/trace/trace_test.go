@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+
+	"heteroif/internal/network"
+)
 
 func TestPARSECWorkloadsGenerate(t *testing.T) {
 	for _, wl := range PARSECWorkloads() {
@@ -132,6 +136,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tr.Records = []Record{{Time: 0, Src: 0, Dst: 1, Flits: 0}}
 	if tr.Validate() == nil {
 		t.Error("zero-length packet accepted")
+	}
+	tr.Records = []Record{{Time: 0, Src: 0, Dst: 1, Flits: network.MaxPacketLength + 1}}
+	if tr.Validate() == nil {
+		t.Error("packet longer than a flit's 16-bit Seq can index accepted")
+	}
+	net, err := network.New(network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNodes(4)
+	if _, err := NewReplayer(tr, net, []network.NodeID{0, 1, 2, 3}, 1); err == nil {
+		t.Error("NewReplayer accepted a packet longer than a flit's 16-bit Seq can index")
 	}
 }
 
