@@ -80,11 +80,13 @@ bench:
 # Fast host-independent gate over the kernels: 100 iterations of every
 # BenchmarkStep case (they must run, not reach a number), the steady-state
 # zero-allocation assertions (idle, saturated one-shard, saturated
-# two-shard; mesh, hetero-channel and hetero-PHY), and one pass of the
-# trace generators' ledger (records/s, allocations).
+# two-shard; mesh, hetero-channel and hetero-PHY; stats Record; collective
+# program build), 30 s of the latency-histogram fuzz target, and one pass
+# of the trace generators' ledger (records/s, allocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
-	$(GO) test -run ZeroAllocs ./internal/network
+	$(GO) test -run 'ZeroAllocs|BuildAllocs' ./internal/network ./internal/stats ./internal/collective
+	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -bench Generate -benchtime=1x ./internal/trace
 
 # CPU and heap profiles of two saturated kernels: the 256-node mesh — all

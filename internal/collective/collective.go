@@ -21,6 +21,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"heteroif/internal/network"
 )
@@ -58,12 +59,29 @@ type Program struct {
 	Deps  [][]int32
 	// Steps is 1 + the highest step label.
 	Steps int
+
+	// pool holds every builder-made Deps entry back to back, so a program
+	// holds one dependency array rather than one per message.
+	pool []int32
 }
 
-// add appends a message and returns its index.
+// reserve makes room for msgs more messages and deps more dependency
+// entries. Every builder reserves what it will add, so the pool is one
+// array; were it to regrow, entries already carved keep the old one.
+func (p *Program) reserve(msgs, deps int) {
+	p.Msgs = slices.Grow(p.Msgs, msgs)
+	p.Deps = slices.Grow(p.Deps, msgs)
+	p.pool = slices.Grow(p.pool, deps)
+}
+
+// add appends a message and returns its index. The dependency list is
+// copied into the pool as a capacity-capped subslice: appending to a
+// Deps entry reallocates it instead of overwriting a neighbour's.
 func (p *Program) add(src, dst network.NodeID, flits int, step int32, compute int64, deps ...int32) int32 {
 	p.Msgs = append(p.Msgs, Msg{Src: src, Dst: dst, Flits: flits, Step: step, Compute: compute})
-	p.Deps = append(p.Deps, deps)
+	at := len(p.pool)
+	p.pool = append(p.pool, deps...)
+	p.Deps = append(p.Deps, p.pool[at:len(p.pool):len(p.pool)])
 	if int(step) >= p.Steps {
 		p.Steps = int(step) + 1
 	}
@@ -127,66 +145,80 @@ func checkParts(name string, parts []network.NodeID) {
 	}
 }
 
-// ringProgram builds the reduce-scatter and/or all-gather phases of the
-// 2-phase ring all-reduce over the participants in ring order. In
-// reduce-scatter step s, participant i sends chunk (i-s mod P) to its ring
-// successor; the send depends on the chunk received from its predecessor
-// in step s-1 plus the per-chunk reduction compute. In all-gather step s,
-// participant i forwards the fully-reduced chunk it holds to its
-// successor; the first all-gather send depends on the final reduce-scatter
-// delivery (and its closing reduction), later ones are pure forwards.
-func ringProgram(name string, parts []network.NodeID, dataFlits int, compute int64, scatter, gather bool) *Program {
-	checkParts(name, parts)
-	p := len(parts)
-	ch := chunk(dataFlits, p)
-	prog := &Program{Name: name, Participants: p, Class: network.ClassThroughput}
-	succ := func(i int) network.NodeID { return parts[(i+1)%p] }
-	pred := func(i int) int32 { return int32((i - 1 + p) % p) }
+// appendRing appends the reduce-scatter and/or all-gather phases of the
+// 2-phase ring all-reduce over the participants in ring order, labelled
+// from step p.Steps on. In reduce-scatter step s, participant i sends
+// chunk (i-s mod P) to its ring successor; the send depends on the chunk
+// received from its predecessor in step s-1 plus the per-chunk reduction
+// compute. In all-gather step s, participant i forwards the fully-reduced
+// chunk it holds to its successor; the first all-gather send depends on
+// the final reduce-scatter delivery (and its closing reduction), later
+// ones are pure forwards. The sends of the first step, which depend on
+// nothing inside the ring, wait for gate instead and add gateCompute to
+// their compute (DNNTraining's layer barrier). The ring's last step is
+// its final P messages.
+func (p *Program) appendRing(parts []network.NodeID, dataFlits int, compute int64, scatter, gather bool, gate []int32, gateCompute int64) {
+	n := len(parts)
+	ch := chunk(dataFlits, n)
+	succ := func(i int) network.NodeID { return parts[(i+1)%n] }
+	pred := func(i int) int32 { return int32((i - 1 + n) % n) }
 
-	step := int32(0)
-	// rs[i] is participant i's most recent reduce-scatter send.
-	rs := make([]int32, p)
+	step := int32(p.Steps)
 	if scatter {
-		for s := 0; s < p-1; s++ {
-			base := int32(len(prog.Msgs))
-			for i := 0; i < p; i++ {
+		for s := 0; s < n-1; s++ {
+			base := int32(len(p.Msgs))
+			for i := 0; i < n; i++ {
 				if s == 0 {
-					// The first chunk is local data: no dependency, no
-					// reduction yet.
-					rs[i] = prog.add(parts[i], succ(i), ch, step, 0)
+					// The first chunk is local data: no reduction yet.
+					p.add(parts[i], succ(i), ch, step, gateCompute, gate...)
 					continue
 				}
 				// Forwarding chunk s requires the predecessor's step-s-1
 				// delivery, reduced into the local accumulator.
-				rs[i] = prog.add(parts[i], succ(i), ch, step, compute, base-int32(p)+pred(i))
+				p.add(parts[i], succ(i), ch, step, compute, base-int32(n)+pred(i))
 			}
 			step++
 		}
 	}
 	if gather {
-		ag := make([]int32, p)
-		for s := 0; s < p-1; s++ {
-			base := int32(len(prog.Msgs))
-			for i := 0; i < p; i++ {
+		for s := 0; s < n-1; s++ {
+			base := int32(len(p.Msgs))
+			for i := 0; i < n; i++ {
 				switch {
 				case s == 0 && scatter:
 					// The node holding a fully-reduced chunk starts its
 					// broadcast: depends on the final reduce-scatter
 					// delivery from its predecessor plus the closing
 					// reduction.
-					ag[i] = prog.add(parts[i], succ(i), ch, step, compute, rs[pred(i)])
+					p.add(parts[i], succ(i), ch, step, compute, base-int32(n)+pred(i))
 				case s == 0:
-					// Standalone all-gather: local data, no dependency.
-					ag[i] = prog.add(parts[i], succ(i), ch, step, 0)
+					// Standalone all-gather: local data.
+					p.add(parts[i], succ(i), ch, step, gateCompute, gate...)
 				default:
 					// Pure forward of a received chunk: no reduction.
-					ag[i] = prog.add(parts[i], succ(i), ch, step, 0, base-int32(p)+pred(i))
+					p.add(parts[i], succ(i), ch, step, 0, base-int32(n)+pred(i))
 				}
 			}
 			step++
 		}
-		_ = ag
 	}
+}
+
+// ringProgram builds one ring collective as its own program.
+func ringProgram(name string, parts []network.NodeID, dataFlits int, compute int64, scatter, gather bool) *Program {
+	checkParts(name, parts)
+	n := len(parts)
+	prog := &Program{Name: name, Participants: n, Class: network.ClassThroughput}
+	steps := 0
+	if scatter {
+		steps += n - 1
+	}
+	if gather {
+		steps += n - 1
+	}
+	// Without a gate every ring send has at most one dependency.
+	prog.reserve(steps*n, steps*n)
+	prog.appendRing(parts, dataFlits, compute, scatter, gather, nil, 0)
 	return prog
 }
 
@@ -227,6 +259,7 @@ func AllToAll(parts []network.NodeID, flitsPerPair, window int) *Program {
 		flitsPerPair = 1
 	}
 	prog := &Program{Name: "all-to-all", Participants: p, Class: network.ClassThroughput}
+	prog.reserve(p*(p-1), p*(p-1))
 	// idx(i, j) is participant i's j-th send; messages are laid out in
 	// (round, participant) order so index order matches eligibility order.
 	idx := func(i, j int) int32 { return int32(j*p + i) }

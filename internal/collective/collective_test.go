@@ -278,3 +278,32 @@ func TestRunBudgetExhaustion(t *testing.T) {
 		t.Fatalf("budget exhaustion not reported: %v", err)
 	}
 }
+
+// TestProgramBuildAllocs: building a DNN training program and its engine
+// allocates a fixed number of objects, whatever the message count —
+// dependency lists live in a pool and the engine's inverted graph is CSR.
+func TestProgramBuildAllocs(t *testing.T) {
+	net := netbench.BuildMesh(8)
+	layers := []collective.Layer{
+		{Name: "embed", Compute: 500, GradFlits: 64},
+		{Name: "mlp", Compute: 900, GradFlits: 128},
+		{Name: "head", Compute: 300, GradFlits: 32},
+	}
+	build := func(leaders int) float64 {
+		ps := make([]network.NodeID, leaders)
+		for i := range ps {
+			ps[i] = network.NodeID(i * 64 / leaders)
+		}
+		return testing.AllocsPerRun(5, func() {
+			prog := collective.DNNTraining(ps, layers, 16)
+			if _, err := collective.NewEngine(net, prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(16), build(64)
+	t.Logf("allocations: %v at 16 leaders (1,440 msgs), %v at 64 (24,192 msgs)", small, large)
+	if large-small > 4 {
+		t.Fatalf("allocations grew from %v to %v with the message count", small, large)
+	}
+}

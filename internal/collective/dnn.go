@@ -32,38 +32,26 @@ func DNNTraining(parts []network.NodeID, layers []Layer, reduceCompute int64) *P
 	if len(layers) == 0 {
 		panic("collective: dnn-training needs at least one layer")
 	}
-	prog := &Program{Name: "dnn-training", Participants: len(parts), Class: network.ClassThroughput}
+	p := len(parts)
+	prog := &Program{Name: "dnn-training", Participants: p, Class: network.ClassThroughput}
+	// Per layer: 2(P-1) steps of P sends; the first step's sends wait for
+	// the previous layer's last P, every other send for one message.
+	layerMsgs := 2 * (p - 1) * p
+	prog.reserve(len(layers)*layerMsgs, len(layers)*(layerMsgs-p)+(len(layers)-1)*p*p)
 	// barrier holds the final-step message indices of the previous layer's
-	// all-reduce; nil for the first layer.
-	var barrier []int32
-	step := int32(0)
+	// all-reduce; empty for the first layer.
+	barrier := make([]int32, 0, p)
 	for li, l := range layers {
 		if l.Compute < 0 {
 			panic(fmt.Sprintf("collective: layer %d (%s) has negative compute", li, l.Name))
 		}
-		sub := RingAllReduce(parts, l.GradFlits, reduceCompute)
-		base := int32(len(prog.Msgs))
-		lastStep := int32(sub.Steps - 1)
-		var finals []int32
-		for i, m := range sub.Msgs {
-			deps := make([]int32, 0, len(sub.Deps[i])+len(barrier))
-			for _, d := range sub.Deps[i] {
-				deps = append(deps, base+d)
-			}
-			compute := m.Compute
-			if len(sub.Deps[i]) == 0 {
-				// Root messages of this layer's all-reduce: gate on the
-				// previous layer's barrier and absorb the layer compute.
-				deps = append(deps, barrier...)
-				compute += l.Compute
-			}
-			idx := prog.add(m.Src, m.Dst, m.Flits, step+m.Step, compute, deps...)
-			if m.Step == lastStep {
-				finals = append(finals, idx)
-			}
+		// The layer's root sends gate on the previous layer's barrier and
+		// absorb the layer compute.
+		prog.appendRing(parts, l.GradFlits, reduceCompute, true, true, barrier, l.Compute)
+		barrier = barrier[:0]
+		for m := len(prog.Msgs) - p; m < len(prog.Msgs); m++ {
+			barrier = append(barrier, int32(m))
 		}
-		barrier = finals
-		step += int32(sub.Steps)
 	}
 	return prog
 }

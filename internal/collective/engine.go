@@ -41,8 +41,11 @@ type Engine struct {
 	// payload segmentation (0 = use Net.Cfg.PacketLength).
 	PacketLength int
 
-	state      []msgState
-	dependents [][]int32
+	state []msgState
+	// dependents[depOff[m]:depOff[m+1]] lists the messages that wait for
+	// message m, in message order (the dependency lists inverted, CSR).
+	depOff     []int32
+	dependents []int32
 	ready      []readyEntry // min-heap on (at, m)
 	byPkt      map[uint64]int32
 
@@ -73,7 +76,7 @@ func NewEngine(net *network.Network, prog *Program) (*Engine, error) {
 		Net:        net,
 		Prog:       prog,
 		state:      make([]msgState, n),
-		dependents: make([][]int32, n),
+		depOff:     make([]int32, n+1),
 		byPkt:      make(map[uint64]int32),
 		startAt:    -1,
 		firstOffer: -1,
@@ -88,15 +91,27 @@ func NewEngine(net *network.Network, prog *Program) (*Engine, error) {
 	for i := range e.state {
 		e.state[i] = msgState{deps: int32(len(prog.Deps[i])), offeredAt: -1, doneAt: -1}
 	}
+	for _, deps := range prog.Deps {
+		for _, d := range deps {
+			e.depOff[d+1]++
+		}
+	}
+	for m := 0; m < n; m++ {
+		e.depOff[m+1] += e.depOff[m]
+	}
+	e.dependents = make([]int32, e.depOff[n])
+	fill := make([]int32, n) // indeg below reuses it
+	copy(fill, e.depOff[:n])
 	for i, deps := range prog.Deps {
 		for _, d := range deps {
-			e.dependents[d] = append(e.dependents[d], int32(i))
+			e.dependents[fill[d]] = int32(i)
+			fill[d]++
 		}
 	}
 	// Kahn's algorithm over the inverted graph: every message must be
 	// reachable from the zero-dependency roots or the program deadlocks.
-	indeg := make([]int32, n)
-	var queue []int32
+	indeg := fill
+	queue := make([]int32, 0, n)
 	for i := range e.state {
 		indeg[i] = e.state[i].deps
 		if indeg[i] == 0 {
@@ -108,7 +123,7 @@ func NewEngine(net *network.Network, prog *Program) (*Engine, error) {
 		m := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, d := range e.dependents[m] {
+		for _, d := range e.dependentsOf(m) {
 			indeg[d]--
 			if indeg[d] == 0 {
 				queue = append(queue, d)
@@ -120,6 +135,11 @@ func NewEngine(net *network.Network, prog *Program) (*Engine, error) {
 	}
 	net.OnDeliver = e.delivered
 	return e, nil
+}
+
+// dependentsOf returns the messages that wait for message m.
+func (e *Engine) dependentsOf(m int32) []int32 {
+	return e.dependents[e.depOff[m]:e.depOff[m+1]]
 }
 
 // heap push/pop on (at, m): a hand-rolled min-heap avoids the interface
@@ -270,7 +290,7 @@ func (e *Engine) complete(m int32, now int64) {
 	if s := e.Prog.Msgs[m].Step; now > e.stepLast[s] {
 		e.stepLast[s] = now
 	}
-	for _, d := range e.dependents[m] {
+	for _, d := range e.dependentsOf(m) {
 		ds := &e.state[d]
 		ds.deps--
 		if ds.deps == 0 {

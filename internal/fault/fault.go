@@ -101,11 +101,16 @@ func PerFlit(ber float64, bits int) float64 {
 // hook is the per-site TxFault implementation: a private Split RNG stream
 // plus the static fault script. Faults are evaluated per transmission
 // event, never per cycle, so outcomes are independent of quiescence
-// fast-forward and of how many cycles the engine actually visits.
+// fast-forward and of how many cycles the engine actually visits. The
+// stream is seeded from (seed, domain, index) on the site's first draw:
+// a site that never carries a flit (a serial PHY the policy never issues
+// to) never pays for a source.
 type hook struct {
-	rng    *rand.Rand
-	pFlit  float64
-	events []Event
+	rng           *rand.Rand // nil until the first draw
+	seed          int64
+	domain, index uint64
+	pFlit         float64
+	events        []Event
 }
 
 func (h *hook) Corrupt(now int64) bool {
@@ -117,6 +122,9 @@ func (h *hook) Corrupt(now int64) bool {
 	}
 	if p <= 0 {
 		return false
+	}
+	if h.rng == nil {
+		h.rng = Split(h.seed, h.domain, h.index)
 	}
 	return h.rng.Float64() < p
 }
@@ -152,7 +160,7 @@ func siteHook(fc Config, seed int64, linkID int, phy int8, ber float64, bits int
 	if phy != PhyLink {
 		domain, index = DomainPHY, uint64(2*linkID+int(phy))
 	}
-	return &hook{rng: Split(seed, domain, index), pFlit: p, events: evs}
+	return &hook{seed: seed, domain: domain, index: index, pFlit: p, events: evs}
 }
 
 // Attach walks a built (pre-run) network and arms the retry protocol with

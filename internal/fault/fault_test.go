@@ -25,9 +25,6 @@ func TestPerFlit(t *testing.T) {
 	}
 }
 
-// TestHookEventComposition: scripted events gate on their interval; Burst
-// raises the corruption probability to P, Down kills the wire, and a clean
-// hook never draws from its RNG (zero-draw skip keeps clean cycles free).
 // TestIntegrityCheckerReportsDuplicate: a packet ID delivered twice is
 // reported, across the bitset's growth (IDs are dense, so it grows by
 // words as deliveries come in).
@@ -52,6 +49,9 @@ func TestIntegrityCheckerReportsDuplicate(t *testing.T) {
 	}
 }
 
+// TestHookEventComposition: scripted events gate on their interval; Burst
+// raises the corruption probability to P, Down kills the wire, and a clean
+// hook never draws from its RNG (zero-draw skip keeps clean cycles free).
 func TestHookEventComposition(t *testing.T) {
 	h := &hook{rng: Split(1, DomainLink, 0), events: []Event{
 		{Kind: EventBurst, From: 10, To: 20, P: 1},
@@ -101,6 +101,37 @@ func TestSiteHookFiltering(t *testing.T) {
 	}
 	if h := siteHook(Config{}, 1, 0, PhyLink, 1e-3, 64); h == nil {
 		t.Fatal("nonzero BER produced no hook")
+	}
+}
+
+// TestSiteRNGLazy: a faulted site seeds its stream on its first draw, not
+// when it is armed, and then draws exactly what an eagerly seeded
+// Split(seed, domain, index) stream would.
+func TestSiteRNGLazy(t *testing.T) {
+	fc := Config{SerialBER: 1e-2}
+	idle := siteHook(fc, 7, 9, PhySerial, fc.SerialBER, 64).(*hook)
+	for now := int64(0); now < 1000; now++ {
+		idle.Down(now)
+	}
+	if idle.rng != nil {
+		t.Fatal("a site that carried no flit seeded its source")
+	}
+
+	h := siteHook(fc, 7, 9, PhySerial, fc.SerialBER, 64).(*hook)
+	eager := Split(7, DomainPHY, uint64(2*9+PhySerial))
+	p := PerFlit(fc.SerialBER, 64)
+	corrupted := 0
+	for i := int64(0); i < 1000; i++ {
+		want := eager.Float64() < p
+		if got := h.Corrupt(i); got != want {
+			t.Fatalf("draw %d: lazy stream says %v, eager stream %v", i, got, want)
+		}
+		if want {
+			corrupted++
+		}
+	}
+	if corrupted == 0 || corrupted == 1000 {
+		t.Fatalf("%d of 1000 draws corrupted: the comparison saw one outcome only", corrupted)
 	}
 }
 

@@ -4,20 +4,16 @@
 // window (Table 2: 10000 warm-up cycles).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Collector accumulates measurement-window packet statistics.
+// Collector accumulates measurement-window packet statistics. Its memory
+// follows the latency range, not the packet count: latencies go into exact
+// histograms (Hist), everything else into running sums.
 type Collector struct {
 	// Warmup: packets created before this cycle are ignored.
 	Warmup int64
 
-	latencies    []int64
-	netLats      []int64
-	sorted       bool
-	n            int64
+	lat          Hist // creation→delivery latency; its count is the packet count
 	sumLat       float64
 	sumNet       float64
 	sumSqLat     float64
@@ -35,10 +31,8 @@ type Collector struct {
 
 // classAgg accumulates per-traffic-class latency statistics.
 type classAgg struct {
-	n         int64
-	sumLat    float64
-	latencies []int64
-	sorted    bool
+	sumLat float64
+	lat    Hist
 }
 
 // Measured is the packet view Record needs; *network.Packet satisfies it
@@ -67,10 +61,7 @@ func (c *Collector) Record(m Measured) {
 	}
 	lat := m.ArrivedAt - m.CreatedAt
 	net := m.ArrivedAt - m.InjectedAt
-	c.latencies = append(c.latencies, lat)
-	c.netLats = append(c.netLats, net)
-	c.sorted = false
-	c.n++
+	c.lat.Add(lat)
 	c.sumLat += float64(lat)
 	c.sumNet += float64(net)
 	c.sumSqLat += float64(lat) * float64(lat)
@@ -80,10 +71,8 @@ func (c *Collector) Record(m Measured) {
 	c.sumIfaceE += m.EnergyIfacePJ
 	if int(m.Class) < len(c.byClass) {
 		a := &c.byClass[m.Class]
-		a.n++
 		a.sumLat += float64(lat)
-		a.latencies = append(a.latencies, lat)
-		a.sorted = false
+		a.lat.Add(lat)
 	}
 	c.hopsOnChip += int64(m.HopsOnChip)
 	c.hopsParallel += int64(m.HopsParallel)
@@ -92,34 +81,34 @@ func (c *Collector) Record(m Measured) {
 }
 
 // Count returns the number of measured packets.
-func (c *Collector) Count() int64 { return c.n }
+func (c *Collector) Count() int64 { return c.lat.n }
 
 // FlitsDelivered returns the number of measured flits delivered.
 func (c *Collector) FlitsDelivered() int64 { return c.flits }
 
 // MeanLatency returns the average creation→delivery latency in cycles.
 func (c *Collector) MeanLatency() float64 {
-	if c.n == 0 {
+	if c.lat.n == 0 {
 		return math.NaN()
 	}
-	return c.sumLat / float64(c.n)
+	return c.sumLat / float64(c.lat.n)
 }
 
 // MeanNetLatency returns the average injection→delivery latency in cycles.
 func (c *Collector) MeanNetLatency() float64 {
-	if c.n == 0 {
+	if c.lat.n == 0 {
 		return math.NaN()
 	}
-	return c.sumNet / float64(c.n)
+	return c.sumNet / float64(c.lat.n)
 }
 
 // LatencyVariance returns the variance of the total latency.
 func (c *Collector) LatencyVariance() float64 {
-	if c.n == 0 {
+	if c.lat.n == 0 {
 		return math.NaN()
 	}
-	mean := c.sumLat / float64(c.n)
-	return c.sumSqLat/float64(c.n) - mean*mean
+	mean := c.sumLat / float64(c.lat.n)
+	return c.sumSqLat/float64(c.lat.n) - mean*mean
 }
 
 // LatencyStdDev returns the standard deviation of the total latency.
@@ -132,23 +121,7 @@ func (c *Collector) LatencyStdDev() float64 {
 }
 
 // Percentile returns the q-th (0..1) total-latency percentile in cycles.
-func (c *Collector) Percentile(q float64) int64 {
-	if c.n == 0 {
-		return 0
-	}
-	if !c.sorted {
-		sort.Slice(c.latencies, func(i, j int) bool { return c.latencies[i] < c.latencies[j] })
-		c.sorted = true
-	}
-	idx := int(q * float64(len(c.latencies)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.latencies) {
-		idx = len(c.latencies) - 1
-	}
-	return c.latencies[idx]
-}
+func (c *Collector) Percentile(q float64) int64 { return c.lat.Percentile(q) }
 
 // Throughput returns the accepted traffic in flits/cycle/node over a
 // measurement window of the given length and node count.
@@ -161,28 +134,28 @@ func (c *Collector) Throughput(cycles int64, nodes int) float64 {
 
 // MeanEnergyPJ returns the average energy per measured packet in pJ.
 func (c *Collector) MeanEnergyPJ() float64 {
-	if c.n == 0 {
+	if c.lat.n == 0 {
 		return math.NaN()
 	}
-	return c.sumEnergy / float64(c.n)
+	return c.sumEnergy / float64(c.lat.n)
 }
 
 // MeanEnergyBreakdownPJ returns the average per-packet energy split into
 // on-chip (NoC wires + routers) and die-to-die interface shares.
 func (c *Collector) MeanEnergyBreakdownPJ() (onChip, iface float64) {
-	if c.n == 0 {
+	if c.lat.n == 0 {
 		return math.NaN(), math.NaN()
 	}
-	return c.sumOnChipE / float64(c.n), c.sumIfaceE / float64(c.n)
+	return c.sumOnChipE / float64(c.lat.n), c.sumIfaceE / float64(c.lat.n)
 }
 
 // MeanHops returns average hops per packet split by channel class:
 // on-chip, parallel, serial, hetero-PHY.
 func (c *Collector) MeanHops() (onChip, parallel, serial, hetero float64) {
-	if c.n == 0 {
+	if c.lat.n == 0 {
 		return
 	}
-	n := float64(c.n)
+	n := float64(c.lat.n)
 	return float64(c.hopsOnChip) / n, float64(c.hopsParallel) / n,
 		float64(c.hopsSerial) / n, float64(c.hopsHetero) / n
 }
@@ -192,36 +165,24 @@ func (c *Collector) ClassCount(class uint8) int64 {
 	if int(class) >= len(c.byClass) {
 		return 0
 	}
-	return c.byClass[class].n
+	return c.byClass[class].lat.n
 }
 
 // ClassMeanLatency returns the average latency of one traffic class.
 func (c *Collector) ClassMeanLatency(class uint8) float64 {
-	if int(class) >= len(c.byClass) || c.byClass[class].n == 0 {
+	if int(class) >= len(c.byClass) || c.byClass[class].lat.n == 0 {
 		return math.NaN()
 	}
 	a := &c.byClass[class]
-	return a.sumLat / float64(a.n)
+	return a.sumLat / float64(a.lat.n)
 }
 
 // ClassPercentile returns a latency percentile of one traffic class.
 func (c *Collector) ClassPercentile(class uint8, q float64) int64 {
-	if int(class) >= len(c.byClass) || c.byClass[class].n == 0 {
+	if int(class) >= len(c.byClass) {
 		return 0
 	}
-	a := &c.byClass[class]
-	if !a.sorted {
-		sort.Slice(a.latencies, func(i, j int) bool { return a.latencies[i] < a.latencies[j] })
-		a.sorted = true
-	}
-	idx := int(q * float64(len(a.latencies)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(a.latencies) {
-		idx = len(a.latencies) - 1
-	}
-	return a.latencies[idx]
+	return c.byClass[class].lat.Percentile(q)
 }
 
 // Reset clears all measurements, keeping the warm-up setting.
