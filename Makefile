@@ -20,7 +20,7 @@ test:
 # paths on any host.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts' ./internal/network
+	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|FuzzRefModel' ./internal/network
 	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle|TestEnergyConservation' ./internal/experiments -args -oracle.workers=2,4,8
 
 # Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every
@@ -81,12 +81,14 @@ bench:
 # BenchmarkStep case (they must run, not reach a number), the steady-state
 # zero-allocation assertions (idle, saturated one-shard, saturated
 # two-shard; mesh, hetero-channel and hetero-PHY; stats Record; collective
-# program build), 30 s of the latency-histogram fuzz target, and one pass
-# of the trace generators' ledger (records/s, allocations).
+# program build), 30 s of the latency-histogram fuzz target, 60 s of the
+# engine-against-dense-model fuzz target, and one pass of the trace
+# generators' ledger (records/s, allocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
 	$(GO) test -run 'ZeroAllocs|BuildAllocs' ./internal/network ./internal/stats ./internal/collective
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzRefModel -fuzztime 60s ./internal/network
 	$(GO) test -run '^$$' -bench Generate -benchtime=1x ./internal/trace
 
 # CPU and heap profiles of two saturated kernels: the 256-node mesh — all

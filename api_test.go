@@ -2,6 +2,7 @@ package heteroif
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,47 @@ func TestPublicBuildRejectsBadConfig(t *testing.T) {
 				t.Fatal("Build accepted the config")
 			}
 		})
+	}
+}
+
+// TestPublicBuildRejectsOneVCHypercube: minus-first hypercube routing puts
+// its two phases on VC0 and VC1, so with one VC the plus phase has no VC
+// and the run would deadlock; Build refuses it by naming both classes.
+func TestPublicBuildRejectsOneVCHypercube(t *testing.T) {
+	spec := Spec{System: UniformSerialHypercube, ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2}
+	cfg := testConfig()
+	cfg.VCs = 1
+	if _, err := Build(cfg, spec); err == nil || !strings.Contains(err.Error(), "VC0") || !strings.Contains(err.Error(), "VC1") {
+		t.Fatalf("Build with 1 VC: %v, want an error naming the VC0 and VC1 phase classes", err)
+	}
+	cfg.VCs = 2
+	if _, err := Build(cfg, spec); err != nil {
+		t.Fatalf("Build with 2 VCs: %v", err)
+	}
+}
+
+// TestPublicOfferRejectsOutOfRangeNodes: a packet naming a node outside the
+// system panics in OfferPacket, with the offending nodes in the message,
+// instead of an index panic inside the routing function on a later Step.
+func TestPublicOfferRejectsOutOfRangeNodes(t *testing.T) {
+	sys, err := Build(testConfig(), Spec{System: UniformParallelMesh, ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ src, dst NodeID }{{1, 100}, {100, 1}, {-1, 3}, {3, 16}} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				want := fmt.Sprintf("from node %d to node %d, outside the 16-node network", c.src, c.dst)
+				if !strings.Contains(msg, want) {
+					t.Errorf("OfferPacket(%d, %d) panicked with %q, want it to contain %q", c.src, c.dst, msg, want)
+				}
+			}()
+			OfferPacket(sys, c.src, c.dst, 4, ClassBestEffort, 0)
+		}()
+	}
+	if err := RunWithDriver(sys, 10, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

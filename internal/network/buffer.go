@@ -9,7 +9,7 @@ package network
 // bulk. The ring splits into two disjoint regions — [head, head+n) live,
 // [head+n, head+n+pend) staged — with head and n owned by the consuming
 // router and wpos/pend owned by the single producing link. head+n is
-// invariant under Pop and Drop, so the producer cursor tracks the staged
+// invariant under Drop, so the producer cursor tracks the staged
 // end by pure increments without ever reading consumer state (which would
 // race under parallel stepping); a ring fed by Push instead (injection
 // ports, adapter and retry links) never uses the cursor.
@@ -89,7 +89,7 @@ func (q *FlitQueue) PeekRun(n int) (a, b []Flit) {
 }
 
 // Drop removes the n oldest flits. Flits hold no pointer, so a dead slot
-// is left as it is (Push/stagePut/stageSpan overwrite whole flits): this is
+// is left as it is (Push/stageSpan overwrite whole flits): this is
 // index arithmetic only. n must not exceed Len.
 func (q *FlitQueue) Drop(n int) {
 	q.head += n
@@ -99,42 +99,18 @@ func (q *FlitQueue) Drop(n int) {
 	q.n -= n
 }
 
-// Pop removes and returns the oldest flit. It must not be called on an
-// empty queue.
-func (q *FlitQueue) Pop() Flit {
-	f := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	return f
-}
-
 // Reset discards all buffered flits, staged ones included.
 func (q *FlitQueue) Reset() {
 	q.head, q.n = 0, 0
 	q.wpos, q.pend = 0, 0
 }
 
-// stagePut writes a flit at the producer cursor without publishing it.
-// Credit flow control guarantees the slot is free — the staging twin of
-// Push's "full means protocol bug" contract, unchecked here because the
-// producer may not read the consumer-owned occupancy; publication checks
-// it (Network.commitDirect).
-func (q *FlitQueue) stagePut(f Flit) {
-	q.buf[q.wpos] = f
-	q.wpos++
-	if q.wpos == len(q.buf) {
-		q.wpos = 0
-	}
-	q.pend++
-}
-
 // stageSpan reserves n staged slots at the producer cursor and returns
 // them as up to two contiguous views (the reservation may wrap the ring),
-// for bulk-copy staging — the run counterpart of stagePut, with the same
-// unchecked credit-backed capacity contract.
+// for bulk-copy staging. Credit flow control guarantees the slots are free
+// — the staging twin of Push's "full means protocol bug" contract,
+// unchecked here because the producer may not read the consumer-owned
+// occupancy; publication checks it (Network.commitDirect).
 func (q *FlitQueue) stageSpan(n int) (a, b []Flit) {
 	end := q.wpos + n
 	if end <= len(q.buf) {

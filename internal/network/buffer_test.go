@@ -60,9 +60,10 @@ func TestFlitQueueBasics(t *testing.T) {
 		t.Fatalf("At(2) seq = %d, want 2", got)
 	}
 	for i := 0; i < 3; i++ {
-		if got := q.Pop().Seq; got != uint16(i) {
+		if got := q.Front().Seq; got != uint16(i) {
 			t.Fatalf("pop %d returned seq %d", i, got)
 		}
+		q.Drop(1)
 	}
 	if !q.Empty() {
 		t.Fatal("queue not empty after draining")
@@ -107,9 +108,10 @@ func TestFlitQueueFIFOProperty(t *testing.T) {
 					next++
 				}
 			} else if len(ref) > 0 {
-				if got := q.Pop().Seq; got != ref[0] {
+				if got := q.Front().Seq; got != ref[0] {
 					return false
 				}
+				q.Drop(1)
 				ref = ref[1:]
 			}
 			if q.Len() != len(ref) {
@@ -127,10 +129,10 @@ func TestFlitQueueFIFOProperty(t *testing.T) {
 func TestFlitHeadTail(t *testing.T) {
 	net := testPackets(t)
 	pkt := net.NewPacket(0, 1, 3, 0)
-	if !(Flit{P: pkt.ref, Seq: 0}).IsHead() {
+	if (Flit{P: pkt.ref, Seq: 0}).Seq != 0 {
 		t.Error("seq 0 should be head")
 	}
-	if f := (Flit{P: pkt.ref, Seq: 1}); f.IsHead() || f.IsTail(pkt) {
+	if f := (Flit{P: pkt.ref, Seq: 1}); f.Seq == 0 || f.IsTail(pkt) {
 		t.Error("seq 1 of 3 should be body")
 	}
 	if !(Flit{P: pkt.ref, Seq: 2}).IsTail(pkt) {
@@ -138,7 +140,7 @@ func TestFlitHeadTail(t *testing.T) {
 	}
 	single := net.NewPacket(0, 1, 1, 0)
 	f := Flit{P: single.ref, Seq: 0}
-	if !f.IsHead() || !f.IsTail(single) {
+	if f.Seq != 0 || !f.IsTail(single) {
 		t.Error("single-flit packet should be head and tail")
 	}
 }

@@ -14,3 +14,8 @@ func RingBacking(q *FlitQueue) (end *Flit, room int) {
 	}
 	return &q.buf[:room][room-1], room
 }
+
+// IssueCounts returns the traversals charged to p per energy class
+// (on-chip, parallel, serial) that its hop counts do not imply: the PHY
+// issues of hetero-PHY adapters and retry retransmissions.
+func IssueCounts(p *Packet) [energyClasses]uint64 { return p.tx }

@@ -219,8 +219,5 @@ type Flit struct {
 	Class Class
 }
 
-// IsHead reports whether f is the head flit of its packet.
-func (f Flit) IsHead() bool { return f.Seq == 0 }
-
 // IsTail reports whether f is the tail flit of p, its packet.
 func (f Flit) IsTail(p *Packet) bool { return int(f.Seq) == p.Length-1 }

@@ -40,10 +40,10 @@ type PacketUser interface {
 // "Interface Model": virtual pipeline registers in the on-chip clock
 // domain). It also carries the reverse credit pipeline with the same delay.
 //
-// A plain link (no adapter, no retry) never holds a flit itself. Accept and
-// AcceptRun write the flits straight into the destination input buffers at
-// the producer cursor (FlitQueue staging) and the link keeps
-// only a Delay-deep delay line of per-VC run lengths; the link phase of
+// A plain link (no adapter, no retry) never holds a flit itself. AcceptRun
+// writes the flits straight into the destination input buffers at the
+// producer cursor (FlitQueue staging) and the link keeps only a
+// Delay-deep delay line of per-VC run lengths; the link phase of
 // cycle t+Delay publishes what was accepted in cycle t
 // (Network.commitDirect). The credit the source spent at acceptance
 // reserves the ring slot for the whole flight, so this is exact at any
@@ -82,8 +82,8 @@ type Link struct {
 	// fwdQueued/crQueued record membership in the engine's forward and
 	// credit wake lists (see the package comment): set when a flit/credit
 	// enters the respective pipeline, cleared by the wake-list scan once the
-	// pipeline drains. They exist so Accept/ReturnCredit enqueue a link at
-	// most once per transition from empty to busy.
+	// pipeline drains. They exist so a router tick enqueues a link at most
+	// once per transition from empty to busy.
 	fwdQueued bool
 	crQueued  bool
 
@@ -166,39 +166,16 @@ func (l *Link) freeSlotsSlow() int {
 	return l.retry.FreeSlots()
 }
 
-// Accept pushes a flit into the link this cycle. The flit will be delivered
-// Delay cycles later (or per the adapter's PHY selection for hetero links).
+// AcceptRun pushes a contiguous run of same-packet flits (as the up-to-two
+// ring views a, b) into a plain link. The run is bulk-copied into reserved
+// ring slots (a plain memmove: flits hold no pointer), then each flit's VC
+// is rewritten to outVC in place: the one and only copy each flit makes
+// between the two routers' buffers. Callers must have checked FreeSlots and
+// must not use it on adapter or retry links.
 //
 // Staging is the plain path that stayed (ROADMAP 2a): sending Delay-1 links
 // through a flit pipe instead measured synth_knee wall_s +13 % (1.05 →
 // 1.20 s, higher in 6/6 alternated pairs, sim_digest equal).
-func (l *Link) Accept(now int64, f Flit) {
-	l.SentTotal++
-	if l.Adapter != nil {
-		// The adapter charges the PHY it issues the flit to.
-		l.Adapter.Accept(now, f)
-		return
-	}
-	if l.retry != nil {
-		// The retry pipe charges retransmissions, at delivery.
-		l.retry.Accept(now, f, 0)
-		return
-	}
-	// The traversal itself is implied by the packet's hop count
-	// (Packet.settleEnergy).
-	l.dstIn.VCs[f.VC].Buf.stagePut(f)
-	l.stageRun(f.VC, 1)
-	l.inFlight++
-	l.accepted++
-}
-
-// AcceptRun pushes a contiguous run of same-packet flits (as the up-to-two
-// ring views a, b) into a plain link — the bulk equivalent of per-flit
-// Router.forward + Accept. The run is bulk-copied into reserved ring slots
-// (a plain memmove: flits hold no pointer), then each flit's VC is
-// rewritten to outVC in place: the one and only copy each flit makes
-// between the two routers' buffers. Callers must have checked FreeSlots and
-// must not use it on adapter or retry links.
 func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 	n := len(a) + len(b)
 	sa, sb := l.dstIn.VCs[outVC].Buf.stageSpan(n)
@@ -221,13 +198,19 @@ func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 }
 
 // acceptEach hands a granted run (the ring views a, b) to an adapter or
-// retry link one Accept per flit, in order, each flit relabelled to outVC:
-// their protocol work is per flit.
+// retry link one flit at a time, in order, each flit relabelled to outVC:
+// their protocol work is per flit. The adapter charges the PHY it issues
+// each flit to; the retry pipe charges retransmissions, at delivery.
 func (l *Link) acceptEach(now int64, a, b []Flit, outVC VCID) {
 	for _, span := range [2][]Flit{a, b} {
 		for _, f := range span {
 			f.VC = outVC
-			l.Accept(now, f)
+			l.SentTotal++
+			if l.Adapter != nil {
+				l.Adapter.Accept(now, f)
+			} else {
+				l.retry.Accept(now, f, 0)
+			}
 		}
 	}
 }
@@ -263,8 +246,8 @@ func (l *Link) dueStage() []creditRun {
 	return due
 }
 
-// ReturnCredits sends n credits for the given downstream VC in one call
-// (the bulk counterpart of ReturnCredit).
+// ReturnCredits sends n credits for the given downstream VC back to the
+// source router; they arrive after the link delay.
 func (l *Link) ReturnCredits(vc VCID, n int) {
 	if l.Delay == 1 {
 		l.credPend[vc] += int32(n)
@@ -295,12 +278,6 @@ func (l *Link) Arrivals(now int64, deliver func(Flit)) {
 		return
 	}
 	l.retry.Tick(now, func(f Flit, _ uint32) { deliver(f) })
-}
-
-// ReturnCredit sends one credit for the given downstream VC back to the
-// source router; it arrives after the link delay.
-func (l *Link) ReturnCredit(vc VCID) {
-	l.ReturnCredits(vc, 1)
 }
 
 // creditArrivals advances the credit pipeline one cycle and applies the

@@ -40,11 +40,16 @@ func (g *linkRig) flit(vc VCID) Flit {
 // id returns the ID of f's packet.
 func (g *linkRig) id(f Flit) uint64 { return g.net.Packet(f.P).ID }
 
-// accept pushes one fresh flit into the link in the current cycle and
-// returns its packet ID.
+// accept pushes one fresh flit into the link in the current cycle, as a
+// one-flit run the way the switch stage hands one over (per flit on a
+// retry link), and returns its packet ID.
 func (g *linkRig) accept(vc VCID) uint64 {
 	f := g.flit(vc)
-	g.l.Accept(g.net.Now, f)
+	if g.l.retry != nil {
+		g.l.acceptEach(g.net.Now, []Flit{f}, nil, vc)
+	} else {
+		g.l.AcceptRun([]Flit{f}, nil, vc)
+	}
 	return g.id(f)
 }
 
@@ -58,8 +63,8 @@ func (g *linkRig) advance() []Flit {
 	in := g.net.Nodes[1].In[g.l.DstPort]
 	var got []Flit
 	for v := range in.VCs {
-		for q := &in.VCs[v].Buf; !q.Empty(); {
-			got = append(got, q.Pop())
+		for q := &in.VCs[v].Buf; !q.Empty(); q.Drop(1) {
+			got = append(got, q.Front())
 		}
 	}
 	if int(moved) != len(got) {
@@ -108,7 +113,7 @@ func TestLinkBandwidthLimit(t *testing.T) {
 
 // TestLinkPreservesOrderWithinAndAcrossCycles streams more flits than the
 // destination ring holds, at full bandwidth on two VCs, alternating
-// per-flit Accept with bulk AcceptRun: each must become visible exactly
+// one-flit runs with multi-flit ones: each must become visible exactly
 // Delay cycles after its acceptance, in acceptance order per VC, across
 // the ring's wrap.
 func TestLinkPreservesOrderWithinAndAcrossCycles(t *testing.T) {
@@ -167,7 +172,7 @@ func TestLinkCreditReturnDelay(t *testing.T) {
 		out := g.net.Nodes[0].Out[g.l.SrcPort]
 		depth := out.Credits[1]
 		out.Credits[1]-- // as if one flit had been sent on VC 1
-		g.l.ReturnCredit(1)
+		g.l.ReturnCredits(1, 1)
 		for cyc := 1; cyc <= g.l.Delay; cyc++ {
 			if out.Credits[1] != depth-1 {
 				t.Fatalf("credit returned after %d cycles, want %d", cyc-1, g.l.Delay)

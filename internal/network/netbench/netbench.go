@@ -220,11 +220,9 @@ func Saturate(net *network.Network) *Saturator {
 }
 
 // Cases returns the kernel benchmark suite: idle, low-load and saturated
-// meshes at 16, 64 and 256 nodes, the saturated cases additionally with
-// the retained naive reference tick (so one run shows what the
-// work-list/memoization hot path buys) and, at 256 nodes, with parallel
-// stepping across 2 workers (smaller meshes are one 64-node wake word,
-// hence one shard with routers).
+// meshes at 16, 64 and 256 nodes, and at 256 nodes the saturated mesh
+// with parallel stepping across 2 workers (smaller meshes are one 64-node
+// wake word, hence one shard with routers).
 func Cases() []Case {
 	var cs []Case
 	for _, side := range []int{4, 8, 16} {
@@ -262,23 +260,6 @@ func Cases() []Case {
 				Name: fmt.Sprintf("saturated/%dnodes", n),
 				Bench: func(b *testing.B) {
 					net := BuildMesh(side)
-					sat := Saturate(net)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						sat.Drive(net.Now)
-						net.Step()
-					}
-					reportCyclesPerSec(b, 1)
-				},
-			},
-			Case{
-				Name: fmt.Sprintf("satref/%dnodes", n),
-				Bench: func(b *testing.B) {
-					// The retained naive reference tick: full port×VC
-					// scans, Route re-evaluated every VA retry.
-					net := BuildMesh(side)
-					net.SetReferenceTick(true)
 					sat := Saturate(net)
 					b.ReportAllocs()
 					b.ResetTimer()

@@ -98,11 +98,9 @@ type Network struct {
 	// stability is the routing algorithm's declared RouteStability, read on
 	// the first Step (prepare, after topology construction and any fault
 	// injection); it gates the per-VC candidate memoization in
-	// Router.allocate. refTick selects the retained naive reference tick
-	// for the bit-identity oracle.
+	// Router.allocate.
 	stability RouteStability
 	prepared  bool
-	refTick   bool
 
 	// LivelockHopBound restricts a packet to the escape subnetwork once it
 	// has taken this many hops (0 = disabled). Minimal-path adaptive
@@ -350,6 +348,9 @@ func (net *Network) rebuildWake() {
 func (net *Network) Offer(p *Packet) {
 	if !net.pkts.owns(p) {
 		panic(fmt.Sprintf("network: packet %d offered was not made by this network's NewPacket", p.ID))
+	}
+	if n := NodeID(len(net.Nodes)); p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
+		panic(fmt.Sprintf("network: packet %d offered from node %d to node %d, outside the %d-node network", p.ID, p.Src, p.Dst, n))
 	}
 	if p.Src == p.Dst {
 		panic(fmt.Sprintf("network: packet %d offered with src == dst == %d", p.ID, p.Src))

@@ -12,8 +12,9 @@ import (
 //
 //   - link delivery writes only the destination router (links sharded by Dst);
 //   - credit completion writes only the source router (links sharded by Src);
-//   - a router tick writes its own state, the links it sources (Accept),
-//     the links it sinks (ReturnCredit) and the packets at its VC heads —
+//   - a router tick writes its own state, the links it sources (AcceptRun,
+//     acceptEach), the links it sinks (ReturnCredits) and the packets at
+//     its VC heads —
 //     all owned by exactly one router;
 //   - injection writes only the node's own source queue and buffers.
 //
@@ -36,7 +37,7 @@ import (
 // interface links instead of intra-chiplet mesh hops. Bounds change only
 // when the caller re-cuts (SetWorkers, SetShardCuts), never with load.
 //
-// Links woken by a router tick (Accept/ReturnCredit on a possibly
+// Links woken by a router tick (a granted run or credit return on a possibly
 // foreign-shard link) are recorded in the shard's private scratch and
 // folded into the owning shard's wake list at the merge. Shared aggregates
 // (movement counters, grant/VA statistics, finished packets) are
@@ -317,7 +318,7 @@ func (net *Network) phase2(w int) {
 	sc := &p.sh[w].scratch
 	// Step refuses a Tracer above one shard, so a non-nil one is only ever
 	// called from the stepping goroutine.
-	ctx := tickContext{net: net, scratch: sc, tracer: net.Tracer, reference: net.refTick}
+	ctx := tickContext{net: net, scratch: sc, tracer: net.Tracer}
 	net.tickNodeRange(&ctx, lo, hi)
 	net.injectNodeRange(sc, lo, hi)
 }

@@ -142,8 +142,7 @@ type OutPort struct {
 	// heldMask mirrors it as a bitmask so VC allocation can reject every
 	// held VC of a candidate in one AND-NOT instead of a per-VC scan; the
 	// two are updated together. vcLimit masks candidate VCMasks down to
-	// the VCs that exist (a candidate may name VCs beyond len(Credits);
-	// the reference scan ignores them by loop bound).
+	// the VCs that exist (a candidate may name VCs beyond len(Credits)).
 	Held     []bool
 	heldMask uint16
 	vcLimit  uint16
@@ -158,14 +157,13 @@ type OutPort struct {
 	// outcome (see Router.vaParked). waitSlot[v], when ≥ 0, is the slot
 	// holding output VC v whose switch traversal is parked on an empty
 	// credit counter; the credit completion that refills it puts the slot
-	// back on the ready list. Both are maintained through shared helpers so
-	// the optimized and reference ticks stay interchangeable.
+	// back on the ready list.
 	parked   []uint64
 	waitSlot []int32
 
 	// slow marks outputs whose link takes a granted run one flit at a time
 	// (adapter or retry protocol work in Accept). Derived in Finalize and
-	// kept current by EnableRetry/SetAdapter, so saSlotFast reads one
+	// kept current by EnableRetry/SetAdapter, so saSlot reads one
 	// hot-line flag instead of chasing the Link struct tail.
 	slow bool
 }
@@ -191,8 +189,8 @@ func (o *OutPort) clearHeld(vc VCID) {
 // VCs holding an output allocation (maintained by allocate and the switch
 // stage). A bit off either map is always a slot whose visit would have
 // been a no-op, and bitmap scans yield the same ascending slot order as
-// the dense loops, so results stay bit-identical — tickReference retains
-// the scanning implementation as the oracle for exactly that claim.
+// the dense loops of DESIGN.md's cycle semantics, so results stay
+// bit-identical — FuzzRefModel checks that claim against a dense model.
 type Router struct {
 	ID  NodeID
 	In  []*InPort
@@ -228,13 +226,13 @@ type Router struct {
 	// or an output-VC release — the only two events that can change a VA
 	// outcome. unparkPort moves a port's watchers back to allocPend when
 	// either occurs. vaParkedCount mirrors the bitmap's population so the
-	// optimized tick can charge each parked slot its per-cycle VA-failure
-	// statistic with one addition (the reference tick instead revisits the
-	// slot and fails again — same count, so both ticks stay bit-identical).
+	// tick can charge each parked slot its per-cycle VA-failure statistic
+	// with one addition (a dense scan would revisit the slot and fail
+	// again — same count).
 	//
 	// saReady is the subset of saActive whose switch traversal can make
 	// progress: a slot starved of credits on its allocated output VC drops
-	// out (saSlotFast records it in OutPort.waitSlot) until the refilling
+	// out (saSlot records it in OutPort.waitSlot) until the refilling
 	// credit completes. Parked-slot visits would be no-ops, and blocking
 	// conditions are monotone within a cycle, so scanning saReady grants
 	// exactly what scanning saActive would.
@@ -249,14 +247,14 @@ type Router struct {
 	inUsed   []int // flits drained per input this cycle
 	inVCs    []int // VCs granted per input this cycle
 
-	// Switch-allocation early exit (optimized tick only): outAvail/inAvail
-	// count output and input ports that could still take part in a grant
-	// this cycle. Port ineligibility is monotone within a cycle (budgets
-	// only shrink, grant counts only grow), so each transition decrements
-	// its counter at most once, and when either counter reaches zero every
-	// remaining slot visit is provably a no-op — the scan stops without
-	// changing which grants happen. inBudgeted is the static number of
-	// inputs with a non-zero drain budget (rebuildWork).
+	// Switch-allocation early exit: outAvail/inAvail count output and
+	// input ports that could still take part in a grant this cycle. Port
+	// ineligibility is monotone within a cycle (budgets only shrink, grant
+	// counts only grow), so each transition decrements its counter at most
+	// once, and when either counter reaches zero every remaining slot visit
+	// is provably a no-op — the scan stops without changing which grants
+	// happen. inBudgeted is the static number of inputs with a non-zero
+	// drain budget (rebuildWork).
 	outAvail   int
 	inAvail    int
 	inBudgeted int
@@ -446,10 +444,9 @@ func (r *Router) markPend(slot int) {
 // VCState field docs). Every site where a head reaches the front calls it:
 // per-flit delivery into an empty inactive buffer (deliver), plain-link
 // publication (commitDirect), injection (via cacheHeadPkt), tail release
-// with a successor queued (saSlot/saSlotFast) and rebuildWork. It is the
-// one packet-table lookup of a packet's stay at a router. The non-head
-// panic retained from the dense scans fires here, where the flit is
-// already in hand.
+// with a successor queued (saSlot) and rebuildWork. It is the one
+// packet-table lookup of a packet's stay at a router. The non-head panic
+// fires here, where the flit is already in hand.
 func (r *Router) cacheHead(vc *VCState, f *Flit) {
 	pkt := r.pkts.get(f.P)
 	if f.Seq != 0 {
@@ -524,19 +521,17 @@ func (r *Router) deliver(inPort int, f Flit) {
 		r.markPend(slot)
 	} else {
 		// Refill of an active VC: return it to the switch-stage ready
-		// list (saSlotFast drops drained slots; see its empty check).
+		// list (saSlot drops drained slots; see its empty check).
 		r.saReady[slot>>6] |= 1 << (uint(slot) & 63)
 	}
 }
 
 // tickContext carries the per-shard accumulation state of one router
-// tick. reference selects the retained naive tick (full scans, per-cycle
-// Route) used by the bit-identity oracle.
+// tick.
 type tickContext struct {
-	net       *Network
-	scratch   *workerScratch
-	tracer    Tracer
-	reference bool
+	net     *Network
+	scratch *workerScratch
+	tracer  Tracer
 }
 
 // tickCtx performs RC, VA and SA for one cycle (Sec. 7.1: all three
@@ -545,17 +540,13 @@ func (r *Router) tickCtx(ctx *tickContext) {
 	if r.buffered == 0 {
 		return
 	}
-	if ctx.reference {
-		r.tickReference(ctx)
-		return
-	}
 
 	// Slots parked across this cycle fail VA by construction; charge each
-	// its per-cycle failure statistic in one addition (the reference tick
+	// its per-cycle failure statistic in one addition (a dense scan
 	// revisits them and counts one each — same totals every cycle). Phase-1
 	// unparks already ran; a phase-2 release unparks after this point and
-	// the slot still counts this cycle, exactly like the reference scan
-	// that runs before switch allocation.
+	// the slot still counts this cycle, exactly like a dense VA scan that
+	// runs before switch allocation.
 	if r.vaParkedCount > 0 {
 		ctx.scratch.vaFailures += uint64(r.vaParkedCount)
 	}
@@ -584,42 +575,6 @@ func (r *Router) vaStage(ctx *tickContext) {
 			r.allocate(ctx, slot, int(s.ip), s.vc)
 		}
 	}
-}
-
-// tickReference is the retained naive router tick: a full port×VC rescan
-// with Route re-evaluated on every VA retry, exactly the pre-work-list
-// engine. It maintains the same incremental state (bitmaps, held masks,
-// parking) through the shared helpers so the optimized and reference ticks
-// are interchangeable per network, which is what the saturated-state
-// bit-identity oracle exercises. Select it with SetReferenceTick before
-// the first Step.
-func (r *Router) tickReference(ctx *tickContext) {
-	for ip, in := range r.In {
-		for v := range in.VCs {
-			vc := &in.VCs[v]
-			if vc.Active || vc.Buf.Empty() {
-				continue
-			}
-			head := vc.Buf.Front()
-			pkt := r.pkts.get(head.P)
-			if !head.IsHead() {
-				panic(fmt.Sprintf("network: node %d port %d vc %d: non-head flit (pkt %d seq %d) at front of idle VC", r.ID, ip, v, pkt.ID, head.Seq))
-			}
-			r.allocateReference(ctx, ip*r.slotVCs+v, ip, vc, pkt)
-		}
-	}
-	r.switchAlloc(ctx)
-}
-
-// SetReferenceTick switches the engine onto the retained naive router tick
-// (full port×VC scans, Route re-evaluated every retry). It is the oracle
-// side of the saturated-state bit-identity tests and must be called before
-// the first Step.
-func (net *Network) SetReferenceTick(on bool) {
-	if net.prepared {
-		panic("network: SetReferenceTick must be called before the first Step")
-	}
-	net.refTick = on
 }
 
 // grantVC commits a successful VC allocation for the slot. The head cache
@@ -653,11 +608,10 @@ func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, r
 
 // prepare reads the routing algorithm's declared stability on the first
 // Step, once the topology (including injected faults) and the algorithm are
-// final. The reference tick leaves it RouteDynamic: the oracle measures the
-// naive engine, which re-evaluates Route on every retry.
+// final.
 func (net *Network) prepare() {
 	net.prepared = true
-	if s, ok := net.Routing.(Stable); ok && !net.refTick {
+	if s, ok := net.Routing.(Stable); ok {
 		net.stability = s.Stability()
 	}
 }
@@ -676,7 +630,8 @@ func adaptiveMask(cands []Candidate) uint64 {
 
 // allocate runs RC+VA for the packet at the front of vc.
 //
-// Hot-path structure (all bit-identical to allocateReference):
+// Hot-path structure (all bit-identical to routing every attempt afresh,
+// the cycle semantics of DESIGN.md):
 //   - a failing slot parks on the output ports its candidates name until a
 //     credit arrival or output-VC release there can change the outcome
 //     (vaFail/parkVA/unparkPort), so retries are not even visited;
@@ -743,13 +698,18 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		if !c.Escape {
 			sawAdaptive = true
 		}
-		// Pick the allowed free output VC with the most credits, under
-		// virtual cut-through admission (see allocateReference for the
-		// rationale). elig masks out held VCs in one operation; the bit
-		// scans below preserve the exact class-affinity tie-breaks of the
-		// reference scan: latency-sensitive packets take the highest
-		// eligible VC, bulk throughput the lowest, other classes the
-		// lowest among those with the most credits.
+		// Pick a free allowed output VC under virtual cut-through
+		// admission: the downstream buffer must have room for the whole
+		// packet, which (with buffers ≥ packet length, as in all Table 2
+		// configurations) makes the escape-channel constructions of the
+		// routing algorithms deadlock-free without indirect-dependency
+		// caveats. Class affinity keeps latency-sensitive packets and bulk
+		// transfers off each other's VCs (per-VC delivery order would
+		// otherwise couple control latency to bulk transfers at
+		// heterogeneous interfaces): latency-sensitive packets take the
+		// highest eligible VC, throughput the lowest, other classes the
+		// lowest among those with the most credits. elig masks out held
+		// VCs in one operation.
 		need := min(int(vc.headLen), out.Depth)
 		if net.Cfg.WormholeAdmission {
 			need = 1
@@ -786,8 +746,14 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 			continue
 		}
 		if c.Escape && sawAdaptive && (c.Port >= 64 || adaptivePorts&(1<<uint(c.Port)) == 0) {
-			// Livelock channel-switch restriction (Sec. 6.2): see
-			// allocateReference. Written through to the canonical Packet.
+			// Livelock channel-switch restriction (Sec. 6.2): the packet
+			// fell back to the escape subnetwork because the adaptive
+			// channels on its minimal paths were congested; from now on it
+			// may only use adaptive channels consistent with the baseline
+			// routing function. Taking the escape VC of a port that is
+			// itself an adaptive candidate is not a fallback — the physical
+			// direction stays adaptive-consistent — so it does not restrict
+			// the packet. Written through to the canonical Packet.
 			r.pkts.get(vc.headRef).Restricted = true
 			vc.headRestricted = true
 		}
@@ -799,110 +765,12 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 	r.vaFail(ctx, slot, vc, vc.headPktID, vc.headRestricted, cands)
 }
 
-// allocateReference is the retained naive RC+VA: Route re-evaluated every
-// cycle, per-VC credit scan over the Held array. It is the reference the
-// optimized allocate is verified against and must not be "optimized".
-func (r *Router) allocateReference(ctx *tickContext, slot, inPort int, vc *VCState, pkt *Packet) {
-	net := ctx.net
-	if net.LivelockHopBound > 0 && !pkt.Restricted && pkt.Hops() > net.LivelockHopBound {
-		pkt.Restricted = true
-	}
-	var cands []Candidate
-	if pkt.Dst == r.ID {
-		cands = append(r.cands[:0], Candidate{Port: r.EjectPort, VCMask: 1, Escape: true})
-	} else {
-		cands = net.Routing.Route(net, r, inPort, pkt, r.cands[:0])
-		if len(cands) == 0 {
-			panic(fmt.Sprintf("network: routing %q returned no candidates at node %d for packet %d -> %d", net.Routing.Name(), r.ID, pkt.ID, pkt.Dst))
-		}
-	}
-	r.cands = cands[:0] // keep capacity
-
-	sawAdaptive := false
-	adaptivePorts := uint64(0)
-	for _, c := range cands {
-		if !c.Escape && c.Port < 64 {
-			adaptivePorts |= 1 << uint(c.Port)
-		}
-	}
-	for _, c := range cands {
-		out := r.Out[c.Port]
-		if out.Link == nil {
-			// Ejection: always allocatable; rate-limited in SA.
-			r.grantVC(slot, vc, c.Port, 0)
-			return
-		}
-		if !c.Escape {
-			sawAdaptive = true
-		}
-		// Pick the allowed free output VC with the most credits. Admission
-		// is virtual cut-through: the downstream buffer must have room for
-		// the whole packet, which (with buffers ≥ packet length, as in all
-		// Table 2 configurations) makes the escape-channel constructions
-		// of the routing algorithms deadlock-free without indirect-
-		// dependency caveats.
-		need := min(pkt.Length, out.Depth)
-		if net.Cfg.WormholeAdmission {
-			need = 1
-		}
-		best, bestCred := -1, need-1
-		for ov := 0; ov < len(out.Credits); ov++ {
-			if c.VCMask&(1<<uint(ov)) == 0 || out.Held[ov] {
-				continue
-			}
-			cr := out.Credits[ov]
-			if cr < need {
-				continue
-			}
-			if best < 0 {
-				best, bestCred = ov, cr
-				continue
-			}
-			// Class-based VC affinity: latency-sensitive packets prefer
-			// the highest eligible VC, bulk throughput the lowest, so the
-			// two classes avoid sharing a VC (per-VC delivery order would
-			// otherwise couple control latency to bulk transfers at
-			// heterogeneous interfaces). Other classes take the VC with
-			// the most credits.
-			switch pkt.Class {
-			case ClassLatencySensitive:
-				best, bestCred = ov, cr // keep scanning upward
-			case ClassThroughput:
-				// keep the first (lowest) eligible VC
-			default:
-				if cr > bestCred {
-					best, bestCred = ov, cr
-				}
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		if c.Escape && sawAdaptive && (c.Port >= 64 || adaptivePorts&(1<<uint(c.Port)) == 0) {
-			// Livelock channel-switch restriction (Sec. 6.2): the packet
-			// fell back to the escape subnetwork because the adaptive
-			// channels on its minimal paths were congested; from now on it
-			// may only use adaptive channels consistent with the baseline
-			// routing function. Taking the escape VC of a port that is
-			// itself an adaptive candidate is not a fallback — the physical
-			// direction stays adaptive-consistent — so it does not restrict
-			// the packet.
-			pkt.Restricted = true
-		}
-		out.setHeld(best)
-		r.grantVC(slot, vc, c.Port, VCID(best))
-		return
-	}
-	// Nothing allocatable this cycle; retry next cycle.
-	r.vaFail(ctx, slot, vc, pkt.ID, pkt.Restricted, cands)
-}
-
 // switchAlloc grants crossbar passage to active input VCs, respecting link
 // accept rates, credits, per-input drain budgets and the regular-vs-
-// heterogeneous crossbar constraints. The optimized arbitration walks only
-// the saActive bitmap, starting from the round-robin pointer and wrapping,
+// heterogeneous crossbar constraints. The arbitration walks only the
+// saReady bitmap, starting from the round-robin pointer and wrapping,
 // which visits exactly the slots the flattened scan would have granted —
-// in the same order; the reference tick keeps the dense scan.
+// in the same order.
 func (r *Router) switchAlloc(ctx *tickContext) {
 	if r.activeVCs == 0 {
 		return
@@ -949,17 +817,7 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 		r.rr = 0
 	}
 
-	if ctx.reference {
-		// Reference: iterate every slot starting from the round-robin
-		// pointer, moving flits one at a time.
-		for off := 0; off < total; off++ {
-			slot := (start + off) % total
-			r.saSlot(ctx, slot, outSlots, outVCs, inUsed, inVCs)
-		}
-		return
-	}
-
-	// Optimized: iterate the set bits of saReady (active slots not parked
+	// Iterate the set bits of saReady (active slots not parked
 	// on an empty credit counter) from the round-robin pointer, wrapping
 	// once. Bits at or after start first (high part of the start word
 	// masked), then the bits before start. The scan stops as soon as no
@@ -973,7 +831,7 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
-			r.saSlotFast(ctx, wi<<6+b, outSlots, outVCs, inUsed, inVCs)
+			r.saSlot(ctx, wi<<6+b, outSlots, outVCs, inUsed, inVCs)
 			if r.outAvail == 0 || r.inAvail == 0 {
 				return
 			}
@@ -992,7 +850,7 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
-			r.saSlotFast(ctx, wi<<6+b, outSlots, outVCs, inUsed, inVCs)
+			r.saSlot(ctx, wi<<6+b, outSlots, outVCs, inUsed, inVCs)
 			if r.outAvail == 0 || r.inAvail == 0 {
 				return
 			}
@@ -1000,8 +858,9 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 	}
 }
 
-// saSlotFast is saSlot with the per-flit movement loop replaced by one
-// bulk run transfer. The key structural fact: an output VC is Held by
+// saSlot arbitrates one flattened (input port, VC) slot within the
+// current switch-allocation pass and moves its granted flits as one bulk
+// run. The key structural fact: an output VC is Held by
 // exactly one packet until its tail passes, so the flits of a packet are
 // contiguous in its input VC buffer and the grantable run length is
 // computable up front — min(budget, buffered flits, flits to the tail).
@@ -1009,7 +868,7 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 // one link hand-over instead of per-flit calls: a bulk append on plain
 // links, in-order per-flit Accepts on adapter and retry links (their
 // protocol work is per flit).
-func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed, inVCs []int) {
+func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, inVCs []int) {
 	// The granted output port is denormalized into the compact slotOut
 	// slab, so a slot whose output is already spent this cycle is
 	// rejected before its VCState cache line is ever touched. The
@@ -1151,112 +1010,4 @@ func (r *Router) headHop(ctx *tickContext, pkt *Packet, vc *VCState, out *OutPor
 	if pkt.Hops() >= maxPacketHops {
 		ctx.scratch.livelocked = pkt
 	}
-}
-
-// saSlot arbitrates one flattened (input port, VC) slot within the current
-// switch-allocation pass of the reference tick, one flit at a time.
-func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, inVCs []int) {
-	s := &r.flat[slot]
-	vc := s.vc
-	if !vc.Active || vc.Buf.Empty() {
-		return
-	}
-	in := s.in
-	ip := int(s.ip)
-	if inUsed[ip] >= in.DrainBudget {
-		return
-	}
-	if !in.Interface && inVCs[ip] >= 1 {
-		return // regular crossbar: one VC per input port per cycle
-	}
-	op := vc.OutPort
-	out := r.Out[op]
-	if outSlots[op] <= 0 {
-		return
-	}
-	if !out.Interface && outVCs[op] >= 1 {
-		return // regular crossbar: one input VC per output per cycle
-	}
-	budget := min(outSlots[op], in.DrainBudget-inUsed[ip])
-	if out.Link != nil {
-		budget = min(budget, out.Credits[vc.OutVC])
-	}
-	if budget <= 0 {
-		return
-	}
-	ref := vc.Buf.Front().P
-	pkt := r.pkts.get(ref)
-	sent := 0
-	for sent < budget && !vc.Buf.Empty() && vc.Buf.Front().P == ref {
-		f := vc.Buf.Pop()
-		vc.headSeq++ // keep the head cache in step with per-flit drains
-		r.buffered--
-		sent++
-		r.forward(ctx, in, vc, out, VCID(s.v), f, pkt)
-		if f.IsTail(pkt) {
-			// Release the output VC and the input VC allocation. Freeing an
-			// output VC can unblock allocations parked on this port.
-			if out.Link != nil {
-				out.clearHeld(vc.OutVC)
-				r.unparkPort(out)
-			}
-			vc.Active = false
-			r.activeVCs--
-			r.saActive[slot>>6] &^= 1 << (uint(slot) & 63)
-			r.saReady[slot>>6] &^= 1 << (uint(slot) & 63)
-			if !vc.Buf.Empty() {
-				// The next packet's head is already waiting behind the
-				// tail: queue it for RC+VA next cycle.
-				r.cacheHead(vc, vc.Buf.frontRef())
-				r.markPend(slot)
-			}
-			break
-		}
-	}
-	if sent > 0 {
-		outSlots[op] -= sent
-		outVCs[op]++
-		inUsed[ip] += sent
-		inVCs[ip]++
-		ctx.scratch.moved += uint64(sent)
-	}
-}
-
-// forward moves one granted flit of pkt from an input VC to its output
-// (reference tick).
-func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort, inVC VCID, f Flit, pkt *Packet) {
-	net := ctx.net
-	// Return a credit to the upstream router and put the link's credit
-	// pipeline on the wake list; the scratch list is folded into the
-	// engine's per-shard lists at the merge barrier.
-	if in.Link != nil {
-		in.Link.ReturnCredit(inVC)
-		if !in.Link.crQueued {
-			in.Link.crQueued = true
-			ctx.scratch.wokeCr = append(ctx.scratch.wokeCr, int32(in.Link.ID))
-		}
-	}
-	if out.Link == nil {
-		ctx.scratch.grantsByKind[KindLocal]++
-		if f.IsTail(pkt) {
-			ctx.scratch.flitsOut += int64(pkt.Length)
-			ctx.scratch.pktsOut++
-			ctx.scratch.finished = append(ctx.scratch.finished, pkt)
-		}
-		return
-	}
-	if f.IsHead() {
-		r.headHop(ctx, pkt, vc, out)
-	}
-	ctx.scratch.grantsByKind[out.Kind]++
-	out.Credits[vc.OutVC]--
-	if out.Credits[vc.OutVC] < 0 {
-		panic("network: negative credits (switch allocation over-granted)")
-	}
-	f.VC = vc.OutVC
-	if !out.Link.fwdQueued {
-		out.Link.fwdQueued = true
-		ctx.scratch.wokeFwd = append(ctx.scratch.wokeFwd, int32(out.Link.ID))
-	}
-	out.Link.Accept(net.Now, f)
 }

@@ -53,6 +53,11 @@ func ForSystem(t *topology.Topo, cfg *network.Config) (network.Routing, error) {
 			2+cfg.ParallelDelay,
 			1+cfg.SerialDelay), nil
 	case topology.UniformSerialHypercube:
+		if cfg.VCs < 2 {
+			// upperMask(1) is empty: plus-phase and final-spread candidates
+			// would name no VC and never be allocated.
+			return nil, fmt.Errorf("routing: minus-first hypercube routing needs 2 VCs, one per phase class (VC0: minus phase, VC1: plus phase and final spread); got %d", cfg.VCs)
+		}
 		return &Hypercube{T: t}, nil
 	case topology.HeteroChannel:
 		return &HeteroChannel{T: t}, nil
