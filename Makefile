@@ -17,10 +17,12 @@ test:
 
 # The oracle and release steps need no forcing: SetWorkers(n>1) always
 # starts n-1 real goroutines, so the race detector sees the cross-shard
-# paths on any host.
+# paths on any host. The network set runs again on one CPU, where every
+# multi-shard run is oversubscribed and the barrier must park, not poll.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|FuzzRefModel' ./internal/network
+	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' ./internal/network
+	GOMAXPROCS=1 $(GO) test -race -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' ./internal/network
 	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle|TestEnergyConservation' ./internal/experiments -args -oracle.workers=2,4,8
 
 # Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every

@@ -38,7 +38,8 @@ func main() {
 		csv     = flag.String("csv", "", "directory for CSV output (optional)")
 		jsonDir = flag.String("json", "", "directory for JSON result manifests (BENCH_<exp>.json, optional)")
 		seed    = flag.Int64("seed", 0, "random seed override (0 = default)")
-		workers = flag.Int("workers", 1, "parallel simulation workers per point (cycle-level, deterministic); "+
+		workers = flag.Int("workers", 0, "shards per simulation, one goroutine each (cycle-level, deterministic); "+
+			"0 picks one per 512 nodes up to the CPUs, or one when -jobs > 1; "+
 			"when set explicitly it overrides the \"workers\" field of a -run spec")
 		jobs = flag.Int("jobs", 1, "concurrent operating points per experiment (point-level, deterministic; "+
 			"results are bit-identical for any value)")
@@ -90,7 +91,8 @@ func main() {
 			os.Exit(1)
 		}
 		// Precedence: an explicit -workers flag wins over the spec's
-		// "workers" field, which wins over the default (one shard).
+		// "workers" field, which wins over the default (0: the shard count
+		// follows the system size).
 		if c.Workers == 0 || flagWasSet("workers") {
 			c.Workers = *workers
 		}

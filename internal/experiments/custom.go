@@ -45,8 +45,9 @@ type CustomRun struct {
 	Seed   int64 `json:"seed,omitempty"`
 
 	// Workers cuts the simulation into this many deterministically stepped
-	// shards, one goroutine each (0/1 = one shard). The hetsim -workers
-	// flag, when set explicitly, overrides this field.
+	// shards, one goroutine each (1 = one shard; 0 = picked from the
+	// system size, see network.Config.Workers). The hetsim -workers flag,
+	// when set explicitly, overrides this field.
 	Workers int `json:"workers,omitempty"`
 
 	// PacketLength overrides the synthetic packet length in flits.

@@ -27,8 +27,9 @@ type Options struct {
 	// Seed overrides the default random seed when non-zero.
 	Seed int64
 	// Workers cuts one simulation into that many deterministically stepped
-	// shards, one goroutine each (0/1 = one shard) — cycle-level
-	// parallelism.
+	// shards, one goroutine each (1 = one shard) — cycle-level
+	// parallelism. 0 picks the count from the system size
+	// (network.Config.Workers), or one shard when Jobs > 1.
 	Workers int
 	// Tiny shrinks systems and windows to smoke-test scale (seconds for
 	// the whole registry); used by tests, never for reported results.
@@ -113,6 +114,11 @@ func baseConfig(o Options) network.Config {
 		cfg.Seed = o.Seed
 	}
 	cfg.Workers = o.Workers
+	if cfg.Workers == 0 && o.Jobs > 1 {
+		// The pool already runs a point per CPU; jobs × shards stays
+		// within the CPUs.
+		cfg.Workers = 1
+	}
 	return cfg
 }
 

@@ -60,9 +60,9 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	// weighted-distance heuristic can point at a dead wraparound.
 	net.LivelockHopBound = 6 * (topo.GX + topo.GY)
 	// Shard the stepper along chiplet rows so cross-shard traffic rides the
-	// D2D interface links.
+	// D2D interface links. The first Step picks the shard count from
+	// cfg.Workers (0 = by system size).
 	net.SetShardCuts(topo.ShardCuts())
-	net.SetWorkers(cfg.Workers)
 	return in, nil
 }
 

@@ -293,6 +293,7 @@ func Cases() []Case {
 			Name: fmt.Sprintf("saturated/%dnodes", n),
 			Bench: func(b *testing.B) {
 				net := build()
+				net.SetWorkers(1) // the one-shard twin, whatever the host
 				sat := Saturate(net)
 				b.ReportAllocs()
 				b.ResetTimer()
