@@ -23,7 +23,7 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' ./internal/network
 	GOMAXPROCS=1 $(GO) test -race -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' ./internal/network
-	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|TestParallelOracle|TestEnergyConservation' ./internal/experiments -args -oracle.workers=2,4,8
+	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|FuzzSimPoint' ./internal/experiments
 
 # Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every
 # PR to report in CHANGES.md.
@@ -84,13 +84,15 @@ bench:
 # zero-allocation assertions (idle, saturated one-shard, saturated
 # two-shard; mesh, hetero-channel and hetero-PHY; stats Record; collective
 # program build), 30 s of the latency-histogram fuzz target, 60 s of the
-# engine-against-dense-model fuzz target, and one pass of the trace
-# generators' ledger (records/s, allocations).
+# engine-against-dense-model fuzz target, 60 s of the simPoint invariant
+# fuzz target, and one pass of the trace generators' ledger (records/s,
+# allocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
 	$(GO) test -run 'ZeroAllocs|BuildAllocs' ./internal/network ./internal/stats ./internal/collective
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzRefModel -fuzztime 60s ./internal/network
+	$(GO) test -run '^$$' -fuzz FuzzSimPoint -fuzztime 60s ./internal/experiments
 	$(GO) test -run '^$$' -bench Generate -benchtime=1x ./internal/trace
 
 # CPU and heap profiles of two saturated kernels: the 256-node mesh — all

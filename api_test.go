@@ -3,6 +3,7 @@ package heteroif
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,23 @@ func TestPublicBuildRejectsBadConfig(t *testing.T) {
 				t.Fatal("Build accepted the config")
 			}
 		})
+	}
+}
+
+// TestPublicRunSyntheticRejectsBadRate: a negative or NaN offered load is
+// an error, not a run that injects nothing and reports NaN latency.
+func TestPublicRunSyntheticRejectsBadRate(t *testing.T) {
+	sys, err := Build(testConfig(), Spec{System: UniformParallelMesh, ChipletsX: 2, ChipletsY: 2, NodesX: 2, NodesY: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{-0.1, math.NaN()} {
+		if err := sys.RunSynthetic(UniformTraffic(), rate); err == nil || !strings.Contains(err.Error(), "offered load") {
+			t.Errorf("RunSynthetic at rate %v: %v, want an error naming the offered load", rate, err)
+		}
+	}
+	if sys.Net.Now != 0 {
+		t.Fatalf("a refused run stepped the network to cycle %d", sys.Net.Now)
 	}
 }
 

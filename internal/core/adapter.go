@@ -125,9 +125,11 @@ func NewHeteroPHYAdapter(cfg *network.Config, policy Policy) *HeteroPHYAdapter {
 		LookAhead:     8,
 	}
 	// Eq. 1: the parallel PHY runs at most D_s − D_p cycles ahead of the
-	// serial one; one more cycle of arrivals from both PHYs can join before
+	// serial one (or the serial PHY D_p − D_s ahead, should it be the
+	// faster); one more cycle of arrivals from both PHYs can join before
 	// Release runs. Link retry can exceed it, and then pending grows.
-	a.rob.pending = make([]stamped, 0, a.parallelBW*(a.delaySerial-a.delayParallel)+a.parallelBW+a.serialBW)
+	ahead := a.parallelBW*max(a.delaySerial-a.delayParallel, 0) + a.serialBW*max(a.delayParallel-a.delaySerial, 0)
+	a.rob.pending = make([]stamped, 0, ahead+a.parallelBW+a.serialBW)
 	a.ppipe = newPhyPipe(a.delayParallel, a.parallelBW)
 	a.spipe = newPhyPipe(a.delaySerial, a.serialBW)
 	a.pb, a.sb = a.parallelBW, a.serialBW

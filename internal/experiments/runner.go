@@ -210,8 +210,12 @@ func (p simPoint) drive(in *Instance, rep *collective.Report) (string, float64, 
 }
 
 // RunSynthetic drives the instance with a synthetic pattern at the given
-// offered load (flits/cycle/node) for cfg.SimCycles cycles.
+// offered load (flits/cycle/node) for cfg.SimCycles cycles. A negative or
+// NaN load is refused.
 func (in *Instance) RunSynthetic(p traffic.Pattern, rate float64) error {
+	if !(rate >= 0) {
+		return fmt.Errorf("experiments: offered load %v must be a non-negative number", rate)
+	}
 	gen := traffic.NewGenerator(in.Net, p, rate, in.Net.Cfg.Seed+17)
 	return in.Net.Run(in.Net.Cfg.SimCycles-in.Net.Now, gen.Drive)
 }

@@ -68,6 +68,11 @@ type Config struct {
 	// interface buffers; we provision them per VC). Interface buffers are
 	// automatically enlarged to cover the credit round trip
 	// (bandwidth × 2×delay), the "additional buffer" of Sec. 7.1.
+	// Deadlock freedom (Lemma 1, DESIGN.md "Deadlock freedom") assumes
+	// virtual cut-through admission with every per-VC buffer at least one
+	// packet long. Shallower buffers admit a packet on an empty buffer
+	// instead, so it spans several routers as under wormhole admission,
+	// and a saturated run can end in the deadlock watchdog.
 	OnChipBufPerVC int
 	IfaceBufPerVC  int
 
@@ -107,7 +112,9 @@ type Config struct {
 	// (whole-packet buffer reservation, the default — required by the
 	// deadlock-freedom arguments in DESIGN.md) to plain wormhole (one free
 	// slot suffices). Ablation only: wormhole admission re-opens the
-	// adaptive-commitment deadlock window at saturation.
+	// adaptive-commitment deadlock window at saturation, whatever the
+	// buffer depths, so Lemma 1 holds only with it off and per-VC buffers
+	// of at least PacketLength flits.
 	WormholeAdmission bool
 
 	// Workers is the number of shards the cycle engine is cut into, each
@@ -187,6 +194,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: buffer depths must be positive")
 	case c.AdapterQueueDepth <= 0:
 		return fmt.Errorf("network: adapter queue depth %d must be positive", c.AdapterQueueDepth)
+	case c.FlitBits <= 0:
+		return fmt.Errorf("network: flit width %d bits must be positive", c.FlitBits)
+	case !(c.OnChipPJPerBit >= 0 && c.ParallelPJPerBit >= 0 && c.SerialPJPerBit >= 0 && c.RouterPJPerFlit >= 0):
+		return fmt.Errorf("network: energies must be non-negative (on-chip %v, parallel %v, serial %v pJ/bit, router %v pJ/flit)",
+			c.OnChipPJPerBit, c.ParallelPJPerBit, c.SerialPJPerBit, c.RouterPJPerFlit)
+	case c.WarmupCycles < 0 || c.DrainCycles < 0 || c.DeadlockThreshold < 0:
+		return fmt.Errorf("network: warm-up %d, drain %d and deadlock threshold %d cycles must be non-negative", c.WarmupCycles, c.DrainCycles, c.DeadlockThreshold)
 	case c.SimCycles <= c.WarmupCycles:
 		return fmt.Errorf("network: sim cycles %d must exceed warm-up %d", c.SimCycles, c.WarmupCycles)
 	case c.Workers < 0:

@@ -59,6 +59,16 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		func(c *Config) { c.AdapterQueueDepth = 0 },
 		func(c *Config) { c.InjectionBandwidth = 0 },
 		func(c *Config) { c.EjectionBandwidth = 0 },
+		// Each of these built and ran: a zero flit width charged 0 pJ to
+		// every packet.
+		func(c *Config) { c.FlitBits = 0 },
+		func(c *Config) { c.OnChipPJPerBit = -0.1 },
+		func(c *Config) { c.ParallelPJPerBit = -1 },
+		func(c *Config) { c.SerialPJPerBit = -2.4 },
+		func(c *Config) { c.RouterPJPerFlit = -1 },
+		func(c *Config) { c.WarmupCycles = -1 },
+		func(c *Config) { c.DrainCycles = -1 },
+		func(c *Config) { c.DeadlockThreshold = -1 },
 		// 16-bit adapter sequence numbers: 2 VCs × 16,384 buffered flits,
 		// then the same through the credit-round-trip enlargement.
 		func(c *Config) { c.IfaceBufPerVC = 1 << 14 },

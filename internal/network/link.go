@@ -97,7 +97,8 @@ type Link struct {
 	credMask uint16
 
 	// SentTotal counts flits ever accepted, on every kind of link
-	// (utilization diagnostics, TestEnergyConservation).
+	// (utilization diagnostics, the energy ledgers of
+	// experiments.FuzzSimPoint).
 	SentTotal uint64
 
 	// retry, when non-nil, replaces the plain forward pipeline with the

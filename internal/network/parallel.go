@@ -52,8 +52,8 @@ import (
 // accumulated per shard and merged in shard order, and the Sink/OnDeliver
 // callbacks run on the goroutine that called Step, so results are
 // bit-identical for every shard count and placement — see
-// TestParallelMatchesSequential and experiments.TestParallelOracle, whose
-// one-shard run is pinned to golden constants.
+// TestParallelMatchesSequential and experiments.FuzzSimPoint, whose
+// Table-2 seeds' one-shard runs are pinned to golden constants.
 type shardState struct {
 	// bounds[w]..bounds[w+1] is shard w's node range; every interior bound
 	// is a multiple of 64. A shard may be empty (more shards than words).
