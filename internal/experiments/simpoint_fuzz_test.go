@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,6 +49,46 @@ func FuzzSimPoint(f *testing.F) {
 		t.Parallel()
 		checkSimCase(t, decodeSimCase(data))
 	})
+}
+
+// TestParallelOracle replays the Table 2 seeds of simCorpus through
+// FuzzSimPoint's oracle: every shard count agrees on one fingerprint, and
+// the 64-node one-shard run matches oracleGolden.
+func TestParallelOracle(t *testing.T) {
+	replaySeeds(t, "", "uniform-parallel-mesh", "uniform-serial-torus", "hetero-phy-torus",
+		"uniform-serial-hypercube", "hetero-channel", "hetero-phy-torus/faults+retry")
+}
+
+// TestParallelOracleCollective replays the DNN training-step seeds: one
+// collective Report at every shard count, and oracleGolden.
+func TestParallelOracleCollective(t *testing.T) {
+	replaySeeds(t, "collective/", "healthy", "faults+failover")
+}
+
+// TestEnergyConservation replays the seeds whose clean runs hold the packet
+// and link energy ledgers (checkEnergyLedgers) to each other at every shard
+// count, the failover rescue included.
+func TestEnergyConservation(t *testing.T) {
+	replaySeeds(t, "", "uniform-parallel-mesh", "uniform-serial-torus", "hetero-phy-torus",
+		"uniform-serial-hypercube", "hetero-channel", "hetero-phy-torus/faults+retry", "hetero-phy-torus/failover+rescue")
+}
+
+// replaySeeds runs the simCorpus entry prefix+name through checkSimCase as
+// the subtest name, for each name.
+func replaySeeds(t *testing.T, prefix string, names ...string) {
+	if testing.Short() {
+		t.Skip("multi-run oracle skipped in -short mode")
+	}
+	for _, name := range names {
+		i := slices.IndexFunc(simCorpus, func(s simSeed) bool { return s.name == prefix+name })
+		if i < 0 {
+			t.Fatalf("simCorpus has no seed %q", prefix+name)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			checkSimCase(t, simCorpus[i].c)
+		})
+	}
 }
 
 // simCase is one decoded input; every byte string decodes to one. Index 0
