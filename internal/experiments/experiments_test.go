@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"heteroif/internal/topology"
+	"heteroif/internal/traffic"
 )
 
 func TestRegistryIDsUniqueAndResolvable(t *testing.T) {
@@ -65,13 +68,44 @@ func TestFig08Properties(t *testing.T) {
 	}
 }
 
+// TestMeasureSaturationFlag drives each of Measure's two saturation tests
+// alone on a 36-node mesh: accepted throughput below 0.85× the offered
+// load, and more packets queued at the sources than there are nodes.
 func TestMeasureSaturationFlag(t *testing.T) {
-	in := &Instance{}
-	_ = in // Measure needs a built instance; covered indirectly below.
+	cfg := shortCfg()
+	cfg.SimCycles, cfg.WarmupCycles = 1500, 300
+	run := func(rate float64) *Instance {
+		in, err := Build(cfg, smallSpec(topology.UniformParallelMesh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.RunSynthetic(traffic.Uniform{}, rate); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
 
-	r := Result{Rate: 0.2, Throughput: 0.1}
-	if !(r.Throughput < 0.85*r.Rate) {
-		t.Fatal("sanity: this operating point should read as saturated")
+	// Light load, short queues: only an offered load far above what the
+	// network accepted reads as saturated.
+	light := run(0.05)
+	if q, n := light.Net.QueuedPackets(), light.Topo.N; q > n {
+		t.Fatalf("0.05 left %d packets queued on %d nodes", q, n)
+	}
+	if r := light.Measure("mesh", "uniform", 0.05); r.Saturated {
+		t.Errorf("0.05 accepted at %.3f reads as saturated", r.Throughput)
+	}
+	if r := light.Measure("mesh", "uniform", 1); !r.Saturated {
+		t.Errorf("offered 1 but accepted %.3f: should read as saturated", r.Throughput)
+	}
+
+	// Far past saturation the source queues grow; with no offered load to
+	// compare against, they alone must flag it.
+	heavy := run(1.5)
+	if q, n := heavy.Net.QueuedPackets(), heavy.Topo.N; q <= n {
+		t.Fatalf("1.5 left only %d packets queued on %d nodes", q, n)
+	}
+	if r := heavy.Measure("mesh", "uniform", 0); !r.Saturated {
+		t.Errorf("%d packets queued on %d nodes should read as saturated", heavy.Net.QueuedPackets(), heavy.Topo.N)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"heteroif/internal/traffic"
@@ -12,8 +13,8 @@ import (
 // the headline Fig. 14 claim at the scale the paper actually evaluates:
 // hetero-channel beats both uniform baselines decisively (measured: 87
 // cycles unsaturated vs 408 for the saturated mesh and 653 for the
-// saturated hypercube). Known deviation, logged not asserted: our
-// hypercube baseline stays behind the mesh even at 3136 nodes — its
+// saturated hypercube). The hypercube baseline staying behind the mesh is
+// Fig. 14's documented deviation (a), held as an expected value: its
 // phase-partitioned escape discipline spends both Table 2 VCs, whereas
 // [30]'s original construction presumably provisions more; see
 // EXPERIMENTS.md. Gated behind HETEROIF_PAPERSCALE=1 so regular test runs
@@ -22,28 +23,22 @@ func TestPaperScaleOrdering(t *testing.T) {
 	if os.Getenv("HETEROIF_PAPERSCALE") == "" {
 		t.Skip("set HETEROIF_PAPERSCALE=1 to run the 3136-node spot check")
 	}
-	cfg := baseConfig(Options{}) // CI windows: 20k cycles
-	lat := map[string]float64{}
-	thr := map[string]float64{}
-	for _, v := range heteroChannelVariants(cfg, 8, 8, 7, 7) {
-		r, err := runPoint(v, traffic.Uniform{}, 0.1)
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		lat[v.Name] = r.MeanLatency
-		thr[v.Name] = r.Throughput
-		t.Logf("%-26s lat=%8.1f thr=%.4f sat=%v", v.Name, r.MeanLatency, r.Throughput, r.Saturated)
+	// CI windows (20k cycles), one shard per point as under hetsim -jobs.
+	cfg := baseConfig(Options{Jobs: runtime.GOMAXPROCS(0)})
+	vs := heteroChannelVariants(cfg, 8, 8, 7, 7)
+	jobs, keys := make([]pointJob, len(vs)), make([]string, len(vs))
+	for i, v := range vs {
+		keys[i] = "paperscale/" + v.Name
+		jobs[i] = point(keys[i], func() (Result, error) { return runPoint(v, traffic.Uniform{}, 0.1) })
 	}
-	if lat["uniform-serial-hypercube"] >= lat["uniform-parallel-mesh"] {
-		t.Logf("deviation (documented): hypercube %.1f behind mesh %.1f at 3136 nodes",
-			lat["uniform-serial-hypercube"], lat["uniform-parallel-mesh"])
+	res, failed := pooled(jobs)
+	rs := lookup(t, res, failed, keys...)
+	mesh, cube, ch := rs[0].MeanLatency, rs[1].MeanLatency, rs[2].MeanLatency
+	checkCubeBehindMesh(t, cube, mesh, 3136)
+	if ch >= cube || ch >= mesh {
+		t.Errorf("hetero-channel (%.1f) must beat both baselines (mesh %.1f, cube %.1f)", ch, mesh, cube)
 	}
-	if lat["hetero-channel-full"] >= lat["uniform-serial-hypercube"] ||
-		lat["hetero-channel-full"] >= lat["uniform-parallel-mesh"] {
-		t.Errorf("hetero-channel (%.1f) must beat both baselines (mesh %.1f, cube %.1f)",
-			lat["hetero-channel-full"], lat["uniform-parallel-mesh"], lat["uniform-serial-hypercube"])
-	}
-	if thr["hetero-channel-full"] < 0.095 {
-		t.Errorf("hetero-channel should sustain ≈0.1 flits/cycle/node, got %.4f", thr["hetero-channel-full"])
+	if thr := rs[2].Throughput; thr < 0.095 {
+		t.Errorf("hetero-channel should sustain ≈0.1 flits/cycle/node, got %.4f", thr)
 	}
 }

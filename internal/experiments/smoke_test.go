@@ -57,9 +57,12 @@ func checkRegistryGolden(t *testing.T, id string, m *Manifest, stdout []byte) {
 
 // TestEveryExperimentSmokes runs the complete registry at Tiny scale: every
 // runner must execute without error, produce output, and write its CSV, and
-// its manifest rows and output must equal the pinned digest. This is the
-// regression net for the experiment harness itself; the CI-scale and
-// paper-scale runs happen through cmd/hetsim and the root benchmarks.
+// its manifest rows and output must equal the pinned digest. The digests
+// were recorded on one job; running the points through a pool of one job
+// per CPU also holds every experiment to results independent of -jobs.
+// This is the regression net for the experiment harness itself; the
+// CI-scale and paper-scale runs happen through cmd/hetsim and the root
+// benchmarks.
 func TestEveryExperimentSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite takes ~a minute")
@@ -68,7 +71,7 @@ func TestEveryExperimentSmokes(t *testing.T) {
 	for _, e := range Registry {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			o := Options{Tiny: true, CSVDir: dir}
+			o := Options{Tiny: true, CSVDir: dir, Jobs: runtime.GOMAXPROCS(0)}
 			o.Manifest = NewManifest(e, "", o)
 			var buf bytes.Buffer
 			if err := e.Run(o, &buf); err != nil {

@@ -28,23 +28,23 @@ type HeteroChannel struct {
 	T *topology.Topo
 
 	// Bias weights the serial side of the Eq. 5 comparison: the cube is
-	// chosen when #H_P > Bias·#H_S + Margin. The default (0 → 1.0)
-	// minimizes total cross-chiplet hops, the paper's balanced rule.
-	// Setting it to the serial/parallel energy ratio (≈2.4) yields the
-	// energy-efficient scheduling of Sec. 8.3: serial hops are taken only
-	// when they save enough parallel hops to pay for their higher per-bit
-	// energy (the γ-weighted Eq. 3 cost).
+	// chosen when #H_P > Bias·#H_S. The default (0 → 1.0) minimizes total
+	// cross-chiplet hops, the paper's balanced rule. Setting it to the
+	// serial/parallel energy ratio (≈2.4) yields the energy-efficient
+	// scheduling of Sec. 8.3: serial hops are taken only when they save
+	// enough parallel hops to pay for their higher per-bit energy (the
+	// γ-weighted Eq. 3 cost).
 	Bias float64
-	// Margin is an additive chiplet-hop threshold on the same comparison.
-	Margin int
 }
 
-// bias returns the effective Eq. 5 weighting.
-func (h *HeteroChannel) bias() float64 {
-	if h.Bias <= 0 {
-		return 1
+// serialFirst is the Eq. 5 selection from node a toward dst: true while
+// the parallel mesh needs more than Bias times the cube's chiplet hops.
+func (h *HeteroChannel) serialFirst(a, dst network.NodeID) bool {
+	bias := h.Bias
+	if bias <= 0 {
+		bias = 1
 	}
-	return h.Bias
+	return float64(h.T.ChipletMeshHops(a, dst)) > bias*float64(h.T.CubeHops(a, dst))
 }
 
 // Name implements network.Routing.
@@ -67,7 +67,7 @@ func (h *HeteroChannel) Route(net *network.Network, r *network.Router, _ int, pk
 
 	// Record the Eq. 5 choice made at the source for statistics.
 	if pkt.Pref == network.SubnetAny && pkt.Hops() == 0 {
-		if float64(t.ChipletMeshHops(pkt.Src, pkt.Dst)) > h.bias()*float64(t.CubeHops(pkt.Src, pkt.Dst))+float64(h.Margin) {
+		if h.serialFirst(pkt.Src, pkt.Dst) {
 			pkt.Pref = network.SubnetSerial
 		} else {
 			pkt.Pref = network.SubnetParallel
@@ -78,8 +78,7 @@ func (h *HeteroChannel) Route(net *network.Network, r *network.Router, _ int, pk
 		return meshCandidates(t, net.Cfg.VCs, r, pkt, buf)
 	}
 
-	serialMode := float64(t.ChipletMeshHops(r.ID, pkt.Dst)) > h.bias()*float64(t.CubeHops(r.ID, pkt.Dst))+float64(h.Margin)
-	if !serialMode {
+	if !h.serialFirst(r.ID, pkt.Dst) {
 		pkt.Target = -1
 		return meshCandidates(t, net.Cfg.VCs, r, pkt, buf)
 	}
