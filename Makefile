@@ -19,11 +19,13 @@ test:
 # starts n-1 real goroutines, so the race detector sees the cross-shard
 # paths on any host. The network set runs again on one CPU, where every
 # multi-shard run is oversubscribed and the barrier must park, not poll.
+# CI's race job runs this target as is; -v on the targeted lines keeps one
+# log line per test.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' ./internal/network
-	GOMAXPROCS=1 $(GO) test -race -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' ./internal/network
-	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|FuzzSimPoint' ./internal/experiments
+	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' -v ./internal/network
+	GOMAXPROCS=1 $(GO) test -race -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' -v ./internal/network
+	$(GO) test -race -count=3 -run 'TestPointReleasesWorkers|FuzzSimPoint' -v ./internal/experiments
 
 # Non-test Go lines outside bench/ — the figure ROADMAP item 2 asks every
 # PR to report in CHANGES.md.

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Snapshot is a point-in-time congestion summary, for debugging and the
-// hetsim -diag output.
+// Snapshot is a point-in-time congestion summary, for debugging and test
+// failure messages.
 type Snapshot struct {
 	Cycle          int64
 	FlitsBuffered  int64

@@ -84,41 +84,7 @@ func TestWormholeAdmissionToggle(t *testing.T) {
 		return arrivals[1] - arrivals[0]
 	}
 	vct, worm := gap(false), gap(true)
-	if worm > vct {
-		t.Fatalf("wormhole gap %d should not exceed VCT gap %d", worm, vct)
-	}
-}
-
-func TestClassVCAffinityAtInjection(t *testing.T) {
-	// A latency-sensitive and a throughput packet offered back-to-back
-	// must land on different injection VCs (high vs low).
-	cfg := DefaultConfig()
-	col := &CollectorTracer{}
-	net2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2.AddNodes(2)
-	net2.Connect(KindOnChip, 0, 1)
-	net2.Routing = chainRouting{}
-	net2.Finalize()
-	net2.Tracer = col
-	b2 := net2.NewPacket(0, 1, 4, 0)
-	b2.Class = ClassThroughput
-	u2 := net2.NewPacket(0, 1, 4, 0)
-	u2.Class = ClassLatencySensitive
-	net2.Offer(b2)
-	net2.Offer(u2)
-	if err := net2.Run(100, nil); err != nil {
-		t.Fatal(err)
-	}
-	vcOf := map[uint64]VCID{}
-	for _, e := range col.Events {
-		if e.Kind == EvHop && e.Kind2 == KindOnChip {
-			vcOf[e.PktID] = e.VC
-		}
-	}
-	if len(vcOf) == 2 && vcOf[b2.ID] == vcOf[u2.ID] {
-		t.Fatalf("bulk and urgent packets shared VC %d despite class affinity", vcOf[b2.ID])
+	if worm >= vct {
+		t.Fatalf("wormhole gap %d should be shorter than VCT gap %d", worm, vct)
 	}
 }

@@ -44,15 +44,6 @@ type Network struct {
 	// retained past the call: the packet's slot is reused (NewPacket).
 	OnDeliver func(*Packet)
 
-	// Tracer, when non-nil, receives per-flit simulation events
-	// (injection, hops, ejection, allocation failures) for debugging. It is
-	// called from inside the phases, so it needs a one-shard network: an
-	// automatic shard count (Cfg.Workers = 0) resolves to one shard when a
-	// Tracer is attached before the first Step, while both SetWorkers(n>1)
-	// with a Tracer attached and Step with a Tracer on a sharded network
-	// panic.
-	Tracer Tracer
-
 	// Deprecated: PoolPackets is ignored. Every delivered packet's slot in
 	// the packet table is reused (NewPacket); the field stays only for
 	// callers that still assign it.
@@ -373,9 +364,6 @@ func (net *Network) Step() {
 		net.prepare()
 	}
 	p := net.shards
-	if net.Tracer != nil && len(p.sh) > 1 {
-		panic(tracerNeedsOneShard)
-	}
 	net.moved = 0
 	if p.ws == nil { // one shard, no workers: the phases are direct calls
 		net.phase1(0)
@@ -479,9 +467,6 @@ func (net *Network) mergeScratch(sc *workerScratch) {
 	for _, pkt := range sc.finished {
 		pkt.ArrivedAt = net.Now
 		pkt.settleEnergy(&net.Cfg)
-		if net.Tracer != nil {
-			net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvEject, PktID: pkt.ID, Node: pkt.Dst})
-		}
 		if net.Sink != nil {
 			net.Sink(pkt)
 		}
@@ -597,9 +582,6 @@ func (net *Network) injectNode(n int, sc *workerScratch) {
 				s.cur, s.curSeq, s.curVC = p, 0, VCID(best)
 				p.InjectedAt = net.Now
 				sc.pktsIn++
-				if net.Tracer != nil {
-					net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvInject, PktID: p.ID, Node: p.Src})
-				}
 			}
 			vc := &in.VCs[s.curVC]
 			if budget > 0 && s.curSeq < int32(s.cur.Length) && vc.Buf.Free() > 0 {

@@ -129,10 +129,6 @@ func (net *Network) SetShardCuts(cuts []int) {
 	}
 }
 
-// tracerNeedsOneShard is the panic raised when a Tracer meets more than one
-// shard, whichever of the two was set first.
-const tracerNeedsOneShard = "network: a Tracer needs one shard (events from concurrent shards would race); detach it or SetWorkers(0) first"
-
 // SetWorkers re-cuts a finalized network into n shards stepped by the
 // caller plus n-1 worker goroutines (1 or 0: one shard, no goroutine) and
 // pins that count by recording it in Cfg.Workers: the first Step no longer
@@ -145,9 +141,6 @@ const tracerNeedsOneShard = "network: a Tracer needs one shard (events from conc
 // later collection.
 func (net *Network) SetWorkers(n int) {
 	n = max(n, 1)
-	if n > 1 && net.Tracer != nil {
-		panic(tracerNeedsOneShard)
-	}
 	net.Cfg.Workers = n
 	if p := net.shards; p != nil && len(p.sh) == n {
 		return
@@ -171,14 +164,10 @@ const nodesPerShard = 512
 func cpus() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
 // autoShards is the shard count Cfg.Workers = 0 resolves to on the first
-// Step: one per nodesPerShard nodes, at most one per CPU, and one whenever
-// a Tracer is attached (its events must come from one goroutine). The CPUs
-// are assumed to be the process's own; where other processes hold them,
-// Step falls back to one shard after a contentionWindow.
+// Step: one per nodesPerShard nodes, at most one per CPU. The CPUs are
+// assumed to be the process's own; where other processes hold them, Step
+// falls back to one shard after a contentionWindow.
 func (net *Network) autoShards() int {
-	if net.Tracer != nil {
-		return 1
-	}
 	return max(1, min(len(net.Nodes)/nodesPerShard, cpus()))
 }
 
@@ -508,9 +497,7 @@ func (net *Network) phase2(w int) {
 		return
 	}
 	sc := &p.sh[w].scratch
-	// Step refuses a Tracer above one shard, so a non-nil one is only ever
-	// called from the stepping goroutine.
-	ctx := tickContext{net: net, scratch: sc, tracer: net.Tracer}
+	ctx := tickContext{net: net, scratch: sc}
 	net.tickNodeRange(&ctx, lo, hi)
 	net.injectNodeRange(sc, lo, hi)
 }

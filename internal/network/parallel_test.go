@@ -286,9 +286,8 @@ func TestBarrierPollCredit(t *testing.T) {
 }
 
 // TestAutoShards: Cfg.Workers = 0 resolves on the first Step to one shard
-// per 512 nodes, at most one per CPU, and to one shard while a Tracer is
-// attached; SetWorkers, before or after that Step, and Cfg.Workers ≥ 1 pin
-// the count.
+// per 512 nodes, at most one per CPU; SetWorkers, before or after that
+// Step, and Cfg.Workers ≥ 1 pin the count.
 func TestAutoShards(t *testing.T) {
 	step := func(net *Network) int {
 		t.Cleanup(func() { net.SetWorkers(0) })
@@ -300,12 +299,6 @@ func TestAutoShards(t *testing.T) {
 		if got, want := step(buildRing(t, n)), max(1, min(n/512, cpus())); got != want {
 			t.Errorf("%d nodes: %d shards, want %d", n, got, want)
 		}
-	}
-
-	traced := buildRing(t, 2048)
-	traced.Tracer = &CollectorTracer{}
-	if got := step(traced); got != 1 {
-		t.Errorf("Tracer attached before the first Step: %d shards, want 1", got)
 	}
 
 	for _, pin := range []int{0, 1} {
@@ -455,52 +448,6 @@ func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("saturated parallel step allocates %.2f objects per cycle, want 0", avg)
-	}
-}
-
-// wantTracerPanic runs f and fails unless it panics with the one message a
-// Tracer meeting several shards produces.
-func wantTracerPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r != tracerNeedsOneShard {
-			t.Errorf("recovered %v, want the tracer panic", r)
-		}
-	}()
-	f()
-}
-
-// TestSetWorkersRejectsTracer: tracer first, shards second.
-func TestSetWorkersRejectsTracer(t *testing.T) {
-	net, _ := twoNodeNet(t, KindOnChip, nil)
-	net.Tracer = &CollectorTracer{}
-	wantTracerPanic(t, func() { net.SetWorkers(4) })
-}
-
-// TestStepRejectsLateTracer: shards first, tracer second. The tracer used
-// to be dropped silently; now the first Step refuses it with the message
-// SetWorkers gives, and back at one shard the same network honours it.
-func TestStepRejectsLateTracer(t *testing.T) {
-	net, _ := twoNodeNet(t, KindOnChip, nil)
-	net.SetWorkers(4)
-	defer net.SetWorkers(0)
-	col := &CollectorTracer{}
-	net.Tracer = col
-	net.Offer(net.NewPacket(0, 1, 4, 0))
-	wantTracerPanic(t, net.Step)
-
-	net.Tracer = nil
-	net.SetWorkers(0)
-	net.Tracer = col
-	if err := net.Run(100, nil); err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[EventKind]int{}
-	for _, e := range col.Events {
-		kinds[e.Kind]++
-	}
-	if kinds[EvInject] != 1 || kinds[EvEject] != 1 || kinds[EvHop] == 0 {
-		t.Errorf("one-shard tracer saw %v, want one inject, one eject and hops", kinds)
 	}
 }
 

@@ -538,7 +538,6 @@ func (r *Router) deliver(inPort int, f Flit) {
 type tickContext struct {
 	net     *Network
 	scratch *workerScratch
-	tracer  Tracer
 }
 
 // tickCtx performs RC, VA and SA for one cycle (Sec. 7.1: all three
@@ -599,24 +598,19 @@ func (r *Router) grantVC(slot int, vc *VCState, port int, outVC VCID) {
 // vaFail records a VC-allocation failure (the retry happens next cycle).
 // When the routing level guarantees the retry would recompute the same
 // candidates, the slot parks on the candidate ports instead of rescanning
-// every cycle — except under a tracer, whose per-cycle EvVAFail events
-// need the revisits.
+// every cycle.
 func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, restricted bool, cands []Candidate) {
 	vc.candsPkt, vc.candsRestricted = pktID, restricted
 	ctx.scratch.vaFailures++
-	if ctx.tracer != nil {
-		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvVAFail, PktID: pktID, Node: r.ID})
-		return
-	}
 	if ctx.net.stability >= RouteRetryStable {
 		r.parkVA(slot, cands)
 	}
 }
 
 // prepare runs on the first Step, once the topology (including injected
-// faults), the algorithm and any Tracer are in place: it reads the routing
-// algorithm's declared stability and resolves Cfg.Workers, which an earlier
-// SetWorkers has already set (0 = autoShards).
+// faults) and the algorithm are in place: it reads the routing algorithm's
+// declared stability and resolves Cfg.Workers, which an earlier SetWorkers
+// has already set (0 = autoShards).
 func (net *Network) prepare() {
 	net.prepared = true
 	if s, ok := net.Routing.(Stable); ok {
@@ -625,9 +619,6 @@ func (net *Network) prepare() {
 	n := net.Cfg.Workers
 	if n == 0 {
 		n = net.autoShards()
-	}
-	if n > 1 && net.Tracer != nil {
-		panic(tracerNeedsOneShard)
 	}
 	if n != len(net.shards.sh) {
 		net.setShards(n)
@@ -956,7 +947,7 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 		}
 	} else {
 		if headSeq == 0 {
-			r.headHop(ctx, r.pkts.get(vc.headRef), vc, out)
+			r.headHop(ctx, r.pkts.get(vc.headRef), out)
 		}
 		ctx.scratch.grantsByKind[out.Kind] += uint64(n)
 		out.Credits[vc.OutVC] -= n
@@ -1006,15 +997,12 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	ctx.scratch.moved += uint64(n)
 }
 
-// headHop records a head flit leaving through out: the trace event, the
-// per-kind hop counter (which also counts every flit's traversal of a
-// plain link, Packet.settleEnergy) and the hop bound (maxPacketHops). A
-// packet at the bound is a routing livelock; the merge reports it through
-// the watchdog's error path.
-func (r *Router) headHop(ctx *tickContext, pkt *Packet, vc *VCState, out *OutPort) {
-	if ctx.tracer != nil {
-		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvHop, PktID: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
-	}
+// headHop records a head flit leaving through out: the per-kind hop
+// counter (which also counts every flit's traversal of a plain link,
+// Packet.settleEnergy) and the hop bound (maxPacketHops). A packet at the
+// bound is a routing livelock; the merge reports it through the watchdog's
+// error path.
+func (r *Router) headHop(ctx *tickContext, pkt *Packet, out *OutPort) {
 	switch out.Kind {
 	case KindOnChip:
 		pkt.HopsOnChip++
