@@ -88,7 +88,8 @@ bench:
 # program build), 30 s of the latency-histogram fuzz target, 60 s of the
 # engine-against-dense-model fuzz target, 60 s of the simPoint invariant
 # fuzz target, and one pass of the trace generators' ledger (records/s,
-# allocations).
+# allocations). About 3.5 min on 2 vCPUs, most of it the 150 s of fuzzing;
+# BenchmarkStep itself takes about 30 s.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
 	$(GO) test -run 'ZeroAllocs|BuildAllocs' ./internal/network ./internal/stats ./internal/collective

@@ -154,14 +154,21 @@ func runProg(t *testing.T, side int, prog *collective.Program, budget int64) col
 
 func TestAllReduceCompletes(t *testing.T) {
 	ps := parts(0, 3, 12, 15) // mesh corners of a 4×4
-	prog := collective.RingAllReduce(ps, 128, 20)
+	// 20-flit chunks: each message ends in a short packet.
+	prog := collective.RingAllReduce(ps, 80, 20)
 	rep := runProg(t, 4, prog, 1<<20)
 
 	if rep.Elapsed <= 0 {
 		t.Fatalf("elapsed = %d", rep.Elapsed)
 	}
-	if rep.Packets == 0 || rep.Flits != prog.TotalFlits() {
-		t.Fatalf("packets=%d flits=%d want flits=%d", rep.Packets, rep.Flits, prog.TotalFlits())
+	// Payloads are segmented at the network's packet length.
+	plen := network.DefaultConfig().PacketLength
+	var pkts int64
+	for _, m := range prog.Msgs {
+		pkts += int64((m.Flits + plen - 1) / plen)
+	}
+	if rep.Packets != pkts || rep.Flits != prog.TotalFlits() {
+		t.Fatalf("packets=%d flits=%d want %d and %d", rep.Packets, rep.Flits, pkts, prog.TotalFlits())
 	}
 	if rep.StallCycles < 0 || rep.CommCycles <= 0 {
 		t.Fatalf("comm=%d stall=%d", rep.CommCycles, rep.StallCycles)

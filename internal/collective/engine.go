@@ -37,9 +37,6 @@ type readyEntry struct {
 type Engine struct {
 	Net  *network.Network
 	Prog *Program
-	// PacketLength overrides the network's configured packet length for
-	// payload segmentation (0 = use Net.Cfg.PacketLength).
-	PacketLength int
 
 	state []msgState
 	// dependents[depOff[m]:depOff[m+1]] lists the messages that wait for
@@ -233,10 +230,7 @@ func (e *Engine) offer(m int32, now int64) {
 		e.complete(m, now)
 		return
 	}
-	plen := e.PacketLength
-	if plen <= 0 {
-		plen = e.Net.Cfg.PacketLength
-	}
+	plen := e.Net.Cfg.PacketLength
 	for left := msg.Flits; left > 0; left -= plen {
 		l := plen
 		if left < plen {

@@ -93,6 +93,14 @@ func LoadCustomRunFile(path string) (*CustomRun, error) {
 
 // Execute builds and runs the custom simulation, writing a report to w.
 func (c *CustomRun) Execute(w io.Writer) error {
+	switch {
+	case c.Cycles < 0:
+		return fmt.Errorf("experiments: cycles must be non-negative, got %d", c.Cycles)
+	case c.Warmup < 0:
+		return fmt.Errorf("experiments: warmup must be non-negative, got %d", c.Warmup)
+	case c.PacketLength < 0:
+		return fmt.Errorf("experiments: packet_length must be non-negative, got %d", c.PacketLength)
+	}
 	cfg := network.DefaultConfig()
 	if c.Cycles > 0 {
 		cfg.SimCycles = c.Cycles
@@ -133,7 +141,7 @@ func (c *CustomRun) Execute(w io.Writer) error {
 	case c.Rate <= 0:
 		return fmt.Errorf("experiments: rate must be positive")
 	case c.Eq5Bias < 0:
-		return fmt.Errorf("experiments: eq5_bias must be positive")
+		return fmt.Errorf("experiments: eq5_bias must be non-negative, got %g", c.Eq5Bias)
 	case c.Eq5Bias > 0 && sys != topology.HeteroChannel:
 		return fmt.Errorf("experiments: eq5_bias only applies to hetero-channel systems")
 	}

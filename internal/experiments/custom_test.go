@@ -64,6 +64,20 @@ func TestCustomRunValidation(t *testing.T) {
 			t.Errorf("case %d: invalid custom run accepted", i)
 		}
 	}
+	// A negative number is refused by name, not replaced by a default.
+	for field, c := range map[string]CustomRun{
+		"cycles":        {Cycles: -1, Warmup: 200},
+		"warmup":        {Cycles: 2000, Warmup: -1},
+		"packet_length": {Cycles: 2000, Warmup: 200, PacketLength: -1},
+		"eq5_bias":      {Cycles: 2000, Warmup: 200, Eq5Bias: -1},
+	} {
+		c.System, c.ChipletsX, c.ChipletsY, c.NodesX, c.NodesY = "hetero-channel", 2, 2, 2, 2
+		c.Pattern, c.Rate = "uniform", 0.1
+		var buf bytes.Buffer
+		if err := c.Execute(&buf); err == nil || !strings.Contains(err.Error(), field+" must be non-negative") {
+			t.Errorf("%s = -1: got error %v", field, err)
+		}
+	}
 }
 
 func TestLoadCustomRunRejectsUnknownFields(t *testing.T) {

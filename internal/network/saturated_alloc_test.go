@@ -5,27 +5,8 @@ import (
 
 	"heteroif/internal/network"
 	"heteroif/internal/network/netbench"
-	"heteroif/internal/routing"
 	"heteroif/internal/topology"
 )
-
-// buildHeteroChannel constructs a 64-node mesh+hypercube system (Fig. 10):
-// on-chip links inside the 2×2 chiplets, plain parallel (Delay 5) and
-// serial (Delay 20) interfaces between them, no adapters.
-func buildHeteroChannel(t *testing.T) *network.Network {
-	net, topo, err := topology.Build(network.DefaultConfig(), topology.Spec{
-		System:    topology.HeteroChannel,
-		ChipletsX: 4, ChipletsY: 4, NodesX: 2, NodesY: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.Routing, err = routing.ForSystem(topo, &net.Cfg); err != nil {
-		t.Fatal(err)
-	}
-	net.Finalize()
-	return net
-}
 
 // checkSaturatedZeroAllocs drives net to steady-state saturation (every
 // scratch slice and work list at steady capacity) and requires that a Step
@@ -57,8 +38,8 @@ func TestSaturatedStepZeroAllocs(t *testing.T) {
 	}
 	for name, net := range map[string]*network.Network{
 		"on-chip-mesh":   netbench.BuildMesh(8),
-		"hetero-channel": buildHeteroChannel(t),
-		"hetero-phy":     netbench.BuildHeteroTorus(2, 2, 4, 4),
+		"hetero-channel": netbench.Build(topology.Spec{System: topology.HeteroChannel, ChipletsX: 4, ChipletsY: 4, NodesX: 2, NodesY: 2}),
+		"hetero-phy":     netbench.Build(topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: 2, ChipletsY: 2, NodesX: 4, NodesY: 4}),
 	} {
 		checkSaturatedZeroAllocs(t, name, net)
 	}
@@ -75,7 +56,7 @@ func TestSaturatedParallelStepZeroAllocs(t *testing.T) {
 	}
 	for name, net := range map[string]*network.Network{
 		"on-chip-mesh": netbench.BuildMesh(16),
-		"hetero-phy":   netbench.BuildHeteroTorus(4, 2, 4, 4),
+		"hetero-phy":   netbench.Build(topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: 4, ChipletsY: 2, NodesX: 4, NodesY: 4}),
 	} {
 		net.SetWorkers(2)
 		checkSaturatedZeroAllocs(t, name+"/2 shards", net)
