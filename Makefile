@@ -17,8 +17,11 @@ test:
 
 # The oracle and release steps need no forcing: SetWorkers(n>1) always
 # starts n-1 real goroutines, so the race detector sees the cross-shard
-# paths on any host. The network set runs again on one CPU, where every
-# multi-shard run is oversubscribed and the barrier must park, not poll.
+# paths on any host, and the automatic count's load-driven re-cuts run in
+# TestAutoShards and FuzzSimPoint's knee seed. The network set runs again
+# on one CPU, where every multi-shard run is oversubscribed and the barrier
+# must park, not poll, and where the load never re-cuts an automatic count
+# (TestAutoShards checks that it stays on one shard).
 # CI's race job runs this target as is; -v on the targeted lines keeps one
 # log line per test.
 race:

@@ -39,7 +39,7 @@ func main() {
 		jsonDir = flag.String("json", "", "directory for JSON result manifests (BENCH_<exp>.json, optional)")
 		seed    = flag.Int64("seed", 0, "random seed override (0 = default)")
 		workers = flag.Int("workers", 0, "shards per simulation, one goroutine each (cycle-level, deterministic); "+
-			"0 picks one per 512 nodes up to the CPUs, or one when -jobs > 1; "+
+			"0 picks one per 512 nodes or per 400 flit moves a cycle, re-read as the load changes, up to the CPUs, or one when -jobs > 1; "+
 			"when set explicitly it overrides the \"workers\" field of a -run spec")
 		jobs = flag.Int("jobs", 1, "concurrent operating points per experiment (point-level, deterministic; "+
 			"results are bit-identical for any value)")

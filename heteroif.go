@@ -64,8 +64,9 @@ type (
 	// Pattern is a synthetic traffic pattern.
 	Pattern = traffic.Pattern
 	// Policy schedules flits between the two PHYs of a hetero-PHY adapter.
-	// Systems of 1,024 nodes or more step on several goroutines by default
-	// (Config.Workers), and adapters then call Dispatch concurrently: a
+	// Systems of 1,024 nodes or more, and smaller ones under heavy load,
+	// step on several goroutines by default (Config.Workers), and adapters
+	// then call Dispatch concurrently: a
 	// stateful policy keeps its state per adapter (give it a
 	// ClonePolicy() Policy method; Build clones it once per adapter) or
 	// synchronises it.

@@ -66,8 +66,9 @@ type State struct {
 // Policy decides, flit by flit, which PHY a queued flit is issued to
 // (Sec. 5.3). Returning ok=false leaves the flit queued this cycle.
 //
-// On a sharded network (network.Config.Workers, by default every system of
-// 1,024 nodes or more on a multi-CPU host) the adapters of different shards
+// On a sharded network (network.Config.Workers: by default, on a
+// multi-CPU host, every system of 1,024 nodes or more and any smaller one
+// busy enough to pay for a second shard) the adapters of different shards
 // call Dispatch at the same time, each from its shard's goroutine. A policy
 // that keeps state must therefore keep it per adapter (implement
 // PolicyCloner; one adapter's calls never overlap) or synchronise it.

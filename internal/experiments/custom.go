@@ -46,8 +46,8 @@ type CustomRun struct {
 
 	// Workers cuts the simulation into this many deterministically stepped
 	// shards, one goroutine each (1 = one shard; 0 = picked from the
-	// system size, see network.Config.Workers). The hetsim -workers flag,
-	// when set explicitly, overrides this field.
+	// system size and the load, see network.Config.Workers). The hetsim
+	// -workers flag, when set explicitly, overrides this field.
 	Workers int `json:"workers,omitempty"`
 
 	// PacketLength overrides the synthetic packet length in flits.

@@ -28,8 +28,8 @@ type Options struct {
 	Seed int64
 	// Workers cuts one simulation into that many deterministically stepped
 	// shards, one goroutine each (1 = one shard) — cycle-level
-	// parallelism. 0 picks the count from the system size
-	// (network.Config.Workers), or one shard when Jobs > 1.
+	// parallelism. 0 picks the count from the system size and follows the
+	// load (network.Config.Workers), or one shard when Jobs > 1.
 	Workers int
 	// Tiny shrinks systems and windows to smoke-test scale (seconds for
 	// the whole registry); used by tests, never for reported results.

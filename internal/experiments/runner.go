@@ -61,7 +61,7 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	net.LivelockHopBound = 6 * (topo.GX + topo.GY)
 	// Shard the stepper along chiplet rows so cross-shard traffic rides the
 	// D2D interface links. The first Step picks the shard count from
-	// cfg.Workers (0 = by system size).
+	// cfg.Workers (0 = by system size, then by load as well).
 	net.SetShardCuts(topo.ShardCuts())
 	return in, nil
 }

@@ -119,12 +119,14 @@ type Config struct {
 
 	// Workers is the number of shards the cycle engine is cut into, each
 	// beyond the first stepped by its own goroutine (1 = one shard, no
-	// goroutine; negative is rejected). 0, the default, lets the first
-	// Step pick: one shard per 512 nodes, at most one per CPU — so systems
-	// under 1,024 nodes stay on one, where a second loses or breaks even
-	// (DESIGN.md, "Where sharding pays"); a picked count drops to one shard
-	// for the rest of the run when other processes keep its workers off the
-	// CPUs.
+	// goroutine; negative is rejected). 0, the default, lets the engine
+	// pick: the first Step cuts one shard per 512 nodes, and every 256
+	// stepped cycles (loadWindow) the count rises to one per 400 flit
+	// movements a cycle when that is more, falling back once the load
+	// halves — at most one per CPU and one per 64 nodes (DESIGN.md, "Where
+	// sharding pays"). A picked count drops to one shard, pinned here as 1
+	// for the rest of the run, when other processes keep its workers off
+	// the CPUs.
 	// Network.SetWorkers overrides either and records its count here.
 	// Shards are whole 64-node wake words, cut at chiplet boundaries where
 	// the topology declares aligned ones (Network.SetShardCuts); shards

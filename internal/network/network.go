@@ -68,8 +68,13 @@ type Network struct {
 	flitsOut   int64 // flits ejected
 	pktsIn     int64
 	pktsOut    int64
-	moved      uint64 // flit movements this cycle (watchdog)
+	moved      uint64 // flit movements this cycle (watchdog, load window)
 	idleStreak int64
+
+	// The load window (see loadWindow): movements summed over the steps
+	// counted so far.
+	loadMoved uint64
+	loadSteps int
 
 	// DeadlockAt records the cycle at which the watchdog fired, or -1.
 	// livelock names the packet when it fired because one reached
@@ -375,8 +380,9 @@ func (net *Network) Step() {
 	for w := range p.sh {
 		net.mergeScratch(&p.sh[w].scratch)
 	}
-	if p.ws != nil && p.ws.b.contended && net.Cfg.Workers == 0 {
-		net.setShards(1) // an automatic count under contention (contentionWindow)
+	net.loadMoved += net.moved
+	if net.loadSteps++; net.loadSteps == loadWindow {
+		net.reshard()
 	}
 	net.watchdog()
 	net.Now++

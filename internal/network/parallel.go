@@ -24,8 +24,9 @@ import (
 // A finalized network is always cut into shards, contiguous node ranges
 // that each own their wake lists and an accumulation scratch. Finalize
 // creates one shard covering every node; the first Step re-cuts into the
-// count Config.Workers asks for (0: autoShards), and SetWorkers(n) re-cuts
-// into n at any time. Step runs phase 1 on every shard, then phase 2 on
+// count Config.Workers asks for (0: autoShards by size), an automatic count
+// follows the load from then on (reshard), and SetWorkers(n) re-cuts into
+// n at any time. Step runs phase 1 on every shard, then phase 2 on
 // every shard, then merges the scratches in shard order. With one shard
 // each phase is a direct call: no goroutine, no finalizer. With n shards
 // the phases run on n-1 persistent worker goroutines (the caller is shard
@@ -33,7 +34,7 @@ import (
 // briefly and then parking; the two phase functions are bound once, so
 // dispatching a step performs no allocation. An automatic count whose
 // barrier keeps waiting for descheduled partners drops back to one shard
-// (contentionWindow).
+// for good (contentionWindow).
 //
 // Every nodeWake/srcWake bitmap word has exactly one owning shard: shard
 // bounds fall on 64-node word boundaries, so a shard reads and writes its
@@ -42,8 +43,8 @@ import (
 // (Network.SetShardCuts, fed by topology.Topo.ShardCuts) when one is
 // word-aligned and near: cross-shard traffic then rides the modeled D2D
 // interface links instead of intra-chiplet mesh hops. Bounds change only
-// when the caller re-cuts (SetWorkers, SetShardCuts) or the first Step
-// resolves the shard count, never with load.
+// when the caller re-cuts (SetWorkers, SetShardCuts), the first Step
+// resolves the shard count, or a load window changes an automatic one.
 //
 // Links woken by a router tick (a granted run or credit return on a possibly
 // foreign-shard link) are recorded in the shard's private scratch and
@@ -131,11 +132,12 @@ func (net *Network) SetShardCuts(cuts []int) {
 
 // SetWorkers re-cuts a finalized network into n shards stepped by the
 // caller plus n-1 worker goroutines (1 or 0: one shard, no goroutine) and
-// pins that count by recording it in Cfg.Workers: the first Step no longer
-// picks one (see autoShards). Results are identical for every n. n is
-// taken at its word, even past the CPUs the process can use; the workers
-// then park instead of polling between phases, which keeps them correct
-// but adds a wake-up per phase. Asking for the current count is a no-op.
+// pins that count by recording it in Cfg.Workers: neither the first Step
+// nor the load picks one any more (see autoShards). Results are identical
+// for every n. n is taken at its word, even past the CPUs the process can
+// use; the workers then park instead of polling between phases, which
+// keeps them correct but adds a wake-up per phase. Asking for the current
+// count is a no-op.
 // SetWorkers(0) stops the previous workers before it returns; a network
 // dropped while still sharded is released by the workerSet finalizer at a
 // later collection.
@@ -149,26 +151,63 @@ func (net *Network) SetWorkers(n int) {
 }
 
 // Workers reports the number of shards the network steps on: 1 until the
-// first Step resolves Cfg.Workers, unless SetWorkers set it first, and 1
-// again once an automatic count has met a contended host (see
+// first Step resolves Cfg.Workers, unless SetWorkers set it first; for an
+// automatic count, whatever the last load window left (see reshard), and 1
+// for good, pinned, once it has met a contended host (see
 // contentionWindow).
 func (net *Network) Workers() int { return len(net.shards.sh) }
 
-// nodesPerShard is the system size each shard of an automatic count must
-// cover. Below 1,024 nodes a second shard loses or breaks even at low load
-// on a two-CPU host; from 1,024 up it wins at every load measured
-// (DESIGN.md, "Where sharding pays").
+// nodesPerShard is the system size each shard of an automatic count covers
+// whatever the load: from 1,024 nodes up a second shard wins at every load
+// measured (DESIGN.md, "Where sharding pays").
 const nodesPerShard = 512
+
+// movesPerShard is the mean flit movement per stepped cycle (Network.moved:
+// link arrivals plus injected flits) each shard of an automatic count
+// needs; below 1,024 nodes a second shard wins only past it (DESIGN.md,
+// "Where sharding pays").
+const movesPerShard = 400
+
+// loadWindow is how many stepped cycles an automatic count's load is
+// averaged over before reshard re-evaluates it. It divides
+// contentionWindow/2, the steps of one contention window, so a verdict is
+// read at the end of the load window it lands in.
+const loadWindow = 256
 
 // cpus is how many goroutines of this process can run at once.
 func cpus() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
-// autoShards is the shard count Cfg.Workers = 0 resolves to on the first
-// Step: one per nodesPerShard nodes, at most one per CPU. The CPUs are
-// assumed to be the process's own; where other processes hold them, Step
-// falls back to one shard after a contentionWindow.
-func (net *Network) autoShards() int {
-	return max(1, min(len(net.Nodes)/nodesPerShard, cpus()))
+// autoShards is the shard count Cfg.Workers = 0 asks for at a mean of moved
+// flit movements per cycle: one per nodesPerShard nodes or one per
+// movesPerShard movements, whichever is more, at most one per CPU and one
+// per wake word. The first Step passes 0, so it cuts by size alone. The
+// CPUs are assumed to be the process's own; where other processes hold
+// them, reshard falls back to one shard after a contentionWindow.
+func (net *Network) autoShards(moved uint64) int {
+	n := max(len(net.Nodes)/nodesPerShard, int(moved/movesPerShard))
+	return max(1, min(n, cpus(), (len(net.Nodes)+63)/64))
+}
+
+// reshard ends a load window. An automatic count takes autoShards of the
+// window's mean movement when that is more shards than it has, and when it
+// is fewer, only once the mean is under half of what the current count
+// needs, so a load near a threshold cannot flap. A contended verdict
+// (contentionWindow) pins one shard instead, for the rest of the run. A
+// pinned count never moves. Results are the same at every count.
+func (net *Network) reshard() {
+	mean := net.loadMoved / loadWindow
+	net.loadMoved, net.loadSteps = 0, 0
+	if net.Cfg.Workers != 0 {
+		return
+	}
+	if ws := net.shards.ws; ws != nil && ws.b.contended {
+		net.SetWorkers(1)
+		return
+	}
+	n, want := len(net.shards.sh), net.autoShards(mean)
+	if want > n || want < n && 2*mean < uint64(n*movesPerShard) {
+		net.setShards(want)
+	}
 }
 
 // setShards builds the shard state for n shards from scratch — ownership
@@ -270,7 +309,7 @@ const pollCredit = 32
 // judges whether the host is contended: more than half of them left its
 // poll credit negative, so a worker was late by more than spinFor at least
 // once every pollCredit dispatches throughout. An automatically sharded
-// network then drops to one shard for the rest of its run (Step), since
+// network then drops to one shard for the rest of its run (reshard), since
 // its partners keep losing their CPUs to other processes; a pinned one
 // keeps its count, its waiters parking at once while their credits are
 // negative. On an idle two-CPU host no

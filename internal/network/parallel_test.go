@@ -286,8 +286,13 @@ func TestBarrierPollCredit(t *testing.T) {
 }
 
 // TestAutoShards: Cfg.Workers = 0 resolves on the first Step to one shard
-// per 512 nodes, at most one per CPU; SetWorkers, before or after that
-// Step, and Cfg.Workers ≥ 1 pin the count.
+// per 512 nodes, at most one per CPU, and from then on follows the load
+// window by window: a saturated 256-node mesh is promoted within one window
+// with the arrivals of one shard throughout, drops back to its size floor
+// once its traffic stops but not while the load stays over half of what
+// two shards need, and a lightly loaded one never moves. SetWorkers,
+// before or after that Step, and Cfg.Workers ≥ 1 pin the count; so does a
+// single CPU.
 func TestAutoShards(t *testing.T) {
 	step := func(net *Network) int {
 		t.Cleanup(func() { net.SetWorkers(0) })
@@ -314,10 +319,74 @@ func TestAutoShards(t *testing.T) {
 			t.Errorf("SetWorkers(%d) after the first Step: %d shards, want 1", pin, got)
 		}
 	}
-	pinned := buildRing(t, 64)
-	pinned.Cfg.Workers = 3
-	if got := step(pinned); got != 3 {
-		t.Errorf("Cfg.Workers = 3: %d shards, want 3", got)
+
+	// windows steps net for k load windows, offering traffic through offer
+	// when it is not nil, and returns the largest shard count it ends a
+	// window on. It keeps the host from being judged contended, which on a
+	// busy one would pin one shard for good (TestAutoShardsContended
+	// covers that).
+	windows := func(net *Network, k int, offer func(*Network, int64)) (most int) {
+		t.Cleanup(func() { net.SetWorkers(0) })
+		for end := net.Now + int64(k*loadWindow); net.Now < end; {
+			if offer != nil {
+				offer(net, net.Now)
+			}
+			if ws := net.shards.ws; ws != nil {
+				ws.b.sunk = 0
+			}
+			if net.Step(); net.loadSteps == 0 {
+				most = max(most, net.Workers())
+			}
+		}
+		return most
+	}
+	_, want := runSaturatedMesh(t, 16, 1, nil, 2*loadWindow)
+	busy := buildXYMesh(t, 16)
+	got := map[uint64]int64{}
+	busy.Sink = func(p *Packet) { got[p.ID] = p.ArrivedAt }
+	if n := windows(busy, 1, saturateXYMesh); n < min(2, cpus()) {
+		t.Errorf("saturated 256-node mesh: %d shards after one window, want at least %d", n, min(2, cpus()))
+	}
+	windows(busy, 1, saturateXYMesh)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("promoted mesh: %d deliveries vs %d on one shard", len(got), len(want))
+	}
+	for id, at := range want {
+		if got[id] != at {
+			t.Fatalf("promoted mesh: packet %d arrived at %d, %d on one shard", id, got[id], at)
+		}
+	}
+
+	// Every node sends its X neighbour a packet every period cycles. At 8
+	// that is 2 flits a cycle, its injection and link bandwidth, about
+	// 2,000 movements a cycle; at 32 about 500, under what two shards need
+	// but over half of it. Either way the mesh drains within a few cycles
+	// once the traffic stops.
+	neighbours := func(period int64) func(*Network, int64) {
+		return func(net *Network, now int64) {
+			for src := NodeID(now % period); src < 256; src += NodeID(period) {
+				net.Offer(net.NewPacket(src, src^1, net.Cfg.PacketLength, now))
+			}
+		}
+	}
+	busy = buildXYMesh(t, 16)
+	if n := windows(busy, 1, neighbours(8)); n != min(2, cpus()) {
+		t.Errorf("busy 256-node mesh: %d shards, want %d", n, min(2, cpus()))
+	}
+	if windows(busy, 2, neighbours(32)); busy.Workers() != min(2, cpus()) {
+		t.Errorf("256-node mesh at a quarter of that load: %d shards, want to keep %d", busy.Workers(), min(2, cpus()))
+	}
+	if windows(busy, 1, nil); busy.Workers() != 1 {
+		t.Errorf("256-node mesh whose traffic stopped: %d shards a window later, want its size floor 1", busy.Workers())
+	}
+
+	for _, pin := range []int{1, 3} {
+		pinned := buildXYMesh(t, 16)
+		pinned.Cfg.Workers = pin
+		most := windows(pinned, 2, saturateXYMesh)
+		if windows(pinned, 2, nil); most != pin || pinned.Workers() != pin {
+			t.Errorf("Cfg.Workers = %d: up to %d shards saturated, %d idle, want %d", pin, most, pinned.Workers(), pin)
+		}
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -325,6 +394,9 @@ func TestAutoShards(t *testing.T) {
 		if got := step(buildRing(t, n)); got != 1 {
 			t.Errorf("GOMAXPROCS=1, %d nodes: %d shards, want 1", n, got)
 		}
+	}
+	if n := windows(buildXYMesh(t, 16), 2, saturateXYMesh); n != 1 {
+		t.Errorf("GOMAXPROCS=1, saturated 256-node mesh: %d shards, want 1", n)
 	}
 }
 
@@ -527,8 +599,9 @@ func TestReshardMidRun(t *testing.T) {
 // TestAutoShardsContended: the caller judges a window contended when more
 // than half of its dispatches left its poll credit negative; an
 // automatically sharded network then drops to one shard at the end of that
-// Step, with every packet still arriving at the cycle it does on one shard
-// throughout, while a pinned count is kept.
+// load window and stays there through saturated windows that would
+// otherwise promote it, with every packet still arriving at the cycle it
+// does on one shard throughout, while a pinned count is kept.
 func TestAutoShardsContended(t *testing.T) {
 	b := &barrier{}
 	for _, sunk := range []int{contentionWindow / 2, contentionWindow/2 + 1} {
@@ -544,7 +617,9 @@ func TestAutoShardsContended(t *testing.T) {
 		}
 	}
 
-	const side, cycles = 16, 600
+	// The verdict lands in the first load window and is read at its end,
+	// before the barrier's own first verdict; two saturated windows follow.
+	const side, verdict, cycles = 16, 100, 3 * loadWindow
 	_, want := runSaturatedMesh(t, side, 1, nil, cycles)
 	for _, pinned := range []bool{false, true} {
 		net := buildXYMesh(t, side)
@@ -552,18 +627,21 @@ func TestAutoShardsContended(t *testing.T) {
 		net.SetWorkers(2)
 		got := map[uint64]int64{}
 		net.Sink = func(p *Packet) { got[p.ID] = p.ArrivedAt }
+		most := 0
 		for net.Now < cycles {
 			saturateXYMesh(net, net.Now)
-			if net.Now == 300 {
+			if net.Now == verdict {
 				if !pinned {
 					net.Cfg.Workers = 0 // as if the first Step had picked two
 				}
 				net.shards.ws.b.contended = true
 			}
-			net.Step()
+			if net.Step(); net.Now > loadWindow {
+				most = max(most, net.Workers())
+			}
 		}
-		if wantShards := map[bool]int{false: 1, true: 2}[pinned]; net.Workers() != wantShards {
-			t.Errorf("pinned=%v: %d shards after a contended window, want %d", pinned, net.Workers(), wantShards)
+		if wantShards := map[bool]int{false: 1, true: 2}[pinned]; most != wantShards {
+			t.Errorf("pinned=%v: up to %d shards in the saturated windows after a contended one, want %d", pinned, most, wantShards)
 		}
 		if err := net.CheckCredits(); err != nil {
 			t.Fatal(err)

@@ -610,7 +610,7 @@ func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, r
 // prepare runs on the first Step, once the topology (including injected
 // faults) and the algorithm are in place: it reads the routing algorithm's
 // declared stability and resolves Cfg.Workers, which an earlier SetWorkers
-// has already set (0 = autoShards).
+// has already set (0 = autoShards by size alone).
 func (net *Network) prepare() {
 	net.prepared = true
 	if s, ok := net.Routing.(Stable); ok {
@@ -618,7 +618,7 @@ func (net *Network) prepare() {
 	}
 	n := net.Cfg.Workers
 	if n == 0 {
-		n = net.autoShards()
+		n = net.autoShards(0)
 	}
 	if n != len(net.shards.sh) {
 		net.setShards(n)
