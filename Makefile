@@ -104,9 +104,12 @@ bench-smoke:
 # CPU and heap profiles of two saturated kernels: the 256-node mesh — all
 # plain delay-1 links, the case the SoA hot-path work targets — and the
 # 1024-node hetero-PHY torus, whose chiplets are joined by adapter links
-# (cpu_1024/mem_1024). Profiles and the test binary land in
-# results-ci/prof/; inspect with
+# (cpu_1024/mem_1024); then the in-use heap of the finalized 3,136-node
+# build (build_3136: what each structure holds, DESIGN.md "Bytes per
+# node"). Profiles and the test binary land in results-ci/prof/; inspect
+# with
 #   go tool pprof results-ci/prof/network.test results-ci/prof/cpu.prof
+#   go tool pprof -sample_index=inuse_space results-ci/prof/network.test results-ci/prof/build_3136.prof
 prof:
 	mkdir -p results-ci/prof
 	$(GO) test -run '^$$' -bench 'Step/saturated/256nodes' -benchtime 2s -benchmem \
@@ -115,6 +118,8 @@ prof:
 	$(GO) test -run '^$$' -bench 'Step/saturated/1024nodes' -benchtime 2s -benchmem \
 		-cpuprofile results-ci/prof/cpu_1024.prof -memprofile results-ci/prof/mem_1024.prof \
 		-o results-ci/prof/network.test ./internal/network
+	$(GO) test -run 'TestBuildFootprint$$' -count=1 -memprofilerate=1 \
+		-memprofile results-ci/prof/build_3136.prof -o results-ci/prof/network.test ./internal/network
 
 # CI-scale reproduction of every table and figure, with CSV output.
 experiments:

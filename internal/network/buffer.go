@@ -13,31 +13,36 @@ package network
 // end by pure increments without ever reading consumer state (which would
 // race under parallel stepping); a ring fed by Push instead (injection
 // ports, adapter and retry links) never uses the cursor.
+//
+// The four cursors are 16-bit, so a queue is 32 bytes and half a VCState
+// line: a ring holds at most MaxRingDepth flits, which Config.Validate
+// enforces for every buffer it sizes. Cursor arithmetic is done in int.
 type FlitQueue struct {
 	buf  []Flit
-	head int
-	n    int
+	head uint16
+	n    uint16
 
-	wpos int
-	pend int
+	wpos uint16
+	pend uint16
 }
 
-// NewFlitQueue returns a queue with the given capacity in flits.
+// MaxRingDepth is the deepest ring a FlitQueue's 16-bit cursors can index.
+const MaxRingDepth = 1<<16 - 1
+
+// NewFlitQueue returns a queue with the given capacity in flits, clamped
+// to [1, MaxRingDepth].
 func NewFlitQueue(capacity int) *FlitQueue {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &FlitQueue{buf: make([]Flit, capacity)}
+	return &FlitQueue{buf: make([]Flit, min(max(capacity, 1), MaxRingDepth))}
 }
 
 // Cap returns the queue capacity.
 func (q *FlitQueue) Cap() int { return len(q.buf) }
 
 // Len returns the number of buffered flits.
-func (q *FlitQueue) Len() int { return q.n }
+func (q *FlitQueue) Len() int { return int(q.n) }
 
 // Free returns the remaining capacity.
-func (q *FlitQueue) Free() int { return len(q.buf) - q.n }
+func (q *FlitQueue) Free() int { return len(q.buf) - int(q.n) }
 
 // Empty reports whether the queue holds no flits.
 func (q *FlitQueue) Empty() bool { return q.n == 0 }
@@ -47,10 +52,10 @@ func (q *FlitQueue) Empty() bool { return q.n == 0 }
 // Indices wrap by conditional subtraction, not modulo: head and n are both
 // < len(buf), and the engine hits these paths once per flit movement.
 func (q *FlitQueue) Push(f Flit) bool {
-	if q.n == len(q.buf) {
+	if int(q.n) == len(q.buf) {
 		return false
 	}
-	i := q.head + q.n
+	i := int(q.head) + int(q.n)
 	if i >= len(q.buf) {
 		i -= len(q.buf)
 	}
@@ -70,7 +75,7 @@ func (q *FlitQueue) frontRef() *Flit { return &q.buf[q.head] }
 
 // At returns the i-th oldest flit (0 = front). It must be in range.
 func (q *FlitQueue) At(i int) Flit {
-	j := q.head + i
+	j := int(q.head) + i
 	if j >= len(q.buf) {
 		j -= len(q.buf)
 	}
@@ -81,22 +86,24 @@ func (q *FlitQueue) At(i int) Flit {
 // to two contiguous slices (the run may wrap the ring). n must not exceed
 // Len. The views are invalidated by the next mutation; pair with Drop.
 func (q *FlitQueue) PeekRun(n int) (a, b []Flit) {
-	end := q.head + n
+	h := int(q.head)
+	end := h + n
 	if end <= len(q.buf) {
-		return q.buf[q.head:end], nil
+		return q.buf[h:end], nil
 	}
-	return q.buf[q.head:], q.buf[:end-len(q.buf)]
+	return q.buf[h:], q.buf[:end-len(q.buf)]
 }
 
 // Drop removes the n oldest flits. Flits hold no pointer, so a dead slot
 // is left as it is (Push/stageSpan overwrite whole flits): this is
 // index arithmetic only. n must not exceed Len.
 func (q *FlitQueue) Drop(n int) {
-	q.head += n
-	if q.head >= len(q.buf) {
-		q.head -= len(q.buf)
+	h := int(q.head) + n
+	if h >= len(q.buf) {
+		h -= len(q.buf)
 	}
-	q.n -= n
+	q.head = uint16(h)
+	q.n -= uint16(n)
 }
 
 // Reset discards all buffered flits, staged ones included.
@@ -112,24 +119,25 @@ func (q *FlitQueue) Reset() {
 // unchecked here because the producer may not read the consumer-owned
 // occupancy; publication checks it (Network.commitDirect).
 func (q *FlitQueue) stageSpan(n int) (a, b []Flit) {
-	end := q.wpos + n
+	w := int(q.wpos)
+	end := w + n
 	if end <= len(q.buf) {
-		a = q.buf[q.wpos:end]
+		a = q.buf[w:end]
 		if end == len(q.buf) {
 			end = 0
 		}
 	} else {
 		end -= len(q.buf)
-		a, b = q.buf[q.wpos:], q.buf[:end]
+		a, b = q.buf[w:], q.buf[:end]
 	}
-	q.wpos = end
-	q.pend += n
+	q.wpos = uint16(end)
+	q.pend += uint16(n)
 	return
 }
 
 // publish makes the k oldest staged flits visible to the consumer. Runs in
 // the link phase, after the barrier that quiesces the producer.
 func (q *FlitQueue) publish(k int) {
-	q.n += k
-	q.pend -= k
+	q.n += uint16(k)
+	q.pend -= uint16(k)
 }

@@ -8,14 +8,31 @@ import (
 	"unsafe"
 )
 
-// TestFlitSize: every ring slot of every input VC is a Flit, and the rings
-// are most of a large network's heap (76 of 96 MB on the 3136-node system
-// when the struct was 48 bytes, 38 of 58 MB at 24 bytes), so it must stay
-// 8 bytes and pointer-free: no field the GC would have to scan.
+// TestFlitSize pins the size of every structure a built network has one
+// of per ring slot, VC, port, link or router (DESIGN.md, "Bytes per node",
+// multiplies them out). A Flit fills every input-VC ring slot, so it must
+// stay 8 bytes and pointer-free: no field the GC would have to scan, and
+// the rings are neither scanned nor cleared on release. A VCState must fit
+// one cache line; the port, link and router structs are held to the sizes
+// they were packed to.
 func TestFlitSize(t *testing.T) {
-	size := unsafe.Sizeof(Flit{})
-	t.Logf("unsafe.Sizeof(network.Flit{}) = %d bytes", size)
-	if size != 8 {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"Flit", unsafe.Sizeof(Flit{}), 8},
+		{"VCState", unsafe.Sizeof(VCState{}), 64},
+		{"InPort", unsafe.Sizeof(InPort{}), 40},
+		{"OutPort", unsafe.Sizeof(OutPort{}), 72},
+		{"Link", unsafe.Sizeof(Link{}), 160},
+		{"Router", unsafe.Sizeof(Router{}), 416},
+	} {
+		t.Logf("unsafe.Sizeof(network.%s{}) = %d bytes", c.name, c.size)
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
+		}
+	}
+	if size := unsafe.Sizeof(Flit{}); size != 8 {
 		t.Fatalf("Flit is %d bytes, want 8", size)
 	}
 	ft := reflect.TypeOf(Flit{})

@@ -184,14 +184,20 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: packet length %d must be positive", c.PacketLength)
 	case c.PacketLength > MaxPacketLength:
 		return fmt.Errorf("network: packet length %d exceeds %d flits (flit sequence numbers are 16-bit)", c.PacketLength, MaxPacketLength)
-	case c.VCs <= 0 || c.VCs > 8:
-		return fmt.Errorf("network: VC count %d out of range [1,8]", c.VCs)
+	case c.VCs <= 0 || c.VCs > maxVCs:
+		return fmt.Errorf("network: VC count %d out of range [1,%d]", c.VCs, maxVCs)
 	case c.OnChipBandwidth <= 0 || c.ParallelBandwidth <= 0 || c.SerialBandwidth <= 0:
 		return fmt.Errorf("network: bandwidths must be positive")
 	case c.InjectionBandwidth <= 0 || c.EjectionBandwidth <= 0:
 		return fmt.Errorf("network: injection and ejection bandwidths must be positive")
+	case max(c.OnChipBandwidth, c.ParallelBandwidth, c.SerialBandwidth, c.ParallelBandwidth+c.SerialBandwidth, c.InjectionBandwidth) > MaxLinkBandwidth:
+		return fmt.Errorf("network: channel bandwidths (on-chip %d, parallel %d + serial %d, injection %d flits per cycle) exceed %d, the most a packed delay-line run or an input port's drain budget counts",
+			c.OnChipBandwidth, c.ParallelBandwidth, c.SerialBandwidth, c.InjectionBandwidth, MaxLinkBandwidth)
 	case c.OnChipDelay <= 0 || c.ParallelDelay <= 0 || c.SerialDelay <= 0:
 		return fmt.Errorf("network: delays must be positive")
+	case max(c.OnChipDelay, c.ParallelDelay, c.SerialDelay) > MaxRingDepth:
+		return fmt.Errorf("network: delays (on-chip %d, parallel %d, serial %d cycles) exceed %d, the longest delay line a 16-bit stage head indexes",
+			c.OnChipDelay, c.ParallelDelay, c.SerialDelay, MaxRingDepth)
 	case c.OnChipBufPerVC <= 0 || c.IfaceBufPerVC <= 0:
 		return fmt.Errorf("network: buffer depths must be positive")
 	case c.AdapterQueueDepth <= 0:
@@ -207,6 +213,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: sim cycles %d must exceed warm-up %d", c.SimCycles, c.WarmupCycles)
 	case c.Workers < 0:
 		return fmt.Errorf("network: workers %d must be non-negative", c.Workers)
+	}
+	for _, k := range []LinkKind{KindOnChip, KindParallel, KindSerial, KindHeteroPHY} {
+		if depth := c.BufPerVC(k); depth > MaxRingDepth {
+			return fmt.Errorf("network: %v input buffers of %d flits per VC (the configured depth, or 2 × delay × bandwidth) exceed %d, the deepest ring a 16-bit cursor indexes", k, depth, MaxRingDepth)
+		}
 	}
 	// A flit holds a credit of the hetero-PHY link's downstream buffer from
 	// the moment the adapter accepts it until it leaves that buffer, so the

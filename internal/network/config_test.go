@@ -1,6 +1,9 @@
 package network
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultConfigMatchesTable2(t *testing.T) {
 	cfg := DefaultConfig()
@@ -79,6 +82,31 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// Values the engine's narrow fields cannot hold; the error names the
+	// limit.
+	for _, tc := range []struct {
+		mutate func(*Config)
+		limit  string
+	}{
+		// 16-bit ring cursors: a configured depth, then a credit round trip.
+		{func(c *Config) { c.OnChipBufPerVC = MaxRingDepth + 1 }, "65535"},
+		{func(c *Config) { c.OnChipDelay = 20000 }, "65535"},
+		// 16-bit delay-line heads.
+		{func(c *Config) { c.OnChipDelay = MaxRingDepth + 1; c.OnChipBufPerVC = 1 }, "65535"},
+		// Packed delay-line runs count at most MaxLinkBandwidth flits, on
+		// any link kind (a hetero-PHY link carries both PHYs' bandwidth),
+		// and an input port's drain budget shares the bound.
+		{func(c *Config) { c.OnChipBandwidth = MaxLinkBandwidth + 1 }, "8191"},
+		{func(c *Config) { c.SerialBandwidth = MaxLinkBandwidth + 1 }, "8191"},
+		{func(c *Config) { c.ParallelBandwidth, c.SerialBandwidth = 4096, 4096 }, "8191"},
+		{func(c *Config) { c.InjectionBandwidth = MaxLinkBandwidth + 1 }, "8191"},
+	} {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.limit) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", cfg, err, tc.limit)
 		}
 	}
 }

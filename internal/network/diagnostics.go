@@ -85,14 +85,14 @@ func (net *Network) DeadlockReport(limit int) string {
 				}
 				if vc.Active {
 					active++
-					out := r.Out[vc.OutPort]
+					out := &r.Out[vc.OutPort]
 					if active <= limit {
 						credits := -1
 						held := false
 						slots := -1
 						if out.Link != nil {
-							credits = out.Credits[vc.OutVC]
-							held = out.Held[vc.OutVC]
+							credits = int(out.Credits[vc.OutVC])
+							held = out.held(int(vc.OutVC))
 							slots = out.Link.FreeSlots()
 						}
 						f := vc.Buf.Front()
@@ -117,12 +117,13 @@ func (net *Network) DeadlockReport(limit int) string {
 	// no active input VC pointing at it is a leaked allocation.
 	heldTotal, leaked, lowCredit := 0, 0, 0
 	for _, r := range net.Nodes {
-		for op, out := range r.Out {
-			for ov := range out.Held {
-				if out.Credits != nil && out.Link != nil && out.Credits[ov] < out.Depth/2 {
+		for op := range r.Out {
+			out := &r.Out[op]
+			for ov := 0; ov < net.Cfg.VCs; ov++ {
+				if out.Link != nil && out.Credits[ov] < out.Depth/2 {
 					lowCredit++
 				}
-				if !out.Held[ov] {
+				if !out.held(ov) {
 					continue
 				}
 				heldTotal++
@@ -130,7 +131,7 @@ func (net *Network) DeadlockReport(limit int) string {
 				for _, in := range r.In {
 					for v := range in.VCs {
 						vc := &in.VCs[v]
-						if vc.Active && vc.OutPort == op && int(vc.OutVC) == ov {
+						if vc.Active && int(vc.OutPort) == op && int(vc.OutVC) == ov {
 							owned = true
 						}
 					}

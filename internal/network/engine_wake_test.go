@@ -16,7 +16,7 @@ func TestInjectVCChoiceByClass(t *testing.T) {
 	} {
 		net, _ := twoNodeNet(t, KindOnChip, func(c *Config) { c.VCs = 4 })
 		r := net.Nodes[0]
-		in := r.In[r.InjectPort]
+		in := &r.In[r.InjectPort]
 		// Fill the injection buffers to the free-space pattern [0, 3, 5, 2].
 		for v, free := range []int{0, 3, 5, 2} {
 			buf := &in.VCs[v].Buf
@@ -46,14 +46,13 @@ func blockedNet(t *testing.T) *Network {
 	t.Helper()
 	net, _ := twoNodeNet(t, KindOnChip, func(c *Config) { c.DeadlockThreshold = 100 })
 	r := net.Nodes[0]
-	for _, out := range r.Out {
+	for i := range r.Out {
+		out := &r.Out[i]
 		if out.Link == nil || out.Link.Dst != 1 {
 			continue
 		}
-		for v := range out.Credits {
-			out.Credits[v] = 0
-			out.Held[v] = true
-		}
+		out.Credits = [maxVCs]int32{}
+		out.heldMask = out.vcLimit
 	}
 	net.Offer(net.NewPacket(0, 1, 16, 0))
 	return net

@@ -15,6 +15,10 @@ func RingBacking(q *FlitQueue) (end *Flit, room int) {
 	return &q.buf[:room][room-1], room
 }
 
+// DelayLineWords returns how much delay-line storage l has: none before
+// Finalize.
+func DelayLineWords(l *Link) int { return len(l.line) }
+
 // IssueCounts returns the traversals charged to p per energy class
 // (on-chip, parallel, serial) that its hop counts do not imply: the PHY
 // issues of hetero-PHY adapters and retry retransmissions.

@@ -21,7 +21,7 @@ func TestRefinalizeKeepsRingState(t *testing.T) {
 // at the re-Finalize.
 func testRefinalize(t *testing.T, build func(testing.TB, int) *Network, wantStages int) {
 	type ring struct {
-		head, n, wpos, pend int
+		head, n, wpos, pend uint16
 		flits               []Flit
 	}
 	snapshot := func(net *Network) (rings []ring, buffered, staged int) {
@@ -30,8 +30,8 @@ func testRefinalize(t *testing.T, build func(testing.TB, int) *Network, wantStag
 				for v := range in.VCs {
 					q := &in.VCs[v].Buf
 					rings = append(rings, ring{q.head, q.n, q.wpos, q.pend, append([]Flit(nil), q.buf...)})
-					buffered += q.n
-					staged += q.pend
+					buffered += int(q.n)
+					staged += int(q.pend)
 				}
 			}
 		}
@@ -61,9 +61,10 @@ func testRefinalize(t *testing.T, build func(testing.TB, int) *Network, wantStag
 	deepest, inStages := 0, 0
 	for _, l := range net.Links {
 		occupied := 0
-		for _, stage := range l.stages {
+		for i := 0; i < l.Delay; i++ {
+			stage := l.stage(i)
 			for _, run := range stage {
-				inStages += int(run.n)
+				inStages += runLen(run)
 			}
 			if len(stage) > 0 {
 				occupied++

@@ -11,7 +11,7 @@ func (chainRouting) Name() string { return "chain" }
 func (chainRouting) Route(net *Network, r *Router, _ int, pkt *Packet, buf []Candidate) []Candidate {
 	// forward along increasing node id
 	for i := 1; i < len(r.Out); i++ {
-		o := r.Out[i]
+		o := &r.Out[i]
 		if o.Link != nil && o.Link.Dst > r.ID {
 			return append(buf, Candidate{Port: i, VCMask: allVCs(net.Cfg.VCs), Escape: true})
 		}

@@ -50,12 +50,11 @@ type PacketUser interface {
 // delay: one copy per hop and O(runs) arrival work whether the channel is
 // an on-chip wire or a 20-cycle serial interface.
 type Link struct {
-	ID   int
-	Kind LinkKind
+	ID int
 
 	Src     NodeID
-	SrcPort int // output-port index at the source router
 	Dst     NodeID
+	SrcPort int // output-port index at the source router
 	DstPort int // input-port index at the destination router
 
 	Bandwidth int
@@ -64,20 +63,34 @@ type Link struct {
 	// Adapter is non-nil for hetero-PHY links.
 	Adapter Adapter
 
-	// stages is the forward delay line: stages[stageHead] comes due at the
-	// next link phase, and acceptance appends to the stage the last link
-	// phase vacated, which comes due Delay phases from now (Delay 1 is the
-	// one-stage case). Entries are per-VC run lengths in acceptance order;
-	// the flits themselves sit staged in dstIn's rings.
-	stages    [][]creditRun
-	stageHead int
-	inFlight  int
+	// retry, when non-nil, replaces the plain forward pipeline with the
+	// link-layer retry protocol (see RetryPipe). nil keeps every hot path
+	// byte-identical to the retry-free engine.
+	retry *RetryPipe
 
-	creditPipe      [][]creditRun
-	creditHead      int
-	creditsInFlight int
+	// dstRouter is the router plain links stage into, bound by Finalize.
+	dstRouter *Router
 
-	accepted int // flits accepted this cycle (plain pipeline rate limit)
+	// line holds the link's two delay lines, forward then credit, each
+	// Delay stages of 1+Bandwidth packed words: the stage's run count, then
+	// its runs (see packRun) in acceptance order. At most Bandwidth flits
+	// enter a stage in either direction (the source's switch budget, the
+	// destination port's drain budget), so a stage never holds more runs
+	// than that and the line has no per-stage slice. stageHead is the
+	// forward stage the next link phase publishes; acceptance appends to
+	// the stage the last link phase vacated, which comes due Delay phases
+	// from now (Delay 1 is the one-stage case). creditHead is the same for
+	// credits. The forward line holds only run lengths: the flits sit
+	// staged in the destination rings. Finalize gives line its storage.
+	line       []uint16
+	stageHead  uint16
+	creditHead uint16
+
+	accepted        int32 // flits accepted this cycle (plain pipeline rate limit)
+	inFlight        int32
+	creditsInFlight int32
+
+	Kind LinkKind
 
 	// fwdQueued/crQueued record membership in the engine's forward and
 	// credit wake lists (see the package comment): set when a flit/credit
@@ -87,45 +100,34 @@ type Link struct {
 	fwdQueued bool
 	crQueued  bool
 
-	// credPend/credMask hold the Delay-1 credit return batch in place (the
-	// credit pipe degenerates to a single stage there): per-VC counts plus
-	// the credited-VC mask, filled by ReturnCredits during the source tick
-	// and applied+cleared by creditArrivals next phase 1 — same timing as
-	// the one-stage pipe, without the heap slice. Deeper pipes keep
-	// creditPipe. Sized for the config ceiling of 8 VCs.
-	credPend [8]int32
-	credMask uint16
+	// delivered counts the flits deliver handed to the destination router
+	// during the current Arrivals call (adapter and retry links only);
+	// Network.linkArrivals reads and clears it.
+	delivered int32
 
 	// SentTotal counts flits ever accepted, on every kind of link
 	// (utilization diagnostics, the energy ledgers of
 	// experiments.FuzzSimPoint).
 	SentTotal uint64
 
-	// retry, when non-nil, replaces the plain forward pipeline with the
-	// link-layer retry protocol (see RetryPipe). nil keeps every hot path
-	// byte-identical to the retry-free engine. Kept at the tail so the
-	// plain pipeline's hot fields retain their cache layout.
-	retry *RetryPipe
-
-	// dstIn is the destination input port plain links stage into;
 	// srcOut/srcRouter are the source router's output port for this link
 	// and the router itself, so credit completion applies a cycle's whole
-	// batch straight to the counters (creditArrivals). All three are bound
-	// by Finalize (packSlabs moves the ports).
-	dstIn     *InPort
+	// batch straight to the counters (creditArrivals). Bound by Finalize.
 	srcOut    *OutPort
 	srcRouter *Router
 
-	// delivered counts the flits this link's delivery closure handed to
-	// the destination router during the current Arrivals call (adapter and
-	// retry links only); Network.linkArrivals reads and clears it.
-	delivered int
+	// deliver hands an adapter or retry link's released flits to the
+	// destination router; plain links publish through commitDirect and
+	// have none. Bound once the link is both finalized and slow
+	// (bindDeliver), so a tick allocates nothing.
+	deliver func(Flit)
 }
 
 // NewLink constructs a link of the given kind with bandwidth/delay/energy
-// taken from cfg. Hetero-PHY links get their adapter attached separately.
+// taken from cfg. Hetero-PHY links get their adapter attached separately;
+// the delay lines get their storage in Finalize.
 func NewLink(cfg *Config, id int, kind LinkKind, src NodeID, srcPort int, dst NodeID, dstPort int) *Link {
-	l := &Link{
+	return &Link{
 		ID:        id,
 		Kind:      kind,
 		Src:       src,
@@ -135,19 +137,86 @@ func NewLink(cfg *Config, id int, kind LinkKind, src NodeID, srcPort int, dst No
 		Bandwidth: cfg.Bandwidth(kind),
 		Delay:     cfg.Delay(kind),
 	}
-	l.stages = make([][]creditRun, l.Delay)
-	l.creditPipe = make([][]creditRun, l.Delay)
-	return l
 }
 
-// creditRun is a run-length-encoded pipeline entry, used in both
-// directions: n credits for the same downstream VC, or n staged flits on
-// it, entered consecutively. Both enter in switch-grant order, so a bulk
-// run transfer is one entry and the arrival side handles whole runs
-// without re-scanning.
-type creditRun struct {
-	vc VCID
-	n  int32
+// A delay-line run is a packed (VC, count) word: n flits, or n credits, for
+// the same downstream VC, entered consecutively — the VC in the top
+// runVCBits bits and the count below. Both directions enter in
+// switch-grant order, so a bulk run transfer is one word and the arrival
+// side handles whole runs without re-scanning. A stage's runs never count
+// more than Bandwidth in total, which Config.Validate keeps within
+// MaxLinkBandwidth.
+const (
+	runVCBits = 3 // maxVCs VCs
+	runNBits  = 16 - runVCBits
+
+	// MaxLinkBandwidth is the widest channel, in flits per cycle, a packed
+	// run can count.
+	MaxLinkBandwidth = 1<<runNBits - 1
+)
+
+func packRun(vc VCID, n int) uint16 { return uint16(vc)<<runNBits | uint16(n) }
+
+func runVC(w uint16) VCID { return VCID(w >> runNBits) }
+
+func runLen(w uint16) int { return int(w & MaxLinkBandwidth) }
+
+// lineWords is the length of a link's delay-line storage.
+func (l *Link) lineWords() int { return 2 * l.Delay * (l.Bandwidth + 1) }
+
+// stage returns the runs of delay-line stage i: forward stages are 0 to
+// Delay-1, credit stages Delay to 2·Delay-1.
+func (l *Link) stage(i int) []uint16 {
+	base := i * (l.Bandwidth + 1)
+	return l.line[base+1 : base+1+int(l.line[base])]
+}
+
+// pushRun records n flits or credits for vc in delay-line stage i, merging
+// with the stage's last run when the VC matches.
+func (l *Link) pushRun(i int, vc VCID, n int) {
+	base := i * (l.Bandwidth + 1)
+	k := int(l.line[base])
+	if k > 0 && runVC(l.line[base+k]) == vc {
+		l.line[base+k] += uint16(n)
+		return
+	}
+	if k == l.Bandwidth {
+		panic("network: delay-line stage over-filled (more than Bandwidth runs in one cycle)")
+	}
+	l.line[base+k+1] = packRun(vc, n)
+	l.line[base] = uint16(k + 1)
+}
+
+// takeStage empties delay-line stage i and returns its runs, which stay
+// readable until the stage is next written.
+func (l *Link) takeStage(i int) []uint16 {
+	runs := l.stage(i)
+	l.line[i*(l.Bandwidth+1)] = 0
+	return runs
+}
+
+// entryStage is the stage a line whose next due stage is head fills this
+// cycle: the one that comes due Delay link phases from now.
+func (l *Link) entryStage(head uint16) int {
+	i := int(head) + l.Delay - 1
+	if i >= l.Delay {
+		i -= l.Delay
+	}
+	return i
+}
+
+// bindDeliver gives a finalized adapter or retry link its delivery
+// function; every other link keeps none. Finalize, SetAdapter and
+// EnableRetry call it, whichever comes last.
+func (l *Link) bindDeliver() {
+	if l.dstRouter == nil || l.deliver != nil || (l.Adapter == nil && l.retry == nil) {
+		return
+	}
+	dst, port := l.dstRouter, l.DstPort
+	l.deliver = func(f Flit) {
+		dst.deliver(port, f)
+		l.delivered++
+	}
 }
 
 // FreeSlots returns how many more flits the link can accept this cycle.
@@ -157,7 +226,7 @@ func (l *Link) FreeSlots() int {
 	if l.Adapter != nil || l.retry != nil {
 		return l.freeSlotsSlow()
 	}
-	return l.Bandwidth - l.accepted
+	return l.Bandwidth - int(l.accepted)
 }
 
 func (l *Link) freeSlotsSlow() int {
@@ -179,7 +248,8 @@ func (l *Link) freeSlotsSlow() int {
 // 1.20 s, higher in 6/6 alternated pairs, sim_digest equal).
 func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 	n := len(a) + len(b)
-	sa, sb := l.dstIn.VCs[outVC].Buf.stageSpan(n)
+	r := l.dstRouter
+	sa, sb := r.vcs[l.DstPort*r.slotVCs+int(outVC)].Buf.stageSpan(n)
 	m := copy(sa, a)
 	if m < len(a) {
 		copy(sb, a[m:])
@@ -192,9 +262,9 @@ func (l *Link) AcceptRun(a, b []Flit, outVC VCID) {
 			span[i].VC = outVC
 		}
 	}
-	l.stageRun(outVC, n)
-	l.inFlight += n
-	l.accepted += n
+	l.pushRun(l.entryStage(l.stageHead), outVC, n)
+	l.inFlight += int32(n)
+	l.accepted += int32(n)
 	l.SentTotal += uint64(n)
 }
 
@@ -216,31 +286,13 @@ func (l *Link) acceptEach(now int64, a, b []Flit, outVC VCID) {
 	}
 }
 
-// stageRun records n flits staged for vc in the delay line's entry stage,
-// merging with the previous run when the VC matches.
-func (l *Link) stageRun(vc VCID, n int) {
-	slot := l.stageHead + l.Delay - 1
-	if slot >= l.Delay {
-		slot -= l.Delay
-	}
-	stage := &l.stages[slot]
-	if k := len(*stage) - 1; k >= 0 && (*stage)[k].vc == vc {
-		(*stage)[k].n += int32(n)
-		return
-	}
-	*stage = append(*stage, creditRun{vc, int32(n)})
-}
-
 // dueStage advances the forward delay line one cycle and returns the runs
 // whose flits become visible downstream now, resetting the per-cycle
-// bandwidth budget. The slice aliases the recycled stage and is valid until
-// the link next accepts flits.
-func (l *Link) dueStage() []creditRun {
-	stage := &l.stages[l.stageHead]
-	due := *stage
-	*stage = (*stage)[:0]
+// bandwidth budget. The runs are valid until the link next accepts flits.
+func (l *Link) dueStage() []uint16 {
+	due := l.takeStage(int(l.stageHead))
 	l.stageHead++
-	if l.stageHead == l.Delay {
+	if int(l.stageHead) == l.Delay {
 		l.stageHead = 0
 	}
 	l.accepted = 0
@@ -250,24 +302,8 @@ func (l *Link) dueStage() []creditRun {
 // ReturnCredits sends n credits for the given downstream VC back to the
 // source router; they arrive after the link delay.
 func (l *Link) ReturnCredits(vc VCID, n int) {
-	if l.Delay == 1 {
-		l.credPend[vc] += int32(n)
-		l.credMask |= 1 << uint(vc)
-		l.creditsInFlight += n
-		return
-	}
-	slot := l.creditHead + l.Delay - 1
-	if slot >= l.Delay {
-		slot -= l.Delay
-	}
-	stage := l.creditPipe[slot]
-	if k := len(stage) - 1; k >= 0 && stage[k].vc == vc {
-		stage[k].n += int32(n)
-	} else {
-		stage = append(stage, creditRun{vc, int32(n)})
-	}
-	l.creditPipe[slot] = stage
-	l.creditsInFlight += n
+	l.pushRun(l.Delay+l.entryStage(l.creditHead), vc, n)
+	l.creditsInFlight += int32(n)
 }
 
 // Arrivals ticks an adapter or retry link one cycle, invoking deliver for
@@ -291,46 +327,30 @@ func (l *Link) Arrivals(now int64, deliver func(Flit)) {
 // with one pass per link per cycle instead of per run. Runs on the
 // source router's shard, like the closures it replaces.
 func (l *Link) creditArrivals() {
-	var credited uint16
-	out := l.srcOut
-	if l.Delay == 1 {
-		credited = l.credMask
-		if credited == 0 {
-			return
-		}
-		l.credMask = 0
-		total := int32(0)
-		for m := credited; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros16(m)
-			out.Credits[v] += int(l.credPend[v])
-			total += l.credPend[v]
-			l.credPend[v] = 0
-		}
-		l.creditsInFlight -= int(total)
-	} else {
-		arr := l.creditPipe[l.creditHead]
-		l.creditPipe[l.creditHead] = arr[:0]
-		l.creditHead++
-		if l.creditHead == l.Delay {
-			l.creditHead = 0
-		}
-		if len(arr) == 0 {
-			return
-		}
-		total := 0
-		for _, cr := range arr {
-			out.Credits[cr.vc] += int(cr.n)
-			credited |= 1 << uint(cr.vc)
-			total += int(cr.n)
-		}
-		l.creditsInFlight -= total
+	due := l.takeStage(l.Delay + int(l.creditHead))
+	l.creditHead++
+	if int(l.creditHead) == l.Delay {
+		l.creditHead = 0
 	}
+	if len(due) == 0 {
+		return
+	}
+	out := l.srcOut
+	var credited uint16
+	total := 0
+	for _, run := range due {
+		v, n := runVC(run), runLen(run)
+		out.Credits[v] += int32(n)
+		credited |= 1 << uint(v)
+		total += n
+	}
+	l.creditsInFlight -= int32(total)
 	// A credit arrival can turn a failing VC allocation at the source
 	// router into a succeeding one, so it returns allocations parked on
 	// this output to the pending set, and puts a switch-stage slot starved
 	// of credits on a credited VC back on the ready list.
 	src := l.srcRouter
-	src.unparkPort(out)
+	src.unparkPort(l.SrcPort)
 	for m := credited; m != 0; m &= m - 1 {
 		v := bits.TrailingZeros16(m)
 		if ws := out.waitSlot[v]; ws >= 0 {
@@ -346,7 +366,7 @@ func (l *Link) InFlight() int {
 	if l.Adapter != nil || l.retry != nil {
 		return l.inFlightSlow()
 	}
-	return l.inFlight
+	return int(l.inFlight)
 }
 
 func (l *Link) inFlightSlow() int {

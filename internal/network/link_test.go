@@ -60,7 +60,7 @@ func (g *linkRig) advance() []Flit {
 	g.net.Now++
 	var moved uint64
 	g.net.linkArrivals(g.l, &moved)
-	in := g.net.Nodes[1].In[g.l.DstPort]
+	in := &g.net.Nodes[1].In[g.l.DstPort]
 	var got []Flit
 	for v := range in.VCs {
 		for q := &in.VCs[v].Buf; !q.Empty(); q.Drop(1) {
@@ -169,7 +169,7 @@ func TestLinkPreservesOrderWithinAndAcrossCycles(t *testing.T) {
 // path the engine uses (creditArrivals).
 func TestLinkCreditReturnDelay(t *testing.T) {
 	overPlainKinds(t, func(t *testing.T, g *linkRig) {
-		out := g.net.Nodes[0].Out[g.l.SrcPort]
+		out := &g.net.Nodes[0].Out[g.l.SrcPort]
 		depth := out.Credits[1]
 		out.Credits[1]-- // as if one flit had been sent on VC 1
 		g.l.ReturnCredits(1, 1)
@@ -182,7 +182,7 @@ func TestLinkCreditReturnDelay(t *testing.T) {
 		if out.Credits[1] != depth {
 			t.Fatal("credit not returned after delay")
 		}
-		for v, c := range out.Credits {
+		for v, c := range out.Credits[:g.net.Cfg.VCs] {
 			if c != depth {
 				t.Fatalf("vc %d holds %d credits, want %d", v, c, depth)
 			}
@@ -274,7 +274,7 @@ func TestCreditViolationPanicsAtPublication(t *testing.T) {
 			net, l := twoNodeNet(t, kind, nil)
 			net.Nodes[1].ejBW = 0
 			net.Finalize()
-			out := net.Nodes[0].Out[l.SrcPort]
+			out := &net.Nodes[0].Out[l.SrcPort]
 			out.Credits[0] += out.Depth
 			want := fmt.Sprintf("network: input buffer overflow at node 1 port %d vc 0 (credit protocol violated)", l.DstPort)
 			defer func() {
@@ -282,7 +282,7 @@ func TestCreditViolationPanicsAtPublication(t *testing.T) {
 					t.Fatalf("recovered %v, want panic %q", got, want)
 				}
 			}()
-			for i := 0; i < 2*out.Depth; i++ {
+			for i := 0; i < 2*int(out.Depth); i++ {
 				net.Offer(net.NewPacket(0, 1, 4, 0))
 			}
 			for net.Now < int64(16*out.Depth) {

@@ -2,8 +2,10 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Network is a complete multi-chiplet interconnection system: routers,
@@ -82,11 +84,6 @@ type Network struct {
 	DeadlockAt int64
 	livelock   string
 
-	// deliverFns are the per-link delivery closures handed to adapter and
-	// retry links, bound by Finalize. They only deliver and count on the
-	// link (Link.delivered), so re-cutting shards rebinds nothing.
-	deliverFns []func(Flit)
-
 	// shards is the sharding of the cycle engine: nil until Finalize, one
 	// shard covering every node until SetWorkers or the first Step re-cuts
 	// it.
@@ -141,21 +138,29 @@ func New(cfg Config) (*Network, error) {
 	}, nil
 }
 
-// AddNodes creates n routers with local ports and their injection sources.
+// AddNodes creates n routers, each declaring its local ports (injection
+// input and ejection output, index 0), and their injection sources. The
+// routers share one allocation.
 func (net *Network) AddNodes(n int) {
-	for i := 0; i < n; i++ {
-		net.Nodes = append(net.Nodes, newRouter(&net.Cfg, NodeID(len(net.Nodes)), &net.pkts))
+	routers := make([]Router, n)
+	net.Nodes = slices.Grow(net.Nodes, n)
+	for i := range routers {
+		r := &routers[i]
+		*r = Router{ID: NodeID(len(net.Nodes)), pkts: &net.pkts, nIn: 1, nOut: 1, ejBW: net.Cfg.EjectionBandwidth}
+		net.Nodes = append(net.Nodes, r)
 	}
 	net.sources = make([]source, len(net.Nodes))
 }
 
 // Connect wires a unidirectional link of the given kind from node a to node
 // b and returns it. Hetero-PHY adapters are attached by the caller
-// afterwards via SetAdapter.
+// afterwards via SetAdapter. The link declares the next output port of a
+// and the next input port of b; Finalize gives them their storage.
 func (net *Network) Connect(kind LinkKind, a, b NodeID) *Link {
-	l := NewLink(&net.Cfg, len(net.Links), kind, a, 0, b, 0)
-	l.SrcPort = net.Nodes[a].AddOutPort(&net.Cfg, l)
-	l.DstPort = net.Nodes[b].AddInPort(&net.Cfg, l)
+	src, dst := net.Nodes[a], net.Nodes[b]
+	l := NewLink(&net.Cfg, len(net.Links), kind, a, src.nOut, b, dst.nIn)
+	src.nOut++
+	dst.nIn++
 	net.Links = append(net.Links, l)
 	return l
 }
@@ -172,30 +177,22 @@ func (net *Network) SetAdapter(l *Link, a Adapter) {
 	if l.srcOut != nil {
 		l.srcOut.slow = l.Adapter != nil || l.retry != nil
 	}
+	l.bindDeliver()
 }
 
 // Finalize must be called after topology construction and before the first
-// Step: it packs the per-router port/VC/ring state into per-network slabs,
-// pre-binds the per-link delivery closures and builds the shard and wake
-// state — one shard on the first call, the current shard count on a
-// re-Finalize.
+// Step: it gives every declared port, VC state, flit ring, router work
+// array and link delay line its storage (materialise), binds the delivery
+// functions of adapter and retry links and builds the shard and wake state
+// — one shard on the first call, the current shard count on a re-Finalize.
 func (net *Network) Finalize() {
-	net.packSlabs()
-	net.deliverFns = make([]func(Flit), len(net.Links))
-	for i, l := range net.Links {
-		dst := net.Nodes[l.Dst]
-		port := l.DstPort
-		net.deliverFns[i] = func(f Flit) {
-			dst.deliver(port, f)
-			l.delivered++
-		}
-		// Bind both ends at their new slab homes (packSlabs moved the
-		// ports; ring contents, staging cursors included, were copied
-		// verbatim, so flits staged across a re-Finalize stay in flight).
-		l.dstIn = dst.In[port]
+	net.materialise()
+	for _, l := range net.Links {
 		l.srcRouter = net.Nodes[l.Src]
-		l.srcOut = l.srcRouter.Out[l.SrcPort]
+		l.srcOut = &l.srcRouter.Out[l.SrcPort]
 		l.srcOut.slow = l.Adapter != nil || l.retry != nil
+		l.dstRouter = net.Nodes[l.Dst]
+		l.bindDeliver()
 	}
 	n := 1
 	if net.shards != nil {
@@ -205,24 +202,24 @@ func (net *Network) Finalize() {
 	net.setShards(n)
 }
 
-// packSlabs re-homes every router's input/output ports, VC states, flit
-// rings and credit arrays into contiguous per-network slabs, in (router,
-// port, VC) order — the structure-of-arrays layout behind the saturated
-// hot path. Topology builders still create ports as individual heap
-// objects, but a port only declares its ring depth: this is the one place
-// ring storage is allocated — in chunks of whole routers (ringChunkFlits),
-// not one array. Finalize migrates the ports here, copying all
-// live state verbatim (on a re-Finalize mid-run that includes ring contents
-// and staging cursors). Every pointer into the old homes is rebound
-// afterwards: Finalize re-binds the link closures and dstIn/srcOut,
-// rebuildWork the flat slot tables. The slabs are reachable only through
-// the routers' port slices, so repacking leaks nothing.
+// materialise allocates the storage of every router's ports, VC states,
+// flit rings and work arrays and of every link's delay lines, each kind in
+// one exactly sized per-network slab carved in (router, port, VC) order —
+// the structure-of-arrays layout behind the saturated hot path — except
+// the rings, which come in chunks of whole routers (ringChunkFlits). Before
+// the first Finalize ports are only declared (Router.nIn/nOut, the links'
+// port indices), so each piece is allocated once, in its final home. A
+// re-Finalize copies all live state verbatim into fresh slabs (ring
+// contents and staging cursors, credits, allocations, delay lines), and
+// Finalize rebinds every pointer into the old homes afterwards. The slabs
+// are reachable only through the routers and links, so repacking leaks
+// nothing.
 //
 // Shard ownership is unchanged by the merged backing arrays: a shard's
 // routers own disjoint index ranges of every slab (shards are contiguous
 // node ranges), and the single-producer staging regions of plain links
 // stay confined to their ring's slice window.
-func (net *Network) packSlabs() {
+func (net *Network) materialise() {
 	// ringChunkFlits is the least number of flit slots in one chunk of ring
 	// storage (768 KB; the last chunk may be smaller). The rings of
 	// consecutive routers stay contiguous, which is all the hot path needs,
@@ -233,25 +230,52 @@ func (net *Network) packSlabs() {
 	// size from run to run).
 	const ringChunkFlits = 96 << 10
 
-	nIn, nOut, nVC, nCred := 0, 0, 0, 0
+	cfg := &net.Cfg
+	nv := cfg.VCs
+	nIn, nOut, nWords := 0, 0, 0
 	for _, r := range net.Nodes {
-		nIn += len(r.In)
-		nOut += len(r.Out)
-		for _, in := range r.In {
-			nVC += len(in.VCs)
+		if r.nIn*nv > math.MaxInt16 || r.nOut > math.MaxInt16 {
+			panic(fmt.Sprintf("network: router %d has %d input VCs and %d output ports; slot and port indices are 16-bit", r.ID, r.nIn*nv, r.nOut))
 		}
-		for _, out := range r.Out {
-			nCred += len(out.Credits)
-		}
+		nIn += r.nIn
+		nOut += r.nOut
+		nWords += (4 + r.nOut) * ((r.nIn*nv + 63) >> 6)
 	}
 	inSlab := make([]InPort, nIn)
 	outSlab := make([]OutPort, nOut)
-	vcSlab := make([]VCState, nVC)
+	vcSlab := make([]VCState, nIn*nv)
+	wordSlab := make([]uint64, nWords)
+	slotSlab := make([]int16, nIn*nv)
+	baseSlab := make([]int, nOut)
+	dynSlab := make([]int32, nOut)
+
+	// Ports: live ones move, declared ones are made from their link.
+	for _, r := range net.Nodes {
+		in, out := inSlab[:r.nIn:r.nIn], outSlab[:r.nOut:r.nOut]
+		inSlab, outSlab = inSlab[r.nIn:], outSlab[r.nOut:]
+		copy(in, r.In)
+		copy(out, r.Out)
+		if r.In == nil {
+			in[0] = InPort{Kind: KindLocal, DrainBudget: int32(cfg.InjectionBandwidth)}
+			out[0] = OutPort{Kind: KindLocal, Interface: true}
+		}
+		r.In, r.Out = in, out
+	}
+	for _, l := range net.Links {
+		if in := &net.Nodes[l.Dst].In[l.DstPort]; in.Link == nil {
+			*in = InPort{Link: l, Kind: l.Kind, DrainBudget: int32(l.Bandwidth), Interface: l.Kind != KindOnChip}
+		}
+		if out := &net.Nodes[l.Src].Out[l.SrcPort]; out.Link == nil {
+			depth := int32(cfg.BufPerVC(l.Kind))
+			*out = OutPort{Link: l, Kind: l.Kind, Depth: depth, vcLimit: 1<<uint(nv) - 1, Interface: l.Kind != KindOnChip}
+			for v := 0; v < nv; v++ {
+				out.Credits[v] = depth
+			}
+		}
+	}
+
+	// VC states, rings and work arrays, router by router.
 	var flitSlab []Flit // unused rest of the current ring chunk
-	credSlab := make([]int, nCred)
-	heldSlab := make([]bool, nCred)
-	waitSlab := make([]int32, nCred)
-	iIn, iOut, iVC, iCred := 0, 0, 0, 0
 	for ri, r := range net.Nodes {
 		if len(flitSlab) == 0 {
 			n := 0
@@ -259,43 +283,55 @@ func (net *Network) packSlabs() {
 				if n >= ringChunkFlits {
 					break
 				}
-				for _, in := range q.In {
-					n += len(in.VCs) * in.depth
+				for i := range q.In {
+					n += nv * cfg.BufPerVC(q.In[i].Kind)
 				}
 			}
 			flitSlab = make([]Flit, n)
 		}
-		for pi, in := range r.In {
-			p := &inSlab[iIn]
-			iIn++
-			*p = *in
-			p.VCs = vcSlab[iVC : iVC+len(in.VCs)]
-			iVC += len(in.VCs)
-			for v := range in.VCs {
-				vc := &p.VCs[v]
-				*vc = in.VCs[v]
-				ring := flitSlab[:in.depth]
-				flitSlab = flitSlab[in.depth:]
-				copy(ring, vc.Buf.buf) // empty until the first Finalize
+		slots := r.nIn * nv
+		r.vcs, vcSlab = vcSlab[:slots:slots], vcSlab[slots:]
+		r.slotVCs = nv
+		for ip := range r.In {
+			p := &r.In[ip]
+			vcs := r.vcs[ip*nv : (ip+1)*nv : (ip+1)*nv]
+			copy(vcs, p.VCs)
+			p.VCs = vcs
+			depth := cfg.BufPerVC(p.Kind)
+			for v := range vcs {
+				vc := &vcs[v]
+				vc.ip = uint16(ip)
+				ring := flitSlab[:depth]
+				flitSlab = flitSlab[depth:]
+				copy(ring, vc.Buf.buf)
 				vc.Buf.buf = ring
 			}
-			r.In[pi] = p
 		}
-		for pi, out := range r.Out {
-			p := &outSlab[iOut]
-			iOut++
-			*p = *out
-			ncr := len(out.Credits)
-			p.Credits = credSlab[iCred : iCred+ncr]
-			copy(p.Credits, out.Credits)
-			p.Held = heldSlab[iCred : iCred+ncr]
-			copy(p.Held, out.Held)
-			// waitSlot and parked are rebuilt by rebuildWork (forgetting
-			// parked state is always safe; see its comment).
-			p.waitSlot = waitSlab[iCred : iCred+ncr]
-			iCred += ncr
-			r.Out[pi] = p
-		}
+		words := (slots + 63) >> 6
+		bm := wordSlab[: (4+r.nOut)*words : (4+r.nOut)*words]
+		wordSlab = wordSlab[len(bm):]
+		r.allocPend = bm[:words:words]
+		r.saActive = bm[words : 2*words : 2*words]
+		r.vaParked = bm[2*words : 3*words : 3*words]
+		r.saReady = bm[3*words : 4*words : 4*words]
+		r.parked = bm[4*words:]
+		r.slotOut, slotSlab = slotSlab[:slots:slots], slotSlab[slots:]
+		r.outBase, baseSlab = baseSlab[:r.nOut:r.nOut], baseSlab[r.nOut:]
+		r.outDyn, dynSlab = dynSlab[:0:r.nOut], dynSlab[r.nOut:]
+	}
+
+	// Delay lines.
+	nLine := 0
+	for _, l := range net.Links {
+		nLine += l.lineWords()
+	}
+	lineSlab := make([]uint16, nLine)
+	for _, l := range net.Links {
+		n := l.lineWords()
+		line := lineSlab[:n:n]
+		lineSlab = lineSlab[n:]
+		copy(line, l.line)
+		l.line = line
 	}
 }
 
@@ -390,14 +426,14 @@ func (net *Network) Step() {
 
 // linkArrivals advances one link's forward direction by a cycle. Adapter
 // and retry links deliver per flit — their Tick interleaves protocol work
-// with delivery, and their closure (the link's entry in net.deliverFns)
-// counts what it delivered on the link so the wake bit and the movement
-// count are settled once per link here. Every other link is plain and
-// publishes the stage that comes due (commitDirect). moved is the owning
-// shard's movement accumulator.
+// with delivery, and their delivery function (Link.deliver) counts what it
+// delivered on the link so the wake bit and the movement count are settled
+// once per link here. Every other link is plain and publishes the stage
+// that comes due (commitDirect). moved is the owning shard's movement
+// accumulator.
 func (net *Network) linkArrivals(l *Link, moved *uint64) {
 	if l.Adapter != nil || l.retry != nil {
-		l.Arrivals(net.Now, net.deliverFns[l.ID])
+		l.Arrivals(net.Now, l.deliver)
 		if n := l.delivered; n > 0 {
 			l.delivered = 0
 			net.wakeNode(l.Dst)
@@ -427,17 +463,17 @@ func (net *Network) commitDirect(l *Link, moved *uint64) {
 	if len(due) == 0 {
 		return
 	}
-	r := net.Nodes[l.Dst]
-	in := l.dstIn
+	r := l.dstRouter
 	total := 0
 	for _, run := range due {
-		vc := &in.VCs[run.vc]
+		v, n := runVC(run), runLen(run)
+		slot := l.DstPort*r.slotVCs + int(v)
+		vc := &r.vcs[slot]
 		buffered := vc.Buf.Len()
-		if buffered+int(run.n) > vc.Buf.Cap() {
-			panic(fmt.Sprintf("network: input buffer overflow at node %d port %d vc %d (credit protocol violated)", r.ID, l.DstPort, run.vc))
+		if buffered+n > vc.Buf.Cap() {
+			panic(fmt.Sprintf("network: input buffer overflow at node %d port %d vc %d (credit protocol violated)", r.ID, l.DstPort, v))
 		}
-		vc.Buf.publish(int(run.n))
-		slot := l.DstPort*r.slotVCs + int(run.vc)
+		vc.Buf.publish(n)
 		if !vc.Active {
 			if buffered == 0 {
 				r.cacheHead(vc, vc.Buf.frontRef())
@@ -446,9 +482,9 @@ func (net *Network) commitDirect(l *Link, moved *uint64) {
 		} else {
 			r.saReady[slot>>6] |= 1 << (uint(slot) & 63)
 		}
-		total += int(run.n)
+		total += n
 	}
-	l.inFlight -= total
+	l.inFlight -= int32(total)
 	r.buffered += total
 	net.wakeNode(l.Dst)
 	*moved += uint64(total)
@@ -500,11 +536,14 @@ func (net *Network) mergeScratch(sc *workerScratch) {
 			s.crWake = append(s.crWake, li)
 		}
 	}
-	// Zero in place and re-attach the emptied lists: a composite literal
-	// here is built on the stack and copied over, at a third of an idle step.
+	// Zero in place and re-attach the emptied lists and the tick buffers: a
+	// composite literal here is built on the stack and copied over, at a
+	// third of an idle step.
 	finished, wokeFwd, wokeCr := sc.finished[:0], sc.wokeFwd[:0], sc.wokeCr[:0]
+	routed, cands, sa := sc.routed, sc.cands, sc.sa
 	*sc = workerScratch{}
 	sc.finished, sc.wokeFwd, sc.wokeCr = finished, wokeFwd, wokeCr
+	sc.routed, sc.cands, sc.sa = routed, cands, sa
 }
 
 // watchdog advances the deadlock detector after a cycle's movement count
@@ -540,7 +579,7 @@ func (net *Network) injectNode(n int, sc *workerScratch) {
 			return
 		}
 		r := net.Nodes[n]
-		in := r.In[r.InjectPort]
+		in := &r.In[r.InjectPort]
 		budget := net.Cfg.InjectionBandwidth
 		for budget > 0 {
 			if s.cur == nil {
@@ -784,9 +823,9 @@ func (net *Network) CheckCredits() error {
 		if l.Adapter != nil {
 			continue
 		}
-		src := net.Nodes[l.Src].Out[l.SrcPort]
-		dstIn := net.Nodes[l.Dst].In[l.DstPort]
-		for v := range src.Credits {
+		src := &net.Nodes[l.Src].Out[l.SrcPort]
+		dstIn := &net.Nodes[l.Dst].In[l.DstPort]
+		for v := range dstIn.VCs {
 			inPipe := 0
 			if l.retry != nil {
 				// A retry link's credit-holding flits are exactly the
@@ -802,29 +841,31 @@ func (net *Network) CheckCredits() error {
 				// A plain link's in-flight flits sit staged in the
 				// destination ring (excluded from Buf.Len); the delay
 				// line holds their run lengths, each in exactly one stage.
-				for _, stage := range l.stages {
-					for _, run := range stage {
-						if int(run.vc) == v {
-							inPipe += int(run.n)
-						}
-					}
-				}
+				inPipe = l.lineCount(0, VCID(v))
 			}
-			returning := int(l.credPend[v])
-			for _, stage := range l.creditPipe {
-				for _, c := range stage {
-					if int(c.vc) == v {
-						returning += int(c.n)
-					}
-				}
-			}
-			got := src.Credits[v] + returning + inPipe + dstIn.VCs[v].Buf.Len()
+			returning := l.lineCount(l.Delay, VCID(v))
+			credits := int(src.Credits[v])
+			got := credits + returning + inPipe + dstIn.VCs[v].Buf.Len()
 			want := dstIn.VCs[v].Buf.Cap()
 			if got != want {
 				return fmt.Errorf("network: credit imbalance on link %d (%v %d->%d) vc %d: credits=%d returning=%d inPipe=%d buffered=%d, sum %d != depth %d",
-					l.ID, l.Kind, l.Src, l.Dst, v, src.Credits[v], returning, inPipe, dstIn.VCs[v].Buf.Len(), got, want)
+					l.ID, l.Kind, l.Src, l.Dst, v, credits, returning, inPipe, dstIn.VCs[v].Buf.Len(), got, want)
 			}
 		}
 	}
 	return nil
+}
+
+// lineCount sums the runs for vc in the Delay stages of a delay line
+// starting at stage first (0: forward, Delay: credit).
+func (l *Link) lineCount(first int, vc VCID) int {
+	total := 0
+	for i := first; i < first+l.Delay; i++ {
+		for _, run := range l.stage(i) {
+			if runVC(run) == vc {
+				total += runLen(run)
+			}
+		}
+	}
+	return total
 }

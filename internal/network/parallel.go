@@ -76,9 +76,9 @@ type shardState struct {
 // workerSet is the shard state's handle on its worker goroutines, and the
 // one object of the stepper that carries a finalizer, so nothing reachable
 // from it may lead back to the shardState or the Network: both are
-// self-cyclic through their closures (deliverFns and the phase functions
-// capture the Network), and the collector neither finalizes nor frees a
-// cycle that contains a finalizer. The workers hold the barrier, not this
+// self-cyclic through their closures (the phase functions capture the
+// Network), and the collector neither finalizes nor frees a cycle that
+// contains a finalizer. The workers hold the barrier, not this
 // handle, so a dropped network's handle becomes unreachable while they
 // wait; the barrier holds a phase function only while a dispatch is in
 // flight.
@@ -105,6 +105,14 @@ type workerScratch struct {
 	livelocked   *Packet // reached maxPacketHops this cycle (Router.headHop)
 	wokeFwd      []int32 // links whose forward pipeline went busy this tick
 	wokeCr       []int32 // links whose credit pipeline went busy this tick
+
+	// routed, cands and sa are tick buffers every router of the shard
+	// reuses: the routing function's candidate output and its packed form
+	// (allocate), and the four per-cycle switch budget counters
+	// (switchAlloc).
+	routed []Candidate
+	cands  []cand
+	sa     []int
 
 	_pad [64]byte // avoid false sharing between workers
 }

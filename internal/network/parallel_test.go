@@ -227,9 +227,9 @@ func TestShardPanicWaitsForWorkers(t *testing.T) {
 	net.Finalize()
 	net.SetWorkers(2)
 	l := net.Links[0] // 0 → 1
-	out := net.Nodes[0].Out[l.SrcPort]
+	out := &net.Nodes[0].Out[l.SrcPort]
 	out.Credits[0] += out.Depth
-	for i := 0; i < 2*out.Depth; i++ {
+	for i := 0; i < 2*int(out.Depth); i++ {
 		net.Offer(net.NewPacket(0, 1, 4, 0))
 	}
 	for src := n / 2; src < n; src++ {

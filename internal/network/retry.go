@@ -417,6 +417,7 @@ func (l *Link) EnableRetry(hook TxFault, window, timeout int, pkts *PacketTable)
 	if l.srcOut != nil {
 		l.srcOut.slow = true
 	}
+	l.bindDeliver()
 }
 
 // Retry returns the link's retry pipe, or nil when retry is disabled.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -69,19 +70,35 @@ type Stable interface {
 	Stability() RouteStability
 }
 
-// VCState is one virtual-channel input buffer and its allocation state.
-// The queue is embedded by value and every router's VCStates live in one
-// per-network slab (Network.packSlabs), so the switch stage reads occupancy
-// and head state from the slot itself instead of chasing a *FlitQueue.
+// VCState is one virtual-channel input buffer and its allocation state,
+// one cache line (TestFlitSize): the queue is embedded by value and every
+// router's VCStates are one window of a per-network slab (materialise),
+// indexed by flattened slot, so the switch stage reads occupancy and head
+// state from the slot itself instead of chasing a *FlitQueue. The narrow
+// fields hold what Config.Validate bounds: packet lengths and sequence
+// numbers (MaxPacketLength), ring cursors (MaxRingDepth) and hop counts
+// (maxPacketHops).
 type VCState struct {
 	Buf FlitQueue
 
-	// Active is true while the packet at the front of Buf holds an output
-	// VC; OutPort/OutVC identify it. The allocation is released when the
-	// packet's tail flit traverses the switch.
-	Active  bool
-	OutPort int
-	OutVC   VCID
+	// headRef/headDst/headHops/headClass/headRestricted denormalize the
+	// front head flit's packet ref and routing-relevant fields into the
+	// slot (cacheHead), so RC+VA run without reading the ring or the packet
+	// table. Dst, Class and Length are immutable for a packet's lifetime,
+	// and the hop count only changes when the head leaves; Restricted is
+	// mutable, and every engine write while the head waits goes through
+	// allocate, which updates both copies (the canonical Packet stays the
+	// source of truth for routing functions and diagnostics).
+	headRef PacketRef
+	headDst NodeID
+
+	// candOff/candLen/candCap locate the slot's RC memo (RouteRetryStable
+	// routing; see allocate) in its router's candidate store: candLen
+	// candidates at candOff, in a region of candCap (memoize). candsValid
+	// is set when the memo holds the candidates of the packet now at the
+	// front, with Restricted == candsRestricted; cacheHead clears it for
+	// every new head.
+	candOff uint32
 
 	// headSeq/headLen cache the front flit's sequence number and its
 	// packet's length while the VC holds an output allocation, so switch
@@ -89,84 +106,77 @@ type VCState struct {
 	// data or the Packet. Set by cacheHead when a head flit becomes the
 	// front of an inactive VC, advanced by every drain; flits arrive in
 	// order, so the cache always matches the front flit of an active VC.
-	headSeq int32
-	headLen int32
+	headSeq  uint16
+	headLen  uint16
+	headHops uint16
 
-	// headRef/headDst/headPktID/headClass/headRestricted/headHops
-	// denormalize the front head flit's packet ref and routing-relevant
-	// fields into the slot (cacheHead, same sites as headSeq/headLen), so
-	// RC+VA run without reading the ring or the packet table. Dst, ID,
-	// Class and Length are immutable for a packet's lifetime, and the hop
-	// count only changes when the head leaves; Restricted is mutable, and
-	// every engine write while the head waits goes through allocate, which
-	// updates both copies (the canonical Packet stays the source of truth
-	// for routing functions and diagnostics).
-	headRef        PacketRef
-	headDst        NodeID
-	headPktID      uint64
-	headHops       int32
+	// Active is true while the packet at the front of Buf holds an output
+	// VC; OutPort/OutVC identify it. The allocation is released when the
+	// packet's tail flit traverses the switch.
+	OutPort int16
+	OutVC   VCID
+	Active  bool
+
+	// ip is the input port the VC belongs to (its slot over slotVCs).
+	ip uint16
+
+	candLen, candCap uint8
+
 	headClass      Class
 	headRestricted bool
 
-	// RC-memoization state (RouteRetryStable routing; see allocate).
-	// cands caches the candidate set computed for the packet candsPkt with
-	// Restricted == candsRestricted, so VA retries reuse it instead of
-	// re-invoking Route.
-	cands           []Candidate
-	candsPkt        uint64
-	candsRestricted bool
+	candsValid, candsRestricted bool
 }
+
+// maxVCs is the most VCs a channel may have (Config.Validate); per-VC port
+// state is sized for it.
+const maxVCs = 8
 
 // InPort is a router input: the upstream link (nil for the injection port)
 // and one buffer per VC.
 type InPort struct {
 	Link *Link
-	Kind LinkKind
+	VCs  []VCState
 	// DrainBudget bounds how many flits this input may push through the
 	// crossbar per cycle (the upstream channel bandwidth).
-	DrainBudget int
+	DrainBudget int32
+	Kind        LinkKind
 	// Interface marks die-to-die inputs: the heterogeneous router's
 	// multi-port input buffer may drain several VCs of such a port in one
 	// cycle (Sec. 4.1); regular inputs drain one VC per cycle.
 	Interface bool
-	VCs       []VCState
-	// depth is the per-VC ring capacity in flits. Ports only declare it:
-	// the rings have no storage until Finalize carves them out of the
-	// network's ring chunks (packSlabs).
-	depth int
 }
 
 // OutPort is a router output: the downstream link (nil for the ejection
-// port), per-VC credit counters and output-VC allocation state.
+// port), per-VC credit counters and output-VC allocation state. The per-VC
+// arrays are sized for maxVCs and live in the port itself: for two VCs that
+// is fewer bytes than slice headers alone would take, and no pointer.
 type OutPort struct {
 	Link *Link
-	Kind LinkKind
-	// Depth is the per-VC downstream buffer depth.
-	Depth int
 	// Credits tracks free buffer slots per downstream VC.
-	Credits []int
-	// Held marks output VCs currently allocated to an in-flight packet.
-	// heldMask mirrors it as a bitmask so VC allocation can reject every
-	// held VC of a candidate in one AND-NOT instead of a per-VC scan; the
-	// two are updated together. vcLimit masks candidate VCMasks down to
-	// the VCs that exist (a candidate may name VCs beyond len(Credits)).
-	Held     []bool
+	Credits [maxVCs]int32
+
+	// waitSlot[v], when ≥ 0, is the flattened input-VC slot holding output
+	// VC v whose switch traversal is parked on an empty credit counter; the
+	// credit completion that refills it puts the slot back on the ready
+	// list.
+	waitSlot [maxVCs]int16
+
+	// Depth is the per-VC downstream buffer depth.
+	Depth int32
+
+	// heldMask marks output VCs currently allocated to an in-flight packet,
+	// so VC allocation rejects every held VC of a candidate in one AND-NOT.
+	// vcLimit masks candidate VCMasks down to the VCs that exist (a
+	// candidate may name VCs beyond Config.VCs).
 	heldMask uint16
 	vcLimit  uint16
+
+	Kind LinkKind
 	// Interface marks die-to-die outputs: the higher-radix crossbar lets
 	// several input VCs feed such an output concurrently (Sec. 4.1);
 	// regular outputs accept one input VC per cycle.
 	Interface bool
-
-	// parked is the set of the router's flattened input-VC slots whose VC
-	// allocation is parked watching this output: their last attempt failed
-	// and only a credit arrival or output-VC release *here* can change the
-	// outcome (see Router.vaParked). waitSlot[v], when ≥ 0, is the slot
-	// holding output VC v whose switch traversal is parked on an empty
-	// credit counter; the credit completion that refills it puts the slot
-	// back on the ready list.
-	parked   []uint64
-	waitSlot []int32
 
 	// slow marks outputs whose link takes a granted run one flit at a time
 	// (adapter or retry protocol work in Accept). Derived in Finalize and
@@ -175,16 +185,8 @@ type OutPort struct {
 	slow bool
 }
 
-// setHeld and clearHeld keep Held and heldMask in lockstep.
-func (o *OutPort) setHeld(vc int) {
-	o.Held[vc] = true
-	o.heldMask |= 1 << uint(vc)
-}
-
-func (o *OutPort) clearHeld(vc VCID) {
-	o.Held[vc] = false
-	o.heldMask &^= 1 << uint(vc)
-}
+// held reports whether output VC vc is allocated to an in-flight packet.
+func (o *OutPort) held(vc int) bool { return o.heldMask&(1<<uint(vc)) != 0 }
 
 // Router is a canonical virtual-channel router (Sec. 7.1), extended at
 // interface ports with the paper's heterogeneous-router microarchitecture.
@@ -198,10 +200,19 @@ func (o *OutPort) clearHeld(vc VCID) {
 // been a no-op, and bitmap scans yield the same ascending slot order as
 // the dense loops of DESIGN.md's cycle semantics, so results stay
 // bit-identical — FuzzRefModel checks that claim against a dense model.
+//
+// Until Finalize a router's ports are declarations only: Connect counts
+// them (nIn, nOut) and the links name their indices. Finalize gives the
+// ports, VC states, rings and work state their storage, in router order
+// (materialise); In and Out are nil before.
 type Router struct {
 	ID  NodeID
-	In  []*InPort
-	Out []*OutPort
+	In  []InPort
+	Out []OutPort
+
+	// vcs is every input VC of the router by flattened slot: vcs[slot] is
+	// In[slot/slotVCs].VCs[slot%slotVCs].
+	vcs []VCState
 
 	// pkts is the network's packet table, which resolves flit refs.
 	pkts *PacketTable
@@ -210,32 +221,30 @@ type Router struct {
 	InjectPort int
 	EjectPort  int
 
+	// nIn and nOut count the declared ports, local ones included.
+	nIn, nOut int
+
 	buffered  int // total flits across all input VC buffers (activity)
 	activeVCs int // input VCs holding an output allocation
 	rr        int // round-robin arbitration pointer
 
-	// flat maps a flattened arbitration slot to its (input port, VC); the
-	// pointers avoid re-deriving them per slot in the hot loops. Built by
-	// rebuildWork once the port set is final.
-	flat []flatSlot
-
 	// slotVCs is the per-port VC count, for slot index arithmetic.
 	slotVCs int
 
-	// allocPend and saActive are the work bitmaps over flat slots
+	// allocPend and saActive are the work bitmaps over flattened slots
 	// described above.
 	allocPend []uint64
 	saActive  []uint64
 
 	// vaParked holds slots removed from allocPend because their VC
 	// allocation provably fails until one of the output ports their
-	// candidates name (recorded in OutPort.parked) sees a credit arrival
-	// or an output-VC release — the only two events that can change a VA
-	// outcome. unparkPort moves a port's watchers back to allocPend when
-	// either occurs. vaParkedCount mirrors the bitmap's population so the
-	// tick can charge each parked slot its per-cycle VA-failure statistic
-	// with one addition (a dense scan would revisit the slot and fail
-	// again — same count).
+	// candidates name sees a credit arrival or an output-VC release — the
+	// only two events that can change a VA outcome. parked[op*words:] (words
+	// = len(allocPend)) is the set of slots watching output op; unparkPort
+	// moves a port's watchers back to allocPend when either event occurs.
+	// vaParkedCount mirrors the bitmap's population so the tick can charge
+	// each parked slot its per-cycle VA-failure statistic with one addition
+	// (a dense scan would revisit the slot and fail again — same count).
 	//
 	// saReady is the subset of saActive whose switch traversal can make
 	// progress: a slot starved of credits on its allocated output VC drops
@@ -246,13 +255,12 @@ type Router struct {
 	vaParked      []uint64
 	vaParkedCount int
 	saReady       []uint64
+	parked        []uint64
 
-	// scratch buffers reused across cycles
-	cands    []Candidate
-	outSlots []int
-	outVCs   []int // input VCs granted per output this cycle
-	inUsed   []int // flits drained per input this cycle
-	inVCs    []int // VCs granted per input this cycle
+	// memo is the candidate store the slots' RC memos point into (see
+	// VCState.candOff and memoize), allocated when the router first
+	// memoizes.
+	memo []cand
 
 	// Switch-allocation early exit: outAvail/inAvail count output and
 	// input ports that could still take part in a grant this cycle. Port
@@ -288,101 +296,23 @@ type Router struct {
 	slotOut []int16
 }
 
-// flatSlot is one flattened arbitration slot.
-type flatSlot struct {
-	in *InPort
-	vc *VCState
-	ip int32
-	v  int32
-}
-
-// newRouter constructs a router with only local ports; topology builders add
-// link ports via AddInPort/AddOutPort.
-func newRouter(cfg *Config, id NodeID, pkts *PacketTable) *Router {
-	r := &Router{ID: id, pkts: pkts, InjectPort: 0, EjectPort: 0, ejBW: cfg.EjectionBandwidth}
-	// Injection input port.
-	inj := &InPort{Kind: KindLocal, DrainBudget: cfg.InjectionBandwidth, depth: cfg.BufPerVC(KindLocal)}
-	inj.VCs = make([]VCState, cfg.VCs)
-	r.In = append(r.In, inj)
-	// Ejection output port: no link, no credits needed beyond rate limit.
-	ej := &OutPort{Kind: KindLocal, Interface: true}
-	r.Out = append(r.Out, ej)
-	return r
-}
-
-// AddInPort attaches the sink side of a link and returns the new input-port
-// index.
-func (r *Router) AddInPort(cfg *Config, l *Link) int {
-	p := &InPort{
-		Link:        l,
-		Kind:        l.Kind,
-		DrainBudget: l.Bandwidth,
-		Interface:   l.Kind != KindOnChip,
-		depth:       cfg.BufPerVC(l.Kind),
-	}
-	p.VCs = make([]VCState, cfg.VCs)
-	r.In = append(r.In, p)
-	return len(r.In) - 1
-}
-
-// AddOutPort attaches the source side of a link and returns the new
-// output-port index.
-func (r *Router) AddOutPort(cfg *Config, l *Link) int {
-	p := &OutPort{
-		Link:      l,
-		Kind:      l.Kind,
-		Interface: l.Kind != KindOnChip,
-	}
-	depth := cfg.BufPerVC(l.Kind)
-	p.Depth = depth
-	p.Credits = make([]int, cfg.VCs)
-	p.Held = make([]bool, cfg.VCs)
-	p.vcLimit = 1<<uint(cfg.VCs) - 1
-	for i := range p.Credits {
-		p.Credits[i] = depth
-	}
-	r.Out = append(r.Out, p)
-	return len(r.Out) - 1
-}
-
-// rebuildWork (re)derives the flattened slot table, the work bitmaps and
-// the held masks from current port state. Finalize calls it (rebuildWake);
-// it is O(router), never per-cycle.
+// rebuildWork (re)derives the work bitmaps, the held masks' watchers and
+// the switch-budget prologue from current port state, in the storage
+// materialise gave the router. Finalize calls it (rebuildWake); it is
+// O(router), never per-cycle.
 func (r *Router) rebuildWork() {
-	r.slotVCs = len(r.In[0].VCs)
-	r.flat = r.flat[:0]
-	for ip, in := range r.In {
-		for v := range in.VCs {
-			r.flat = append(r.flat, flatSlot{in: in, vc: &in.VCs[v], ip: int32(ip), v: int32(v)})
-		}
-	}
-	words := (len(r.flat) + 63) >> 6
-	if len(r.allocPend) != words {
-		// One backing array: the four work bitmaps of a typical-radix
-		// router (one word each) share a cache line, so a slot's full
-		// VA/SA decision state loads together.
-		bm := make([]uint64, 4*words)
-		r.allocPend = bm[:words:words]
-		r.saActive = bm[words : 2*words : 2*words]
-		r.vaParked = bm[2*words : 3*words : 3*words]
-		r.saReady = bm[3*words : 4*words : 4*words]
-	}
 	for i := range r.allocPend {
 		r.allocPend[i] = 0
 		r.saActive[i] = 0
 		r.vaParked[i] = 0
 	}
 	r.vaParkedCount = 0
-	if cap(r.slotOut) < len(r.flat) {
-		r.slotOut = make([]int16, len(r.flat))
-	}
-	r.slotOut = r.slotOut[:len(r.flat)]
-	for slot := range r.flat {
-		vc := r.flat[slot].vc
+	for slot := range r.vcs {
+		vc := &r.vcs[slot]
 		r.slotOut[slot] = 0
 		switch {
 		case vc.Active:
-			r.slotOut[slot] = int16(vc.OutPort)
+			r.slotOut[slot] = vc.OutPort
 			r.saActive[slot>>6] |= 1 << (uint(slot) & 63)
 		case !vc.Buf.Empty():
 			r.cacheHead(vc, vc.Buf.frontRef())
@@ -392,39 +322,22 @@ func (r *Router) rebuildWork() {
 	// Forgetting parked state is always safe: an unparked slot is revisited,
 	// fails (or succeeds) exactly as the dense scan would, and re-parks.
 	copy(r.saReady, r.saActive)
-	for _, out := range r.Out {
-		out.heldMask = 0
-		for v, h := range out.Held {
-			if h {
-				out.heldMask |= 1 << uint(v)
-			}
-		}
-		if len(out.parked) != words {
-			out.parked = make([]uint64, words)
-		}
-		for i := range out.parked {
-			out.parked[i] = 0
-		}
-		if len(out.waitSlot) != len(out.Credits) {
-			out.waitSlot = make([]int32, len(out.Credits))
-		}
-		for i := range out.waitSlot {
-			out.waitSlot[i] = -1
+	clear(r.parked)
+	for i := range r.Out {
+		for v := range r.Out[i].waitSlot {
+			r.Out[i].waitSlot[v] = -1
 		}
 	}
 	r.inBudgeted = 0
-	for _, in := range r.In {
-		if in.DrainBudget > 0 {
+	for i := range r.In {
+		if r.In[i].DrainBudget > 0 {
 			r.inBudgeted++
 		}
 	}
-	if cap(r.outBase) < len(r.Out) {
-		r.outBase = make([]int, len(r.Out))
-	}
-	r.outBase = r.outBase[:len(r.Out)]
 	r.outDyn = r.outDyn[:0]
 	r.outAvailBase = 0
-	for i, out := range r.Out {
+	for i := range r.Out {
+		out := &r.Out[i]
 		switch {
 		case out.Link == nil:
 			r.outBase[i] = r.ejBW
@@ -463,46 +376,50 @@ func (r *Router) cacheHead(vc *VCState, f *Flit) {
 }
 
 // cacheHeadPkt is cacheHead for sites that construct the head flit
-// themselves (injection: sequence 0 by construction).
+// themselves (injection: sequence 0 by construction). A new head
+// invalidates the slot's RC memo.
 func (vc *VCState) cacheHeadPkt(pkt *Packet) {
 	vc.headSeq = 0
-	vc.headLen = int32(pkt.Length)
+	vc.headLen = uint16(pkt.Length)
 	vc.headRef = pkt.ref
 	vc.headDst = pkt.Dst
-	vc.headPktID = pkt.ID
-	vc.headHops = int32(pkt.Hops())
+	vc.headHops = uint16(pkt.Hops())
 	vc.headClass = pkt.Class
 	vc.headRestricted = pkt.Restricted
+	vc.candsValid = false
 }
 
 // parkVA moves a slot whose VC allocation just failed from allocPend to
 // vaParked, watching every output port in cands (the failure can only be
 // undone by a credit arrival or VC release on one of them). Idempotent: a
 // slot re-marked by a mid-wait flit delivery re-parks without recounting.
-func (r *Router) parkVA(slot int, cands []Candidate) {
+func (r *Router) parkVA(slot int, cands []cand) {
 	wi, bit := slot>>6, uint64(1)<<(uint(slot)&63)
 	r.allocPend[wi] &^= bit
 	if r.vaParked[wi]&bit == 0 {
 		r.vaParked[wi] |= bit
 		r.vaParkedCount++
 	}
+	words := len(r.allocPend)
 	for i := range cands {
-		r.Out[cands[i].Port].parked[wi] |= bit
+		r.parked[int(cands[i].port)*words+wi] |= bit
 	}
 }
 
-// unparkPort returns every slot parked on out to allocPend, called on the
-// two events that can flip a VA failure there: a credit arrival and an
-// output-VC release. Slots watching several ports are unparked by the
+// unparkPort returns every slot parked on output op to allocPend, called
+// on the two events that can flip a VA failure there: a credit arrival and
+// an output-VC release. Slots watching several ports are unparked by the
 // first event and may leave stale bits in the other ports' masks; the
 // vaParked intersection filters those (and bits of since-granted slots)
 // out, and the mask reset drops them for good.
-func (r *Router) unparkPort(out *OutPort) {
-	for i, w := range out.parked {
+func (r *Router) unparkPort(op int) {
+	words := len(r.allocPend)
+	parked := r.parked[op*words : op*words+words]
+	for i, w := range parked {
 		if w == 0 {
 			continue
 		}
-		out.parked[i] = 0
+		parked[i] = 0
 		if m := w & r.vaParked[i]; m != 0 {
 			r.allocPend[i] |= m
 			r.vaParked[i] &^= m
@@ -514,13 +431,13 @@ func (r *Router) unparkPort(out *OutPort) {
 // deliver buffers a flit arriving from an adapter or retry link at
 // port/VC (plain links publish whole staged runs, see commitDirect).
 func (r *Router) deliver(inPort int, f Flit) {
-	vc := &r.In[inPort].VCs[f.VC]
+	slot := inPort*r.slotVCs + int(f.VC)
+	vc := &r.vcs[slot]
 	wasEmpty := vc.Buf.Empty()
 	if !vc.Buf.Push(f) {
 		panic(fmt.Sprintf("network: input buffer overflow at node %d port %d vc %d (credit protocol violated)", r.ID, inPort, f.VC))
 	}
 	r.buffered++
-	slot := inPort*r.slotVCs + int(f.VC)
 	if !vc.Active {
 		if wasEmpty {
 			r.cacheHead(vc, &f)
@@ -575,10 +492,10 @@ func (r *Router) vaStage(ctx *tickContext) {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
 			slot := wi<<6 + b
-			s := &r.flat[slot]
+			vc := &r.vcs[slot]
 			// The non-head panic of the dense scan moved to cacheHead: the
 			// slot state read here was denormalized from a checked head.
-			r.allocate(ctx, slot, int(s.ip), s.vc)
+			r.allocate(ctx, slot, int(vc.ip), vc)
 		}
 	}
 }
@@ -587,7 +504,7 @@ func (r *Router) vaStage(ctx *tickContext) {
 // (headSeq 0, headLen) was populated by cacheHead when the head reached
 // the front, so the switch stage starts from it unchanged.
 func (r *Router) grantVC(slot int, vc *VCState, port int, outVC VCID) {
-	vc.Active, vc.OutPort, vc.OutVC = true, port, outVC
+	vc.Active, vc.OutPort, vc.OutVC = true, int16(port), outVC
 	r.slotOut[slot] = int16(port)
 	r.activeVCs++
 	r.allocPend[slot>>6] &^= 1 << (uint(slot) & 63)
@@ -599,8 +516,7 @@ func (r *Router) grantVC(slot int, vc *VCState, port int, outVC VCID) {
 // When the routing level guarantees the retry would recompute the same
 // candidates, the slot parks on the candidate ports instead of rescanning
 // every cycle.
-func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, restricted bool, cands []Candidate) {
-	vc.candsPkt, vc.candsRestricted = pktID, restricted
+func (r *Router) vaFail(ctx *tickContext, slot int, cands []cand) {
 	ctx.scratch.vaFailures++
 	if ctx.net.stability >= RouteRetryStable {
 		r.parkVA(slot, cands)
@@ -625,13 +541,36 @@ func (net *Network) prepare() {
 	}
 }
 
+// cand is a Candidate packed into four bytes, the form allocate works on
+// and the RC memo stores: the port (materialise keeps a router's ports
+// within int16), the VC mask cut to the maxVCs a channel can have (the
+// allocator masks it with the port's vcLimit anyway) and the escape flag.
+type cand struct {
+	port   int16
+	mask   uint8
+	escape bool
+}
+
+// packCands appends the routing function's candidates to dst as cands,
+// panicking on a port the router does not have.
+func (r *Router) packCands(dst []cand, routed []Candidate) []cand {
+	for i := range routed {
+		c := &routed[i]
+		if uint(c.Port) >= uint(len(r.Out)) {
+			panic(fmt.Sprintf("network: routing returned port %d at node %d, which has %d output ports", c.Port, r.ID, len(r.Out)))
+		}
+		dst = append(dst, cand{port: int16(c.Port), mask: uint8(c.VCMask), escape: c.Escape})
+	}
+	return dst
+}
+
 // adaptiveMask folds a candidate set's non-escape ports below 64 into the
 // bitmask the livelock channel-switch restriction checks.
-func adaptiveMask(cands []Candidate) uint64 {
+func adaptiveMask(cands []cand) uint64 {
 	m := uint64(0)
 	for i := range cands {
-		if c := &cands[i]; !c.Escape && c.Port < 64 {
-			m |= 1 << uint(c.Port)
+		if c := &cands[i]; !c.escape && c.port < 64 {
+			m |= 1 << uint(c.port)
 		}
 	}
 	return m
@@ -667,44 +606,44 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		// check guards the (contract-violating, e.g. a LivelockHopBound
 		// change mid-run) case where the packet state moved under a parked
 		// slot: unpark and rescan.
-		if vc.candsPkt == vc.headPktID && vc.candsRestricted == vc.headRestricted {
+		if vc.candsValid && vc.candsRestricted == vc.headRestricted {
 			r.allocPend[wi] &^= bit
 			return
 		}
 		r.vaParked[wi] &^= bit
 		r.vaParkedCount--
 	}
-	cands := vc.cands
-	if net.stability < RouteRetryStable || vc.candsPkt != vc.headPktID || vc.candsRestricted != vc.headRestricted {
+	var cands []cand
+	if net.stability >= RouteRetryStable && vc.candsValid && vc.candsRestricted == vc.headRestricted {
+		cands = r.memo[vc.candOff : vc.candOff+uint32(vc.candLen)]
+	} else {
 		pkt := r.pkts.get(vc.headRef)
-		cands = net.Routing.Route(net, r, inPort, pkt, r.cands[:0])
-		r.cands = cands[:0] // keep capacity
+		routed := net.Routing.Route(net, r, inPort, pkt, ctx.scratch.routed[:0])
+		ctx.scratch.routed = routed[:0] // keep capacity
 		// A RouteRetryStable function may set Restricted (part of its
 		// reuse key); re-sync the denormalized copy.
 		vc.headRestricted = pkt.Restricted
+		if len(routed) == 0 {
+			panic(fmt.Sprintf("network: routing %q returned no candidates at node %d for packet %d -> %d", net.Routing.Name(), r.ID, pkt.ID, pkt.Dst))
+		}
+		cands = r.packCands(ctx.scratch.cands[:0], routed)
+		ctx.scratch.cands = cands[:0]
 		if net.stability >= RouteRetryStable {
-			// Copied, not routed in place: one exact-size allocation the
-			// first time a VC's memo grows, not append's doubling steps
-			// (synth_knee 4.1k → 3.5k allocs per kcycle).
-			vc.cands = append(vc.cands[:0], cands...)
-			vc.candsPkt, vc.candsRestricted = pkt.ID, pkt.Restricted
-			cands = vc.cands
+			cands = r.memoize(vc, cands)
 		}
 	}
 	adaptivePorts := adaptiveMask(cands)
-	if len(cands) == 0 {
-		panic(fmt.Sprintf("network: routing %q returned no candidates at node %d for packet %d -> %d", net.Routing.Name(), r.ID, vc.headPktID, vc.headDst))
-	}
 
 	sawAdaptive := false
 	for i := range cands {
 		c := &cands[i]
-		out := r.Out[c.Port]
+		port := int(c.port)
+		out := &r.Out[port]
 		if out.Link == nil {
-			r.grantVC(slot, vc, c.Port, 0)
+			r.grantVC(slot, vc, port, 0)
 			return
 		}
-		if !c.Escape {
+		if !c.escape {
 			sawAdaptive = true
 		}
 		// Pick a free allowed output VC under virtual cut-through
@@ -719,11 +658,11 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		// highest eligible VC, throughput the lowest, other classes the
 		// lowest among those with the most credits. elig masks out held
 		// VCs in one operation.
-		need := min(int(vc.headLen), out.Depth)
+		need := min(int32(vc.headLen), out.Depth)
 		if net.Cfg.WormholeAdmission {
 			need = 1
 		}
-		elig := c.VCMask & out.vcLimit &^ out.heldMask
+		elig := uint16(c.mask) & out.vcLimit &^ out.heldMask
 		best, bestCred := -1, need-1
 		switch vc.headClass {
 		case ClassThroughput:
@@ -754,7 +693,7 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 		if best < 0 {
 			continue
 		}
-		if c.Escape && sawAdaptive && (c.Port >= 64 || adaptivePorts&(1<<uint(c.Port)) == 0) {
+		if c.escape && sawAdaptive && (port >= 64 || adaptivePorts&(1<<uint(port)) == 0) {
 			// Livelock channel-switch restriction (Sec. 6.2): the packet
 			// fell back to the escape subnetwork because the adaptive
 			// channels on its minimal paths were congested; from now on it
@@ -766,12 +705,47 @@ func (r *Router) allocate(ctx *tickContext, slot, inPort int, vc *VCState) {
 			r.pkts.get(vc.headRef).Restricted = true
 			vc.headRestricted = true
 		}
-		out.setHeld(best)
-		r.grantVC(slot, vc, c.Port, VCID(best))
+		out.heldMask |= 1 << uint(best)
+		r.grantVC(slot, vc, port, VCID(best))
 		return
 	}
 	// Nothing allocatable this cycle; retry next cycle.
-	r.vaFail(ctx, slot, vc, vc.headPktID, vc.headRestricted, cands)
+	r.vaFail(ctx, slot, cands)
+}
+
+// memoStride is the candidate-store region each slot of a memoizing router
+// gets up front. Table 2's routing functions return two to four candidates
+// nearly always; a slot that needs more gets a region of its own size at
+// the end of the store.
+const memoStride = 4
+
+// memoize copies a RouteRetryStable candidate set into the slot's region of
+// the router's candidate store and marks the memo valid. The store is
+// allocated on the router's first memo with a memoStride region for every
+// slot; a set that does not fit its slot's region moves the slot to a new
+// one appended at the end. A set too long for the 8-bit length stays
+// unmemoized: the slot then routes on every attempt, with the same result.
+func (r *Router) memoize(vc *VCState, cands []cand) []cand {
+	n := len(cands)
+	if n > math.MaxUint8 {
+		vc.candsValid = false
+		return cands
+	}
+	if r.memo == nil {
+		r.memo = make([]cand, len(r.vcs)*memoStride)
+		for i := range r.vcs {
+			r.vcs[i].candOff, r.vcs[i].candCap = uint32(i*memoStride), memoStride
+		}
+	}
+	if n > int(vc.candCap) {
+		vc.candOff, vc.candCap = uint32(len(r.memo)), uint8(n)
+		r.memo = append(r.memo, cands...)
+	} else {
+		copy(r.memo[vc.candOff:], cands)
+	}
+	vc.candLen = uint8(n)
+	vc.candsValid, vc.candsRestricted = true, vc.headRestricted
+	return r.memo[vc.candOff : vc.candOff+uint32(n)]
 }
 
 // switchAlloc grants crossbar passage to active input VCs, respecting link
@@ -784,19 +758,18 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 	if r.activeVCs == 0 {
 		return
 	}
+	// The four per-cycle budget counters live in the shard's scratch, one
+	// backing array reused by every router the shard ticks: a typical-radix
+	// router's fit in two cache lines.
 	nOut, nIn := len(r.Out), len(r.In)
-	if cap(r.outSlots) < nOut || cap(r.inUsed) < nIn {
-		// One backing array: the four per-cycle budget counters of a
-		// typical-radix router fit in two cache lines instead of four
-		// scattered allocations.
-		sa := make([]int, 2*nOut+2*nIn)
-		r.outSlots = sa[:nOut:nOut]
-		r.outVCs = sa[nOut : 2*nOut : 2*nOut]
-		r.inUsed = sa[2*nOut : 2*nOut+nIn : 2*nOut+nIn]
-		r.inVCs = sa[2*nOut+nIn:]
+	sa := ctx.scratch.sa
+	if cap(sa) < 2*nOut+2*nIn {
+		sa = make([]int, 2*nOut+2*nIn)
+		ctx.scratch.sa = sa
 	}
-	outSlots, outVCs := r.outSlots[:nOut], r.outVCs[:nOut]
-	inUsed, inVCs := r.inUsed[:nIn], r.inVCs[:nIn]
+	sa = sa[:2*nOut+2*nIn]
+	outSlots, outVCs := sa[:nOut:nOut], sa[nOut:2*nOut:2*nOut]
+	inUsed, inVCs := sa[2*nOut:2*nOut+nIn:2*nOut+nIn], sa[2*nOut+nIn:]
 	copy(outSlots, r.outBase)
 	outAvail := r.outAvailBase
 	for _, i := range r.outDyn {
@@ -805,18 +778,12 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 			outAvail++
 		}
 	}
-	for i := range outVCs {
-		outVCs[i] = 0
-	}
-	for i := range inUsed {
-		inUsed[i] = 0
-		inVCs[i] = 0
-	}
+	clear(sa[nOut:])
 
 	// Flattened round-robin over (input port, VC). rr stays < total except
-	// right after a topology rebuild shrank flat, so the wrap is a compare,
-	// not a division.
-	total := len(r.flat)
+	// right after a topology rebuild shrank the slot set, so the wrap is a
+	// compare, not a division.
+	total := len(r.vcs)
 	start := r.rr
 	if start >= total {
 		start %= total
@@ -888,12 +855,11 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	if outSlots[op] <= 0 {
 		return
 	}
-	out := r.Out[op]
+	out := &r.Out[op]
 	if !out.Interface && outVCs[op] >= 1 {
 		return
 	}
-	s := &r.flat[slot]
-	vc := s.vc
+	vc := &r.vcs[slot]
 	if !vc.Active || vc.Buf.Empty() {
 		// An active slot drained empty mid-packet cannot progress until
 		// its next flit arrives; the refill sites (deliver, commitDirect,
@@ -902,23 +868,24 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 		r.saReady[slot>>6] &^= 1 << (uint(slot) & 63)
 		return
 	}
-	in := s.in
-	ip := int(s.ip)
-	if inUsed[ip] >= in.DrainBudget {
+	ip := int(vc.ip)
+	in := &r.In[ip]
+	drain := int(in.DrainBudget)
+	if inUsed[ip] >= drain {
 		return
 	}
 	if !in.Interface && inVCs[ip] >= 1 {
 		return
 	}
-	budget := min(outSlots[op], in.DrainBudget-inUsed[ip])
+	budget := min(outSlots[op], drain-inUsed[ip])
 	if out.Link != nil {
-		cr := out.Credits[vc.OutVC]
+		cr := int(out.Credits[vc.OutVC])
 		if cr == 0 {
 			// Credit-starved: the held output VC cannot accept a flit until
 			// its refilling credit completes, and only this slot drains that
 			// counter — drop off the ready list until then (see saReady).
 			r.saReady[slot>>6] &^= 1 << (uint(slot) & 63)
-			out.waitSlot[vc.OutVC] = int32(slot)
+			out.waitSlot[vc.OutVC] = int16(slot)
 			return
 		}
 		budget = min(budget, cr)
@@ -930,7 +897,7 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	tailSent := n == remain
 	a, b := vc.Buf.PeekRun(n)
 	if in.Link != nil {
-		in.Link.ReturnCredits(VCID(s.v), n)
+		in.Link.ReturnCredits(VCID(slot-ip*r.slotVCs), n)
 		if !in.Link.crQueued {
 			in.Link.crQueued = true
 			ctx.scratch.wokeCr = append(ctx.scratch.wokeCr, int32(in.Link.ID))
@@ -950,7 +917,7 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 			r.headHop(ctx, r.pkts.get(vc.headRef), out)
 		}
 		ctx.scratch.grantsByKind[out.Kind] += uint64(n)
-		out.Credits[vc.OutVC] -= n
+		out.Credits[vc.OutVC] -= int32(n)
 		if out.Credits[vc.OutVC] < 0 {
 			panic("network: negative credits (switch allocation over-granted)")
 		}
@@ -965,15 +932,15 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 		}
 	}
 	vc.Buf.Drop(n)
-	vc.headSeq = headSeq + int32(n)
+	vc.headSeq = headSeq + uint16(n)
 	r.buffered -= n
 	if tailSent {
 		if out.Link != nil {
 			// Freeing an output VC can unblock allocations parked on this
 			// port; return them to the pending set (effective next cycle,
 			// the same cycle a rescan would first succeed).
-			out.clearHeld(vc.OutVC)
-			r.unparkPort(out)
+			out.heldMask &^= 1 << uint(vc.OutVC)
+			r.unparkPort(op)
 		}
 		vc.Active = false
 		r.activeVCs--
@@ -991,7 +958,7 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	}
 	inUsed[ip] += n
 	inVCs[ip]++
-	if inUsed[ip] >= in.DrainBudget || !in.Interface {
+	if inUsed[ip] >= drain || !in.Interface {
 		r.inAvail--
 	}
 	ctx.scratch.moved += uint64(n)

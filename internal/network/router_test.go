@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,50 @@ func TestVCTAdmissionHoldsWholePacket(t *testing.T) {
 	}
 	if gap := arrivals[1] - arrivals[0]; gap < 8 {
 		t.Errorf("second packet arrived %d cycles after first; VCT admission should serialize them", gap)
+	}
+}
+
+// TestMaxLengthPacketsThroughDeepestBuffers holds the engine's 16-bit
+// fields to their bounds: MaxPacketLength-flit packets (flit Seq, the VC
+// head cache) cross each plain link kind into the deepest rings
+// Config.Validate accepts — MaxRingDepth flits on chip, and on interface
+// channels the largest depth the hetero-PHY sequence bound leaves (one VC
+// of 32,767). A 2-flit packet goes first, so the long packets' runs
+// straddle the end of the rings; injection runs at twice the link
+// bandwidth, so the injection ring also wraps while deep. Every packet
+// arrives whole, in order, with every credit back home.
+func TestMaxLengthPacketsThroughDeepestBuffers(t *testing.T) {
+	for _, kind := range plainKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			net, l := twoNodeNet(t, kind, func(c *Config) {
+				c.VCs = 1
+				c.InjectionBandwidth = 2 * c.Bandwidth(kind)
+				c.PacketLength = MaxPacketLength
+				c.OnChipBufPerVC = MaxRingDepth
+				c.IfaceBufPerVC = 1<<15 - 1
+			})
+			want := 1<<15 - 1
+			if kind == KindOnChip {
+				want = MaxRingDepth
+			}
+			if depth := net.Nodes[1].In[l.DstPort].VCs[0].Buf.Cap(); depth != want {
+				t.Fatalf("ring depth %d, want %d", depth, want)
+			}
+			var got []uint64
+			net.Sink = func(p *Packet) { got = append(got, p.ID) }
+			for _, length := range []int{2, MaxPacketLength, MaxPacketLength} {
+				net.Offer(net.NewPacket(0, 1, length, 0))
+			}
+			if ok, err := net.Drain(); !ok || err != nil {
+				t.Fatalf("drain: ok=%v err=%v after %d cycles, delivered %v", ok, err, net.Now, got)
+			}
+			if !slices.Equal(got, []uint64{1, 2, 3}) {
+				t.Fatalf("delivered packets %v, want 1, 2, 3", got)
+			}
+			if err := net.CheckCredits(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -61,7 +61,7 @@ func TestEveryPairHasEscape(t *testing.T) {
 					if c.VCMask == 0 {
 						t.Fatalf("%v: empty VC mask at %d->%d", sys, cur, dst)
 					}
-					if c.Port <= 0 || c.Port >= len(net.Nodes[cur].Out) {
+					if c.Port <= 0 || c.Port >= len(topo.OutPorts[cur]) {
 						t.Fatalf("%v: bad port %d at %d->%d", sys, c.Port, cur, dst)
 					}
 				}
