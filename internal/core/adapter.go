@@ -47,6 +47,10 @@ type HeteroPHYAdapter struct {
 	// enabled and the policy implements it).
 	evict    serialEvictor
 	nRescued uint64
+	// held keeps rescued flits, with their tags, that the parallel retry
+	// pipe's replay window could not take yet, in eviction order
+	// (feedRescue).
+	held []heldFlit
 
 	rob   *ROB
 	txSN  uint16
@@ -62,6 +66,11 @@ type HeteroPHYAdapter struct {
 	nParallel uint64
 	nSerial   uint64
 	maxQ      int
+}
+
+type heldFlit struct {
+	f   network.Flit
+	tag uint32
 }
 
 type txEntry struct {
@@ -167,7 +176,7 @@ func (a *HeteroPHYAdapter) Accept(now int64, f network.Flit) {
 
 // InFlight implements network.Adapter.
 func (a *HeteroPHYAdapter) InFlight() int {
-	n := len(a.txq) + a.ppipe.inFlight + a.spipe.inFlight + a.rob.Occupancy()
+	n := len(a.txq) + len(a.held) + a.ppipe.inFlight + a.spipe.inFlight + a.rob.Occupancy()
 	if a.pRetry != nil {
 		n += a.pRetry.InFlight()
 	}
@@ -212,6 +221,7 @@ func (a *HeteroPHYAdapter) EnableRetry(phy PHY, hook network.TxFault, window, ti
 func (a *HeteroPHYAdapter) Tick(now int64, deliver func(network.Flit)) {
 	if a.pRetry != nil {
 		a.pRetry.Tick(now, a.arrive)
+		a.feedRescue(now)
 	} else {
 		a.ppipe.advance(a.rob)
 	}
@@ -259,18 +269,34 @@ func (a *HeteroPHYAdapter) serialState(now int64) State {
 // VSN/SN stamps, so the ROB still releases them in issue order; clearing
 // the serial pipe (FailoverDrain) guarantees no duplicate can follow. The
 // burst intentionally ignores the per-cycle parallel budget — a rare
-// rescue event models the adapter re-steering its buffered state, and the
-// retry window absorbs it by stalling subsequent accepts.
+// rescue event models the adapter re-steering its buffered state. A
+// parallel retry pipe takes the burst only as far as its replay window
+// reaches; the adapter holds the rest and feeds it in as acks free the
+// window (feedRescue), while new dispatches wait behind it.
 func (a *HeteroPHYAdapter) rescueSerial(now int64) {
 	a.sRetry.FailoverDrain(func(f network.Flit, tag uint32) {
 		a.nRescued++
 		if a.pRetry != nil {
-			a.pRetry.Accept(now, f, tag)
+			a.held = append(a.held, heldFlit{f, tag})
 			return
 		}
 		a.pkts.Charge(f.P, network.KindParallel, 1)
 		a.ppipe.push(unstamp(f, tag))
 	})
+	if a.pRetry != nil {
+		a.feedRescue(now)
+	}
+}
+
+// feedRescue moves held rescued flits into the parallel retry pipe, oldest
+// first, while its replay window has room, outside the per-cycle budget
+// like the rescue burst itself.
+func (a *HeteroPHYAdapter) feedRescue(now int64) {
+	n := 0
+	for ; n < len(a.held) && !a.pRetry.Full(); n++ {
+		a.pRetry.Accept(now, a.held[n].f, a.held[n].tag)
+	}
+	a.held = a.held[:copy(a.held, a.held[n:])]
 }
 
 func (a *HeteroPHYAdapter) dispatch(now int64) {

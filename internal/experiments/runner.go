@@ -28,6 +28,13 @@ type Instance struct {
 
 // Build constructs a system and attaches the matching routing algorithm.
 func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
+	return build(cfg, spec, 0)
+}
+
+// build is Build with the Eq. 5 bias of a hetero-channel system's routing
+// (simPoint.Bias; 0 keeps the default), set before Finalize reads the
+// routing's stability.
+func build(cfg network.Config, spec topology.Spec, bias float64) (*Instance, error) {
 	net, topo, err := topology.Build(cfg, spec)
 	if err != nil {
 		return nil, err
@@ -35,6 +42,9 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	alg, err := routing.ForSystem(topo, &net.Cfg)
 	if err != nil {
 		return nil, err
+	}
+	if hc, ok := alg.(*routing.HeteroChannel); ok && bias > 0 {
+		hc.Bias = bias
 	}
 	net.Routing = alg
 	in := &Instance{Net: net, Topo: topo, Stats: &stats.Collector{Warmup: cfg.WarmupCycles}}
@@ -54,15 +64,15 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 			HopsHetero:     p.HopsHetero,
 		})
 	}
+	// Shard the stepper along chiplet rows so cross-shard traffic rides the
+	// D2D interface links. Finalize picks the shard count from cfg.Workers
+	// (0 = by system size, then by load as well).
+	net.SetShardCuts(topo.ShardCuts())
 	net.Finalize()
 	// A generous hop bound (several diameters) catches any residual
 	// wandering — reachable only under fault injection, where the torus
 	// weighted-distance heuristic can point at a dead wraparound.
 	net.LivelockHopBound = 6 * (topo.GX + topo.GY)
-	// Shard the stepper along chiplet rows so cross-shard traffic rides the
-	// D2D interface links. The first Step picks the shard count from
-	// cfg.Workers (0 = by system size, then by load as well).
-	net.SetShardCuts(topo.ShardCuts())
 	return in, nil
 }
 
@@ -119,7 +129,10 @@ type outcome struct {
 // measures. Its shard workers stop on every exit path, so a point's
 // goroutines end when it returns; the network stays readable as one shard.
 func (p simPoint) run() (out outcome, err error) {
-	in, err := Build(p.Cfg, p.Spec)
+	if p.Bias > 0 && p.Spec.System != topology.HeteroChannel {
+		return out, fmt.Errorf("experiments: %s: an Eq. 5 bias needs a hetero-channel system", p.Name)
+	}
+	in, err := build(p.Cfg, p.Spec, p.Bias)
 	if err != nil {
 		return out, err
 	}
@@ -133,12 +146,6 @@ func (p simPoint) run() (out outcome, err error) {
 		}
 		out.Injected, out.Delivered = in.Net.PacketsInjected(), in.Net.PacketsDelivered()
 	}()
-	if p.Bias > 0 {
-		if p.Spec.System != topology.HeteroChannel {
-			return out, fmt.Errorf("experiments: %s: an Eq. 5 bias needs a hetero-channel system", p.Name)
-		}
-		in.Net.Routing = &routing.HeteroChannel{T: in.Topo, Bias: p.Bias}
-	}
 	var chk *fault.IntegrityChecker
 	if p.Faults != nil {
 		fault.Attach(in.Net, *p.Faults)

@@ -31,6 +31,9 @@ import (
 //   - run returns nil or an error that names its cause (a refusal before
 //     the first cycle, the watchdog, the drain or collective budget), never
 //     panics, and never steps past those bounds;
+//   - no retry pipe, on a plain link or an adapter PHY, ever holds more
+//     than its replay window (RetryPipe.Accept panics), and none ends
+//     over it;
 //   - every shard count yields one fingerprint, one error and one
 //     collective Report;
 //   - a nil run delivered every packet exactly once with credits conserved,
@@ -245,7 +248,8 @@ type simRun struct {
 	report         collective.Report
 	stepped        bool // the hook ran: the point was not refused
 	trips, rescued uint64
-	shards         int // the most shards the network stepped on at a delivery
+	shards         int  // the most shards the network stepped on at a delivery
+	atWindow       bool // a plain link's retry pipe ended with its replay window full
 }
 
 // diagnostic matches the errors a built point may end in; each names why.
@@ -282,6 +286,7 @@ func (c simCase) run(t *testing.T, shards int) (r simRun) {
 	}
 	finish()
 	r.stepped, r.report, r.trips = true, out.Report, out.Trips
+	r.atWindow = checkWindows(t, tag, in)
 	if limit := pt.Cfg.SimCycles + pt.Budget + pt.Cfg.DrainCycles; in.Net.Now > limit {
 		t.Errorf("%s: ran to cycle %d, past its bound %d", tag, in.Net.Now, limit)
 	}
@@ -304,6 +309,33 @@ func (c simCase) run(t *testing.T, shards int) (r simRun) {
 		}
 	}
 	return r
+}
+
+// checkWindows holds every retry pipe of a finished run to its replay
+// window: a pipe whose buffer ran over it would report negative free
+// slots. It reports whether a plain link's pipe ended full with flits
+// undelivered, which a dead link's reaches once its window is under the
+// credits of the buffer downstream.
+func checkWindows(t *testing.T, tag string, in *Instance) (atWindow bool) {
+	check := func(what string, id int, rp *network.RetryPipe) {
+		if rp == nil {
+			return
+		}
+		if free := rp.FreeSlots(); free < 0 {
+			t.Errorf("%s: the retry pipe of %s %d ended %d flits over its replay window", tag, what, id, -free)
+		}
+	}
+	for _, l := range in.Net.Links {
+		if rp := l.Retry(); rp != nil {
+			check("link", l.ID, rp)
+			atWindow = atWindow || rp.FreeSlots() == 0 && rp.InFlight() > 0
+		}
+		if ad, ok := l.Adapter.(*core.HeteroPHYAdapter); ok {
+			check("the parallel PHY of link", l.ID, ad.ParallelRetry())
+			check("the serial PHY of link", l.ID, ad.SerialRetry())
+		}
+	}
+	return atWindow
 }
 
 // checkSimCase runs one case at every shard count and compares the runs.
@@ -356,6 +388,8 @@ func checkSeed(t *testing.T, c simCase, r simRun, auto int) {
 			t.Errorf("%s: failover tripped %d times and rescued %d flits: the failover path was not exercised", s.name, r.trips, r.rescued)
 		case s.recut && auto < min(2, runtime.GOMAXPROCS(0), runtime.NumCPU()):
 			t.Errorf("%s: the automatic count stepped on at most %d shards: the load never re-cut it", s.name, auto)
+		case s.window && !r.atWindow:
+			t.Errorf("%s: no plain link's retry pipe ended at its replay window", s.name)
 		}
 		// The energies are float64 products and sums, which other
 		// architectures may fuse, so the constants bind on amd64 only.
@@ -513,6 +547,7 @@ type simSeed struct {
 	want   string // the diagnostic it must end in; empty: a clean, non-empty run
 	rescue bool   // failover must trip and rescue flits
 	recut  bool   // the load must re-cut the automatic count, given two CPUs
+	window bool   // a plain link's retry pipe must end at its replay window
 }
 
 // simCorpus is FuzzSimPoint's seed corpus; each entry runs at 1, 2, 4 and 8
@@ -549,6 +584,12 @@ var simCorpus = []simSeed{
 	{name: "hostile/serial-down", c: simCase{System: 2, Rate: 15, Policy: 5, Script: 4, Cycles: 8}, want: "deadlock detected"},
 	{name: "hostile/serial-down+failover", c: simCase{System: 2, Rate: 15, Policy: 6, Script: 4, Cycles: 8}, rescue: true},
 	{name: "hostile/partitioned-allreduce", c: simCase{System: 2, Program: 2, Rate: 15, Script: 5}, want: "deadlock detected"},
+	// A dead serial link on 2×2 one-node chiplets, every link serial, whose
+	// 2-cycle delay gives it a 32-flit replay window under the 128 credits
+	// of the buffer behind it: the link fills its window and stops there.
+	// Retry is armed after Finalize, as fault.Attach always arms it, so
+	// the window must hold for a protocol armed on a built system.
+	{name: "hostile/serial-link-down-window", c: simCase{System: 1, NoC: 5, Links: 3 << 6, Rate: 15, Script: 2, Cycles: 8}, want: "deadlock detected", window: true},
 	// A serial PHY faster than the parallel one (2 against 5 cycles, both 2
 	// flits per cycle) under performance-first: NewHeteroPHYAdapter sized
 	// its reorder buffer from D_s − D_p and panicked on the negative

@@ -120,7 +120,7 @@ type Config struct {
 	// Workers is the number of shards the cycle engine is cut into, each
 	// beyond the first stepped by its own goroutine (1 = one shard, no
 	// goroutine; negative is rejected). 0, the default, lets the engine
-	// pick: the first Step cuts one shard per 512 nodes, and every 256
+	// pick: Finalize cuts one shard per 512 nodes, and every 256
 	// stepped cycles (loadWindow) the count rises to one per 400 flit
 	// movements a cycle when that is more, falling back once the load
 	// halves — at most one per CPU and one per 64 nodes (DESIGN.md, "Where

@@ -1,105 +1,110 @@
 package network
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestRefinalizeKeepsRingState: Finalize is the one place ring storage is
-// allocated, so a second call mid-run re-homes rings that hold buffered and
-// staged flits. Contents, consumer and producer cursors and the credit
-// invariant must carry over, and the run must continue exactly like one
-// that was never re-finalized — on Delay-1 links and on deeper ones caught
-// with flits in several stages of their delay lines.
-func TestRefinalizeKeepsRingState(t *testing.T) {
-	t.Run("on-chip", func(t *testing.T) { testRefinalize(t, buildXYMesh, 1) })
-	t.Run("mixed-delay", func(t *testing.T) { testRefinalize(t, buildMixedMesh, 3) })
-}
-
-// testRefinalize runs the re-Finalize scenario on build's 6×6 mesh, which
-// must hold some link with at least wantStages occupied delay-line stages
-// at the re-Finalize.
-func testRefinalize(t *testing.T, build func(testing.TB, int) *Network, wantStages int) {
-	type ring struct {
-		head, n, wpos, pend uint16
-		flits               []Flit
-	}
-	snapshot := func(net *Network) (rings []ring, buffered, staged int) {
-		for _, r := range net.Nodes {
-			for _, in := range r.In {
-				for v := range in.VCs {
-					q := &in.VCs[v].Buf
-					rings = append(rings, ring{q.head, q.n, q.wpos, q.pend, append([]Flit(nil), q.buf...)})
-					buffered += int(q.n)
-					staged += int(q.pend)
-				}
-			}
+// TestFinalizeTwicePanics: a network is finalized once; a second call
+// panics and names the call.
+func TestFinalizeTwicePanics(t *testing.T) {
+	net, _ := twoNodeNet(t, KindOnChip, nil)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Finalize called on a finalized network") {
+			t.Fatalf("second Finalize recovered %q, want a panic naming the call", msg)
 		}
-		return
-	}
-	run := func(net *Network, until int64) {
-		for net.Now < until {
-			saturateXYMesh(net, net.Now)
-			net.Step()
-		}
-	}
-	record := func(net *Network) *[][2]int64 {
-		log := &[][2]int64{}
-		net.Sink = func(p *Packet) { *log = append(*log, [2]int64{int64(p.ID), p.ArrivedAt}) }
-		return log
-	}
-
-	ref, net := build(t, 6), build(t, 6)
-	refLog, netLog := record(ref), record(net)
-	run(ref, 400)
-	run(net, 400)
-
-	before, buffered, staged := snapshot(net)
-	if buffered == 0 || staged == 0 {
-		t.Fatalf("fixture holds %d buffered and %d staged flits, want both non-zero", buffered, staged)
-	}
-	deepest, inStages := 0, 0
-	for _, l := range net.Links {
-		occupied := 0
-		for i := 0; i < l.Delay; i++ {
-			stage := l.stage(i)
-			for _, run := range stage {
-				inStages += runLen(run)
-			}
-			if len(stage) > 0 {
-				occupied++
-			}
-		}
-		deepest = max(deepest, occupied)
-	}
-	if deepest < wantStages {
-		t.Fatalf("no link holds flits in %d stages at once (deepest: %d)", wantStages, deepest)
-	}
-	if inStages != staged {
-		t.Fatalf("delay lines account for %d flits, rings hold %d staged", inStages, staged)
-	}
-	// Mid-flight: every staged run, whatever its stage, counts exactly once.
-	if err := net.CheckCredits(); err != nil {
-		t.Fatal(err)
-	}
+	}()
 	net.Finalize()
-	after, _, _ := snapshot(net)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("re-Finalize changed ring contents or cursors")
-	}
-	if err := net.CheckCredits(); err != nil {
-		t.Fatal(err)
-	}
+	t.Fatal("second Finalize returned")
+}
 
-	run(ref, 1200)
-	run(net, 1200)
-	if len(*netLog) == 0 || !reflect.DeepEqual(*refLog, *netLog) {
-		t.Fatalf("arrivals diverged after re-Finalize: %d vs %d deliveries", len(*netLog), len(*refLog))
-	}
-	if net.VAFailures != ref.VAFailures || net.GrantsByKind != ref.GrantsByKind {
-		t.Fatal("allocator statistics diverged after re-Finalize")
-	}
-	if err := net.CheckCredits(); err != nil {
-		t.Fatal(err)
+// TestArmAfterFinalize: a protocol armed on a finalized link — retry, the
+// way fault.Attach arms it on a built system, or an adapter — leaves the
+// source router's output exactly as arming it before Finalize does, and
+// the run delivers every packet at the same cycle. The retry window holds:
+// a 4-flit replay buffer never holds more than 4 flits (a switch stage
+// that kept granting the link its static bandwidth fills it to 80).
+func TestArmAfterFinalize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*Network, *Link)
+	}{
+		{"retry", func(net *Network, l *Link) { l.EnableRetry(nil, 4, 0, net.Packets()) }},
+		{"adapter", func(net *Network, l *Link) { net.SetAdapter(l, &fifoAdapter{bw: 4, depth: 3, delay: 6}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(armFirst bool) (state string, arrivals [][2]int64, peak int) {
+				net, l := declareTwoNodeNet(t, KindSerial, nil)
+				if armFirst {
+					tc.arm(net, l)
+				}
+				net.Finalize()
+				if !armFirst {
+					tc.arm(net, l)
+				}
+				state = outputState(net.Nodes[0], l)
+				net.Sink = func(p *Packet) { arrivals = append(arrivals, [2]int64{int64(p.ID), p.ArrivedAt}) }
+				for i := 0; i < 50; i++ {
+					net.Offer(net.NewPacket(0, 1, net.Cfg.PacketLength, 0))
+				}
+				for net.Now < 400 {
+					net.Step()
+					if rp := l.Retry(); rp != nil {
+						peak = max(peak, len(rp.replay))
+					}
+				}
+				if err := net.CheckCredits(); err != nil {
+					t.Fatal(err)
+				}
+				return state, arrivals, peak
+			}
+			wantState, want, _ := run(true)
+			state, got, peak := run(false)
+			if state != wantState {
+				t.Errorf("armed after Finalize, the source output is\n%s\nwant, as armed before,\n%s", state, wantState)
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("armed after Finalize: %d arrivals, %d armed before, or their cycles differ", len(got), len(want))
+			}
+			if peak > 4 {
+				t.Errorf("replay buffer held %d flits, window 4", peak)
+			}
+		})
 	}
 }
+
+// outputState renders what bindOutput derives for l at its source router r.
+func outputState(r *Router, l *Link) string {
+	return fmt.Sprintf("slow %v, deliver bound %v, outBase %v, outDyn %v, outAvailBase %d",
+		r.Out[l.SrcPort].slow, l.deliver != nil, r.outBase, r.outDyn, r.outAvailBase)
+}
+
+// fifoAdapter is the least Adapter: up to depth flits in order, each
+// released delay cycles after it was accepted, at most bw accepted a cycle.
+type fifoAdapter struct {
+	bw, depth, delay int
+	q                []Flit
+	due              []int64
+	accepted         int
+}
+
+func (a *fifoAdapter) FreeSlots() int { return min(a.bw-a.accepted, a.depth-len(a.q)) }
+
+func (a *fifoAdapter) Accept(now int64, f Flit) {
+	a.q, a.due = append(a.q, f), append(a.due, now+int64(a.delay))
+	a.accepted++
+}
+
+func (a *fifoAdapter) Tick(now int64, deliver func(Flit)) {
+	for len(a.q) > 0 && a.due[0] <= now {
+		deliver(a.q[0])
+		a.q, a.due = a.q[1:], a.due[1:]
+	}
+	a.accepted = 0
+}
+
+func (a *fifoAdapter) InFlight() int { return len(a.q) }
+
+func (a *fifoAdapter) Busy() bool { return len(a.q) > 0 || a.accepted > 0 }

@@ -31,9 +31,9 @@
 //     deadlocked state (flitsIn > flitsOut), so the watchdog still trips
 //     at the unoptimized cycle. Drivers that must observe every cycle pass
 //     a nil next-injection callback, which disables skipping.
-//   - The engine always steps shards (contiguous node ranges; one after
-//     Finalize, Config.Workers from the first Step — 0 picks by system
-//     size — and n after SetWorkers(n)): link phase on every shard, then
+//   - The engine always steps shards (contiguous node ranges;
+//     Config.Workers from Finalize — 0 picks by system size — and n after
+//     SetWorkers(n)): link phase on every shard, then
 //     router+injection phase on every shard, then a single-threaded merge
 //     in shard order. Shard bounds fall on 64-node wake-word boundaries
 //     (at chiplet-row cuts where those are aligned), so every wake-bitmap

@@ -1,6 +1,9 @@
 package network
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Adapter is the behavioral interface of a heterogeneous-PHY die-to-die
 // adapter (Sec. 4.2). A Link with a non-nil Adapter delegates flit transport
@@ -68,7 +71,8 @@ type Link struct {
 	// byte-identical to the retry-free engine.
 	retry *RetryPipe
 
-	// dstRouter is the router plain links stage into, bound by Finalize.
+	// dstRouter is the router the link stages or delivers into, bound by
+	// Finalize.
 	dstRouter *Router
 
 	// line holds the link's two delay lines, forward then credit, each
@@ -119,7 +123,7 @@ type Link struct {
 	// deliver hands an adapter or retry link's released flits to the
 	// destination router; plain links publish through commitDirect and
 	// have none. Bound once the link is both finalized and slow
-	// (bindDeliver), so a tick allocates nothing.
+	// (bindOutput), so a tick allocates nothing.
 	deliver func(Flit)
 }
 
@@ -205,17 +209,41 @@ func (l *Link) entryStage(head uint16) int {
 	return i
 }
 
-// bindDeliver gives a finalized adapter or retry link its delivery
-// function; every other link keeps none. Finalize, SetAdapter and
-// EnableRetry call it, whichever comes last.
-func (l *Link) bindDeliver() {
-	if l.dstRouter == nil || l.deliver != nil || (l.Adapter == nil && l.retry == nil) {
+// bindOutput derives what the link's protocol decides at its source
+// router's output, the one place the slow-output rule lives: an adapter or
+// retry link takes a granted run one flit at a time (OutPort.slow), its
+// per-cycle switch budget is its FreeSlots, listed in Router.outDyn,
+// instead of a static Bandwidth in Router.outBase, and it delivers per flit
+// through Link.deliver. Finalize calls it for every link, and SetAdapter
+// and EnableRetry for theirs on a finalized network, so a protocol armed
+// after Finalize throttles exactly like one armed before.
+func (l *Link) bindOutput() {
+	r, port := l.srcRouter, int32(l.SrcPort)
+	slow := l.Adapter != nil || l.retry != nil
+	l.srcOut.slow = slow
+	if r.outBase[port] > 0 {
+		r.outAvailBase--
+	}
+	r.outBase[port] = 0
+	i, listed := slices.BinarySearch(r.outDyn, port)
+	switch {
+	case slow && !listed:
+		r.outDyn = slices.Insert(r.outDyn, i, port)
+	case !slow && listed:
+		r.outDyn = slices.Delete(r.outDyn, i, i+1)
+	}
+	if !slow {
+		if r.outBase[port] = l.Bandwidth; l.Bandwidth > 0 {
+			r.outAvailBase++
+		}
 		return
 	}
-	dst, port := l.dstRouter, l.DstPort
-	l.deliver = func(f Flit) {
-		dst.deliver(port, f)
-		l.delivered++
+	if l.deliver == nil {
+		dst, in := l.dstRouter, l.DstPort
+		l.deliver = func(f Flit) {
+			dst.deliver(in, f)
+			l.delivered++
+		}
 	}
 }
 

@@ -270,8 +270,8 @@ func TestCreditViolationPanicsAtPublication(t *testing.T) {
 	for _, kind := range plainKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			// Config.Validate refuses a zero ejection bandwidth, so the
-			// port is plugged on the router and its work state rebuilt.
-			net, l := twoNodeNet(t, kind, nil)
+			// port is plugged on the router before Finalize reads it.
+			net, l := declareTwoNodeNet(t, kind, nil)
 			net.Nodes[1].ejBW = 0
 			net.Finalize()
 			out := &net.Nodes[0].Out[l.SrcPort]

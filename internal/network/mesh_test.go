@@ -67,6 +67,13 @@ func buildMixedMesh(tb testing.TB, side int) *Network {
 // buildMesh constructs a side×side mesh with XY routing whose X links are
 // on-chip and whose links between rows y and y+1 are of kind yKind(y).
 func buildMesh(tb testing.TB, side int, yKind func(y int) LinkKind) *Network {
+	net := declareMesh(tb, side, yKind)
+	net.Finalize()
+	return net
+}
+
+// declareMesh is buildMesh before Finalize.
+func declareMesh(tb testing.TB, side int, yKind func(y int) LinkKind) *Network {
 	cfg := DefaultConfig()
 	net, err := New(cfg)
 	if err != nil {
@@ -93,7 +100,6 @@ func buildMesh(tb testing.TB, side int, yKind func(y int) LinkKind) *Network {
 		}
 	}
 	net.Routing = rt
-	net.Finalize()
 	return net
 }
 

@@ -42,8 +42,8 @@ func build(spec topology.Spec, route func(*topology.Topo, *network.Config) (netw
 	if err != nil {
 		panic(fmt.Sprintf("netbench: %v", err))
 	}
-	net.Finalize()
 	net.SetShardCuts(topo.ShardCuts())
+	net.Finalize()
 	return net
 }
 

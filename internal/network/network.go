@@ -21,8 +21,7 @@ import (
 //  3. injection sources feed the local ports.
 //
 // Step runs 1 as one phase and 2+3 as a second on every shard of the
-// network (see parallel.go); a freshly finalized network is one shard
-// until its first Step picks the count (Config.Workers).
+// network (see parallel.go); Finalize cuts the shards (Config.Workers).
 type Network struct {
 	Cfg     Config
 	Nodes   []*Router
@@ -84,20 +83,17 @@ type Network struct {
 	DeadlockAt int64
 	livelock   string
 
-	// shards is the sharding of the cycle engine: nil until Finalize, one
-	// shard covering every node until SetWorkers or the first Step re-cuts
-	// it.
+	// shards is the sharding of the cycle engine: nil until Finalize cuts
+	// it, re-cut by SetWorkers, SetShardCuts and the load (reshard).
 	shards *shardState
 	// shardCuts are the word-aligned preferred shard boundaries (chiplet
 	// rows) declared via SetShardCuts, consulted by the partitioner.
 	shardCuts []int
 
-	// stability is the routing algorithm's declared RouteStability, read on
-	// the first Step (prepare, after topology construction and any fault
-	// injection); it gates the per-VC candidate memoization in
+	// stability is the routing algorithm's declared RouteStability, read by
+	// Finalize; it gates the per-VC candidate memoization in
 	// Router.allocate.
 	stability RouteStability
-	prepared  bool
 
 	// LivelockHopBound restricts a packet to the escape subnetwork once it
 	// has taken this many hops (0 = disabled). Minimal-path adaptive
@@ -165,40 +161,38 @@ func (net *Network) Connect(kind LinkKind, a, b NodeID) *Link {
 	return l
 }
 
-// SetAdapter attaches a hetero-PHY adapter to a link and reinitializes the
-// source router's credit view for the link's (unchanged) buffer depth. An
-// adapter that charges traversals to packets (PacketUser) is handed the
-// packet table.
+// SetAdapter attaches a hetero-PHY adapter to a link. An adapter that
+// charges traversals to packets (PacketUser) is handed the packet table.
+// On a finalized network the link's output is derived again (bindOutput).
 func (net *Network) SetAdapter(l *Link, a Adapter) {
 	l.Adapter = a
 	if u, ok := a.(PacketUser); ok {
 		u.BindPackets(&net.pkts)
 	}
 	if l.srcOut != nil {
-		l.srcOut.slow = l.Adapter != nil || l.retry != nil
+		l.bindOutput()
 	}
-	l.bindDeliver()
 }
 
-// Finalize must be called after topology construction and before the first
-// Step: it gives every declared port, VC state, flit ring, router work
-// array and link delay line its storage (materialise), binds the delivery
-// functions of adapter and retry links and builds the shard and wake state
-// — one shard on the first call, the current shard count on a re-Finalize.
+// Finalize ends the declaration of a network; it is called once, after
+// topology construction and the choice of Routing, before the first Step
+// (DESIGN.md, "Build sequence"). It gives every declared port, VC state,
+// flit ring, router work array and link delay line its storage and derives
+// every link's output (materialise), reads the routing's stability and cuts
+// the shards Config.Workers asks for (0: autoShards by size), starting
+// their workers.
 func (net *Network) Finalize() {
-	net.materialise()
-	for _, l := range net.Links {
-		l.srcRouter = net.Nodes[l.Src]
-		l.srcOut = &l.srcRouter.Out[l.SrcPort]
-		l.srcOut.slow = l.Adapter != nil || l.retry != nil
-		l.dstRouter = net.Nodes[l.Dst]
-		l.bindDeliver()
-	}
-	n := 1
 	if net.shards != nil {
-		n = len(net.shards.sh)
+		panic("network: Finalize called on a finalized network; a network is finalized once")
 	}
-	net.rebuildWake()
+	net.materialise()
+	if s, ok := net.Routing.(Stable); ok {
+		net.stability = s.Stability()
+	}
+	n := net.Cfg.Workers
+	if n == 0 {
+		n = net.autoShards(0)
+	}
 	net.setShards(n)
 }
 
@@ -206,14 +200,12 @@ func (net *Network) Finalize() {
 // flit rings and work arrays and of every link's delay lines, each kind in
 // one exactly sized per-network slab carved in (router, port, VC) order —
 // the structure-of-arrays layout behind the saturated hot path — except
-// the rings, which come in chunks of whole routers (ringChunkFlits). Before
-// the first Finalize ports are only declared (Router.nIn/nOut, the links'
-// port indices), so each piece is allocated once, in its final home. A
-// re-Finalize copies all live state verbatim into fresh slabs (ring
-// contents and staging cursors, credits, allocations, delay lines), and
-// Finalize rebinds every pointer into the old homes afterwards. The slabs
-// are reachable only through the routers and links, so repacking leaks
-// nothing.
+// the rings, which come in chunks of whole routers (ringChunkFlits). Until
+// then ports are only declared (Router.nIn/nOut, the links' port indices),
+// so each piece is allocated once, in its final home, and starts empty:
+// the work state needs initialising only where empty is not zero
+// (waitSlot, the switch-budget prologue, the wake bits of sources that
+// were offered packets before Finalize).
 //
 // Shard ownership is unchanged by the merged backing arrays: a shard's
 // routers own disjoint index ranges of every slab (shards are contiguous
@@ -249,28 +241,21 @@ func (net *Network) materialise() {
 	baseSlab := make([]int, nOut)
 	dynSlab := make([]int32, nOut)
 
-	// Ports: live ones move, declared ones are made from their link.
+	// Ports: the local ones here, the others from their link.
 	for _, r := range net.Nodes {
-		in, out := inSlab[:r.nIn:r.nIn], outSlab[:r.nOut:r.nOut]
-		inSlab, outSlab = inSlab[r.nIn:], outSlab[r.nOut:]
-		copy(in, r.In)
-		copy(out, r.Out)
-		if r.In == nil {
-			in[0] = InPort{Kind: KindLocal, DrainBudget: int32(cfg.InjectionBandwidth)}
-			out[0] = OutPort{Kind: KindLocal, Interface: true}
-		}
-		r.In, r.Out = in, out
+		r.In, inSlab = inSlab[:r.nIn:r.nIn], inSlab[r.nIn:]
+		r.Out, outSlab = outSlab[:r.nOut:r.nOut], outSlab[r.nOut:]
+		r.In[0] = InPort{Kind: KindLocal, DrainBudget: int32(cfg.InjectionBandwidth)}
+		r.Out[0] = OutPort{Kind: KindLocal, Interface: true}
 	}
 	for _, l := range net.Links {
-		if in := &net.Nodes[l.Dst].In[l.DstPort]; in.Link == nil {
-			*in = InPort{Link: l, Kind: l.Kind, DrainBudget: int32(l.Bandwidth), Interface: l.Kind != KindOnChip}
-		}
-		if out := &net.Nodes[l.Src].Out[l.SrcPort]; out.Link == nil {
-			depth := int32(cfg.BufPerVC(l.Kind))
-			*out = OutPort{Link: l, Kind: l.Kind, Depth: depth, vcLimit: 1<<uint(nv) - 1, Interface: l.Kind != KindOnChip}
-			for v := 0; v < nv; v++ {
-				out.Credits[v] = depth
-			}
+		l.srcRouter, l.dstRouter = net.Nodes[l.Src], net.Nodes[l.Dst]
+		l.dstRouter.In[l.DstPort] = InPort{Link: l, Kind: l.Kind, DrainBudget: int32(l.Bandwidth), Interface: l.Kind != KindOnChip}
+		depth := int32(cfg.BufPerVC(l.Kind))
+		l.srcOut = &l.srcRouter.Out[l.SrcPort]
+		*l.srcOut = OutPort{Link: l, Kind: l.Kind, Depth: depth, vcLimit: 1<<uint(nv) - 1, Interface: l.Kind != KindOnChip}
+		for v := 0; v < nv; v++ {
+			l.srcOut.Credits[v] = depth
 		}
 	}
 
@@ -294,17 +279,15 @@ func (net *Network) materialise() {
 		r.slotVCs = nv
 		for ip := range r.In {
 			p := &r.In[ip]
-			vcs := r.vcs[ip*nv : (ip+1)*nv : (ip+1)*nv]
-			copy(vcs, p.VCs)
-			p.VCs = vcs
+			p.VCs = r.vcs[ip*nv : (ip+1)*nv : (ip+1)*nv]
 			depth := cfg.BufPerVC(p.Kind)
-			for v := range vcs {
-				vc := &vcs[v]
+			for v := range p.VCs {
+				vc := &p.VCs[v]
 				vc.ip = uint16(ip)
-				ring := flitSlab[:depth]
-				flitSlab = flitSlab[depth:]
-				copy(ring, vc.Buf.buf)
-				vc.Buf.buf = ring
+				vc.Buf.buf, flitSlab = flitSlab[:depth], flitSlab[depth:]
+			}
+			if p.DrainBudget > 0 {
+				r.inBudgeted++
 			}
 		}
 		words := (slots + 63) >> 6
@@ -318,9 +301,17 @@ func (net *Network) materialise() {
 		r.slotOut, slotSlab = slotSlab[:slots:slots], slotSlab[slots:]
 		r.outBase, baseSlab = baseSlab[:r.nOut:r.nOut], baseSlab[r.nOut:]
 		r.outDyn, dynSlab = dynSlab[:0:r.nOut], dynSlab[r.nOut:]
+		for i := range r.Out {
+			for v := range r.Out[i].waitSlot {
+				r.Out[i].waitSlot[v] = -1
+			}
+		}
+		if r.outBase[0] = r.ejBW; r.ejBW > 0 {
+			r.outAvailBase = 1
+		}
 	}
 
-	// Delay lines.
+	// Delay lines, then the outputs the links feed.
 	nLine := 0
 	for _, l := range net.Links {
 		nLine += l.lineWords()
@@ -328,42 +319,17 @@ func (net *Network) materialise() {
 	lineSlab := make([]uint16, nLine)
 	for _, l := range net.Links {
 		n := l.lineWords()
-		line := lineSlab[:n:n]
-		lineSlab = lineSlab[n:]
-		copy(line, l.line)
-		l.line = line
+		l.line, lineSlab = lineSlab[:n:n], lineSlab[n:]
+		l.bindOutput()
 	}
-}
 
-// rebuildWake recomputes the router and source wake bitmaps and the links'
-// queued flags from current component state; setShards then files the
-// queued links into its shards' wake lists. Finalize calls both; rebuildWake
-// is O(network), never per-cycle.
-func (net *Network) rebuildWake() {
+	// Wake state.
 	words := (len(net.Nodes) + 63) / 64
-	if len(net.nodeWake) != words {
-		net.nodeWake = make([]uint64, words)
-		net.srcWake = make([]uint64, words)
-	}
-	for i := range net.nodeWake {
-		net.nodeWake[i] = 0
-		net.srcWake[i] = 0
-	}
-	for i, r := range net.Nodes {
-		r.rebuildWork()
-		if r.buffered > 0 {
-			net.wakeNode(NodeID(i))
-		}
-	}
+	net.nodeWake, net.srcWake = make([]uint64, words), make([]uint64, words)
 	for i := range net.sources {
-		s := &net.sources[i]
-		if s.cur != nil || s.head < len(s.q) {
+		if len(net.sources[i].q) > 0 {
 			net.srcWake[i>>6] |= 1 << (uint(i) & 63)
 		}
-	}
-	for _, l := range net.Links {
-		l.fwdQueued = l.fwdBusy()
-		l.crQueued = l.creditsInFlight > 0
 	}
 }
 
@@ -401,9 +367,6 @@ func (net *Network) Offer(p *Packet) {
 // shard scratches in shard order — ascending node order overall, which is
 // what Sink determinism depends on (see the package comment).
 func (net *Network) Step() {
-	if !net.prepared {
-		net.prepare()
-	}
 	p := net.shards
 	net.moved = 0
 	if p.ws == nil { // one shard, no workers: the phases are direct calls

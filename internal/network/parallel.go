@@ -22,11 +22,10 @@ import (
 //   - injection writes only the node's own source queue and buffers.
 //
 // A finalized network is always cut into shards, contiguous node ranges
-// that each own their wake lists and an accumulation scratch. Finalize
-// creates one shard covering every node; the first Step re-cuts into the
-// count Config.Workers asks for (0: autoShards by size), an automatic count
-// follows the load from then on (reshard), and SetWorkers(n) re-cuts into
-// n at any time. Step runs phase 1 on every shard, then phase 2 on
+// that each own their wake lists and an accumulation scratch. Finalize cuts
+// the count Config.Workers asks for (0: autoShards by size), an automatic
+// count follows the load from then on (reshard), and SetWorkers(n) re-cuts
+// into n at any time. Step runs phase 1 on every shard, then phase 2 on
 // every shard, then merges the scratches in shard order. With one shard
 // each phase is a direct call: no goroutine, no finalizer. With n shards
 // the phases run on n-1 persistent worker goroutines (the caller is shard
@@ -43,8 +42,8 @@ import (
 // (Network.SetShardCuts, fed by topology.Topo.ShardCuts) when one is
 // word-aligned and near: cross-shard traffic then rides the modeled D2D
 // interface links instead of intra-chiplet mesh hops. Bounds change only
-// when the caller re-cuts (SetWorkers, SetShardCuts), the first Step
-// resolves the shard count, or a load window changes an automatic one.
+// when Finalize cuts them, the caller re-cuts (SetWorkers, SetShardCuts),
+// or a load window changes an automatic count.
 //
 // Links woken by a router tick (a granted run or credit return on a possibly
 // foreign-shard link) are recorded in the shard's private scratch and
@@ -140,29 +139,27 @@ func (net *Network) SetShardCuts(cuts []int) {
 
 // SetWorkers re-cuts a finalized network into n shards stepped by the
 // caller plus n-1 worker goroutines (1 or 0: one shard, no goroutine) and
-// pins that count by recording it in Cfg.Workers: neither the first Step
-// nor the load picks one any more (see autoShards). Results are identical
-// for every n. n is taken at its word, even past the CPUs the process can
-// use; the workers then park instead of polling between phases, which
-// keeps them correct but adds a wake-up per phase. Asking for the current
-// count is a no-op.
+// pins that count by recording it in Cfg.Workers, where Finalize reads it
+// on a network not finalized yet: the load no longer picks one (see
+// autoShards). Results are identical for every n. n is taken at its word,
+// even past the CPUs the process can use; the workers then park instead of
+// polling between phases, which keeps them correct but adds a wake-up per
+// phase. Asking for the current count is a no-op.
 // SetWorkers(0) stops the previous workers before it returns; a network
 // dropped while still sharded is released by the workerSet finalizer at a
 // later collection.
 func (net *Network) SetWorkers(n int) {
 	n = max(n, 1)
 	net.Cfg.Workers = n
-	if p := net.shards; p != nil && len(p.sh) == n {
-		return
+	if p := net.shards; p != nil && len(p.sh) != n {
+		net.setShards(n)
 	}
-	net.setShards(n)
 }
 
-// Workers reports the number of shards the network steps on: 1 until the
-// first Step resolves Cfg.Workers, unless SetWorkers set it first; for an
-// automatic count, whatever the last load window left (see reshard), and 1
-// for good, pinned, once it has met a contended host (see
-// contentionWindow).
+// Workers reports the number of shards a finalized network steps on: the
+// count Finalize cut or SetWorkers set; for an automatic count, whatever
+// the last load window left (see reshard), and 1 for good, pinned, once it
+// has met a contended host (see contentionWindow).
 func (net *Network) Workers() int { return len(net.shards.sh) }
 
 // nodesPerShard is the system size each shard of an automatic count covers
@@ -188,7 +185,7 @@ func cpus() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 // autoShards is the shard count Cfg.Workers = 0 asks for at a mean of moved
 // flit movements per cycle: one per nodesPerShard nodes or one per
 // movesPerShard movements, whichever is more, at most one per CPU and one
-// per wake word. The first Step passes 0, so it cuts by size alone. The
+// per wake word. Finalize passes 0, so it cuts by size alone. The
 // CPUs are assumed to be the process's own; where other processes hold
 // them, reshard falls back to one shard after a contentionWindow.
 func (net *Network) autoShards(moved uint64) int {

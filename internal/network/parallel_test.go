@@ -60,6 +60,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 // buildRing constructs a unidirectional ring of n nodes whose links cycle
 // through on-chip, parallel and serial kinds.
 func buildRing(tb testing.TB, n int) *Network {
+	net := declareRing(tb, n)
+	net.Finalize()
+	return net
+}
+
+// declareRing is buildRing before Finalize.
+func declareRing(tb testing.TB, n int) *Network {
 	net, err := New(DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
@@ -75,7 +82,6 @@ func buildRing(tb testing.TB, n int) *Network {
 		net.Connect(kind, NodeID(i), NodeID((i+1)%n))
 	}
 	net.Routing = ringRouting{}
-	net.Finalize()
 	return net
 }
 
@@ -222,7 +228,7 @@ func TestParallelOversubscribed(t *testing.T) {
 // its worker is busy when shard 0 panics.
 func TestShardPanicWaitsForWorkers(t *testing.T) {
 	const n = 256
-	net := buildRing(t, n)
+	net := declareRing(t, n)
 	net.Nodes[1].ejBW = 0 // node 1 never ejects: its input overflows
 	net.Finalize()
 	net.SetWorkers(2)
@@ -285,13 +291,13 @@ func TestBarrierPollCredit(t *testing.T) {
 	}
 }
 
-// TestAutoShards: Cfg.Workers = 0 resolves on the first Step to one shard
-// per 512 nodes, at most one per CPU, and from then on follows the load
+// TestAutoShards: Cfg.Workers = 0 resolves at Finalize to one shard per
+// 512 nodes, at most one per CPU, and from then on follows the load
 // window by window: a saturated 256-node mesh is promoted within one window
 // with the arrivals of one shard throughout, drops back to its size floor
 // once its traffic stops but not while the load stays over half of what
 // two shards need, and a lightly loaded one never moves. SetWorkers,
-// before or after that Step, and Cfg.Workers ≥ 1 pin the count; so does a
+// before or after Finalize, and Cfg.Workers ≥ 1 pin the count; so does a
 // single CPU.
 func TestAutoShards(t *testing.T) {
 	step := func(net *Network) int {
@@ -307,16 +313,16 @@ func TestAutoShards(t *testing.T) {
 	}
 
 	for _, pin := range []int{0, 1} {
-		before := buildRing(t, 2048)
+		before := declareRing(t, 2048)
 		before.SetWorkers(pin)
+		before.Finalize()
 		if got := step(before); got != 1 {
-			t.Errorf("SetWorkers(%d) before the first Step: %d shards, want 1", pin, got)
+			t.Errorf("SetWorkers(%d) before Finalize: %d shards, want 1", pin, got)
 		}
 		after := buildRing(t, 2048)
-		step(after)
 		after.SetWorkers(pin)
 		if got := step(after); got != 1 {
-			t.Errorf("SetWorkers(%d) after the first Step: %d shards, want 1", pin, got)
+			t.Errorf("SetWorkers(%d) after Finalize: %d shards, want 1", pin, got)
 		}
 	}
 
@@ -381,8 +387,9 @@ func TestAutoShards(t *testing.T) {
 	}
 
 	for _, pin := range []int{1, 3} {
-		pinned := buildXYMesh(t, 16)
+		pinned := declareMesh(t, 16, func(int) LinkKind { return KindOnChip })
 		pinned.Cfg.Workers = pin
+		pinned.Finalize()
 		most := windows(pinned, 2, saturateXYMesh)
 		if windows(pinned, 2, nil); most != pin || pinned.Workers() != pin {
 			t.Errorf("Cfg.Workers = %d: up to %d shards saturated, %d idle, want %d", pin, most, pinned.Workers(), pin)
@@ -632,7 +639,7 @@ func TestAutoShardsContended(t *testing.T) {
 			saturateXYMesh(net, net.Now)
 			if net.Now == verdict {
 				if !pinned {
-					net.Cfg.Workers = 0 // as if the first Step had picked two
+					net.Cfg.Workers = 0 // as if Finalize had picked two
 				}
 				net.shards.ws.b.contended = true
 			}
@@ -660,9 +667,9 @@ func TestAutoShardsContended(t *testing.T) {
 // TestWorkersReleased: a finalized network that ever ran on the sharded
 // stepper must cost nothing once it is dropped — its memory is collected
 // and its worker goroutines exit — whether or not SetWorkers(0) was called
-// first, and whether its shards were asked for or picked by the first
-// Step. No finalizer is set on a Network here: it is self-cyclic through
-// its closures, so one would itself make it immortal.
+// first, and whether its shards were asked for or picked by Finalize. No
+// finalizer is set on a Network here: it is self-cyclic through its
+// closures, so one would itself make it immortal.
 func TestWorkersReleased(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()

@@ -1,5 +1,7 @@
 package network
 
+import "fmt"
+
 // This file implements the link-layer retry protocol (UCIe-style CRC +
 // replay, Sec. 2.1's reliability gap between interface classes): a go-back-N
 // reliable pipe that wraps a link's bandwidth×delay pipeline with a TX
@@ -189,11 +191,20 @@ func (rp *RetryPipe) FreeSlots() int {
 	return min(rp.bandwidth-rp.accepted, rp.window-len(rp.replay))
 }
 
+// Full reports whether the replay buffer holds window flits, so Accept
+// would panic whatever the bandwidth left this cycle.
+func (rp *RetryPipe) Full() bool { return len(rp.replay) >= rp.window }
+
 // Accept appends a flit with its tag to the replay buffer and, when the
 // send cursor is already caught up and wire budget remains, transmits it
 // this same cycle — so the error-free path adds zero latency over the plain
-// pipeline.
+// pipeline. It panics when the replay buffer is Full: every caller must
+// have checked FreeSlots, or Full for a burst outside the per-cycle
+// budget, as a switch grant checks credits.
 func (rp *RetryPipe) Accept(now int64, f Flit, tag uint32) {
+	if rp.Full() {
+		panic(fmt.Sprintf("network: retry pipe accepted a flit with its replay buffer full (window %d)", rp.window))
+	}
 	rp.replay = append(rp.replay, retryEntry{f: f, tag: tag, enq: now, sentAt: -1})
 	rp.next++
 	rp.accepted++
@@ -402,7 +413,9 @@ func (rp *RetryPipe) FailoverDrain(reissue func(Flit, uint32)) int {
 // retransmissions to the packets of pkts (the network's, Network.Packets).
 // window and timeout <= 0 pick defaults from the link's bandwidth and
 // delay; hook may be nil (reliable wire, retry machinery only). Adapter
-// links enable retry per PHY via the adapter instead.
+// links enable retry per PHY via the adapter instead. It may be called
+// before or after Finalize (fault.Attach arms it on a built system); on a
+// finalized network the link's output is derived again (bindOutput).
 func (l *Link) EnableRetry(hook TxFault, window, timeout int, pkts *PacketTable) {
 	if l.Adapter != nil {
 		panic("network: EnableRetry on an adapter link; enable retry on the adapter's PHYs")
@@ -415,9 +428,8 @@ func (l *Link) EnableRetry(hook TxFault, window, timeout int, pkts *PacketTable)
 	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, l.Kind, pkts)
 	l.retry.onLink = true
 	if l.srcOut != nil {
-		l.srcOut.slow = true
+		l.bindOutput()
 	}
-	l.bindDeliver()
 }
 
 // Retry returns the link's retry pipe, or nil when retry is disabled.

@@ -62,9 +62,9 @@ const (
 )
 
 // Stable is the optional capability interface of Routing implementations
-// that declare a reuse contract. Stability is consulted once, on the first
-// Step after construction (after any topology fault injection). Algorithms
-// that do not implement it are treated as RouteDynamic.
+// that declare a reuse contract. Stability is consulted once, by Finalize,
+// so the routing is chosen before it. Algorithms that do not implement it
+// are treated as RouteDynamic.
 type Stable interface {
 	Routing
 	Stability() RouteStability
@@ -179,9 +179,9 @@ type OutPort struct {
 	Interface bool
 
 	// slow marks outputs whose link takes a granted run one flit at a time
-	// (adapter or retry protocol work in Accept). Derived in Finalize and
-	// kept current by EnableRetry/SetAdapter, so saSlot reads one
-	// hot-line flag instead of chasing the Link struct tail.
+	// (adapter or retry protocol work in Accept). Derived by
+	// Link.bindOutput, so saSlot reads one hot-line flag instead of chasing
+	// the Link struct tail.
 	slow bool
 }
 
@@ -269,20 +269,20 @@ type Router struct {
 	// once, and when either counter reaches zero every remaining slot visit
 	// is provably a no-op — the scan stops without changing which grants
 	// happen. inBudgeted is the static number of inputs with a non-zero
-	// drain budget (rebuildWork).
+	// drain budget (materialise).
 	outAvail   int
 	inAvail    int
 	inBudgeted int
 
-	// Static switch-budget prologue (rebuildWork): outBase[i] is out port
-	// i's per-cycle budget at switch-allocation time — EjectionBandwidth
-	// for the ejection port, link Bandwidth for plain links (their accepted
-	// counter is always zero when their source router's tick runs; only
-	// that tick raises it, and the phase-1 link advance clears it). Ports
-	// on adapter/retry links have a truly dynamic budget and are listed in
-	// outDyn for a per-cycle FreeSlots call. outAvailBase counts static
-	// ports with a non-zero budget. ejBW is Config.EjectionBandwidth,
-	// captured at construction so rebuildWork needs no Config.
+	// Static switch-budget prologue (materialise, Link.bindOutput):
+	// outBase[i] is out port i's per-cycle budget at switch-allocation time
+	// — ejBW for the ejection port, link Bandwidth for plain links (their
+	// accepted counter is always zero when their source router's tick runs;
+	// only that tick raises it, and the phase-1 link advance clears it).
+	// Ports on adapter/retry links have a truly dynamic budget and are
+	// listed in outDyn, in ascending order, for a per-cycle FreeSlots call.
+	// outAvailBase counts static ports with a non-zero budget. ejBW is
+	// Config.EjectionBandwidth, set by AddNodes and read by Finalize.
 	outBase      []int
 	outDyn       []int32
 	outAvailBase int
@@ -296,64 +296,6 @@ type Router struct {
 	slotOut []int16
 }
 
-// rebuildWork (re)derives the work bitmaps, the held masks' watchers and
-// the switch-budget prologue from current port state, in the storage
-// materialise gave the router. Finalize calls it (rebuildWake); it is
-// O(router), never per-cycle.
-func (r *Router) rebuildWork() {
-	for i := range r.allocPend {
-		r.allocPend[i] = 0
-		r.saActive[i] = 0
-		r.vaParked[i] = 0
-	}
-	r.vaParkedCount = 0
-	for slot := range r.vcs {
-		vc := &r.vcs[slot]
-		r.slotOut[slot] = 0
-		switch {
-		case vc.Active:
-			r.slotOut[slot] = vc.OutPort
-			r.saActive[slot>>6] |= 1 << (uint(slot) & 63)
-		case !vc.Buf.Empty():
-			r.cacheHead(vc, vc.Buf.frontRef())
-			r.allocPend[slot>>6] |= 1 << (uint(slot) & 63)
-		}
-	}
-	// Forgetting parked state is always safe: an unparked slot is revisited,
-	// fails (or succeeds) exactly as the dense scan would, and re-parks.
-	copy(r.saReady, r.saActive)
-	clear(r.parked)
-	for i := range r.Out {
-		for v := range r.Out[i].waitSlot {
-			r.Out[i].waitSlot[v] = -1
-		}
-	}
-	r.inBudgeted = 0
-	for i := range r.In {
-		if r.In[i].DrainBudget > 0 {
-			r.inBudgeted++
-		}
-	}
-	r.outDyn = r.outDyn[:0]
-	r.outAvailBase = 0
-	for i := range r.Out {
-		out := &r.Out[i]
-		switch {
-		case out.Link == nil:
-			r.outBase[i] = r.ejBW
-		case out.Link.Adapter != nil || out.Link.retry != nil:
-			r.outBase[i] = 0
-			r.outDyn = append(r.outDyn, int32(i))
-			continue
-		default:
-			r.outBase[i] = out.Link.Bandwidth
-		}
-		if r.outBase[i] > 0 {
-			r.outAvailBase++
-		}
-	}
-}
-
 // markPend flags a flattened slot as needing RC+VA.
 func (r *Router) markPend(slot int) {
 	r.allocPend[slot>>6] |= 1 << (uint(slot) & 63)
@@ -364,9 +306,9 @@ func (r *Router) markPend(slot int) {
 // VCState field docs). Every site where a head reaches the front calls it:
 // per-flit delivery into an empty inactive buffer (deliver), plain-link
 // publication (commitDirect), injection (via cacheHeadPkt), tail release
-// with a successor queued (saSlot) and rebuildWork. It is the one
-// packet-table lookup of a packet's stay at a router. The non-head panic
-// fires here, where the flit is already in hand.
+// with a successor queued (saSlot). It is the one packet-table lookup of
+// a packet's stay at a router. The non-head panic fires here, where the
+// flit is already in hand.
 func (r *Router) cacheHead(vc *VCState, f *Flit) {
 	pkt := r.pkts.get(f.P)
 	if f.Seq != 0 {
@@ -520,24 +462,6 @@ func (r *Router) vaFail(ctx *tickContext, slot int, cands []cand) {
 	ctx.scratch.vaFailures++
 	if ctx.net.stability >= RouteRetryStable {
 		r.parkVA(slot, cands)
-	}
-}
-
-// prepare runs on the first Step, once the topology (including injected
-// faults) and the algorithm are in place: it reads the routing algorithm's
-// declared stability and resolves Cfg.Workers, which an earlier SetWorkers
-// has already set (0 = autoShards by size alone).
-func (net *Network) prepare() {
-	net.prepared = true
-	if s, ok := net.Routing.(Stable); ok {
-		net.stability = s.Stability()
-	}
-	n := net.Cfg.Workers
-	if n == 0 {
-		n = net.autoShards(0)
-	}
-	if n != len(net.shards.sh) {
-		net.setShards(n)
 	}
 }
 
@@ -780,14 +704,10 @@ func (r *Router) switchAlloc(ctx *tickContext) {
 	}
 	clear(sa[nOut:])
 
-	// Flattened round-robin over (input port, VC). rr stays < total except
-	// right after a topology rebuild shrank the slot set, so the wrap is a
-	// compare, not a division.
+	// Flattened round-robin over (input port, VC); rr stays < total, so the
+	// wrap is a compare, not a division.
 	total := len(r.vcs)
 	start := r.rr
-	if start >= total {
-		start %= total
-	}
 	r.rr = start + 1
 	if r.rr == total {
 		r.rr = 0
@@ -863,8 +783,7 @@ func (r *Router) saSlot(ctx *tickContext, slot int, outSlots, outVCs, inUsed, in
 	if !vc.Active || vc.Buf.Empty() {
 		// An active slot drained empty mid-packet cannot progress until
 		// its next flit arrives; the refill sites (deliver, commitDirect,
-		// injection) put it back. Clearing here also self-heals the
-		// saActive seed rebuildWork copies into saReady.
+		// injection) put it back.
 		r.saReady[slot>>6] &^= 1 << (uint(slot) & 63)
 		return
 	}

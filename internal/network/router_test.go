@@ -11,6 +11,14 @@ import (
 // trivial routing function that always forwards toward node 1.
 func twoNodeNet(t *testing.T, kind LinkKind, mutate func(*Config)) (*Network, *Link) {
 	t.Helper()
+	net, l := declareTwoNodeNet(t, kind, mutate)
+	net.Finalize()
+	return net, l
+}
+
+// declareTwoNodeNet is twoNodeNet before Finalize.
+func declareTwoNodeNet(t *testing.T, kind LinkKind, mutate func(*Config)) (*Network, *Link) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.DeadlockThreshold = 5000
 	if mutate != nil {
@@ -24,7 +32,6 @@ func twoNodeNet(t *testing.T, kind LinkKind, mutate func(*Config)) (*Network, *L
 	l := net.Connect(kind, 0, 1)
 	net.Connect(kind, 1, 0) // reverse channel, keeps things symmetric
 	net.Routing = forwardRouting{}
-	net.Finalize()
 	return net, l
 }
 
