@@ -92,9 +92,10 @@ bench:
 # two-shard; mesh, hetero-channel and hetero-PHY; stats Record; collective
 # program build), 30 s of the latency-histogram fuzz target, 60 s of the
 # engine-against-dense-model fuzz target, 60 s of the simPoint invariant
-# fuzz target, and one pass of the trace generators' ledger (records/s,
-# allocations). About 3.5 min on 2 vCPUs, most of it the 150 s of fuzzing;
-# BenchmarkStep itself takes about 30 s.
+# fuzz target, one pass of the trace generators' ledger (records/s,
+# allocations) and one of the Bernoulli generator's (ns/node-cycle). About
+# 3.5 min on 2 vCPUs, most of it the 150 s of fuzzing; BenchmarkStep itself
+# takes about 30 s.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
 	$(GO) test -run 'ZeroAllocs|BuildAllocs' ./internal/network ./internal/stats ./internal/collective
@@ -102,6 +103,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRefModel -fuzztime 60s ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzSimPoint -fuzztime 60s ./internal/experiments
 	$(GO) test -run '^$$' -bench Generate -benchtime=1x ./internal/trace
+	$(GO) test -run '^$$' -bench GeneratorDrive -benchtime=1x ./internal/traffic
 
 # CPU and heap profiles of two saturated kernels: the 256-node mesh — all
 # plain delay-1 links, the case the SoA hot-path work targets — and the

@@ -13,9 +13,11 @@ import "math/rand"
 
 // Root returns the historical root stream for a seed: exactly
 // rand.New(rand.NewSource(seed)). internal/traffic draws its injection and
-// destination randomness from Root, which keeps every pre-fault simulation
-// result bit-identical. New subsystems must NOT use Root — derive an
-// independent stream with Split instead.
+// destination randomness from Root's stream, which keeps every pre-fault
+// simulation result bit-identical: hotspot pair selection calls Root, and
+// traffic.Generator.Drive, serial on the stepping goroutine, steps its own
+// copy of the same source inline, draw for draw. New subsystems must NOT
+// use Root — derive an independent stream with Split instead.
 func Root(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }

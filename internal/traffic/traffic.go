@@ -190,69 +190,111 @@ func BitReverse() *BitPermutation {
 	}}
 }
 
+// patternNames lists the six synthetic patterns of Sec. 7.2 in paper order.
+var patternNames = []string{"uniform", "uniform-hotspot", "bit-shuffle", "bit-complement", "bit-transpose", "bit-reverse"}
+
 // Patterns returns the six synthetic patterns of Sec. 7.2 in paper order.
 func Patterns(n int, seed int64) []Pattern {
-	return []Pattern{
-		Uniform{},
-		NewHotspot(n, 0.10, seed),
-		BitShuffle(),
-		BitComplement(),
-		BitTranspose(),
-		BitReverse(),
+	ps := make([]Pattern, len(patternNames))
+	for i, name := range patternNames {
+		ps[i], _ = ByName(name, n, seed) // every listed name is known
 	}
+	return ps
 }
 
 // ByName returns a named pattern (uniform, uniform-hotspot, bit-shuffle,
-// bit-complement, bit-transpose, bit-reverse).
+// bit-complement, bit-transpose, bit-reverse). Only the named one is
+// built: a hotspot draws n permutations of n nodes.
 func ByName(name string, n int, seed int64) (Pattern, error) {
-	for _, p := range Patterns(n, seed) {
-		if p.Name() == name {
-			return p, nil
-		}
+	switch name {
+	case "uniform":
+		return Uniform{}, nil
+	case "uniform-hotspot":
+		return NewHotspot(n, 0.10, seed), nil
+	case "bit-shuffle":
+		return BitShuffle(), nil
+	case "bit-complement":
+		return BitComplement(), nil
+	case "bit-transpose":
+		return BitTranspose(), nil
+	case "bit-reverse":
+		return BitReverse(), nil
 	}
 	return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 }
 
 // Generator injects Bernoulli traffic: each participating node starts a new
-// packet each cycle with probability rate/length, giving an offered load of
-// `rate` flits/cycle/node.
+// packet each cycle with probability Rate/Length, giving an offered load of
+// Rate flits/cycle/node. Rate and Length are read on every Drive call.
 type Generator struct {
 	Net     *network.Network
 	Pattern Pattern
 	// Rate is the offered load in flits/cycle/node.
 	Rate float64
-	// Length is the packet length in flits (0 = config default).
+	// Length is the packet length in flits (NewGenerator sets the
+	// config's).
 	Length int
 	// Class assigned to generated packets.
 	Class network.Class
 	// Nodes optionally restricts which nodes inject (nil = all).
 	Nodes []network.NodeID
 
-	rng  *rand.Rand
-	prob float64
+	// src is fault.Root(seed)'s stream, stepped inline by Drive; rng reads
+	// the same stream for Pattern.Dest.
+	src *rngSource
+	rng *rand.Rand
+	win window // of the last Drive's Rate/Length
 }
 
 // NewGenerator builds a generator with its own deterministic random source.
 func NewGenerator(net *network.Network, p Pattern, rate float64, seed int64) *Generator {
-	g := &Generator{Net: net, Pattern: p, Rate: rate, Length: net.Cfg.PacketLength}
-	// fault.Root preserves the pre-fault injection stream bit-for-bit;
+	g := &Generator{Net: net, Pattern: p, Rate: rate, Length: net.Cfg.PacketLength, src: new(rngSource)}
+	// Root's stream keeps the pre-fault injection sequence bit-for-bit;
 	// fault-injection randomness lives in disjoint fault.Split streams.
-	g.rng = fault.Root(seed)
-	g.prob = rate / float64(g.Length)
+	g.src.Seed(seed)
+	g.rng = rand.New(g.src)
+	g.win = newWindow(rate / float64(g.Length))
 	return g
 }
 
-// Drive implements the per-cycle injection callback for network.Run.
+// Drive implements the per-cycle injection callback for network.Run. It
+// takes one rand.Float64 draw per injecting node in order, then one
+// Pattern.Dest call per node whose draw is below Rate/Length: the stream of
+// a per-node rng.Float64() loop, with the draws of nodes that do not inject
+// skipped by rngSource.scan.
 func (g *Generator) Drive(now int64) {
 	n := len(g.Net.Nodes)
+	count := n
 	if g.Nodes != nil {
-		for _, src := range g.Nodes {
-			g.maybeInject(now, int(src), n)
-		}
-		return
+		count = len(g.Nodes)
 	}
-	for src := 0; src < n; src++ {
-		g.maybeInject(now, src, n)
+	prob := g.Rate / float64(g.Length)
+	if g.win.prob != prob {
+		g.win = newWindow(prob)
+	}
+	for i := 0; ; i++ {
+		var v uint64
+		if i, v = g.src.scan(i, count, g.win); i == count {
+			return
+		}
+		f := float64(v) / (1 << 63)
+		if f == 1 {
+			f = g.rng.Float64()
+		}
+		if f >= prob {
+			continue
+		}
+		src := i
+		if g.Nodes != nil {
+			src = int(g.Nodes[i])
+		}
+		dst := g.Pattern.Dest(g.rng, src, n)
+		if dst < 0 || dst == src {
+			continue
+		}
+		p := g.Net.NewPacket(network.NodeID(src), network.NodeID(dst), g.Length, now)
+		p.Class = g.Class
+		g.Net.Offer(p)
 	}
 }
 
@@ -261,19 +303,6 @@ func (g *Generator) Drive(now int64) {
 // changing the random stream. Callers who want quiescence skipping must use
 // a driver with predictable injection times (e.g. trace.Replayer).
 func (g *Generator) NextInjection(now int64) int64 { return now }
-
-func (g *Generator) maybeInject(now int64, src, n int) {
-	if g.rng.Float64() >= g.prob {
-		return
-	}
-	dst := g.Pattern.Dest(g.rng, src, n)
-	if dst < 0 || dst == src {
-		return
-	}
-	p := g.Net.NewPacket(network.NodeID(src), network.NodeID(dst), g.Length, now)
-	p.Class = g.Class
-	g.Net.Offer(p)
-}
 
 // LocalUniform is the Fig. 18 locality workload: the chiplet grid is
 // partitioned into blocks of BlockChiplets×BlockChiplets chiplets and

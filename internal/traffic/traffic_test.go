@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -176,6 +178,23 @@ func TestPatternsRegistry(t *testing.T) {
 	}
 }
 
+// TestByNameBuildsOnlyTheNamedPattern: a hotspot costs n permutations of n
+// nodes, so a lookup of any other name must not build one.
+func TestByNameBuildsOnlyTheNamedPattern(t *testing.T) {
+	const n, seed = 3136, 9
+	if got, _ := ByName("uniform-hotspot", n, seed); !reflect.DeepEqual(got, NewHotspot(n, 0.10, seed)) {
+		t.Error("ByName(uniform-hotspot) differs from NewHotspot(n, 0.10, seed)")
+	}
+	for _, name := range patternNames {
+		if name == "uniform-hotspot" {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(5, func() { _, _ = ByName(name, n, seed) }); allocs > 2 {
+			t.Errorf("ByName(%q) at %d nodes allocates %v times, want O(1)", name, n, allocs)
+		}
+	}
+}
+
 func TestLocalUniformStaysInBlock(t *testing.T) {
 	l := &LocalUniform{ChipletsX: 4, NodesX: 7, NodesY: 7, GX: 28, BlockChiplets: 2}
 	f := func(a uint16, seed int64) bool {
@@ -227,7 +246,152 @@ func TestGeneratorNodeSubset(t *testing.T) {
 	}
 }
 
-func newTestNet(t *testing.T, n int) *network.Network {
+func TestGeneratorReadsLengthAtDrive(t *testing.T) {
+	// Length set after NewGenerator must still give Rate flits/cycle/node:
+	// 16 times the packets of the default 16-flit length.
+	net := newTestNet(t, 16)
+	g := NewGenerator(net, Uniform{}, 0.2, 7)
+	g.Length = 1
+	cycles := int64(20000)
+	for now := int64(0); now < cycles; now++ {
+		g.Drive(now)
+	}
+	offered := float64(net.QueuedPackets()) / float64(cycles) / 16
+	if offered < 0.17 || offered > 0.23 {
+		t.Fatalf("offered rate %.4f with Length set after NewGenerator, want ≈0.2", offered)
+	}
+	if l := net.Packet(1).Length; l != 1 {
+		t.Fatalf("packet length %d, want 1", l)
+	}
+}
+
+// offer is what Drive hands the network for one packet.
+type offer struct {
+	cycle    int64
+	src, dst network.NodeID
+	length   int
+}
+
+// offered lists the packets a never-stepped network holds, in creation
+// order: with no deliveries, packet refs are handed out 1, 2, 3, ….
+func offered(net *network.Network) []offer {
+	out := make([]offer, net.QueuedPackets())
+	for i := range out {
+		p := net.Packet(network.PacketRef(i + 1))
+		out[i] = offer{p.CreatedAt, p.Src, p.Dst, p.Length}
+	}
+	return out
+}
+
+// refDrive is the per-node Bernoulli loop Drive replaced, kept as the
+// reference its inline scan must reproduce offer for offer.
+func refDrive(rng *rand.Rand, p Pattern, nodes []network.NodeID, n int, prob float64, length int, now int64, out []offer) []offer {
+	if nodes == nil {
+		nodes = make([]network.NodeID, n)
+		for i := range nodes {
+			nodes[i] = network.NodeID(i)
+		}
+	}
+	for _, src := range nodes {
+		if rng.Float64() >= prob {
+			continue
+		}
+		dst := p.Dest(rng, int(src), n)
+		if dst < 0 || dst == int(src) {
+			continue
+		}
+		out = append(out, offer{now, src, network.NodeID(dst), length})
+	}
+	return out
+}
+
+// checkAgainstRef drives g for cycles cycles on its fresh network and the
+// reference loop on ref (a copy of g's stream), then compares the offers
+// and the streams' next draw.
+func checkAgainstRef(t *testing.T, name string, g *Generator, ref *rand.Rand, cycles int64) {
+	t.Helper()
+	var want []offer
+	prob := g.Rate / float64(g.Length)
+	for now := int64(0); now < cycles; now++ {
+		g.Drive(now)
+		want = refDrive(ref, g.Pattern, g.Nodes, len(g.Net.Nodes), prob, g.Length, now, want)
+	}
+	got := offered(g.Net)
+	if len(got) != len(want) {
+		t.Fatalf("%s: Drive offered %d packets, reference %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: offer %d = %+v, reference %+v", name, i, got[i], want[i])
+		}
+	}
+	if a, b := g.rng.Int63(), ref.Int63(); a != b {
+		t.Fatalf("%s: streams diverged after the offers: next draw %d, reference %d", name, a, b)
+	}
+}
+
+func TestGeneratorMatchesPerNodeLoop(t *testing.T) {
+	const n, seed = 64, 5
+	pats := append(Patterns(n, seed), &LocalUniform{ChipletsX: 4, NodesX: 2, NodesY: 2, GX: 8, BlockChiplets: 2})
+	subset := []network.NodeID{63, 0, 7, 8, 9, 31, 40, 40}
+	// 16 and 24 flits/cycle at 16-flit packets are prob 1 and 1.5.
+	for _, rate := range []float64{0, 0.01, 0.45, 16, 24} {
+		for _, p := range pats {
+			for _, nodes := range [][]network.NodeID{nil, subset} {
+				g := NewGenerator(newTestNet(t, n), p, rate, seed)
+				g.Nodes = nodes
+				name := fmt.Sprintf("%s/rate %v/%d nodes", p.Name(), rate, len(nodes))
+				checkAgainstRef(t, name, g, rand.New(rand.NewSource(seed)), 300)
+			}
+		}
+	}
+}
+
+// TestGeneratorRedrawsLikeFloat64 plants a draw that Float64 rounds to 1
+// and discards as node 5's draw in cycle 0, 1 or 2, on either side of
+// prob 1. Bit-complement draws no destinations, so every draw is a node's.
+func TestGeneratorRedrawsLikeFloat64(t *testing.T) {
+	for _, rate := range []float64{8, 32} {
+		for skip := 0; skip < 3; skip++ {
+			g := NewGenerator(newTestNet(t, 16), BitComplement(), rate, 3)
+			for i := 0; i < 16*skip+5; i++ {
+				g.src.Uint64()
+			}
+			redrawNext(g.src)
+			ref := *g.src
+			if probe := ref; float64(probe.Int63())/(1<<63) != 1 {
+				t.Fatal("the planted draw does not round to 1")
+			}
+			name := fmt.Sprintf("rate %v/planted after %d draws", rate, 16*skip+5)
+			checkAgainstRef(t, name, g, rand.New(&ref), 4)
+		}
+	}
+}
+
+// BenchmarkGeneratorDrive times Drive alone — a draw per node and the
+// packets it offers — over 1,000 cycles per iteration on a fresh network
+// that never steps, and reports ns per node-cycle.
+func BenchmarkGeneratorDrive(b *testing.B) {
+	for _, tc := range []struct {
+		nodes int
+		rate  float64
+	}{{3136, 0.01}, {256, 0.45}} {
+		b.Run(fmt.Sprintf("%dnodes/rate%v", tc.nodes, tc.rate), func(b *testing.B) {
+			const cycles = 1000
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := NewGenerator(newTestNet(b, tc.nodes), Uniform{}, tc.rate, 7)
+				b.StartTimer()
+				for now := int64(0); now < cycles; now++ {
+					g.Drive(now)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cycles*tc.nodes), "ns/node-cycle")
+		})
+	}
+}
+
+func newTestNet(t testing.TB, n int) *network.Network {
 	t.Helper()
 	cfg := network.DefaultConfig()
 	net, err := network.New(cfg)
