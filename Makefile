@@ -43,12 +43,15 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# End-to-end sweep gate: reduced fig11 across 4 concurrent points, then
-# validate the JSON result manifest (zero failed points required).
+# End-to-end sweep gate: reduced fig11 across 4 concurrent points, Table 3
+# and linkfail, then validate each JSON result manifest (zero failed
+# points required).
 smoke:
 	$(GO) run ./cmd/hetsim -exp fig11 -tiny -jobs 4 -json results-ci
+	$(GO) run ./cmd/hetsim -exp table3 -tiny -json results-ci
+	$(GO) run ./cmd/hetsim -exp linkfail -tiny -json results-ci
 	test -f results-ci/BENCH_fig11.json
-	$(GO) run ./cmd/checkmanifest results-ci/BENCH_fig11.json
+	$(GO) run ./cmd/checkmanifest results-ci/BENCH_fig11.json results-ci/BENCH_table3.json results-ci/BENCH_linkfail.json
 
 # Fault-injection gate: reduced BER × policy sweep plus the scripted
 # serial-outage scenario (failover must stay live where the serial-only

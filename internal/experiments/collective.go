@@ -88,39 +88,34 @@ func runCollective(o Options, w io.Writer) error {
 	budget := int64(pick(o, 4_000_000, 2_000_000, 500_000))
 	shapes := collectiveShapes()
 
-	var pts []simPoint
+	var jobs []pointJob
 	for _, sys := range systems {
 		for _, shape := range shapes {
 			for _, size := range sizes {
-				pts = append(pts, simPoint{
+				workload := fmt.Sprintf("%s-%d", shape.name, size)
+				jobs = append(jobs, job("collective/"+sys.name+"/"+workload, simPoint{
 					Name: sys.name, Cfg: cfg,
 					Spec: topology.Spec{
 						System: sys.sys, ChipletsX: cx, ChipletsY: cx,
 						NodesX: 4, NodesY: 4, Policy: sys.mk(),
 					},
 					Program: shape.program(size, compute), Budget: budget,
-					Workload: fmt.Sprintf("%s-%d", shape.name, size),
-				})
+					Workload: workload,
+				}))
 			}
 		}
 	}
-	rows := make([]outcome, len(pts))
-	jobs := make([]pointJob, len(pts))
-	for i, pt := range pts {
-		jobs[i] = outcomeJob("collective/"+pt.Name+"/"+pt.Workload, pt, &rows[i])
-	}
-	if _, err := runJobs(o, jobs); err != nil {
+	outs, err := runJobs(o, jobs)
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(w, "--- collective completion, %d×%d chiplets of 4×4, %d participants ---\n", cx, cx, cx*cx)
-	var all []Result
 	var tbl [][]string
-	for _, row := range rows {
-		r, rep := row.Result, row.Report
+	for _, out := range outs {
+		r, rep := out[0].Result, out[0].Report
 		fmt.Fprintf(w, "%-24s %-18s elapsed=%7d comm=%7d stall=%7d algbw=%.4f pkts=%d\n",
 			r.System, r.Workload, rep.Elapsed, rep.CommCycles, rep.StallCycles, r.Throughput, rep.Packets)
-		all = append(all, r)
 		tbl = append(tbl, []string{
 			r.System, r.Workload,
 			strconv.Itoa(rep.Participants),
@@ -137,7 +132,8 @@ func runCollective(o Options, w io.Writer) error {
 	// Per-step breakdown of the ring all-reduce on the balanced hetero-PHY
 	// system at the largest size — the Fig.-style detail view.
 	var stepTbl [][]string
-	for _, row := range rows {
+	for _, out := range outs {
+		row := out[0]
 		if row.System != "hetero-phy-balanced" || row.Report.Name != "allreduce" {
 			continue
 		}
@@ -191,7 +187,7 @@ func runCollective(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "policy detects starvation from retry telemetry and reroutes the")
 	fmt.Fprintln(w, "remaining chunks onto the parallel wires.")
 
-	if err := emitResults(o, "collective", all); err != nil {
+	if err := emitResults(o, "collective", outs); err != nil {
 		return err
 	}
 	if err := emitTable(o, "collective-completion",

@@ -13,7 +13,6 @@ import (
 	"heteroif/internal/network"
 	"heteroif/internal/sweep"
 	"heteroif/internal/topology"
-	"heteroif/internal/traffic"
 )
 
 // Options configures an experiment run.
@@ -152,14 +151,6 @@ func heteroChannelVariants(cfg network.Config, cx, cy, nx, ny int) []simPoint {
 	}
 }
 
-// runPoint measures a system driven by a synthetic pattern at one offered
-// load.
-func runPoint(p simPoint, pat traffic.Pattern, rate float64) (Result, error) {
-	p.Pattern, p.Rate = pat, rate
-	out, err := p.run()
-	return out.Result, err
-}
-
 // pick returns full, short or tiny depending on the options.
 func pick(o Options, full, short, tiny int) int {
 	if o.Tiny {
@@ -171,88 +162,91 @@ func pick(o Options, full, short, tiny int) int {
 	return short
 }
 
-// sweepRates measures one system across offered loads, stopping the sweep
-// two points past saturation (the latency-vs-injection curves of
-// Figs. 11/14). It is the natural job granularity for the orchestrator:
-// the early exit is a sequential dependency between rates, while different
-// (system, pattern) sweeps are independent.
-func sweepRates(v simPoint, pat traffic.Pattern, rates []float64) ([]Result, error) {
-	var out []Result
-	pastSat := 0
-	for _, rate := range rates {
-		r, err := runPoint(v, pat, rate)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-		if r.Saturated {
-			pastSat++
-			if pastSat >= 2 {
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-// pointJob is one independent operating point (or one self-contained rate
-// sweep) submitted to the sweep orchestrator.
+// pointJob is one job of the sweep pool: one simulated point, or one rate
+// sweep of a system. run returns the outcome of every point it simulated,
+// in order; a scripted scenario whose outcome is data, not a measured
+// point, returns none.
 type pointJob struct {
 	key string
-	run func() ([]Result, error)
+	run func() ([]outcome, error)
 }
 
-// point adapts a single-Result computation to a pointJob.
-func point(key string, run func() (Result, error)) pointJob {
-	return pointJob{key: key, run: func() ([]Result, error) {
-		r, err := run()
+// job runs one point under the given key.
+func job(key string, p simPoint) pointJob {
+	return pointJob{key: key, run: func() ([]outcome, error) {
+		out, err := p.run()
 		if err != nil {
 			return nil, err
 		}
-		return []Result{r}, nil
+		return []outcome{out}, nil
 	}}
 }
 
-// outcomeJob adapts a point whose outcome the caller reads beyond its
-// Result (fault counters, collective reports) to a pointJob that stores it
-// in *out.
-func outcomeJob(key string, p simPoint, out *outcome) pointJob {
-	return pointJob{key: key, run: func() ([]Result, error) {
-		var err error
-		*out, err = p.run()
-		return nil, err
+// sweepRates measures one system's pattern (set on v) across offered loads,
+// stopping two points past saturation (the latency-vs-injection curves of
+// Figs. 11/14). The early exit is a sequential dependency between rates, so
+// the whole sweep is one job; different (system, pattern) sweeps are
+// independent. A failed rate ends the job with the outcomes before it.
+func sweepRates(key string, v simPoint, rates []float64) pointJob {
+	return pointJob{key: key, run: func() ([]outcome, error) {
+		var outs []outcome
+		pastSat := 0
+		for _, rate := range rates {
+			v.Rate = rate
+			out, err := v.run()
+			if err != nil {
+				return outs, err
+			}
+			outs = append(outs, out)
+			if out.Saturated {
+				pastSat++
+				if pastSat >= 2 {
+					break
+				}
+			}
+		}
+		return outs, nil
 	}}
 }
 
 // runJobs executes the jobs through the sweep orchestrator, honoring
-// o.Jobs/o.JobTimeout/o.Progress. It returns per-job result slices in
-// submission order — identical for any pool size — plus the first error.
-// Failed jobs are recorded in the manifest and yield their partial results;
-// siblings always run to completion.
-func runJobs(o Options, jobs []pointJob) ([][]Result, error) {
-	sj := make([]sweep.Job[[]Result], len(jobs))
+// o.Jobs/o.JobTimeout/o.Progress, and records them in the manifest in
+// submission order: every Result of every job's outcomes, then a failed
+// job's error after the outcomes it got to. It returns the per-job outcomes
+// in submission order — identical for any pool size — plus the first
+// error. Siblings of a failed job always run to completion.
+func runJobs(o Options, jobs []pointJob) ([][]outcome, error) {
+	sj := make([]sweep.Job[[]outcome], len(jobs))
 	for i, j := range jobs {
-		sj[i] = sweep.Job[[]Result]{Key: j.key, Run: j.run}
+		sj[i] = sweep.Job[[]outcome]{Key: j.key, Run: j.run}
 	}
 	outs := sweep.Run(sj, sweep.Options{Jobs: o.Jobs, Timeout: o.JobTimeout, OnProgress: o.Progress})
-	res := make([][]Result, len(outs))
+	res := make([][]outcome, len(outs))
 	var firstErr error
-	for i := range outs {
-		res[i] = outs[i].Value
-		if outs[i].Err != nil {
-			o.Manifest.RecordFailure(outs[i].Key, outs[i].Err)
+	for i, out := range outs {
+		res[i] = out.Value
+		for _, oc := range out.Value {
+			o.Manifest.Record(oc.Result)
+		}
+		if out.Err != nil {
+			o.Manifest.RecordFailure(out.Key, out.Err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", outs[i].Key, outs[i].Err)
+				firstErr = fmt.Errorf("%s: %w", out.Key, out.Err)
 			}
 		}
 	}
 	return res, firstErr
 }
 
-// emitResults records measured result rows into the manifest (when one is
-// attached) and emits them as <CSVDir>/<name>.csv (when CSVDir is set).
-func emitResults(o Options, name string, rs []Result) error {
-	o.Manifest.Record(rs...)
+// emitResults emits the Results of runJobs' outcomes, the rows it recorded
+// in the manifest, as <CSVDir>/<name>.csv when CSVDir is set.
+func emitResults(o Options, name string, outs [][]outcome) error {
+	var rs []Result
+	for _, out := range outs {
+		for _, oc := range out {
+			rs = append(rs, oc.Result)
+		}
+	}
 	return writeCSV(o.CSVDir, name, resultHeader, resultRows(rs))
 }
 

@@ -62,9 +62,8 @@ func runFault(o Options, w io.Writer) error {
 
 	const load = 0.1
 	var jobs []pointJob
-	rows := make([]outcome, len(policies)*len(bers))
-	for pi, pol := range policies {
-		for bi, ber := range bers {
+	for _, pol := range policies {
+		for _, ber := range bers {
 			pt := simPoint{
 				Name: "hetero-phy-" + pol.name, Cfg: cfg, Spec: spec(pol.mk()),
 				// Serial BER dominates (long reach); the short-reach parallel
@@ -75,7 +74,7 @@ func runFault(o Options, w io.Writer) error {
 				Pattern: traffic.Uniform{}, Rate: load, Workload: fmt.Sprintf("uniform-ber%g", ber),
 				Drain: true,
 			}
-			jobs = append(jobs, outcomeJob(fmt.Sprintf("fault/%s/ber-%g", pol.name, ber), pt, &rows[pi*len(bers)+bi]))
+			jobs = append(jobs, job(fmt.Sprintf("fault/%s/ber-%g", pol.name, ber), pt))
 		}
 	}
 
@@ -100,7 +99,7 @@ func runFault(o Options, w io.Writer) error {
 		}
 		jobs = append(jobs, pointJob{
 			key: "fault/serial-down/" + pol.name,
-			run: func() ([]Result, error) {
+			run: func() ([]outcome, error) {
 				// The baseline is EXPECTED to starve or deadlock here — that
 				// outcome is the data point, not a job failure.
 				var err error
@@ -111,21 +110,21 @@ func runFault(o Options, w io.Writer) error {
 		})
 	}
 
-	if _, err := runJobs(o, jobs); err != nil {
+	outs, err := runJobs(o, jobs)
+	if err != nil {
 		return err
 	}
+	rows := outs[:len(policies)*len(bers)] // one outcome per BER point
 
-	var all []Result
 	var tbl [][]string
 	fmt.Fprintf(w, "--- serial-BER sweep, uniform @ %.2f, hetero-PHY torus ---\n", load)
 	for pi, pol := range policies {
-		base := rows[pi*len(bers)]
+		base := rows[pi*len(bers)][0]
 		for bi, ber := range bers {
-			row := rows[pi*len(bers)+bi]
+			row := rows[pi*len(bers)+bi][0]
 			degrade := row.MeanLatency / base.MeanLatency
 			fmt.Fprintf(w, "%-22s ber=%-7g lat=%7.1f (x%.3f) retry-rate=%.4f retx=%d delivered-ok=true\n",
 				pol.name, ber, row.MeanLatency, degrade, row.Faults.RetryRate(), row.Faults.Retransmits)
-			all = append(all, row.Result)
 			tbl = append(tbl, []string{
 				pol.name, strconv.FormatFloat(ber, 'g', -1, 64),
 				strconv.FormatFloat(row.MeanLatency, 'f', 2, 64),
@@ -168,7 +167,7 @@ func runFault(o Options, w io.Writer) error {
 	// more means the receiver is nacking its own replay (a retransmission
 	// storm).
 	for i, row := range rows {
-		if s := row.Faults; s.Nacks > s.Corrupted+s.Timeouts {
+		if s := row[0].Faults; s.Nacks > s.Corrupted+s.Timeouts {
 			return fmt.Errorf("fault: %s at BER %g drew %d nacks from %d corruptions and %d timeouts — retransmission storm",
 				policies[i/len(bers)].name, bers[i%len(bers)], s.Nacks, s.Corrupted, s.Timeouts)
 		}
@@ -179,7 +178,7 @@ func runFault(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "stuck flits onto the parallel PHY and keeps the network live where")
 	fmt.Fprintln(w, "the serial-only baseline starves.")
 
-	if err := emitResults(o, "fault", all); err != nil {
+	if err := emitResults(o, "fault", outs); err != nil {
 		return err
 	}
 	if err := emitTable(o, "fault-reliability",

@@ -86,31 +86,27 @@ func runPatternFigure(o Options, w io.Writer, name string, variants []simPoint, 
 	var jobs []pointJob
 	for _, pat := range pats {
 		for _, v := range variants {
-			pat, v := pat, v
-			jobs = append(jobs, pointJob{
-				key: fmt.Sprintf("%s/%s/%s", name, pat.Name(), v.Name),
-				run: func() ([]Result, error) { return sweepRates(v, pat, rates) },
-			})
+			v.Pattern = pat
+			jobs = append(jobs, sweepRates(fmt.Sprintf("%s/%s/%s", name, pat.Name(), v.Name), v, rates))
 		}
 	}
 	outs, err := runJobs(o, jobs)
-	var all []Result
 	i := 0
 	for _, pat := range pats {
 		fmt.Fprintf(w, "--- %s / %s ---\n", name, pat.Name())
 		plot := &asciiPlot{Title: fmt.Sprintf("%s / %s: latency vs injection rate", name, pat.Name())}
 		for _, v := range variants {
-			rs := outs[i]
-			i++
-			for _, r := range rs {
-				fmt.Fprintln(w, r)
+			var rs []Result
+			for _, out := range outs[i] {
+				fmt.Fprintln(w, out.Result)
+				rs = append(rs, out.Result)
 			}
+			i++
 			plot.add(v.Name, rs)
-			all = append(all, rs...)
 		}
 		plot.render(w)
 	}
-	if e := emitResults(o, name, all); err == nil {
+	if e := emitResults(o, name, outs); err == nil {
 		err = e
 	}
 	return err
@@ -158,23 +154,22 @@ func runTable3(o Options, w io.Writer) error {
 		scales = scales[:3]
 	}
 
-	const rate = 0.1
 	cfg := baseConfig(o)
 
 	// One job per measured system per scale (3 hetero-PHY comparisons
-	// everywhere, plus 2 hetero-channel systems at the larger scales).
+	// everywhere, plus 2 hetero-channel systems at the larger scales), its
+	// workload labelled with the scale so that every point is told apart.
 	var jobs []pointJob
-	latJob := func(label string, v simPoint) pointJob {
-		return point(fmt.Sprintf("table3/%s/%s", label, v.Name), func() (Result, error) {
-			return runPoint(v, traffic.Uniform{}, rate)
-		})
-	}
 	for _, s := range scales {
 		phyVars := heteroPHYVariants(cfg, s.cx, s.cy, s.nx, s.ny)
-		jobs = append(jobs, latJob(s.label, phyVars[0]), latJob(s.label, phyVars[1]), latJob(s.label, phyVars[2]))
+		vs := phyVars[:3]
 		if s.heteroChannel {
 			chVars := heteroChannelVariants(cfg, s.cx, s.cy, s.nx, s.ny)
-			jobs = append(jobs, latJob(s.label, chVars[1]), latJob(s.label, chVars[2]))
+			vs = append(vs, chVars[1], chVars[2])
+		}
+		for _, v := range vs {
+			v.Pattern, v.Rate, v.Workload = traffic.Uniform{}, 0.1, "uniform-"+s.label
+			jobs = append(jobs, job(fmt.Sprintf("table3/%s/%s", s.label, v.Name), v))
 		}
 	}
 	outs, err := runJobs(o, jobs)
@@ -241,12 +236,12 @@ func runFig16(o Options, w io.Writer) error {
 	var jobs []pointJob
 	phyVars := energyVariantsPHY(cfg, cp, cp, np, np)
 	chSet := energyChannelVariants(cfg, cx, cx, nn, nn)
+	// The two panels share system names, so each point's workload names
+	// its panel.
 	add := func(kind string, vs []simPoint) {
 		for _, v := range vs {
-			v := v
-			jobs = append(jobs, point("fig16/"+kind+"/"+v.Name, func() (Result, error) {
-				return runPoint(v, traffic.Uniform{}, 0.1)
-			}))
+			v.Pattern, v.Rate, v.Workload = traffic.Uniform{}, 0.1, "uniform-"+kind
+			jobs = append(jobs, job("fig16/"+kind+"/"+v.Name, v))
 		}
 	}
 	add("phy", phyVars)
@@ -256,21 +251,19 @@ func runFig16(o Options, w io.Writer) error {
 		return err
 	}
 
-	var all []Result
 	printPoint := func(r Result) {
 		fmt.Fprintf(w, "%-26s energy/pkt=%8.1f pJ (on-chip %.1f + interface %.1f), lat=%.1f\n",
 			r.System, r.EnergyPJ, r.EnergyOnChipPJ, r.EnergyIfacePJ, r.MeanLatency)
-		all = append(all, r)
 	}
 	fmt.Fprintf(w, "--- Fig 16(a): hetero-PHY, %dx%d chiplets of %dx%d nodes, uniform @ 0.1 ---\n", cp, cp, np, np)
 	for i := range phyVars {
-		printPoint(outs[i][0])
+		printPoint(outs[i][0].Result)
 	}
 	fmt.Fprintf(w, "--- Fig 16(b): hetero-channel, %dx%d chiplets of %dx%d nodes, uniform @ 0.1 ---\n", cx, cx, nn, nn)
 	for i := range chSet {
-		printPoint(outs[len(phyVars)+i][0])
+		printPoint(outs[len(phyVars)+i][0].Result)
 	}
-	return emitResults(o, "fig16", all)
+	return emitResults(o, "fig16", outs)
 }
 
 // runFig18 reproduces Figure 18: average per-packet energy as the traffic
@@ -290,32 +283,28 @@ func runFig18(o Options, w io.Writer) error {
 	vars := heteroChannelVariants(cfg, cx, cx, nn, nn)[:3]
 	var jobs []pointJob
 	for _, k := range scales {
+		pat := &traffic.LocalUniform{
+			ChipletsX: cx, NodesX: nn, NodesY: nn, GX: cx * nn,
+			BlockChiplets: k,
+		}
 		for _, v := range vars {
-			k, v := k, v
-			jobs = append(jobs, point(fmt.Sprintf("fig18/scale%d/%s", k, v.Name), func() (Result, error) {
-				pat := &traffic.LocalUniform{
-					ChipletsX: cx, NodesX: nn, NodesY: nn, GX: cx * nn,
-					BlockChiplets: k,
-				}
-				return runPoint(v, pat, 0.01)
-			}))
+			v.Pattern, v.Rate = pat, 0.01
+			jobs = append(jobs, job(fmt.Sprintf("fig18/scale%d/%s", k, v.Name), v))
 		}
 	}
 	outs, err := runJobs(o, jobs)
 	if err != nil {
 		return err
 	}
-	var all []Result
 	i := 0
 	for _, k := range scales {
 		fmt.Fprintf(w, "--- Fig 18: local scale %dx%d chiplets ---\n", k, k)
 		for range vars {
-			r := outs[i][0]
+			r := outs[i][0].Result
 			i++
 			fmt.Fprintf(w, "%-26s scale=%d energy/pkt=%8.1f pJ (on-chip %.1f + interface %.1f)\n",
 				r.System, k, r.EnergyPJ, r.EnergyOnChipPJ, r.EnergyIfacePJ)
-			all = append(all, r)
 		}
 	}
-	return emitResults(o, "fig18", all)
+	return emitResults(o, "fig18", outs)
 }

@@ -9,13 +9,6 @@ import (
 	"heteroif/internal/trace"
 )
 
-// replayPoint measures a system replaying a trace at the given speedup.
-func replayPoint(p simPoint, tr *trace.Trace, speedup float64) (Result, error) {
-	p.Trace, p.Speedup = tr, speedup
-	out, err := p.run()
-	return out.Result, err
-}
-
 // rankMap places trace ranks onto nodes. When ranks fit, it spreads them
 // evenly across chiplets using each chiplet's core (interior) nodes first —
 // the Sec. 8.1.2 "core nodes of each chiplet" placement; when the system is
@@ -81,29 +74,25 @@ func runFig12(o Options, w io.Writer) error {
 	var jobs []pointJob
 	for _, tr := range traces {
 		for _, v := range vs {
-			tr, v := tr, v
-			jobs = append(jobs, point(fmt.Sprintf("fig12/%s/%s", tr.Name, v.Name), func() (Result, error) {
-				return replayPoint(v, tr, 1)
-			}))
+			v.Trace, v.Speedup = tr, 1
+			jobs = append(jobs, job(fmt.Sprintf("fig12/%s/%s", tr.Name, v.Name), v))
 		}
 	}
 	outs, err := runJobs(o, jobs)
 	if err != nil {
 		return err
 	}
-	var all []Result
 	i := 0
 	for ti, tr := range traces {
 		fmt.Fprintf(w, "--- fig12 / %s (offered %.4f flits/cycle/node) ---\n", workloads[ti], tr.OfferedRate())
 		for range vs {
-			r := outs[i][0]
+			r := outs[i][0].Result
 			i++
 			fmt.Fprintf(w, "%-26s lat=%7.1f ± %6.1f cycles, p99=%5d, %d pkts\n",
 				r.System, r.MeanLatency, r.StdDev, r.P99Latency, r.Packets)
-			all = append(all, r)
 		}
 	}
-	return emitResults(o, "fig12", all)
+	return emitResults(o, "fig12", outs)
 }
 
 // hpcTargets is the Fig. 13/15 injection-rate sweep in flits/cycle/node:
@@ -151,9 +140,8 @@ func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int)
 			speedup := target * float64(nodes) * float64(base.Cycles) / flits
 			speedups[base] = append(speedups[base], speedup)
 			for _, v := range vs {
-				base, v, speedup := base, v, speedup
-				jobs = append(jobs, point(fmt.Sprintf("%s/%s@%.2f/%s", name, base.Name, target, v.Name),
-					func() (Result, error) { return replayPoint(v, base, speedup) }))
+				v.Trace, v.Speedup = base, speedup
+				jobs = append(jobs, job(fmt.Sprintf("%s/%s@%.2f/%s", name, base.Name, target, v.Name), v))
 			}
 		}
 	}
@@ -162,7 +150,6 @@ func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int)
 		return err
 	}
 
-	var all []Result
 	i := 0
 	for _, base := range traces {
 		plot := &asciiPlot{Title: fmt.Sprintf("%s / %s: latency vs offered load", name, base.Name)}
@@ -172,10 +159,9 @@ func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int)
 			fmt.Fprintf(w, "--- %s / %s target=%.2f flits/cycle/node (speedup %.2f) ---\n",
 				name, base.Name, target, speedups[base][ti])
 			for _, v := range vs {
-				r := outs[i][0]
+				r := outs[i][0].Result
 				i++
 				fmt.Fprintln(w, r)
-				all = append(all, r)
 				if _, seen := perVariant[v.Name]; !seen {
 					order = append(order, v.Name)
 				}
@@ -187,7 +173,7 @@ func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int)
 		}
 		plot.render(w)
 	}
-	return emitResults(o, name, all)
+	return emitResults(o, name, outs)
 }
 
 // runFig13 reproduces Figure 13: HPC traces (CNS and MOC) on the 1296-node
@@ -224,12 +210,12 @@ func runFig17(o Options, w io.Writer) error {
 	chSet := energyChannelVariants(cfg, cxCh, cxCh, nCh, nCh)
 
 	var jobs []pointJob
+	// The two panels share system names, so each point's workload names
+	// its panel.
 	add := func(kind string, vs []simPoint) {
 		for _, v := range vs {
-			v := v
-			jobs = append(jobs, point("fig17/"+kind+"/"+v.Name, func() (Result, error) {
-				return replayPoint(v, moc, 1)
-			}))
+			v.Trace, v.Speedup, v.Workload = moc, 1, moc.Name+"-"+kind
+			jobs = append(jobs, job("fig17/"+kind+"/"+v.Name, v))
 		}
 	}
 	add("phy", phyVars)
@@ -239,19 +225,17 @@ func runFig17(o Options, w io.Writer) error {
 		return err
 	}
 
-	var all []Result
 	printPoint := func(r Result) {
 		fmt.Fprintf(w, "%-26s energy/pkt=%8.1f pJ (on-chip %.1f + interface %.1f)\n",
 			r.System, r.EnergyPJ, r.EnergyOnChipPJ, r.EnergyIfacePJ)
-		all = append(all, r)
 	}
 	fmt.Fprintln(w, "--- Fig 17(a): hetero-PHY on MOC ---")
 	for i := range phyVars {
-		printPoint(outs[i][0])
+		printPoint(outs[i][0].Result)
 	}
 	fmt.Fprintln(w, "--- Fig 17(b): hetero-channel on MOC ---")
 	for i := range chSet {
-		printPoint(outs[len(phyVars)+i][0])
+		printPoint(outs[len(phyVars)+i][0].Result)
 	}
-	return emitResults(o, "fig17", all)
+	return emitResults(o, "fig17", outs)
 }

@@ -34,7 +34,6 @@ func TestAllSystemsDeliverUniformTraffic(t *testing.T) {
 		topology.HeteroChannel,
 	}
 	for _, sys := range systems {
-		sys := sys
 		t.Run(sys.String(), func(t *testing.T) {
 			// run fails on a deadlock, an incomplete drain or a credit
 			// imbalance.
@@ -71,7 +70,6 @@ func TestHighLoadNoDeadlock(t *testing.T) {
 		topology.HeteroChannel,
 	}
 	for _, sys := range systems {
-		sys := sys
 		t.Run(sys.String(), func(t *testing.T) {
 			cfg := shortCfg()
 			cfg.SimCycles = 6000
@@ -104,7 +102,7 @@ func TestLatencyOrderingLowLoad(t *testing.T) {
 		topology.UniformSerialTorus,
 		topology.HeteroPHYTorus,
 	} {
-		r, err := runPoint(simPoint{Name: sys.String(), Cfg: shortCfg(), Spec: smallSpec(sys)}, traffic.Uniform{}, 0.02)
+		r, err := simPoint{Name: sys.String(), Cfg: shortCfg(), Spec: smallSpec(sys), Pattern: traffic.Uniform{}, Rate: 0.02}.run()
 		if err != nil {
 			t.Fatalf("%v: %v", sys, err)
 		}

@@ -42,10 +42,9 @@ func runLinkFail(o Options, w io.Writer) error {
 	// failable ports in deterministic order — and the simulations then run
 	// as independent orchestrator jobs, each failing its links in a hook.
 	type faultCase struct {
-		sys              topology.System
-		decisions        []bool // one per failable port, in enumeration order
-		failed, failable int
-		out              outcome
+		sys       topology.System
+		decisions []bool // one per failable port, in enumeration order
+		failed    int    // links the hook could fail
 	}
 	var cases []*faultCase
 	for _, sys := range systems {
@@ -71,12 +70,15 @@ func runLinkFail(o Options, w io.Writer) error {
 		}
 	}
 
+	// A point's workload carries its kill count: the fault levels of one
+	// system share its name and the offered load.
 	jobs := make([]pointJob, len(cases))
 	for i, fc := range cases {
+		killed := fmt.Sprintf("%d-killed", countTrue(fc.decisions))
 		pt := simPoint{
 			Name: fc.sys.String(), Cfg: cfg,
 			Spec:    topology.Spec{System: fc.sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4},
-			Pattern: traffic.Uniform{}, Rate: 0.1, Drain: true,
+			Pattern: traffic.Uniform{}, Rate: 0.1, Workload: "uniform-" + killed, Drain: true,
 			Hook: func(in *Instance) error {
 				idx := 0
 				for n := range in.Topo.OutPorts {
@@ -85,7 +87,6 @@ func runLinkFail(o Options, w io.Writer) error {
 						if !p.Wrap && p.CubeDim < 0 {
 							continue
 						}
-						fc.failable++
 						kill := fc.decisions[idx]
 						idx++
 						if kill && in.Topo.FailLink(network.NodeID(n), port) == nil {
@@ -96,9 +97,10 @@ func runLinkFail(o Options, w io.Writer) error {
 				return nil
 			},
 		}
-		jobs[i] = outcomeJob(fmt.Sprintf("linkfail/%v/%d-killed", fc.sys, countTrue(fc.decisions)), pt, &fc.out)
+		jobs[i] = job(fmt.Sprintf("linkfail/%v/%s", fc.sys, killed), pt)
 	}
-	if _, err := runJobs(o, jobs); err != nil {
+	outs, err := runJobs(o, jobs)
+	if err != nil {
 		return err
 	}
 
@@ -107,12 +109,13 @@ func runLinkFail(o Options, w io.Writer) error {
 		if i%len(fracs) == 0 {
 			fmt.Fprintf(w, "--- %s: uniform @ 0.1 with failed adaptive channels ---\n", fc.sys)
 		}
-		delivered := fc.out.Delivered == fc.out.Injected
+		out := outs[i][0]
+		delivered := out.Delivered == out.Injected
 		fmt.Fprintf(w, "failed %3d/%3d adaptive links: lat=%7.1f cycles, all delivered=%v\n",
-			fc.failed, fc.failable, fc.out.MeanLatency, delivered)
+			fc.failed, len(fc.decisions), out.MeanLatency, delivered)
 		rows = append(rows, []string{
-			fc.sys.String(), strconv.Itoa(fc.failed), strconv.Itoa(fc.failable),
-			strconv.FormatFloat(fc.out.MeanLatency, 'f', 2, 64),
+			fc.sys.String(), strconv.Itoa(fc.failed), strconv.Itoa(len(fc.decisions)),
+			strconv.FormatFloat(out.MeanLatency, 'f', 2, 64),
 			strconv.FormatBool(delivered),
 		})
 		if !delivered {
@@ -151,24 +154,21 @@ func runCompromised(o Options, w io.Writer) error {
 	var jobs []pointJob
 	for _, rate := range rates {
 		for _, v := range vs {
-			rate, v := rate, v
-			jobs = append(jobs, point(fmt.Sprintf("compromised/uniform@%.2f/%s", rate, v.Name),
-				func() (Result, error) { return runPoint(v, traffic.Uniform{}, rate) }))
+			v.Pattern, v.Rate = traffic.Uniform{}, rate
+			jobs = append(jobs, job(fmt.Sprintf("compromised/uniform@%.2f/%s", rate, v.Name), v))
 		}
 	}
 	outs, err := runJobs(o, jobs)
 	if err != nil {
 		return err
 	}
-	var all []Result
 	i := 0
 	for _, rate := range rates {
 		fmt.Fprintf(w, "--- compromised-IF comparison, uniform @ %.2f ---\n", rate)
 		for range vs {
-			r := outs[i][0]
+			r := outs[i][0].Result
 			i++
 			fmt.Fprintln(w, r)
-			all = append(all, r)
 		}
 	}
 	fmt.Fprintln(w, "\nthe compromised interface improves hugely on the serial torus and is")
@@ -178,5 +178,5 @@ func runCompromised(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "BoW's 32 Gbps per-lane ceiling caps how far the 3-flit/cycle links")
 	fmt.Fprintln(w, "scale, while the hetero-IF keeps the full serial data rate in reserve")
 	fmt.Fprintln(w, "and the parallel PHY's energy at short reach.")
-	return emitResults(o, "compromised", all)
+	return emitResults(o, "compromised", outs)
 }

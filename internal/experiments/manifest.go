@@ -25,12 +25,15 @@ type Manifest struct {
 	// known.
 	Git    string         `json:"git,omitempty"`
 	Config ManifestConfig `json:"config"`
-	// Points holds one row per measured operating point, in deterministic
-	// (submission) order. Failed points carry Failed/Err and zero metrics.
+	// Points holds one row per point the sweep pool simulated, in
+	// deterministic (submission) order, a failed job's row after the rows
+	// of the points it finished. Failed points carry Failed/Err and zero
+	// metrics.
 	Points []ManifestPoint `json:"points"`
-	// Tables holds the rows of experiments that report derived tables
-	// rather than per-point Results (table1, table3, table4, economy,
-	// topo, fault, fig08), keyed by CSV name. Row 0 is the header.
+	// Tables holds the derived tables an experiment reports besides its
+	// points (table1, fig08, table3, table4, topo, economy, linkfail and
+	// the fault and collective tables, which include their scripted
+	// scenarios), keyed by CSV name. Row 0 is the header.
 	Tables map[string][][]string `json:"tables,omitempty"`
 	// FailedPoints counts points with Failed set.
 	FailedPoints int `json:"failed_points"`
@@ -53,8 +56,9 @@ type ManifestConfig struct {
 // ManifestPoint is one operating point: an embedded Result plus failure
 // reporting for points that panicked, timed out or errored.
 type ManifestPoint struct {
-	// Key identifies failed points that produced no Result (successful
-	// points are identified by the Result's system/workload/rate).
+	// Key identifies failed points, which produce no Result. A successful
+	// point is identified by its Result's system, workload and
+	// offered_rate, no two alike within a manifest.
 	Key string `json:"key,omitempty"`
 	Result
 	Failed bool   `json:"failed,omitempty"`

@@ -29,7 +29,8 @@ func TestPaperScaleOrdering(t *testing.T) {
 	jobs, keys := make([]pointJob, len(vs)), make([]string, len(vs))
 	for i, v := range vs {
 		keys[i] = "paperscale/" + v.Name
-		jobs[i] = point(keys[i], func() (Result, error) { return runPoint(v, traffic.Uniform{}, 0.1) })
+		v.Pattern, v.Rate = traffic.Uniform{}, 0.1
+		jobs[i] = job(keys[i], v)
 	}
 	res, failed := pooled(jobs)
 	rs := lookup(t, res, failed, keys...)

@@ -15,7 +15,8 @@ import (
 func shapeList() []pointJob {
 	uniform := func(key string, p simPoint, sim, warm int64, rate float64) pointJob {
 		p.Cfg.SimCycles, p.Cfg.WarmupCycles = sim, warm
-		return point(key, func() (Result, error) { return runPoint(p, traffic.Uniform{}, rate) })
+		p.Pattern, p.Rate = traffic.Uniform{}, rate
+		return job(key, p)
 	}
 	weight2 := func(p simPoint) simPoint { p.Bias = 2; return p }
 	cfg := shortCfg()
@@ -48,11 +49,11 @@ func shapeList() []pointJob {
 // key, as the manifest records them.
 func pooled(jobs []pointJob) (map[string]Result, map[string]string) {
 	o := Options{Jobs: runtime.GOMAXPROCS(0), Manifest: &Manifest{}}
-	rs, _ := runJobs(o, jobs)
+	outs, _ := runJobs(o, jobs)
 	res := map[string]Result{}
-	for i, r := range rs {
-		if len(r) == 1 {
-			res[jobs[i].key] = r[0]
+	for i, out := range outs {
+		if len(out) == 1 {
+			res[jobs[i].key] = out[0].Result
 		}
 	}
 	failed := map[string]string{}

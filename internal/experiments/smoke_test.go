@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"runtime"
 	"strings"
 	"testing"
+
+	"heteroif/internal/sweep"
 )
 
 // registryGolden pins every experiment's Tiny-scale run: an FNV-64a digest
@@ -22,14 +25,14 @@ var registryGolden = map[string]uint64{
 	"fig13":       0xe4e7c9cd178dcba0,
 	"fig14":       0x1f4d24cff785bcfd,
 	"fig15":       0xcf52ab50b1ed9e98,
-	"table3":      0x906190a90fb8adcf,
+	"table3":      0xe7f903e0fd1e3b9e,
 	"table4":      0x23afc1d318d2af6c,
-	"fig16":       0x53de468cd6a35620,
-	"fig17":       0xbad64d3b8d418490,
+	"fig16":       0xe77b7411522dcb44,
+	"fig17":       0x3cfd38d8f4068bc8,
 	"fig18":       0xa1e155b5c01f2211,
 	"topo":        0x9890bd5d35ace851,
 	"economy":     0xfa2967ed168c096e,
-	"linkfail":    0x2408872b7b7d4be4,
+	"linkfail":    0xf68ed2b196550c92,
 	"fault":       0x84719c3aa359ab7b,
 	"compromised": 0x407e8545ff42f00a,
 	"collective":  0x1d4df974a305d5c7,
@@ -59,7 +62,10 @@ func checkRegistryGolden(t *testing.T, id string, m *Manifest, stdout []byte) {
 // runner must execute without error, produce output, and write its CSV, and
 // its manifest rows and output must equal the pinned digest. The digests
 // were recorded on one job; running the points through a pool of one job
-// per CPU also holds every experiment to results independent of -jobs.
+// per CPU also holds every experiment to results independent of -jobs. An
+// experiment whose pool completed a job must record a point, and no two of
+// its points may share (system, workload, offered_rate), which is how the
+// manifest tells successful points apart.
 // This is the regression net for the experiment harness itself; the
 // CI-scale and paper-scale runs happen through cmd/hetsim and the root
 // benchmarks.
@@ -69,9 +75,10 @@ func TestEveryExperimentSmokes(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, e := range Registry {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			o := Options{Tiny: true, CSVDir: dir, Jobs: runtime.GOMAXPROCS(0)}
+			done := 0
+			o := Options{Tiny: true, CSVDir: dir, Jobs: runtime.GOMAXPROCS(0),
+				Progress: func(sweep.Progress) { done++ }}
 			o.Manifest = NewManifest(e, "", o)
 			var buf bytes.Buffer
 			if err := e.Run(o, &buf); err != nil {
@@ -82,6 +89,17 @@ func TestEveryExperimentSmokes(t *testing.T) {
 			}
 			if strings.Contains(buf.String(), "NaN") {
 				t.Errorf("%s output contains NaN:\n%s", e.ID, buf.String())
+			}
+			if done > 0 && len(o.Manifest.Points) == 0 {
+				t.Errorf("%s completed %d pool jobs but recorded no point", e.ID, done)
+			}
+			seen := map[string]bool{}
+			for _, p := range o.Manifest.Points {
+				id := fmt.Sprintf("%s/%s/%g", p.System, p.Workload, p.Rate)
+				if seen[id] {
+					t.Errorf("%s records two points as %s", e.ID, id)
+				}
+				seen[id] = true
 			}
 			checkRegistryGolden(t, e.ID, o.Manifest, buf.Bytes())
 		})

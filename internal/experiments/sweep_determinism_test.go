@@ -56,42 +56,39 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunJobsRecordsFailures: a failing point must be recorded in the
-// manifest and surfaced as the sweep error, while sibling points still
-// deliver their results (runJobs returns only after all jobs complete).
+// TestRunJobsRecordsFailures: runJobs records every job in submission
+// order — a success's Results, a failure's error — whatever the pool size,
+// surfaces the failure as the sweep error, and returns the siblings'
+// outcomes (it returns only after all jobs complete).
 func TestRunJobsRecordsFailures(t *testing.T) {
 	boom := errors.New("synthetic point failure")
+	ok := func(key, system string) pointJob {
+		return pointJob{key: key, run: func() ([]outcome, error) {
+			return []outcome{{Result: Result{System: system, Rate: 0.1}}}, nil
+		}}
+	}
 	jobs := []pointJob{
-		point("ok/a", func() (Result, error) {
-			return Result{System: "a", Rate: 0.1}, nil
-		}),
-		point("bad/b", func() (Result, error) {
-			return Result{}, boom
-		}),
-		point("ok/c", func() (Result, error) {
-			return Result{System: "c", Rate: 0.3}, nil
-		}),
+		ok("ok/a", "a"),
+		{key: "bad/b", run: func() ([]outcome, error) { return nil, boom }},
+		ok("ok/c", "c"),
 	}
 	for _, nj := range []int{1, 4} {
 		m := NewManifest(Experiment{ID: "synthetic"}, "", Options{})
-		res, err := runJobs(Options{Jobs: nj, Manifest: m}, jobs)
+		outs, err := runJobs(Options{Jobs: nj, Manifest: m}, jobs)
 		if !errors.Is(err, boom) {
 			t.Fatalf("jobs=%d: error %v, want %v", nj, err, boom)
 		}
-		if len(res) != 3 || res[0][0].System != "a" || res[2][0].System != "c" {
-			t.Fatalf("jobs=%d: sibling results lost: %+v", nj, res)
-		}
-		if res[1] != nil {
-			t.Fatalf("jobs=%d: failed job returned results: %+v", nj, res[1])
+		if len(outs) != 3 || outs[0][0].System != "a" || outs[1] != nil || outs[2][0].System != "c" {
+			t.Fatalf("jobs=%d: outcomes %+v, want a, none, c", nj, outs)
 		}
 		if m.FailedPoints != 1 {
 			t.Fatalf("jobs=%d: manifest failed_points = %d, want 1", nj, m.FailedPoints)
 		}
-		// Points holds only the failure here: successes are recorded later
-		// by emitResults, not by runJobs.
-		if len(m.Points) != 1 || m.Points[0].Key != "bad/b" || !m.Points[0].Failed ||
-			!strings.Contains(m.Points[0].Err, "synthetic point failure") {
-			t.Fatalf("jobs=%d: failure not recorded correctly: %+v", nj, m.Points)
+		p := m.Points
+		if len(p) != 3 || p[0].System != "a" || p[0].Failed ||
+			p[1].Key != "bad/b" || !p[1].Failed || !strings.Contains(p[1].Err, "synthetic point failure") ||
+			p[2].System != "c" || p[2].Failed {
+			t.Fatalf("jobs=%d: manifest points %+v, want a, failed bad/b, c", nj, p)
 		}
 	}
 }
