@@ -90,7 +90,7 @@ func TestAdapterBalancedIssueRule(t *testing.T) {
 		{14, 1, 2}, {15, 1, 2}, {16, 1, 2},
 	} {
 		a := newTestAdapter(&cfg, Balanced{})
-		a.pb, a.sb = 0, 0
+		a.phys[PHYParallel].budget, a.phys[PHYSerial].budget = 0, 0
 		pkt := mkPkt(tc.q, network.ClassBestEffort)
 		for i := 0; i < tc.q; i++ {
 			a.Accept(0, flitOf(pkt, int(i), 0))

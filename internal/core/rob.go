@@ -57,6 +57,13 @@ func unstamp(f network.Flit, tag uint32) stamped {
 	return stamped{f: f, sn: uint16(tag >> 16), vsn: uint16(tag)}
 }
 
+// arrive inserts a flit a retry pipe delivered, its stamps unpacked from
+// the entry tag.
+func (r *ROB) arrive(f network.Flit, tag uint32) {
+	e := unstamp(f, tag)
+	r.Insert(e.f, e.sn, e.vsn)
+}
+
 // Insert buffers an arriving flit with its issue stamps.
 func (r *ROB) Insert(f network.Flit, sn, vsn uint16) {
 	r.pending = append(r.pending, stamped{f: f, sn: sn, vsn: vsn})

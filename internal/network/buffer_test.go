@@ -24,7 +24,7 @@ func TestFlitSize(t *testing.T) {
 		{"VCState", unsafe.Sizeof(VCState{}), 64},
 		{"InPort", unsafe.Sizeof(InPort{}), 40},
 		{"OutPort", unsafe.Sizeof(OutPort{}), 72},
-		{"Link", unsafe.Sizeof(Link{}), 160},
+		{"Link", unsafe.Sizeof(Link{}), 152},
 		{"Router", unsafe.Sizeof(Router{}), 416},
 	} {
 		t.Logf("unsafe.Sizeof(network.%s{}) = %d bytes", c.name, c.size)

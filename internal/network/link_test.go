@@ -45,7 +45,7 @@ func (g *linkRig) id(f Flit) uint64 { return g.net.Packet(f.P).ID }
 // retry link), and returns its packet ID.
 func (g *linkRig) accept(vc VCID) uint64 {
 	f := g.flit(vc)
-	if g.l.retry != nil {
+	if g.l.Adapter != nil {
 		g.l.acceptEach(g.net.Now, []Flit{f}, nil, vc)
 	} else {
 		g.l.AcceptRun([]Flit{f}, nil, vc)

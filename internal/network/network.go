@@ -388,15 +388,15 @@ func (net *Network) Step() {
 }
 
 // linkArrivals advances one link's forward direction by a cycle. Adapter
-// and retry links deliver per flit — their Tick interleaves protocol work
-// with delivery, and their delivery function (Link.deliver) counts what it
+// links deliver per flit — their Tick interleaves protocol work with
+// delivery, and their delivery function (Link.deliver) counts what it
 // delivered on the link so the wake bit and the movement count are settled
 // once per link here. Every other link is plain and publishes the stage
 // that comes due (commitDirect). moved is the owning shard's movement
 // accumulator.
 func (net *Network) linkArrivals(l *Link, moved *uint64) {
-	if l.Adapter != nil || l.retry != nil {
-		l.Arrivals(net.Now, l.deliver)
+	if l.Adapter != nil {
+		l.Adapter.Tick(net.Now, l.deliver)
 		if n := l.delivered; n > 0 {
 			l.delivered = 0
 			net.wakeNode(l.Dst)
@@ -778,28 +778,29 @@ func (net *Network) QueuedPackets() int {
 	return total
 }
 
-// CheckCredits verifies, for every non-adapter link, that credits +
+// CheckCredits verifies, for every link, that credits +
 // credits-in-return + flits-in-flight + flits-buffered equals the
-// downstream buffer depth for every VC. Tests call it; it is O(network).
+// downstream buffer depth for every VC. An adapter link's flits in flight
+// are the undelivered ones its Adapter reports (Undelivered); a link whose
+// Adapter does not report them is skipped. Tests call it; it is
+// O(network).
 func (net *Network) CheckCredits() error {
 	for _, l := range net.Links {
-		if l.Adapter != nil {
-			continue
-		}
 		src := &net.Nodes[l.Src].Out[l.SrcPort]
 		dstIn := &net.Nodes[l.Dst].In[l.DstPort]
+		var held []int
+		if l.Adapter != nil {
+			u, ok := l.Adapter.(Undelivered)
+			if !ok {
+				continue
+			}
+			held = make([]int, len(dstIn.VCs))
+			u.UndeliveredVCs(func(vc VCID) { held[vc]++ })
+		}
 		for v := range dstIn.VCs {
-			inPipe := 0
-			if l.retry != nil {
-				// A retry link's credit-holding flits are exactly the
-				// accepted-but-undelivered ones; a delivered-but-unacked
-				// replay copy must not be counted twice (its flit already
-				// sits in the downstream buffer).
-				l.retry.UndeliveredVCs(func(vc VCID) {
-					if int(vc) == v {
-						inPipe++
-					}
-				})
+			var inPipe int
+			if held != nil {
+				inPipe = held[v]
 			} else {
 				// A plain link's in-flight flits sit staged in the
 				// destination ring (excluded from Buf.Len); the delay

@@ -4,11 +4,12 @@ import "fmt"
 
 // This file implements the link-layer retry protocol (UCIe-style CRC +
 // replay, Sec. 2.1's reliability gap between interface classes): a go-back-N
-// reliable pipe that wraps a link's bandwidth×delay pipeline with a TX
-// replay buffer, link sequence numbers, a cumulative ack/nack side channel
-// and a retransmission timeout. internal/fault builds the error models that
-// plug in via TxFault; a link without retry (retry == nil) runs the exact
-// pre-existing pipeline code paths.
+// reliable pipe that wraps a bandwidth×delay wire with a TX replay buffer,
+// link sequence numbers, a cumulative ack/nack side channel and a
+// retransmission timeout. A plain link with retry armed carries its flits
+// through one as its Adapter (EnableRetry); a hetero-PHY adapter runs one
+// per armed PHY. internal/fault builds the error models that plug in via
+// TxFault; a link without retry stages its runs in the plain delay line.
 //
 // Protocol invariants:
 //
@@ -365,9 +366,9 @@ func (rp *RetryPipe) OldestAge(now int64) int64 {
 	return now - rp.replay[idx].enq
 }
 
-// UndeliveredVCs calls fn with the VC of every accepted-but-undelivered
-// flit (credit-conservation checks: these flits hold a downstream credit;
-// delivered-but-unacked replay copies do not, their flit was handed over).
+// UndeliveredVCs implements Undelivered: fn gets the VC of every
+// accepted-but-undelivered flit. Delivered-but-unacked replay copies hold
+// no downstream credit: their flit was handed over.
 func (rp *RetryPipe) UndeliveredVCs(fn func(VCID)) {
 	for i := int(rp.expected - rp.base); i < len(rp.replay); i++ {
 		fn(rp.replay[i].f.VC)
@@ -409,15 +410,26 @@ func (rp *RetryPipe) FailoverDrain(reissue func(Flit, uint32)) int {
 	return n
 }
 
+// retryLink is the Adapter EnableRetry installs on a plain link: its
+// retry pipe, with the entry tag (which plain links do not use) dropped.
+type retryLink struct{ *RetryPipe }
+
+func (r retryLink) Accept(now int64, f Flit) { r.RetryPipe.Accept(now, f, 0) }
+
+func (r retryLink) Tick(now int64, deliver func(Flit)) {
+	r.RetryPipe.Tick(now, func(f Flit, _ uint32) { deliver(f) })
+}
+
 // EnableRetry arms the link-layer retry protocol on a plain link, charging
-// retransmissions to the packets of pkts (the network's, Network.Packets).
-// window and timeout <= 0 pick defaults from the link's bandwidth and
-// delay; hook may be nil (reliable wire, retry machinery only). Adapter
-// links enable retry per PHY via the adapter instead. It may be called
-// before or after Finalize (fault.Attach arms it on a built system); on a
-// finalized network the link's output is derived again (bindOutput).
+// retransmissions to the packets of pkts (the network's, Network.Packets):
+// the link's flits then travel through a retry pipe, its Adapter. window
+// and timeout <= 0 pick defaults from the link's bandwidth and delay; hook
+// may be nil (reliable wire, retry machinery only). Adapter links enable
+// retry per PHY via the adapter instead. It may be called before or after
+// Finalize (fault.Attach arms it on a built system); on a finalized network
+// the link's output is derived again (bindOutput).
 func (l *Link) EnableRetry(hook TxFault, window, timeout int, pkts *PacketTable) {
-	if l.Adapter != nil {
+	if _, armed := l.Adapter.(retryLink); l.Adapter != nil && !armed {
 		panic("network: EnableRetry on an adapter link; enable retry on the adapter's PHYs")
 	}
 	if l.inFlight != 0 {
@@ -425,12 +437,16 @@ func (l *Link) EnableRetry(hook TxFault, window, timeout int, pkts *PacketTable)
 		// the destination ring.
 		panic("network: EnableRetry on a link with flits in flight; enable retry before stepping traffic")
 	}
-	l.retry = NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, l.Kind, pkts)
-	l.retry.onLink = true
+	rp := NewRetryPipe(l.Bandwidth, l.Delay, window, timeout, hook, l.Kind, pkts)
+	rp.onLink = true
+	l.Adapter = retryLink{rp}
 	if l.srcOut != nil {
 		l.bindOutput()
 	}
 }
 
 // Retry returns the link's retry pipe, or nil when retry is disabled.
-func (l *Link) Retry() *RetryPipe { return l.retry }
+func (l *Link) Retry() *RetryPipe {
+	r, _ := l.Adapter.(retryLink)
+	return r.RetryPipe
+}
