@@ -230,12 +230,13 @@ func runFig16(o Options, w io.Writer) error {
 	cfg := baseConfig(o)
 	cp := pick(o, 6, 6, 2)
 	np := pick(o, 6, 6, 4)
-	cx := pick(o, 8, 4, 2)
+	// At -tiny, 2×4 chiplets: on 2×2 the Eq. 5 bias changes no result.
+	cx, cy := pick(o, 8, 4, 2), pick(o, 8, 4, 4)
 	nn := pick(o, 7, 7, 4)
 
 	var jobs []pointJob
 	phyVars := energyVariantsPHY(cfg, cp, cp, np, np)
-	chSet := energyChannelVariants(cfg, cx, cx, nn, nn)
+	chSet := energyChannelVariants(cfg, cx, cy, nn, nn)
 	// The two panels share system names, so each point's workload names
 	// its panel.
 	add := func(kind string, vs []simPoint) {
@@ -259,7 +260,7 @@ func runFig16(o Options, w io.Writer) error {
 	for i := range phyVars {
 		printPoint(outs[i][0].Result)
 	}
-	fmt.Fprintf(w, "--- Fig 16(b): hetero-channel, %dx%d chiplets of %dx%d nodes, uniform @ 0.1 ---\n", cx, cx, nn, nn)
+	fmt.Fprintf(w, "--- Fig 16(b): hetero-channel, %dx%d chiplets of %dx%d nodes, uniform @ 0.1 ---\n", cx, cy, nn, nn)
 	for i := range chSet {
 		printPoint(outs[len(phyVars)+i][0].Result)
 	}

@@ -204,10 +204,11 @@ func runFig17(o Options, w io.Writer) error {
 
 	cxPHY := pick(o, 6, 4, 2)
 	nxPHY := pick(o, 6, 4, 4)
-	cxCh := pick(o, 8, 4, 2)
+	// At -tiny, 2×4 chiplets: on 2×2 the Eq. 5 bias changes no result.
+	cxCh, cyCh := pick(o, 8, 4, 2), pick(o, 8, 4, 4)
 	nCh := pick(o, 7, 7, 4)
 	phyVars := energyVariantsPHY(cfg, cxPHY, cxPHY, nxPHY, nxPHY)
-	chSet := energyChannelVariants(cfg, cxCh, cxCh, nCh, nCh)
+	chSet := energyChannelVariants(cfg, cxCh, cyCh, nCh, nCh)
 
 	var jobs []pointJob
 	// The two panels share system names, so each point's workload names

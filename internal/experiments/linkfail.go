@@ -33,7 +33,11 @@ func runLinkFail(o Options, w io.Writer) error {
 	if o.Tiny {
 		fracs = []float64{0, 0.5}
 	}
-	cx := pick(o, 4, 4, 2)
+	// At -tiny, 2×4 chiplets: on 2×2 no packet crosses a killable link.
+	cx, cy := pick(o, 4, 4, 2), 4
+	spec := func(sys topology.System) topology.Spec {
+		return topology.Spec{System: sys, ChipletsX: cx, ChipletsY: cy, NodesX: 4, NodesY: 4}
+	}
 	systems := []topology.System{topology.HeteroPHYTorus, topology.HeteroChannel}
 
 	// The kill decisions come from one rng consumed sequentially across
@@ -48,7 +52,7 @@ func runLinkFail(o Options, w io.Writer) error {
 	}
 	var cases []*faultCase
 	for _, sys := range systems {
-		_, probe, err := topology.Build(cfg, topology.Spec{System: sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4})
+		_, probe, err := topology.Build(cfg, spec(sys))
 		if err != nil {
 			return err
 		}
@@ -77,8 +81,7 @@ func runLinkFail(o Options, w io.Writer) error {
 		killed := fmt.Sprintf("%d-killed", countTrue(fc.decisions))
 		pt := simPoint{
 			Name: fc.sys.String(), Cfg: cfg,
-			Spec:    topology.Spec{System: fc.sys, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4},
-			Pattern: traffic.Uniform{}, Rate: 0.1, Workload: "uniform-" + killed, Drain: true,
+			Spec: spec(fc.sys), Pattern: traffic.Uniform{}, Rate: 0.1, Workload: "uniform-" + killed, Drain: true,
 			Hook: func(in *Instance) error {
 				idx := 0
 				for n := range in.Topo.OutPorts {

@@ -27,15 +27,55 @@ var registryGolden = map[string]uint64{
 	"fig15":       0xcf52ab50b1ed9e98,
 	"table3":      0xe7f903e0fd1e3b9e,
 	"table4":      0x23afc1d318d2af6c,
-	"fig16":       0xe77b7411522dcb44,
-	"fig17":       0x3cfd38d8f4068bc8,
+	"fig16":       0x5da931a5d48c54c6,
+	"fig17":       0xa042614f6a5b88df,
 	"fig18":       0xa1e155b5c01f2211,
 	"topo":        0x9890bd5d35ace851,
 	"economy":     0xfa2967ed168c096e,
-	"linkfail":    0xf68ed2b196550c92,
+	"linkfail":    0xc2f25c5effa5dd7e,
 	"fault":       0x84719c3aa359ab7b,
 	"compromised": 0x407e8545ff42f00a,
 	"collective":  0x1d4df974a305d5c7,
+}
+
+// tinyEffects holds, per experiment, a check that the effect its report is
+// about acts at Tiny scale too; a digest of a run where it does not pins
+// nothing about it.
+var tinyEffects = map[string]func(t *testing.T, pts []ManifestPoint){
+	"linkfail": killedLinksMatter,
+	"fig16":    eq5BiasActs,
+	"fig17":    eq5BiasActs,
+}
+
+// killedLinksMatter requires every point with links killed to read another
+// mean latency than its system's point with none killed.
+func killedLinksMatter(t *testing.T, pts []ManifestPoint) {
+	healthy := map[string]float64{}
+	for _, p := range pts {
+		if p.Workload == "uniform-0-killed" {
+			healthy[p.System] = p.MeanLatency
+		}
+	}
+	for _, p := range pts {
+		if h, ok := healthy[p.System]; !ok {
+			t.Errorf("%s has no 0-killed point", p.System)
+		} else if p.Workload != "uniform-0-killed" && p.MeanLatency == h {
+			t.Errorf("%s %s reads the 0-killed mean latency %v: no packet crossed a killed link", p.System, p.Workload, h)
+		}
+	}
+}
+
+// eq5BiasActs requires the hetero-channel point with the Eq. 5 energy bias
+// to read another energy per packet than the one without.
+func eq5BiasActs(t *testing.T, pts []ManifestPoint) {
+	energy := map[string]float64{}
+	for _, p := range pts {
+		energy[p.System] = p.EnergyPJ
+	}
+	full, eff := energy["hetero-channel-full"], energy["hetero-channel-energy-eff"]
+	if full == 0 || full == eff {
+		t.Errorf("hetero-channel-energy-eff reads %v pJ per packet, hetero-channel-full %v: the Eq. 5 bias changed nothing", eff, full)
+	}
 }
 
 // checkRegistryGolden compares one experiment's digest with its pinned
@@ -65,7 +105,8 @@ func checkRegistryGolden(t *testing.T, id string, m *Manifest, stdout []byte) {
 // per CPU also holds every experiment to results independent of -jobs. An
 // experiment whose pool completed a job must record a point, and no two of
 // its points may share (system, workload, offered_rate), which is how the
-// manifest tells successful points apart.
+// manifest tells successful points apart, and the effects in tinyEffects
+// must show.
 // This is the regression net for the experiment harness itself; the
 // CI-scale and paper-scale runs happen through cmd/hetsim and the root
 // benchmarks.
@@ -100,6 +141,9 @@ func TestEveryExperimentSmokes(t *testing.T) {
 					t.Errorf("%s records two points as %s", e.ID, id)
 				}
 				seen[id] = true
+			}
+			if check := tinyEffects[e.ID]; check != nil {
+				check(t, o.Manifest.Points)
 			}
 			checkRegistryGolden(t, e.ID, o.Manifest, buf.Bytes())
 		})
