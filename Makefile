@@ -96,15 +96,16 @@ bench:
 # program build), 30 s of the latency-histogram fuzz target, 60 s of the
 # engine-against-dense-model fuzz target, 60 s of the simPoint invariant
 # fuzz target, one pass of the trace generators' ledger (records/s,
-# allocations) and one of the Bernoulli generator's (ns/node-cycle). About
-# 3.5 min on 2 vCPUs, most of it the 150 s of fuzzing; BenchmarkStep itself
-# takes about 30 s.
+# allocations) and one of the Bernoulli generator's (ns/node-cycle). Each
+# fuzz target minimizes a new input for at most 3 s (Go's default is 60 s,
+# during which the target runs nothing new). About 3.5 min on 2 vCPUs, most
+# of it the 150 s of fuzzing; BenchmarkStep itself takes about 30 s.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Step -benchtime=100x -benchmem ./internal/network
 	$(GO) test -run 'ZeroAllocs|BuildAllocs' ./internal/network ./internal/stats ./internal/collective
-	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
-	$(GO) test -run '^$$' -fuzz FuzzRefModel -fuzztime 60s ./internal/network
-	$(GO) test -run '^$$' -fuzz FuzzSimPoint -fuzztime 60s ./internal/experiments
+	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s -fuzzminimizetime 3s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzRefModel -fuzztime 60s -fuzzminimizetime 3s ./internal/network
+	$(GO) test -run '^$$' -fuzz FuzzSimPoint -fuzztime 60s -fuzzminimizetime 3s ./internal/experiments
 	$(GO) test -run '^$$' -bench Generate -benchtime=1x ./internal/trace
 	$(GO) test -run '^$$' -bench GeneratorDrive -benchtime=1x ./internal/traffic
 

@@ -1,8 +1,10 @@
 // Command checkmanifest validates the JSON result manifests `hetsim -json`
 // writes (BENCH_<experiment>.json): schema version, consistent failure
-// counts, and no failed operating point. A file of any other shape is
-// refused — ReadManifest rejects unknown fields. It exits non-zero on any
-// violation: the gate CI runs after each `hetsim -exp … -json results-ci`.
+// counts, no failed operating point, and one cost row per sweep job, their
+// wall times within the experiment's wall clock × -jobs. A file of any
+// other shape is refused — ReadManifest rejects unknown fields. It exits
+// non-zero on any violation: the gate CI runs after each `hetsim -exp …
+// -json results-ci`.
 //
 // Usage:
 //
@@ -49,6 +51,9 @@ func checkOne(path string) error {
 	}
 	fmt.Printf("%s: ok (%s, %d points, %d tables, %d ms", path, m.Experiment,
 		len(m.Points), len(m.Tables), m.WallClockMS)
+	if len(m.Costs) > 0 {
+		fmt.Printf(", %d jobs, pool idle %d ms", len(m.Costs), m.PoolIdleMS)
+	}
 	if m.Git != "" {
 		fmt.Printf(", git %s", m.Git)
 	}

@@ -165,16 +165,18 @@ func pick(o Options, full, short, tiny int) int {
 // pointJob is one job of the sweep pool: one simulated point, or one rate
 // sweep of a system. run returns the outcome of every point it simulated,
 // in order; a scripted scenario whose outcome is data, not a measured
-// point, returns none.
+// point, returns none. Either adds what each run cost the engine to c,
+// failed runs included.
 type pointJob struct {
 	key string
-	run func() ([]outcome, error)
+	run func(c *Cycles) ([]outcome, error)
 }
 
 // job runs one point under the given key.
 func job(key string, p simPoint) pointJob {
-	return pointJob{key: key, run: func() ([]outcome, error) {
+	return pointJob{key: key, run: func(c *Cycles) ([]outcome, error) {
 		out, err := p.run()
+		c.add(out.cycles)
 		if err != nil {
 			return nil, err
 		}
@@ -188,12 +190,13 @@ func job(key string, p simPoint) pointJob {
 // the whole sweep is one job; different (system, pattern) sweeps are
 // independent. A failed rate ends the job with the outcomes before it.
 func sweepRates(key string, v simPoint, rates []float64) pointJob {
-	return pointJob{key: key, run: func() ([]outcome, error) {
+	return pointJob{key: key, run: func(c *Cycles) ([]outcome, error) {
 		var outs []outcome
 		pastSat := 0
 		for _, rate := range rates {
 			v.Rate = rate
 			out, err := v.run()
+			c.add(out.cycles)
 			if err != nil {
 				return outs, err
 			}
@@ -209,25 +212,37 @@ func sweepRates(key string, v simPoint, rates []float64) pointJob {
 	}}
 }
 
+// jobValue is what a pool job returns: its outcomes and what its runs cost
+// the engine.
+type jobValue struct {
+	outs   []outcome
+	cycles Cycles
+}
+
 // runJobs executes the jobs through the sweep orchestrator, honoring
 // o.Jobs/o.JobTimeout/o.Progress, and records them in the manifest in
 // submission order: every Result of every job's outcomes, then a failed
-// job's error after the outcomes it got to. It returns the per-job outcomes
-// in submission order — identical for any pool size — plus the first
-// error. Siblings of a failed job always run to completion.
+// job's error after the outcomes it got to, and one cost row per job (a
+// timed-out job's with its wall time only). It returns the per-job
+// outcomes in submission order — identical for any pool size — plus the
+// first error. Siblings of a failed job always run to completion.
 func runJobs(o Options, jobs []pointJob) ([][]outcome, error) {
-	sj := make([]sweep.Job[[]outcome], len(jobs))
+	sj := make([]sweep.Job[jobValue], len(jobs))
 	for i, j := range jobs {
-		sj[i] = sweep.Job[[]outcome]{Key: j.key, Run: j.run}
+		sj[i] = sweep.Job[jobValue]{Key: j.key, Run: func() (v jobValue, err error) {
+			v.outs, err = j.run(&v.cycles)
+			return v, err
+		}}
 	}
 	outs := sweep.Run(sj, sweep.Options{Jobs: o.Jobs, Timeout: o.JobTimeout, OnProgress: o.Progress})
 	res := make([][]outcome, len(outs))
 	var firstErr error
 	for i, out := range outs {
-		res[i] = out.Value
-		for _, oc := range out.Value {
+		res[i] = out.Value.outs
+		for _, oc := range out.Value.outs {
 			o.Manifest.Record(oc.Result)
 		}
+		o.Manifest.RecordCost(JobCost{Key: out.Key, WallUS: out.Elapsed.Microseconds(), Cycles: out.Value.cycles})
 		if out.Err != nil {
 			o.Manifest.RecordFailure(out.Key, out.Err)
 			if firstErr == nil {

@@ -29,6 +29,23 @@ func serialDownAt(cycle int64) []fault.Event {
 	return []fault.Event{{Kind: fault.EventDown, Link: -1, Phy: fault.PhySerial, From: cycle, To: -1}}
 }
 
+// faultSpec is the fault experiment's hetero-PHY torus under a policy.
+func faultSpec(o Options, pol core.Policy) topology.Spec {
+	cx := pick(o, 4, 4, 2)
+	return topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4, Policy: pol}
+}
+
+// outagePoint is the fault experiment's second scenario under one policy:
+// uniform 0.05 with every adapter's serial PHY dead from SimCycles/4 on.
+func outagePoint(o Options, name string, pol core.Policy) simPoint {
+	cfg := baseConfig(o)
+	return simPoint{
+		Name: name, Cfg: cfg, Spec: faultSpec(o, pol),
+		Faults:  &fault.Config{Seed: o.FaultSeed, Events: serialDownAt(cfg.SimCycles / 4)},
+		Pattern: traffic.Uniform{}, Rate: 0.05, Drain: true,
+	}
+}
+
 // runFault evaluates link reliability end to end (Sec. 2.1's reliability
 // gap): a seeded error model corrupts serial-PHY flits at a swept BER, the
 // link-layer retry protocol recovers them, and scheduling policies with and
@@ -38,10 +55,6 @@ func serialDownAt(cycle int64) []fault.Event {
 // live while the serial-only baseline starves.
 func runFault(o Options, w io.Writer) error {
 	cfg := baseConfig(o)
-	cx := pick(o, 4, 4, 2)
-	spec := func(pol core.Policy) topology.Spec {
-		return topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: cx, ChipletsY: cx, NodesX: 4, NodesY: 4, Policy: pol}
-	}
 	bers := []float64{0, 1e-5, 1e-4, 1e-3}
 	if o.Tiny {
 		bers = []float64{0, 1e-3}
@@ -65,7 +78,7 @@ func runFault(o Options, w io.Writer) error {
 	for _, pol := range policies {
 		for _, ber := range bers {
 			pt := simPoint{
-				Name: "hetero-phy-" + pol.name, Cfg: cfg, Spec: spec(pol.mk()),
+				Name: "hetero-phy-" + pol.name, Cfg: cfg, Spec: faultSpec(o, pol.mk()),
 				// Serial BER dominates (long reach); the short-reach parallel
 				// PHY runs two orders cleaner; on-chip wires are ideal. BER 0
 				// attaches nothing at all, making that column the
@@ -92,18 +105,15 @@ func runFault(o Options, w io.Writer) error {
 	downRows := make([]outcome, len(downPolicies))
 	live := make([]bool, len(downPolicies))
 	for i, pol := range downPolicies {
-		pt := simPoint{
-			Name: pol.name, Cfg: cfg, Spec: spec(pol.mk()),
-			Faults:  &fault.Config{Seed: o.FaultSeed, Events: serialDownAt(downAt)},
-			Pattern: traffic.Uniform{}, Rate: 0.05, Drain: true,
-		}
+		pt := outagePoint(o, pol.name, pol.mk())
 		jobs = append(jobs, pointJob{
 			key: "fault/serial-down/" + pol.name,
-			run: func() ([]outcome, error) {
+			run: func(c *Cycles) ([]outcome, error) {
 				// The baseline is EXPECTED to starve or deadlock here — that
 				// outcome is the data point, not a job failure.
 				var err error
 				downRows[i], err = pt.run()
+				c.add(downRows[i].cycles)
 				live[i] = err == nil
 				return nil, nil
 			},

@@ -39,6 +39,15 @@ type Manifest struct {
 	FailedPoints int `json:"failed_points"`
 	// WallClockMS is the experiment's total wall-clock time.
 	WallClockMS int64 `json:"wall_clock_ms"`
+	// Costs holds one row per job the sweep pool ran, in submission order,
+	// the scripted scenarios that record no point included. They are host
+	// measurements, different on every run, so they stay out of Points and
+	// Tables, which digests hash.
+	Costs []JobCost `json:"costs,omitempty"`
+	// PoolIdleMS is the pool's slot time no job used: WallClockMS × the
+	// pool size (Config.Jobs, at least 1) minus every job's wall time, to
+	// the millisecond of WallClockMS. Write fills it in.
+	PoolIdleMS int64 `json:"pool_idle_ms,omitempty"`
 
 	mu sync.Mutex
 }
@@ -63,6 +72,28 @@ type ManifestPoint struct {
 	Result
 	Failed bool   `json:"failed,omitempty"`
 	Err    string `json:"err,omitempty"`
+}
+
+// JobCost is what one sweep job cost: its wall time and what the engine did
+// for its points.
+type JobCost struct {
+	Key    string `json:"key"`
+	WallUS int64  `json:"wall_us"`
+	Cycles
+}
+
+// Cycles is what the engine did for one or more points: cycles stepped and
+// fast-forwarded, and the most shards a point's run ended on.
+type Cycles struct {
+	Stepped int64 `json:"cycles_stepped"`
+	Skipped int64 `json:"cycles_skipped"`
+	Shards  int   `json:"shards"`
+}
+
+func (c *Cycles) add(o Cycles) {
+	c.Stepped += o.Stepped
+	c.Skipped += o.Skipped
+	c.Shards = max(c.Shards, o.Shards)
 }
 
 // NewManifest starts a manifest for one experiment run.
@@ -104,6 +135,29 @@ func (m *Manifest) RecordFailure(key string, err error) {
 	m.FailedPoints++
 }
 
+// RecordCost appends a job's cost row. Safe on a nil manifest.
+func (m *Manifest) RecordCost(c JobCost) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.Costs = append(m.Costs, c)
+}
+
+// poolSize is how many jobs the pool ran at once at most.
+func (m *Manifest) poolSize() int64 {
+	return int64(max(m.Config.Jobs, 1))
+}
+
+// jobWallUS sums the cost rows' wall times.
+func (m *Manifest) jobWallUS() (us int64) {
+	for _, c := range m.Costs {
+		us += c.WallUS
+	}
+	return us
+}
+
 // RecordTable stores a derived table (header + rows). Safe on a nil
 // manifest.
 func (m *Manifest) RecordTable(name string, header []string, rows [][]string) {
@@ -136,10 +190,14 @@ func ManifestPath(dir, id string) string {
 }
 
 // Write emits the manifest as indented JSON to ManifestPath(dir,
-// m.Experiment), creating dir as needed.
+// m.Experiment), creating dir as needed, with PoolIdleMS derived from
+// WallClockMS and the cost rows.
 func (m *Manifest) Write(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.Costs) > 0 {
+		m.PoolIdleMS = max(0, m.WallClockMS*m.poolSize()-m.jobWallUS()/1000)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -168,7 +226,8 @@ func ReadManifest(path string) (*Manifest, error) {
 }
 
 // Check validates a manifest for CI: schema version, identity, internal
-// failure-count consistency, non-emptiness, and zero failed points.
+// failure-count consistency, non-emptiness, zero failed points, and the
+// cost ledger.
 func (m *Manifest) Check() error {
 	if m.SchemaVersion != ManifestSchemaVersion {
 		return fmt.Errorf("manifest schema version %d, want %d", m.SchemaVersion, ManifestSchemaVersion)
@@ -198,6 +257,36 @@ func (m *Manifest) Check() error {
 			}
 		}
 		return fmt.Errorf("manifest %s has %d failed point(s); first: %s", m.Experiment, failed, first)
+	}
+	if err := m.checkCosts(); err != nil {
+		return fmt.Errorf("manifest %s: %w", m.Experiment, err)
+	}
+	return nil
+}
+
+// checkCosts holds the cost ledger to one row per job: every recorded point
+// came from a job, so points need cost rows; no job key repeats; and the
+// jobs' wall times fit in the pool's slot time, WallClockMS (plus the
+// millisecond it truncates) × the pool size.
+func (m *Manifest) checkCosts() error {
+	if len(m.Points) > 0 && len(m.Costs) == 0 {
+		return fmt.Errorf("%d points but no job cost rows", len(m.Points))
+	}
+	rows := make(map[string]bool, len(m.Costs))
+	for _, c := range m.Costs {
+		switch {
+		case c.Key == "":
+			return fmt.Errorf("a job cost row has no key")
+		case rows[c.Key]:
+			return fmt.Errorf("job %s has two cost rows", c.Key)
+		case c.WallUS < 0 || c.Stepped < 0 || c.Skipped < 0 || c.Shards < 0:
+			return fmt.Errorf("job %s has a negative cost: %+v", c.Key, c)
+		}
+		rows[c.Key] = true
+	}
+	if sum, slot := m.jobWallUS(), (m.WallClockMS+1)*1000*m.poolSize(); sum > slot {
+		return fmt.Errorf("jobs took %d µs of wall time, more than the %d µs a pool of %d has in %d ms",
+			sum, slot, m.poolSize(), m.WallClockMS)
 	}
 	return nil
 }

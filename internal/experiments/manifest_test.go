@@ -25,6 +25,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		Result{System: "hetero-phy-torus", Workload: "uniform", Rate: 0.2, MeanLatency: 41.0, Packets: 2000, Saturated: true},
 	)
 	m.RecordTable("fig99_extra", []string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
+	m.RecordCost(JobCost{Key: "fig99/hetero-phy-torus", WallUS: 1_000_500, Cycles: Cycles{Stepped: 9000, Skipped: 1000, Shards: 2}})
 	m.WallClockMS = 1234
 
 	dir := t.TempDir()
@@ -54,6 +55,47 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Tables, m.Tables) {
 		t.Fatalf("tables differ:\n got %+v\nwant %+v", got.Tables, m.Tables)
+	}
+	if !reflect.DeepEqual(got.Costs, m.Costs) {
+		t.Fatalf("cost rows differ:\n got %+v\nwant %+v", got.Costs, m.Costs)
+	}
+	// Four jobs' slots over 1,234 ms, one job used 1,000 of them.
+	if got.PoolIdleMS != 4*1234-1000 {
+		t.Fatalf("pool idle %d ms, want %d", got.PoolIdleMS, 4*1234-1000)
+	}
+}
+
+// TestManifestCheckCosts: Check holds the cost ledger to one row per job
+// and to the pool's slot time.
+func TestManifestCheckCosts(t *testing.T) {
+	ok := Result{System: "s", Workload: "w", Rate: 0.1}
+	withRows := func(rows ...JobCost) *Manifest {
+		m := testManifest() // a pool of 4
+		m.Record(ok)
+		for _, c := range rows {
+			m.RecordCost(c)
+		}
+		m.WallClockMS = 100
+		return m
+	}
+	if err := withRows(JobCost{Key: "a", WallUS: 250_000}, JobCost{Key: "b", WallUS: 150_999}).Check(); err != nil {
+		t.Fatalf("a ledger within 4 × (100 + 1) ms failed Check: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Manifest
+		want string
+	}{
+		{"no rows", withRows(), "no job cost rows"},
+		{"no key", withRows(JobCost{WallUS: 1}), "no key"},
+		{"a job twice", withRows(JobCost{Key: "a"}, JobCost{Key: "a"}), "two cost rows"},
+		{"negative", withRows(JobCost{Key: "a", Cycles: Cycles{Skipped: -1}}), "negative"},
+		{"over the slot time", withRows(JobCost{Key: "a", WallUS: 250_000}, JobCost{Key: "b", WallUS: 154_001}), "more than"},
+	} {
+		err := tc.m.Check()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check said %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -122,29 +122,72 @@ type outcome struct {
 	Faults              fault.Summary
 	Trips               uint64 // failover trips over every adapter
 	Injected, Delivered int64  // packets
+	cycles              Cycles // what the engine did, for the job's cost row
+}
+
+// minPatience is the least deadlock threshold simPoint.patience picks.
+const minPatience = 1000
+
+// patience is the point's deadlock threshold: how long its run may stand
+// with flits in flight and nothing moving before only a deadlock explains
+// it (DESIGN.md "Patience"). After a cycle without movement only a timer
+// can restart the run: a flit or credit in a delay line, a retry timeout,
+// the failover monitor's windows, probe and eviction age, or the end of a
+// scripted fault window. The patience is four times the longest delay, a
+// cycle, the retry timeout and the failover timers, plus the longest
+// finite fault window, floored at minPatience and never above the
+// configured threshold (0, the watchdog off, stays off).
+func (p simPoint) patience() int64 {
+	limit := p.Cfg.DeadlockThreshold
+	if limit <= 0 {
+		return limit
+	}
+	delay := int64(max(p.Cfg.OnChipDelay, p.Cfg.ParallelDelay, p.Cfg.SerialDelay))
+	timeout := 4*delay + 16 // NewRetryPipe's default
+	var window int64
+	if f := p.Faults; f != nil {
+		if f.Timeout > 0 {
+			timeout = int64(f.Timeout)
+		}
+		for _, e := range f.Events {
+			if e.To >= 0 {
+				window = max(window, e.To-e.From)
+			}
+		}
+	}
+	timeout = max(timeout, 2*delay+2) // NewRetryPipe's floor
+	var failover int64
+	if fp, ok := p.Spec.Policy.(*core.FailoverPolicy); ok {
+		failover = int64(fp.RecoverWindows)*fp.Window + fp.ProbeInterval + fp.EvictAge
+	}
+	return min(limit, max(minPatience, 4*(delay+1+timeout+failover)+window))
 }
 
 // run builds the point's system, drives its workload, drains, checks
 // credit conservation and (under faults) exactly-once delivery, and
-// measures. Its shard workers stop on every exit path, so a point's
-// goroutines end when it returns; the network stays readable as one shard.
+// measures, its deadlock watchdog set to the point's patience. Its shard
+// workers stop on every exit path, so a point's goroutines end when it
+// returns; the network stays readable as one shard.
 func (p simPoint) run() (out outcome, err error) {
 	if p.Bias > 0 && p.Spec.System != topology.HeteroChannel {
 		return out, fmt.Errorf("experiments: %s: an Eq. 5 bias needs a hetero-channel system", p.Name)
 	}
+	p.Cfg.DeadlockThreshold = p.patience()
 	in, err := build(p.Cfg, p.Spec, p.Bias)
 	if err != nil {
 		return out, err
 	}
 	defer func() {
-		in.Net.SetWorkers(0)
-		out.Faults = fault.Summarize(in.Net)
+		net := in.Net
+		out.cycles = Cycles{Stepped: net.Steps(), Skipped: net.Now - net.Steps(), Shards: net.Workers()}
+		net.SetWorkers(0)
+		out.Faults = fault.Summarize(net)
 		for _, ad := range in.Topo.Adapters {
 			if fp, ok := ad.Policy().(*core.FailoverPolicy); ok {
 				out.Trips += fp.Trips()
 			}
 		}
-		out.Injected, out.Delivered = in.Net.PacketsInjected(), in.Net.PacketsDelivered()
+		out.Injected, out.Delivered = net.PacketsInjected(), net.PacketsDelivered()
 	}()
 	var chk *fault.IntegrityChecker
 	if p.Faults != nil {

@@ -255,6 +255,9 @@ type simRun struct {
 // diagnostic matches the errors a built point may end in; each names why.
 var diagnostic = regexp.MustCompile(`deadlock detected at cycle|routing livelock at cycle|drain: drained=false|incomplete after`)
 
+// stalledVC matches the stalled input VC a deadlock error names.
+var stalledVC = regexp.MustCompile(`(ACTIVE|VA-WAIT) node=\d+`)
+
 // run runs the case at one shard count and checks what holds for that run
 // alone.
 func (c simCase) run(t *testing.T, shards int) (r simRun) {
@@ -384,6 +387,8 @@ func checkSeed(t *testing.T, c simCase, r simRun, auto int) {
 			t.Errorf("%s: want a clean, non-empty run: %q, delivered %d of %d", s.name, r.err, r.fp.delivered, r.fp.injected)
 		case s.want != "" && !strings.Contains(r.err, s.want):
 			t.Errorf("%s: run ended in %q, want the diagnostic %q", s.name, r.err, s.want)
+		case s.stall && !stalledVC.MatchString(r.err):
+			t.Errorf("%s: run ended in %q, which names no stalled VC", s.name, r.err)
 		case s.rescue && (r.trips == 0 || r.rescued == 0):
 			t.Errorf("%s: failover tripped %d times and rescued %d flits: the failover path was not exercised", s.name, r.trips, r.rescued)
 		case s.recut && auto < min(2, runtime.GOMAXPROCS(0), runtime.NumCPU()):
@@ -548,6 +553,7 @@ type simSeed struct {
 	rescue bool   // failover must trip and rescue flits
 	recut  bool   // the load must re-cut the automatic count, given two CPUs
 	window bool   // a plain link's retry pipe must end at its replay window
+	stall  bool   // the error must name a stalled input VC
 }
 
 // simCorpus is FuzzSimPoint's seed corpus; each entry runs at 1, 2, 4 and 8
@@ -597,8 +603,8 @@ var simCorpus = []simSeed{
 	{name: "serial-faster-than-parallel", c: simCase{System: 2, Links: 3<<6 | 1<<2, Rate: 30, Policy: 1, Cycles: 28}},
 	// Wormhole admission with 4-flit on-chip buffers voids Lemma 1's
 	// precondition: the saturated hetero-channel system ends in the
-	// watchdog.
-	{name: "deadlock/wormhole", c: simCase{System: 4, Grid: 1, Bufs: 16 | 2 | 2<<2, Rate: 100, Cycles: 8}, want: "deadlock detected"},
+	// watchdog, which names a VC the deadlock holds.
+	{name: "deadlock/wormhole", c: simCase{System: 4, Grid: 1, Bufs: 16 | 2 | 2<<2, Rate: 100, Cycles: 8}, want: "deadlock detected", stall: true},
 	// The 256-node hetero-PHY torus at uniform 0.45, the knee, for 600
 	// cycles: the load promotes the automatic count to two shards after its
 	// first 256-cycle window.

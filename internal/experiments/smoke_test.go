@@ -105,8 +105,8 @@ func checkRegistryGolden(t *testing.T, id string, m *Manifest, stdout []byte) {
 // per CPU also holds every experiment to results independent of -jobs. An
 // experiment whose pool completed a job must record a point, and no two of
 // its points may share (system, workload, offered_rate), which is how the
-// manifest tells successful points apart, and the effects in tinyEffects
-// must show.
+// manifest tells successful points apart; every job must leave one cost
+// row; and the effects in tinyEffects must show.
 // This is the regression net for the experiment harness itself; the
 // CI-scale and paper-scale runs happen through cmd/hetsim and the root
 // benchmarks.
@@ -133,6 +133,9 @@ func TestEveryExperimentSmokes(t *testing.T) {
 			}
 			if done > 0 && len(o.Manifest.Points) == 0 {
 				t.Errorf("%s completed %d pool jobs but recorded no point", e.ID, done)
+			}
+			if len(o.Manifest.Costs) != done {
+				t.Errorf("%s completed %d pool jobs but recorded %d cost rows", e.ID, done, len(o.Manifest.Costs))
 			}
 			seen := map[string]bool{}
 			for _, p := range o.Manifest.Points {

@@ -57,19 +57,20 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // TestRunJobsRecordsFailures: runJobs records every job in submission
-// order — a success's Results, a failure's error — whatever the pool size,
+// order — a success's Results, a failure's error, and each job's cost
+// row — whatever the pool size,
 // surfaces the failure as the sweep error, and returns the siblings'
 // outcomes (it returns only after all jobs complete).
 func TestRunJobsRecordsFailures(t *testing.T) {
 	boom := errors.New("synthetic point failure")
 	ok := func(key, system string) pointJob {
-		return pointJob{key: key, run: func() ([]outcome, error) {
+		return pointJob{key: key, run: func(*Cycles) ([]outcome, error) {
 			return []outcome{{Result: Result{System: system, Rate: 0.1}}}, nil
 		}}
 	}
 	jobs := []pointJob{
 		ok("ok/a", "a"),
-		{key: "bad/b", run: func() ([]outcome, error) { return nil, boom }},
+		{key: "bad/b", run: func(*Cycles) ([]outcome, error) { return nil, boom }},
 		ok("ok/c", "c"),
 	}
 	for _, nj := range []int{1, 4} {
@@ -89,6 +90,9 @@ func TestRunJobsRecordsFailures(t *testing.T) {
 			p[1].Key != "bad/b" || !p[1].Failed || !strings.Contains(p[1].Err, "synthetic point failure") ||
 			p[2].System != "c" || p[2].Failed {
 			t.Fatalf("jobs=%d: manifest points %+v, want a, failed bad/b, c", nj, p)
+		}
+		if c := m.Costs; len(c) != 3 || c[0].Key != "ok/a" || c[1].Key != "bad/b" || c[2].Key != "ok/c" {
+			t.Fatalf("jobs=%d: cost rows %+v, want ok/a, bad/b, ok/c", nj, c)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -72,7 +73,8 @@ func (net *Network) TakeSnapshot(topN int) Snapshot {
 
 // DeadlockReport classifies every stalled input VC: whether it holds an
 // output allocation (and what it is waiting on) or failed VC allocation.
-// Used to debug routing deadlocks.
+// Used to debug routing deadlocks; the watchdog's error carries its first
+// stalled VC and its totals (stallSummary).
 func (net *Network) DeadlockReport(limit int) string {
 	var b strings.Builder
 	active, inactive := 0, 0
@@ -147,6 +149,17 @@ func (net *Network) DeadlockReport(limit int) string {
 	}
 	fmt.Fprintf(&b, "held=%d leaked=%d lowCreditVCs=%d\n", heldTotal, leaked, lowCredit)
 	return b.String()
+}
+
+// stallSummary is the watchdog's account of a deadlock, on one line:
+// DeadlockReport's first stalled input VC, in node order, and its totals.
+func (net *Network) stallSummary() string {
+	lines := strings.Split(net.DeadlockReport(1), "\n")
+	i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "total: ") })
+	if i == 0 { // no router buffers a flit
+		return lines[0]
+	}
+	return lines[0] + "; " + lines[i]
 }
 
 // String renders the snapshot.

@@ -71,6 +71,7 @@ type Network struct {
 	pktsOut    int64
 	moved      uint64 // flit movements this cycle (watchdog, load window)
 	idleStreak int64
+	steps      int64 // Step calls: cycles stepped rather than fast-forwarded
 
 	// The load window (see loadWindow): movements summed over the steps
 	// counted so far.
@@ -384,6 +385,7 @@ func (net *Network) Step() {
 		net.reshard()
 	}
 	net.watchdog()
+	net.steps++
 	net.Now++
 }
 
@@ -525,12 +527,15 @@ func (net *Network) watchdog() {
 	}
 }
 
-// watchdogErr is the error a run ends with once DeadlockAt is set.
+// watchdogErr is the error a run ends with once DeadlockAt is set. A
+// deadlock names its first stalled VC and DeadlockReport's totals, so the
+// error says what is stuck; both read only router state, which is the same
+// at every shard count.
 func (net *Network) watchdogErr() error {
 	if net.livelock != "" {
 		return fmt.Errorf("network: routing livelock at cycle %d: %s", net.DeadlockAt, net.livelock)
 	}
-	return fmt.Errorf("network: deadlock detected at cycle %d (%d flits stuck)", net.DeadlockAt, net.flitsIn-net.flitsOut)
+	return fmt.Errorf("network: deadlock detected at cycle %d (%d flits stuck): %s", net.DeadlockAt, net.flitsIn-net.flitsOut, net.stallSummary())
 }
 
 // injectNode moves flits from one node's source queue into its
@@ -758,6 +763,10 @@ func (net *Network) Quiescent() bool {
 
 // InFlightFlits returns the number of flits inside the network.
 func (net *Network) InFlightFlits() int64 { return net.flitsIn - net.flitsOut }
+
+// Steps returns how many cycles Step has advanced; Now minus it is the
+// cycles a run fast-forwarded.
+func (net *Network) Steps() int64 { return net.steps }
 
 // PacketsInjected returns the number of packets whose injection started.
 func (net *Network) PacketsInjected() int64 { return net.pktsIn }
