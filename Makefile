@@ -70,9 +70,10 @@ collective:
 	test -f results-ci/BENCH_collective.json
 	$(GO) run ./cmd/checkmanifest results-ci/BENCH_collective.json
 
-# Trace-driven gate: reduced fig13 — CNS and MOC generated once, then
-# shared read-only by the pool's replay jobs through the fast-forwarding
-# RunWith path — then validate the JSON result manifest.
+# Trace-driven gate: reduced fig13 — of CNS and MOC only the head its
+# highest target replays is generated, then shared read-only by every
+# target's replay jobs through the fast-forwarding RunWith path — then
+# validate the JSON result manifest.
 trace:
 	$(GO) run ./cmd/hetsim -exp fig13 -tiny -jobs 2 -json results-ci
 	test -f results-ci/BENCH_fig13.json
@@ -96,7 +97,8 @@ bench:
 # program build), 30 s of the latency-histogram fuzz target, 60 s of the
 # engine-against-dense-model fuzz target, 60 s of the simPoint invariant
 # fuzz target, one pass of the trace generators' ledger (records/s,
-# allocations) and one of the Bernoulli generator's (ns/node-cycle). Each
+# allocations; the CNS/MOC count passes beside generation) and one of the
+# Bernoulli generator's (ns/node-cycle). Each
 # fuzz target minimizes a new input for at most 3 s (Go's default is 60 s,
 # during which the target runs nothing new). About 3.5 min on 2 vCPUs, most
 # of it the 150 s of fuzzing; BenchmarkStep itself takes about 30 s.

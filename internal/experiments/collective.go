@@ -105,10 +105,45 @@ func runCollective(o Options, w io.Writer) error {
 			}
 		}
 	}
+
+	// Failover scenario: the same all-reduce with the serial PHY scripted
+	// dead a third of the way through the healthy completion time. The
+	// failure-aware policy must trip, rescue and complete the collective.
+	// The outage cycle comes from the healthy run, so the pair is one job
+	// that records no point; the checks come after the pool.
+	failover := func(faults *fault.Config) simPoint {
+		return simPoint{
+			Name: "hetero-phy-failover", Cfg: cfg,
+			Spec: topology.Spec{
+				System: topology.HeteroPHYTorus, ChipletsX: cx, ChipletsY: cx,
+				NodesX: 4, NodesY: 4, Policy: core.NewFailoverPolicy(serialPreferred{}),
+			},
+			Faults:  faults,
+			Program: shapes[0].program(sizes[0], compute), Budget: budget, // allreduce
+		}
+	}
+	var ref, down outcome
+	var refErr, downErr error
+	var downAt int64
+	jobs = append(jobs, pointJob{
+		key: fmt.Sprintf("collective/hetero-phy-failover/allreduce-%d", sizes[0]),
+		run: func(c *Cycles) ([]outcome, error) {
+			ref, refErr = failover(nil).run()
+			c.add(ref.cycles)
+			if refErr != nil {
+				return nil, nil
+			}
+			downAt = ref.Report.Elapsed / 3
+			down, downErr = failover(&fault.Config{Seed: o.FaultSeed, Events: serialDownAt(downAt)}).run()
+			c.add(down.cycles)
+			return nil, nil
+		},
+	})
 	outs, err := runJobs(o, jobs)
 	if err != nil {
 		return err
 	}
+	outs = outs[:len(outs)-1] // the failover pair records no point
 
 	fmt.Fprintf(w, "--- collective completion, %d×%d chiplets of 4×4, %d participants ---\n", cx, cx, cx*cx)
 	var tbl [][]string
@@ -152,31 +187,14 @@ func runCollective(o Options, w io.Writer) error {
 		}
 	}
 
-	// Failover scenario: the same all-reduce with the serial PHY scripted
-	// dead a third of the way through the healthy completion time. The
-	// failure-aware policy must trip, rescue and complete the collective.
-	failover := func(faults *fault.Config) simPoint {
-		return simPoint{
-			Name: "hetero-phy-failover", Cfg: cfg,
-			Spec: topology.Spec{
-				System: topology.HeteroPHYTorus, ChipletsX: cx, ChipletsY: cx,
-				NodesX: 4, NodesY: 4, Policy: core.NewFailoverPolicy(serialPreferred{}),
-			},
-			Faults:  faults,
-			Program: shapes[0].program(sizes[0], compute), Budget: budget, // allreduce
-		}
-	}
-	ref, err := failover(nil).run()
-	if err != nil {
-		return fmt.Errorf("collective: healthy failover reference: %w", err)
+	if refErr != nil {
+		return fmt.Errorf("collective: healthy failover reference: %w", refErr)
 	}
 	healthy := ref.Report
-	downAt := healthy.Elapsed / 3
-	out, err := failover(&fault.Config{Seed: o.FaultSeed, Events: serialDownAt(downAt)}).run()
-	if err != nil {
-		return fmt.Errorf("collective: did not complete across the tripped serial PHY: %w", err)
+	if downErr != nil {
+		return fmt.Errorf("collective: did not complete across the tripped serial PHY: %w", downErr)
 	}
-	outage, trips, sum := out.Report, out.Trips, out.Faults
+	outage, trips, sum := down.Report, down.Trips, down.Faults
 	if trips == 0 {
 		return fmt.Errorf("collective: serial outage at %d tripped nothing — scenario not exercised", downAt)
 	}

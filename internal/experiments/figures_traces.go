@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"heteroif/internal/network"
 	"heteroif/internal/topology"
@@ -108,40 +110,90 @@ func hpcTargets(o Options) []float64 {
 	return []float64{0.05, 0.15, 0.40}
 }
 
-// runHPCFigure is the shared driver for Figs. 13 and 15. The traces are
-// generated once and shared read-only; each (trace, target, variant)
-// replay is one orchestrator job.
-//
-// A replay window of SimCycles covers SimCycles·speedup trace cycles, so
-// most scales read only the head of what is generated. fig13 at its highest
-// target replays, of CNS and MOC: Tiny (target 0.05) 73 and 145 of 16 000
-// trace cycles; default (0.40) 15 % and 30 %; -full (0.80) 74 % and all of
-// it. The length is not cut to fit the smaller scales: it enters every
-// result through speedup = target·nodes·Cycles/flits, and -full needs all
-// of it — generation is cheap (linear in records) instead of shorter.
-func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int) error {
-	cfg := baseConfig(o)
-	mult := int64(4)
+// hpcSources are the traces of Figs. 13 and 15: each one's generator, its
+// count pass and its seed offset.
+var hpcSources = []struct {
+	gen   func(cycles, seed int64) *trace.Trace
+	flits func(cycles, seed int64) int64
+	seed  int64
+}{
+	{trace.GenerateCNS, trace.CNSFlits, 41},
+	{trace.GenerateMOC, trace.MOCFlits, 43},
+}
+
+// hpcTrace is one trace of Figs. 13 and 15 as their jobs replay it: the
+// head of the full-length trace, and the speedup that compresses the full
+// trace to each target's offered load.
+type hpcTrace struct {
+	head     *trace.Trace
+	speedups []float64
+}
+
+// hpcLength is the full length of the Fig. 13/15 traces: enough trace to
+// cover the replay window at the highest target.
+func hpcLength(o Options) int64 {
 	if o.Full {
-		mult = 8 // enough trace to cover the window at the highest target
+		return baseConfig(o).SimCycles * 8
 	}
-	traces := []*trace.Trace{
-		trace.GenerateCNS(cfg.SimCycles*mult, cfg.Seed+41),
-		trace.GenerateMOC(cfg.SimCycles*mult, cfg.Seed+43),
+	return baseConfig(o).SimCycles * 4
+}
+
+// hpcTraces prepares the Fig. 13/15 traces for a system of the given node
+// count. The full length enters every result through speedup =
+// target·nodes·Cycles/flits, so its flit total comes from the count pass,
+// which runs the generator's own loop without storing a record. A replay
+// window of SimCycles covers SimCycles·speedup trace cycles, so the jobs
+// need only the head: fig13 at its highest target replays, of CNS and MOC,
+// 73 and 145 of 16 000 trace cycles at Tiny (target 0.05), 15 % and 30 % at
+// default scale (0.40), 74 % and all of it at -full (0.80).
+//
+// The head is the full trace's records before keep = ⌈SimCycles·max
+// speedup⌉ + 1, generated at length keep. It is the same data:
+//   - Prefix: each generator step draws all its random numbers before it
+//     tests the send time against the end, each step's sends stay inside
+//     its own window, and the sort is stable, so a trace generated at keep
+//     cycles is the full trace's records with Time < keep, in order.
+//   - Nothing past the head is offered: the replayer offers a record at
+//     cycle now only when int64(Time/speedup) ≤ now, and Replay never steps
+//     past cycle SimCycles−1, so a record at keep or later is due at
+//     SimCycles or later at every target. Once the head runs out the
+//     replayer reports no next injection, and the run fast-forwards to the
+//     same end cycle as with the full trace.
+func hpcTraces(o Options, nodes int) []hpcTrace {
+	cfg := baseConfig(o)
+	full := hpcLength(o)
+	targets := hpcTargets(o)
+	traces := make([]hpcTrace, len(hpcSources))
+	for i, src := range hpcSources {
+		seed := cfg.Seed + src.seed
+		flits := float64(src.flits(full, seed))
+		speedups := make([]float64, len(targets))
+		for ti, target := range targets {
+			// offered = flits / (duration/speedup) / nodes ⇒ speedup.
+			speedups[ti] = target * float64(nodes) * float64(full) / flits
+		}
+		keep := full
+		if k := math.Ceil(float64(cfg.SimCycles)*slices.Max(speedups)) + 1; k < float64(full) {
+			keep = int64(k)
+		}
+		traces[i] = hpcTrace{head: src.gen(keep, seed), speedups: speedups}
 	}
+	return traces
+}
+
+// runHPCFigure is the shared driver for Figs. 13 and 15. Each trace's head
+// (hpcTraces) is shared read-only by every target's jobs; each (trace,
+// target, variant) replay is one orchestrator job.
+func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int) error {
+	traces := hpcTraces(o, nodes)
 	targets := hpcTargets(o)
 
 	var jobs []pointJob
-	speedups := make(map[*trace.Trace][]float64)
-	for _, base := range traces {
-		flits := float64(base.TotalFlits())
-		for _, target := range targets {
-			// offered = flits / (duration/speedup) / nodes ⇒ speedup.
-			speedup := target * float64(nodes) * float64(base.Cycles) / flits
-			speedups[base] = append(speedups[base], speedup)
+	for _, tr := range traces {
+		for ti, target := range targets {
 			for _, v := range vs {
-				v.Trace, v.Speedup = base, speedup
-				jobs = append(jobs, job(fmt.Sprintf("%s/%s@%.2f/%s", name, base.Name, target, v.Name), v))
+				v.Trace, v.Speedup = tr.head, tr.speedups[ti]
+				jobs = append(jobs, job(fmt.Sprintf("%s/%s@%.2f/%s", name, tr.head.Name, target, v.Name), v))
 			}
 		}
 	}
@@ -151,13 +203,13 @@ func runHPCFigure(o Options, w io.Writer, name string, vs []simPoint, nodes int)
 	}
 
 	i := 0
-	for _, base := range traces {
-		plot := &asciiPlot{Title: fmt.Sprintf("%s / %s: latency vs offered load", name, base.Name)}
+	for _, tr := range traces {
+		plot := &asciiPlot{Title: fmt.Sprintf("%s / %s: latency vs offered load", name, tr.head.Name)}
 		perVariant := make(map[string][]Result)
 		var order []string
 		for ti, target := range targets {
 			fmt.Fprintf(w, "--- %s / %s target=%.2f flits/cycle/node (speedup %.2f) ---\n",
-				name, base.Name, target, speedups[base][ti])
+				name, tr.head.Name, target, tr.speedups[ti])
 			for _, v := range vs {
 				r := outs[i][0].Result
 				i++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"heteroif/internal/network"
@@ -116,4 +117,31 @@ func TestLatencyOrderingLowLoad(t *testing.T) {
 		t.Errorf("hetero-PHY torus (%.1f) should not be slower than serial torus (%.1f)",
 			lat[topology.HeteroPHYTorus], lat[topology.UniformSerialTorus])
 	}
+}
+
+// TestDrainFailureSaysWhy: a saturated point whose drain runs out of cycles
+// fails with a drain error that names a stalled VC, as a watchdog error
+// does, and reads the same at one and at two shards.
+func TestDrainFailureSaysWhy(t *testing.T) {
+	msgs := make([]string, 2)
+	for i, workers := range []int{1, 2} {
+		cfg := shortCfg()
+		cfg.DrainCycles, cfg.Workers = 50, workers
+		_, err := simPoint{
+			Name: "uniform-parallel-mesh", Cfg: cfg, Spec: smallSpec(topology.UniformParallelMesh),
+			Pattern: traffic.Uniform{}, Rate: 1.5, Drain: true,
+		}.run()
+		if err == nil {
+			t.Fatalf("%d shards: a saturated point drained in %d cycles", workers, cfg.DrainCycles)
+		}
+		msgs[i] = err.Error()
+		if !strings.Contains(msgs[i], "drain: drained=false err=<nil>") ||
+			!(strings.Contains(msgs[i], "ACTIVE node=") || strings.Contains(msgs[i], "VA-WAIT node=")) {
+			t.Fatalf("%d shards: drain error names no stalled VC: %s", workers, msgs[i])
+		}
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("drain error depends on the shard count:\n1: %s\n2: %s", msgs[0], msgs[1])
+	}
+	t.Log(msgs[0])
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +46,14 @@ var tinyEffects = map[string]func(t *testing.T, pts []ManifestPoint){
 	"linkfail": killedLinksMatter,
 	"fig16":    eq5BiasActs,
 	"fig17":    eq5BiasActs,
+}
+
+// scenarioJobs names, per experiment, the pool jobs that record no point:
+// scripted scenarios whose outcome feeds a table. Only their cost row
+// shows that the pool ran them, so it must show cycles stepped.
+var scenarioJobs = map[string][]string{
+	"fault":      {"fault/serial-down/serial-preferred", "fault/serial-down/failover+serial-preferred"},
+	"collective": {"collective/hetero-phy-failover/allreduce-64"},
 }
 
 // killedLinksMatter requires every point with links killed to read another
@@ -106,7 +115,8 @@ func checkRegistryGolden(t *testing.T, id string, m *Manifest, stdout []byte) {
 // experiment whose pool completed a job must record a point, and no two of
 // its points may share (system, workload, offered_rate), which is how the
 // manifest tells successful points apart; every job must leave one cost
-// row; and the effects in tinyEffects must show.
+// row, the scenario jobs of scenarioJobs one with cycles stepped; and the
+// effects in tinyEffects must show.
 // This is the regression net for the experiment harness itself; the
 // CI-scale and paper-scale runs happen through cmd/hetsim and the root
 // benchmarks.
@@ -144,6 +154,12 @@ func TestEveryExperimentSmokes(t *testing.T) {
 					t.Errorf("%s records two points as %s", e.ID, id)
 				}
 				seen[id] = true
+			}
+			for _, key := range scenarioJobs[e.ID] {
+				i := slices.IndexFunc(o.Manifest.Costs, func(c JobCost) bool { return c.Key == key })
+				if i < 0 || o.Manifest.Costs[i].Stepped == 0 {
+					t.Errorf("%s has no cost row with stepped cycles for %s", e.ID, key)
+				}
 			}
 			if check := tinyEffects[e.ID]; check != nil {
 				check(t, o.Manifest.Points)

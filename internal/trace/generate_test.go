@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,10 +128,59 @@ func TestHPCGeneratorsReserveOnce(t *testing.T) {
 	}
 }
 
-var benchSink *Trace
+// TestHPCHeadIsPrefix: a CNS or MOC trace cut at keep cycles is the
+// full-length trace's records before keep, in the same order, at keep
+// values on, just before and just after step and window boundaries, for
+// whole-step and cut-short lengths; and the count pass reads the flit total
+// of the trace it would generate. A keep at or past the end is clamped to
+// the full length, as a replay that needs all of a trace does.
+func TestHPCHeadIsPrefix(t *testing.T) {
+	gens := []struct {
+		name       string
+		gen        func(int64, int64) *Trace
+		flits      func(int64, int64) int64
+		step, span int64
+	}{
+		{"cns", GenerateCNS, CNSFlits, cnsStep, cnsSpan},
+		{"moc", GenerateMOC, MOCFlits, mocStep, mocSpan},
+	}
+	for _, g := range gens {
+		for _, cycles := range []int64{4300, 16000, 16123} {
+			full := g.gen(cycles, 3)
+			if got, want := g.flits(cycles, 3), full.TotalFlits(); got != want {
+				t.Errorf("%s/%d: count pass reads %d flits, the trace holds %d", g.name, cycles, got, want)
+			}
+			var keeps []int64
+			for _, b := range []int64{0, g.span, g.step, 2 * g.step, cycles} {
+				keeps = append(keeps, b-1, b, b+1)
+			}
+			keeps = append(keeps, g.step+g.span/2, 2*cycles)
+			for _, keep := range keeps {
+				if keep < 0 {
+					continue
+				}
+				head := g.gen(min(keep, cycles), 3)
+				n, _ := slices.BinarySearchFunc(full.Records, keep, func(r Record, k int64) int { return cmp.Compare(r.Time, k) })
+				if !slices.Equal(head.Records, full.Records[:n]) {
+					t.Errorf("%s/%d keep=%d: head of %d records is not the %d records before keep", g.name, cycles, keep, len(head.Records), n)
+				}
+				if got, want := g.flits(min(keep, cycles), 3), head.TotalFlits(); got != want {
+					t.Errorf("%s/%d keep=%d: count pass reads %d flits, the head holds %d", g.name, cycles, keep, got, want)
+				}
+			}
+		}
+	}
+}
+
+var (
+	benchSink *Trace
+	flitsSink int64
+)
 
 // BenchmarkGenerate is the trace layer's in-package ledger: generation
-// (records built, then sorted) at the Tiny and default fig13 lengths.
+// (records built, then sorted) at the Tiny and default fig13 lengths, and
+// the HPC count passes (cns-count, moc-count), which run the generators'
+// loops without storing a record.
 func BenchmarkGenerate(b *testing.B) {
 	gens := []struct {
 		name string
@@ -153,6 +204,23 @@ func BenchmarkGenerate(b *testing.B) {
 					benchSink = g.gen(l.cycles)
 				}
 				b.ReportMetric(float64(len(benchSink.Records))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+			})
+		}
+	}
+	counts := []struct {
+		name  string
+		flits func(cycles, seed int64) int64
+	}{{"cns-count", CNSFlits}, {"moc-count", MOCFlits}}
+	for _, c := range counts {
+		for _, l := range []struct {
+			name   string
+			cycles int64
+		}{{"16k", 16000}, {"80k", 80000}} {
+			b.Run(c.name+"/"+l.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					flitsSink = c.flits(l.cycles, 1)
+				}
 			})
 		}
 	}

@@ -7,6 +7,26 @@ package trace
 // HPCRanks is the MPI rank count of both HPC traces.
 const HPCRanks = 1024
 
+// Both generators draw every random number of a step before they test the
+// send time against the end of the trace, and each step's sends stay
+// inside its own window, so a trace cut at keep cycles is the longer
+// trace's records before keep, in the same order: a prefix. A consumer
+// that reads only a trace's head can generate just the head, and take the
+// whole trace's flit total from the count pass (CNSFlits, MOCFlits), which
+// runs the same loop without storing a record.
+
+// Step shapes of the HPC generators: a step starts every *Step cycles and
+// spreads its sends over its first *Span cycles.
+const (
+	cnsStep        = 2000 // compute+exchange period
+	cnsSpan        = 800  // window within a step over which sends spread
+	cnsPktsPerFace = 4
+	cnsFlits       = 16  // per packet
+	mocStep        = 250 // one wavefront step
+	mocSpan        = mocStep
+	mocFlits       = 8 // per packet
+)
+
 // cnsGrid is the 3D rank decomposition used by the CNS generator.
 var cnsGrid = [3]int{16, 8, 8}
 
@@ -43,16 +63,27 @@ func coordsOf(r int32) (x, y, z int) {
 // across the step window — which is the bandwidth-dominated,
 // nearest-neighbor structure of the original miniapp.
 func GenerateCNS(cycles int64, seed int64) *Trace {
-	r := rng(seed ^ 0xC45)
 	t := &Trace{Name: "hpc-cns", Ranks: HPCRanks, Cycles: cycles}
-	const (
-		stepCycles   = 2000 // compute+exchange period
-		pktsPerFace  = 4
-		flitsPerPkt  = 16
-		exchangeSpan = 800 // window within a step over which sends spread
-	)
-	t.reserveSteps(cycles, stepCycles, 2*gridLinks()*pktsPerFace)
-	for start := int64(0); start < cycles; start += stepCycles {
+	t.reserveSteps(cycles, cnsStep, 2*gridLinks()*cnsPktsPerFace)
+	t.Records, _ = cns(cycles, cycles, seed, t.Records)
+	t.sortRecords()
+	return t
+}
+
+// CNSFlits returns GenerateCNS(cycles, seed).TotalFlits() without storing
+// a record.
+func CNSFlits(cycles int64, seed int64) int64 {
+	_, flits := cns(cycles, 0, seed, nil)
+	return flits
+}
+
+// cns runs the CNS generator over cycles trace cycles. It appends to recs,
+// in generation order, every record that falls before keep, and returns
+// them with the flit total of every record before cycles.
+func cns(cycles, keep, seed int64, recs []Record) ([]Record, int64) {
+	r := rng(seed ^ 0xC45)
+	var flits int64
+	for start := int64(0); start < cycles; start += cnsStep {
 		for rank := int32(0); rank < HPCRanks; rank++ {
 			x, y, z := coordsOf(rank)
 			neighbors := [][3]int{
@@ -65,21 +96,23 @@ func GenerateCNS(cycles int64, seed int64) *Trace {
 					continue // physical boundary: no exchange
 				}
 				dst := rankAt(nb[0], nb[1], nb[2])
-				for p := 0; p < pktsPerFace; p++ {
-					when := start + int64(r.Intn(exchangeSpan))
+				for p := 0; p < cnsPktsPerFace; p++ {
+					when := start + int64(r.Intn(cnsSpan))
 					if when >= cycles {
 						continue
 					}
-					t.Records = append(t.Records, Record{
-						Time: when, Src: rank, Dst: dst,
-						Flits: flitsPerPkt, Class: classBestEffort,
-					})
+					flits += cnsFlits
+					if when < keep {
+						recs = append(recs, Record{
+							Time: when, Src: rank, Dst: dst,
+							Flits: cnsFlits, Class: classBestEffort,
+						})
+					}
 				}
 			}
 		}
 	}
-	t.sortRecords()
-	return t
+	return recs, flits
 }
 
 // GenerateMOC synthesizes the 3D method-of-characteristics trace: a
@@ -89,20 +122,33 @@ func GenerateCNS(cycles int64, seed int64) *Trace {
 // (characteristics that span several ranks before re-entering the grid),
 // giving MOC its mixed near/far structure.
 func GenerateMOC(cycles int64, seed int64) *Trace {
-	r := rng(seed ^ 0x30C)
 	t := &Trace{Name: "hpc-moc", Ranks: HPCRanks, Cycles: cycles}
-	const (
-		sweepCycles = 250 // one wavefront step
-		flitsPerPkt = 8
-		longFrac    = 0.15 // long-range characteristic messages
-	)
+	t.reserveSteps(cycles, mocStep, gridLinks())
+	t.Records, _ = moc(cycles, cycles, seed, t.Records)
+	t.sortRecords()
+	return t
+}
+
+// MOCFlits returns GenerateMOC(cycles, seed).TotalFlits() without storing
+// a record.
+func MOCFlits(cycles int64, seed int64) int64 {
+	_, flits := moc(cycles, 0, seed, nil)
+	return flits
+}
+
+// moc runs the MOC generator over cycles trace cycles. It appends to recs,
+// in generation order, every record that falls before keep, and returns
+// them with the flit total of every record before cycles.
+func moc(cycles, keep, seed int64, recs []Record) ([]Record, int64) {
+	r := rng(seed ^ 0x30C)
+	const longFrac = 0.15 // long-range characteristic messages
 	octants := [8][3]int{
 		{1, 1, 1}, {-1, 1, 1}, {1, -1, 1}, {-1, -1, 1},
 		{1, 1, -1}, {-1, 1, -1}, {1, -1, -1}, {-1, -1, -1},
 	}
-	t.reserveSteps(cycles, sweepCycles, gridLinks())
+	var flits int64
 	oct := 0
-	for start := int64(0); start < cycles; start += sweepCycles {
+	for start := int64(0); start < cycles; start += mocStep {
 		dir := octants[oct%len(octants)]
 		oct++
 		for rank := int32(0); rank < HPCRanks; rank++ {
@@ -128,19 +174,21 @@ func GenerateMOC(cycles int64, seed int64) *Trace {
 						dst = d
 					}
 				}
-				when := start + int64(r.Intn(sweepCycles))
+				when := start + int64(r.Intn(mocSpan))
 				if when >= cycles || dst == rank {
 					continue
 				}
-				t.Records = append(t.Records, Record{
-					Time: when, Src: rank, Dst: dst,
-					Flits: flitsPerPkt, Class: classBestEffort,
-				})
+				flits += mocFlits
+				if when < keep {
+					recs = append(recs, Record{
+						Time: when, Src: rank, Dst: dst,
+						Flits: mocFlits, Class: classBestEffort,
+					})
+				}
 			}
 		}
 	}
-	t.sortRecords()
-	return t
+	return recs, flits
 }
 
 func clamp(v, lo, hi int) int {
