@@ -21,14 +21,15 @@ test:
 # TestAutoShards and FuzzSimPoint's knee seed. The network set runs again
 # on one CPU, where every multi-shard run is oversubscribed and the barrier
 # must park, not poll, and where the load never re-cuts an automatic count
-# (TestAutoShards checks that it stays on one shard). TestPointReleasesWorkers
+# (TestAutoShards checks that it stays on one shard). TestWakeWordLines
+# re-cuts through SetWorkers at both settings. TestPointReleasesWorkers
 # counts the point's own workers exactly, so it runs ten times.
 # CI's race job runs this target as is; -v on the targeted lines keeps one
 # log line per test.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' -v ./internal/network
-	GOMAXPROCS=1 $(GO) test -race -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|FuzzRefModel' -v ./internal/network
+	$(GO) test -race -count=3 -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|TestWakeWordLines|FuzzRefModel' -v ./internal/network
+	GOMAXPROCS=1 $(GO) test -race -run 'TestWorkersReleased|TestParallel|TestReshardMidRun|TestShardCuts|TestAutoShards|TestWakeWordLines|FuzzRefModel' -v ./internal/network
 	$(GO) test -race -count=10 -run 'TestPointReleasesWorkers' -v ./internal/experiments
 	$(GO) test -race -count=3 -run 'FuzzSimPoint' -v ./internal/experiments
 

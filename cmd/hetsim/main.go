@@ -53,6 +53,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *tiny && *full { // runners would mix Tiny systems with Full windows
+		fmt.Fprintln(os.Stderr, "hetsim: -tiny and -full select different scales; pass at most one")
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

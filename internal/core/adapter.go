@@ -24,6 +24,7 @@ import (
 // logic costs in Sec. 8.2.
 type HeteroPHYAdapter struct {
 	policy Policy
+	st     State // what the policy reads, refilled by serialState
 
 	txq      []txEntry
 	txCap    int
@@ -268,10 +269,11 @@ func (a *HeteroPHYAdapter) Tick(now int64, deliver func(network.Flit)) {
 	a.accepted = 0
 }
 
-// serialState is the policy's view of the adapter at now, with the serial
-// PHY's link-layer health filled in when it runs retry.
-func (a *HeteroPHYAdapter) serialState(now int64) State {
-	st := State{Now: now}
+// serialState refills a.st as the policy's view of the adapter at now,
+// with the serial PHY's link-layer health filled in when it runs retry.
+func (a *HeteroPHYAdapter) serialState(now int64) *State {
+	st := &a.st
+	*st = State{Now: now}
 	if rp := a.phys[PHYSerial].retry; rp != nil {
 		st.SerialSent = rp.Stats.Transmits
 		st.SerialRetries = rp.Stats.Retransmits

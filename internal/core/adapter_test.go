@@ -311,21 +311,21 @@ func TestApplicationAwarePolicy(t *testing.T) {
 	pol := ApplicationAware{Timeout: 10}
 	st := State{QueueLen: 5, QueueCap: 16, ParallelBudget: 2, SerialBudget: 4}
 	bulk := flitOf(mkPkt(16, network.ClassThroughput), 0, 0)
-	if phy, ok := pol.Dispatch(st, bulk); !ok || phy != PHYSerial {
+	if phy, ok := pol.Dispatch(&st, bulk); !ok || phy != PHYSerial {
 		t.Errorf("throughput class under load got %v/%v, want serial", phy, ok)
 	}
 	// At true zero load even bulk takes the faster parallel path.
 	idle := State{QueueLen: 1, QueueCap: 16, ParallelBudget: 2, SerialBudget: 4}
-	if phy, ok := pol.Dispatch(idle, bulk); !ok || phy != PHYParallel {
+	if phy, ok := pol.Dispatch(&idle, bulk); !ok || phy != PHYParallel {
 		t.Errorf("throughput class at zero load got %v/%v, want parallel", phy, ok)
 	}
 	urgent := flitOf(mkPkt(1, network.ClassLatencySensitive), 0, 0)
-	if phy, ok := pol.Dispatch(st, urgent); !ok || phy != PHYParallel {
+	if phy, ok := pol.Dispatch(&st, urgent); !ok || phy != PHYParallel {
 		t.Errorf("latency-sensitive class got %v/%v, want parallel", phy, ok)
 	}
 	// Timed-out flit with no parallel budget goes to any free PHY.
 	st2 := State{QueueLen: 9, QueueCap: 16, ParallelBudget: 0, SerialBudget: 4, Waited: 11}
-	if phy, ok := pol.Dispatch(st2, urgent); !ok || phy != PHYSerial {
+	if phy, ok := pol.Dispatch(&st2, urgent); !ok || phy != PHYSerial {
 		t.Errorf("timed-out flit got %v/%v, want serial fallback", phy, ok)
 	}
 }

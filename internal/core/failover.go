@@ -10,7 +10,7 @@ import (
 // retry pipe and re-issues it through the parallel PHY (see
 // HeteroPHYAdapter.rescueSerial).
 type serialEvictor interface {
-	EvictSerial(st State) bool
+	EvictSerial(st *State) bool
 }
 
 // PolicyCloner is implemented by stateful policies. The topology builder
@@ -101,7 +101,7 @@ func (p *FailoverPolicy) Name() string {
 
 // Dispatch implements Policy: update the health monitor from the state's
 // serial telemetry, then route per the rules above.
-func (p *FailoverPolicy) Dispatch(st State, f network.Flit) (PHY, bool) {
+func (p *FailoverPolicy) Dispatch(st *State, f network.Flit) (PHY, bool) {
 	p.observe(st)
 	if !p.tripped {
 		base := p.Base
@@ -123,7 +123,7 @@ func (p *FailoverPolicy) Dispatch(st State, f network.Flit) (PHY, bool) {
 // is being dispatched — the closed-loop collective case, where every
 // upstream message is blocked on the stuck deliveries and Dispatch (the
 // other observation point) is never reached.
-func (p *FailoverPolicy) EvictSerial(st State) bool {
+func (p *FailoverPolicy) EvictSerial(st *State) bool {
 	p.observe(st)
 	return p.tripped && st.SerialPending > 0 && st.SerialOldestAge >= p.evictAge()
 }
@@ -171,7 +171,7 @@ func (p *FailoverPolicy) evictAge() int64 {
 	return 512
 }
 
-func (p *FailoverPolicy) observe(st State) {
+func (p *FailoverPolicy) observe(st *State) {
 	if p.win.Window == 0 {
 		p.win.Window = p.window()
 	}

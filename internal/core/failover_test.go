@@ -12,7 +12,7 @@ import (
 type serialFirst struct{}
 
 func (serialFirst) Name() string { return "serial-first" }
-func (serialFirst) Dispatch(st State, _ network.Flit) (PHY, bool) {
+func (serialFirst) Dispatch(st *State, _ network.Flit) (PHY, bool) {
 	if st.SerialBudget > 0 {
 		return PHYSerial, true
 	}
@@ -42,7 +42,7 @@ func feed(p *FailoverPolicy, from, to int64, sentPerCycle, retryPerCycle uint64,
 	for now := from; now < to; now++ {
 		*sent += sentPerCycle
 		*retries += retryPerCycle
-		p.Dispatch(State{
+		p.Dispatch(&State{
 			Now: now, ParallelBudget: 1, SerialBudget: 1,
 			SerialSent: *sent, SerialRetries: *retries,
 		}, network.Flit{})
@@ -61,7 +61,7 @@ func TestFailoverTripProbeRecover(t *testing.T) {
 	if p.Tripped() {
 		t.Fatal("tripped on retry-free traffic")
 	}
-	if phy, ok := p.Dispatch(State{Now: 40, SerialBudget: 1, SerialSent: sent, SerialRetries: retries}, network.Flit{}); phy != PHYSerial || !ok {
+	if phy, ok := p.Dispatch(&State{Now: 40, SerialBudget: 1, SerialSent: sent, SerialRetries: retries}, network.Flit{}); phy != PHYSerial || !ok {
 		t.Fatal("healthy policy did not defer to serial-first base")
 	}
 
@@ -75,7 +75,7 @@ func TestFailoverTripProbeRecover(t *testing.T) {
 	// Tripped: traffic goes parallel, except one serial probe per interval.
 	var serialProbes, parallel int
 	for now := int64(60); now < 120; now++ {
-		phy, ok := p.Dispatch(State{Now: now, ParallelBudget: 1, SerialBudget: 1, SerialSent: sent, SerialRetries: retries}, network.Flit{})
+		phy, ok := p.Dispatch(&State{Now: now, ParallelBudget: 1, SerialBudget: 1, SerialSent: sent, SerialRetries: retries}, network.Flit{})
 		if !ok {
 			t.Fatalf("tripped policy stalled at cycle %d with both budgets free", now)
 		}
@@ -110,7 +110,7 @@ func TestFailoverMinSampleGuard(t *testing.T) {
 	for now := int64(0); now < 100; now += 5 {
 		sent++
 		retries++
-		p.Dispatch(State{Now: now, SerialBudget: 1, SerialSent: sent, SerialRetries: retries}, network.Flit{})
+		p.Dispatch(&State{Now: now, SerialBudget: 1, SerialSent: sent, SerialRetries: retries}, network.Flit{})
 	}
 	if p.Tripped() {
 		t.Fatal("tripped below the MinSample floor")
@@ -122,7 +122,7 @@ func TestFailoverMinSampleGuard(t *testing.T) {
 func TestFailoverEvictSerial(t *testing.T) {
 	p := testFailover()
 	st := State{SerialPending: 3, SerialOldestAge: 100}
-	if p.EvictSerial(st) {
+	if p.EvictSerial(&st) {
 		t.Fatal("evicted while healthy")
 	}
 	var sent, retries uint64
@@ -130,13 +130,13 @@ func TestFailoverEvictSerial(t *testing.T) {
 	if !p.Tripped() {
 		t.Fatal("setup: policy did not trip")
 	}
-	if !p.EvictSerial(st) {
+	if !p.EvictSerial(&st) {
 		t.Fatal("no eviction while tripped with an over-age flit")
 	}
-	if p.EvictSerial(State{SerialPending: 3, SerialOldestAge: 10}) {
+	if p.EvictSerial(&State{SerialPending: 3, SerialOldestAge: 10}) {
 		t.Fatal("evicted a flit younger than EvictAge")
 	}
-	if p.EvictSerial(State{SerialPending: 0, SerialOldestAge: 100}) {
+	if p.EvictSerial(&State{SerialPending: 0, SerialOldestAge: 100}) {
 		t.Fatal("evicted with nothing pending")
 	}
 }

@@ -72,9 +72,11 @@ type State struct {
 // call Dispatch at the same time, each from its shard's goroutine. A policy
 // that keeps state must therefore keep it per adapter (implement
 // PolicyCloner; one adapter's calls never overlap) or synchronise it.
+// st is the adapter's own State, refilled before each call: read-only for
+// the policy, which must not keep the pointer.
 type Policy interface {
 	Name() string
-	Dispatch(st State, f network.Flit) (phy PHY, ok bool)
+	Dispatch(st *State, f network.Flit) (phy PHY, ok bool)
 }
 
 // PerformanceFirst dispatches as long as any PHY has a free issue slot,
@@ -86,7 +88,7 @@ type PerformanceFirst struct{}
 func (PerformanceFirst) Name() string { return "performance-first" }
 
 // Dispatch implements Policy.
-func (PerformanceFirst) Dispatch(st State, _ network.Flit) (PHY, bool) {
+func (PerformanceFirst) Dispatch(st *State, _ network.Flit) (PHY, bool) {
 	switch {
 	case st.ParallelBudget > 0:
 		return PHYParallel, true
@@ -107,7 +109,7 @@ type EnergyEfficient struct{}
 func (EnergyEfficient) Name() string { return "energy-efficient" }
 
 // Dispatch implements Policy.
-func (EnergyEfficient) Dispatch(st State, _ network.Flit) (PHY, bool) {
+func (EnergyEfficient) Dispatch(st *State, _ network.Flit) (PHY, bool) {
 	return PHYParallel, st.ParallelBudget > 0
 }
 
@@ -132,7 +134,7 @@ type Balanced struct {
 func (Balanced) Name() string { return "balanced" }
 
 // Dispatch implements Policy.
-func (b Balanced) Dispatch(st State, f network.Flit) (PHY, bool) {
+func (b Balanced) Dispatch(st *State, f network.Flit) (PHY, bool) {
 	thr := b.Threshold
 	if thr <= 0 {
 		thr = st.QueueCap / 2
@@ -161,7 +163,7 @@ type ApplicationAware struct {
 func (a ApplicationAware) Name() string { return "application-aware" }
 
 // Dispatch implements Policy.
-func (a ApplicationAware) Dispatch(st State, f network.Flit) (PHY, bool) {
+func (a ApplicationAware) Dispatch(st *State, f network.Flit) (PHY, bool) {
 	if a.Timeout > 0 && st.Waited >= a.Timeout {
 		return PerformanceFirst{}.Dispatch(st, f)
 	}

@@ -19,7 +19,7 @@ import (
 type serialPreferred struct{}
 
 func (serialPreferred) Name() string { return "serial-preferred" }
-func (serialPreferred) Dispatch(st core.State, _ network.Flit) (core.PHY, bool) {
+func (serialPreferred) Dispatch(st *core.State, _ network.Flit) (core.PHY, bool) {
 	return core.PHYSerial, st.SerialBudget > 0
 }
 

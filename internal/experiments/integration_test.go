@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -138,6 +139,35 @@ func TestDrainFailureSaysWhy(t *testing.T) {
 		if !strings.Contains(msgs[i], "drain: drained=false err=<nil>") ||
 			!(strings.Contains(msgs[i], "ACTIVE node=") || strings.Contains(msgs[i], "VA-WAIT node=")) {
 			t.Fatalf("%d shards: drain error names no stalled VC: %s", workers, msgs[i])
+		}
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("drain error depends on the shard count:\n1: %s\n2: %s", msgs[0], msgs[1])
+	}
+	t.Log(msgs[0])
+}
+
+// TestDrainFailureCountsLinkFlits: a drain that runs out of cycles with no
+// flit in any router buffer says how many flits sit in links and adapters,
+// and reads the same at one and at two shards. (The rest of the flits in
+// flight belong to packets whose tail has not been ejected yet.)
+func TestDrainFailureCountsLinkFlits(t *testing.T) {
+	held := regexp.MustCompile(`: total: 0 active-stalled VCs, 0 VA-waiting VCs; (\d+) flits in links and adapters$`)
+	msgs := make([]string, 2)
+	for i, workers := range []int{1, 2} {
+		cfg := shortCfg()
+		cfg.DrainCycles, cfg.Workers = 50, workers
+		_, err := simPoint{
+			Name: "uniform-serial-torus", Cfg: cfg, Spec: smallSpec(topology.UniformSerialTorus),
+			Pattern: traffic.Uniform{}, Rate: 0.9, Drain: true,
+		}.run()
+		if err == nil {
+			t.Fatalf("%d shards: the point drained in %d cycles", workers, cfg.DrainCycles)
+		}
+		msgs[i] = err.Error()
+		m := held.FindStringSubmatch(msgs[i])
+		if m == nil || m[1] == "0" {
+			t.Fatalf("%d shards: drain error does not count the flits held in links: %s", workers, msgs[i])
 		}
 	}
 	if msgs[0] != msgs[1] {

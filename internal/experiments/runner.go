@@ -7,8 +7,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 
 	"heteroif/internal/collective"
 	"heteroif/internal/core"
@@ -216,7 +214,7 @@ func (p simPoint) run() (out outcome, err error) {
 			if err == nil {
 				// The watchdog's error already says why; a drain that ran
 				// out of cycles says it the same way.
-				msg += ": " + stallSummary(in.Net)
+				msg += ": " + in.Net.StallSummary()
 			}
 			return out, errors.New(msg)
 		}
@@ -239,18 +237,6 @@ func (p simPoint) run() (out outcome, err error) {
 		}
 	}
 	return out, nil
-}
-
-// stallSummary is the first line and the total line of the network's
-// deadlock report, as its watchdog error gives them. It reads router state
-// alone, so it is the same at every shard count.
-func stallSummary(net *network.Network) string {
-	lines := strings.Split(net.DeadlockReport(1), "\n")
-	i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "total: ") })
-	if i == 0 { // no router buffers a flit
-		return lines[0]
-	}
-	return lines[0] + "; " + lines[i]
 }
 
 // drive runs the point's one workload and returns its name and the offered

@@ -19,8 +19,9 @@ const lowLoadChunk = 1024
 // BenchmarkStep measures the per-cycle cost of the engine at three
 // operating points (idle, low-load, saturated) and three mesh sizes
 // (16/64/256 nodes), the 256-node mesh also on 2 shards (smaller meshes are
-// one 64-node wake word, hence one shard with routers), the saturated
-// 1024-node hetero-PHY torus on 1, 2 and 4 shards, and one closed-loop
+// one 64-node wake word, hence one shard with routers), Fig. 11's saturated
+// 256-node hetero-PHY torus on 1 and 2 shards, the saturated 1024-node
+// hetero-PHY torus on 1, 2 and 4 shards, and one closed-loop
 // collective. These are the micro-cases for attributing a number; whether
 // a change is faster is judged by `go run ./bench` ledgers under -compare.
 // The low-load cases step through Network.RunWith, so quiescence
@@ -57,6 +58,14 @@ func BenchmarkStep(b *testing.B) {
 	b.Run("satpar/256nodes/2workers", func(b *testing.B) {
 		benchSaturated(b, netbench.BuildMesh(16), 2)
 	})
+	// Fig. 11's system, 4×4 chiplets of 4×4 nodes: four wake words, so
+	// two shards write neighbouring words in the same phase.
+	fig11 := topology.Spec{System: topology.HeteroPHYTorus, ChipletsX: 4, ChipletsY: 4, NodesX: 4, NodesY: 4}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("satpar/256nodes-heterophy/%dworkers", workers), func(b *testing.B) {
+			benchSaturated(b, netbench.Build(fig11), workers)
+		})
+	}
 	// The many-chiplet regime the paper's systems target, where parallel
 	// stepping has cores to use: each satpar case reads against the
 	// one-shard saturated/1024nodes twin.

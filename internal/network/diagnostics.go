@@ -74,7 +74,7 @@ func (net *Network) TakeSnapshot(topN int) Snapshot {
 // DeadlockReport classifies every stalled input VC: whether it holds an
 // output allocation (and what it is waiting on) or failed VC allocation.
 // Used to debug routing deadlocks; the watchdog's error carries its first
-// stalled VC and its totals (stallSummary).
+// stalled VC and its totals (StallSummary).
 func (net *Network) DeadlockReport(limit int) string {
 	var b strings.Builder
 	active, inactive := 0, 0
@@ -151,13 +151,16 @@ func (net *Network) DeadlockReport(limit int) string {
 	return b.String()
 }
 
-// stallSummary is the watchdog's account of a deadlock, on one line:
+// StallSummary is the watchdog's account of a deadlock, on one line:
 // DeadlockReport's first stalled input VC, in node order, and its totals.
-func (net *Network) stallSummary() string {
+// DeadlockReport reads router buffers alone, so where none holds a flit
+// the summary adds how many sit in links and adapters. It is the same at
+// every shard count.
+func (net *Network) StallSummary() string {
 	lines := strings.Split(net.DeadlockReport(1), "\n")
 	i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "total: ") })
 	if i == 0 { // no router buffers a flit
-		return lines[0]
+		return fmt.Sprintf("%s; %d flits in links and adapters", lines[0], net.TakeSnapshot(0).FlitsInLinks)
 	}
 	return lines[0] + "; " + lines[i]
 }

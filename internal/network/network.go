@@ -325,11 +325,11 @@ func (net *Network) materialise() {
 	}
 
 	// Wake state.
-	words := (len(net.Nodes) + 63) / 64
+	words := (len(net.Nodes) + 63) / 64 * wakeStride
 	net.nodeWake, net.srcWake = make([]uint64, words), make([]uint64, words)
 	for i := range net.sources {
 		if len(net.sources[i].q) > 0 {
-			net.srcWake[i>>6] |= 1 << (uint(i) & 63)
+			net.srcWake[i>>6*wakeStride] |= 1 << (uint(i) & 63)
 		}
 	}
 }
@@ -350,7 +350,7 @@ func (net *Network) Offer(p *Packet) {
 	s := &net.sources[p.Src]
 	s.q = append(s.q, p)
 	if net.srcWake != nil {
-		net.srcWake[p.Src>>6] |= 1 << (uint(p.Src) & 63)
+		net.srcWake[p.Src>>6*wakeStride] |= 1 << (uint(p.Src) & 63)
 	}
 }
 
@@ -409,10 +409,14 @@ func (net *Network) linkArrivals(l *Link, moved *uint64) {
 	net.commitDirect(l, moved)
 }
 
+// wakeStride puts each nodeWake/srcWake word alone on a 64-byte line, so no
+// line holds words of two shards wherever the cuts fall (DESIGN.md "Sharding").
+const wakeStride = 8
+
 // wakeNode marks a router as having buffered flits to process. Only the
 // shard owning the router's wake word calls it.
 func (net *Network) wakeNode(id NodeID) {
-	net.nodeWake[id>>6] |= 1 << (uint(id) & 63)
+	net.nodeWake[id>>6*wakeStride] |= 1 << (uint(id) & 63)
 }
 
 // commitDirect publishes the flits a plain link accepted Delay cycles ago:
@@ -535,7 +539,7 @@ func (net *Network) watchdogErr() error {
 	if net.livelock != "" {
 		return fmt.Errorf("network: routing livelock at cycle %d: %s", net.DeadlockAt, net.livelock)
 	}
-	return fmt.Errorf("network: deadlock detected at cycle %d (%d flits stuck): %s", net.DeadlockAt, net.flitsIn-net.flitsOut, net.stallSummary())
+	return fmt.Errorf("network: deadlock detected at cycle %d (%d flits stuck): %s", net.DeadlockAt, net.flitsIn-net.flitsOut, net.StallSummary())
 }
 
 // injectNode moves flits from one node's source queue into its
@@ -725,11 +729,11 @@ func (net *Network) idle() bool {
 // future CreatedAt otherwise, or -1 if every queue is empty.
 func (net *Network) nextSourceEvent() int64 {
 	next := int64(-1)
-	for wi, w := range net.srcWake {
-		for w != 0 {
+	for wi := 0; wi < len(net.srcWake); wi += wakeStride {
+		for w := net.srcWake[wi]; w != 0; {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
-			s := &net.sources[wi<<6+b]
+			s := &net.sources[wi/wakeStride<<6+b]
 			if s.cur != nil {
 				return net.Now
 			}

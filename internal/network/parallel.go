@@ -552,11 +552,11 @@ func (net *Network) phase2(w int) {
 // completely. lo is word-aligned and hi is too unless it is the node
 // count, so the range covers whole words this shard alone owns.
 func (net *Network) tickNodeRange(ctx *tickContext, lo, hi int) {
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+	for wi := lo >> 6 * wakeStride; wi < (hi+63)>>6*wakeStride; wi += wakeStride {
 		for w := net.nodeWake[wi]; w != 0; {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
-			r := net.Nodes[wi<<6+b]
+			r := net.Nodes[wi/wakeStride<<6+b]
 			r.tickCtx(ctx)
 			if r.buffered == 0 {
 				net.nodeWake[wi] &^= 1 << uint(b)
@@ -569,11 +569,11 @@ func (net *Network) tickNodeRange(ctx *tickContext, lo, hi int) {
 // in ascending node order, clearing the bit of any source whose queue
 // emptied.
 func (net *Network) injectNodeRange(sc *workerScratch, lo, hi int) {
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+	for wi := lo >> 6 * wakeStride; wi < (hi+63)>>6*wakeStride; wi += wakeStride {
 		for w := net.srcWake[wi]; w != 0; {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
-			ni := wi<<6 + b
+			ni := wi/wakeStride<<6 + b
 			net.injectNode(ni, sc)
 			s := &net.sources[ni]
 			if s.cur == nil && s.head == len(s.q) {

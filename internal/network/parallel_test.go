@@ -1,11 +1,13 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestParallelMatchesSequential: four shards must be bit-identical to one
@@ -136,6 +138,45 @@ func checkWordBounds(t *testing.T, bounds []int) {
 	for w := 1; w < len(bounds)-1; w++ {
 		if bounds[w]%64 != 0 || bounds[w] < bounds[w-1] {
 			t.Fatalf("bounds %v: interior bound %d is not an ascending multiple of 64", bounds, bounds[w])
+		}
+	}
+}
+
+// TestWakeWordLines: no 64-byte cache line holds nodeWake or srcWake words
+// of two shards, so shards never write one line in the same phase. It
+// checks the addresses of the words themselves on meshes of 256, 1,024,
+// 1,296 and 3,136 nodes, with their row starts declared as cuts, at every
+// count of 1-4 cut at Finalize and again after SetWorkers re-cuts.
+func TestWakeWordLines(t *testing.T) {
+	check := func(net *Network, when string) {
+		t.Helper()
+		owner := map[uintptr]int{}
+		p := net.shards
+		for w := range p.sh {
+			for node := p.bounds[w]; node < p.bounds[w+1]; node += 64 {
+				for _, words := range [][]uint64{net.nodeWake, net.srcWake} {
+					line := uintptr(unsafe.Pointer(&words[node>>6*wakeStride])) / 64
+					if o, ok := owner[line]; ok && o != w {
+						t.Fatalf("%d nodes, %s, bounds %v: one cache line holds wake words of shards %d and %d",
+							len(net.Nodes), when, p.bounds, o, w)
+					}
+					owner[line] = w
+				}
+			}
+		}
+	}
+	for _, side := range []int{16, 32, 36, 56} {
+		for n := 1; n <= 4; n++ {
+			net := declareMesh(t, side, func(int) LinkKind { return KindOnChip })
+			net.Cfg.Workers = n
+			net.SetShardCuts(rowCuts(side))
+			net.Finalize()
+			check(net, fmt.Sprintf("%d shards at Finalize", n))
+			for m := 1; m <= 4; m++ {
+				net.SetWorkers(m)
+				check(net, fmt.Sprintf("re-cut from %d to %d shards", n, m))
+			}
+			net.SetWorkers(1)
 		}
 	}
 }
